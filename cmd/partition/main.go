@@ -5,8 +5,9 @@
 //
 // With -stream and a stateless (hash-family) strategy, the input file is
 // consumed in batches and never materialized: memory stays O(|V|·P/8) bits
-// plus one batch, no matter how large the edge list is. Streaming accepts
-// both formats; the binary one skips text parsing entirely.
+// per -workers worker plus the in-flight batches, no matter how large the
+// edge list is. Streaming accepts both formats; the binary one skips text
+// parsing entirely. Other strategies are refused with their capability named.
 //
 // With -churn N, the edge list is replayed as N deterministic timestamped
 // add/delete windows through a long-lived mutable partition state instead
@@ -54,7 +55,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "hash seed")
 		threshold = flag.Int("hybrid-threshold", 30, "Hybrid/H-Ginger high-degree cutoff")
 		memBudget = flag.Float64("mem-budget", 0, "HEP in-memory edge budget as a fraction of |E| (0 = strategy default)")
-		workers   = flag.Int("workers", 0, "parallel ingress workers for the materialized path (0 = GOMAXPROCS; -stream is single-pass sequential)")
+		workers   = flag.Int("workers", 0, "ingress workers, materialized and -stream alike (0 = GOMAXPROCS; never changes the result)")
 		stream    = flag.Bool("stream", false, "stream -input in batches without materializing the edge list (stateless strategies only)")
 		batch     = flag.Int("batch", 0, "edges per stream batch (0 = default)")
 		churn     = flag.Int("churn", 0, "replay the graph as N timestamped add/delete windows through a mutable partition state instead of one-shot ingress")
@@ -79,7 +80,9 @@ func main() {
 	}
 
 	if *stream {
-		streamPartition(s, *input, *parts, *seed, *batch, *verbose, *jsonOut)
+		if err := runStream(humanWriter(*jsonOut), s, *input, *parts, *seed, *batch, *workers, *verbose, *jsonOut); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 
@@ -158,40 +161,34 @@ func main() {
 	}
 }
 
-// streamPartition runs the memory-bounded batch ingress for a stateless
-// strategy: the edge list is read once and never held in memory.
-func streamPartition(s partition.Strategy, input string, parts int, seed uint64, batch int, verbose bool, jsonOut string) {
+// runStream runs the memory-bounded batch ingress: the edge list is read
+// once, fed to the stream builder's workers and never held in memory. The
+// builder rejects strategies that cannot stream, naming their capability.
+func runStream(out io.Writer, s partition.Strategy, input string, parts int, seed uint64, batch, workers int, verbose bool, jsonOut string) error {
 	if input == "" {
-		log.Fatal("partition: -stream needs -input FILE")
+		return fmt.Errorf("partition: -stream needs -input FILE")
 	}
-	ss, ok := s.(partition.StatelessStrategy)
-	if !ok {
-		shape := partition.ShapeOf(s, parts)
-		why := shape.MultiPassReason
-		if why == "" {
-			why = "its loaders keep per-vertex placement state over the whole stream"
-		}
-		log.Fatalf("partition: %s cannot stream a file in bounded memory: %s", s.Name(), why)
-	}
-	b, err := partition.NewStreamBuilder(ss, parts, seed)
+	b, err := partition.NewShardedStreamBuilder(s, parts, workers, seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	_, _, err = graph.StreamFile(input, batch, func(offset int64, edges []graph.Edge) error {
+	_, _, streamErr := graph.StreamFile(input, batch, func(offset int64, edges []graph.Edge) error {
 		return b.Feed(partition.EdgeBatch{Offset: offset, Edges: edges})
 	})
+	// Finish even after a failed read: it is what stops the workers.
+	sum, err := b.Finish()
+	if streamErr != nil {
+		return streamErr
+	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	sum := b.Finish()
-	hw := humanWriter(jsonOut)
-	fmt.Fprintf(hw, "graph:               %s{|V|=%d |E|=%d} (streamed)\n", input, sum.NumVertices, sum.NumEdges)
-	printMetrics(hw, s, parts, sum, sum.EdgeCount, verbose, "")
+	fmt.Fprintf(out, "graph:               %s{|V|=%d |E|=%d} (streamed)\n", input, sum.NumVertices, sum.NumEdges)
+	printMetrics(out, s, parts, sum, sum.EdgeCount, verbose, "")
 	if jsonOut != "" {
-		if err := writeCells(jsonOut, qualityCells(input, s.Name(), parts, sum)); err != nil {
-			log.Fatal(err)
-		}
+		return writeCells(jsonOut, qualityCells(input, s.Name(), parts, sum))
 	}
+	return nil
 }
 
 // churnOptions configures a -churn replay.

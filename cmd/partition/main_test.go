@@ -2,12 +2,15 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"graphpart/internal/gen"
+	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 )
 
@@ -97,5 +100,58 @@ func TestRunChurnMultiPassRepartitions(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "(repartitioned)") {
 		t.Errorf("multi-pass churn should note per-window repartitioning:\n%s", sb.String())
+	}
+}
+
+// TestRunStreamWorkerIndependent: -stream goes through the one stream
+// builder, so -workers changes wall-clock only — the rendered block,
+// per-partition table included, is byte-equal at 1 and 3 workers and
+// reports the materialized path's replication factor.
+func TestRunStreamWorkerIndependent(t *testing.T) {
+	g := gen.PrefAttach("pa", 3000, 4, 7)
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := graph.SaveEdgeList(g, path); err != nil {
+		t.Fatal(err)
+	}
+	s := partition.MustNew("Grid", partition.Options{})
+	render := func(workers int) string {
+		var sb strings.Builder
+		if err := runStream(&sb, s, path, 9, 1, 512, workers, true, ""); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return sb.String()
+	}
+	one, three := render(1), render(3)
+	if one != three {
+		t.Errorf("-stream output differs between -workers 1 and -workers 3:\n%s\n---\n%s", one, three)
+	}
+	a, err := partition.Partition(g, s, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("replication factor:  %.4f\n", a.ReplicationFactor()); !strings.Contains(one, want) {
+		t.Errorf("streamed output lacks the materialized %q:\n%s", want, one)
+	}
+}
+
+// TestRunStreamNamesCapability: strategies that cannot stream are refused
+// by the builder itself, with the capability that rules them out named.
+func TestRunStreamNamesCapability(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := graph.SaveEdgeList(gen.RoadNet("road", 5, 5, 1), path); err != nil {
+		t.Fatal(err)
+	}
+	for name, capability := range map[string]string{"HDRF": "StreamingStrategy", "Hybrid": "MultiPassStrategy"} {
+		var sb strings.Builder
+		err := runStream(&sb, partition.MustNew(name, partition.Options{}), path, 9, 1, 0, 2, false, "")
+		if err == nil || !strings.Contains(err.Error(), capability) {
+			t.Errorf("%s: got %v, want a refusal naming %s", name, err, capability)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("%s: refused run still printed:\n%s", name, sb.String())
+		}
+	}
+	if err := runStream(io.Discard, partition.MustNew("Grid", partition.Options{}), "", 9, 1, 0, 1, false, ""); err == nil {
+		t.Error("-stream without -input accepted")
 	}
 }

@@ -8,48 +8,38 @@ import (
 	"graphpart/internal/graph"
 )
 
-func TestStreamBuilderFeedAfterFinish(t *testing.T) {
-	b, err := NewStreamBuilder(Random{}, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Feed(EdgeBatch{Edges: []graph.Edge{{Src: 0, Dst: 1}}}); err != nil {
-		t.Fatal(err)
-	}
-	sum := b.Finish()
-	if sum.NumEdges != 1 {
-		t.Fatalf("summary has %d edges, want 1", sum.NumEdges)
-	}
-	err = b.Feed(EdgeBatch{Edges: []graph.Edge{{Src: 1, Dst: 2}}})
-	if !errors.Is(err, ErrFeedAfterFinish) {
-		t.Fatalf("Feed after Finish: got %v, want ErrFeedAfterFinish", err)
-	}
-	// Finish is idempotent and the late Feed must not have leaked in.
-	if again := b.Finish(); again != sum || again.NumEdges != 1 {
-		t.Fatalf("second Finish returned a different summary (%d edges)", again.NumEdges)
-	}
-}
-
-func TestShardedFeedAfterFinish(t *testing.T) {
-	sb, err := NewShardedStreamBuilder(Random{}, 4, 2, 1)
+// checkFeedAfterFinish: once Finish has derived the summary the builder
+// refuses further edges with ErrFeedAfterFinish, and Finish stays
+// idempotent — same summary, the late Feed not leaked in.
+func checkFeedAfterFinish(t *testing.T, workers int) {
+	sb, err := NewShardedStreamBuilder(Random{}, 4, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sb.Feed(EdgeBatch{Edges: []graph.Edge{{Src: 0, Dst: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sb.Finish(); err != nil {
+	sum, err := sb.Finish()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if sum.NumEdges != 1 {
+		t.Fatalf("summary has %d edges, want 1", sum.NumEdges)
 	}
 	err = sb.Feed(EdgeBatch{Edges: []graph.Edge{{Src: 1, Dst: 2}}})
 	if !errors.Is(err, ErrFeedAfterFinish) {
-		t.Fatalf("sharded Feed after Finish: got %v, want ErrFeedAfterFinish", err)
+		t.Fatalf("Feed after Finish: got %v, want ErrFeedAfterFinish", err)
 	}
-	sum, err := sb.Finish()
-	if err != nil || sum.NumEdges != 1 {
-		t.Fatalf("second Finish: %v, %d edges (want 1)", err, sum.NumEdges)
+	again, err := sb.Finish()
+	if err != nil || again != sum || again.NumEdges != 1 {
+		t.Fatalf("second Finish: %v, a different summary or %d edges (want the same one, 1 edge)", err, again.NumEdges)
 	}
 }
+
+// One worker goroutine: the sequential case of the one builder.
+func TestStreamBuilderFeedAfterFinish(t *testing.T) { checkFeedAfterFinish(t, 1) }
+
+func TestShardedFeedAfterFinish(t *testing.T) { checkFeedAfterFinish(t, 2) }
 
 func TestShardedRejectsNonStateless(t *testing.T) {
 	_, err := NewShardedStreamBuilder(MustNew("HDRF", Options{}), 4, 2, 1)

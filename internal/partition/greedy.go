@@ -173,7 +173,7 @@ func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Loader 
 
 // Partition implements Strategy.
 func (o Oblivious) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return streamingPartition(o, g, numParts, seed)
+	return assignStreaming(g, o, numParts, seed, 1)
 }
 
 // NewIncremental implements IncrementalStrategy: one persistent loader
@@ -229,7 +229,7 @@ func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) Loader {
 
 // Partition implements Strategy.
 func (h HDRF) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return streamingPartition(h, g, numParts, seed)
+	return assignStreaming(g, h, numParts, seed, 1)
 }
 
 // NewIncremental implements IncrementalStrategy: one persistent loader

@@ -37,7 +37,7 @@ func (Grid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s Grid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 // ResilientGrid is the thesis's non-square-tolerant Grid (§9.1): the grid
@@ -60,7 +60,7 @@ func (ResilientGrid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s ResilientGrid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 // gridAssigner places each edge on a deterministic member of S(u)∩S(v) for

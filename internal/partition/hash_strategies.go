@@ -32,7 +32,7 @@ func (Random) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s Random) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 type randomAssigner struct {
@@ -70,7 +70,7 @@ func (AsymRandom) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s AsymRandom) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 type asymAssigner struct {
@@ -99,7 +99,7 @@ func (OneD) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s OneD) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 type oneDAssigner struct {
@@ -132,7 +132,7 @@ func (OneDTarget) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s OneDTarget) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 type oneDTargetAssigner struct {
@@ -169,7 +169,7 @@ func (TwoD) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s TwoD) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 type twoDAssigner struct {

@@ -3,16 +3,15 @@ package partition
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"graphpart/internal/graph"
-	"graphpart/internal/metrics"
 )
 
-// ParallelPartition partitions g with s using up to `workers` concurrent
-// workers (≤0 means GOMAXPROCS) and materializes the Assignment with
-// vertex-range-sharded workers. Dispatch is by capability:
+// ParallelPartition is the one materialized ingress driver: it partitions g
+// with s using up to `workers` concurrent workers (≤0 means GOMAXPROCS; 1
+// runs everything inline on the calling goroutine, which is what Partition
+// does) and materializes the Assignment with vertex-range-sharded workers.
+// Dispatch is by capability:
 //
 //   - StatelessStrategy: the edge list shards across workers, each with its
 //     own Assigner; master hints are produced per vertex shard.
@@ -22,10 +21,9 @@ import (
 //   - anything else (the multi-pass family): one sequential strategy pass,
 //     but the Assignment is still built in parallel.
 //
-// The result is identical to Partition for every strategy: parallelism
-// changes wall-clock, never placement. The strategy's own Partition method
-// runs at most once per call (and not at all for stateless/streaming
-// strategies).
+// Parallelism changes wall-clock, never placement: the result is identical
+// at every worker count. The strategy's own Partition method runs at most
+// once per call (and not at all for stateless/streaming strategies).
 func ParallelPartition(g *graph.Graph, s Strategy, numParts int, seed uint64, workers int) (*Assignment, error) {
 	if workers <= 0 {
 		//graphlint:nondet worker-count default only; placement is worker-count-independent (parallel_test.go)
@@ -38,27 +36,24 @@ func ParallelPartition(g *graph.Graph, s Strategy, numParts int, seed uint64, wo
 	var err error
 	switch impl := s.(type) {
 	case StatelessStrategy:
-		res, err = statelessParallel(g, impl, numParts, seed, workers)
+		res, err = assignStateless(g, impl, numParts, seed, workers)
 	case StreamingStrategy:
-		res, err = streamingParallel(g, impl, numParts, seed, workers)
+		res, err = assignStreaming(g, impl, numParts, seed, workers)
 	default:
 		res, err = s.Partition(g, numParts, seed)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
 	}
-	if len(res.EdgeParts) != g.NumEdges() {
-		return nil, fmt.Errorf("partition: strategy %s returned %d assignments for %d edges",
-			s.Name(), len(res.EdgeParts), g.NumEdges())
-	}
 	return newAssignment(g, s.Name(), s.Passes(), numParts, seed, res, workers)
 }
 
-// statelessParallel shards the edge list across workers, each assigning
-// with its own Assigner (pure per-edge function, so shard boundaries cannot
+// assignStateless shards the edge list across workers, each assigning with
+// its own Assigner (pure per-edge function, so shard boundaries cannot
 // change placement). When the assigner hints masters, the hint vector is
-// filled per vertex shard — no full re-partition, ever.
-func statelessParallel(g *graph.Graph, s StatelessStrategy, numParts int, seed uint64, workers int) (*Result, error) {
+// filled per vertex shard. Every StatelessStrategy's Partition method is
+// this function at one worker.
+func assignStateless(g *graph.Graph, s StatelessStrategy, numParts int, seed uint64, workers int) (*Result, error) {
 	// One up-front assigner validates parameters and probes capabilities.
 	probe, err := s.NewAssigner(numParts, seed)
 	if err != nil {
@@ -72,30 +67,26 @@ func statelessParallel(g *graph.Graph, s StatelessStrategy, numParts int, seed u
 		hint = make([]int32, n)
 	}
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			asg := probe
-			if w > 0 {
-				// Assigners may carry scratch state; one per goroutine.
-				if asg, errs[w] = s.NewAssigner(numParts, seed); errs[w] != nil {
-					return
-				}
+	forShards(workers, func(w int) {
+		asg := probe
+		if w > 0 {
+			// Assigners may carry scratch state; one per goroutine.
+			if asg, errs[w] = s.NewAssigner(numParts, seed); errs[w] != nil {
+				return
 			}
-			for i := m * w / workers; i < m*(w+1)/workers; i++ {
-				parts[i] = asg.Assign(g.Edges[i])
+		}
+		lo, hi := shardRange(m, workers, w)
+		for i := lo; i < hi; i++ {
+			parts[i] = asg.Assign(g.Edges[i])
+		}
+		if hint != nil {
+			h := asg.(MasterHinter)
+			lo, hi := shardRange(n, workers, w)
+			for v := lo; v < hi; v++ {
+				hint[v] = h.MasterHint(graph.VertexID(v))
 			}
-			if hint != nil {
-				h := asg.(MasterHinter)
-				for v := n * w / workers; v < n*(w+1)/workers; v++ {
-					hint[v] = h.MasterHint(graph.VertexID(v))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -104,153 +95,28 @@ func statelessParallel(g *graph.Graph, s StatelessStrategy, numParts int, seed u
 	return &Result{EdgeParts: parts, MasterHint: hint}, nil
 }
 
-// streamingParallel runs a StreamingStrategy's independent loaders
-// concurrently, each over its own contiguous edge block and private state.
-// Loader blocks and per-loader seeds match the sequential path exactly, so
-// the placement is byte-identical; only wall-clock changes. At most
-// `workers` loader states are live at once, bounding memory.
-func streamingParallel(g *graph.Graph, s StreamingStrategy, numParts int, seed uint64, workers int) (*Result, error) {
+// assignStreaming runs a StreamingStrategy's independent loaders, each over
+// its own contiguous edge block and private state. Worker w takes loaders
+// w, w+workers, … one after another, so at most `workers` loader states are
+// live at once; blocks and per-loader seeds do not depend on the worker
+// count, so neither does the placement. Every StreamingStrategy's Partition
+// method is this function at one worker.
+func assignStreaming(g *graph.Graph, s StreamingStrategy, numParts int, seed uint64, workers int) (*Result, error) {
 	m := g.NumEdges()
-	nl := s.Loaders(numParts)
-	if nl < 1 {
-		nl = 1
-	}
+	nl := max(s.Loaders(numParts), 1)
+	workers = min(workers, nl)
 	parts := make([]int32, m)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for id := 0; id < nl; id++ {
-		lo, hi := loaderBlock(m, nl, id)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(id, lo, hi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	forShards(workers, func(w int) {
+		for id := w; id < nl; id += workers {
+			lo, hi := loaderBlock(m, nl, id)
+			if lo >= hi {
+				continue
+			}
 			ld := s.NewLoader(g.NumVertices(), numParts, id, seed)
 			for i := lo; i < hi; i++ {
 				parts[i] = ld.Assign(g.Edges[i])
 			}
-		}(id, lo, hi)
-	}
-	wg.Wait()
-	return &Result{EdgeParts: parts}, nil
-}
-
-// buildParallel fills an Assignment's edge counts, bit-matrices and masters
-// with sharded workers. Edge counts shard by edge range; the replica/in/out
-// bit-matrices and masters shard by vertex range, so workers write disjoint
-// rows and need no locks. Every step is deterministic: the result is
-// byte-identical to the serial build.
-func (a *Assignment) buildParallel(res *Result, seed uint64, workers int) error {
-	g, numParts := a.G, a.NumParts
-	m := g.NumEdges()
-	n := g.NumVertices()
-
-	// Phase 1: validate assignments and count edges per partition, sharded
-	// by edge range.
-	counts := make([][]int64, workers)
-	firstBad := int64(m) // lowest invalid edge index, m = none
-	var bad atomic.Int64
-	bad.Store(firstBad)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]int64, numParts)
-			for i := m * w / workers; i < m*(w+1)/workers; i++ {
-				p := res.EdgeParts[i]
-				if p < 0 || int(p) >= numParts {
-					for {
-						cur := bad.Load()
-						if int64(i) >= cur || bad.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					return
-				}
-				local[p]++
-			}
-			counts[w] = local
-		}(w)
-	}
-	wg.Wait()
-	if i := bad.Load(); i < int64(m) {
-		return fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
-			a.Strategy, i, res.EdgeParts[i], numParts)
-	}
-	for _, local := range counts {
-		for p, c := range local {
-			if c != 0 {
-				a.q.AddEdges(p, c)
-			}
 		}
-	}
-
-	// Phase 2: bit-matrices, sharded by vertex range. Each worker scans the
-	// whole edge list but only touches rows in its own range; row storage is
-	// disjoint, so no synchronization is needed. The scan is redundant
-	// (O(workers·m) reads), so cap the fan-out: past a handful of workers
-	// the extra sequential reads cost more memory bandwidth than the
-	// divided random-access bit-sets save.
-	mw := workers
-	if mw > 8 {
-		mw = 8
-	}
-	for w := 0; w < mw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vlo := graph.VertexID(n * w / mw)
-			vhi := graph.VertexID(n * (w + 1) / mw)
-			for i, e := range g.Edges {
-				p := int(res.EdgeParts[i])
-				if e.Src >= vlo && e.Src < vhi {
-					a.replicas.set(int(e.Src), p)
-					a.outEdgeParts.set(int(e.Src), p)
-				}
-				if e.Dst >= vlo && e.Dst < vhi {
-					a.replicas.set(int(e.Dst), p)
-					a.inEdgeParts.set(int(e.Dst), p)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Phase 3: masters and replica accounting, sharded by vertex range.
-	// Each worker accumulates its shard's image counts into a private
-	// quality summary; the merge is a sum, so the folded result equals the
-	// sequential replay.
-	a.Masters = make([]int32, n)
-	locals := make([]*metrics.Quality, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := metrics.NewQuality(numParts)
-			for v := n * w / workers; v < n*(w+1)/workers; v++ {
-				reps := a.replicas.count(v)
-				if reps == 0 {
-					a.Masters[v] = -1
-					continue
-				}
-				local.VertexPlaced()
-				a.replicas.forEach(v, local.AddReplica)
-				hint := int32(-1)
-				if len(res.MasterHint) == n {
-					hint = res.MasterHint[v]
-				}
-				a.Masters[v] = chooseMaster(a.replicas, v, reps, hint, numParts, seed)
-			}
-			locals[w] = local
-		}(w)
-	}
-	wg.Wait()
-	for _, local := range locals {
-		a.q.Merge(local)
-	}
-	return nil
+	})
+	return &Result{EdgeParts: parts}, nil
 }

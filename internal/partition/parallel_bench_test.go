@@ -15,20 +15,20 @@ var bench1M = sync.OnceValue(func() *graph.Graph {
 })
 
 // BenchmarkStatelessIngress1M measures stateless-strategy ingress plus
-// assignment materialization on a 1M-edge graph: the sequential reference
-// against the capability-dispatched parallel pipeline. The acceptance bar
+// assignment materialization on a 1M-edge graph: the one driver at one
+// worker against the same code at GOMAXPROCS workers. The acceptance bar
 // for the streaming refactor is ≥2x wall-clock at GOMAXPROCS ≥ 4.
 func BenchmarkStatelessIngress1M(b *testing.B) {
 	g := bench1M()
 	for _, s := range []Strategy{Random{}, TwoD{}, Grid{}} {
-		b.Run(s.Name()+"/sequential", func(b *testing.B) {
+		b.Run(s.Name()+"/workers=1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Partition(g, s, 9, 1); err != nil {
+				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(s.Name()+"/parallel", func(b *testing.B) {
+		b.Run(s.Name()+"/workers=max", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelPartition(g, s, 9, 1, 0); err != nil {
 					b.Fatal(err)
@@ -43,14 +43,14 @@ func BenchmarkStatelessIngress1M(b *testing.B) {
 func BenchmarkStreamingIngress1M(b *testing.B) {
 	g := bench1M()
 	for _, s := range []Strategy{Oblivious{}, HDRF{}} {
-		b.Run(s.Name()+"/sequential", func(b *testing.B) {
+		b.Run(s.Name()+"/workers=1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Partition(g, s, 9, 1); err != nil {
+				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(s.Name()+"/parallel", func(b *testing.B) {
+		b.Run(s.Name()+"/workers=max", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelPartition(g, s, 9, 1, 0); err != nil {
 					b.Fatal(err)
@@ -61,24 +61,31 @@ func BenchmarkStreamingIngress1M(b *testing.B) {
 }
 
 // BenchmarkStreamBuilder1M measures the memory-bounded batch ingress path
-// (assign + replica bookkeeping, no edge list retained).
+// (assign + replica bookkeeping, no edge list retained) at one worker and at
+// GOMAXPROCS workers of the one builder.
 func BenchmarkStreamBuilder1M(b *testing.B) {
 	g := bench1M()
-	for i := 0; i < b.N; i++ {
-		sb, err := NewStreamBuilder(Random{}, 9, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		const batch = 1 << 16
-		for lo := 0; lo < g.NumEdges(); lo += batch {
-			hi := lo + batch
-			if hi > g.NumEdges() {
-				hi = g.NumEdges()
+	for _, arm := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sb, err := NewShardedStreamBuilder(Random{}, 9, arm.workers, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				const batch = 1 << 16
+				for lo := 0; lo < g.NumEdges(); lo += batch {
+					hi := min(lo+batch, g.NumEdges())
+					if err := sb.Feed(EdgeBatch{Offset: int64(lo), Edges: g.Edges[lo:hi]}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := sb.Finish(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := sb.Feed(EdgeBatch{Offset: int64(lo), Edges: g.Edges[lo:hi]}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		sb.Finish()
+		})
 	}
 }

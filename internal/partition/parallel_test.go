@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -19,45 +21,22 @@ func partsFor(name string) int {
 }
 
 // TestParallelMatchesSequential asserts, for every registered strategy and
-// several worker counts, that the streaming/parallel pipeline's Assignment
-// is byte-identical to the sequential path: same EdgeParts, same Masters,
-// same replication factor, same per-partition loads.
+// several worker counts, that the one driver's Assignment is byte-identical
+// to the sequential test-side oracle: same EdgeParts, same Masters, same
+// replication factor, same per-partition loads.
 func TestParallelMatchesSequential(t *testing.T) {
 	g := gen.PrefAttach("par", 4000, 6, 0x61)
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for _, name := range AllNames() {
 		s := MustNew(name, Options{HybridThreshold: 30})
 		parts := partsFor(name)
-		seq, err := Partition(g, s, parts, 5)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		want := buildOracle(t, s, g, parts, 5)
 		for _, workers := range workerCounts {
 			par, err := ParallelPartition(g, s, parts, 5, workers)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, workers, err)
 			}
-			for i := range seq.EdgeParts {
-				if seq.EdgeParts[i] != par.EdgeParts[i] {
-					t.Fatalf("%s/%d workers: edge %d differs (%d vs %d)",
-						name, workers, i, seq.EdgeParts[i], par.EdgeParts[i])
-				}
-			}
-			if seq.ReplicationFactor() != par.ReplicationFactor() {
-				t.Fatalf("%s/%d workers: RF differs (%v vs %v)",
-					name, workers, seq.ReplicationFactor(), par.ReplicationFactor())
-			}
-			for v := range seq.Masters {
-				if seq.Masters[v] != par.Masters[v] {
-					t.Fatalf("%s/%d workers: master of %d differs (%d vs %d)",
-						name, workers, v, seq.Masters[v], par.Masters[v])
-				}
-			}
-			for p := range seq.EdgeCount {
-				if seq.EdgeCount[p] != par.EdgeCount[p] {
-					t.Fatalf("%s/%d workers: partition %d load differs", name, workers, p)
-				}
-			}
+			assertMatchesOracle(t, fmt.Sprintf("%s/%d workers", name, workers), par, want)
 		}
 	}
 }
@@ -93,9 +72,10 @@ func (c countingStreaming) NewLoader(numVertices, numParts, id int, seed uint64)
 
 // TestParallelNeverPartitionsTwice is the regression test for the old
 // hintOnce fallback, which re-ran a full sequential partition inside the
-// parallel path to recover master hints. One ParallelPartition call must
-// run the strategy's full-graph Partition at most once — and not at all for
-// stateless/streaming strategies, whose assigners and loaders replace it.
+// parallel path to recover master hints. One driver call — ParallelPartition
+// or its one-worker form Partition — must run the strategy's full-graph
+// Partition at most once, and not at all for stateless/streaming
+// strategies, whose assigners and loaders replace it.
 func TestParallelNeverPartitionsTwice(t *testing.T) {
 	g := gen.PrefAttach("par-count", 2000, 5, 0x13)
 	for _, name := range AllNames() {
@@ -119,6 +99,14 @@ func TestParallelNeverPartitionsTwice(t *testing.T) {
 			t.Errorf("%s: full-graph Partition ran %d times in one ParallelPartition call, want %d",
 				name, got, wantCalls)
 		}
+		atomic.StoreInt32(&calls, 0)
+		if _, err := Partition(g, s, partsFor(name), 5); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := atomic.LoadInt32(&calls); got != wantCalls {
+			t.Errorf("%s: full-graph Partition ran %d times in one Partition call, want %d",
+				name, got, wantCalls)
+		}
 	}
 }
 
@@ -126,41 +114,42 @@ func TestParallelTinyGraph(t *testing.T) {
 	g := gen.RoadNet("par-tiny", 3, 3, 1)
 	for _, name := range []string{"Random", "Oblivious", "Hybrid"} {
 		s := MustNew(name, Options{HybridThreshold: 30})
-		seq, err := Partition(g, s, 4, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		par, err := ParallelPartition(g, s, 4, 1, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for i := range seq.EdgeParts {
-			if seq.EdgeParts[i] != par.EdgeParts[i] {
-				t.Fatalf("%s: edge %d differs on tiny graph", name, i)
-			}
+		assertMatchesOracle(t, name+"/16 workers", par, buildOracle(t, s, g, 4, 1))
+	}
+}
+
+// TestParallelRejectsBadAssignments asserts the one materialization path
+// validates what a strategy returns at every worker count: an out-of-range
+// partition id is refused naming the lowest offending edge, and a result of
+// the wrong length is refused before anything is indexed.
+func TestParallelRejectsBadAssignments(t *testing.T) {
+	g := gen.RoadNet("par-bad", 5, 5, 1)
+	for _, workers := range []int{1, 4} {
+		_, err := ParallelPartition(g, badStrategy{firstBad: 7}, 4, 1, workers)
+		if err == nil || !strings.Contains(err.Error(), "placed edge 7 on partition 4") {
+			t.Errorf("workers=%d: out-of-range assignment: got %v, want the lowest bad edge (7) named", workers, err)
+		}
+		_, err = ParallelPartition(g, badStrategy{firstBad: g.NumEdges(), short: 3}, 4, 1, workers)
+		if err == nil || !strings.Contains(err.Error(), "assignments for") {
+			t.Errorf("workers=%d: short result: got %v, want an edge-count error", workers, err)
 		}
 	}
 }
 
-// TestParallelRejectsBadAssignments asserts the sharded builder validates
-// partition ids like the serial one.
-func TestParallelRejectsBadAssignments(t *testing.T) {
-	g := gen.RoadNet("par-bad", 5, 5, 1)
-	var calls int32
-	bad := countingStrategy{Strategy: badStrategy{}, calls: &calls}
-	if _, err := ParallelPartition(g, bad, 4, 1, 4); err == nil {
-		t.Fatal("out-of-range assignment accepted by parallel builder")
-	}
-}
-
-type badStrategy struct{}
+// badStrategy places edges firstBad.. out of range and drops the last
+// `short` placements.
+type badStrategy struct{ firstBad, short int }
 
 func (badStrategy) Name() string { return "Bad" }
 func (badStrategy) Passes() int  { return 1 }
-func (badStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	parts := make([]int32, g.NumEdges())
-	for i := range parts {
-		parts[i] = int32(numParts) // every edge out of range
+func (b badStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+	parts := make([]int32, g.NumEdges()-b.short)
+	for i := b.firstBad; i < len(parts); i++ {
+		parts[i] = int32(numParts)
 	}
 	return &Result{EdgeParts: parts}, nil
 }

@@ -26,17 +26,29 @@
 // New strategies self-register via Register from an init function; no
 // central construction switch exists.
 //
-// Ingress runs either materialized — Partition / ParallelPartition produce
-// an Assignment over an in-memory graph — or streamed: a StreamBuilder
-// consumes EdgeBatch chunks for a stateless strategy in O(|V|·P/8) memory
-// without ever holding the edge list.
+// # One driver, one builder, one table
+//
+// Ingress runs either materialized — ParallelPartition produces an
+// Assignment over an in-memory graph; Partition is its one-worker call — or
+// streamed: a ShardedStreamBuilder consumes EdgeBatch chunks for a stateless
+// strategy in O(|V|·P/8) memory per worker without ever holding the edge
+// list. Sequential is the workers = 1 case of the same code, never a
+// second implementation.
+//
+// All of them fill the same bookkeeping, the unexported cutTable: the
+// replica bit-matrix, the masters and the metrics.Quality summary, with the
+// read accessors and the master rule declared once. Assignment adds the
+// edge placements and in/out matrices, StreamSummary adds nothing, and
+// PartitionState — the mutable partitioning of a churning graph — adds the
+// endpoint reference counts that make replica sets decrementable (32× the
+// bits, which is why the one-shot holders never carry them) and the live
+// edges.
 package partition
 
 import (
 	"fmt"
 
 	"graphpart/internal/graph"
-	"graphpart/internal/metrics"
 )
 
 // Result is what a Strategy produces: a partition id per edge, and
@@ -73,7 +85,9 @@ type HeuristicStrategy interface {
 
 // Assignment is a fully-materialized vertex-cut partitioning of a graph:
 // every edge placed on a partition, replica sets and masters derived, and
-// the paper's quality metrics precomputed.
+// the paper's quality metrics precomputed. The replica table, masters and
+// quality summary are the shared cutTable core; Assignment adds the edge
+// placements and the per-direction matrices the engines' locality tests read.
 type Assignment struct {
 	G        *graph.Graph
 	NumParts int
@@ -81,43 +95,31 @@ type Assignment struct {
 	Passes   int
 
 	EdgeParts []int32
-	Masters   []int32 // -1 for isolated vertices
+	Masters   []int32 // -1 for isolated vertices (the core's slice)
 	EdgeCount []int64 // edges per partition (aliases the quality summary)
 
-	replicas     *bitMatrix // partitions holding any edge of v
+	cutTable
 	inEdgeParts  *bitMatrix // partitions holding ≥1 in-edge of v
 	outEdgeParts *bitMatrix // partitions holding ≥1 out-edge of v
-
-	// q holds the aggregate quality summary. The one-shot build is the
-	// replay-from-empty case of the same incremental accumulator
-	// PartitionState maintains under churn.
-	q *metrics.Quality
 }
 
-// Partition runs a strategy against a graph and materializes the result
-// sequentially. ParallelPartition is the multi-worker equivalent; both
-// produce identical assignments.
+// Partition runs a strategy against a graph and materializes the result on
+// the calling goroutine: it is ParallelPartition at one worker, the same
+// code path at every worker count.
 func Partition(g *graph.Graph, s Strategy, numParts int, seed uint64) (*Assignment, error) {
-	if numParts < 1 {
-		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
-	}
-	res, err := s.Partition(g, numParts, seed)
-	if err != nil {
-		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
-	}
-	if len(res.EdgeParts) != g.NumEdges() {
-		return nil, fmt.Errorf("partition: strategy %s returned %d assignments for %d edges",
-			s.Name(), len(res.EdgeParts), g.NumEdges())
-	}
-	return newAssignment(g, s.Name(), s.Passes(), numParts, seed, res, 1)
+	return ParallelPartition(g, s, numParts, seed, 1)
 }
 
 // newAssignment materializes a strategy result into an Assignment using the
-// given number of workers (≤1 means serial). Worker count never changes the
+// given number of workers (≥1; 1 runs inline). Worker count never changes the
 // result, only wall-clock. The strategy is identified by name and pass
 // count rather than interface so deserialized assignments (whose strategy
 // no longer exists as code) rebuild through the same validated path.
 func newAssignment(g *graph.Graph, name string, passes, numParts int, seed uint64, res *Result, workers int) (*Assignment, error) {
+	if len(res.EdgeParts) != g.NumEdges() {
+		return nil, fmt.Errorf("partition: strategy %s returned %d assignments for %d edges",
+			name, len(res.EdgeParts), g.NumEdges())
+	}
 	n := g.NumVertices()
 	a := &Assignment{
 		G:            g,
@@ -125,56 +127,79 @@ func newAssignment(g *graph.Graph, name string, passes, numParts int, seed uint6
 		Strategy:     name,
 		Passes:       passes,
 		EdgeParts:    res.EdgeParts,
-		q:            metrics.NewQuality(numParts),
-		replicas:     newBitMatrix(n, numParts),
+		cutTable:     newCutTable(n, numParts, seed),
 		inEdgeParts:  newBitMatrix(n, numParts),
 		outEdgeParts: newBitMatrix(n, numParts),
 	}
 	a.EdgeCount = a.q.EdgeCounts()
-	if workers > 1 {
-		if err := a.buildParallel(res, seed, workers); err != nil {
-			return nil, err
-		}
-		return a, nil
+	if err := a.place(workers); err != nil {
+		return nil, err
 	}
-	for i, e := range g.Edges {
-		p := res.EdgeParts[i]
-		if p < 0 || int(p) >= numParts {
-			return nil, fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
-				a.Strategy, i, p, numParts)
-		}
-		a.q.AddEdge(int(p))
-		a.replicas.set(int(e.Src), int(p))
-		a.replicas.set(int(e.Dst), int(p))
-		a.outEdgeParts.set(int(e.Src), int(p))
-		a.inEdgeParts.set(int(e.Dst), int(p))
+	var hint func(graph.VertexID) int32
+	if len(res.MasterHint) == n {
+		hint = func(v graph.VertexID) int32 { return res.MasterHint[v] }
 	}
-
-	// Pick masters. PowerGraph picks one replica at random (§5.1.1); we
-	// pick deterministically by hashing the vertex over its replica list.
-	// A strategy's MasterHint overrides this when the hinted partition
-	// actually holds a replica (Hybrid's low-degree masters).
-	a.Masters = make([]int32, n)
-	for v := 0; v < n; v++ {
-		reps := a.replicas.count(v)
-		if reps == 0 {
-			a.Masters[v] = -1
-			continue
-		}
-		a.q.VertexPlaced()
-		a.replicas.forEach(v, a.q.AddReplica)
-		hint := int32(-1)
-		if len(res.MasterHint) == n {
-			hint = res.MasterHint[v]
-		}
-		a.Masters[v] = chooseMaster(a.replicas, v, reps, hint, numParts, seed)
-	}
+	a.deriveMasters(n, workers, hint)
+	a.Masters = a.masters
 	return a, nil
 }
 
-// Replicas returns the number of partitions vertex v is replicated on
-// (master included). Zero for isolated vertices.
-func (a *Assignment) Replicas(v graph.VertexID) int { return a.replicas.count(int(v)) }
+// place validates EdgeParts and fills the edge counts and the
+// replica/in/out bit-matrices. Workers shard the matrices by vertex range:
+// each scans the whole edge list but writes only rows in its own range, so
+// row storage is disjoint and needs no locks. The same scan range-checks
+// every placement it reads and counts the edges of the worker's own edge
+// range. The scan is redundant (O(workers·m) reads), so the fan-out is
+// capped: past a handful of workers the extra sequential reads cost more
+// memory bandwidth than the divided random-access bit-sets save.
+func (a *Assignment) place(workers int) error {
+	workers = min(workers, 8)
+	edges, parts, numParts := a.G.Edges, a.EdgeParts, a.NumParts
+	m, n := len(parts), a.G.NumVertices()
+	reps, in, out := a.replicas, a.inEdgeParts, a.outEdgeParts
+	counts := make([][]int64, workers)
+	// Every worker scans from edge 0 and stops at the first out-of-range
+	// placement, so all of them find the same — the lowest — bad index.
+	bad := m
+	forShards(workers, func(w int) {
+		vlo, vhi := shardRange(n, workers, w)
+		elo, ehi := shardRange(m, workers, w)
+		local := make([]int64, numParts)
+		for i, e := range edges {
+			p := int(parts[i])
+			if p < 0 || p >= numParts {
+				if w == 0 {
+					bad = i
+				}
+				return
+			}
+			if i >= elo && i < ehi {
+				local[p]++
+			}
+			if s := int(e.Src); s >= vlo && s < vhi {
+				reps.set(s, p)
+				out.set(s, p)
+			}
+			if d := int(e.Dst); d >= vlo && d < vhi {
+				reps.set(d, p)
+				in.set(d, p)
+			}
+		}
+		counts[w] = local
+	})
+	if bad < m {
+		return fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
+			a.Strategy, bad, parts[bad], numParts)
+	}
+	for _, local := range counts {
+		for p, c := range local {
+			if c != 0 {
+				a.q.AddEdges(p, c)
+			}
+		}
+	}
+	return nil
+}
 
 // HasReplica reports whether partition p holds a replica of v.
 func (a *Assignment) HasReplica(v graph.VertexID, p int) bool { return a.replicas.has(int(v), p) }
@@ -183,9 +208,6 @@ func (a *Assignment) HasReplica(v graph.VertexID, p int) bool { return a.replica
 func (a *Assignment) ForEachReplica(v graph.VertexID, fn func(p int)) {
 	a.replicas.forEach(int(v), fn)
 }
-
-// Master returns the master partition of v, or -1 if v is isolated.
-func (a *Assignment) Master(v graph.VertexID) int { return int(a.Masters[v]) }
 
 // InEdgePartCount returns how many partitions hold at least one in-edge of v.
 func (a *Assignment) InEdgePartCount(v graph.VertexID) int { return a.inEdgeParts.count(int(v)) }
@@ -218,27 +240,6 @@ func (a *Assignment) OutEdgesLocalToMaster(v graph.VertexID) bool {
 	}
 	return a.outEdgeParts.onlyCol(int(v), m)
 }
-
-// ReplicationFactor returns the average number of images per vertex over
-// all non-isolated vertices — the paper's headline partition-quality metric
-// (§5.1.1).
-func (a *Assignment) ReplicationFactor() float64 { return a.q.ReplicationFactor() }
-
-// TotalReplicas returns the total number of vertex images across all
-// partitions.
-func (a *Assignment) TotalReplicas() int64 { return a.q.TotalReplicas() }
-
-// EdgeBalance returns max(edges per partition) / mean(edges per partition),
-// ≥1; 1.0 is perfectly balanced. The load-balance metric the strategies'
-// heuristics optimize.
-func (a *Assignment) EdgeBalance() float64 { return a.q.EdgeBalance() }
-
-// ReplicasOnPart returns the number of vertex images partition p holds
-// (precomputed during the build; O(1)).
-func (a *Assignment) ReplicasOnPart(p int) int64 { return a.q.ReplicasOnPart(p) }
-
-// Quality returns the assignment's aggregate quality summary.
-func (a *Assignment) Quality() *metrics.Quality { return a.q }
 
 // Mirrors returns the number of mirror images of v (replicas minus master).
 func (a *Assignment) Mirrors(v graph.VertexID) int {

@@ -40,7 +40,7 @@ func (PDS) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 
 // Partition implements Strategy.
 func (s PDS) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return statelessPartition(s, g, numParts, seed)
+	return assignStateless(g, s, numParts, seed, 1)
 }
 
 type pdsAssigner struct {

@@ -19,6 +19,10 @@ import (
 // fileMagic identifies the assignment file format.
 var fileMagic = [8]byte{'g', 'p', 'a', 's', 'g', 'n', '0', '1'}
 
+// maxFileParts bounds the partition count ReadAssignment accepts from a
+// file header — far above any cluster the paper or the experiments model.
+const maxFileParts = 1 << 16
+
 // Encode serializes the assignment. The graph itself is not stored; the
 // caller must Load against the same graph (validated by edge count).
 func (a *Assignment) Encode(w io.Writer) error {
@@ -69,6 +73,11 @@ func ReadAssignment(g *graph.Graph, r io.Reader) (*Assignment, error) {
 			return nil, fmt.Errorf("partition: reading header: %w", err)
 		}
 	}
+	// The header is outside input: newAssignment sizes three matrices of
+	// |V|·⌈numParts/64⌉ words from it, so bound it before anything allocates.
+	if numParts < 1 || numParts > maxFileParts {
+		return nil, fmt.Errorf("partition: implausible partition count %d (want 1..%d)", numParts, maxFileParts)
+	}
 	if int(numEdges) != g.NumEdges() {
 		return nil, fmt.Errorf("partition: assignment has %d edges but graph has %d", numEdges, g.NumEdges())
 	}
@@ -96,11 +105,7 @@ func ReadAssignment(g *graph.Graph, r io.Reader) (*Assignment, error) {
 	}
 
 	// Rebuild through the standard constructor for full validation.
-	a, err := newAssignment(g, string(name), int(passes), int(numParts), 0, &Result{EdgeParts: edgeParts, MasterHint: masters}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+	return newAssignment(g, string(name), int(passes), int(numParts), 0, &Result{EdgeParts: edgeParts, MasterHint: masters}, 1)
 }
 
 // SaveFile writes the assignment to path.

@@ -2,7 +2,9 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"graphpart/internal/gen"
@@ -81,6 +83,16 @@ func TestReadAssignmentValidation(t *testing.T) {
 	}
 	if _, err := ReadAssignment(g, bytes.NewReader(buf.Bytes()[:20])); err == nil {
 		t.Error("accepted truncated input")
+	}
+	// A hostile header: numParts (bytes 8..15) sizes three |V|×⌈numParts/64⌉
+	// matrices, so it must be refused before anything is allocated.
+	for _, numParts := range []uint64{0, 1 << 40} {
+		crafted := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint64(crafted[8:16], numParts)
+		_, err := ReadAssignment(g, bytes.NewReader(crafted))
+		if err == nil || !strings.Contains(err.Error(), "implausible partition count") {
+			t.Errorf("numParts=%d in the header: got %v, want an implausible-partition-count error", numParts, err)
+		}
 	}
 }
 

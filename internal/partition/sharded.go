@@ -9,20 +9,24 @@ import (
 	"graphpart/internal/graph"
 )
 
-// ShardedStreamBuilder fans stateless stream ingress out over worker
-// goroutines. Each worker owns a private StreamBuilder (its own assigner,
-// counters and bit-matrices — no shared mutable state, no locks on the hot
-// path); Feed copies each batch into a pooled buffer and dispatches it to
-// whichever worker is free. Because the strategy is stateless and every
-// per-edge update commutes (counter addition, bit-set union), the merged
-// result is *identical* to a single sequential StreamBuilder over the same
-// stream, regardless of how batches interleave across workers.
+// ShardedStreamBuilder is the one memory-bounded stream ingress: it consumes
+// an edge stream batch by batch for a stateless strategy and accumulates the
+// vertex-cut bookkeeping — per-partition edge counts and the replica
+// bit-matrix — without ever materializing the edge list. Each worker
+// goroutine owns a private streamShard (its own assigner, counters and
+// matrix — no shared mutable state, no locks on the hot path); Feed copies
+// each batch into a pooled buffer and dispatches it to whichever worker is
+// free. Because the strategy is stateless and every per-edge update commutes
+// (counter addition, bit-set union), the merged result is identical at
+// every worker count and for every interleaving of batches across workers;
+// one worker is simply one goroutine draining the same queue.
 //
 // Feed is intended for a single producer (the file reader); the concurrency
 // lives behind it. Memory is O(workers · |V|·P/8) bits plus the in-flight
 // batch copies.
 type ShardedStreamBuilder struct {
-	builders []*StreamBuilder
+	strategy string
+	shards   []*streamShard
 	jobs     chan shardJob
 	wg       sync.WaitGroup
 	errs     []error
@@ -37,30 +41,75 @@ type shardJob struct {
 	buf    *[]graph.Edge
 }
 
-// NewShardedStreamBuilder prepares a sharded stream ingress with the given
-// worker count (≤0 means GOMAXPROCS). Only stateless strategies can shard:
-// batches interleave arbitrarily across workers, which is sound only when
-// per-edge placement is order-independent. Strategies carrying per-loader
-// state (StreamingStrategy) or requiring multiple passes (MultiPassStrategy)
-// are rejected with an error naming the capability.
+// streamShard is one worker's private ingress state: the cutTable core
+// (masters stay empty until the merged shard derives them at Finish) plus
+// the worker's own assigner and the vertex-space high-water mark.
+type streamShard struct {
+	cutTable
+	asg Assigner
+	n   int // vertices seen so far (max id + 1)
+}
+
+// feed assigns and accounts one batch of edges, growing the replica matrix
+// as the stream reveals the vertex space. Once the matrix covers the vertex
+// range it allocates nothing.
+func (sh *streamShard) feed(strategy string, batch EdgeBatch) error {
+	for i, e := range batch.Edges {
+		if v := int(max(e.Src, e.Dst)) + 1; v > sh.n {
+			sh.n = v
+			sh.replicas.ensureRows(v)
+		}
+		p := sh.asg.Assign(e)
+		if p < 0 || int(p) >= sh.numParts {
+			return fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
+				strategy, batch.Offset+int64(i), p, sh.numParts)
+		}
+		sh.q.AddEdge(int(p))
+		sh.replicas.set(int(e.Src), int(p))
+		sh.replicas.set(int(e.Dst), int(p))
+	}
+	return nil
+}
+
+// merge folds another shard's accumulated state into sh. Every piece of
+// shard state is a commutative monoid under merge (counter sums, bit-set
+// unions, max vertex id), which is what makes sharded ingress exact: masters
+// and image counts are derived only at Finish, from the merged state.
+func (sh *streamShard) merge(o *streamShard) {
+	sh.n = max(sh.n, o.n)
+	sh.q.Merge(o.q)
+	sh.replicas.or(o.replicas)
+}
+
+// NewShardedStreamBuilder prepares a stream ingress with the given worker
+// count (≤0 means GOMAXPROCS). Only stateless strategies can stream this
+// way: batches interleave arbitrarily across workers, which is sound only
+// when per-edge placement is order-independent. Strategies carrying
+// per-loader state (StreamingStrategy) or requiring multiple passes
+// (MultiPassStrategy) are rejected with an error naming the capability.
 func NewShardedStreamBuilder(strat Strategy, numParts, workers int, seed uint64) (*ShardedStreamBuilder, error) {
 	s, ok := strat.(StatelessStrategy)
 	if !ok {
-		switch strat.(type) {
+		switch impl := strat.(type) {
 		case StreamingStrategy:
-			return nil, fmt.Errorf("partition: strategy %s is a StreamingStrategy (ordered per-loader state); sharded stream ingress requires a StatelessStrategy", strat.Name())
+			return nil, fmt.Errorf("partition: strategy %s is a StreamingStrategy (ordered per-loader state); stream ingress requires a StatelessStrategy", strat.Name())
 		case MultiPassStrategy:
-			return nil, fmt.Errorf("partition: strategy %s is a MultiPassStrategy (needs multiple passes over the edge list); sharded stream ingress requires a StatelessStrategy", strat.Name())
+			_, _, why := impl.MultiPass()
+			return nil, fmt.Errorf("partition: strategy %s is a MultiPassStrategy (%s); stream ingress requires a StatelessStrategy", strat.Name(), why)
 		default:
-			return nil, fmt.Errorf("partition: strategy %s does not implement StatelessStrategy; sharded stream ingress requires one", strat.Name())
+			return nil, fmt.Errorf("partition: strategy %s does not implement StatelessStrategy; stream ingress requires one", strat.Name())
 		}
+	}
+	if numParts < 1 {
+		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
 	}
 	if workers <= 0 {
 		//graphlint:nondet worker-count default only; placement is worker-count-independent (sharded_test.go)
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sb := &ShardedStreamBuilder{
-		builders: make([]*StreamBuilder, workers),
+		strategy: s.Name(),
+		shards:   make([]*streamShard, workers),
 		jobs:     make(chan shardJob, 2*workers),
 		errs:     make([]error, workers),
 	}
@@ -68,20 +117,20 @@ func NewShardedStreamBuilder(strat Strategy, numParts, workers int, seed uint64)
 		s := make([]graph.Edge, 0, graph.DefaultBatchSize)
 		return &s
 	}
-	for i := range sb.builders {
-		b, err := NewStreamBuilder(s, numParts, seed)
+	for i := range sb.shards {
+		asg, err := s.NewAssigner(numParts, seed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
 		}
-		sb.builders[i] = b
+		sb.shards[i] = &streamShard{cutTable: newCutTable(0, numParts, seed), asg: asg}
 	}
-	for i := range sb.builders {
+	for i := range sb.shards {
 		sb.wg.Add(1)
 		go func(i int) {
 			defer sb.wg.Done()
 			for job := range sb.jobs {
 				if sb.errs[i] == nil {
-					if err := sb.builders[i].Feed(EdgeBatch{Offset: job.offset, Edges: *job.buf}); err != nil {
+					if err := sb.shards[i].feed(sb.strategy, EdgeBatch{Offset: job.offset, Edges: *job.buf}); err != nil {
 						sb.errs[i] = err
 						sb.failed.Store(true)
 					}
@@ -119,10 +168,12 @@ func (sb *ShardedStreamBuilder) firstErr() error {
 	return nil
 }
 
-// Finish drains the workers, merges their private state and derives the
-// summary — identical to what a sequential StreamBuilder would return for
-// the same stream. An assignment error from any worker surfaces here (and
-// on the Feed that follows it).
+// Finish drains the workers, merges their private state and derives masters
+// and the quality metrics from it. The summary matches what Partition would
+// have computed for the same edges: identical EdgeCount, Masters and
+// ReplicationFactor. Finish is idempotent; after the first call the builder
+// accepts no more edges. An assignment error from any worker surfaces here
+// (and on the Feed that follows it).
 func (sb *ShardedStreamBuilder) Finish() (*StreamSummary, error) {
 	if !sb.done {
 		sb.done = true
@@ -133,11 +184,24 @@ func (sb *ShardedStreamBuilder) Finish() (*StreamSummary, error) {
 		return nil, err
 	}
 	if sb.sum == nil {
-		root := sb.builders[0]
-		for _, o := range sb.builders[1:] {
+		root := sb.shards[0]
+		for _, o := range sb.shards[1:] {
 			root.merge(o)
 		}
-		sb.sum = root.Finish()
+		var hint func(graph.VertexID) int32
+		if h, ok := root.asg.(MasterHinter); ok {
+			hint = h.MasterHint
+		}
+		root.deriveMasters(root.n, 1, hint)
+		sb.sum = &StreamSummary{
+			Strategy:    sb.strategy,
+			NumParts:    root.numParts,
+			NumVertices: root.n,
+			NumEdges:    root.q.NumEdges(),
+			EdgeCount:   root.q.EdgeCounts(),
+			Masters:     root.masters,
+			cutTable:    root.cutTable,
+		}
 	}
 	return sb.sum, nil
 }

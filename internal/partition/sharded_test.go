@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,88 +11,27 @@ import (
 	"graphpart/internal/graph"
 )
 
-// feedSharded pushes a graph through a ShardedStreamBuilder in batches,
-// reusing one buffer exactly as graph.StreamFile does.
-func feedSharded(t *testing.T, sb *ShardedStreamBuilder, g *graph.Graph, batchSize int) {
-	t.Helper()
-	buf := make([]graph.Edge, 0, batchSize)
-	offset := int64(0)
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		if err := sb.Feed(EdgeBatch{Offset: offset, Edges: buf}); err != nil {
-			t.Fatal(err)
-		}
-		offset += int64(len(buf))
-		buf = buf[:0]
-	}
-	for _, e := range g.Edges {
-		buf = append(buf, e)
-		if len(buf) == batchSize {
-			flush()
-		}
-	}
-	flush()
-}
-
 // TestShardedMatchesSequential is the correctness bar for sharded ingress:
 // for every stateless strategy and several worker counts, the merged
-// summary must be fully identical to the sequential StreamBuilder's —
+// summary must be fully identical to the sequential test-side oracle's —
 // masters, per-partition counts, replicas, RF and balance — no matter how
 // batches interleave across workers.
 func TestShardedMatchesSequential(t *testing.T) {
 	g := gen.PrefAttach("sharded", 4000, 5, 0x5d)
 	for _, name := range AllNames() {
 		s := MustNew(name, Options{HybridThreshold: 30})
-		ss, ok := s.(StatelessStrategy)
-		if !ok {
+		if _, ok := s.(StatelessStrategy); !ok {
 			continue
 		}
 		parts := partsFor(name)
-		seq, err := NewStreamBuilder(ss, parts, 9)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		feedInBatches(t, seq, g, 512)
-		want := seq.Finish()
-
+		want := buildOracle(t, s, g, parts, 9).view()
 		for _, workers := range []int{1, 3, 8} {
-			sb, err := NewShardedStreamBuilder(ss, parts, workers, 9)
-			if err != nil {
-				t.Fatalf("%s/w=%d: %v", name, workers, err)
-			}
-			feedSharded(t, sb, g, 512)
-			got, err := sb.Finish()
-			if err != nil {
-				t.Fatalf("%s/w=%d: %v", name, workers, err)
-			}
-			if got.NumEdges != want.NumEdges || got.NumVertices != want.NumVertices {
-				t.Fatalf("%s/w=%d: sizes |V|=%d |E|=%d, want %d/%d",
-					name, workers, got.NumVertices, got.NumEdges, want.NumVertices, want.NumEdges)
-			}
-			for p := range want.EdgeCount {
-				if want.EdgeCount[p] != got.EdgeCount[p] {
-					t.Fatalf("%s/w=%d: partition %d holds %d edges, want %d",
-						name, workers, p, got.EdgeCount[p], want.EdgeCount[p])
-				}
-			}
-			for v := range want.Masters {
-				if want.Masters[v] != got.Masters[v] {
-					t.Fatalf("%s/w=%d: master of %d is %d, want %d",
-						name, workers, v, got.Masters[v], want.Masters[v])
-				}
-			}
-			for p := 0; p < parts; p++ {
-				if want.ReplicasOnPart(p) != got.ReplicasOnPart(p) {
-					t.Fatalf("%s/w=%d: partition %d holds %d replicas, want %d",
-						name, workers, p, got.ReplicasOnPart(p), want.ReplicasOnPart(p))
-				}
-			}
-			if want.ReplicationFactor() != got.ReplicationFactor() || want.EdgeBalance() != got.EdgeBalance() {
-				t.Fatalf("%s/w=%d: metrics rf=%v bal=%v, want rf=%v bal=%v",
-					name, workers, got.ReplicationFactor(), got.EdgeBalance(),
-					want.ReplicationFactor(), want.EdgeBalance())
+			got := streamSummary(t, s, g, parts, workers, 512, 9)
+			label := fmt.Sprintf("%s/w=%d", name, workers)
+			assertTablesEqual(t, label, viewOf(&got.cutTable, got.NumVertices), want)
+			// The exported fields are the core's own slices.
+			if &got.Masters[0] != &got.masters[0] || &got.EdgeCount[0] != &got.q.EdgeCounts()[0] {
+				t.Fatalf("%s: exported Masters/EdgeCount do not alias the core", label)
 			}
 		}
 	}
@@ -131,8 +71,8 @@ func TestShardedPropagatesAssignmentErrors(t *testing.T) {
 }
 
 // TestStreamBuilderFeedDoesNotAllocate pins the steady-state ingress hot
-// path at zero allocations per batch: once the bit-matrices have grown to
-// the vertex range, the batch→Feed cycle must reuse everything.
+// path — one worker's shard — at zero allocations per batch: once the
+// replica matrix has grown to the vertex range, feed must reuse everything.
 func TestStreamBuilderFeedDoesNotAllocate(t *testing.T) {
 	g := gen.PrefAttach("allocs", 2000, 4, 0x33)
 	for _, name := range []string{"Random", "Grid", "HDRF"} {
@@ -141,21 +81,22 @@ func TestStreamBuilderFeedDoesNotAllocate(t *testing.T) {
 		if !ok {
 			continue // HDRF is streaming, not stateless — documented skip
 		}
-		b, err := NewStreamBuilder(ss, 9, 1)
+		asg, err := ss.NewAssigner(9, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sh := &streamShard{cutTable: newCutTable(0, 9, 1), asg: asg}
 		batch := EdgeBatch{Edges: g.Edges}
-		if err := b.Feed(batch); err != nil { // warm: grows rows to |V|
+		if err := sh.feed(name, batch); err != nil { // warm: grows rows to |V|
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(20, func() {
-			if err := b.Feed(batch); err != nil {
+			if err := sh.feed(name, batch); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if avg != 0 {
-			t.Errorf("%s: steady-state Feed allocates %.1f times per batch, want 0", name, avg)
+			t.Errorf("%s: steady-state feed allocates %.1f times per batch, want 0", name, avg)
 		}
 	}
 }

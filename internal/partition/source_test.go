@@ -98,7 +98,7 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 	}
 }
 
-// TestStreamedBinarySourceMatchesText feeds a StreamBuilder from both file
+// TestStreamedBinarySourceMatchesText feeds the stream builder from both file
 // formats via graph.StreamFile and checks the streamed summaries agree —
 // the bounded-memory ingress path accepts the binary source too.
 func TestStreamedBinarySourceMatchesText(t *testing.T) {
@@ -118,8 +118,7 @@ func TestStreamedBinarySourceMatchesText(t *testing.T) {
 	}
 
 	summarize := func(path string) *partition.StreamSummary {
-		s := partition.MustNew("Grid", partition.Options{}).(partition.StatelessStrategy)
-		b, err := partition.NewStreamBuilder(s, 9, 1)
+		b, err := partition.NewShardedStreamBuilder(partition.MustNew("Grid", partition.Options{}), 9, 2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +127,11 @@ func TestStreamedBinarySourceMatchesText(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return b.Finish()
+		sum, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sum
 	}
 	st := summarize(textPath)
 	for _, path := range []string{binPath, v2Path} {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"graphpart/internal/graph"
-	"graphpart/internal/metrics"
 )
 
 // liveEdge is one live edge of a PartitionState: the edge plus the partition
@@ -28,10 +27,11 @@ func edgeKey(e graph.Edge) uint64 {
 //     so duplicate edges delete correctly);
 //   - per-vertex, per-partition endpoint reference counts (a bitMatrix can
 //     say a vertex touches a partition but not when it stops — the counts
-//     are what make the replica sets decrementable);
-//   - the replica bit-matrix and masters, updated per image transition;
-//   - a metrics.Quality summary, so replication factor and edge balance are
-//     O(1) reads after O(batch) updates, never recomputed from scratch.
+//     are what make the replica sets decrementable; at 32× the bits they
+//     live here and never in the one-shot holders);
+//   - the cutTable core — replica bit-matrix, masters and quality summary —
+//     updated per image transition, so replication factor and edge balance
+//     are O(1) reads after O(batch) updates, never recomputed from scratch.
 //
 // Edges are placed by the strategy's IncrementalAssigner (stateless
 // strategies adapt for free; Oblivious/HDRF keep one persistent loader).
@@ -43,9 +43,9 @@ func edgeKey(e graph.Edge) uint64 {
 // A PartitionState is single-goroutine. For an add-only trace its summary
 // is identical to the one-shot path over the same edges in the same order.
 type PartitionState struct {
+	cutTable // replicas include pinned hot images
+
 	strategy Strategy
-	numParts int
-	seed     uint64
 	workers  int
 
 	inc    IncrementalAssigner // nil ⇒ repartition per batch (multi-pass)
@@ -55,12 +55,9 @@ type PartitionState struct {
 	live  []liveEdge
 	index map[uint64][]int32 // edge key → positions in live, insertion order
 
-	ref      *countMatrix // endpoint reference counts per (vertex, partition)
-	replicas *bitMatrix   // pinned hot images included
-	pinned   *bitMatrix   // hot-vertex images held beyond their edges
-	deg      []int32      // live degree per vertex (drives hot selection)
-	masters  []int32      // -1 for isolated vertices
-	q        *metrics.Quality
+	ref    *countMatrix // endpoint reference counts per (vertex, partition)
+	pinned *bitMatrix   // hot-vertex images held beyond their edges
+	deg    []int32      // live degree per vertex (drives hot selection)
 
 	hotK int     // replicate the top-hotK degree vertices everywhere; 0 = off
 	hot  []int32 // current hot set, ascending vertex id
@@ -86,16 +83,13 @@ func NewPartitionState(s Strategy, numParts int, seed uint64, workers int) (*Par
 		return nil, err
 	}
 	st := &PartitionState{
+		cutTable: newCutTable(0, numParts, seed),
 		strategy: s,
-		numParts: numParts,
-		seed:     seed,
 		workers:  workers,
 		inc:      inc,
 		index:    make(map[uint64][]int32),
 		ref:      newCountMatrix(0, numParts),
-		replicas: newBitMatrix(0, numParts),
 		pinned:   newBitMatrix(0, numParts),
-		q:        metrics.NewQuality(numParts),
 	}
 	if inc != nil {
 		st.hinter, _ = inc.(MasterHinter)
@@ -278,7 +272,7 @@ func (st *PartitionState) gainImage(v, p int) {
 	if st.replicas.count(v) == 1 {
 		st.q.VertexPlaced()
 	}
-	st.recomputeMaster(v)
+	st.recomputeMaster(v, st.hinter)
 }
 
 // loseImage undoes gainImage.
@@ -288,22 +282,7 @@ func (st *PartitionState) loseImage(v, p int) {
 	if st.replicas.count(v) == 0 {
 		st.q.VertexDropped()
 	}
-	st.recomputeMaster(v)
-}
-
-// recomputeMaster re-derives v's master with the same hint-then-hash rule
-// the one-shot paths use. O(numParts) per replica-set change.
-func (st *PartitionState) recomputeMaster(v int) {
-	reps := st.replicas.count(v)
-	if reps == 0 {
-		st.masters[v] = -1
-		return
-	}
-	hint := int32(-1)
-	if st.hinter != nil {
-		hint = st.hinter.MasterHint(graph.VertexID(v))
-	}
-	st.masters[v] = chooseMaster(st.replicas, v, reps, hint, st.numParts, st.seed)
+	st.recomputeMaster(v, st.hinter)
 }
 
 // Rebuild repartitions the live edge set one-shot with the state's own
@@ -506,22 +485,6 @@ func (st *PartitionState) EdgeCount() []int64 { return st.q.EdgeCounts() }
 // (the state's backing slice; do not modify).
 func (st *PartitionState) Masters() []int32 { return st.masters }
 
-// Master returns the master partition of v, or -1 if v is isolated.
-func (st *PartitionState) Master(v graph.VertexID) int {
-	if int(v) >= st.n {
-		return -1
-	}
-	return int(st.masters[v])
-}
-
-// Replicas returns the number of partitions holding an image of v.
-func (st *PartitionState) Replicas(v graph.VertexID) int {
-	if int(v) >= st.n {
-		return 0
-	}
-	return st.replicas.count(int(v))
-}
-
 // Degree returns v's live degree.
 func (st *PartitionState) Degree(v graph.VertexID) int {
 	if int(v) >= st.n {
@@ -529,21 +492,6 @@ func (st *PartitionState) Degree(v graph.VertexID) int {
 	}
 	return int(st.deg[v])
 }
-
-// ReplicationFactor returns the average images per placed vertex.
-func (st *PartitionState) ReplicationFactor() float64 { return st.q.ReplicationFactor() }
-
-// TotalReplicas returns the total number of vertex images.
-func (st *PartitionState) TotalReplicas() int64 { return st.q.TotalReplicas() }
-
-// EdgeBalance returns max/mean edges per partition (≥1).
-func (st *PartitionState) EdgeBalance() float64 { return st.q.EdgeBalance() }
-
-// ReplicasOnPart returns the number of vertex images partition p holds.
-func (st *PartitionState) ReplicasOnPart(p int) int64 { return st.q.ReplicasOnPart(p) }
-
-// Quality returns the live aggregate quality summary.
-func (st *PartitionState) Quality() *metrics.Quality { return st.q }
 
 // LiveEdges returns a copy of the live edge set. For add-only histories the
 // order is insertion order (the original stream); deletions swap edges from

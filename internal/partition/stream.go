@@ -2,16 +2,13 @@ package partition
 
 import (
 	"errors"
-	"fmt"
 
 	"graphpart/internal/graph"
-	"graphpart/internal/hashing"
-	"graphpart/internal/metrics"
 )
 
-// ErrFeedAfterFinish is returned by StreamBuilder.Feed and
-// ShardedStreamBuilder.Feed once Finish has been called: the summary has
-// been derived and the builder accepts no more edges.
+// ErrFeedAfterFinish is returned by ShardedStreamBuilder.Feed once Finish
+// has been called: the summary has been derived and the builder accepts no
+// more edges.
 var ErrFeedAfterFinish = errors.New("partition: Feed after Finish")
 
 // EdgeBatch is one chunk of an edge stream: a run of edges plus the global
@@ -146,223 +143,16 @@ func loaderBlock(m, numLoaders, id int) (lo, hi int) {
 	return lo, hi
 }
 
-// statelessPartition is the sequential reference path shared by every
-// StatelessStrategy's Partition method: one assigner streams the whole edge
-// list; hints, when the assigner produces them, are evaluated per vertex.
-func statelessPartition(s StatelessStrategy, g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	asg, err := s.NewAssigner(numParts, seed)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]int32, g.NumEdges())
-	for i, e := range g.Edges {
-		parts[i] = asg.Assign(e)
-	}
-	var hint []int32
-	if h, ok := asg.(MasterHinter); ok {
-		n := g.NumVertices()
-		hint = make([]int32, n)
-		for v := 0; v < n; v++ {
-			hint[v] = h.MasterHint(graph.VertexID(v))
-		}
-	}
-	return &Result{EdgeParts: parts, MasterHint: hint}, nil
-}
-
-// streamingPartition is the sequential reference path shared by every
-// StreamingStrategy's Partition method: loader blocks run one after another,
-// each over its own private state.
-func streamingPartition(s StreamingStrategy, g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	m := g.NumEdges()
-	nl := s.Loaders(numParts)
-	if nl < 1 {
-		nl = 1
-	}
-	parts := make([]int32, m)
-	for id := 0; id < nl; id++ {
-		lo, hi := loaderBlock(m, nl, id)
-		if lo >= hi {
-			continue
-		}
-		ld := s.NewLoader(g.NumVertices(), numParts, id, seed)
-		for i := lo; i < hi; i++ {
-			parts[i] = ld.Assign(g.Edges[i])
-		}
-	}
-	return &Result{EdgeParts: parts}, nil
-}
-
-// --- memory-bounded stream ingress ------------------------------------
-
-// StreamBuilder consumes an edge stream batch by batch for a stateless
-// strategy and accumulates the vertex-cut bookkeeping — per-partition edge
-// counts and the replica/in/out bit-matrices — without ever materializing
-// the edge list. Peak memory is O(|V|·P/8) bits plus one batch, the
-// memory-bounded ingress regime of the paper's real systems.
-//
-// A StreamBuilder is single-goroutine; feed it batches in any order (results
-// are order-independent because the strategy is stateless).
-type StreamBuilder struct {
-	strategy string
-	numParts int
-	seed     uint64
-	asg      Assigner
-	hinter   MasterHinter // nil when the strategy emits no hints
-
-	n        int // vertices seen so far (max id + 1)
-	q        *metrics.Quality
-	replicas *bitMatrix
-	inParts  *bitMatrix
-	outParts *bitMatrix
-	finished *StreamSummary // non-nil once Finish has derived the summary
-}
-
-// NewStreamBuilder prepares a stream ingress for a stateless strategy.
-func NewStreamBuilder(s StatelessStrategy, numParts int, seed uint64) (*StreamBuilder, error) {
-	if numParts < 1 {
-		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
-	}
-	asg, err := s.NewAssigner(numParts, seed)
-	if err != nil {
-		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
-	}
-	b := &StreamBuilder{
-		strategy: s.Name(),
-		numParts: numParts,
-		seed:     seed,
-		asg:      asg,
-		q:        metrics.NewQuality(numParts),
-		replicas: newBitMatrix(0, numParts),
-		inParts:  newBitMatrix(0, numParts),
-		outParts: newBitMatrix(0, numParts),
-	}
-	b.hinter, _ = asg.(MasterHinter)
-	return b, nil
-}
-
-// Feed assigns and accounts one batch of edges. The batch's slice is not
-// retained; callers may reuse it. Feeding after Finish returns
-// ErrFeedAfterFinish.
-func (b *StreamBuilder) Feed(batch EdgeBatch) error {
-	if b.finished != nil {
-		return fmt.Errorf("%w (strategy %s)", ErrFeedAfterFinish, b.strategy)
-	}
-	for i, e := range batch.Edges {
-		if v := int(max(e.Src, e.Dst)) + 1; v > b.n {
-			b.n = v
-			b.replicas.ensureRows(v)
-			b.inParts.ensureRows(v)
-			b.outParts.ensureRows(v)
-		}
-		p := b.asg.Assign(e)
-		if p < 0 || int(p) >= b.numParts {
-			return fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
-				b.strategy, batch.Offset+int64(i), p, b.numParts)
-		}
-		b.q.AddEdge(int(p))
-		b.replicas.set(int(e.Src), int(p))
-		b.replicas.set(int(e.Dst), int(p))
-		b.outParts.set(int(e.Src), int(p))
-		b.inParts.set(int(e.Dst), int(p))
-	}
-	return nil
-}
-
-// merge folds another builder's accumulated state into b. Every piece of
-// StreamBuilder state is a commutative monoid under merge (counter sums,
-// bit-set unions, max vertex id), which is what makes sharded ingress exact:
-// masters and metrics are derived only at Finish, from the merged state.
-func (b *StreamBuilder) merge(o *StreamBuilder) {
-	if o.n > b.n {
-		b.n = o.n
-	}
-	b.q.Merge(o.q)
-	b.replicas.or(o.replicas)
-	b.inParts.or(o.inParts)
-	b.outParts.or(o.outParts)
-}
-
-// Finish derives masters and the quality metrics from the accumulated state.
-// The summary matches what Partition would have computed for the same edges:
-// identical EdgeCount, Masters and ReplicationFactor. Finish is idempotent;
-// after the first call the builder accepts no more edges.
-func (b *StreamBuilder) Finish() *StreamSummary {
-	if b.finished != nil {
-		return b.finished
-	}
-	sum := &StreamSummary{
-		Strategy:    b.strategy,
-		NumParts:    b.numParts,
-		NumVertices: b.n,
-		NumEdges:    b.q.NumEdges(),
-		EdgeCount:   b.q.EdgeCounts(),
-		Masters:     make([]int32, b.n),
-		replicas:    b.replicas,
-		q:           b.q,
-	}
-	for v := 0; v < b.n; v++ {
-		reps := b.replicas.count(v)
-		if reps == 0 {
-			sum.Masters[v] = -1
-			continue
-		}
-		b.q.VertexPlaced()
-		b.replicas.forEach(v, b.q.AddReplica)
-		hint := int32(-1)
-		if b.hinter != nil {
-			hint = b.hinter.MasterHint(graph.VertexID(v))
-		}
-		sum.Masters[v] = chooseMaster(b.replicas, v, reps, hint, b.numParts, b.seed)
-	}
-	b.finished = sum
-	return sum
-}
-
 // StreamSummary is the outcome of a streamed ingress: everything Assignment
-// offers that does not require the materialized edge list.
+// offers that does not require the materialized edge list — the cutTable
+// core and nothing else.
 type StreamSummary struct {
 	Strategy    string
 	NumParts    int
 	NumVertices int
 	NumEdges    int64
-	EdgeCount   []int64
-	Masters     []int32 // -1 for isolated vertices
+	EdgeCount   []int64 // edges per partition (aliases the quality summary)
+	Masters     []int32 // -1 for isolated vertices (the core's slice)
 
-	replicas *bitMatrix
-	q        *metrics.Quality
-}
-
-// Replicas returns the number of partitions vertex v is replicated on.
-func (s *StreamSummary) Replicas(v graph.VertexID) int { return s.replicas.count(int(v)) }
-
-// ReplicasOnPart returns the number of vertex images partition p holds
-// (precomputed at Finish; O(1)).
-func (s *StreamSummary) ReplicasOnPart(p int) int64 { return s.q.ReplicasOnPart(p) }
-
-// TotalReplicas returns the total number of vertex images.
-func (s *StreamSummary) TotalReplicas() int64 { return s.q.TotalReplicas() }
-
-// ReplicationFactor returns the average images per non-isolated vertex.
-func (s *StreamSummary) ReplicationFactor() float64 { return s.q.ReplicationFactor() }
-
-// EdgeBalance returns max/mean edges per partition (≥1; 1.0 is balanced).
-func (s *StreamSummary) EdgeBalance() float64 { return s.q.EdgeBalance() }
-
-// chooseMaster picks vertex v's master: the hint when it holds a replica,
-// else a deterministic hash over the replica list — the exact rule used by
-// the materialized Assignment path.
-func chooseMaster(replicas *bitMatrix, v, reps int, hint int32, numParts int, seed uint64) int32 {
-	if hint >= 0 && int(hint) < numParts && replicas.has(v, int(hint)) {
-		return hint
-	}
-	pick := int(hashing.Vertex(seed^0xa57e, graph.VertexID(v)) % uint64(reps))
-	idx := 0
-	chosen := int32(-1)
-	replicas.forEach(v, func(col int) {
-		if idx == pick {
-			chosen = int32(col)
-		}
-		idx++
-	})
-	return chosen
+	cutTable
 }

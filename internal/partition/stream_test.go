@@ -2,15 +2,17 @@ package partition
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
 )
 
-// feedInBatches pushes a graph's edge list through a StreamBuilder in
-// batches of the given size, reusing one buffer as a file reader would.
-func feedInBatches(t *testing.T, b *StreamBuilder, g *graph.Graph, batchSize int) {
+// feedInBatches pushes a graph's edge list through the stream builder in
+// batches of the given size, reusing one buffer exactly as graph.StreamFile
+// does.
+func feedInBatches(t *testing.T, sb *ShardedStreamBuilder, g *graph.Graph, batchSize int) {
 	t.Helper()
 	buf := make([]graph.Edge, 0, batchSize)
 	offset := int64(0)
@@ -18,7 +20,7 @@ func feedInBatches(t *testing.T, b *StreamBuilder, g *graph.Graph, batchSize int
 		if len(buf) == 0 {
 			return
 		}
-		if err := b.Feed(EdgeBatch{Offset: offset, Edges: buf}); err != nil {
+		if err := sb.Feed(EdgeBatch{Offset: offset, Edges: buf}); err != nil {
 			t.Fatal(err)
 		}
 		offset += int64(len(buf))
@@ -33,16 +35,34 @@ func feedInBatches(t *testing.T, b *StreamBuilder, g *graph.Graph, batchSize int
 	flush()
 }
 
+// streamSummary runs one whole stream ingress of g.
+func streamSummary(t *testing.T, s Strategy, g *graph.Graph, numParts, workers, batchSize int, seed uint64) *StreamSummary {
+	t.Helper()
+	sb, err := NewShardedStreamBuilder(s, numParts, workers, seed)
+	if err != nil {
+		t.Fatalf("%s: %v", s.Name(), err)
+	}
+	feedInBatches(t, sb, g, batchSize)
+	sum, err := sb.Finish()
+	if err != nil {
+		t.Fatalf("%s: %v", s.Name(), err)
+	}
+	if sum.NumEdges != int64(g.NumEdges()) || sum.NumVertices != g.NumVertices() {
+		t.Fatalf("%s: streamed sizes |V|=%d |E|=%d, want %d/%d",
+			s.Name(), sum.NumVertices, sum.NumEdges, g.NumVertices(), g.NumEdges())
+	}
+	return sum
+}
+
 // TestStreamMatchesMaterialized asserts that the memory-bounded stream
-// ingress produces the same bookkeeping as the materialized Partition path
-// for every stateless strategy: edge counts, masters, replica totals,
-// replication factor and balance.
+// ingress fills the same table as the materialized Partition path for every
+// stateless strategy, whatever the batch size: edge counts, masters,
+// replica totals, replication factor and balance.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	g := gen.PrefAttach("stream", 3000, 5, 0x71)
 	for _, name := range AllNames() {
 		s := MustNew(name, Options{HybridThreshold: 30})
-		ss, ok := s.(StatelessStrategy)
-		if !ok {
+		if _, ok := s.(StatelessStrategy); !ok {
 			continue
 		}
 		parts := partsFor(name)
@@ -51,46 +71,8 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, batchSize := range []int{1, 97, 4096} {
-			b, err := NewStreamBuilder(ss, parts, 9)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			feedInBatches(t, b, g, batchSize)
-			got := b.Finish()
-			if got.NumEdges != int64(g.NumEdges()) || got.NumVertices != g.NumVertices() {
-				t.Fatalf("%s/batch=%d: sizes |V|=%d |E|=%d, want %d/%d",
-					name, batchSize, got.NumVertices, got.NumEdges, g.NumVertices(), g.NumEdges())
-			}
-			for p := range want.EdgeCount {
-				if want.EdgeCount[p] != got.EdgeCount[p] {
-					t.Fatalf("%s/batch=%d: partition %d holds %d edges, want %d",
-						name, batchSize, p, got.EdgeCount[p], want.EdgeCount[p])
-				}
-			}
-			for v := range want.Masters {
-				if want.Masters[v] != got.Masters[v] {
-					t.Fatalf("%s/batch=%d: master of %d is %d, want %d",
-						name, batchSize, v, got.Masters[v], want.Masters[v])
-				}
-			}
-			for p := 0; p < parts; p++ {
-				if want.ReplicasOnPart(p) != got.ReplicasOnPart(p) {
-					t.Fatalf("%s/batch=%d: partition %d holds %d replicas, want %d",
-						name, batchSize, p, got.ReplicasOnPart(p), want.ReplicasOnPart(p))
-				}
-			}
-			if want.TotalReplicas() != got.TotalReplicas() {
-				t.Fatalf("%s/batch=%d: total replicas %d, want %d",
-					name, batchSize, got.TotalReplicas(), want.TotalReplicas())
-			}
-			if want.ReplicationFactor() != got.ReplicationFactor() {
-				t.Fatalf("%s/batch=%d: RF %v, want %v",
-					name, batchSize, got.ReplicationFactor(), want.ReplicationFactor())
-			}
-			if want.EdgeBalance() != got.EdgeBalance() {
-				t.Fatalf("%s/batch=%d: balance %v, want %v",
-					name, batchSize, got.EdgeBalance(), want.EdgeBalance())
-			}
+			got := streamSummary(t, s, g, parts, 1, batchSize, 9)
+			assertSameTable(t, fmt.Sprintf("%s/batch=%d", name, batchSize), &got.cutTable, &want.cutTable)
 		}
 	}
 }
@@ -107,11 +89,14 @@ func TestStreamBuilderRejectsStateful(t *testing.T) {
 }
 
 func TestStreamBuilderEmpty(t *testing.T) {
-	b, err := NewStreamBuilder(Random{}, 4, 1)
+	sb, err := NewShardedStreamBuilder(Random{}, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := b.Finish()
+	sum, err := sb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sum.NumEdges != 0 || sum.NumVertices != 0 {
 		t.Fatalf("empty stream: |V|=%d |E|=%d", sum.NumVertices, sum.NumEdges)
 	}
@@ -124,11 +109,11 @@ func TestStreamBuilderEmpty(t *testing.T) {
 }
 
 func TestStreamBuilderBadParts(t *testing.T) {
-	if _, err := NewStreamBuilder(Random{}, 0, 1); err == nil {
+	if _, err := NewShardedStreamBuilder(Random{}, 0, 1, 1); err == nil {
 		t.Error("numParts=0 accepted")
 	}
 	// Grid propagates its perfect-square constraint through NewAssigner.
-	if _, err := NewStreamBuilder(Grid{}, 8, 1); err == nil {
+	if _, err := NewShardedStreamBuilder(Grid{}, 8, 1, 1); err == nil {
 		t.Error("Grid with non-square parts accepted")
 	}
 }
