@@ -1,12 +1,17 @@
 // Package-level benchmarks: one per table and figure in the paper's
-// evaluation (see DESIGN.md §4 for the index). Each benchmark regenerates
-// the corresponding experiment on the simulated cluster and reports the
-// headline quantity as a custom metric, so
+// evaluation (see docs/EXPERIMENTS.md for the index). Each benchmark
+// regenerates the corresponding experiment on the simulated cluster and
+// reports the headline quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
 // reproduces the entire evaluation. Shape assertions (who wins, directions
 // of correlations) live in shape_test.go; benchmarks only measure.
+//
+// internal/bench caches assignments and measured points for the life of
+// the process, so only a benchmark's first iteration partitions and
+// simulates; later iterations (and later benchmarks sharing those points)
+// time a warm cache. Read ns/op at -benchtime=1x for the cold cost.
 package main
 
 import (
@@ -66,7 +71,7 @@ func BenchmarkFig9_2GraphXIterationsLJ(b *testing.B)   { runExperiment(b, "fig9.
 func BenchmarkFig9_4ExecutorMemory(b *testing.B)       { runExperiment(b, "fig9.4") }
 func BenchmarkTable1_1Inventory(b *testing.B)          { runExperiment(b, "tab1.1") }
 
-// Ablation benchmarks (design-choice experiments; DESIGN.md §4).
+// Ablation benchmarks (design-choice experiments; docs/EXPERIMENTS.md).
 func BenchmarkAblationHDRFLambda(b *testing.B)      { runExperiment(b, "abl.lambda") }
 func BenchmarkAblationHybridThreshold(b *testing.B) { runExperiment(b, "abl.threshold") }
 func BenchmarkAblationLoaders(b *testing.B)         { runExperiment(b, "abl.loaders") }

@@ -195,38 +195,31 @@ func ablEngine() Experiment {
 		Title: "Engine ablation: PowerGraph vs PowerLyra on identical assignments",
 		Paper: "PowerLyra's differentiated processing (§6.1) should cut traffic most for natural applications on Hybrid partitions, least for non-natural applications on hash partitions",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
 			cc := cluster.EC2x25
 			r := NewResult("abl.engine", "engine mode ablation (uk-web, EC2-25)",
 				"strategy", "app", "PG-net-GB", "Lyra-net-GB", "saving")
 			type key struct{ strat, app string }
 			saving := map[key]float64{}
 			for _, strat := range []string{"Hybrid", "Random"} {
-				a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-				if err != nil {
-					return nil, err
-				}
-				for _, spec := range paperApps() {
-					if spec.name != "PageRank(10)" && spec.name != "WCC" {
-						continue
-					}
-					pg, err := spec.run(engine.ModePowerGraph, a, cc, model, cfg.engineOpts())
+				for _, appName := range []string{"PageRank(10)", "WCC"} {
+					pg, err := measure(cfg, engine.ModePowerGraph, "uk-web", strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}
-					lyra, err := spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
+					lyra, err := measure(cfg, engine.ModePowerLyra, "uk-web", strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}
-					s := 1 - lyra.AvgNetInGB/pg.AvgNetInGB
-					saving[key{strat, spec.name}] = s
-					base := report.Dims{Dataset: "uk-web", Strategy: strat, App: spec.name,
+					pgNet, lyraNet := pg.stats.AvgNetInGB, lyra.stats.AvgNetInGB
+					s := 1 - lyraNet/pgNet
+					saving[key{strat, appName}] = s
+					base := report.Dims{Dataset: "uk-web", Strategy: strat, App: appName,
 						Cluster: clusterName(cc), Parts: cc.NumParts()}
 					pgDims, lyraDims := base, base
 					pgDims.Engine, lyraDims.Engine = enginePowerGraph, enginePowerLyra
-					r.Row(base).Col(strat, spec.name).
-						MetricAt(pgDims, "net-in-GB", pg.AvgNetInGB, "GB", 3).
-						MetricAt(lyraDims, "net-in-GB", lyra.AvgNetInGB, "GB", 3).
+					r.Row(base).Col(strat, appName).
+						MetricAt(pgDims, "net-in-GB", pgNet, "GB", 3).
+						MetricAt(lyraDims, "net-in-GB", lyraNet, "GB", 3).
 						Colf("%.1f%%", 100*s).
 						Value("lyra-net-saving", s, "fraction")
 				}

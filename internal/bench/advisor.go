@@ -31,48 +31,78 @@ func init() {
 // all-strategies leaves pool workloads across cluster shapes.
 const advisorRegretTol = 0.20
 
-// lyraTotalSeconds measures ingress + compute for one strategy/app on the
-// PowerLyra engine (the differentiated-engine counterpart of
-// totalJobSeconds).
-func lyraTotalSeconds(cfg Config, ds, strat, appName string, cc cluster.Config) (float64, error) {
-	model := cfg.model()
-	a, err := assignment(cfg, ds, strat, cc.NumParts())
-	if err != nil {
-		return 0, err
-	}
-	s, err := strategyFor(cfg, strat)
-	if err != nil {
-		return 0, err
-	}
-	ing := cluster.Ingress(a, s, cc, model)
-	for _, spec := range paperApps() {
-		if spec.name != appName {
-			continue
-		}
-		stats, err := spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
-		if err != nil {
-			return 0, err
-		}
-		return ing.Seconds + stats.ComputeSeconds, nil
-	}
-	return 0, fmt.Errorf("bench: unknown app %q", appName)
-}
-
 // advCase is one end-to-end workload the advisor is graded on.
 type advCase struct {
-	engine  string
-	sys     partition.System
-	ds      string
-	app     string
-	variant string
-	cc      cluster.Config
+	engine string
+	sys    partition.System
+	ds     string
+	app    string
+	iters  int // GraphX iteration count; 0 on the vertex-cut engines
+	cc     cluster.Config
+}
+
+// variant is the Variant dimension of the case's cells: the iteration
+// count for GraphX jobs, derived from iters so label and run cannot drift.
+func (c advCase) variant() string {
+	if c.iters > 0 {
+		return itersVariant(c.iters)
+	}
+	return ""
 }
 
 func (c advCase) job() string {
-	if c.variant != "" {
-		return c.app + " " + c.variant
+	if v := c.variant(); v != "" {
+		return c.app + " " + v
 	}
 	return c.app
+}
+
+// advStrategies is the measurable strategy set per engine. PowerLyra keeps
+// the engine sweep affordable with its four headline strategies.
+func advStrategies(engine string) []string {
+	switch engine {
+	case enginePowerGraph:
+		return powerGraphStrategies
+	case enginePowerLyra:
+		return []string{"Random", "Grid", "Oblivious", "Hybrid"}
+	}
+	return graphxAllStrategies()
+}
+
+// totalSeconds measures ingress (partitioning) + compute for the case
+// under one strategy.
+func (c advCase) totalSeconds(cfg Config, strat string) (float64, error) {
+	mode := engine.ModePowerLyra
+	switch c.engine {
+	case engineGraphX:
+		return graphxTotalSeconds(cfg, c.ds, strat, c.app, c.iters, c.cc)
+	case enginePowerGraph:
+		mode = engine.ModePowerGraph
+	}
+	p, err := measure(cfg, mode, c.ds, strat, c.app, c.cc)
+	if err != nil {
+		return 0, err
+	}
+	return p.totalSeconds(), nil
+}
+
+// advCases are the graded workloads: fig5.9's and fig9.3's cases plus the
+// natural/non-natural PowerLyra pair of fig6.6.
+func advCases() []advCase {
+	pgCC, gxCC, plCC := cluster.EC2x25, cluster.GraphXLocal9, cluster.EC2x25
+	return []advCase{
+		{enginePowerGraph, partition.PowerGraph, "road-ca", "PageRank(C)", 0, pgCC},
+		{enginePowerGraph, partition.PowerGraph, "road-usa", "PageRank(C)", 0, pgCC},
+		{enginePowerGraph, partition.PowerGraph, "livejournal", "PageRank(C)", 0, pgCC},
+		{enginePowerGraph, partition.PowerGraph, "uk-web", "PageRank(C)", 0, pgCC},
+		{enginePowerGraph, partition.PowerGraph, "uk-web", "K-Core", 0, pgCC},
+		{engineGraphX, partition.GraphXAll, "road-ca", "PageRank", 2, gxCC},
+		{engineGraphX, partition.GraphXAll, "road-ca", "PageRank", 25, gxCC},
+		{engineGraphX, partition.GraphXAll, "livejournal", "PageRank", 2, gxCC},
+		{engineGraphX, partition.GraphXAll, "livejournal", "PageRank", 25, gxCC},
+		{enginePowerLyra, partition.PowerLyra, "uk-web", "PageRank(10)", 0, plCC},
+		{enginePowerLyra, partition.PowerLyra, "uk-web", "WCC", 0, plCC},
+	}
 }
 
 func advRegret() Experiment {
@@ -81,100 +111,33 @@ func advRegret() Experiment {
 		Title: "Empirical advisor vs paper trees (agreement and regret)",
 		Paper: "a recommender fitted on the measured cells should pick a strategy within 20% of the measured best for every (dataset, app, engine) workload, and its mean regret should not exceed the paper trees'",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
-			pgCC, gxCC, plCC := cluster.EC2x25, cluster.GraphXLocal9, cluster.EC2x25
-			// The measurable strategy sets per engine. PowerLyra keeps the
-			// engine sweep affordable with its four headline strategies.
-			pgStrats := powerGraphStrategies
-			gxStrats := graphxAllStrategies()
-			plStrats := []string{"Random", "Grid", "Oblivious", "Hybrid"}
-
-			cases := []advCase{
-				{enginePowerGraph, partition.PowerGraph, "road-ca", "PageRank(C)", "", pgCC},
-				{enginePowerGraph, partition.PowerGraph, "road-usa", "PageRank(C)", "", pgCC},
-				{enginePowerGraph, partition.PowerGraph, "livejournal", "PageRank(C)", "", pgCC},
-				{enginePowerGraph, partition.PowerGraph, "uk-web", "PageRank(C)", "", pgCC},
-				{enginePowerGraph, partition.PowerGraph, "uk-web", "K-Core", "", pgCC},
-				{engineGraphX, partition.GraphXAll, "road-ca", "PageRank", "iters=2", gxCC},
-				{engineGraphX, partition.GraphXAll, "road-ca", "PageRank", "iters=25", gxCC},
-				{engineGraphX, partition.GraphXAll, "livejournal", "PageRank", "iters=2", gxCC},
-				{engineGraphX, partition.GraphXAll, "livejournal", "PageRank", "iters=25", gxCC},
-				{enginePowerLyra, partition.PowerLyra, "uk-web", "PageRank(10)", "", plCC},
-				{enginePowerLyra, partition.PowerLyra, "uk-web", "WCC", "", plCC},
-			}
+			cases := advCases()
 
 			// --- measure: training cells for the advisor ---------------
-			var train []report.Cell
-			cell := func(d report.Dims, metric string, v float64, unit string) {
-				train = append(train, report.Cell{Dims: d, Metric: metric, Value: v, Unit: unit})
-			}
+			train := NewResult("train", "advisor training cells")
 			totals := map[advCase]map[string]float64{}
-			measure := func(c advCase, strat string) (float64, error) {
-				switch c.engine {
-				case enginePowerGraph:
-					return totalJobSeconds(cfg, c.ds, strat, c.app, c.cc)
-				case enginePowerLyra:
-					return lyraTotalSeconds(cfg, c.ds, strat, c.app, c.cc)
-				default:
-					var iters int
-					fmt.Sscanf(c.variant, "iters=%d", &iters)
-					a, err := assignment(cfg, c.ds, strat, c.cc.NumParts())
-					if err != nil {
-						return 0, err
-					}
-					st, err := runGraphXApp(c.app, a, cfg.graphxConfig(c.cc, iters), model)
-					if err != nil {
-						return 0, err
-					}
-					return st.PartitionSeconds + st.ComputeSeconds, nil
-				}
-			}
-			stratsFor := func(c advCase) []string {
-				switch c.engine {
-				case enginePowerGraph:
-					return pgStrats
-				case enginePowerLyra:
-					return plStrats
-				default:
-					return gxStrats
-				}
-			}
 			for _, c := range cases {
 				totals[c] = map[string]float64{}
-				for _, strat := range stratsFor(c) {
-					tt, err := measure(c, strat)
+				for _, strat := range advStrategies(c.engine) {
+					tt, err := c.totalSeconds(cfg, strat)
 					if err != nil {
 						return nil, err
 					}
 					totals[c][strat] = tt
-					cell(report.Dims{Dataset: c.ds, Strategy: strat, App: c.app,
+					train.Cell(report.Dims{Dataset: c.ds, Strategy: strat, App: c.app,
 						Engine: c.engine, Cluster: clusterName(c.cc), Parts: c.cc.NumParts(),
-						Variant: c.variant}, "total-s", tt, "s")
+						Variant: c.variant()}, "total-s", tt, "s")
 				}
 			}
 			// Ingress and replication sweeps give the learner its
 			// short-job/long-job structure and cover datasets the
 			// end-to-end cases don't reach.
-			sweepDatasets := []string{"road-ca", "road-usa", "livejournal", "twitter", "uk-web"}
 			for _, engineName := range []string{enginePowerGraph, enginePowerLyra} {
-				strats := pgStrats
-				if engineName == enginePowerLyra {
-					strats = plStrats
-				}
-				for _, ds := range sweepDatasets {
-					for _, strat := range strats {
-						a, err := assignment(cfg, ds, strat, pgCC.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						s, err := strategyFor(cfg, strat)
-						if err != nil {
-							return nil, err
-						}
-						d := sweepDims(engineName, ds, strat, pgCC)
-						cell(d, "ingress-seconds", cluster.Ingress(a, s, pgCC, model).Seconds, "s")
-						cell(d, "replication-factor", a.ReplicationFactor(), "ratio")
-					}
+				spec := sweepSpec{engine: engineName, datasets: pgDatasets,
+					clusters: []cluster.Config{cluster.EC2x25}, strategies: advStrategies(engineName),
+					metrics: []sweepMetric{sweepIngress, sweepRF}}
+				if _, err := spec.run(cfg, train); err != nil {
+					return nil, err
 				}
 			}
 
@@ -182,10 +145,10 @@ func advRegret() Experiment {
 			trainRep := &report.Report{
 				SchemaVersion: report.SchemaVersion,
 				Tool:          "bench/adv.regret",
-				Experiments:   []report.Experiment{{ID: "train", Title: "advisor training cells", Cells: train}},
+				Experiments:   []report.Experiment{{ID: train.ID, Title: train.Title, Cells: train.Cells}},
 			}
 			var mans []datasets.Manifest
-			for _, ds := range sweepDatasets {
+			for _, ds := range pgDatasets {
 				m, err := datasets.BuildManifest(ds, cfg.scale())
 				if err != nil {
 					return nil, err
@@ -218,7 +181,7 @@ func advRegret() Experiment {
 				var w decision.Workload
 				found := false
 				for _, o := range mdl.Observations(c.engine) {
-					if o.Kind == advisor.KindTotal && o.Dataset == c.ds && o.App == c.app && o.Variant == c.variant {
+					if o.Kind == advisor.KindTotal && o.Dataset == c.ds && o.App == c.app && o.Variant == c.variant() {
 						w, found = o.W, true
 						break
 					}
@@ -259,7 +222,7 @@ func advRegret() Experiment {
 				advSum += advRegret
 				treeSum += treeRegret
 				d := report.Dims{Dataset: c.ds, App: c.app, Engine: c.engine,
-					Cluster: clusterName(c.cc), Parts: c.cc.NumParts(), Variant: c.variant}
+					Cluster: clusterName(c.cc), Parts: c.cc.NumParts(), Variant: c.variant()}
 				r.Row(d).
 					Col(c.engine, c.ds, c.job(), adv.Strategy, tree.Strategy, best).
 					Metric("advisor-regret", advRegret, "ratio", 3).

@@ -3,13 +3,10 @@ package bench
 // PowerLyra-all-strategies experiments: chapter 8 (Figs 8.1–8.4).
 
 import (
-	"strings"
-
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
 	"graphpart/internal/metrics"
 	"graphpart/internal/partition"
-	"graphpart/internal/plot"
 	"graphpart/internal/report"
 )
 
@@ -33,50 +30,19 @@ func init() {
 }
 
 func fig81() Experiment {
-	return Experiment{
-		ID:    "fig8.1",
-		Title: "Replication factors for PowerLyra with all strategies",
-		Paper: "non-native strategies almost never beat the best pre-existing PowerLyra strategy (HDRF ≈ Oblivious is the exception); AsymRandom worse than Random",
-		Run: func(cfg Config) (*Result, error) {
-			r := NewResult("fig8.1", "Replication factors, all strategies in PowerLyra",
-				"graph", "cluster", "strategy", "replication-factor")
-			rfs := map[string]float64{}
-			for _, ds := range pgDatasets {
-				for _, cc := range lyraAllClusters {
-					for _, strat := range lyraAllStrategies() {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						r.Row(sweepDims(enginePowerLyra, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("replication-factor", a.ReplicationFactor(), "ratio", 3)
-						rfs[ds+"/"+clusterName(cc)+"/"+strat] = a.ReplicationFactor()
-					}
-				}
-			}
-			// The added families ride along as extra rows; the paper's
-			// verdicts stay restricted to its own strategies.
-			for _, ds := range pgDatasets {
-				for _, cc := range lyraAllClusters {
-					for _, strat := range familyStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						r.Row(sweepDims(enginePowerLyra, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("replication-factor", a.ReplicationFactor(), "ratio", 3)
-					}
-				}
-			}
+	return sweepExperiment("fig8.1",
+		"Replication factors for PowerLyra with all strategies",
+		"non-native strategies almost never beat the best pre-existing PowerLyra strategy (HDRF ≈ Oblivious is the exception); AsymRandom worse than Random",
+		"Replication factors, all strategies in PowerLyra",
+		sweepSpec{engine: enginePowerLyra, datasets: pgDatasets, clusters: lyraAllClusters,
+			strategies: lyraAllStrategies(), extra: familyStrategies, metrics: []sweepMetric{sweepRF}},
+		func(r *Result, g *sweepGrid) {
 			asym := true
 			for _, ds := range pgDatasets {
 				for _, cc := range lyraAllClusters {
-					key := ds + "/" + clusterName(cc) + "/"
 					// Tolerance: on graphs with few symmetric edge pairs the
 					// two hashes coincide up to noise.
-					if rfs[key+"AsymRandom"] < rfs[key+"Random"]*0.98 {
+					if g.at(ds, cc, "AsymRandom").rf < g.at(ds, cc, "Random").rf*0.98 {
 						asym = false
 					}
 				}
@@ -85,80 +51,34 @@ func fig81() Experiment {
 				"AsymRandom ≥ Random RF on every graph/cluster (§8.2.2): %s", Mark(asym))
 			hdrf := true
 			for _, ds := range pgDatasets {
-				key := ds + "/EC2-25/"
-				if rfs[key+"HDRF"] > rfs[key+"Oblivious"]*1.1 {
+				if g.at(ds, cluster.EC2x25, "HDRF").rf > g.at(ds, cluster.EC2x25, "Oblivious").rf*1.1 {
 					hdrf = false
 				}
 			}
 			r.Checkf(hdrf, "HDRF replication within 10% of Oblivious",
 				"HDRF performs like Oblivious (within 10%%): %s", Mark(hdrf))
-			return r, nil
-		},
-	}
+		})
 }
 
 func fig82() Experiment {
-	return Experiment{
-		ID:    "fig8.2",
-		Title: "Ingress times for PowerLyra with all strategies",
-		Paper: "H-Ginger slowest; greedy strategies slower than hashes on skewed graphs; hash strategies cluster together",
-		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
-			r := NewResult("fig8.2", "Ingress times (s), all strategies in PowerLyra",
-				"graph", "cluster", "strategy", "ingress-seconds")
-			times := map[string]float64{}
-			for _, ds := range pgDatasets {
-				for _, cc := range lyraAllClusters {
-					for _, strat := range lyraAllStrategies() {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						s, err := strategyFor(cfg, strat)
-						if err != nil {
-							return nil, err
-						}
-						st := cluster.Ingress(a, s, cc, model)
-						r.Row(sweepDims(enginePowerLyra, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("ingress-seconds", st.Seconds, "s", 3)
-						times[ds+"/"+clusterName(cc)+"/"+strat] = st.Seconds
-					}
-				}
-			}
-			// The added families ride along as extra rows; the paper's
-			// verdicts stay restricted to its own strategies.
-			for _, ds := range pgDatasets {
-				for _, cc := range lyraAllClusters {
-					for _, strat := range familyStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						s, err := strategyFor(cfg, strat)
-						if err != nil {
-							return nil, err
-						}
-						r.Row(sweepDims(enginePowerLyra, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("ingress-seconds", cluster.Ingress(a, s, cc, model).Seconds, "s", 3)
-					}
-				}
-			}
+	return sweepExperiment("fig8.2",
+		"Ingress times for PowerLyra with all strategies",
+		"H-Ginger slowest; greedy strategies slower than hashes on skewed graphs; hash strategies cluster together",
+		"Ingress times (s), all strategies in PowerLyra",
+		sweepSpec{engine: enginePowerLyra, datasets: pgDatasets, clusters: lyraAllClusters,
+			strategies: lyraAllStrategies(), extra: familyStrategies, metrics: []sweepMetric{sweepIngress}},
+		func(r *Result, g *sweepGrid) {
 			pass := true
 			for _, ds := range []string{"livejournal", "twitter", "uk-web"} {
-				key := ds + "/EC2-25/"
 				for _, strat := range []string{"Random", "Grid", "1D", "2D", "Hybrid", "Oblivious", "HDRF"} {
-					if times[key+"H-Ginger"] <= times[key+strat] {
+					if g.at(ds, cluster.EC2x25, "H-Ginger").ingressSeconds <= g.at(ds, cluster.EC2x25, strat).ingressSeconds {
 						pass = false
 					}
 				}
 			}
 			r.Checkf(pass, "H-Ginger has the slowest ingress on all skewed graphs",
 				"H-Ginger slowest ingress on all skewed graphs (EC2-25): %s", Mark(pass))
-			return r, nil
-		},
-	}
+		})
 }
 
 func fig83() Experiment {
@@ -167,67 +87,31 @@ func fig83() Experiment {
 		Title: "Network IO vs. RF with all strategies (Local-9, Twitter, hybrid engine): 1D vs 1D-Target",
 		Paper: "1D (source hash, colocates out-edges) sits above the interpolation line for PageRank; 1D-Target and 2D sit below it — the hybrid engine favors gather-edge colocation (§8.2.3)",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
 			cc := cluster.Local9
 			r := NewResult("fig8.3", "Net-in GB vs RF, PageRank, all strategies (Local-9, Twitter)",
 				"strategy", "replication-factor", "net-in-GB", "vs-trend")
-			var xs, ys []float64
-			type point struct {
-				strat   string
-				rf, net float64
+			points, err := measureEach(cfg, engine.ModePowerLyra, "twitter", lyraAllStrategies(), "PageRank(10)", cc)
+			if err != nil {
+				return nil, err
 			}
-			var points []point
-			for _, strat := range lyraAllStrategies() {
-				a, err := assignment(cfg, "twitter", strat, cc.NumParts())
-				if err != nil {
-					return nil, err
-				}
-				var stats engine.Stats
-				for _, spec := range paperApps() {
-					if spec.name == "PageRank(10)" {
-						stats, err = spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
-						if err != nil {
-							return nil, err
-						}
-					}
-				}
-				p := point{strat, a.ReplicationFactor(), stats.AvgNetInGB}
-				points = append(points, p)
-				xs = append(xs, p.rf)
-				ys = append(ys, p.net)
-			}
-			fit, err := metrics.Fit(xs, ys)
+			net := func(p *point) float64 { return p.stats.AvgNetInGB }
+			fit, err := fitTrend(points, net, nil)
 			if err != nil {
 				return nil, err
 			}
 			resid := map[string]float64{}
 			for _, p := range points {
-				rr := fit.Residual(p.rf, p.net)
-				resid[p.strat] = rr
-				pos := "below line"
-				if rr > 0 {
-					pos = "above line"
-				}
-				r.Row(report.Dims{Dataset: "twitter", Strategy: p.strat, App: "PageRank(10)",
+				rr := fit.Residual(p.rf, net(p))
+				resid[p.strategy] = rr
+				r.Row(report.Dims{Dataset: "twitter", Strategy: p.strategy, App: "PageRank(10)",
 					Engine: enginePowerLyra, Cluster: clusterName(cc), Parts: cc.NumParts()}).
-					Col(p.strat).
+					Col(p.strategy).
 					Metric("replication-factor", p.rf, "ratio", 3).
-					Metric("net-in-GB", p.net, "GB", 3).
-					Col(pos).
+					Metric("net-in-GB", net(p), "GB", 3).
+					Col(trendSide(rr)).
 					Value("trend-residual-GB", rr, "GB")
 			}
-			var fig strings.Builder
-			var pps []plot.Point
-			for _, p := range points {
-				pps = append(pps, plot.Point{X: p.rf, Y: p.net, Label: p.strat})
-			}
-			trend := [2]float64{fit.Slope, fit.Intercept}
-			sc := plot.Scatter{Title: "PageRank(10) net-in GB vs RF (Local-9, Twitter)",
-				XLabel: "replication factor", YLabel: "net-in GB",
-				Points: pps, Trend: &trend}
-			if err := sc.Render(&fig); err == nil {
-				r.Figure = fig.String()
-			}
+			r.Figure = trendScatter("PageRank(10) net-in GB vs RF (Local-9, Twitter)", "net-in GB", points, net, fit)
 			oneD := resid["1D"] > 0
 			r.Checkf(oneD, "1D sits above the interpolation line for PageRank",
 				"1D above the interpolation line for PageRank: %s", Mark(oneD))
@@ -239,8 +123,8 @@ func fig83() Experiment {
 			// prediction.
 			var twoDRF, twoDNet float64
 			for _, p := range points {
-				if p.strat == "2D" {
-					twoDRF, twoDNet = p.rf, p.net
+				if p.strategy == "2D" {
+					twoDRF, twoDNet = p.rf, net(p)
 				}
 			}
 			twoD := resid["2D"] < 0.07*fit.Predict(twoDRF)
@@ -261,41 +145,32 @@ func fig84() Experiment {
 		Title: "CPU utilization vs. compute time (Local-9, UK-web): PageRank vs K-core",
 		Paper: "the CPU-utilization/compute-time correlation flips between applications (decreasing for PageRank, increasing for K-core) — CPU utilization is not a reliable performance indicator",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
 			cc := cluster.Local9
 			r := NewResult("fig8.4", "CPU utilization box plots vs compute time",
 				"app", "strategy", "compute-s", "util-median", "util-q1", "util-q3", "util-min", "util-max")
 			for _, appName := range []string{"PageRank(10)", "K-Core"} {
+				points, err := measureEach(cfg, engine.ModePowerLyra, "uk-web", lyraAllStrategies(), appName, cc)
+				if err != nil {
+					return nil, err
+				}
 				var compTimes, medUtils []float64
-				for _, strat := range lyraAllStrategies() {
-					a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-					if err != nil {
-						return nil, err
-					}
-					var stats engine.Stats
-					for _, spec := range paperApps() {
-						if spec.name == appName {
-							stats, err = spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
-							if err != nil {
-								return nil, err
-							}
-						}
-					}
-					utils := append([]float64(nil), stats.CPUUtil...)
+				for _, p := range points {
+					// Scale a copy: the point is shared with other figures.
+					utils := append([]float64(nil), p.stats.CPUUtil...)
 					for i := range utils {
 						utils[i] *= 100
 					}
 					bp := metrics.NewBoxPlot(utils)
-					r.Row(report.Dims{Dataset: "uk-web", Strategy: strat, App: appName,
+					r.Row(report.Dims{Dataset: "uk-web", Strategy: p.strategy, App: appName,
 						Engine: enginePowerLyra, Cluster: clusterName(cc), Parts: cc.NumParts()}).
-						Col(appName, strat).
-						Metric("compute-s", stats.ComputeSeconds, "s", 3).
+						Col(appName, p.strategy).
+						Metric("compute-s", p.stats.ComputeSeconds, "s", 3).
 						Metric("util-median", bp.Median, "%", 2).
 						Metric("util-q1", bp.Q1, "%", 2).
 						Metric("util-q3", bp.Q3, "%", 2).
 						Metric("util-min", bp.Min, "%", 2).
 						Metric("util-max", bp.Max, "%", 2)
-					compTimes = append(compTimes, stats.ComputeSeconds)
+					compTimes = append(compTimes, p.stats.ComputeSeconds)
 					medUtils = append(medUtils, bp.Median)
 				}
 				pearson, err := metrics.Pearson(compTimes, medUtils)

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"math"
+
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
@@ -116,4 +119,91 @@ func paperApps() []appSpec {
 			},
 		},
 	}
+}
+
+// appByName looks a paperApps configuration up by its table name.
+func appByName(name string) (appSpec, error) {
+	for _, spec := range paperApps() {
+		if spec.name == name {
+			return spec, nil
+		}
+	}
+	return appSpec{}, fmt.Errorf("bench: unknown app %q", name)
+}
+
+// point is one measured cell of the paper's matrix: a strategy's
+// replication factor and modeled ingress on a dataset and cluster, and the
+// engine statistics of one application run over that assignment.
+type point struct {
+	strategy string
+	rf       float64
+	ingress  cluster.IngressStats
+	stats    engine.Stats
+}
+
+// totalSeconds is the job time the decision trees rank by: ingress plus
+// compute.
+func (p *point) totalSeconds() float64 { return p.ingress.Seconds + p.stats.ComputeSeconds }
+
+// peakMemGB is the per-machine peak over the whole job — ingress buffers
+// or compute state, whichever is higher (Figs 5.5/6.2).
+func (p *point) peakMemGB() float64 {
+	return math.Max(p.stats.PeakMemGB, p.ingress.PeakMemPerMachine/1e9)
+}
+
+// pointKey is everything a point depends on; like asgKey it leaves
+// Config.Workers out, because the engines are byte-identical at every
+// worker count.
+type pointKey struct {
+	asg   asgKey
+	cc    cluster.Config
+	model cluster.CostModel
+	mode  engine.Mode
+	app   string
+}
+
+var points onceMap[pointKey, *point]
+
+// measure runs one application over one strategy's assignment of dataset
+// on cc under the given engine mode. Points are cached per key, so figures
+// that read the same point (tab5.1, fig5.9 and adv.regret re-read the
+// fig5.3–5.5 sweep; fig6.3 re-reads fig6.2's) simulate it once per
+// process. The returned point is shared: callers must not modify it.
+func measure(cfg Config, mode engine.Mode, dataset, strategy, appName string, cc cluster.Config) (*point, error) {
+	key := pointKey{
+		asg:   cfg.asgKey(dataset, strategy, cc.NumParts()),
+		cc:    cc,
+		model: cfg.model(),
+		mode:  mode,
+		app:   appName,
+	}
+	return points.get(key, func() (*point, error) {
+		spec, err := appByName(appName)
+		if err != nil {
+			return nil, err
+		}
+		a, ing, err := ingest(cfg, dataset, strategy, cc)
+		if err != nil {
+			return nil, err
+		}
+		stats, err := spec.run(mode, a, cc, key.model, cfg.engineOpts())
+		if err != nil {
+			return nil, err
+		}
+		return &point{strategy: strategy, rf: a.ReplicationFactor(), ingress: ing, stats: stats}, nil
+	})
+}
+
+// measureEach measures one application across a list of strategies, in
+// list order.
+func measureEach(cfg Config, mode engine.Mode, dataset string, strategies []string, appName string, cc cluster.Config) ([]*point, error) {
+	pts := make([]*point, 0, len(strategies))
+	for _, strat := range strategies {
+		p, err := measure(cfg, mode, dataset, strat, appName, cc)
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, p)
+	}
+	return pts, nil
 }

@@ -6,6 +6,19 @@
 // paper's dimensions plus structured Checks — and every rendering (the
 // plain tables, markdown, CSV, the JSON report) is a view derived from it.
 //
+// The paper's evaluation is one matrix — strategy × graph × cluster ×
+// application — and the vertex-cut experiments read it through one core.
+// The all-strategies tables (figs 5.6/5.7, 6.4/6.5, 8.1/8.2 and
+// adv.regret's training sweep) are each a sweepSpec: sweepSpec.run emits
+// the rows and returns the measured grid, and the experiment's checks read
+// that grid, where reading an unmeasured point is an error rather than a
+// zero. Every figure that runs an application goes through measure, which
+// returns one point (replication factor, modeled ingress, engine stats).
+// Assignments and points are cached once per key for the life of the
+// process (onceMap), so figures that share a point — tab5.1, fig5.9 and
+// adv.regret re-read the fig5.3–5.5 sweep — simulate it once, under the
+// concurrent Runner too.
+//
 // Run them via cmd/benchrunner or the root-level Go benchmarks
 // (bench_test.go). Every experiment is deterministic.
 //
@@ -393,8 +406,41 @@ func All() []Experiment { return reg.all() }
 // Get looks an experiment up by ID in the registry map.
 func Get(id string) (Experiment, bool) { return reg.get(id) }
 
-// --- assignment cache -------------------------------------------------
+// --- once-per-key cache ----------------------------------------------
 
+// onceMap computes one value per key, once. Under the concurrent Runner,
+// experiments racing for the same key share one computation instead of
+// each recomputing it (a classic cache stampede — the uk-web partitionings
+// and engine runs cost seconds each); later callers get the stored value.
+// Values are shared: callers must not mutate them.
+type onceMap[K comparable, V any] struct {
+	mu    sync.Mutex
+	slots map[K]*onceSlot[V]
+}
+
+type onceSlot[V any] struct {
+	once sync.Once
+	v    V
+	err  error
+}
+
+func (m *onceMap[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	if m.slots == nil {
+		m.slots = map[K]*onceSlot[V]{}
+	}
+	e, ok := m.slots[key]
+	if !ok {
+		e = &onceSlot[V]{}
+		m.slots[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
+}
+
+// asgKey is everything an assignment depends on. Config.Workers is left
+// out on purpose: placement is identical at every worker count.
 type asgKey struct {
 	dataset  string
 	scale    int
@@ -404,52 +450,47 @@ type asgKey struct {
 	seed     uint64
 }
 
-// asgEntry is a once-per-key cache slot: under the concurrent Runner,
-// experiments racing for the same assignment share one computation
-// instead of each recomputing it (a classic cache stampede — the uk-web
-// partitionings cost seconds each).
-type asgEntry struct {
-	once sync.Once
-	a    *partition.Assignment
-	err  error
+func (c Config) asgKey(dataset, strategy string, parts int) asgKey {
+	return asgKey{dataset, c.scale(), strategy, parts, c.HybridThreshold, c.Seed}
 }
 
-var (
-	asgMu    sync.Mutex
-	asgCache = map[asgKey]*asgEntry{}
-)
+var assignments onceMap[asgKey, *partition.Assignment]
 
 // assignment partitions a named dataset with a named strategy, caching the
-// result (experiments share many assignments; concurrent callers of the
-// same key block on one computation). It runs the parallel streaming
-// pipeline, which is placement-identical to the sequential path for every
-// strategy.
+// result (experiments share many assignments). It runs the parallel
+// streaming pipeline, which is placement-identical to the sequential path
+// for every strategy.
 func assignment(cfg Config, dataset, strategy string, parts int) (*partition.Assignment, error) {
-	key := asgKey{dataset, cfg.scale(), strategy, parts, cfg.HybridThreshold, cfg.Seed}
-	asgMu.Lock()
-	e, ok := asgCache[key]
-	if !ok {
-		e = &asgEntry{}
-		asgCache[key] = e
-	}
-	asgMu.Unlock()
-	e.once.Do(func() {
-		g, err := datasets.Load(dataset, cfg.scale())
+	return assignments.get(cfg.asgKey(dataset, strategy, parts), func() (*partition.Assignment, error) {
+		g, err := loadGraph(cfg, dataset)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		s, err := partition.New(strategy, partition.Options{HybridThreshold: cfg.HybridThreshold})
+		s, err := strategyFor(cfg, strategy)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.a, e.err = partition.ParallelPartition(g, s, parts, cfg.Seed, cfg.Workers)
+		return partition.ParallelPartition(g, s, parts, cfg.Seed, cfg.Workers)
 	})
-	return e.a, e.err
 }
 
-// strategyFor returns the constructed strategy (for ingress modeling).
+// ingest is the ingress half of every measured point: the cached
+// assignment of dataset under strategy at cc's partition count, and its
+// modeled ingress on cc.
+func ingest(cfg Config, dataset, strategy string, cc cluster.Config) (*partition.Assignment, cluster.IngressStats, error) {
+	a, err := assignment(cfg, dataset, strategy, cc.NumParts())
+	if err != nil {
+		return nil, cluster.IngressStats{}, err
+	}
+	s, err := strategyFor(cfg, strategy)
+	if err != nil {
+		return nil, cluster.IngressStats{}, err
+	}
+	return a, cluster.Ingress(a, s, cc, cfg.model()), nil
+}
+
+// strategyFor constructs the named strategy the way every assignment and
+// ingress model in this package does.
 func strategyFor(cfg Config, name string) (partition.Strategy, error) {
 	return partition.New(name, partition.Options{HybridThreshold: cfg.HybridThreshold})
 }
@@ -458,10 +499,6 @@ func strategyFor(cfg Config, name string) (partition.Strategy, error) {
 func loadGraph(cfg Config, name string) (*graph.Graph, error) {
 	return datasets.Load(name, cfg.scale())
 }
-
-// f2, f3 format floats compactly for table cells.
-func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
-func f3(x float64) string { return fmt.Sprintf("%.3f", x) }
 
 // sortedKeys returns m's keys in ascending order: map iteration order is
 // deliberately randomized by the runtime, so every loop that feeds report

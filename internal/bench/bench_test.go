@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/csv"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphpart/internal/cluster"
+	"graphpart/internal/engine"
 	"graphpart/internal/report"
 )
 
@@ -99,7 +103,7 @@ func TestMetricRenderingMatchesSprintf(t *testing.T) {
 		Metric("m2", 2.675, "", 2).
 		Metric("m0", 7, "", 0)
 	row := r.Table().Rows[0]
-	want := []string{f3(1.0005), f2(2.675), "7"}
+	want := []string{fmt.Sprintf("%.3f", 1.0005), fmt.Sprintf("%.2f", 2.675), "7"}
 	for i := range want {
 		if row[i] != want[i] {
 			t.Errorf("col %d = %q, want %q", i, row[i], want[i])
@@ -153,6 +157,150 @@ func TestAssignmentCacheSharing(t *testing.T) {
 	}
 	if _, err := assignment(cfg, "road-ca", "NoSuchStrategy", 9); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+
+	// measure shares the same once-per-key cache: equal keys are one engine
+	// run (the same *point), and everything a point depends on is in the
+	// key — a different cost model or engine mode runs again.
+	measureWCC := func(cfg Config, mode engine.Mode) *point {
+		t.Helper()
+		p, err := measure(cfg, mode, "road-ca", "Random", "WCC", cluster.Local9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p1 := measureWCC(cfg, engine.ModePowerGraph)
+	if p1.stats.Supersteps == 0 || p1.rf != a1.ReplicationFactor() || p1.ingress.Seconds <= 0 {
+		t.Errorf("measure returned an empty point: %+v", p1)
+	}
+	if p2 := measureWCC(cfg, engine.ModePowerGraph); p2 != p1 {
+		t.Error("measure ran the engine twice for identical keys")
+	}
+	if p3 := measureWCC(cfg, engine.ModePowerLyra); p3 == p1 || p3.stats.Mode != engine.ModePowerLyra {
+		t.Error("a different engine mode shared a point")
+	}
+	slow := cluster.DefaultModel()
+	slow.BandwidthBytesPerSec /= 2
+	slowCfg := cfg
+	slowCfg.Model = &slow
+	if p4 := measureWCC(slowCfg, engine.ModePowerGraph); p4 == p1 || p4.ingress.Seconds <= p1.ingress.Seconds {
+		t.Error("a different cost model shared a point")
+	}
+	sameModel := cluster.DefaultModel()
+	explicit := cfg
+	explicit.Model = &sameModel
+	if p5 := measureWCC(explicit, engine.ModePowerGraph); p5 != p1 {
+		t.Error("the point key compared cost models by pointer, not by value")
+	}
+}
+
+// TestOnceMapConcurrentCallers: the cache the concurrent Runner leans on —
+// goroutines racing for a key share one computation (errors included) and
+// distinct keys do not block each other's values. Run under -race.
+func TestOnceMapConcurrentCallers(t *testing.T) {
+	var m onceMap[int, *int]
+	var computed [4]atomic.Int32
+	errOdd := errors.New("odd key")
+	got := make([][4]*int, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range computed {
+				v, err := m.get(k, func() (*int, error) {
+					computed[k].Add(1)
+					if k%2 == 1 {
+						return nil, errOdd
+					}
+					v := k
+					return &v, nil
+				})
+				if (k%2 == 1) != (err == errOdd) {
+					t.Errorf("key %d: err = %v", k, err)
+				}
+				got[g][k] = v
+			}
+		}(g)
+	}
+	wg.Wait()
+	for k := range computed {
+		if n := computed[k].Load(); n != 1 {
+			t.Errorf("key %d computed %d times, want 1", k, n)
+		}
+		for g := range got {
+			if got[g][k] != got[0][k] {
+				t.Errorf("key %d: goroutine %d saw a different value", k, g)
+			}
+		}
+	}
+}
+
+// TestMeasureUnknownApp: a mistyped application name is an error, not a
+// zero engine.Stats.
+func TestMeasureUnknownApp(t *testing.T) {
+	_, err := measure(DefaultConfig(), engine.ModePowerGraph, "road-ca", "Random", "PageRank(11)", cluster.Local9)
+	if err == nil || !strings.Contains(err.Error(), `"PageRank(11)"`) {
+		t.Errorf("measure with an unknown app returned %v, want an error naming it", err)
+	}
+}
+
+// TestSweepCheckReadsUnmeasuredPoint: a check that reads a point outside
+// its sweep must fail the experiment, naming the point. Against a plain
+// map both reads are zero and "0 ≥ 0.98·0" is a vacuous ✓.
+func TestSweepCheckReadsUnmeasuredPoint(t *testing.T) {
+	spec := sweepSpec{engine: enginePowerGraph, datasets: []string{"road-ca"},
+		clusters: []cluster.Config{cluster.Local9}, strategies: []string{"Random", "Grid"},
+		metrics: []sweepMetric{sweepRF}}
+	checkAgainst := func(strategy string) Experiment {
+		return sweepExperiment("x.sweep", "sweep", "n/a", "sweep", spec, func(r *Result, g *sweepGrid) {
+			pass := g.at("road-ca", cluster.Local9, strategy).rf >= g.at("road-ca", cluster.Local9, "Random").rf*0.98
+			r.Checkf(pass, "claim", "%s", Mark(pass))
+		})
+	}
+	res, err := checkAgainst("Grid").Run(DefaultConfig())
+	if err != nil {
+		t.Fatalf("check over measured points: %v", err)
+	}
+	if len(res.Cells) != 2 || len(res.Checks) != 1 {
+		t.Errorf("sweep emitted %d cells, %d checks; want 2, 1", len(res.Cells), len(res.Checks))
+	}
+	_, err = checkAgainst("AsymRandom").Run(DefaultConfig())
+	if err == nil {
+		t.Fatal("check read an unmeasured point and the experiment still succeeded")
+	}
+	for _, want := range []string{"road-ca", "Local-9", "AsymRandom"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
+// TestAdvCaseVariantMatchesIterations: the Variant label on a GraphX
+// case's cells is derived from the iteration count its run is configured
+// with, so the two cannot disagree (the label used to be parsed back with
+// an unchecked Sscanf, turning a typo into a silent 0-iteration run).
+func TestAdvCaseVariantMatchesIterations(t *testing.T) {
+	graphxCases := 0
+	for _, c := range advCases() {
+		if c.engine != engineGraphX {
+			if c.iters != 0 || c.variant() != "" {
+				t.Errorf("%s/%s: vertex-cut case carries iters=%d variant=%q", c.ds, c.app, c.iters, c.variant())
+			}
+			continue
+		}
+		graphxCases++
+		var labelled int
+		if _, err := fmt.Sscanf(c.variant(), "iters=%d", &labelled); err != nil {
+			t.Errorf("%s/%s: variant %q: %v", c.ds, c.app, c.variant(), err)
+		}
+		if got := DefaultConfig().graphxConfig(c.cc, c.iters).Iterations; got != labelled || got < 1 {
+			t.Errorf("%s/%s: runs %d iterations, cells say %q", c.ds, c.app, got, c.variant())
+		}
+	}
+	if graphxCases == 0 {
+		t.Error("no GraphX case graded")
 	}
 }
 
@@ -231,16 +379,6 @@ func TestRankingRowFormatting(t *testing.T) {
 	single := rankingRow(map[string]float64{"1D": 1, "2D": 2})
 	if single != "1D,2D" {
 		t.Errorf("rankingRow = %q, want 1D,2D", single)
-	}
-}
-
-func TestSlowdownRatio(t *testing.T) {
-	r := slowdownRatio(map[string]float64{"a": 1, "b": 1.9})
-	if r < 1.89 || r > 1.91 {
-		t.Errorf("slowdownRatio = %v, want 1.9", r)
-	}
-	if slowdownRatio(nil) != 0 {
-		t.Error("empty map should yield 0")
 	}
 }
 

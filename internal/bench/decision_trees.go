@@ -13,7 +13,6 @@ import (
 	"graphpart/internal/decision"
 	"graphpart/internal/engine"
 	"graphpart/internal/graph"
-	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
 
@@ -22,29 +21,22 @@ func init() {
 	register(fig93())
 }
 
-// totalJobSeconds measures ingress + compute for one strategy/app.
-func totalJobSeconds(cfg Config, ds, strat, appName string, cc cluster.Config) (float64, error) {
-	model := cfg.model()
+// itersVariant is the Variant label of a GraphX job run for a fixed number
+// of iterations.
+func itersVariant(iters int) string { return fmt.Sprintf("iters=%d", iters) }
+
+// graphxTotalSeconds measures partitioning + compute for one strategy/app
+// on the GraphX engine.
+func graphxTotalSeconds(cfg Config, ds, strat, appName string, iters int, cc cluster.Config) (float64, error) {
 	a, err := assignment(cfg, ds, strat, cc.NumParts())
 	if err != nil {
 		return 0, err
 	}
-	s, err := strategyFor(cfg, strat)
+	st, err := runGraphXApp(appName, a, cfg.graphxConfig(cc, iters), cfg.model())
 	if err != nil {
 		return 0, err
 	}
-	ing := cluster.Ingress(a, s, cc, model)
-	for _, spec := range paperApps() {
-		if spec.name != appName {
-			continue
-		}
-		stats, err := spec.run(engine.ModePowerGraph, a, cc, model, cfg.engineOpts())
-		if err != nil {
-			return 0, err
-		}
-		return ing.Seconds + stats.ComputeSeconds, nil
-	}
-	return 0, fmt.Errorf("bench: unknown app %q", appName)
+	return st.PartitionSeconds + st.ComputeSeconds, nil
 }
 
 func fig59() Experiment {
@@ -78,21 +70,22 @@ func fig59() Experiment {
 					Machines:            cc.Machines,
 					ComputeIngressRatio: tc.ratio,
 				})
+				points, err := measureEach(cfg, engine.ModePowerGraph, tc.ds, powerGraphStrategies, tc.app, cc)
+				if err != nil {
+					return nil, err
+				}
 				best, bestT := "", -1.0
 				totals := map[string]float64{}
-				for _, strat := range powerGraphStrategies {
-					tt, err := totalJobSeconds(cfg, tc.ds, strat, tc.app, cc)
-					if err != nil {
-						return nil, err
-					}
-					totals[strat] = tt
+				for _, p := range points {
+					tt := p.totalSeconds()
+					totals[p.strategy] = tt
 					// The rendered row keeps only the recommended and best
 					// totals; every strategy's total goes out as a cell.
-					r.Cell(report.Dims{Dataset: tc.ds, Strategy: strat, App: tc.app,
+					r.Cell(report.Dims{Dataset: tc.ds, Strategy: p.strategy, App: tc.app,
 						Engine: enginePowerGraph, Cluster: clusterName(cc), Parts: cc.NumParts()},
 						"total-s", tt, "s")
 					if bestT < 0 || tt < bestT {
-						best, bestT = strat, tt
+						best, bestT = p.strategy, tt
 					}
 				}
 				within := totals[rec] <= bestT*1.10
@@ -120,7 +113,6 @@ func fig93() Experiment {
 		Title: "GraphX-all decision tree validated against measured totals",
 		Paper: "the Fig 9.3 tree (CR for short low-degree jobs, HDRF/Oblivious for long ones, 2D for skewed graphs) picks the measured best or near-best",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
 			cc := cluster.GraphXLocal9
 			r := NewResult("fig9.3", "tree recommendation vs measured best (GraphX-all, Local-9)",
 				"graph", "iterations", "recommended", "rec-total-s", "best", "best-total-s", "within-15%")
@@ -148,19 +140,14 @@ func fig93() Experiment {
 				best, bestT := "", -1.0
 				totals := map[string]float64{}
 				for _, strat := range graphxAllStrategies() {
-					a, err := assignment(cfg, tc.ds, strat, cc.NumParts())
+					total, err := graphxTotalSeconds(cfg, tc.ds, strat, "PageRank", tc.iters, cc)
 					if err != nil {
 						return nil, err
 					}
-					st, err := runGraphXApp("PageRank", a, cfg.graphxConfig(cc, tc.iters), model)
-					if err != nil {
-						return nil, err
-					}
-					total := st.PartitionSeconds + st.ComputeSeconds
 					totals[strat] = total
 					r.Cell(report.Dims{Dataset: tc.ds, Strategy: strat, App: "PageRank",
 						Engine: engineGraphX, Cluster: clusterName(cc), Parts: cc.NumParts(),
-						Variant: fmt.Sprintf("iters=%d", tc.iters)},
+						Variant: itersVariant(tc.iters)},
 						"total-s", total, "s")
 					if bestT < 0 || total < bestT {
 						best, bestT = strat, total
@@ -180,7 +167,7 @@ func fig93() Experiment {
 				}
 				r.Row(report.Dims{Dataset: tc.ds, App: "PageRank", Engine: engineGraphX,
 					Cluster: clusterName(cc), Parts: cc.NumParts(),
-					Variant: fmt.Sprintf("iters=%d", tc.iters)}).
+					Variant: itersVariant(tc.iters)}).
 					Col(tc.ds).
 					Colf("%d", tc.iters).
 					Col(rec).
@@ -196,5 +183,3 @@ func fig93() Experiment {
 		},
 	}
 }
-
-var _ = partition.AllNames // keep the import if the strategy list moves

@@ -29,17 +29,13 @@ var goldenSlow = map[string]bool{
 // must not change a single rendered byte: the paper reproduction is the
 // plain render, and this is the proof it is untouched.
 func TestGoldenTableRenders(t *testing.T) {
-	cfg := DefaultConfig()
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			if testing.Short() && goldenSlow[e.ID] {
 				t.Skipf("%s takes multiple seconds; run without -short", e.ID)
 			}
-			res, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
+			res := runDefault(t, e)
 			var buf bytes.Buffer
 			if err := res.Render(&buf); err != nil {
 				t.Fatalf("%s: render: %v", e.ID, err)

@@ -207,7 +207,7 @@ func tab71() Experiment {
 						Col(appName, ds, rankingRow(times), best)
 					isRoad := ds == "road-ca" || ds == "road-usa"
 					if isRoad {
-						// CR must be within 10% of the best.
+						// CR must be within 25% of the best.
 						if times["CanonicalRandom"] > bestT*1.25 {
 							roadOK = false
 						}

@@ -3,16 +3,10 @@ package bench
 // PowerGraph experiments: chapter 5 (Figs 5.3–5.9, Table 5.1).
 
 import (
-	"math"
-	"strings"
-	"sync"
-
 	"graphpart/internal/cluster"
 	"graphpart/internal/datasets"
 	"graphpart/internal/engine"
 	"graphpart/internal/graph"
-	"graphpart/internal/metrics"
-	"graphpart/internal/plot"
 	"graphpart/internal/report"
 )
 
@@ -23,137 +17,48 @@ const (
 	engineGraphX     = "GraphX"
 )
 
-// sweepDims are the cell dimensions of one (dataset × cluster × strategy)
-// sweep row under the given engine — the layout shared by every
-// all-strategies table (figs 5.6/5.7, 6.4/6.5, 8.1/8.2).
-func sweepDims(engine, ds, strat string, cc cluster.Config) report.Dims {
-	return report.Dims{Dataset: ds, Cluster: clusterName(cc), Strategy: strat,
-		Engine: engine, Parts: cc.NumParts()}
-}
-
 // powerGraphStrategies are the measurable PowerGraph strategies (PDS is in
 // Table 1.1 but excluded from measurements for cluster-size reasons,
 // §5.2.3).
 var powerGraphStrategies = []string{"Random", "Grid", "Oblivious", "HDRF"}
 
-// pgCorrelation runs the Figs 5.3–5.5 sweep (PowerGraph engine, uk-web,
-// EC2-25) and returns per-(app, strategy) stats.
-type pgPoint struct {
-	app      string
-	strategy string
-	rf       float64
-	netGB    float64
-	compute  float64
-	peakMem  float64
-}
-
-// pgPointsEntry shares one sweep among concurrent callers (figs 5.3–5.5
-// run in parallel under the Runner; the sweep costs multiple seconds).
-type pgPointsEntry struct {
-	once   sync.Once
-	points []pgPoint
-	err    error
-}
-
-var (
-	pgPointsMu    sync.Mutex
-	pgPointsCache = map[Config]*pgPointsEntry{}
-)
-
-func pgCorrelationPoints(cfg Config) ([]pgPoint, error) {
-	pgPointsMu.Lock()
-	e, ok := pgPointsCache[cfg]
-	if !ok {
-		e = &pgPointsEntry{}
-		pgPointsCache[cfg] = e
-	}
-	pgPointsMu.Unlock()
-	e.once.Do(func() {
-		e.points, e.err = pgCorrelationPointsUncached(cfg)
-	})
-	return e.points, e.err
-}
-
-func pgCorrelationPointsUncached(cfg Config) ([]pgPoint, error) {
-	model := cfg.model()
-	cc := cluster.EC2x25
-	var points []pgPoint
-	for _, strat := range powerGraphStrategies {
-		a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-		if err != nil {
-			return nil, err
-		}
-		s, err := strategyFor(cfg, strat)
-		if err != nil {
-			return nil, err
-		}
-		ing := cluster.Ingress(a, s, cc, model)
-		for _, spec := range paperApps() {
-			stats, err := spec.run(engine.ModePowerGraph, a, cc, model, cfg.engineOpts())
-			if err != nil {
-				return nil, err
-			}
-			peak := stats.PeakMemGB
-			if m := ing.PeakMemPerMachine / 1e9; m > peak {
-				peak = m
-			}
-			points = append(points, pgPoint{
-				app:      spec.name,
-				strategy: strat,
-				rf:       a.ReplicationFactor(),
-				netGB:    stats.AvgNetInGB,
-				compute:  stats.ComputeSeconds,
-				peakMem:  peak,
-			})
-		}
-	}
-	return points, nil
-}
-
-// correlationTable builds a Fig 5.3/5.4/5.5-style result for one metric
-// and appends the per-application linear-fit checks.
-func correlationTable(id, title, metricName, unit string, pick func(pgPoint) float64) Experiment {
+// correlationTable builds a Fig 5.3/5.4/5.5-style result for one metric —
+// every paper application over every PowerGraph strategy on uk-web, EC2-25
+// — and appends the per-application linear-fit checks. The three figures
+// read the same points; measure's cache simulates each once.
+func correlationTable(id, title, metricName, unit string, pick func(*point) float64) Experiment {
 	return Experiment{
 		ID:    id,
 		Title: title,
 		Paper: metricName + " is an increasing linear function of replication factor for every application (PowerGraph, EC2-25, UK-web)",
 		Run: func(cfg Config) (*Result, error) {
-			points, err := pgCorrelationPoints(cfg)
-			if err != nil {
-				return nil, err
-			}
 			cc := cluster.EC2x25
 			r := NewResult(id, title, "app", "strategy", "replication-factor", metricName)
-			byApp := map[string][]pgPoint{}
-			var apps []string
-			for _, p := range points {
-				if _, ok := byApp[p.app]; !ok {
-					apps = append(apps, p.app)
-				}
-				byApp[p.app] = append(byApp[p.app], p)
+			type series struct {
+				app    string
+				points []*point
 			}
-			for _, a := range apps {
-				for _, p := range byApp[a] {
-					r.Row(report.Dims{Dataset: "uk-web", Strategy: p.strategy, App: p.app,
+			var all []series
+			for _, spec := range paperApps() {
+				pts, err := measureEach(cfg, engine.ModePowerGraph, "uk-web", powerGraphStrategies, spec.name, cc)
+				if err != nil {
+					return nil, err
+				}
+				all = append(all, series{spec.name, pts})
+				for _, p := range pts {
+					r.Row(report.Dims{Dataset: "uk-web", Strategy: p.strategy, App: spec.name,
 						Engine: enginePowerGraph, Cluster: clusterName(cc), Parts: cc.NumParts()}).
-						Col(p.app, p.strategy).
+						Col(spec.name, p.strategy).
 						Metric("replication-factor", p.rf, "ratio", 3).
 						Metric(metricName, pick(p), unit, 3)
 				}
 			}
-			for _, a := range apps {
-				pts := byApp[a]
-				xs := make([]float64, len(pts))
-				ys := make([]float64, len(pts))
-				for i, p := range pts {
-					xs[i] = p.rf
-					ys[i] = pick(p)
-				}
-				fit, err := metrics.Fit(xs, ys)
+			for _, s := range all {
+				fit, err := fitTrend(s.points, pick, nil)
 				if err != nil {
 					continue
 				}
-				fd := report.Dims{Dataset: "uk-web", App: a, Engine: enginePowerGraph, Cluster: clusterName(cc)}
+				fd := report.Dims{Dataset: "uk-web", App: s.app, Engine: enginePowerGraph, Cluster: clusterName(cc)}
 				r.Cell(fd, "fit-slope", fit.Slope, "")
 				r.Cell(fd, "fit-r2", fit.R2, "")
 				pass := fit.Slope > 0 && fit.R2 >= 0.7
@@ -161,25 +66,11 @@ func correlationTable(id, title, metricName, unit string, pick func(pgPoint) flo
 				if !pass {
 					verdict = "correlation weak ✗"
 				}
-				r.Checkf(pass, metricName+" increases linearly with replication factor for "+a,
-					"%s: slope=%.4g R²=%.3f → %s", a, fit.Slope, fit.R2, verdict)
-			}
-			// Draw the PageRank(10) panel as the figure.
-			var fig strings.Builder
-			var figPts []plot.Point
-			var xs, ys []float64
-			for _, p := range byApp["PageRank(10)"] {
-				figPts = append(figPts, plot.Point{X: p.rf, Y: pick(p), Label: p.strategy})
-				xs = append(xs, p.rf)
-				ys = append(ys, pick(p))
-			}
-			if fit, err := metrics.Fit(xs, ys); err == nil {
-				trend := [2]float64{fit.Slope, fit.Intercept}
-				sc := plot.Scatter{Title: "PageRank(10): " + metricName + " vs replication factor",
-					XLabel: "replication factor", YLabel: metricName,
-					Points: figPts, Trend: &trend}
-				if err := sc.Render(&fig); err == nil {
-					r.Figure = fig.String()
+				r.Checkf(pass, metricName+" increases linearly with replication factor for "+s.app,
+					"%s: slope=%.4g R²=%.3f → %s", s.app, fit.Slope, fit.R2, verdict)
+				// Draw the PageRank(10) panel as the figure.
+				if s.app == "PageRank(10)" {
+					r.Figure = trendScatter("PageRank(10): "+metricName+" vs replication factor", metricName, s.points, pick, fit)
 				}
 			}
 			return r, nil
@@ -190,13 +81,13 @@ func correlationTable(id, title, metricName, unit string, pick func(pgPoint) flo
 func init() {
 	register(correlationTable("fig5.3",
 		"Incoming network IO vs. replication factor (PowerGraph, EC2-25, UK-web)",
-		"net-in-GB/machine", "GB", func(p pgPoint) float64 { return p.netGB }))
+		"net-in-GB/machine", "GB", func(p *point) float64 { return p.stats.AvgNetInGB }))
 	register(correlationTable("fig5.4",
 		"Computation time vs. replication factor (PowerGraph, EC2-25, UK-web)",
-		"compute-seconds", "s", func(p pgPoint) float64 { return p.compute }))
+		"compute-seconds", "s", func(p *point) float64 { return p.stats.ComputeSeconds }))
 	register(correlationTable("fig5.5",
 		"Peak memory vs. replication factor (PowerGraph, EC2-25, UK-web)",
-		"peak-mem-GB/machine", "GB", func(p pgPoint) float64 { return p.peakMem }))
+		"peak-mem-GB/machine", "GB", (*point).peakMemGB))
 	register(fig56())
 	register(fig57())
 	register(fig58())
@@ -210,119 +101,45 @@ var pgClusters = []cluster.Config{cluster.Local9, cluster.EC2x16, cluster.EC2x25
 var pgDatasets = []string{"road-ca", "road-usa", "livejournal", "twitter", "uk-web"}
 
 func fig56() Experiment {
-	return Experiment{
-		ID:    "fig5.6",
-		Title: "Replication factors in PowerGraph (all strategies × graphs × cluster sizes)",
-		Paper: "HDRF/Oblivious lowest on road networks and uk-web; Grid lowest on LiveJournal/Twitter; Random always highest",
-		Run: func(cfg Config) (*Result, error) {
-			r := NewResult("fig5.6", "Replication factors in PowerGraph",
-				"graph", "cluster", "strategy", "replication-factor")
-			type best struct {
-				strat string
-				rf    float64
-			}
-			bests := map[string]best{}
+	return sweepExperiment("fig5.6",
+		"Replication factors in PowerGraph (all strategies × graphs × cluster sizes)",
+		"HDRF/Oblivious lowest on road networks and uk-web; Grid lowest on LiveJournal/Twitter; Random always highest",
+		"Replication factors in PowerGraph",
+		sweepSpec{engine: enginePowerGraph, datasets: pgDatasets, clusters: pgClusters,
+			strategies: powerGraphStrategies, extra: familyStrategies, metrics: []sweepMetric{sweepRF}},
+		func(r *Result, g *sweepGrid) {
+			// The best-strategy notes stay restricted to the paper's own
+			// strategies.
+			cc := cluster.EC2x25
 			for _, ds := range pgDatasets {
-				for _, cc := range pgClusters {
-					for _, strat := range powerGraphStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						rf := a.ReplicationFactor()
-						r.Row(sweepDims(enginePowerGraph, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("replication-factor", rf, "ratio", 3)
-						key := ds + "/" + clusterName(cc)
-						if b, ok := bests[key]; !ok || rf < b.rf {
-							bests[key] = best{strat, rf}
-						}
+				best := powerGraphStrategies[0]
+				for _, strat := range powerGraphStrategies[1:] {
+					if g.at(ds, cc, strat).rf < g.at(ds, cc, best).rf {
+						best = strat
 					}
 				}
+				r.Notef("%s (%s): best strategy %s (RF %.2f)", ds, clusterName(cc), best, g.at(ds, cc, best).rf)
 			}
-			// The added families ride along as extra rows; the paper's
-			// best-strategy notes stay restricted to its own strategies.
-			for _, ds := range pgDatasets {
-				for _, cc := range pgClusters {
-					for _, strat := range familyStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						r.Row(sweepDims(enginePowerGraph, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("replication-factor", a.ReplicationFactor(), "ratio", 3)
-					}
-				}
-			}
-			for _, ds := range pgDatasets {
-				b := bests[ds+"/"+clusterName(cluster.EC2x25)]
-				r.Notef("%s (EC2-25): best strategy %s (RF %.2f)", ds, b.strat, b.rf)
-			}
-			return r, nil
-		},
-	}
+		})
 }
 
 func fig57() Experiment {
-	return Experiment{
-		ID:    "fig5.7",
-		Title: "Ingress time in PowerGraph (all strategies × graphs × cluster sizes)",
-		Paper: "hash-based partitioners are faster on power-law graphs; Grid usually fastest, then Random; all strategies similar on road networks",
-		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
-			r := NewResult("fig5.7", "Ingress time (s) in PowerGraph",
-				"graph", "cluster", "strategy", "ingress-seconds")
-			ing := map[string]float64{}
-			for _, ds := range pgDatasets {
-				for _, cc := range pgClusters {
-					for _, strat := range powerGraphStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						s, err := strategyFor(cfg, strat)
-						if err != nil {
-							return nil, err
-						}
-						st := cluster.Ingress(a, s, cc, model)
-						r.Row(sweepDims(enginePowerGraph, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("ingress-seconds", st.Seconds, "s", 3)
-						ing[ds+"/"+clusterName(cc)+"/"+strat] = st.Seconds
-					}
-				}
-			}
-			// The added families ride along as extra rows; the paper's
-			// verdicts stay restricted to its own strategies.
-			for _, ds := range pgDatasets {
-				for _, cc := range pgClusters {
-					for _, strat := range familyStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						s, err := strategyFor(cfg, strat)
-						if err != nil {
-							return nil, err
-						}
-						r.Row(sweepDims(enginePowerGraph, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("ingress-seconds", cluster.Ingress(a, s, cc, model).Seconds, "s", 3)
-					}
-				}
-			}
+	return sweepExperiment("fig5.7",
+		"Ingress time in PowerGraph (all strategies × graphs × cluster sizes)",
+		"hash-based partitioners are faster on power-law graphs; Grid usually fastest, then Random; all strategies similar on road networks",
+		"Ingress time (s) in PowerGraph",
+		sweepSpec{engine: enginePowerGraph, datasets: pgDatasets, clusters: pgClusters,
+			strategies: powerGraphStrategies, extra: familyStrategies, metrics: []sweepMetric{sweepIngress}},
+		func(r *Result, g *sweepGrid) {
 			// Verdicts on the EC2-25 cluster.
 			for _, ds := range []string{"twitter", "uk-web"} {
-				grid := ing[ds+"/EC2-25/Grid"]
-				hdrf := ing[ds+"/EC2-25/HDRF"]
+				grid := g.at(ds, cluster.EC2x25, "Grid").ingressSeconds
+				hdrf := g.at(ds, cluster.EC2x25, "HDRF").ingressSeconds
 				pass := grid < hdrf
 				r.Checkf(pass, "hash-based ingress faster than greedy on the skewed graph "+ds,
 					"%s: Grid ingress %.2fs vs HDRF %.2fs (hash faster on skewed graphs %s)", ds, grid, hdrf, Mark(pass))
 			}
-			return r, nil
-		},
-	}
+		})
 }
 
 func fig58() Experiment {
@@ -365,47 +182,34 @@ func tab51() Experiment {
 		Title: "Grid vs HDRF: ingress and compute for PageRank(C) and K-core (PowerGraph, EC2-25, UK-web)",
 		Paper: "Grid wins total time for short-running PageRank (faster ingress); HDRF wins for long-running K-core (faster compute)",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
 			cc := cluster.EC2x25
 			r := NewResult("tab5.1", "Grid vs HDRF, ingress vs compute",
 				"strategy", "app", "ingress-s", "compute-s", "total-s")
-			totals := map[string]float64{}
+			type job struct{ strat, app string }
+			totals := map[job]float64{}
 			for _, strat := range []string{"Grid", "HDRF"} {
-				a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-				if err != nil {
-					return nil, err
-				}
-				s, err := strategyFor(cfg, strat)
-				if err != nil {
-					return nil, err
-				}
-				ing := cluster.Ingress(a, s, cc, model).Seconds
-				for _, spec := range paperApps() {
-					if spec.name != "PageRank(C)" && spec.name != "K-Core" {
-						continue
-					}
-					stats, err := spec.run(engine.ModePowerGraph, a, cc, model, cfg.engineOpts())
+				for _, appName := range []string{"PageRank(C)", "K-Core"} {
+					p, err := measure(cfg, engine.ModePowerGraph, "uk-web", strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}
-					total := ing + stats.ComputeSeconds
-					r.Row(report.Dims{Dataset: "uk-web", Strategy: strat, App: spec.name,
+					r.Row(report.Dims{Dataset: "uk-web", Strategy: strat, App: appName,
 						Engine: enginePowerGraph, Cluster: clusterName(cc), Parts: cc.NumParts()}).
-						Col(strat, spec.name).
-						Metric("ingress-s", ing, "s", 2).
-						Metric("compute-s", stats.ComputeSeconds, "s", 2).
-						Metric("total-s", total, "s", 2)
-					totals[strat+"/"+spec.name] = total
+						Col(strat, appName).
+						Metric("ingress-s", p.ingress.Seconds, "s", 2).
+						Metric("compute-s", p.stats.ComputeSeconds, "s", 2).
+						Metric("total-s", p.totalSeconds(), "s", 2)
+					totals[job{strat, appName}] = p.totalSeconds()
 				}
 			}
-			prPass := totals["Grid/PageRank(C)"] < totals["HDRF/PageRank(C)"]
-			kcPass := totals["HDRF/K-Core"] < totals["Grid/K-Core"]
-			r.Checkf(prPass, "Grid wins total time for the short PageRank job",
+			gridPR, hdrfPR := totals[job{"Grid", "PageRank(C)"}], totals[job{"HDRF", "PageRank(C)"}]
+			gridKC, hdrfKC := totals[job{"Grid", "K-Core"}], totals[job{"HDRF", "K-Core"}]
+			r.Checkf(gridPR < hdrfPR, "Grid wins total time for the short PageRank job",
 				"short job (PageRank): Grid total %.2fs vs HDRF %.2fs — Grid wins %s",
-				totals["Grid/PageRank(C)"], totals["HDRF/PageRank(C)"], Mark(prPass))
-			r.Checkf(kcPass, "HDRF wins total time for the long K-core job",
+				gridPR, hdrfPR, Mark(gridPR < hdrfPR))
+			r.Checkf(hdrfKC < gridKC, "HDRF wins total time for the long K-core job",
 				"long job (K-core): HDRF total %.2fs vs Grid %.2fs — HDRF wins %s",
-				totals["HDRF/K-Core"], totals["Grid/K-Core"], Mark(kcPass))
+				hdrfKC, gridKC, Mark(hdrfKC < gridKC))
 			return r, nil
 		},
 	}
@@ -428,19 +232,4 @@ func clusterName(cc cluster.Config) string {
 		return "GraphX-Local-9"
 	}
 	return "custom"
-}
-
-// slowdownRatio is used by tests: worst/best total-time ratio across
-// strategies for an app (the paper's "up to 1.9× overall slowdown").
-func slowdownRatio(totals map[string]float64) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	//graphlint:unordered min/max reduction — commutative, order-independent
-	for _, v := range totals {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if lo <= 0 || math.IsInf(lo, 1) {
-		return 0
-	}
-	return hi / lo
 }

@@ -5,7 +5,6 @@ package bench
 import (
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
-	"graphpart/internal/metrics"
 	"graphpart/internal/report"
 )
 
@@ -14,68 +13,20 @@ import (
 var powerLyraStrategies = []string{"Random", "Grid", "Oblivious", "Hybrid", "H-Ginger"}
 
 // hybridFamily marks the strategies the Figs 6.1/6.2 regression lines
-// intentionally exclude.
+// intentionally exclude: the paper fits the trend through the non-hybrid
+// points.
 func hybridFamily(name string) bool { return name == "Hybrid" || name == "H-Ginger" }
 
-type plPoint struct {
-	strategy string
-	rf       float64
-	netGB    float64
-	peakMem  float64
-}
-
-// plSweep runs one application over all PowerLyra strategies on uk-web,
-// EC2-25, under the hybrid engine.
-func plSweep(cfg Config, appName string) ([]plPoint, error) {
-	model := cfg.model()
-	cc := cluster.EC2x25
-	var out []plPoint
-	for _, strat := range powerLyraStrategies {
-		a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-		if err != nil {
-			return nil, err
-		}
-		s, err := strategyFor(cfg, strat)
-		if err != nil {
-			return nil, err
-		}
-		ing := cluster.Ingress(a, s, cc, model)
-		for _, spec := range paperApps() {
-			if spec.name != appName {
-				continue
-			}
-			stats, err := spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
-			if err != nil {
-				return nil, err
-			}
-			peak := stats.PeakMemGB
-			if m := ing.PeakMemPerMachine / 1e9; m > peak {
-				peak = m
-			}
-			out = append(out, plPoint{strat, a.ReplicationFactor(), stats.AvgNetInGB, peak})
-		}
-	}
-	return out, nil
+// lyraPoints runs one application over all PowerLyra strategies on uk-web,
+// EC2-25, under the hybrid engine — the sweep behind Figs 6.1–6.3.
+func lyraPoints(cfg Config, appName string) ([]*point, error) {
+	return measureEach(cfg, engine.ModePowerLyra, "uk-web", powerLyraStrategies, appName, cluster.EC2x25)
 }
 
 // plDims are the cell dimensions of the chapter-6 uk-web/EC2-25 sweeps.
 func plDims(strategy, app string) report.Dims {
 	return report.Dims{Dataset: "uk-web", Strategy: strategy, App: app,
-		Engine: enginePowerLyra, Cluster: "EC2-25", Parts: cluster.EC2x25.NumParts()}
-}
-
-// fitExcludingHybrids fits the RF→metric line through the non-hybrid
-// points, as the paper's Figs 6.1/6.2 do.
-func fitExcludingHybrids(points []plPoint, pick func(plPoint) float64) (metrics.LinFit, error) {
-	var xs, ys []float64
-	for _, p := range points {
-		if hybridFamily(p.strategy) {
-			continue
-		}
-		xs = append(xs, p.rf)
-		ys = append(ys, pick(p))
-	}
-	return metrics.Fit(xs, ys)
+		Engine: enginePowerLyra, Cluster: clusterName(cluster.EC2x25), Parts: cluster.EC2x25.NumParts()}
 }
 
 func init() {
@@ -93,37 +44,33 @@ func fig61() Experiment {
 		Title: "Network IO vs. replication factor under the hybrid engine (PowerLyra, EC2-25, UK-web, PageRank)",
 		Paper: "Hybrid and Hybrid-Ginger use less network than their replication factor predicts when running natural applications (they sit below the regression line)",
 		Run: func(cfg Config) (*Result, error) {
-			points, err := plSweep(cfg, "PageRank(10)")
+			points, err := lyraPoints(cfg, "PageRank(10)")
 			if err != nil {
 				return nil, err
 			}
-			fit, err := fitExcludingHybrids(points, func(p plPoint) float64 { return p.netGB })
+			net := func(p *point) float64 { return p.stats.AvgNetInGB }
+			fit, err := fitTrend(points, net, hybridFamily)
 			if err != nil {
 				return nil, err
 			}
 			r := NewResult("fig6.1", "Net-in GB vs RF, PageRank under PowerLyra",
 				"strategy", "replication-factor", "net-in-GB", "vs-trend")
 			for _, p := range points {
-				resid := fit.Residual(p.rf, p.netGB)
-				pos := "below line"
-				if resid > 0 {
-					pos = "above line"
-				}
-				d := plDims(p.strategy, "PageRank(10)")
-				r.Row(d).Col(p.strategy).
+				resid := fit.Residual(p.rf, net(p))
+				r.Row(plDims(p.strategy, "PageRank(10)")).Col(p.strategy).
 					Metric("replication-factor", p.rf, "ratio", 3).
-					Metric("net-in-GB", p.netGB, "GB", 3).
-					Col(pos).
+					Metric("net-in-GB", net(p), "GB", 3).
+					Col(trendSide(resid)).
 					Value("trend-residual-GB", resid, "GB")
 			}
 			for _, p := range points {
 				if !hybridFamily(p.strategy) {
 					continue
 				}
-				pass := fit.Residual(p.rf, p.netGB) < 0
-				r.Checkf(pass, p.strategy+" sits below the non-hybrid network trend for natural PageRank",
+				resid := fit.Residual(p.rf, net(p))
+				r.Checkf(resid < 0, p.strategy+" sits below the non-hybrid network trend for natural PageRank",
 					"%s below the non-hybrid trend for natural PageRank: %s (residual %.4g GB)",
-					p.strategy, Mark(pass), fit.Residual(p.rf, p.netGB))
+					p.strategy, Mark(resid < 0), resid)
 			}
 			r.Notef("non-hybrid trend: slope=%.4g R²=%.3f", fit.Slope, fit.R2)
 			return r, nil
@@ -137,11 +84,11 @@ func fig62() Experiment {
 		Title: "Peak memory vs. replication factor (PowerLyra, EC2-25, UK-web)",
 		Paper: "Hybrid and Hybrid-Ginger sit above the memory trend (multi-pass ingress overheads); H-Ginger higher than Hybrid",
 		Run: func(cfg Config) (*Result, error) {
-			points, err := plSweep(cfg, "PageRank(C)")
+			points, err := lyraPoints(cfg, "PageRank(C)")
 			if err != nil {
 				return nil, err
 			}
-			fit, err := fitExcludingHybrids(points, func(p plPoint) float64 { return p.peakMem })
+			fit, err := fitTrend(points, (*point).peakMemGB, hybridFamily)
 			if err != nil {
 				return nil, err
 			}
@@ -149,27 +96,22 @@ func fig62() Experiment {
 				"strategy", "replication-factor", "peak-mem-GB", "vs-trend")
 			var hybridMem, gingerMem float64
 			for _, p := range points {
-				resid := fit.Residual(p.rf, p.peakMem)
-				pos := "below line"
-				if resid > 0 {
-					pos = "above line"
-				}
 				r.Row(plDims(p.strategy, "PageRank(C)")).Col(p.strategy).
 					Metric("replication-factor", p.rf, "ratio", 3).
-					Metric("peak-mem-GB", p.peakMem, "GB", 3).
-					Col(pos)
+					Metric("peak-mem-GB", p.peakMemGB(), "GB", 3).
+					Col(trendSide(fit.Residual(p.rf, p.peakMemGB())))
 				switch p.strategy {
 				case "Hybrid":
-					hybridMem = p.peakMem
+					hybridMem = p.peakMemGB()
 				case "H-Ginger":
-					gingerMem = p.peakMem
+					gingerMem = p.peakMemGB()
 				}
 			}
 			for _, p := range points {
 				if !hybridFamily(p.strategy) {
 					continue
 				}
-				pass := fit.Residual(p.rf, p.peakMem) > 0
+				pass := fit.Residual(p.rf, p.peakMemGB()) > 0
 				r.Checkf(pass, p.strategy+" sits above the memory trend",
 					"%s above the memory trend: %s", p.strategy, Mark(pass))
 			}
@@ -187,32 +129,19 @@ func fig63() Experiment {
 		Title: "Memory utilization over time (PowerLyra, EC2-25, UK-web, PageRank)",
 		Paper: "peak memory is reached during the ingress phase for every partitioning strategy; the black dot (end of ingress) comes after the peak",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
 			cc := cluster.EC2x25
 			r := NewResult("fig6.3", "Memory timeline (per-machine GB)",
 				"strategy", "phase", "t-start-s", "t-end-s", "mem-GB")
-			for _, strat := range powerLyraStrategies {
-				a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-				if err != nil {
-					return nil, err
-				}
-				s, err := strategyFor(cfg, strat)
-				if err != nil {
-					return nil, err
-				}
-				ing := cluster.Ingress(a, s, cc, model)
-				var stats engine.Stats
-				for _, spec := range paperApps() {
-					if spec.name == "PageRank(C)" {
-						stats, err = spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
-						if err != nil {
-							return nil, err
-						}
-					}
-				}
+			// The same points as fig6.2, read for their timelines.
+			points, err := lyraPoints(cfg, "PageRank(C)")
+			if err != nil {
+				return nil, err
+			}
+			for _, p := range points {
+				strat, stats := p.strategy, p.stats
 				t0 := 0.0
 				ingressPeak := 0.0
-				for _, ph := range ing.Phases {
+				for _, ph := range p.ingress.Phases {
 					r.Row(report.Dims{Dataset: "uk-web", Strategy: strat, Engine: enginePowerLyra,
 						Cluster: clusterName(cc), Parts: cc.NumParts(), Variant: "ingress:" + ph.Name}).
 						Col(strat, "ingress:"+ph.Name).
@@ -241,75 +170,37 @@ func fig63() Experiment {
 }
 
 func fig64() Experiment {
-	return Experiment{
-		ID:    "fig6.4",
-		Title: "Ingress times for PowerLyra (all strategies × graphs × clusters)",
-		Paper: "H-Ginger has significantly slower ingress than every other strategy; Hybrid is slower than the single-pass hashes",
-		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
-			r := NewResult("fig6.4", "PowerLyra ingress times (s)",
-				"graph", "cluster", "strategy", "ingress-seconds")
-			times := map[string]float64{}
-			for _, ds := range pgDatasets {
-				for _, cc := range pgClusters {
-					for _, strat := range powerLyraStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						s, err := strategyFor(cfg, strat)
-						if err != nil {
-							return nil, err
-						}
-						st := cluster.Ingress(a, s, cc, model)
-						r.Row(sweepDims(enginePowerLyra, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("ingress-seconds", st.Seconds, "s", 3)
-						times[ds+"/"+clusterName(cc)+"/"+strat] = st.Seconds
-					}
-				}
-			}
+	return sweepExperiment("fig6.4",
+		"Ingress times for PowerLyra (all strategies × graphs × clusters)",
+		"H-Ginger has significantly slower ingress than every other strategy; Hybrid is slower than the single-pass hashes",
+		"PowerLyra ingress times (s)",
+		sweepSpec{engine: enginePowerLyra, datasets: pgDatasets, clusters: pgClusters,
+			strategies: powerLyraStrategies, metrics: []sweepMetric{sweepIngress}},
+		func(r *Result, g *sweepGrid) {
+			cc := cluster.EC2x25
 			pass := true
 			for _, ds := range pgDatasets {
-				key := ds + "/EC2-25/"
-				if times[key+"H-Ginger"] <= times[key+"Hybrid"] {
+				if g.at(ds, cc, "H-Ginger").ingressSeconds <= g.at(ds, cc, "Hybrid").ingressSeconds {
 					pass = false
 				}
 			}
 			r.Checkf(pass, "H-Ginger ingress slower than Hybrid on every graph",
 				"H-Ginger slower than Hybrid on every graph (EC2-25): %s", Mark(pass))
-			return r, nil
-		},
-	}
+		})
 }
 
 func fig65() Experiment {
-	return Experiment{
-		ID:    "fig6.5",
-		Title: "Replication factors for PowerLyra",
-		Paper: "Oblivious best on road networks and uk-web; Grid and Hybrid both low on LiveJournal/Twitter; H-Ginger only slightly better than Hybrid; Random worst",
-		Run: func(cfg Config) (*Result, error) {
-			r := NewResult("fig6.5", "PowerLyra replication factors",
-				"graph", "cluster", "strategy", "replication-factor")
-			rfs := map[string]float64{}
-			for _, ds := range pgDatasets {
-				for _, cc := range pgClusters {
-					for _, strat := range powerLyraStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
-						if err != nil {
-							return nil, err
-						}
-						r.Row(sweepDims(enginePowerLyra, ds, strat, cc)).
-							Col(ds, clusterName(cc), strat).
-							Metric("replication-factor", a.ReplicationFactor(), "ratio", 3)
-						rfs[ds+"/"+clusterName(cc)+"/"+strat] = a.ReplicationFactor()
-					}
-				}
-			}
+	return sweepExperiment("fig6.5",
+		"Replication factors for PowerLyra",
+		"Oblivious best on road networks and uk-web; Grid and Hybrid both low on LiveJournal/Twitter; H-Ginger only slightly better than Hybrid; Random worst",
+		"PowerLyra replication factors",
+		sweepSpec{engine: enginePowerLyra, datasets: pgDatasets, clusters: pgClusters,
+			strategies: powerLyraStrategies, metrics: []sweepMetric{sweepRF}},
+		func(r *Result, g *sweepGrid) {
+			rf := func(ds, strat string) float64 { return g.at(ds, cluster.EC2x25, strat).rf }
 			obl := true
 			for _, ds := range []string{"road-ca", "road-usa", "uk-web"} {
-				key := ds + "/EC2-25/"
-				if rfs[key+"Oblivious"] >= rfs[key+"Random"] || rfs[key+"Oblivious"] >= rfs[key+"Grid"] {
+				if rf(ds, "Oblivious") >= rf(ds, "Random") || rf(ds, "Oblivious") >= rf(ds, "Grid") {
 					obl = false
 				}
 			}
@@ -317,16 +208,13 @@ func fig65() Experiment {
 				"Oblivious lowest-family RF on road networks and uk-web: %s", Mark(obl))
 			gin := true
 			for _, ds := range pgDatasets {
-				key := ds + "/EC2-25/"
-				if rfs[key+"H-Ginger"] > rfs[key+"Hybrid"]*1.05 {
+				if rf(ds, "H-Ginger") > rf(ds, "Hybrid")*1.05 {
 					gin = false
 				}
 			}
 			r.Checkf(gin, "H-Ginger RF at most marginally above Hybrid's everywhere",
 				"H-Ginger ≤ ~Hybrid RF everywhere (only slight improvement): %s", Mark(gin))
-			return r, nil
-		},
-	}
+		})
 }
 
 func fig66() Experiment {
@@ -335,22 +223,17 @@ func fig66() Experiment {
 		Title: "PowerLyra decision tree validation (natural apps prefer Hybrid)",
 		Paper: "pairing Hybrid with a natural application (PageRank) beats pairing it with a non-natural one relative to Oblivious; low-degree graphs still prefer Oblivious",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
-			cc := cluster.EC2x25
 			r := NewResult("fig6.6", "Hybrid synergy with natural applications",
 				"app", "natural", "strategy", "net-in-GB", "compute-s")
 			type key struct{ app, strat string }
 			net := map[key]float64{}
 			for _, strat := range []string{"Oblivious", "Hybrid"} {
-				a, err := assignment(cfg, "uk-web", strat, cc.NumParts())
-				if err != nil {
-					return nil, err
-				}
-				for _, spec := range paperApps() {
-					if spec.name != "PageRank(10)" && spec.name != "WCC" {
-						continue
+				for _, appName := range []string{"PageRank(10)", "WCC"} {
+					spec, err := appByName(appName)
+					if err != nil {
+						return nil, err
 					}
-					stats, err := spec.run(engine.ModePowerLyra, a, cc, model, cfg.engineOpts())
+					p, err := measure(cfg, engine.ModePowerLyra, "uk-web", strat, appName, cluster.EC2x25)
 					if err != nil {
 						return nil, err
 					}
@@ -358,10 +241,10 @@ func fig66() Experiment {
 					if spec.natural {
 						nat = "yes"
 					}
-					r.Row(plDims(strat, spec.name)).Col(spec.name, nat, strat).
-						Metric("net-in-GB", stats.AvgNetInGB, "GB", 3).
-						Metric("compute-s", stats.ComputeSeconds, "s", 3)
-					net[key{spec.name, strat}] = stats.AvgNetInGB
+					r.Row(plDims(strat, appName)).Col(appName, nat, strat).
+						Metric("net-in-GB", p.stats.AvgNetInGB, "GB", 3).
+						Metric("compute-s", p.stats.ComputeSeconds, "s", 3)
+					net[key{appName, strat}] = p.stats.AvgNetInGB
 				}
 			}
 			// Hybrid's network advantage over Oblivious should be larger

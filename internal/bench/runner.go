@@ -18,8 +18,8 @@ type RunResult struct {
 
 // Runner executes selected experiments concurrently and assembles the
 // typed JSON report. Concurrency is safe because every experiment is
-// deterministic and the shared caches (assignments, loaded datasets,
-// per-config sweeps) are mutex-guarded with once-per-key computation:
+// deterministic and the shared caches (loaded datasets, assignments,
+// measured points) are mutex-guarded with once-per-key computation:
 // interleaving changes wall-clock only, never a cell value.
 //
 // Config.Workers bounds each layer independently — up to Workers
