@@ -8,6 +8,7 @@ import (
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
+	"graphpart/internal/engine/graphx"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
@@ -18,10 +19,37 @@ import (
 type detCase struct {
 	name string
 	run  func(mode engine.Mode, a *partition.Assignment, workers int) (any, engine.Stats, error)
+	// graphx runs the same program and step cap under graphx.Run on the same
+	// placement, returning values and iterations. Nil where GraphX has no
+	// counterpart: FixedIterations' all-active frontier and the multi-pass
+	// decomposition driver.
+	graphx func(a *partition.Assignment, workers int) (any, int, error)
 }
 
 func detOpts(workers int) engine.Options {
 	return engine.Options{HighDegreeThreshold: 30, Workers: workers, MaxSupersteps: 4000}
+}
+
+// programCase runs one vertex program capped at maxSteps under all three
+// systems.
+func programCase[V, A any](name string, prog engine.Program[V, A], maxSteps int) detCase {
+	return detCase{name,
+		func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
+			opts := detOpts(w)
+			opts.MaxSupersteps = maxSteps
+			out, err := engine.Run(mode, prog, a, cluster.Local9, model, opts)
+			if err != nil {
+				return nil, engine.Stats{}, err
+			}
+			return out.Values, out.Stats, nil
+		},
+		func(a *partition.Assignment, w int) (any, int, error) {
+			out, err := graphx.Run(prog, a, graphx.Config{Cluster: cluster.Local9, Iterations: maxSteps, Workers: w}, model)
+			if err != nil {
+				return nil, 0, err
+			}
+			return out.Values, out.Stats.Iterations, nil
+		}}
 }
 
 func detCases() []detCase {
@@ -35,39 +63,17 @@ func detCases() []detCase {
 				return nil, engine.Stats{}, err
 			}
 			return out.Values, out.Stats, nil
-		}},
-		{"PageRank(C)", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
-			out, err := engine.Run[float64, float64](mode, app.PageRank{Tolerance: 1e-2}, a, cluster.Local9, model, detOpts(w))
-			if err != nil {
-				return nil, engine.Stats{}, err
-			}
-			return out.Values, out.Stats, nil
-		}},
-		{"WCC", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
-			out, err := engine.Run[uint32, uint32](mode, app.WCC{}, a, cluster.Local9, model, detOpts(w))
-			if err != nil {
-				return nil, engine.Stats{}, err
-			}
-			return out.Values, out.Stats, nil
-		}},
-		{"SSSP", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
-			out, err := engine.Run[float64, float64](mode, app.SSSP{Source: 0}, a, cluster.Local9, model, detOpts(w))
-			if err != nil {
-				return nil, engine.Stats{}, err
-			}
-			return out.Values, out.Stats, nil
-		}},
+		}, nil},
+		programCase("PageRank(cap 10)", app.PageRank{}, 10),
+		programCase("PageRank(C)", app.PageRank{Tolerance: 1e-2}, 4000),
+		programCase("WCC", app.WCC{}, 4000),
+		programCase("SSSP", app.SSSP{Source: 0}, 4000),
 		{"K-Core", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
 			cores, stats, err := app.KCoreDecomposition(mode, 3, 6, a, cluster.Local9, model, detOpts(w))
 			return cores, stats, err
-		}},
-		{"Coloring", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
-			out, err := engine.Run[int32, app.ColorSet](mode, app.Coloring{}, a, cluster.Local9, model, detOpts(w))
-			if err != nil {
-				return nil, engine.Stats{}, err
-			}
-			return out.Values, out.Stats, nil
-		}},
+		}, nil},
+		programCase("K-Core(3)", app.KCore{K: 3}, 4000),
+		programCase("Coloring", app.Coloring{}, 4000),
 	}
 }
 

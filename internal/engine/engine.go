@@ -1,15 +1,24 @@
-// Package engine defines the vertex-program abstraction shared by the three
-// simulated computation engines (PowerGraph-style GAS, PowerLyra's hybrid
-// engine, and the GraphX/Pregel engine) and implements the synchronous GAS
-// executor the first two build on.
+// Package engine defines the vertex-program abstraction of the three
+// simulated systems — PowerGraph's GAS engine, PowerLyra's hybrid engine and
+// GraphX's Pregel loop — and implements the one synchronous superstep loop
+// (Execute) all three run on.
 //
-// The executor runs the *real* algorithm — vertex values are computed
-// exactly, applications run to convergence — while every byte of
-// master/mirror synchronization, every edge scanned, and every barrier is
-// charged to the simulated cluster (internal/cluster) according to the
-// placement decisions of a partition.Assignment. Performance metrics are
-// therefore deterministic functions of partitioning quality, which is
-// exactly the relationship the paper measures.
+// The loop runs the *real* algorithm — vertex values are computed exactly,
+// applications run to convergence — while every byte of master/mirror
+// synchronization, every edge scanned, and every barrier is charged to the
+// simulated cluster (internal/cluster) according to the placement decisions
+// of a partition.Assignment. Performance metrics are therefore deterministic
+// functions of partitioning quality, which is exactly the relationship the
+// paper measures.
+//
+// A system is a cost policy, not a loop: a Charges value of four per-edge or
+// per-step numbers, a work multiplier and at most three per-vertex hooks.
+// Run builds PowerGraph's (every mirror gathers and is synced, §5.1.2) and
+// PowerLyra's (low-degree vertices touch only the partitions holding their
+// edges, §6.1); internal/engine/graphx builds GraphX's (ch. 7). A policy sees
+// the placement and its own shard's Meters and nothing else — not values,
+// not the frontier, not another shard — so it can change what a placement
+// costs and never what the program computes.
 package engine
 
 import (
@@ -29,7 +38,7 @@ const (
 	DirNone Direction = iota
 	DirIn
 	DirOut
-	DirBoth
+	DirBoth = DirIn | DirOut
 )
 
 // String implements fmt.Stringer.
@@ -45,6 +54,17 @@ func (d Direction) String() string {
 		return "both"
 	}
 	return "?"
+}
+
+func (d Direction) in() bool  { return d&DirIn != 0 }
+func (d Direction) out() bool { return d&DirOut != 0 }
+
+// Holds reports whether partition p holds an edge of v in direction d — the
+// test behind PowerLyra's low-degree gather and sync and GraphX's shuffle.
+// It spells the bit tests out to stay within the inlining budget of the
+// per-replica loops that call it.
+func (d Direction) Holds(a *partition.Assignment, v graph.VertexID, p int) bool {
+	return d&DirIn != 0 && a.HasInEdges(v, p) || d&DirOut != 0 && a.HasOutEdges(v, p)
 }
 
 // Program is a GAS vertex program (§3.1) over vertex values V and gather
@@ -112,7 +132,7 @@ const (
 
 // Options tunes one engine run.
 type Options struct {
-	// MaxSupersteps caps execution; 0 means run to convergence.
+	// MaxSupersteps caps execution; ≤0 means run to convergence.
 	MaxSupersteps int
 	// FixedIterations, when >0, forces every vertex active for exactly
 	// this many supersteps (the paper's "PageRank(10)" configuration).
@@ -123,7 +143,7 @@ type Options struct {
 	// Workers bounds the goroutines executing each superstep phase. ≤0
 	// means GOMAXPROCS; 1 runs every shard inline on the calling
 	// goroutine. The shard decomposition is worker-count independent (see
-	// shard.go), so Stats and Values are byte-identical for every value.
+	// Execute), so Stats and Values are byte-identical for every value.
 	Workers int
 }
 
@@ -157,14 +177,10 @@ type Outcome[V any] struct {
 	Stats  Stats
 }
 
-// Run executes prog over the partitioned graph on the simulated cluster.
-//
-// Each superstep phase (gather+apply, value commit, scatter) executes on up
-// to opts.Workers goroutines over contiguous frontier shards. The shard
-// structure depends only on the frontier length and all floating-point
-// meters merge in shard order, so every Workers value — including the
-// sequential Workers=1 case, which is the same code path run inline —
-// produces byte-identical Stats and Values.
+// Run executes prog under PowerGraph's or PowerLyra's cost policy: it
+// validates, builds the mode's Charges, hands the program to Execute — whose
+// worker-count independence makes Stats and Values byte-identical for every
+// opts.Workers — and reads the Stats off the finished run.
 func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg cluster.Config, model cluster.CostModel, opts Options) (*Outcome[V], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -173,348 +189,101 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 		return nil, fmt.Errorf("engine: assignment has %d partitions but cluster has %d", a.NumParts, cfg.NumParts())
 	}
 	g := a.G
-	g.EnsureCSR()
-	n := g.NumVertices()
-
 	threshold := opts.HighDegreeThreshold
 	if threshold <= 0 {
 		threshold = partition.DefaultHybridThreshold
 	}
-
-	vals := make([]V, n)
-	newVals := make([]V, n)
-	nextActive := NewBitset(n)
-	frontier := make([]graph.VertexID, 0, n)
-	for v := 0; v < n; v++ {
-		vals[v] = prog.Init(g, graph.VertexID(v))
-		if prog.InitiallyActive(g, graph.VertexID(v)) {
-			frontier = append(frontier, graph.VertexID(v))
-		}
-	}
-
-	run := cluster.NewRun(cfg, model)
-	staticMem := staticMemPerMachine(a, cfg, model)
-	var peakDyn float64
-
-	work := make([]float64, a.NumParts)
-	inBytes := make([]float64, a.NumParts)
-	outBytes := make([]float64, a.NumParts)
-
-	sh := NewSharder(opts.Workers, a.NumParts, n)
-	changedList := make([]graph.VertexID, 0, n)
-
-	gatherDir := prog.GatherDir()
-	scatterDir := prog.ScatterDir()
+	gatherDir, scatterDir := prog.GatherDir(), prog.ScatterDir()
 	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
 	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)
-	sigB := float64(model.SignalBytes)
 
-	reactivator, _ := any(prog).(Reactivator[V])
-
-	// PowerLyra's differentiated processing keys on the degree in the
-	// *gather* direction: hybrid-cut partitions by in-degree, and an
-	// in-gathering vertex with few in-edges is "low-degree" no matter how
-	// many out-edges it has (§6.1, §6.2.1).
-	gatherDegree := func(v graph.VertexID) int {
+	// low is PowerLyra's differentiated processing (§6.1), keyed on the
+	// degree in the *gather* direction: hybrid-cut partitions by in-degree,
+	// and an in-gathering vertex with few in-edges is "low-degree" no matter
+	// how many out-edges it has (§6.2.1). PowerGraph has no low vertices.
+	low := func(v graph.VertexID) bool {
+		if mode != ModePowerLyra {
+			return false
+		}
 		switch gatherDir {
 		case DirIn:
-			return g.InDegree(v)
+			return g.InDegree(v) <= threshold
 		case DirOut:
-			return g.OutDegree(v)
-		default:
-			return g.Degree(v)
+			return g.OutDegree(v) <= threshold
 		}
+		return g.Degree(v) <= threshold
 	}
-	isLowDegree := func(v graph.VertexID) bool { return gatherDegree(v) <= threshold }
+	// A low vertex pushes its value only along a one-way scatter direction;
+	// scattering both ways (or not at all) reaches every mirror.
+	oneWayScatter := scatterDir == DirIn || scatterDir == DirOut
 
-	stats := Stats{App: prog.Name(), Strategy: a.Strategy, Mode: mode}
+	charges := Charges{
+		GatherEdgeNs:  model.GatherEdgeNs,
+		ScatterEdgeNs: model.ScatterEdgeNs,
+		SignalBytes:   float64(model.SignalBytes),
+		WorkMult:      1,
+		// Gather-stage network: partial accumulators flow from mirror
+		// partitions to the master — from every mirror, or for a low vertex
+		// only from partitions actually holding gather-direction edges.
+		Gathered: func(v graph.VertexID, master int, ms *Meters) {
+			lowV, mm := low(v), cfg.MachineOf(master)
+			a.ForEachReplica(v, func(p int) {
+				if p == master || lowV && !gatherDir.Holds(a, v, p) {
+					return
+				}
+				if cfg.MachineOf(p) != mm {
+					ms.Out[p] += accB
+					ms.In[master] += accB
+					ms.Dyn += accB
+				}
+			})
+		},
+		// Apply-stage network: the master pushes the updated value to
+		// mirrors. PowerGraph syncs all mirrors of an active vertex every
+		// superstep. PowerLyra processes low-degree vertices GraphLab/
+		// Pregel-style (§6.1): their value travels as a message, only when
+		// it changed, and only to partitions that need it for scatter — the
+		// hybrid engine's synchronization saving for natural applications.
+		Applied: func(v graph.VertexID, master int, changed bool, ms *Meters) {
+			lowV := low(v)
+			if lowV && !changed {
+				return
+			}
+			mm := cfg.MachineOf(master)
+			a.ForEachReplica(v, func(p int) {
+				if p == master || lowV && oneWayScatter && !scatterDir.Holds(a, v, p) {
+					return
+				}
+				ms.Work[p] += model.ApplyVertexNs // mirror applies the update
+				if cfg.MachineOf(p) != mm {
+					ms.Out[master] += valB
+					ms.In[p] += valB
+					ms.Dyn += valB
+				}
+			})
+		},
+	}
+
 	maxSteps := opts.MaxSupersteps
 	if opts.FixedIterations > 0 {
 		maxSteps = opts.FixedIterations
 	}
+	ex := Execute(prog, a, cfg, model, charges, maxSteps, opts.FixedIterations > 0, opts.Workers)
 
-	for step := 0; ; step++ {
-		if maxSteps > 0 && step >= maxSteps {
-			stats.Converged = len(frontier) == 0
-			break
-		}
-		if opts.FixedIterations > 0 {
-			// All vertices are active every iteration — including isolated
-			// ones (Master < 0): they carry no replicas and no network, but
-			// their value still evolves through Apply, exactly as in the
-			// convergence-mode isolated-vertex branch below (e.g.
-			// PageRank's (1−d) floor for degree-0 vertices).
-			frontier = frontier[:0]
-			for v := 0; v < n; v++ {
-				frontier = append(frontier, graph.VertexID(v))
-			}
-		}
-		if len(frontier) == 0 {
-			stats.Converged = true
-			break
-		}
-
-		for p := 0; p < a.NumParts; p++ {
-			work[p], inBytes[p], outBytes[p] = 0, 0, 0
-		}
-		var dynBytes float64
-
-		// ---- Gather + Apply ----
-		// Embarrassingly parallel over the frontier: each shard reads vals
-		// and writes newVals only at its own vertices' indexes, metering
-		// into its private scratch. The merged change list is in frontier
-		// order, exactly as the sequential loop produced it.
-		nf := len(frontier)
-		var gatherEdges int64
-		changedList, gatherEdges, dynBytes = sh.Meter(nf, work, inBytes, outBytes, changedList[:0],
-			func(lo, hi int, ms *Meters, ch []graph.VertexID) []graph.VertexID {
-				for _, v := range frontier[lo:hi] {
-					var acc A
-					hasAcc := false
-					if gatherDir == DirIn || gatherDir == DirBoth {
-						nbrs := g.InNeighbors(v)
-						eids := g.InEdgeIDs(v)
-						for i, u := range nbrs {
-							c := prog.Gather(g, u, v, vals[u], vals[v], v)
-							if hasAcc {
-								acc = prog.Sum(acc, c)
-							} else {
-								acc, hasAcc = c, true
-							}
-							ms.Work[a.EdgeParts[eids[i]]] += model.GatherEdgeNs
-							ms.Edges++
-						}
-					}
-					if gatherDir == DirOut || gatherDir == DirBoth {
-						nbrs := g.OutNeighbors(v)
-						eids := g.OutEdgeIDs(v)
-						for i, u := range nbrs {
-							c := prog.Gather(g, v, u, vals[v], vals[u], v)
-							if hasAcc {
-								acc = prog.Sum(acc, c)
-							} else {
-								acc, hasAcc = c, true
-							}
-							ms.Work[a.EdgeParts[eids[i]]] += model.GatherEdgeNs
-							ms.Edges++
-						}
-					}
-
-					master := a.Master(v)
-					if master < 0 {
-						// Isolated vertex: no replicas, no network — but its value
-						// still evolves (e.g. PageRank's (1−d) floor, K-core
-						// removal of degree-0 vertices).
-						nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
-						newVals[v] = nv
-						if changed {
-							ch = append(ch, v)
-						}
-						continue
-					}
-
-					// Gather-stage network: partial accumulators flow from mirror
-					// partitions to the master.
-					low := isLowDegree(v)
-					forEachGatherSource(mode, a, v, gatherDir, low, func(p int) {
-						if p == master {
-							return
-						}
-						if cfg.MachineOf(p) != cfg.MachineOf(master) {
-							ms.Out[p] += accB
-							ms.In[master] += accB
-							ms.Dyn += accB
-						}
-					})
-
-					// Apply at the master.
-					nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
-					newVals[v] = nv
-					ms.Work[master] += model.ApplyVertexNs
-					if changed {
-						ch = append(ch, v)
-					}
-
-					// Apply-stage network: the master pushes the updated value to
-					// mirrors. PowerGraph syncs all mirrors of an active vertex
-					// every superstep. PowerLyra processes low-degree vertices
-					// GraphLab/Pregel-style (§6.1): their value travels as a
-					// message, only when it changed, and only to partitions that
-					// need it for scatter — the hybrid engine's synchronization
-					// saving for natural applications.
-					if mode == ModePowerLyra && low && !changed {
-						continue
-					}
-					forEachSyncTarget(mode, a, v, scatterDir, low, func(p int) {
-						if p == master {
-							return
-						}
-						ms.Work[p] += model.ApplyVertexNs // mirror applies the update
-						if cfg.MachineOf(p) != cfg.MachineOf(master) {
-							ms.Out[master] += valB
-							ms.In[p] += valB
-							ms.Dyn += valB
-						}
-					})
-				}
-				return ch
-			})
-		stats.EdgesProcessed += gatherEdges
-
-		// Commit applied values (disjoint indexes; no meters).
-		sh.Do(nf, func(lo, hi int) {
-			for _, v := range frontier[lo:hi] {
-				vals[v] = newVals[v]
-			}
-		})
-
-		// ---- Scatter: changed vertices activate neighbors ----
-		// Meters stay per-shard; activation bits go to per-worker bitmaps
-		// merged by OR (commutative and idempotent, so the merged frontier
-		// is independent of shard→worker scheduling).
-		stats.EdgesProcessed += sh.Scatter(len(changedList), work, inBytes, outBytes, nextActive,
-			func(lo, hi int, ms *Meters, nb Bitset) {
-				for _, v := range changedList[lo:hi] {
-					if scatterDir == DirOut || scatterDir == DirBoth {
-						nbrs := g.OutNeighbors(v)
-						eids := g.OutEdgeIDs(v)
-						for i, u := range nbrs {
-							p := int(a.EdgeParts[eids[i]])
-							ms.Work[p] += model.ScatterEdgeNs
-							ms.Edges++
-							um := a.Master(u)
-							if um >= 0 && cfg.MachineOf(p) != cfg.MachineOf(um) {
-								ms.Out[p] += sigB
-								ms.In[um] += sigB
-							}
-							nb.Set(int(u))
-						}
-					}
-					if scatterDir == DirIn || scatterDir == DirBoth {
-						nbrs := g.InNeighbors(v)
-						eids := g.InEdgeIDs(v)
-						for i, u := range nbrs {
-							p := int(a.EdgeParts[eids[i]])
-							ms.Work[p] += model.ScatterEdgeNs
-							ms.Edges++
-							um := a.Master(u)
-							if um >= 0 && cfg.MachineOf(p) != cfg.MachineOf(um) {
-								ms.Out[p] += sigB
-								ms.In[um] += sigB
-							}
-							nb.Set(int(u))
-						}
-					}
-				}
-			})
-
-		before := run.SimSeconds
-		run.StepPartitioned(work, inBytes, outBytes)
-		stats.SuperstepSeconds = append(stats.SuperstepSeconds, run.SimSeconds-before)
-		if dynBytes/float64(cfg.Machines) > peakDyn {
-			peakDyn = dynBytes / float64(cfg.Machines)
-		}
-
-		// Programs with Pregel-style voting (Reactivator) keep vertices
-		// active until the round produces no changes: bulk-iterative
-		// applications like K-core re-examine the whole remaining
-		// subgraph each round (§3.3.3). Shard boundaries fall on bitset
-		// words, so concurrent Set calls never touch the same word.
-		if reactivator != nil {
-			if len(changedList) == 0 {
-				stats.Supersteps++
-				stats.Converged = true
-				break
-			}
-			words := len(nextActive)
-			ws := NumShards(words)
-			ForEachShard(sh.Workers, ws, func(s, _ int) {
-				wlo, whi := ShardRange(words, ws, s)
-				vhi := whi * 64
-				if vhi > n {
-					vhi = n
-				}
-				for v := wlo * 64; v < vhi; v++ {
-					if !nextActive.Get(v) && reactivator.StayActive(g, graph.VertexID(v), vals[v]) {
-						nextActive.Set(v)
-					}
-				}
-			})
-		}
-
-		// Next frontier.
-		frontier = frontier[:0]
-		nextActive.ForEach(func(i int) {
-			frontier = append(frontier, graph.VertexID(i))
-		})
-		stats.Supersteps++
+	for m, static := range staticMemPerMachine(a, cfg, model) {
+		ex.Run.SetPeakMem(m, static+ex.PeakDynBytes)
 	}
-
-	for m := 0; m < cfg.Machines; m++ {
-		run.SetPeakMem(m, staticMem[m]+peakDyn)
-	}
-	stats.ComputeSeconds = run.SimSeconds
-	stats.AvgNetInGB = run.AvgNetInGB()
-	stats.PeakMemGB = run.MaxPeakMemGB()
-	stats.CPUUtil = run.CPUUtilization()
-	return &Outcome[V]{Values: vals, Stats: stats}, nil
-}
-
-// forEachGatherSource calls fn for each partition that sends a partial
-// accumulator for v during gather, in ascending partition order.
-func forEachGatherSource(mode Mode, a *partition.Assignment, v graph.VertexID, gatherDir Direction, lowDegree bool, fn func(p int)) {
-	if mode == ModePowerGraph || !lowDegree {
-		// Every mirror participates in the distributed gather.
-		a.ForEachReplica(v, fn)
-		return
-	}
-	// PowerLyra low-degree: only partitions actually holding
-	// gather-direction edges contribute.
-	switch gatherDir {
-	case DirIn:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasInEdges(v, p) {
-				fn(p)
-			}
-		})
-	case DirOut:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasOutEdges(v, p) {
-				fn(p)
-			}
-		})
-	case DirBoth:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasInEdges(v, p) || a.HasOutEdges(v, p) {
-				fn(p)
-			}
-		})
-	}
-}
-
-// forEachSyncTarget calls fn for each partition the master pushes v's new
-// value to after apply, in ascending partition order.
-func forEachSyncTarget(mode Mode, a *partition.Assignment, v graph.VertexID, scatterDir Direction, lowDegree bool, fn func(p int)) {
-	if mode == ModePowerGraph || !lowDegree {
-		a.ForEachReplica(v, fn)
-		return
-	}
-	switch scatterDir {
-	case DirOut:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasOutEdges(v, p) {
-				fn(p)
-			}
-		})
-	case DirIn:
-		a.ForEachReplica(v, func(p int) {
-			if a.HasInEdges(v, p) {
-				fn(p)
-			}
-		})
-	default:
-		a.ForEachReplica(v, fn)
-	}
+	return &Outcome[V]{Values: ex.Values, Stats: Stats{
+		App: prog.Name(), Strategy: a.Strategy, Mode: mode,
+		Supersteps:       len(ex.StepSeconds),
+		Converged:        ex.Converged,
+		ComputeSeconds:   ex.Run.SimSeconds,
+		AvgNetInGB:       ex.Run.AvgNetInGB(),
+		PeakMemGB:        ex.Run.MaxPeakMemGB(),
+		CPUUtil:          ex.Run.CPUUtilization(),
+		EdgesProcessed:   ex.Edges,
+		SuperstepSeconds: ex.StepSeconds,
+	}}, nil
 }
 
 // staticMemPerMachine computes each machine's steady compute-phase memory.

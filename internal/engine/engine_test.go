@@ -1,12 +1,15 @@
 package engine_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
 	"graphpart/internal/gen"
+	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 )
 
@@ -83,6 +86,56 @@ func TestSameResultsAcrossModes(t *testing.T) {
 	}
 }
 
+// TestSameResultsAcrossSystems is the metamorphic form of "partitioning and
+// system change cost, never answers": on one placement, every application
+// gives byte-identical Values and the same superstep count under PowerGraph,
+// PowerLyra and GraphX at every worker count — K-Core, whose Reactivator
+// voting GraphX must honour, included.
+func TestSameResultsAcrossSystems(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.PrefAttach("power-law", 2200, 5, 0x9),
+		gen.RoadNet("road-net", 30, 30, 0x9),
+	}
+	for _, g := range graphs {
+		for _, strat := range []string{"Random", "2D", "HDRF"} {
+			a, err := partition.Partition(g, partition.MustNew(strat, partition.Options{}), 9, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range detCases() {
+				if tc.graphx == nil {
+					continue
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", g.Name, strat, tc.name), func(t *testing.T) {
+					want, st, err := tc.run(engine.ModePowerGraph, a, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check := func(system string, w int, vals any, steps int, err error) {
+						if err != nil {
+							t.Fatal(err)
+						}
+						if steps != st.Supersteps {
+							t.Errorf("%s workers=%d ran %d supersteps, PowerGraph workers=1 ran %d", system, w, steps, st.Supersteps)
+						}
+						if !reflect.DeepEqual(vals, want) {
+							t.Errorf("%s workers=%d Values differ from PowerGraph workers=1", system, w)
+						}
+					}
+					for _, w := range []int{1, 3} {
+						for _, mode := range []engine.Mode{engine.ModePowerGraph, engine.ModePowerLyra} {
+							vals, mst, err := tc.run(mode, a, w)
+							check(fmt.Sprintf("mode%d", mode), w, vals, mst.Supersteps, err)
+						}
+						vals, iters, err := tc.graphx(a, w)
+						check("GraphX", w, vals, iters, err)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestNetworkScalesWithReplication pins Fig 5.3's mechanism at the engine
 // level: same graph, same app, higher-RF assignment → more traffic.
 func TestNetworkScalesWithReplication(t *testing.T) {
@@ -111,6 +164,22 @@ func TestMaxSuperstepsCap(t *testing.T) {
 	}
 	if out.Stats.Converged {
 		t.Error("2-superstep WCC cannot have converged on this graph")
+	}
+	// A negative cap is no cap, exactly as 0 is.
+	var toConvergence [2]engine.Stats
+	for i, maxSteps := range []int{0, -1} {
+		out, err := engine.Run[uint32, uint32](engine.ModePowerGraph, app.WCC{}, a, cluster.Local9, model,
+			engine.Options{MaxSupersteps: maxSteps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Stats.Converged || out.Stats.Supersteps <= 2 {
+			t.Errorf("MaxSupersteps=%d: converged=%v after %d supersteps", maxSteps, out.Stats.Converged, out.Stats.Supersteps)
+		}
+		toConvergence[i] = out.Stats
+	}
+	if !reflect.DeepEqual(toConvergence[0], toConvergence[1]) {
+		t.Errorf("MaxSupersteps -1 and 0 disagree:\n%+v\n%+v", toConvergence[1], toConvergence[0])
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package graphx simulates GraphX's execution model (ch. 7): a Pregel-style
-// iteration loop over Spark RDDs, with many edge partitions per machine,
-// routing-table vertex-value shipping, a partitioning phase that is separate
-// from ingress, per-iteration task-scheduling overhead, and an executor
-// memory model reproducing the three memory-pressure cases of Fig 9.4.
+// Package graphx simulates GraphX's execution model (ch. 7) as a cost policy
+// over engine.Execute, the superstep loop it shares with PowerGraph and
+// PowerLyra: many edge partitions per machine, a per-iteration task-scheduling
+// floor, RDD-scan edge work, the aggregateMessages shuffle and routing-table
+// vertex-value shipping. What it adds around the loop is GraphX's own: a
+// partitioning phase that is separate from ingress, and an executor memory
+// model reproducing the three memory-pressure cases of Fig 9.4.
 package graphx
 
 import (
@@ -23,12 +25,12 @@ type Config struct {
 	// memory (no pressure).
 	ExecutorMemBytes float64
 	// Iterations caps the Pregel loop, as the paper's GraphX experiments
-	// do (10 in ch. 7, 25 in ch. 9). 0 means run to convergence.
+	// do (10 in ch. 7, 25 in ch. 9). ≤0 means run to convergence, as
+	// engine.Options.MaxSupersteps does.
 	Iterations int
 	// Workers bounds the goroutines executing each iteration phase; ≤0
-	// means GOMAXPROCS. As in engine.Run, the shard structure is
-	// worker-count independent, so Stats and Values are byte-identical
-	// for every value.
+	// means GOMAXPROCS. Stats and Values are byte-identical for every
+	// value (see engine.Execute).
 	Workers int
 }
 
@@ -69,16 +71,14 @@ type Outcome[V any] struct {
 
 // Run executes prog under the GraphX model.
 func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Config, model cluster.CostModel) (*Outcome[V], error) {
-	if err := cfg.Cluster.Validate(); err != nil {
+	cc := cfg.Cluster
+	if err := cc.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Cluster.NumParts() != a.NumParts {
-		return nil, fmt.Errorf("graphx: assignment has %d partitions, cluster provides %d", a.NumParts, cfg.Cluster.NumParts())
+	if cc.NumParts() != a.NumParts {
+		return nil, fmt.Errorf("graphx: assignment has %d partitions, cluster provides %d", a.NumParts, cc.NumParts())
 	}
-	g := a.G
-	g.EnsureCSR()
-	n := g.NumVertices()
-	machines := cfg.Cluster.Machines
+	machines := cc.Machines
 
 	stats := Stats{App: prog.Name(), Strategy: a.Strategy}
 
@@ -87,7 +87,7 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 	spreadMem := make([]float64, machines)
 	var totalMem float64
 	for p := 0; p < a.NumParts; p++ {
-		m := cfg.Cluster.MachineOf(p)
+		m := cc.MachineOf(p)
 		w := float64(a.ReplicasOnPart(p))*float64(model.ReplicaBytes) +
 			float64(a.EdgeCount[p])*float64(model.EdgeMemBytes)
 		spreadMem[m] += w
@@ -130,187 +130,70 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 	stats.GCOverhead = gcMult
 
 	// ---- Partitioning phase (separate from ingress, §7.3) ----
-	stats.PartitionSeconds = partitionPhaseSeconds(a, cfg.Cluster, model)
+	stats.PartitionSeconds = partitionPhaseSeconds(a, cc, model)
 
 	// ---- Pregel loop ----
-	// Iteration phases run on sharded workers exactly as in engine.Run:
-	// contiguous shards of the active/changed lists, per-shard meters
-	// merged in shard order, per-worker activation bitmaps merged by OR —
-	// byte-identical results for every worker count.
-	vals := make([]V, n)
-	newVals := make([]V, n)
-	active := make([]graph.VertexID, 0, n)
-	nextActive := engine.NewBitset(n)
-	for v := 0; v < n; v++ {
-		vals[v] = prog.Init(g, graph.VertexID(v))
-		if prog.InitiallyActive(g, graph.VertexID(v)) {
-			active = append(active, graph.VertexID(v))
-		}
-	}
-
-	run := cluster.NewRun(cfg.Cluster, model)
+	// engine.Execute runs the vertex program; what is GraphX's own is the
+	// price list: a per-task floor, RDD-scan edge work inflated by GC, the
+	// aggregateMessages shuffle and routing-table value shipping.
 	gatherDir := prog.GatherDir()
-	scatterDir := prog.ScatterDir()
 	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
 	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)
-
-	work := make([]float64, a.NumParts)
-	inBytes := make([]float64, a.NumParts)
-	outBytes := make([]float64, a.NumParts)
-
-	sh := engine.NewSharder(cfg.Workers, a.NumParts, n)
-	changed := make([]graph.VertexID, 0, n)
-
-	cum := stats.PartitionSeconds
-	for iter := 0; cfg.Iterations == 0 || iter < cfg.Iterations; iter++ {
-		if len(active) == 0 {
-			stats.Converged = true
-			break
-		}
-		for p := 0; p < a.NumParts; p++ {
-			// Spark schedules one task per partition every iteration,
-			// whether or not it has active work — GraphX's constant
-			// per-iteration floor.
-			work[p] = model.TaskOverheadNs
-			inBytes[p], outBytes[p] = 0, 0
-		}
-
-		na := len(active)
-		changed, _, _ = sh.Meter(na, work, inBytes, outBytes, changed[:0],
-			func(lo, hi int, ms *engine.Meters, ch []graph.VertexID) []graph.VertexID {
-				for _, v := range active[lo:hi] {
-					var acc A
-					hasAcc := false
-					gather := func(src, dst graph.VertexID, eid int32) {
-						c := prog.Gather(g, src, dst, vals[src], vals[dst], v)
-						if hasAcc {
-							acc = prog.Sum(acc, c)
-						} else {
-							acc, hasAcc = c, true
-						}
-						ms.Work[a.EdgeParts[eid]] += model.RDDEdgeNs
-					}
-					if gatherDir == engine.DirIn || gatherDir == engine.DirBoth {
-						nbrs := g.InNeighbors(v)
-						eids := g.InEdgeIDs(v)
-						for i := range nbrs {
-							gather(nbrs[i], v, eids[i])
-						}
-					}
-					if gatherDir == engine.DirOut || gatherDir == engine.DirBoth {
-						nbrs := g.OutNeighbors(v)
-						eids := g.OutEdgeIDs(v)
-						for i := range nbrs {
-							gather(v, nbrs[i], eids[i])
-						}
-					}
-					master := a.Master(v)
-					if master < 0 {
-						// Isolated vertex: evolves locally, no shuffle traffic.
-						nv, ch2 := prog.Apply(g, v, vals[v], acc, hasAcc)
-						newVals[v] = nv
-						if ch2 {
-							ch = append(ch, v)
-						}
-						continue
-					}
-					// aggregateMessages shuffle: each edge partition holding
-					// gather-direction edges of v sends one combined message to
-					// v's vertex partition (master).
-					a.ForEachReplica(v, func(p int) {
-						if p == master {
-							return
-						}
-						holds := (gatherDir == engine.DirIn || gatherDir == engine.DirBoth) && a.HasInEdges(v, p) ||
-							(gatherDir == engine.DirOut || gatherDir == engine.DirBoth) && a.HasOutEdges(v, p)
-						if holds && cfg.Cluster.MachineOf(p) != cfg.Cluster.MachineOf(master) {
-							ms.Out[p] += accB
-							ms.In[master] += accB
-						}
-					})
-
-					nv, ch2 := prog.Apply(g, v, vals[v], acc, hasAcc)
-					newVals[v] = nv
-					ms.Work[master] += model.ApplyVertexNs
-					if ch2 {
-						ch = append(ch, v)
-					}
-				}
-				return ch
-			})
-
-		sh.Do(na, func(lo, hi int) {
-			for _, v := range active[lo:hi] {
-				vals[v] = newVals[v]
-			}
-		})
-
-		// Vertex-value shipping: changed vertices broadcast their new
-		// value to every edge partition holding their edges (GraphX's
-		// routing tables) — the replication-factor-proportional cost.
-		sh.Scatter(len(changed), work, inBytes, outBytes, nextActive,
-			func(lo, hi int, ms *engine.Meters, nb engine.Bitset) {
-				for _, v := range changed[lo:hi] {
-					master := a.Master(v)
-					a.ForEachReplica(v, func(p int) {
-						if p == master {
-							return
-						}
-						ms.Work[p] += model.ApplyVertexNs
-						if cfg.Cluster.MachineOf(p) != cfg.Cluster.MachineOf(master) {
-							ms.Out[master] += valB
-							ms.In[p] += valB
-						}
-					})
-					if scatterDir == engine.DirOut || scatterDir == engine.DirBoth {
-						for _, u := range g.OutNeighbors(v) {
-							nb.Set(int(u))
-						}
-					}
-					if scatterDir == engine.DirIn || scatterDir == engine.DirBoth {
-						for _, u := range g.InNeighbors(v) {
-							nb.Set(int(u))
-						}
-					}
+	ex := engine.Execute(prog, a, cc, model, engine.Charges{
+		// Spark schedules one task per partition every iteration, whether or
+		// not it has active work — GraphX's constant per-iteration floor.
+		StepFloorNs:  model.TaskOverheadNs,
+		GatherEdgeNs: model.RDDEdgeNs,
+		WorkMult:     gcMult,
+		// aggregateMessages shuffle: each edge partition holding
+		// gather-direction edges of v sends one combined message to v's
+		// vertex partition (master).
+		Gathered: func(v graph.VertexID, master int, ms *engine.Meters) {
+			mm := cc.MachineOf(master)
+			a.ForEachReplica(v, func(p int) {
+				if p != master && cc.MachineOf(p) != mm && gatherDir.Holds(a, v, p) {
+					ms.Out[p] += accB
+					ms.In[master] += accB
 				}
 			})
+		},
+		// Vertex-value shipping: changed vertices broadcast their new value
+		// to every edge partition holding their edges (GraphX's routing
+		// tables) — the replication-factor-proportional cost.
+		Shipped: func(v graph.VertexID, master int, ms *engine.Meters) {
+			mm := cc.MachineOf(master)
+			a.ForEachReplica(v, func(p int) {
+				if p == master {
+					return
+				}
+				ms.Work[p] += model.ApplyVertexNs
+				if cc.MachineOf(p) != mm {
+					ms.Out[master] += valB
+					ms.In[p] += valB
+				}
+			})
+		},
+	}, cfg.Iterations, false, cfg.Workers)
 
-		// GC overhead inflates CPU work.
-		if gcMult != 1 {
-			for p := range work {
-				work[p] *= gcMult
-			}
-		}
-		before := run.SimSeconds
-		run.StepPartitioned(work, inBytes, outBytes)
-		d := run.SimSeconds - before
-		stats.IterSeconds = append(stats.IterSeconds, d)
-		cum += d
-		stats.CumulativeSeconds = append(stats.CumulativeSeconds, cum)
-		stats.Iterations++
-
-		active = active[:0]
-		nextActive.ForEach(func(i int) {
-			active = append(active, graph.VertexID(i))
-		})
-	}
-	if cfg.Iterations > 0 && len(active) == 0 {
-		stats.Converged = true
-	}
+	stats.IterSeconds = ex.StepSeconds
+	stats.Iterations = len(ex.StepSeconds)
+	stats.Converged = ex.Converged
 
 	// Case-2 redistribution attempts delay the start of computation.
 	redisSec := float64(stats.FitAttempts) * model.RedistributeSec
-	stats.ComputeSeconds = run.SimSeconds + redisSec
-	for i := range stats.CumulativeSeconds {
-		stats.CumulativeSeconds[i] += redisSec
+	stats.ComputeSeconds = ex.Run.SimSeconds + redisSec
+	cum := stats.PartitionSeconds
+	for _, d := range ex.StepSeconds {
+		cum += d
+		stats.CumulativeSeconds = append(stats.CumulativeSeconds, cum+redisSec)
 	}
-	stats.AvgNetInGB = run.AvgNetInGB()
+	stats.AvgNetInGB = ex.Run.AvgNetInGB()
 	for m := 0; m < machines; m++ {
-		run.SetPeakMem(m, spreadMem[m]*gcMultMemFactor(gcMult))
+		ex.Run.SetPeakMem(m, spreadMem[m]*gcMultMemFactor(gcMult))
 	}
-	stats.PeakMemGB = run.MaxPeakMemGB()
-	stats.CPUUtil = run.CPUUtilization()
-	return &Outcome[V]{Values: vals, Stats: stats}, nil
+	stats.PeakMemGB = ex.Run.MaxPeakMemGB()
+	stats.CPUUtil = ex.Run.CPUUtilization()
+	return &Outcome[V]{Values: ex.Values, Stats: stats}, nil
 }
 
 // gcMultMemFactor nudges peak memory up under GC pressure (fragmentation,

@@ -7,6 +7,7 @@ import (
 
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
+	"graphpart/internal/engine"
 	"graphpart/internal/engine/graphx"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
@@ -103,6 +104,58 @@ func TestGraphXConvergenceStopsEarly(t *testing.T) {
 	}
 	if out.Values[1] != 1 {
 		t.Errorf("dist[1] = %v, want 1", out.Values[1])
+	}
+	// A negative cap is no cap, exactly as 0 is (and as
+	// engine.Options.MaxSupersteps reads it).
+	for _, iters := range []int{0, -1} {
+		free, err := graphx.Run[float64, float64](app.SSSP{Source: 0}, a, graphx.Config{Cluster: cc, Iterations: iters}, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(free.Stats, out.Stats) || !reflect.DeepEqual(free.Values, out.Values) {
+			t.Errorf("Iterations=%d: %+v, want the capped run's %+v", iters, free.Stats, out.Stats)
+		}
+	}
+}
+
+// TestGraphXReactivatorFrontierMatchesGAS pins the voting rule: a Reactivator
+// program (K-Core) keeps its alive vertices in GraphX's frontier every round,
+// exactly as under GAS, so it is priced bulk-iterative (§3.3.3) rather than
+// activation-driven. With one second per gather edge and every other cost
+// zero on one machine, ComputeSeconds *is* the number of gather visits.
+func TestGraphXReactivatorFrontierMatchesGAS(t *testing.T) {
+	// A 40-vertex path peels from both ends, one vertex per side per round;
+	// the 12-clique beside it stays alive and re-gathers every round.
+	var edges []graph.Edge
+	for v := graph.VertexID(0); v < 39; v++ {
+		edges = append(edges, graph.Edge{Src: v, Dst: v + 1})
+	}
+	for u := graph.VertexID(40); u < 52; u++ {
+		for v := u + 1; v < 52; v++ {
+			edges = append(edges, graph.Edge{Src: u, Dst: v})
+		}
+	}
+	g := graph.FromEdges("path+clique", edges)
+	cc := cluster.Config{Machines: 1, PartsPerMachine: 4}
+	a := gxAssignment(t, g, "CanonicalRandom", cc)
+	visits := cluster.CostModel{GatherEdgeNs: 1e9, RDDEdgeNs: 1e9, BandwidthBytesPerSec: 1}
+
+	gx, err := graphx.Run[int32, int32](app.KCore{K: 2}, a, graphx.Config{Cluster: cc}, visits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gas, err := engine.Run[int32, int32](engine.ModePowerGraph, app.KCore{K: 2}, a, cc, visits, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gx.Stats.Iterations != gas.Stats.Supersteps || !reflect.DeepEqual(gx.Values, gas.Values) {
+		t.Fatalf("GraphX ran %d iterations, GAS %d supersteps (or values differ)", gx.Stats.Iterations, gas.Stats.Supersteps)
+	}
+	if gx.Stats.ComputeSeconds != gas.Stats.ComputeSeconds {
+		t.Errorf("GraphX gathered %v edges, GAS %v", gx.Stats.ComputeSeconds, gas.Stats.ComputeSeconds)
+	}
+	if floor := float64(gx.Stats.Iterations * 12 * 11); gx.Stats.ComputeSeconds < floor {
+		t.Errorf("gathered %v edges in %d rounds: the clique alone re-gathers %v", gx.Stats.ComputeSeconds, gx.Stats.Iterations, floor)
 	}
 }
 

@@ -7,49 +7,75 @@ import (
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
+	"graphpart/internal/engine/graphx"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 )
 
-// BenchmarkEngineParallel records sequential vs parallel superstep
-// throughput on the two workload shapes the paper's experiments span: a
-// high-diameter road network (many supersteps, small frontiers) and a
-// skewed power-law graph (few supersteps, hub-heavy frontiers). On a
-// multi-core host workers=all should beat workers=1 on the power-law graph;
-// the road network bounds the sharding overhead in the regime parallelism
-// cannot help.
+// BenchmarkEngineParallel times the one superstep loop under each system's
+// cost policy, sequential vs parallel, on the two workload shapes the paper's
+// experiments span: a high-diameter road network (many supersteps, small
+// frontiers) and a skewed power-law graph (few supersteps, hub-heavy
+// frontiers). On a multi-core host workers=all should beat workers=1 on the
+// power-law graph; the road network bounds the sharding overhead in the
+// regime parallelism cannot help.
 func BenchmarkEngineParallel(b *testing.B) {
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"road-net", gen.RoadNet("bench-road", 250, 250, 1)},
-		{"power-law", gen.PrefAttach("bench-plaw", 100000, 8, 1)},
+	graphs := []*graph.Graph{
+		gen.RoadNet("road-net", 250, 250, 1),
+		gen.PrefAttach("power-law", 100000, 8, 1),
 	}
-	for _, gr := range graphs {
-		a, err := partition.Partition(gr.g, partition.Random{}, 9, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gr.g.EnsureCSR()
-		for _, w := range []int{1, 0} {
-			label := fmt.Sprintf("%s/workers=1", gr.name)
-			if w == 0 {
-				label = fmt.Sprintf("%s/workers=all", gr.name)
+	// Each system runs three PageRank supersteps and returns its edge visits
+	// (0 for GraphX, whose Stats carry no edge count: it reports ns/op only).
+	systems := []struct {
+		name string
+		cc   cluster.Config
+		run  func(a *partition.Assignment, workers int) (int64, error)
+	}{
+		{"PowerGraph", cluster.Local9, gasPageRank(engine.ModePowerGraph)},
+		{"PowerLyra", cluster.Local9, gasPageRank(engine.ModePowerLyra)},
+		{"GraphX", cluster.GraphXLocal9, func(a *partition.Assignment, workers int) (int64, error) {
+			_, err := graphx.Run[float64, float64](app.PageRank{}, a,
+				graphx.Config{Cluster: cluster.GraphXLocal9, Iterations: 3, Workers: workers}, model)
+			return 0, err
+		}},
+	}
+	for _, g := range graphs {
+		g.EnsureCSR()
+		for _, sys := range systems {
+			a, err := partition.Partition(g, partition.Random{}, sys.cc.NumParts(), 1)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(label, func(b *testing.B) {
-				var edges int64
-				for i := 0; i < b.N; i++ {
-					out, err := engine.Run[float64, float64](engine.ModePowerGraph, app.PageRank{}, a,
-						cluster.Local9, model, engine.Options{FixedIterations: 3, Workers: w})
-					if err != nil {
-						b.Fatal(err)
+			for _, w := range []struct {
+				name string
+				n    int
+			}{{"1", 1}, {"all", 0}} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%s", g.Name, sys.name, w.name), func(b *testing.B) {
+					var edges int64
+					for i := 0; i < b.N; i++ {
+						e, err := sys.run(a, w.n)
+						if err != nil {
+							b.Fatal(err)
+						}
+						edges += e
 					}
-					edges += out.Stats.EdgesProcessed
-				}
-				b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
-			})
+					if edges > 0 {
+						b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
+					}
+				})
+			}
 		}
+	}
+}
+
+func gasPageRank(mode engine.Mode) func(*partition.Assignment, int) (int64, error) {
+	return func(a *partition.Assignment, workers int) (int64, error) {
+		out, err := engine.Run[float64, float64](mode, app.PageRank{}, a, cluster.Local9, model,
+			engine.Options{FixedIterations: 3, Workers: workers})
+		if err != nil {
+			return 0, err
+		}
+		return out.Stats.EdgesProcessed, nil
 	}
 }

@@ -1,7 +1,7 @@
 package engine
 
-// Deterministic work-sharding shared by the GAS executor (Run) and the
-// GraphX engine (internal/engine/graphx).
+// Deterministic work-sharding for the superstep core (Execute), and so for
+// all three systems' runs.
 //
 // The central invariant: the decomposition of a phase's work list into
 // contiguous shards depends only on the *length of the list*, never on the
@@ -31,9 +31,9 @@ const (
 	maxShards = 64
 )
 
-// ResolveWorkers maps an Options.Workers value to a concrete worker count:
-// ≤0 means GOMAXPROCS.
-func ResolveWorkers(w int) int {
+// resolveWorkers maps a Workers option to a concrete worker count: ≤0 means
+// GOMAXPROCS.
+func resolveWorkers(w int) int {
 	if w <= 0 {
 		//graphlint:nondet worker-count default only; results are worker-count-independent (TestShardedDeterminism)
 		return runtime.GOMAXPROCS(0)
@@ -41,9 +41,9 @@ func ResolveWorkers(w int) int {
 	return w
 }
 
-// NumShards returns the number of contiguous shards an n-item work list is
+// numShards returns the number of contiguous shards an n-item work list is
 // split into. It is a function of n only — never of the worker count.
-func NumShards(n int) int {
+func numShards(n int) int {
 	s := n / minShardItems
 	if s < 1 {
 		return 1
@@ -54,19 +54,19 @@ func NumShards(n int) int {
 	return s
 }
 
-// ShardRange returns shard s's half-open item range [lo, hi) of an n-item
+// shardRange returns shard s's half-open item range [lo, hi) of an n-item
 // list split into shards contiguous pieces.
-func ShardRange(n, shards, s int) (lo, hi int) {
+func shardRange(n, shards, s int) (lo, hi int) {
 	return n * s / shards, n * (s + 1) / shards
 }
 
-// ForEachShard evaluates fn(shard, worker) for every shard in [0, shards)
+// forEachShard evaluates fn(shard, worker) for every shard in [0, shards)
 // using up to workers goroutines. Workers pull shards from a shared counter
 // (so a skewed shard cannot serialize the phase behind a static block
 // assignment); worker ids are dense in [0, min(workers, shards)). With one
 // worker or one shard everything runs inline on the calling goroutine as
 // worker 0 — the sequential path is the same code path, not a special case.
-func ForEachShard(workers, shards int, fn func(shard, worker int)) {
+func forEachShard(workers, shards int, fn func(shard, worker int)) {
 	if workers > shards {
 		workers = shards
 	}
@@ -96,16 +96,18 @@ func ForEachShard(workers, shards int, fn func(shard, worker int)) {
 
 // Meters is one shard's private accounting scratch: per-partition CPU work
 // and traffic, plus the scalar counters a superstep accumulates. Workers
-// write only their own shard's Meters; the merge (in shard order) happens on
-// the coordinating goroutine.
+// write only their own shard's Meters — it is all a Charges hook may write —
+// and the merge (in shard order) happens on the coordinating goroutine.
+// Adjacent shards' structs share cache lines, so code on the per-vertex path
+// adds to the slices freely but to the scalar fields only where it must.
 type Meters struct {
 	Work, In, Out []float64 // indexed by partition
-	Edges         int64     // gather+scatter edge visits
+	Edges         int64     // gather+scatter edge visits, stored once per shard
 	Dyn           float64   // dynamic message bytes (peak-memory accounting)
 }
 
-// NewMeters returns zeroed meters for numParts partitions.
-func NewMeters(numParts int) Meters {
+// newMeters returns zeroed meters for numParts partitions.
+func newMeters(numParts int) Meters {
 	return Meters{
 		Work: make([]float64, numParts),
 		In:   make([]float64, numParts),
@@ -113,8 +115,8 @@ func NewMeters(numParts int) Meters {
 	}
 }
 
-// Reset zeroes the meters for reuse.
-func (m *Meters) Reset() {
+// reset zeroes the meters for reuse.
+func (m *Meters) reset() {
 	for i := range m.Work {
 		m.Work[i], m.In[i], m.Out[i] = 0, 0, 0
 	}
@@ -122,8 +124,8 @@ func (m *Meters) Reset() {
 	m.Dyn = 0
 }
 
-// MergeInto adds this shard's per-partition meters into the global arrays.
-func (m *Meters) MergeInto(work, in, out []float64) {
+// mergeInto adds this shard's per-partition meters into the global arrays.
+func (m *Meters) mergeInto(work, in, out []float64) {
 	for p := range work {
 		work[p] += m.Work[p]
 		in[p] += m.In[p]
@@ -131,30 +133,30 @@ func (m *Meters) MergeInto(work, in, out []float64) {
 	}
 }
 
-// Bitset is a fixed-size bit set over a dense vertex-id space. Scatter
+// bitset is a fixed-size bit set over a dense vertex-id space. Scatter
 // workers each own one, so activation writes need no synchronization; the
 // per-worker sets merge by OR, which is commutative and idempotent — the
 // merged frontier is identical no matter which worker set which bit.
-type Bitset []uint64
+type bitset []uint64
 
-// NewBitset returns a zeroed bitset holding n bits.
-func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
+// newBitset returns a zeroed bitset holding n bits.
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 // Set sets bit i.
-func (b Bitset) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
+func (b bitset) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
 // Get reports bit i.
-func (b Bitset) Get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
+func (b bitset) Get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 
 // Clear zeroes the whole set.
-func (b Bitset) Clear() {
+func (b bitset) Clear() {
 	for i := range b {
 		b[i] = 0
 	}
 }
 
 // MergeClear ORs src into b and zeroes src, in one pass.
-func (b Bitset) MergeClear(src Bitset) {
+func (b bitset) MergeClear(src bitset) {
 	for i, w := range src {
 		if w != 0 {
 			b[i] |= w
@@ -164,7 +166,7 @@ func (b Bitset) MergeClear(src Bitset) {
 }
 
 // ForEach calls fn for every set bit in ascending order.
-func (b Bitset) ForEach(fn func(i int)) {
+func (b bitset) ForEach(fn func(i int)) {
 	for wi, w := range b {
 		for w != 0 {
 			fn(wi<<6 + bits.TrailingZeros64(w))
@@ -173,48 +175,46 @@ func (b Bitset) ForEach(fn func(i int)) {
 	}
 }
 
-// Sharder owns the sharded-phase scratch of one engine run and provides the
-// three phase shapes both engines execute supersteps with. Centralizing the
-// orchestration here — worker clamp, per-shard meter pools, shard-order
-// merges, per-worker bitmap lazy-init and OR-merge — keeps the GAS and
-// GraphX engines in lockstep on the invariants the byte-identical-
-// determinism contract depends on.
-type Sharder struct {
+// sharder owns the sharded-phase scratch of one run and provides the three
+// phase shapes a superstep executes with: the worker clamp, per-shard meter
+// pools, shard-order merges, per-worker bitmap lazy-init and OR-merge the
+// byte-identical-determinism contract depends on.
+type sharder struct {
 	// Workers is the resolved goroutine bound, clamped to the maximum
 	// shard count so idle workers are never spawned.
 	Workers int
 
 	shards  []Meters
 	changed [][]graph.VertexID
-	next    []Bitset // per-worker activation bitmaps, allocated on first use
+	next    []bitset // per-worker activation bitmaps, allocated on first use
 	n       int      // vertices, for bitmap sizing
 }
 
-// NewSharder sizes the scratch for a run over n vertices and numParts
-// partitions. No phase can use more shards than NumShards(n) (work lists
+// newSharder sizes the scratch for a run over n vertices and numParts
+// partitions. No phase can use more shards than numShards(n) (work lists
 // are at most n items), so both pools are bounded up front.
-func NewSharder(workers, numParts, n int) *Sharder {
-	w := ResolveWorkers(workers)
-	if maxSh := NumShards(n); w > maxSh {
+func newSharder(workers, numParts, n int) *sharder {
+	w := resolveWorkers(workers)
+	if maxSh := numShards(n); w > maxSh {
 		w = maxSh
 	}
-	sh := &Sharder{Workers: w, n: n}
-	sh.shards = make([]Meters, NumShards(n))
+	sh := &sharder{Workers: w, n: n}
+	sh.shards = make([]Meters, numShards(n))
 	for i := range sh.shards {
-		sh.shards[i] = NewMeters(numParts)
+		sh.shards[i] = newMeters(numParts)
 	}
 	sh.changed = make([][]graph.VertexID, len(sh.shards))
-	sh.next = make([]Bitset, w)
+	sh.next = make([]bitset, w)
 	return sh
 }
 
 // Do runs body over contiguous shards of an nItems-long work list. For
 // phases with no meters (e.g. committing newVals), where shards only write
 // disjoint indexes.
-func (sh *Sharder) Do(nItems int, body func(lo, hi int)) {
-	ns := NumShards(nItems)
-	ForEachShard(sh.Workers, ns, func(s, _ int) {
-		lo, hi := ShardRange(nItems, ns, s)
+func (sh *sharder) Do(nItems int, body func(lo, hi int)) {
+	ns := numShards(nItems)
+	forEachShard(sh.Workers, ns, func(s, _ int) {
+		lo, hi := shardRange(nItems, ns, s)
 		body(lo, hi)
 	})
 }
@@ -226,19 +226,19 @@ func (sh *Sharder) Do(nItems int, body func(lo, hi int)) {
 // shard order, so for a contiguous decomposition the result is in work-list
 // order, exactly as a sequential loop would produce it. Returns the
 // appended dst plus the summed Edges and Dyn counters.
-func (sh *Sharder) Meter(nItems int, work, in, out []float64, dst []graph.VertexID,
+func (sh *sharder) Meter(nItems int, work, in, out []float64, dst []graph.VertexID,
 	body func(lo, hi int, ms *Meters, ch []graph.VertexID) []graph.VertexID) ([]graph.VertexID, int64, float64) {
-	ns := NumShards(nItems)
-	ForEachShard(sh.Workers, ns, func(s, _ int) {
+	ns := numShards(nItems)
+	forEachShard(sh.Workers, ns, func(s, _ int) {
 		ms := &sh.shards[s]
-		ms.Reset()
-		lo, hi := ShardRange(nItems, ns, s)
+		ms.reset()
+		lo, hi := shardRange(nItems, ns, s)
 		sh.changed[s] = body(lo, hi, ms, sh.changed[s][:0])
 	})
 	var edges int64
 	var dyn float64
 	for s := 0; s < ns; s++ {
-		sh.shards[s].MergeInto(work, in, out)
+		sh.shards[s].mergeInto(work, in, out)
 		edges += sh.shards[s].Edges
 		dyn += sh.shards[s].Dyn
 		dst = append(dst, sh.changed[s]...)
@@ -251,24 +251,24 @@ func (sh *Sharder) Meter(nItems int, work, in, out []float64, dst []graph.Vertex
 // frontier is cleared, then the per-worker bitmaps OR-merge into it (and
 // are cleared for the next superstep). Meters merge in shard order; returns
 // the summed Edges counter.
-func (sh *Sharder) Scatter(nItems int, work, in, out []float64, frontier Bitset,
-	body func(lo, hi int, ms *Meters, nb Bitset)) int64 {
+func (sh *sharder) Scatter(nItems int, work, in, out []float64, frontier bitset,
+	body func(lo, hi int, ms *Meters, nb bitset)) int64 {
 	frontier.Clear()
-	ns := NumShards(nItems)
-	ForEachShard(sh.Workers, ns, func(s, w int) {
+	ns := numShards(nItems)
+	forEachShard(sh.Workers, ns, func(s, w int) {
 		ms := &sh.shards[s]
-		ms.Reset()
+		ms.reset()
 		nb := sh.next[w]
 		if nb == nil {
-			nb = NewBitset(sh.n)
+			nb = newBitset(sh.n)
 			sh.next[w] = nb
 		}
-		lo, hi := ShardRange(nItems, ns, s)
+		lo, hi := shardRange(nItems, ns, s)
 		body(lo, hi, ms, nb)
 	})
 	var edges int64
 	for s := 0; s < ns; s++ {
-		sh.shards[s].MergeInto(work, in, out)
+		sh.shards[s].mergeInto(work, in, out)
 		edges += sh.shards[s].Edges
 	}
 	for _, nb := range sh.next {

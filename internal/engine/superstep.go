@@ -1,0 +1,274 @@
+package engine
+
+import (
+	"graphpart/internal/cluster"
+	"graphpart/internal/graph"
+	"graphpart/internal/partition"
+)
+
+// Charges is a system's cost policy: everything PowerGraph, PowerLyra and
+// GraphX disagree on. The vertex-program loop (Execute) is the same for all
+// three, so a policy can change what a placement costs and never what the
+// program computes.
+//
+// The numbers are charged by the loop itself, per edge or per step. The hooks
+// run once per replicated vertex (one that has a master), on the worker that
+// owns the vertex's shard, and may write nothing but that shard's Meters; a
+// nil hook charges nothing.
+type Charges struct {
+	// StepFloorNs is every partition's work at the start of a superstep,
+	// active or not: Spark's one task per partition per iteration (ch. 7).
+	StepFloorNs float64
+	// GatherEdgeNs and ScatterEdgeNs are charged per edge scanned, to the
+	// partition holding the edge.
+	GatherEdgeNs, ScatterEdgeNs float64
+	// SignalBytes is the activation message a scatter edge sends from its
+	// partition to the neighbor's master when the two sit on different
+	// machines.
+	SignalBytes float64
+	// WorkMult scales every partition's work of a step before the clock
+	// advances: GraphX's GC overhead (Fig 9.4); 1 for the GAS systems.
+	WorkMult float64
+
+	// Gathered charges the partial accumulators mirrors send to v's master,
+	// after v's gather scan and before its apply.
+	Gathered func(v graph.VertexID, master int, ms *Meters)
+	// Applied charges the value sync from v's master to its mirrors, right
+	// after the master's apply.
+	Applied func(v graph.VertexID, master int, changed bool, ms *Meters)
+	// Shipped charges shipping a changed vertex's value in the scatter
+	// phase, before v activates its neighbors.
+	Shipped func(v graph.VertexID, master int, ms *Meters)
+}
+
+// Execution is what one Execute call leaves behind.
+type Execution[V any] struct {
+	Values []V
+	// Run holds the simulated clock and the per-machine meters.
+	Run *cluster.Run
+	// StepSeconds is the simulated duration of each superstep executed.
+	StepSeconds []float64
+	// Converged reports an empty frontier (or, for a Reactivator, a
+	// superstep without changes) at or before the step cap.
+	Converged bool
+	// Edges counts gather+scatter edge visits.
+	Edges int64
+	// PeakDynBytes is the largest per-machine mean of the bytes the hooks
+	// added to Meters.Dyn in one superstep.
+	PeakDynBytes float64
+}
+
+// Execute runs prog over the partitioned graph on the simulated cluster,
+// charging as ch says. It is the one superstep loop of the repo: Init and
+// InitiallyActive, the gather/Sum scan, Apply for replicated and isolated
+// vertices, the commit, scatter activation, Reactivator voting and the step
+// cap live here and nowhere else.
+//
+// maxSteps ≤ 0 runs to convergence. allActive puts every vertex — isolated
+// ones included — in every superstep's frontier (the paper's "PageRank(10)").
+//
+// Each phase (gather+apply, commit, scatter) executes on up to workers
+// goroutines (≤0 means GOMAXPROCS) over contiguous shards of its work list.
+// The shard structure depends only on the list's length and all
+// floating-point meters merge in shard order, so every worker count —
+// including 1, which is the same code run inline — produces byte-identical
+// results. a and cfg must agree on the partition count and cfg must be valid;
+// the systems' Run functions check both.
+func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.Config, model cluster.CostModel,
+	ch Charges, maxSteps int, allActive bool, workers int) *Execution[V] {
+	g := a.G
+	g.EnsureCSR()
+	n := g.NumVertices()
+
+	vals := make([]V, n)
+	newVals := make([]V, n)
+	nextActive := newBitset(n)
+	frontier := make([]graph.VertexID, 0, n)
+	for v := 0; v < n; v++ {
+		vals[v] = prog.Init(g, graph.VertexID(v))
+		if prog.InitiallyActive(g, graph.VertexID(v)) {
+			frontier = append(frontier, graph.VertexID(v))
+		}
+	}
+
+	ex := &Execution[V]{Values: vals, Run: cluster.NewRun(cfg, model)}
+	work := make([]float64, a.NumParts)
+	inBytes := make([]float64, a.NumParts)
+	outBytes := make([]float64, a.NumParts)
+	sh := newSharder(workers, a.NumParts, n)
+	changedList := make([]graph.VertexID, 0, n)
+
+	gatherDir, scatterDir := prog.GatherDir(), prog.ScatterDir()
+	reactivator, _ := any(prog).(Reactivator[V])
+
+	// activate scatters along one adjacency list of a changed vertex. Adding
+	// zero is a no-op, so a policy with no per-edge scatter charge (GraphX)
+	// skips the placement lookups.
+	chargeScatter := ch.ScatterEdgeNs != 0 || ch.SignalBytes != 0
+	activate := func(nbrs []graph.VertexID, eids []int32, ms *Meters, nb bitset) int64 {
+		for i, u := range nbrs {
+			if chargeScatter {
+				p := int(a.EdgeParts[eids[i]])
+				ms.Work[p] += ch.ScatterEdgeNs
+				if um := a.Master(u); um >= 0 && cfg.MachineOf(p) != cfg.MachineOf(um) {
+					ms.Out[p] += ch.SignalBytes
+					ms.In[um] += ch.SignalBytes
+				}
+			}
+			nb.Set(int(u))
+		}
+		return int64(len(nbrs))
+	}
+
+	for step := 0; ; step++ {
+		if maxSteps > 0 && step >= maxSteps {
+			ex.Converged = len(frontier) == 0
+			break
+		}
+		if allActive {
+			frontier = frontier[:0]
+			for v := 0; v < n; v++ {
+				frontier = append(frontier, graph.VertexID(v))
+			}
+		}
+		if len(frontier) == 0 {
+			ex.Converged = true
+			break
+		}
+		for p := range work {
+			work[p], inBytes[p], outBytes[p] = ch.StepFloorNs, 0, 0
+		}
+
+		// ---- Gather + Apply ----
+		// Embarrassingly parallel over the frontier: each shard reads vals
+		// and writes newVals only at its own vertices' indexes, metering
+		// into its private scratch. The merged change list is in frontier
+		// order, exactly as a sequential loop produces it.
+		var gatherEdges int64
+		var dynBytes float64
+		changedList, gatherEdges, dynBytes = sh.Meter(len(frontier), work, inBytes, outBytes, changedList[:0],
+			func(lo, hi int, ms *Meters, chg []graph.VertexID) []graph.VertexID {
+				var edges int64
+				for _, v := range frontier[lo:hi] {
+					var acc A
+					hasAcc := false
+					if gatherDir.in() {
+						eids := g.InEdgeIDs(v)
+						for i, u := range g.InNeighbors(v) {
+							c := prog.Gather(g, u, v, vals[u], vals[v], v)
+							if hasAcc {
+								acc = prog.Sum(acc, c)
+							} else {
+								acc, hasAcc = c, true
+							}
+							ms.Work[a.EdgeParts[eids[i]]] += ch.GatherEdgeNs
+						}
+						edges += int64(len(eids))
+					}
+					if gatherDir.out() {
+						eids := g.OutEdgeIDs(v)
+						for i, u := range g.OutNeighbors(v) {
+							c := prog.Gather(g, v, u, vals[v], vals[u], v)
+							if hasAcc {
+								acc = prog.Sum(acc, c)
+							} else {
+								acc, hasAcc = c, true
+							}
+							ms.Work[a.EdgeParts[eids[i]]] += ch.GatherEdgeNs
+						}
+						edges += int64(len(eids))
+					}
+
+					// An isolated vertex (master < 0) has no replicas and no
+					// network, but its value still evolves through Apply
+					// (PageRank's (1−d) floor, K-core removal of degree-0
+					// vertices).
+					master := a.Master(v)
+					if master >= 0 && ch.Gathered != nil {
+						ch.Gathered(v, master, ms)
+					}
+					nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
+					newVals[v] = nv
+					if changed {
+						chg = append(chg, v)
+					}
+					if master >= 0 {
+						ms.Work[master] += model.ApplyVertexNs
+						if ch.Applied != nil {
+							ch.Applied(v, master, changed, ms)
+						}
+					}
+				}
+				ms.Edges = edges
+				return chg
+			})
+
+		// Commit applied values (disjoint indexes; no meters).
+		sh.Do(len(frontier), func(lo, hi int) {
+			for _, v := range frontier[lo:hi] {
+				vals[v] = newVals[v]
+			}
+		})
+
+		// ---- Scatter: changed vertices activate neighbors ----
+		// Meters stay per-shard; activation bits go to per-worker bitmaps
+		// merged by OR (commutative and idempotent, so the merged frontier
+		// is independent of shard→worker scheduling).
+		ex.Edges += gatherEdges + sh.Scatter(len(changedList), work, inBytes, outBytes, nextActive,
+			func(lo, hi int, ms *Meters, nb bitset) {
+				var edges int64
+				for _, v := range changedList[lo:hi] {
+					if master := a.Master(v); master >= 0 && ch.Shipped != nil {
+						ch.Shipped(v, master, ms)
+					}
+					if scatterDir.out() {
+						edges += activate(g.OutNeighbors(v), g.OutEdgeIDs(v), ms, nb)
+					}
+					if scatterDir.in() {
+						edges += activate(g.InNeighbors(v), g.InEdgeIDs(v), ms, nb)
+					}
+				}
+				ms.Edges = edges
+			})
+
+		if ch.WorkMult != 1 {
+			for p := range work {
+				work[p] *= ch.WorkMult
+			}
+		}
+		before := ex.Run.SimSeconds
+		ex.Run.StepPartitioned(work, inBytes, outBytes)
+		ex.StepSeconds = append(ex.StepSeconds, ex.Run.SimSeconds-before)
+		if d := dynBytes / float64(cfg.Machines); d > ex.PeakDynBytes {
+			ex.PeakDynBytes = d
+		}
+
+		// Programs with Pregel-style voting (Reactivator) keep vertices
+		// active until the round produces no changes: bulk-iterative
+		// applications like K-core re-examine the whole remaining
+		// subgraph each round (§3.3.3). Shard boundaries fall on bitset
+		// words, so concurrent Set calls never touch the same word.
+		if reactivator != nil {
+			if len(changedList) == 0 {
+				ex.Converged = true
+				break
+			}
+			words := len(nextActive)
+			ws := numShards(words)
+			forEachShard(sh.Workers, ws, func(s, _ int) {
+				wlo, whi := shardRange(words, ws, s)
+				for v := wlo * 64; v < min(whi*64, n); v++ {
+					if !nextActive.Get(v) && reactivator.StayActive(g, graph.VertexID(v), vals[v]) {
+						nextActive.Set(v)
+					}
+				}
+			})
+		}
+
+		frontier = frontier[:0]
+		nextActive.ForEach(func(i int) {
+			frontier = append(frontier, graph.VertexID(i))
+		})
+	}
+	return ex
+}

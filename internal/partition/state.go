@@ -109,70 +109,50 @@ func (st *PartitionState) SetHotReplication(k int) {
 }
 
 // ApplyBatch folds one churn batch — deletions first, then additions — into
-// the state in O(batch) (amortized; multi-pass strategies repartition).
+// the state in O(batch) (amortized). A multi-pass strategy has no incremental
+// assigner: its batch is validated and folded into the live set the same way,
+// minus the assigner calls, and then repartitioned one-shot (BatchStats.Rebuilt).
 // Deleting an edge that is not live is an error and aborts the batch
 // mid-way; duplicate edges delete one copy per request, newest first.
 func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error) {
-	stats := BatchStats{}
-	if st.inc == nil {
-		return st.applyByRebuild(adds, dels)
-	}
+	stats := BatchStats{Rebuilt: st.inc == nil}
 	for _, e := range dels {
 		p, err := st.unlink(e)
 		if err != nil {
 			return stats, err
 		}
 		st.removeCopy(e, p)
-		st.inc.ObserveDelete(e, p)
+		if st.inc != nil {
+			st.inc.ObserveDelete(e, p)
+		}
 		st.deg[e.Src]--
 		st.deg[e.Dst]--
 		stats.Deleted++
 	}
 	for _, e := range adds {
 		st.ensure(int(max(e.Src, e.Dst)) + 1)
-		p, routed := st.routeHot(e)
-		if !routed {
-			p = st.inc.AssignAdd(e)
-		}
-		if p < 0 || int(p) >= st.numParts {
-			return stats, fmt.Errorf("partition: strategy %s placed edge (%d,%d) on partition %d (numParts=%d)",
-				st.strategy.Name(), e.Src, e.Dst, p, st.numParts)
+		p := int32(0) // multi-pass placeholder; Rebuild assigns for real
+		if st.inc != nil {
+			var routed bool
+			if p, routed = st.routeHot(e); !routed {
+				p = st.inc.AssignAdd(e)
+			}
+			if p < 0 || int(p) >= st.numParts {
+				return stats, fmt.Errorf("partition: strategy %s placed edge (%d,%d) on partition %d (numParts=%d)",
+					st.strategy.Name(), e.Src, e.Dst, p, st.numParts)
+			}
+			st.placeCopy(e, p)
 		}
 		st.link(e, p)
-		st.placeCopy(e, p)
 		st.deg[e.Src]++
 		st.deg[e.Dst]++
 		stats.Added++
+	}
+	if st.inc == nil {
+		return stats, st.Rebuild()
 	}
 	if st.hotK > 0 {
 		st.refreshHot()
-	}
-	return stats, nil
-}
-
-// applyByRebuild is the multi-pass fallback: validate and fold the churn
-// into the live set, then repartition it one-shot.
-func (st *PartitionState) applyByRebuild(adds, dels []graph.Edge) (BatchStats, error) {
-	stats := BatchStats{Rebuilt: true}
-	for _, e := range dels {
-		p, err := st.unlink(e)
-		if err != nil {
-			return stats, err
-		}
-		st.removeCopy(e, p)
-		st.deg[e.Src]--
-		st.deg[e.Dst]--
-		stats.Deleted++
-	}
-	for _, e := range adds {
-		st.ensure(int(max(e.Src, e.Dst)) + 1)
-		st.link(e, 0) // placeholder partition; Rebuild assigns for real
-		st.deg[e.Src]++
-		st.deg[e.Dst]++
-		stats.Added++
-	}
-	if err := st.Rebuild(); err != nil {
-		return stats, err
 	}
 	return stats, nil
 }
