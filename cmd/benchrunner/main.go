@@ -51,7 +51,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "write the machine-readable report to this file ('-' for stdout)")
 		csvOut   = flag.String("csv", "", "write the typed cells as CSV to this file ('-' for stdout)")
 		compare  = flag.String("compare", "", "baseline report to diff this run against; regressions exit non-zero")
-		tol      = flag.Float64("tolerance", report.DefaultRelTol, "relative tolerance for -compare cell diffs; throughput cells (units ending in /s) are wall-clock and always get at least report.ThroughputRelTol")
+		tol      = flag.Float64("tolerance", report.DefaultRelTol, "relative tolerance for -compare cell diffs, applied to every cell alike (a report holds no wall-clock value; 0 demands exact equality)")
 		filterS  = flag.String("filter", "", "dimension filter for report cells, e.g. dataset=road,strategy=HDRF")
 		cacheDir = flag.String("cache", "", "dataset disk-cache directory: built graphs persist as .csrg files and later runs load them binary instead of regenerating (default $"+datasets.CacheEnv+")")
 	)
@@ -129,8 +129,18 @@ func main() {
 // run executes the selected experiments (concurrently, on cfg.Workers
 // goroutines), renders them in input order, emits the requested reports,
 // and returns the process exit code: 0 when everything ran, rendered, and
-// (with -compare) matched the baseline; 1 otherwise.
+// (with -compare) matched the baseline; 1 otherwise. The baseline is read
+// before anything runs, so an unreadable one, or one from another config,
+// costs no experiment time.
 func run(selected []bench.Experiment, cfg bench.Config, opts options, stdout, stderr io.Writer) int {
+	var base *report.Report
+	if opts.compare != "" {
+		var err error
+		if base, err = loadBaseline(opts.compare, cfg.Info()); err != nil {
+			fmt.Fprintf(stderr, "benchrunner: -compare: %v\n", err)
+			return 1
+		}
+	}
 	runner := bench.Runner{Config: cfg, Filter: opts.filter,
 		// Liveness for long concurrent runs: the timing line lands on
 		// stderr the moment an experiment finishes, in completion order;
@@ -184,14 +194,8 @@ func run(selected []bench.Experiment, cfg bench.Config, opts options, stdout, st
 			failed++
 		}
 	}
-	if opts.compare != "" {
-		n, err := compareBaseline(opts.compare, rep, opts, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "benchrunner: -compare: %v\n", err)
-			failed++
-		} else if n > 0 {
-			failed++
-		}
+	if base != nil && compareBaseline(base, rep, opts, stderr) > 0 {
+		failed++
 	}
 
 	if failed > 0 {
@@ -216,21 +220,34 @@ func writeCSV(w io.Writer, rep *report.Report) error {
 	return cw.Error()
 }
 
-// compareBaseline diffs the fresh report against the baseline file and
-// reports every regression; it returns how many were found. A -run subset
-// or -filter scopes the baseline first, so partial runs only gate the
-// experiments and cells they actually produced; a full unfiltered run
-// compares against the whole baseline so vanished experiments still flag.
-func compareBaseline(path string, cur *report.Report, opts options, stderr io.Writer) (int, error) {
+// loadBaseline reads the -compare baseline and refuses one produced under
+// another (scale, seed, hybridThreshold): a report is a pure function of
+// those, so against the wrong baseline every cell reads as a regression.
+// Workers is not compared — it never changes a result.
+func loadBaseline(path string, cur report.ConfigInfo) (*report.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer f.Close()
 	base, err := report.Decode(f)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
+	bc := base.Manifest.Config
+	if bc.Scale != cur.Scale || bc.Seed != cur.Seed || bc.HybridThreshold != cur.HybridThreshold {
+		return nil, fmt.Errorf("%s was produced at (scale %d, seed %d, hybridThreshold %d) but this run is (scale %d, seed %d, hybridThreshold %d); rerun with the baseline's config",
+			path, bc.Scale, bc.Seed, bc.HybridThreshold, cur.Scale, cur.Seed, cur.HybridThreshold)
+	}
+	return base, nil
+}
+
+// compareBaseline diffs the fresh report against the baseline and reports
+// every regression; it returns how many were found. A -run subset or
+// -filter scopes the baseline first, so partial runs only gate the
+// experiments and cells they actually produced; a full unfiltered run
+// compares against the whole baseline so vanished experiments still flag.
+func compareBaseline(base, cur *report.Report, opts options, stderr io.Writer) int {
 	if opts.subset != nil || opts.filter != nil {
 		base = base.Scoped(opts.subset, opts.filter)
 	}
@@ -239,11 +256,11 @@ func compareBaseline(path string, cur *report.Report, opts options, stderr io.Wr
 		fmt.Fprintf(stderr, "benchrunner: regression: %s\n", d)
 	}
 	if len(diffs) > 0 {
-		fmt.Fprintf(stderr, "benchrunner: %d regression(s) vs %s\n", len(diffs), path)
+		fmt.Fprintf(stderr, "benchrunner: %d regression(s) vs %s\n", len(diffs), opts.compare)
 	} else {
-		fmt.Fprintf(stderr, "benchrunner: no regressions vs %s (%d baseline experiments)\n", path, len(base.Experiments))
+		fmt.Fprintf(stderr, "benchrunner: no regressions vs %s (%d baseline experiments)\n", opts.compare, len(base.Experiments))
 	}
-	return len(diffs), nil
+	return len(diffs)
 }
 
 func renderMarkdown(w io.Writer, e bench.Experiment, t *bench.Table) error {

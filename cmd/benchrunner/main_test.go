@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -249,6 +250,59 @@ func TestCompareScopesSubsetRuns(t *testing.T) {
 	stderr.Reset()
 	if code := run([]bench.Experiment{drift}, cfg, subsetOpts, io.Discard, &stderr); code != 1 {
 		t.Fatalf("drifted subset compare exited %d, want 1:\n%s", code, stderr.String())
+	}
+}
+
+// TestCompareRefusesOtherConfig: a report is a pure function of (scale,
+// seed, hybridThreshold), so a baseline from another triple would flag every
+// cell. -compare refuses it in one line naming both triples, before any
+// experiment runs, and exits 1. Workers never changes a result and is not
+// compared.
+func TestCompareRefusesOtherConfig(t *testing.T) {
+	cfg := bench.DefaultConfig()
+	baseline := filepath.Join(t.TempDir(), "base.json")
+	if code := run([]bench.Experiment{goodExperiment()}, cfg, options{jsonOut: baseline}, io.Discard, io.Discard); code != 0 {
+		t.Fatal("baseline run failed")
+	}
+	ran := false
+	probe := goodExperiment()
+	inner := probe.Run
+	probe.Run = func(c bench.Config) (*bench.Result, error) { ran = true; return inner(c) }
+
+	base := cfg.Info()
+	for name, mutate := range map[string]func(*bench.Config){
+		"scale":           func(c *bench.Config) { c.Scale = 2 },
+		"seed":            func(c *bench.Config) { c.Seed = 7 },
+		"hybridThreshold": func(c *bench.Config) { c.HybridThreshold++ },
+	} {
+		other := cfg
+		mutate(&other)
+		ran = false
+		var stderr strings.Builder
+		if code := run([]bench.Experiment{probe}, other, options{compare: baseline}, io.Discard, &stderr); code != 1 {
+			t.Errorf("%s mismatch exited %d, want 1", name, code)
+		}
+		if ran {
+			t.Errorf("%s mismatch: experiments ran before the refusal", name)
+		}
+		msg := stderr.String()
+		o := other.Info()
+		for _, triple := range []report.ConfigInfo{base, o} {
+			want := fmt.Sprintf("(scale %d, seed %d, hybridThreshold %d)", triple.Scale, triple.Seed, triple.HybridThreshold)
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s mismatch: stderr %q does not name %s", name, msg, want)
+			}
+		}
+		if strings.Count(msg, "\n") != 1 || strings.Contains(msg, "regression") {
+			t.Errorf("%s mismatch: want one refusal line and no diffs, got %q", name, msg)
+		}
+	}
+
+	other := cfg
+	other.Workers = cfg.Workers + 3
+	var stderr strings.Builder
+	if code := run([]bench.Experiment{probe}, other, options{compare: baseline}, io.Discard, &stderr); code != 0 {
+		t.Errorf("a workers-only difference was refused (exit %d):\n%s", code, stderr.String())
 	}
 }
 

@@ -19,9 +19,9 @@
 //     idiom (map clearing), or the site carries a //graphlint:unordered
 //     waiver explaining why order cannot reach a result.
 //   - nondet: no time.Now / global math/rand / GOMAXPROCS in deterministic
-//     packages (the sanctioned timing sites are internal/bench and
-//     internal/cluster), and even there, no raw nondeterministic call may be
-//     embedded directly in a report.Cell Value.
+//     packages (the one sanctioned timing site is internal/service, whose
+//     metrics endpoint reports latency and uptime), and even there, no raw
+//     nondeterministic call may be embedded directly in a report.Cell Value.
 //   - registry: every file declaring a partition strategy registers it in
 //     that file's init, and every strategy implements exactly one ingress
 //     capability (stateless / streaming / multi-pass).
@@ -134,16 +134,15 @@ var detrangeCritical = map[string]bool{
 }
 
 // nondetSanctioned are the packages allowed to read wall-clock time and
-// core counts at all: the experiment harness (bench) and the cost model's
-// scheduler (cluster) are where measurement happens by design, and the
-// service layer (service) measures request latency/uptime for its metrics
-// endpoint — observability, not result computation. Everything else
-// internal must stay a pure function of its inputs. The analyzer suite
-// itself and main packages (CLIs print timings legitimately) are also out
-// of scope.
+// core counts at all: the service layer (service) measures request
+// latency/uptime for its metrics endpoint — observability, not result
+// computation. Everything else internal must stay a pure function of its
+// inputs — the experiment harness (bench) included: its report is
+// regression-gated cell for cell, and wall-clock measurement lives in the
+// benchmark/ module. The analyzer suite itself and main packages (CLIs
+// print timings legitimately) are also out of scope.
 var nondetSanctioned = map[string]bool{
-	"bench": true, "cluster": true, "analysis": true, "main": true,
-	"service": true,
+	"analysis": true, "main": true, "service": true,
 }
 
 // isTestFile reports whether the file sits in _test.go. The determinism

@@ -24,7 +24,7 @@ func TestNondetFlowFixture(t *testing.T) {
 }
 
 func TestNondetCellValueFixture(t *testing.T) {
-	analysistest.Run(t, fixtureRoot, "nondetbench", analysis.Nondet)
+	analysistest.Run(t, fixtureRoot, "nondetservice", analysis.Nondet)
 }
 
 func TestRegistryCleanFixture(t *testing.T) {

@@ -1,8 +1,8 @@
-// Package bench (fixture) exercises nondet rule 2: bench is a sanctioned
-// timing package, so time.Now is legal — but a nondeterministic call
-// embedded directly in a report.Cell Value is flagged, keeping every
+// Package service (fixture) exercises nondet rule 2: service is the
+// sanctioned timing package, so time.Now is legal — but a nondeterministic
+// call embedded directly in a report.Cell Value is flagged, keeping every
 // wall-clock cell auditable at the measurement site.
-package bench
+package service
 
 import (
 	"time"
@@ -11,7 +11,7 @@ import (
 )
 
 func goodMeasuredCell(f func()) report.Cell {
-	start := time.Now() // sanctioned: bench measures by design
+	start := time.Now() // sanctioned: service measures latency by design
 	f()
 	elapsed := time.Since(start).Seconds()
 	return report.Cell{Metric: "wall-s", Value: elapsed}

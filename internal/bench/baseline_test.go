@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"graphpart/internal/report"
@@ -18,8 +17,8 @@ import (
 // multiply unnoticed. Here every experiment's Cells must equal the
 // committed BENCH_seed1.json entry in count, order, key and unit, with
 // values inside report.DefaultRelTol in both directions, and its Checks in
-// count, order, claim and verdict. Rate cells ("/s" units) are wall-clock:
-// only their key and unit are compared.
+// count, order, claim and verdict. No unit is exempt: a report holds no
+// wall-clock value.
 func TestCellsMatchCommittedBaseline(t *testing.T) {
 	f, err := os.Open(filepath.Join("..", "..", "BENCH_seed1.json"))
 	if err != nil {
@@ -59,9 +58,6 @@ func TestCellsMatchCommittedBaseline(t *testing.T) {
 				b := want.Cells[i]
 				if got.Key() != b.Key() || got.Unit != b.Unit {
 					t.Fatalf("cell %d is %s [%s], baseline has %s [%s]", i, got.Key(), got.Unit, b.Key(), b.Unit)
-				}
-				if strings.HasSuffix(b.Unit, "/s") {
-					continue
 				}
 				denom := math.Max(math.Abs(got.Value), math.Abs(b.Value))
 				if denom > 0 && math.Abs(got.Value-b.Value)/denom > report.DefaultRelTol {

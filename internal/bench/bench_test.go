@@ -314,7 +314,6 @@ func TestExperimentIDsCoverEveryPaperArtifact(t *testing.T) {
 		"fig5.9",
 		"tab1.1",
 		"abl.lambda", "abl.threshold", "abl.loaders", "abl.locality", "abl.engine",
-		"load.speed", "ing.scale",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -598,4 +597,60 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reset empties a once-cache so the next get recomputes.
+func (m *onceMap[K, V]) reset() {
+	m.mu.Lock()
+	m.slots = nil
+	m.mu.Unlock()
+}
+
+// TestReportIsPureFunctionOfConfig: a report is a pure function of (scale,
+// seed, hybridThreshold, filter). Two full passes — run, assemble, encode —
+// over every non-slow experiment, one at Workers 1 and one at Workers 3, with
+// the assignment and point caches emptied in between so the second pass
+// recomputes everything, must encode to the same bytes once the manifest's
+// workers field is blanked: no clock, core count or scheduling order reaches
+// a cell, a check or the manifest.
+func TestReportIsPureFunctionOfConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two passes over every non-slow experiment; run without -short")
+	}
+	var exps []Experiment
+	for _, e := range All() {
+		if !goldenSlow[e.ID] {
+			exps = append(exps, e)
+		}
+	}
+	encode := func(workers int) []byte {
+		assignments.reset()
+		points.reset()
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		runner := Runner{Config: cfg}
+		rep := runner.Report(runner.Run(exps))
+		for _, e := range rep.Experiments {
+			if e.Error != "" {
+				t.Fatalf("workers=%d: %s errored: %s", workers, e.ID, e.Error)
+			}
+		}
+		rep.Manifest.Config.Workers = 0
+		var buf bytes.Buffer
+		if err := rep.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := encode(1), encode(3)
+	if bytes.Equal(a, b) {
+		return
+	}
+	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			t.Fatalf("reports differ at line %d:\nworkers=1: %s\nworkers=3: %s", i+1, al[i], bl[i])
+		}
+	}
+	t.Fatalf("reports differ in length: %d vs %d lines", len(al), len(bl))
 }

@@ -6,9 +6,9 @@ package bench
 // surviving edges across deletion rates; dyn.rebalance exercises the
 // migration pass and hot-vertex replication on a skew-loaded strategy;
 // dyn.cost prices incremental windows against per-window repartitioning on
-// the simulated cluster. Rendered cells are deterministic (quality metrics
-// and modeled seconds); measured edges/sec lands in non-presentation cells
-// gated at the wide throughput tolerance.
+// the simulated cluster. Every cell is deterministic (quality metrics and
+// modeled seconds); how fast ApplyBatch runs in wall-clock is benchmark/'s
+// partition.apply_edges_per_s and service.churn_edges_per_s.
 
 import (
 	"fmt"
@@ -40,29 +40,20 @@ func dynStrategy(cfg Config, name string) (partition.Strategy, error) {
 
 // runTrace drives a fresh PartitionState through a churn trace over g,
 // invoking perWindow (if non-nil) after each absorbed window, and returns
-// the state, the surviving edges, and the wall-clock seconds spent inside
-// ApplyBatch.
+// the surviving edges.
 func runTrace(cfg Config, st *partition.PartitionState, g *graph.Graph, delFrac float64,
-	perWindow func(w gen.ChurnWindow, stats partition.BatchStats) error) ([]graph.Edge, float64, error) {
-	var applySec float64
-	survivors, err := gen.ChurnTrace(g.Edges, gen.ChurnConfig{Windows: dynWindows, DelFrac: delFrac, Seed: cfg.Seed},
+	perWindow func(w gen.ChurnWindow, stats partition.BatchStats) error) ([]graph.Edge, error) {
+	return gen.ChurnTrace(g.Edges, gen.ChurnConfig{Windows: dynWindows, DelFrac: delFrac, Seed: cfg.Seed},
 		func(w gen.ChurnWindow) error {
-			var stats partition.BatchStats
-			d, err := timeOp(func() error {
-				var err error
-				stats, err = st.ApplyBatch(gen.Edges(w.Adds), gen.Edges(w.Dels))
-				return err
-			})
+			stats, err := st.ApplyBatch(gen.Edges(w.Adds), gen.Edges(w.Dels))
 			if err != nil {
 				return err
 			}
-			applySec += d.Seconds()
 			if perWindow != nil {
 				return perWindow(w, stats)
 			}
 			return nil
 		})
-	return survivors, applySec, err
 }
 
 func dynDrift() Experiment {
@@ -93,7 +84,7 @@ func dynDrift() Experiment {
 					d := report.Dims{Dataset: "uk-web", Strategy: name, Parts: parts,
 						Variant: fmt.Sprintf("del=%.2f", rate)}
 					wi := 0
-					survivors, applySec, err := runTrace(cfg, st, g, rate,
+					survivors, err := runTrace(cfg, st, g, rate,
 						func(w gen.ChurnWindow, stats partition.BatchStats) error {
 							// Per-window drift trajectory (deterministic).
 							wd := d
@@ -124,8 +115,7 @@ func dynDrift() Experiment {
 						Metric("rf-incremental", st.ReplicationFactor(), "ratio", 3).
 						MetricAt(d, "rf-oneshot", a.ReplicationFactor(), "ratio", 3).
 						Metric("rf-drift", drift, "ratio", 4).
-						Metric("edge-balance", st.EdgeBalance(), "max/mean", 3).
-						Value("churn-throughput", rate2(st.NumEdges(), applySec), "edges/s")
+						Metric("edge-balance", st.EdgeBalance(), "max/mean", 3)
 				}
 			}
 			r.Checkf(statelessExact, "stateless incremental state is exactly the one-shot partitioning at every churn rate",
@@ -133,7 +123,7 @@ func dynDrift() Experiment {
 			hdrfOK := hdrfWorst < 1.25
 			r.Checkf(hdrfOK, "HDRF's persistent loader drifts <25% above from-scratch RF under churn",
 				"HDRF worst RF drift %.4f (want <1.25): %s", hdrfWorst, Mark(hdrfOK))
-			r.Notef("drift = incremental RF / one-shot RF over the same surviving edges; per-window trajectories and edges/s are recorded as report cells")
+			r.Notef("drift = incremental RF / one-shot RF over the same surviving edges; per-window trajectories are recorded as report cells")
 			return r, nil
 		},
 	}
@@ -181,7 +171,7 @@ func dynRebalance() Experiment {
 					st.SetHotReplication(v.hot)
 				}
 				moved := 0
-				_, _, err = runTrace(cfg, st, g, 0.25,
+				_, err = runTrace(cfg, st, g, 0.25,
 					func(w gen.ChurnWindow, stats partition.BatchStats) error {
 						if v.rebalance && st.NeedsRebalance(rcfg) {
 							moved += st.Rebalance(rcfg).Moved
@@ -243,7 +233,7 @@ func dynCost() Experiment {
 						return nil, err
 					}
 					var incrSec, repartSec float64
-					_, _, err = runTrace(cfg, st, g, rate,
+					_, err = runTrace(cfg, st, g, rate,
 						func(w gen.ChurnWindow, stats partition.BatchStats) error {
 							incrSec += cluster.ChurnWindow(shape, parts,
 								int64(stats.Added), int64(stats.Deleted), 0, cc, model).Seconds
@@ -278,13 +268,4 @@ func dynCost() Experiment {
 			return r, nil
 		},
 	}
-}
-
-// rate2 converts a count over wall-clock seconds into a per-second rate,
-// floored like timeOp to stay finite at test scales.
-func rate2(count int64, sec float64) float64 {
-	if sec <= 0 {
-		sec = 1e-6
-	}
-	return float64(count) / sec
 }

@@ -8,7 +8,9 @@ import (
 	"graphpart/internal/report"
 )
 
-// RunResult pairs an experiment with its typed outcome.
+// RunResult pairs an experiment with its typed outcome. Seconds is the
+// experiment's wall-clock runtime, for Progress lines only: it never enters
+// a report.
 type RunResult struct {
 	Experiment Experiment
 	Result     *Result // nil when Err != nil
@@ -44,6 +46,7 @@ func (r Runner) workers() int {
 	if w := r.Config.Workers; w > 0 {
 		return w
 	}
+	//graphlint:nondet worker-count default only: it bounds how many experiments run at once, and cells are worker-independent (TestReportIsPureFunctionOfConfig)
 	return runtime.GOMAXPROCS(0)
 }
 
@@ -60,8 +63,10 @@ func (r Runner) Run(exps []Experiment) []RunResult {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			//graphlint:nondet progress timer: RunResult.Seconds feeds the stderr progress line and nothing Report reads
 			start := time.Now()
 			res, err := e.Run(r.Config)
+			//graphlint:nondet same progress timer
 			out[i] = RunResult{Experiment: e, Result: res, Seconds: time.Since(start).Seconds(), Err: err}
 			if r.Progress != nil {
 				progressMu.Lock()
@@ -75,9 +80,9 @@ func (r Runner) Run(exps []Experiment) []RunResult {
 }
 
 // Report assembles the machine-readable report: the run manifest (config,
-// filter, per-experiment timings and cell counts) plus every experiment's
-// cells (filtered) and checks. TotalSeconds sums per-experiment runtimes —
-// compute time, not wall-clock, under concurrency.
+// filter, per-experiment cell and check counts) plus every experiment's
+// cells (filtered) and checks. It reads no clock, so the report is a pure
+// function of (Config, Filter, experiment list).
 func (r Runner) Report(results []RunResult) *report.Report {
 	rep := &report.Report{
 		SchemaVersion: report.SchemaVersion,
@@ -87,13 +92,12 @@ func (r Runner) Report(results []RunResult) *report.Report {
 	rep.Manifest.Config = r.Config.Info()
 	rep.Manifest.Filter = r.Filter.String()
 	for _, rr := range results {
-		entry := report.ManifestEntry{ID: rr.Experiment.ID, Seconds: rr.Seconds}
+		entry := report.ManifestEntry{ID: rr.Experiment.ID}
 		exp := report.Experiment{
-			ID:      rr.Experiment.ID,
-			Title:   rr.Experiment.Title,
-			Paper:   rr.Experiment.Paper,
-			Cells:   []report.Cell{},
-			Seconds: rr.Seconds,
+			ID:    rr.Experiment.ID,
+			Title: rr.Experiment.Title,
+			Paper: rr.Experiment.Paper,
+			Cells: []report.Cell{},
 		}
 		if rr.Err != nil {
 			entry.Error = rr.Err.Error()
@@ -114,7 +118,6 @@ func (r Runner) Report(results []RunResult) *report.Report {
 			}
 		}
 		rep.Manifest.Experiments = append(rep.Manifest.Experiments, entry)
-		rep.Manifest.TotalSeconds += rr.Seconds
 		rep.Experiments = append(rep.Experiments, exp)
 	}
 	return rep

@@ -3,9 +3,9 @@ package graph
 import "sync"
 
 // The streaming readers cycle through one batch worth of bytes and edges
-// per read. These pools let back-to-back streams — and the per-block
-// read-ahead of the parallel v2 decoder — reuse those buffers instead of
-// re-allocating them, keeping the steady-state ingress loop allocation-free.
+// per read. These pools let back-to-back streams — and each v2 block's
+// payload read — reuse those buffers instead of re-allocating them, keeping
+// the steady-state ingress loop allocation-free.
 // Buffers hand out with length 0 and at least the requested capacity;
 // callers reslice. Putting a buffer back while any slice of it is still
 // referenced is the usual pool bug; the loaders only recycle after fn (or

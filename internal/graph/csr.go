@@ -607,14 +607,6 @@ func (g *Graph) validateCSRSections(src string) error {
 //
 // It returns the total edge count and the maximum vertex id seen.
 func StreamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
-	return StreamCSRParallel(name, r, batchSize, 1, fn)
-}
-
-// StreamCSRParallel is StreamCSR with the v2 block decode fanned out over up
-// to `workers` goroutines (≤0 means GOMAXPROCS); batches are still delivered
-// to fn in stream order, from one goroutine. v1 streams have no independent
-// blocks, so they always decode sequentially.
-func StreamCSRParallel(name string, r io.Reader, batchSize, workers int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
@@ -637,7 +629,7 @@ func StreamCSRParallel(name string, r io.Reader, batchSize, workers int, fn func
 		return 0, 0, err
 	}
 	if h.version == CSRVersion2 {
-		return streamCSRv2(name, br, h, batchSize, workers, fn)
+		return streamCSRv2(name, br, h, batchSize, fn)
 	}
 
 	crc := uint32(0)

@@ -168,29 +168,6 @@ func BenchmarkLoadCSRv2(b *testing.B) {
 	reportLoadMetrics(b, v2Path)
 }
 
-// BenchmarkStreamCSRv2Parallel streams the compressed form with the block
-// decode fanned out over GOMAXPROCS workers.
-func BenchmarkStreamCSRv2Parallel(b *testing.B) {
-	benchFiles(b)
-	v2Path := filepath.Join(benchDir, "g.v2.csrg")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := os.Open(v2Path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var total int64
-		if total, _, err = StreamCSRParallel(v2Path, f, 0, 0, func(int64, []Edge) error { return nil }); err != nil {
-			b.Fatal(err)
-		}
-		f.Close()
-		if total != benchEdges {
-			b.Fatalf("streamed %d edges", total)
-		}
-	}
-	reportLoadMetrics(b, v2Path)
-}
-
 // TestCSRLoadSpeedupAt1MEdges measures the acceptance bar directly — binary
 // loads of the 1M-edge graph must beat text parsing by ≥5× — with a single
 // timed pass per format. The margin is wide (binary loading is typically

@@ -31,12 +31,12 @@ import (
 //
 // and the whole section by a uint32 block count. Deltas reset at block
 // boundaries, so every block decodes with no context beyond its header —
-// which is what lets LoadCSR and StreamCSRParallel fan the decode out over
-// GOMAXPROCS workers while preserving stream order.
+// which is what lets LoadCSR fan the decode out over GOMAXPROCS workers
+// while preserving edge order.
 
 // csrV2BlockEdges is the number of edges per compressed block. 64Ki edges
 // ≈ 128–512 KiB decoded — big enough to amortize per-block overhead, small
-// enough that a round of GOMAXPROCS blocks fits comfortably in memory.
+// enough that StreamCSR's one resident block keeps a stream's memory flat.
 const csrV2BlockEdges = 1 << 16
 
 // csrV2MaxBytesPerEdge bounds a block's declared byte length relative to
@@ -258,15 +258,10 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions
 	return g, nil
 }
 
-// streamCSRv2 is the v2 tail of StreamCSR/StreamCSRParallel: br is
-// positioned just past the header. Blocks are read sequentially (the CRC
-// must see every byte in file order) and decoded either inline or on a
-// round of workers; fn sees batches in stream order from this goroutine.
-func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize, workers int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
-	if workers <= 0 {
-		//graphlint:nondet worker-count default only; output is worker-count-independent (csr_v2_test.go)
-		workers = runtime.GOMAXPROCS(0)
-	}
+// streamCSRv2 is the v2 tail of StreamCSR: br is positioned just past the
+// header. Blocks are read and decoded one at a time (the CRC must see every
+// byte in file order); fn sees batches in stream order from this goroutine.
+func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
 	var quad [4]byte
 	if _, err := io.ReadFull(br, quad[:]); err != nil {
 		return 0, 0, fmt.Errorf("csrg %s: reading block count: %w", name, err)
@@ -275,7 +270,6 @@ func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize, workers 
 	m := int64(h.numEdges)
 	crc := uint32(0)
 	var total int64 // edges delivered to fn
-	var read int64  // edges read off the wire (≥ total under read-ahead)
 	var maxID VertexID
 
 	// emit chops a decoded block into ≤batchSize batches for fn.
@@ -299,13 +293,13 @@ func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize, workers 
 	readBlock := func(bidx int) (cnt int, payload *[]byte, err error) {
 		var hdr [8]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return 0, nil, fmt.Errorf("csrg %s: truncated header of block %d (edge %d of %d): %w", name, bidx, read, m, err)
+			return 0, nil, fmt.Errorf("csrg %s: truncated header of block %d (edge %d of %d): %w", name, bidx, total, m, err)
 		}
 		crc = crc32.Update(crc, castagnoli, hdr[:])
 		cnt = int(binary.LittleEndian.Uint32(hdr[0:4]))
 		bl := int(binary.LittleEndian.Uint32(hdr[4:8]))
-		if int64(cnt) > m-read {
-			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", name, bidx, cnt, m-read, m)
+		if int64(cnt) > m-total {
+			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", name, bidx, cnt, m-total, m)
 		}
 		if bl > (cnt+1)*csrV2MaxBytesPerEdge {
 			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (max %d/edge)", name, bidx, bl, cnt, csrV2MaxBytesPerEdge)
@@ -314,96 +308,35 @@ func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize, workers 
 		buf := (*payload)[:bl]
 		if _, err := io.ReadFull(br, buf); err != nil {
 			putByteBuf(payload)
-			return 0, nil, fmt.Errorf("csrg %s: truncated payload of block %d (edge %d of %d): %w", name, bidx, read, m, err)
+			return 0, nil, fmt.Errorf("csrg %s: truncated payload of block %d (edge %d of %d): %w", name, bidx, total, m, err)
 		}
 		crc = crc32.Update(crc, castagnoli, buf)
 		*payload = buf
-		read += int64(cnt)
 		return cnt, payload, nil
 	}
 
-	if workers <= 1 {
-		blockp := getEdgeBuf(csrV2BlockEdges)
-		defer putEdgeBuf(blockp)
-		for bidx := 0; bidx < numBlocks; bidx++ {
-			cnt, payload, err := readBlock(bidx)
-			if err != nil {
-				return total, maxID, err
-			}
-			if cap(*blockp) < cnt {
-				*blockp = make([]Edge, 0, cnt)
-			}
-			out := (*blockp)[:cnt]
-			err = decodeV2Block(name, *payload, h.numVertices, total, bidx, out, &maxID)
-			putByteBuf(payload)
-			if err != nil {
-				return total, maxID, err
-			}
-			if err := emit(out); err != nil {
-				return total, maxID, err
-			}
+	blockp := getEdgeBuf(csrV2BlockEdges)
+	defer putEdgeBuf(blockp)
+	for bidx := 0; bidx < numBlocks; bidx++ {
+		cnt, payload, err := readBlock(bidx)
+		if err != nil {
+			return total, maxID, err
 		}
-	} else {
-		// Read ahead a round of blocks, decode the round in parallel, then
-		// deliver in order. Memory stays O(workers · block).
-		type job struct {
-			bidx    int
-			base    int64
-			payload *[]byte
-			out     *[]Edge
-			err     error
+		if cap(*blockp) < cnt {
+			*blockp = make([]Edge, 0, cnt)
 		}
-		jobs := make([]job, 0, workers)
-		maxIDs := make([]VertexID, workers)
-		for bidx := 0; bidx < numBlocks; {
-			jobs = jobs[:0]
-			for len(jobs) < workers && bidx < numBlocks {
-				base := read
-				cnt, payload, err := readBlock(bidx)
-				if err != nil {
-					for _, j := range jobs {
-						putByteBuf(j.payload)
-						putEdgeBuf(j.out)
-					}
-					return total, maxID, err
-				}
-				out := getEdgeBuf(cnt)
-				*out = (*out)[:cnt]
-				jobs = append(jobs, job{bidx: bidx, base: base, payload: payload, out: out})
-				bidx++
-			}
-			var wg sync.WaitGroup
-			for i := range jobs {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					j := &jobs[i]
-					j.err = decodeV2Block(name, *j.payload, h.numVertices, j.base, j.bidx, *j.out, &maxIDs[i])
-				}(i)
-			}
-			wg.Wait()
-			for i := range jobs {
-				j := &jobs[i]
-				putByteBuf(j.payload)
-				if j.err == nil {
-					if maxIDs[i] > maxID {
-						maxID = maxIDs[i]
-					}
-					j.err = emit(*j.out)
-				}
-				putEdgeBuf(j.out)
-				if j.err != nil {
-					for _, rest := range jobs[i+1:] {
-						putByteBuf(rest.payload)
-						putEdgeBuf(rest.out)
-					}
-					return total, maxID, j.err
-				}
-			}
+		out := (*blockp)[:cnt]
+		err = decodeV2Block(name, *payload, h.numVertices, total, bidx, out, &maxID)
+		putByteBuf(payload)
+		if err != nil {
+			return total, maxID, err
+		}
+		if err := emit(out); err != nil {
+			return total, maxID, err
 		}
 	}
-	if read != m {
-		return total, maxID, fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", name, read, m)
+	if total != m {
+		return total, maxID, fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", name, total, m)
 	}
 	var foot [4]byte
 	if _, err := io.ReadFull(br, foot[:]); err != nil {

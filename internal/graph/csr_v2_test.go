@@ -111,7 +111,7 @@ func TestCSRv2FileRoundTripAllPaths(t *testing.T) {
 // TestCSRv2SmallerThanV1 pins the point of the format: on a stream with
 // source locality the delta+varint blocks are far smaller than fixed-width
 // records. The 25% acceptance bar for real datasets is gated in the
-// load.speed experiment; here the shape is synthetic but representative.
+// load.formats experiment; here the shape is synthetic but representative.
 func TestCSRv2SmallerThanV1(t *testing.T) {
 	g := blockGraph(t, csrV2BlockEdges*2)
 	var v1, v2 bytes.Buffer
@@ -196,32 +196,30 @@ func TestCSRWriterV2StreamsAndReloads(t *testing.T) {
 func TestStreamCSRv2MatchesEdgeOrder(t *testing.T) {
 	g := blockGraph(t, csrV2BlockEdges+999)
 	data := writeCSR2Bytes(t, g)
-	for _, workers := range []int{1, 3, 8} {
-		for _, batchSize := range []int{1000, csrV2BlockEdges, 1 << 20} {
-			var streamed []Edge
-			total, maxID, err := StreamCSRParallel("t", bytes.NewReader(data), batchSize, workers, func(offset int64, edges []Edge) error {
-				if int(offset) != len(streamed) {
-					t.Errorf("w=%d b=%d: batch offset %d, want %d", workers, batchSize, offset, len(streamed))
-				}
-				streamed = append(streamed, edges...)
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("w=%d b=%d: %v", workers, batchSize, err)
+	for _, batchSize := range []int{1000, csrV2BlockEdges, 1 << 20} {
+		var streamed []Edge
+		total, maxID, err := StreamCSR("t", bytes.NewReader(data), batchSize, func(offset int64, edges []Edge) error {
+			if int(offset) != len(streamed) {
+				t.Errorf("b=%d: batch offset %d, want %d", batchSize, offset, len(streamed))
 			}
-			if total != int64(len(g.Edges)) || int(maxID) != g.NumVertices()-1 {
-				t.Errorf("w=%d b=%d: totals (%d, %d), want (%d, %d)", workers, batchSize, total, maxID, len(g.Edges), g.NumVertices()-1)
-			}
-			if !reflect.DeepEqual(streamed, g.Edges) {
-				t.Errorf("w=%d b=%d: streamed edges differ from original order", workers, batchSize)
-			}
+			streamed = append(streamed, edges...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("b=%d: %v", batchSize, err)
+		}
+		if total != int64(len(g.Edges)) || int(maxID) != g.NumVertices()-1 {
+			t.Errorf("b=%d: totals (%d, %d), want (%d, %d)", batchSize, total, maxID, len(g.Edges), g.NumVertices()-1)
+		}
+		if !reflect.DeepEqual(streamed, g.Edges) {
+			t.Errorf("b=%d: streamed edges differ from original order", batchSize)
 		}
 	}
 }
 
 // TestCSRv2CorruptionDetection is the v2 corruption matrix: every mutation
 // must surface as a named error — never a panic, never silent acceptance —
-// through the bulk loader, the mmap loader, and both streaming decoders.
+// through the bulk loader, the mmap loader, and the streaming decoder.
 // Mutations below the checksum line call refixV2CRC so the structural
 // validation itself is what trips.
 func TestCSRv2CorruptionDetection(t *testing.T) {
@@ -236,7 +234,7 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 		wantErr string
 	}{
 		// Truncations surface as "truncated block" from the streaming
-		// decoders and as a checksum mismatch from the bulk loaders (the
+		// decoder and as a checksum mismatch from the bulk loaders (the
 		// cut shifts the CRC window); both are named rejections, so these
 		// two cases only pin that *some* error comes back.
 		{"truncated block payload", func(b []byte) []byte {
@@ -314,10 +312,6 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 				},
 				"StreamCSR": func() error {
 					_, _, err := StreamCSR("corrupt", bytes.NewReader(buf), 512, func(int64, []Edge) error { return nil })
-					return err
-				},
-				"StreamCSRParallel": func() error {
-					_, _, err := StreamCSRParallel("corrupt", bytes.NewReader(buf), 512, 4, func(int64, []Edge) error { return nil })
 					return err
 				},
 			}

@@ -3,7 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/fnv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -128,40 +128,38 @@ func FuzzReadCSR(f *testing.F) {
 	})
 }
 
-// FuzzStreamCSR: the sequential and parallel streaming decoders must agree
-// bit for bit — same accept/reject decision, same edge count, same max id,
-// same edge sequence — on arbitrary bytes, across both format versions.
+// FuzzStreamCSR: the streaming decoder must never panic on arbitrary bytes,
+// must name every rejection, must deliver batches at contiguous offsets, and
+// must agree with the bulk loader — an independent decoder of the same bytes
+// — whenever that one accepts: same edge count, same max id, same edge
+// sequence, across both format versions. (The converse is not required: the
+// stream does not see trailing bytes or validate v1 adjacency sections.)
 func FuzzStreamCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stream := func(workers int) (int64, VertexID, uint64, error) {
-			h := fnv.New64a()
-			var buf [8]byte
-			total, maxID, err := StreamCSRParallel("fuzz", bytes.NewReader(data), 7, workers, func(offset int64, edges []Edge) error {
-				for _, e := range edges {
-					binary.LittleEndian.PutUint32(buf[0:4], uint32(e.Src))
-					binary.LittleEndian.PutUint32(buf[4:8], uint32(e.Dst))
-					h.Write(buf[:])
-				}
-				return nil
-			})
-			return total, maxID, h.Sum64(), err
-		}
-		seqN, seqMax, seqHash, seqErr := stream(1)
-		parN, parMax, parHash, parErr := stream(4)
-		if seqErr != nil {
-			checkNamedErr(t, seqErr, "csrg")
-			if parErr == nil {
-				t.Fatalf("sequential decoder rejected (%v) but parallel accepted", seqErr)
+		var streamed []Edge
+		total, maxID, err := StreamCSR("fuzz", bytes.NewReader(data), 7, func(offset int64, edges []Edge) error {
+			if int(offset) != len(streamed) {
+				t.Fatalf("batch offset %d, want %d", offset, len(streamed))
 			}
+			streamed = append(streamed, edges...)
+			return nil
+		})
+		if err != nil {
+			checkNamedErr(t, err, "csrg")
+		}
+		g, bulkErr := ReadCSR(bytes.NewReader(data))
+		if bulkErr != nil {
 			return
 		}
-		if parErr != nil {
-			t.Fatalf("sequential decoder accepted but parallel rejected: %v", parErr)
+		if err != nil {
+			t.Fatalf("bulk loader accepted but the stream rejected: %v", err)
 		}
-		if seqN != parN || seqMax != parMax || seqHash != parHash {
-			t.Fatalf("decoders disagree: sequential (%d edges, max %d, hash %#x) vs parallel (%d, %d, %#x)",
-				seqN, seqMax, seqHash, parN, parMax, parHash)
+		if total != int64(len(g.Edges)) || !reflect.DeepEqual(streamed, append([]Edge(nil), g.Edges...)) {
+			t.Fatalf("stream delivered %d edges %v, bulk loader %d %v", total, streamed, len(g.Edges), g.Edges)
+		}
+		if total > 0 && int(maxID) != g.NumVertices()-1 {
+			t.Fatalf("stream max id %d, bulk loader has %d vertices", maxID, g.NumVertices())
 		}
 	})
 }

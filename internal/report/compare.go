@@ -3,22 +3,12 @@ package report
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // DefaultRelTol is Compare's default relative tolerance. Experiment runs
 // are deterministic, so the gate is tight; the slack absorbs float noise
 // across toolchains, not real drift.
 const DefaultRelTol = 1e-6
-
-// ThroughputRelTol is the tolerance Compare applies to rate cells — any
-// unit ending in "/s" (edges/s, B/s). Unlike the simulated-cluster metrics,
-// these are wall-clock measurements and vary with the machine; the wide
-// band still gates order-of-magnitude regressions (a symmetric relative
-// delta of 0.75 flags anything ≥4× slower than baseline) without turning
-// every CI run into noise. It widens, never tightens: an explicit -tolerance
-// above it wins.
-const ThroughputRelTol = 0.75
 
 // Diff kinds reported by Compare.
 const (
@@ -91,10 +81,8 @@ func relDelta(a, b float64) float64 {
 // returns every regression: drifted values, baseline cells or experiments
 // missing from cur, checks that passed in the baseline but not now, and
 // experiments that errored. Cells and experiments that are new in cur are
-// not regressions. Wall-clock Seconds are ignored, and rate cells (any
-// unit ending in "/s") are gated at ThroughputRelTol when that is wider
-// than relTol — throughput is machine-dependent in a way the simulated
-// metrics are not.
+// not regressions. Every cell is held to the same tolerance whatever its
+// unit: a report holds no wall-clock value.
 func Compare(base, cur *Report, relTol float64) []Diff {
 	if relTol < 0 {
 		relTol = DefaultRelTol
@@ -154,15 +142,11 @@ func compareCells(base, cur *Experiment, relTol float64) []Diff {
 			continue
 		}
 		cc := matches[i]
-		tol := relTol
-		if strings.HasSuffix(bc.Unit, "/s") && tol < ThroughputRelTol {
-			tol = ThroughputRelTol
-		}
-		if rd := relDelta(bc.Value, cc.Value); rd > tol {
+		if rd := relDelta(bc.Value, cc.Value); rd > relTol {
 			diffs = append(diffs, Diff{
 				Experiment: base.ID, Kind: DiffValue, Key: k,
 				Base: bc.Value, Current: cc.Value, RelDelta: rd,
-				Detail: fmt.Sprintf("%s: %g → %g (Δrel %.3g > tol %.3g)", k, bc.Value, cc.Value, rd, tol),
+				Detail: fmt.Sprintf("%s: %g → %g (Δrel %.3g > tol %.3g)", k, bc.Value, cc.Value, rd, relTol),
 			})
 		}
 	}

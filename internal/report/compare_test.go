@@ -58,42 +58,13 @@ func TestCompareToleranceAndRegression(t *testing.T) {
 	if !strings.Contains(diffs[0].String(), "e1") {
 		t.Errorf("diff string %q missing experiment id", diffs[0].String())
 	}
-}
-
-// TestCompareThroughputTolerance: rate cells ("…/s" units) get the wide
-// ThroughputRelTol band instead of the exactness gate — they measure
-// wall-clock, not the deterministic simulation — but a collapse beyond the
-// band still flags, and non-rate units (including bare "s") stay tight.
-func TestCompareThroughputTolerance(t *testing.T) {
-	mk := func(edgesPerSec, seconds float64) *Report {
-		return &Report{
-			SchemaVersion: SchemaVersion,
-			Tool:          "benchrunner",
-			Experiments: []Experiment{{
-				ID: "perf", Title: "perf",
-				Cells: []Cell{
-					{Dims: Dims{Dataset: "uk-web", Variant: "v2/stream"}, Metric: "throughput", Value: edgesPerSec, Unit: "edges/s"},
-					{Dims: Dims{Dataset: "uk-web", Variant: "v2/stream"}, Metric: "elapsed", Value: seconds, Unit: "s"},
-				},
-			}},
-		}
-	}
-	base := mk(1e6, 1.0)
-	// 2× slower: well within ThroughputRelTol, no diff even at tolerance 0.
-	if diffs := Compare(base, mk(5e5, 1.0), 0); len(diffs) != 0 {
-		t.Fatalf("2x throughput swing flagged: %+v", diffs)
-	}
-	// 10× slower: beyond the band, flags.
-	if diffs := Compare(base, mk(1e5, 1.0), 0); len(diffs) != 1 || diffs[0].Kind != DiffValue {
-		t.Fatalf("10x throughput collapse not flagged: %+v", diffs)
-	}
-	// A bare "s" unit is not a rate: small drift flags at the tight default.
-	if diffs := Compare(base, mk(1e6, 1.001), -1); len(diffs) != 1 {
-		t.Fatalf("seconds drift not gated tightly: %+v", diffs)
-	}
-	// An explicit tolerance wider than ThroughputRelTol wins.
-	if diffs := Compare(base, mk(1e5, 1.0), 0.95); len(diffs) != 0 {
-		t.Fatalf("explicit wide tolerance ignored for rate cells: %+v", diffs)
+	// No unit is exempt: a "/s" cell is held to the same tolerance as any
+	// other (reports hold no wall-clock value, so none needs a wider band).
+	base, cur = twoCellReport(), twoCellReport()
+	base.Experiments[0].Cells[1].Unit, cur.Experiments[0].Cells[1].Unit = "edges/s", "edges/s"
+	cur.Experiments[0].Cells[1].Value = 2.0 * (1 + 1e-3)
+	if diffs := Compare(base, cur, -1); len(diffs) != 1 || diffs[0].Kind != DiffValue {
+		t.Fatalf("a 0.1%% drift in a /s cell passed the default tolerance: %+v", diffs)
 	}
 }
 

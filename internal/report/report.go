@@ -114,9 +114,6 @@ type Experiment struct {
 	Paper  string  `json:"paper,omitempty"`
 	Cells  []Cell  `json:"cells"`
 	Checks []Check `json:"checks,omitempty"`
-	// Seconds is wall-clock runtime; it varies run to run and is ignored
-	// by Compare.
-	Seconds float64 `json:"seconds"`
 	// Error is set when the experiment failed to run; Cells is then empty.
 	Error string `json:"error,omitempty"`
 }
@@ -131,20 +128,20 @@ type ConfigInfo struct {
 
 // ManifestEntry summarizes one experiment in the manifest.
 type ManifestEntry struct {
-	ID      string  `json:"id"`
-	Cells   int     `json:"cells"`
-	Checks  int     `json:"checks"`
-	Passed  int     `json:"passed"`
-	Seconds float64 `json:"seconds"`
-	Error   string  `json:"error,omitempty"`
+	ID     string `json:"id"`
+	Cells  int    `json:"cells"`
+	Checks int    `json:"checks"`
+	Passed int    `json:"passed"`
+	Error  string `json:"error,omitempty"`
 }
 
-// Manifest describes the run that produced a report.
+// Manifest describes the run that produced a report. It holds no wall-clock
+// field: a report is a pure function of its config, filter and experiment
+// list (reports written before that carried seconds; Decode ignores them).
 type Manifest struct {
-	Config       ConfigInfo      `json:"config"`
-	Filter       string          `json:"filter,omitempty"`
-	Experiments  []ManifestEntry `json:"experiments"`
-	TotalSeconds float64         `json:"totalSeconds"`
+	Config      ConfigInfo      `json:"config"`
+	Filter      string          `json:"filter,omitempty"`
+	Experiments []ManifestEntry `json:"experiments"`
 }
 
 // Report is the versioned top-level JSON document.

@@ -22,10 +22,9 @@ func sampleReport() *Report {
 			Config: ConfigInfo{Scale: 1, Seed: 1, HybridThreshold: 30, Workers: 2},
 			Filter: "dataset=road",
 			Experiments: []ManifestEntry{
-				{ID: "fig5.6", Cells: 2, Checks: 1, Passed: 1, Seconds: 0.25},
+				{ID: "fig5.6", Cells: 2, Checks: 1, Passed: 1},
 				{ID: "tab5.1", Error: "synthetic failure"},
 			},
-			TotalSeconds: 0.25,
 		},
 		Experiments: []Experiment{
 			{
@@ -39,7 +38,6 @@ func sampleReport() *Report {
 				Checks: []Check{
 					{Claim: "Random has the highest RF", Observed: "Random 1.987 vs HDRF 1.234 ✓", Pass: true},
 				},
-				Seconds: 0.25,
 			},
 			{ID: "tab5.1", Title: "Grid vs HDRF", Cells: []Cell{}, Error: "synthetic failure"},
 		},
@@ -78,12 +76,28 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := orig.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
+	encoded := buf.String()
 	got, err := Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(orig, got) {
 		t.Errorf("round trip mutated the report:\norig %+v\ngot  %+v", orig, got)
+	}
+	// Reports written before wall-clock left the schema carry seconds on
+	// every experiment and manifest entry and a manifest total; they must
+	// still read, to the same report, at the same SchemaVersion.
+	legacy := strings.ReplaceAll(encoded, `"id":`, `"seconds": 0.25, "id":`)
+	legacy = strings.Replace(legacy, `"filter":`, `"totalSeconds": 0.25, "filter":`, 1)
+	if legacy == encoded {
+		t.Fatal("legacy fixture was not rewritten")
+	}
+	got, err = Decode(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("legacy report with seconds fields rejected: %v", err)
+	}
+	if !reflect.DeepEqual(orig, got) {
+		t.Errorf("legacy seconds fields changed the decoded report:\norig %+v\ngot  %+v", orig, got)
 	}
 }
 
