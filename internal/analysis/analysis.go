@@ -80,9 +80,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostics returns the findings reported so far, in report order.
-func (p *Pass) Diagnostics() []Diagnostic { return p.diagnostics }
-
 // All is the full graphlint suite in the order the multichecker runs it.
 func All() []*Analyzer {
 	return []*Analyzer{Detrange, Nondet, Registry, Unsafeguard}
@@ -136,13 +133,15 @@ var detrangeCritical = map[string]bool{
 // nondetSanctioned are the packages allowed to read wall-clock time and
 // core counts at all: the service layer (service) measures request
 // latency/uptime for its metrics endpoint — observability, not result
-// computation. Everything else internal must stay a pure function of its
-// inputs — the experiment harness (bench) included: its report is
-// regression-gated cell for cell, and wall-clock measurement lives in the
-// benchmark/ module. The analyzer suite itself and main packages (CLIs
-// print timings legitimately) are also out of scope.
+// computation — and the fan-out (par) owns the one "≤0 workers means
+// GOMAXPROCS" default, which picks goroutines and never a result (every
+// caller's worker-axis test proves it). Everything else internal must stay
+// a pure function of its inputs — the experiment harness (bench) included:
+// its report is regression-gated cell for cell, and wall-clock measurement
+// lives in the benchmark/ module. The analyzer suite itself and main
+// packages (CLIs print timings legitimately) are also out of scope.
 var nondetSanctioned = map[string]bool{
-	"analysis": true, "main": true, "service": true,
+	"analysis": true, "main": true, "par": true, "service": true,
 }
 
 // isTestFile reports whether the file sits in _test.go. The determinism
@@ -227,9 +226,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// funcIs reports whether fn is package pkgPath's function named name.
-func funcIs(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }

@@ -13,14 +13,14 @@ const NondetWaiver = "graphlint:nondet"
 // Nondet flags nondeterministic value sources in packages whose outputs are
 // regression-gated byte-for-byte. Two rules:
 //
-//  1. Outside the sanctioned timing package (service), no internal
+//  1. Outside the sanctioned packages (service, which times requests, and
+//     par, which owns the one GOMAXPROCS worker default), no internal
 //     package may call time.Now/Since/Until, runtime.GOMAXPROCS/NumCPU, or
 //     the global math/rand functions (seeded rand.New sources are fine —
-//     they are deterministic by construction). Worker-pool defaults that
-//     scale with the machine but never change results carry a
-//     //graphlint:nondet waiver citing the determinism test that proves it.
-//  2. Inside service, timing is legal but must flow through named
-//     variables: a nondeterministic call embedded directly in a
+//     they are deterministic by construction). A read that provably cannot
+//     reach a result carries a //graphlint:nondet waiver saying why.
+//  2. Inside a sanctioned package, timing is legal but must flow through
+//     named variables: a nondeterministic call embedded directly in a
 //     report.Cell's Value is flagged, so every wall-clock cell is auditable
 //     at the measurement site.
 var Nondet = &Analyzer{

@@ -19,11 +19,8 @@ import (
 //     silently miss);
 //   - every such type must implement exactly one ingress capability —
 //     StatelessStrategy, StreamingStrategy, or MultiPassStrategy — because
-//     ShapeOf and the stream builders dispatch on exactly one;
-//   - IncrementalStrategy may only be implemented alongside
-//     StreamingStrategy: stateless strategies get incrementality for free
-//     via the AsIncremental adapter, and a second explicit path would
-//     shadow it ambiguously.
+//     ShapeOf, the stream builders and AsIncremental dispatch on exactly
+//     one.
 var Registry = &Analyzer{
 	Name: "registry",
 	Doc:  "every strategy type registers in its file's init and declares exactly one ingress capability",
@@ -45,7 +42,7 @@ func runRegistry(pass *Pass) error {
 		return nil // not a strategy-registry package
 	}
 	caps := map[string]*types.Interface{}
-	for _, name := range append(append([]string{}, ingressCapabilities...), "IncrementalStrategy") {
+	for _, name := range ingressCapabilities {
 		if iface := lookupInterface(scope, name); iface != nil {
 			caps[name] = iface
 		}
@@ -85,13 +82,6 @@ func runRegistry(pass *Pass) error {
 				pass.Reportf(ts.Pos(),
 					"strategy type %s implements %d ingress capabilities (%s): ingress dispatch needs exactly one",
 					obj.Name(), len(have), strings.Join(have, ", "))
-			}
-			if inc, ok := caps["IncrementalStrategy"]; ok && implements(T, inc) {
-				if len(have) == 1 && have[0] != "StreamingStrategy" {
-					pass.Reportf(ts.Pos(),
-						"strategy type %s implements IncrementalStrategy alongside %s: only streaming strategies carry native incremental state (stateless strategies adapt for free via AsIncremental, and an explicit path would shadow the adapter)",
-						obj.Name(), have[0])
-				}
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package partition (fixture) carries one of each registry violation: an
-// unregistered strategy, a capability-less strategy, a dual-capability
-// strategy, and an incremental stateless strategy.
+// unregistered strategy, a capability-less strategy and a dual-capability
+// strategy.
 package partition
 
 // Strategy is the base contract every partitioning strategy satisfies.
@@ -25,12 +25,6 @@ type StreamingStrategy interface {
 type MultiPassStrategy interface {
 	Strategy
 	PassCount() int
-}
-
-// IncrementalStrategy adapts an assignment under edge churn.
-type IncrementalStrategy interface {
-	Strategy
-	Apply(delta int)
 }
 
 var registry = map[string]func() Strategy{}

@@ -24,17 +24,7 @@ func (Ambiguous) Partition(numParts int) []int32           { return nil }
 func (Ambiguous) NewAssigner(numParts int) func(int) int32 { return nil }
 func (Ambiguous) NewLoader(id int) func(int) int32         { return nil }
 
-// EagerIncremental is stateless but implements IncrementalStrategy
-// explicitly, shadowing the AsIncremental adapter.
-type EagerIncremental struct{} // want `strategy type EagerIncremental implements IncrementalStrategy alongside StatelessStrategy`
-
-func (EagerIncremental) Name() string                             { return "eager" }
-func (EagerIncremental) Partition(numParts int) []int32           { return nil }
-func (EagerIncremental) NewAssigner(numParts int) func(int) int32 { return nil }
-func (EagerIncremental) Apply(delta int)                          {}
-
 func init() {
 	Register("capless", func() Strategy { return Capless{} })
 	Register("ambiguous", func() Strategy { return Ambiguous{} })
-	Register("eager", func() Strategy { return EagerIncremental{} })
 }

@@ -1,7 +1,6 @@
 // Package partition (fixture) models the strategy registry the registry
 // analyzer enforces: the base Strategy contract, the three mutually
-// exclusive ingress capabilities, the incremental add-on, and the
-// self-registration entry point.
+// exclusive ingress capabilities and the self-registration entry point.
 package partition
 
 // Strategy is the base contract every partitioning strategy satisfies.
@@ -26,13 +25,6 @@ type StreamingStrategy interface {
 type MultiPassStrategy interface {
 	Strategy
 	PassCount() int
-}
-
-// IncrementalStrategy adapts an assignment under edge churn; only
-// streaming strategies implement it natively.
-type IncrementalStrategy interface {
-	Strategy
-	Apply(delta int)
 }
 
 var registry = map[string]func() Strategy{}

@@ -8,8 +8,7 @@ func (Hash) Name() string                             { return "hash" }
 func (Hash) Partition(numParts int) []int32           { return nil }
 func (Hash) NewAssigner(numParts int) func(int) int32 { return nil }
 
-// Greedy is a correctly-shaped streaming strategy that also carries native
-// incremental state — the one combination IncrementalStrategy is legal in.
+// Greedy is a correctly-shaped streaming strategy with per-loader state.
 type Greedy struct{ state []int32 }
 
 func (*Greedy) Name() string                   { return "greedy" }
@@ -17,7 +16,6 @@ func (*Greedy) Partition(numParts int) []int32 { return nil }
 func (*Greedy) NewLoader(id int) func(int) int32 {
 	return nil
 }
-func (*Greedy) Apply(delta int) {}
 
 func init() {
 	Register("hash", func() Strategy { return Hash{} })

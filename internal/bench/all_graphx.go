@@ -170,11 +170,7 @@ func fig94() Experiment {
 			}
 			// Scale the sweep to the graph's working set so the three
 			// regimes appear at any dataset scale.
-			var totalMem float64
-			for p := 0; p < a.NumParts; p++ {
-				totalMem += float64(a.ReplicasOnPart(p))*float64(model.ReplicaBytes) +
-					float64(a.EdgeCount[p])*float64(model.EdgeMemBytes)
-			}
+			_, totalMem := cluster.ComputeMem(a, cc, model)
 			perMachine := totalMem / float64(cc.Machines)
 			r := NewResult("fig9.4", "execution time vs executor memory",
 				"executor-mem", "outcome", "fit-attempts", "gc-overhead", "exec-seconds")

@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
+	"graphpart/internal/par"
 	"graphpart/internal/report"
 )
 
@@ -42,40 +42,24 @@ type Runner struct {
 	Progress func(RunResult)
 }
 
-func (r Runner) workers() int {
-	if w := r.Config.Workers; w > 0 {
-		return w
-	}
-	//graphlint:nondet worker-count default only: it bounds how many experiments run at once, and cells are worker-independent (TestReportIsPureFunctionOfConfig)
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run executes exps on Config.Workers goroutines (≤0 = GOMAXPROCS) and
-// returns the results in input order.
+// Run executes exps on up to Config.Workers goroutines (≤0 = GOMAXPROCS),
+// started in input order, and returns the results in input order.
 func (r Runner) Run(exps []Experiment) []RunResult {
 	out := make([]RunResult, len(exps))
-	sem := make(chan struct{}, r.workers())
-	var wg sync.WaitGroup
 	var progressMu sync.Mutex
-	for i, e := range exps {
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			//graphlint:nondet progress timer: RunResult.Seconds feeds the stderr progress line and nothing Report reads
-			start := time.Now()
-			res, err := e.Run(r.Config)
-			//graphlint:nondet same progress timer
-			out[i] = RunResult{Experiment: e, Result: res, Seconds: time.Since(start).Seconds(), Err: err}
-			if r.Progress != nil {
-				progressMu.Lock()
-				r.Progress(out[i])
-				progressMu.Unlock()
-			}
-		}(i, e)
-	}
-	wg.Wait()
+	par.Do(par.Workers(r.Config.Workers), len(exps), func(i, _ int) {
+		e := exps[i]
+		//graphlint:nondet progress timer: RunResult.Seconds feeds the stderr progress line and nothing Report reads
+		start := time.Now()
+		res, err := e.Run(r.Config)
+		//graphlint:nondet same progress timer
+		out[i] = RunResult{Experiment: e, Result: res, Seconds: time.Since(start).Seconds(), Err: err}
+		if r.Progress != nil {
+			progressMu.Lock()
+			r.Progress(out[i])
+			progressMu.Unlock()
+		}
+	})
 	return out
 }
 

@@ -50,13 +50,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Local9, Local10, EC2x16 and EC2x25 are the paper's four cluster shapes
-// (Table 4.1).
+// Local9, EC2x16 and EC2x25 are the paper's PowerGraph/PowerLyra cluster
+// shapes (Table 4.1); its fourth, the 10-machine local cluster, runs GraphX.
 var (
-	Local9  = Config{Machines: 9, PartsPerMachine: 1}
-	Local10 = Config{Machines: 10, PartsPerMachine: 1}
-	EC2x16  = Config{Machines: 16, PartsPerMachine: 1}
-	EC2x25  = Config{Machines: 25, PartsPerMachine: 1}
+	Local9 = Config{Machines: 9, PartsPerMachine: 1}
+	EC2x16 = Config{Machines: 16, PartsPerMachine: 1}
+	EC2x25 = Config{Machines: 25, PartsPerMachine: 1}
 	// GraphXLocal10 is the 10-machine GraphX cluster with multiple
 	// partitions per machine (§7.3).
 	GraphXLocal10 = Config{Machines: 10, PartsPerMachine: 4}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"graphpart/internal/gen"
@@ -152,8 +153,19 @@ func TestIngressOrderings(t *testing.T) {
 
 func TestComputeMemPositive(t *testing.T) {
 	a := ingressAssignment(t, partition.Random{}, 9)
-	if m := ComputeMemPerMachine(a, Local9, DefaultModel()); m <= 0 {
-		t.Errorf("ComputeMemPerMachine = %v", m)
+	perMachine, total := ComputeMem(a, Local9, DefaultModel())
+	if len(perMachine) != Local9.Machines {
+		t.Fatalf("ComputeMem returned %d machines, want %d", len(perMachine), Local9.Machines)
+	}
+	var sum float64
+	for m, b := range perMachine {
+		if b <= 0 {
+			t.Errorf("machine %d holds %v bytes", m, b)
+		}
+		sum += b
+	}
+	if total <= 0 || math.Abs(sum-total) > 1e-6*total {
+		t.Errorf("total %v, per-machine sum %v", total, sum)
 	}
 }
 

@@ -158,14 +158,18 @@ func replicasMax(rs []float64) float64 {
 	return max
 }
 
-// ComputeMemPerMachine returns the steady-state compute-phase memory of the
-// most loaded machine: local replicas plus local edges.
-func ComputeMemPerMachine(a *partition.Assignment, cfg Config, model CostModel) float64 {
-	mem := make([]float64, cfg.Machines)
+// ComputeMem returns the steady-state compute-phase memory of every machine
+// — its partitions' replicas plus their edges — and the cluster-wide total.
+// It is the one statement of that formula: the engines' peak-memory
+// accounting, GraphX's executor-fit model and fig9.4's sweep all read it.
+// Both results accumulate partition by partition in ascending order.
+func ComputeMem(a *partition.Assignment, cfg Config, model CostModel) (perMachine []float64, total float64) {
+	perMachine = make([]float64, cfg.Machines)
 	for p := 0; p < a.NumParts; p++ {
-		mi := cfg.MachineOf(p)
-		mem[mi] += float64(a.ReplicasOnPart(p))*float64(model.ReplicaBytes) +
+		w := float64(a.ReplicasOnPart(p))*float64(model.ReplicaBytes) +
 			float64(a.EdgeCount[p])*float64(model.EdgeMemBytes)
+		perMachine[cfg.MachineOf(p)] += w
+		total += w
 	}
-	return replicasMax(mem)
+	return perMachine, total
 }

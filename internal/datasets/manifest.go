@@ -92,12 +92,6 @@ func MeasureManifest(g *graph.Graph) Manifest {
 	}
 }
 
-// MeasureStats measures the degree-skew statistics of an arbitrary graph —
-// the same numbers BuildManifest records for registered datasets.
-func MeasureStats(g *graph.Graph) DegreeStats {
-	return statsFor(g, graph.Classify(g))
-}
-
 // statsFor derives the manifest statistics from an already-computed
 // classification, so callers that need both never classify twice.
 func statsFor(g *graph.Graph, cls graph.Classification) DegreeStats {

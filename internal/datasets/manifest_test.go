@@ -73,7 +73,7 @@ func TestRegisterFileExternalDataset(t *testing.T) {
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 2, Dst: 3},
 	})
 	path := filepath.Join(dir, "ext.csrg")
-	if err := graph.SaveCSR(g, path); err != nil {
+	if err := graph.SaveCSRVersion(g, path, graph.CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	if err := RegisterFile("ext-test", path, graph.LowDegree); err != nil {
@@ -230,7 +230,7 @@ func TestDiskCacheRejectsForeignIdentity(t *testing.T) {
 
 	// Plant a valid .csrg for a *different* graph at ident-test's cache path.
 	foreign := graph.FromEdges("some-other-graph", []graph.Edge{{Src: 0, Dst: 1}})
-	if err := graph.SaveCSR(foreign, CachePath(dir, "ident-test", 1)); err != nil {
+	if err := graph.SaveCSRVersion(foreign, CachePath(dir, "ident-test", 1), graph.CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -270,7 +270,8 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 	}
 	ex := Execute(prog, a, cfg, model, charges, maxSteps, opts.FixedIterations > 0, opts.Workers)
 
-	for m, static := range staticMemPerMachine(a, cfg, model) {
+	staticMem, _ := cluster.ComputeMem(a, cfg, model)
+	for m, static := range staticMem {
 		ex.Run.SetPeakMem(m, static+ex.PeakDynBytes)
 	}
 	return &Outcome[V]{Values: ex.Values, Stats: Stats{
@@ -284,15 +285,4 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 		EdgesProcessed:   ex.Edges,
 		SuperstepSeconds: ex.StepSeconds,
 	}}, nil
-}
-
-// staticMemPerMachine computes each machine's steady compute-phase memory.
-func staticMemPerMachine(a *partition.Assignment, cfg cluster.Config, model cluster.CostModel) []float64 {
-	mem := make([]float64, cfg.Machines)
-	for p := 0; p < a.NumParts; p++ {
-		m := cfg.MachineOf(p)
-		mem[m] += float64(a.ReplicasOnPart(p))*float64(model.ReplicaBytes) +
-			float64(a.EdgeCount[p])*float64(model.EdgeMemBytes)
-	}
-	return mem
 }

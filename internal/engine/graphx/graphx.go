@@ -84,15 +84,7 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 
 	// ---- Memory model (Fig 9.4) ----
 	// Working set per machine if partitions were spread evenly.
-	spreadMem := make([]float64, machines)
-	var totalMem float64
-	for p := 0; p < a.NumParts; p++ {
-		m := cc.MachineOf(p)
-		w := float64(a.ReplicasOnPart(p))*float64(model.ReplicaBytes) +
-			float64(a.EdgeCount[p])*float64(model.EdgeMemBytes)
-		spreadMem[m] += w
-		totalMem += w
-	}
+	spreadMem, totalMem := cluster.ComputeMem(a, cc, model)
 	gcMult := 1.0
 	if cfg.ExecutorMemBytes > 0 {
 		avail := cfg.ExecutorMemBytes - model.ExecutorBase
@@ -227,10 +219,11 @@ func partitionPhaseSeconds(a *partition.Assignment, cfg cluster.Config, model cl
 	return assignSec + shuffleSec + finalizeSec
 }
 
+// isGreedy reports whether the strategy registered under name declares
+// O(numParts) work per edge (partition.HeuristicStrategy). An assignment
+// carries only its strategy's name; one the registry does not know — a
+// deserialized assignment from another build — prices as a hash.
 func isGreedy(name string) bool {
-	switch name {
-	case "Oblivious", "HDRF", "H-Ginger":
-		return true
-	}
-	return false
+	s, err := partition.New(name, partition.Options{})
+	return err == nil && partition.IsHeuristic(s)
 }

@@ -222,22 +222,23 @@ func TestGraphXRejectsMismatchedCluster(t *testing.T) {
 
 func TestGraphXGreedyPartitioningSlower(t *testing.T) {
 	// Ch. 9: ported greedy strategies partition more slowly than the
-	// native hashes in GraphX.
+	// native hashes in GraphX. The surcharge follows the HeuristicStrategy
+	// capability, not a list of names: HEP (two passes, greedy) must cost
+	// more than Hybrid (two passes, hash).
 	g := gen.PrefAttach("gx-greedy", 3000, 6, 0xb)
 	cc := cluster.GraphXLocal9
-	cr := gxAssignment(t, g, "CanonicalRandom", cc)
-	hdrf := gxAssignment(t, g, "HDRF", cc)
-	stCR, err := graphx.Run[float64, float64](app.PageRank{}, cr, graphx.Config{Cluster: cc, Iterations: 1}, model)
-	if err != nil {
-		t.Fatal(err)
+	partitionSeconds := func(strategy string) float64 {
+		out, err := graphx.Run[float64, float64](app.PageRank{}, gxAssignment(t, g, strategy, cc),
+			graphx.Config{Cluster: cc, Iterations: 1}, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Stats.PartitionSeconds
 	}
-	stH, err := graphx.Run[float64, float64](app.PageRank{}, hdrf, graphx.Config{Cluster: cc, Iterations: 1}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stH.Stats.PartitionSeconds <= stCR.Stats.PartitionSeconds {
-		t.Errorf("HDRF partitioning %.4f ≤ CanonicalRandom %.4f",
-			stH.Stats.PartitionSeconds, stCR.Stats.PartitionSeconds)
+	for _, pair := range [][2]string{{"HDRF", "CanonicalRandom"}, {"HEP", "Hybrid"}} {
+		if greedy, hash := partitionSeconds(pair[0]), partitionSeconds(pair[1]); greedy <= hash {
+			t.Errorf("%s partitioning %.4f ≤ %s %.4f", pair[0], greedy, pair[1], hash)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 package engine
 
 // Deterministic work-sharding for the superstep core (Execute), and so for
-// all three systems' runs.
+// all three systems' runs. par.Do picks the goroutine that evaluates a
+// shard (inline on the caller at one worker or one shard); this file is the
+// engine's policy around it: how many shards a work list gets, the
+// per-shard and per-worker scratch, and the shard-order merges.
 //
 // The central invariant: the decomposition of a phase's work list into
 // contiguous shards depends only on the *length of the list*, never on the
@@ -14,11 +17,9 @@ package engine
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 )
 
 const (
@@ -31,16 +32,6 @@ const (
 	maxShards = 64
 )
 
-// resolveWorkers maps a Workers option to a concrete worker count: ≤0 means
-// GOMAXPROCS.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		//graphlint:nondet worker-count default only; results are worker-count-independent (TestShardedDeterminism)
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // numShards returns the number of contiguous shards an n-item work list is
 // split into. It is a function of n only — never of the worker count.
 func numShards(n int) int {
@@ -52,46 +43,6 @@ func numShards(n int) int {
 		return maxShards
 	}
 	return s
-}
-
-// shardRange returns shard s's half-open item range [lo, hi) of an n-item
-// list split into shards contiguous pieces.
-func shardRange(n, shards, s int) (lo, hi int) {
-	return n * s / shards, n * (s + 1) / shards
-}
-
-// forEachShard evaluates fn(shard, worker) for every shard in [0, shards)
-// using up to workers goroutines. Workers pull shards from a shared counter
-// (so a skewed shard cannot serialize the phase behind a static block
-// assignment); worker ids are dense in [0, min(workers, shards)). With one
-// worker or one shard everything runs inline on the calling goroutine as
-// worker 0 — the sequential path is the same code path, not a special case.
-func forEachShard(workers, shards int, fn func(shard, worker int)) {
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
-		for s := 0; s < shards; s++ {
-			fn(s, 0)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				fn(s, w)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // Meters is one shard's private accounting scratch: per-partition CPU work
@@ -194,7 +145,7 @@ type sharder struct {
 // partitions. No phase can use more shards than numShards(n) (work lists
 // are at most n items), so both pools are bounded up front.
 func newSharder(workers, numParts, n int) *sharder {
-	w := resolveWorkers(workers)
+	w := par.Workers(workers)
 	if maxSh := numShards(n); w > maxSh {
 		w = maxSh
 	}
@@ -213,8 +164,8 @@ func newSharder(workers, numParts, n int) *sharder {
 // disjoint indexes.
 func (sh *sharder) Do(nItems int, body func(lo, hi int)) {
 	ns := numShards(nItems)
-	forEachShard(sh.Workers, ns, func(s, _ int) {
-		lo, hi := shardRange(nItems, ns, s)
+	par.Do(sh.Workers, ns, func(s, _ int) {
+		lo, hi := par.Range(nItems, ns, s)
 		body(lo, hi)
 	})
 }
@@ -229,10 +180,10 @@ func (sh *sharder) Do(nItems int, body func(lo, hi int)) {
 func (sh *sharder) Meter(nItems int, work, in, out []float64, dst []graph.VertexID,
 	body func(lo, hi int, ms *Meters, ch []graph.VertexID) []graph.VertexID) ([]graph.VertexID, int64, float64) {
 	ns := numShards(nItems)
-	forEachShard(sh.Workers, ns, func(s, _ int) {
+	par.Do(sh.Workers, ns, func(s, _ int) {
 		ms := &sh.shards[s]
 		ms.reset()
-		lo, hi := shardRange(nItems, ns, s)
+		lo, hi := par.Range(nItems, ns, s)
 		sh.changed[s] = body(lo, hi, ms, sh.changed[s][:0])
 	})
 	var edges int64
@@ -255,7 +206,7 @@ func (sh *sharder) Scatter(nItems int, work, in, out []float64, frontier bitset,
 	body func(lo, hi int, ms *Meters, nb bitset)) int64 {
 	frontier.Clear()
 	ns := numShards(nItems)
-	forEachShard(sh.Workers, ns, func(s, w int) {
+	par.Do(sh.Workers, ns, func(s, w int) {
 		ms := &sh.shards[s]
 		ms.reset()
 		nb := sh.next[w]
@@ -263,7 +214,7 @@ func (sh *sharder) Scatter(nItems int, work, in, out []float64, frontier bitset,
 			nb = newBitset(sh.n)
 			sh.next[w] = nb
 		}
-		lo, hi := shardRange(nItems, ns, s)
+		lo, hi := par.Range(nItems, ns, s)
 		body(lo, hi, ms, nb)
 	})
 	var edges int64

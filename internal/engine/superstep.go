@@ -253,10 +253,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 				ex.Converged = true
 				break
 			}
-			words := len(nextActive)
-			ws := numShards(words)
-			forEachShard(sh.Workers, ws, func(s, _ int) {
-				wlo, whi := shardRange(words, ws, s)
+			sh.Do(len(nextActive), func(wlo, whi int) {
 				for v := wlo * 64; v < min(whi*64, n); v++ {
 					if !nextActive.Get(v) && reactivator.StayActive(g, graph.VertexID(v), vals[v]) {
 						nextActive.Set(v)

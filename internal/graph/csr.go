@@ -77,10 +77,6 @@ const (
 	CSRVersion2 = 2
 )
 
-// CSRVersion is the default version written by WriteCSR and SaveCSR — the
-// fixed-width v1 layout, which keeps the zero-copy mmap load path available.
-const CSRVersion = CSRVersion1
-
 // CSRExt is the conventional file extension for the binary graph format.
 const CSRExt = ".csrg"
 
@@ -158,11 +154,6 @@ func WriteCSRVersion(g *Graph, w io.Writer, version int) error {
 	default:
 		return fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", g.Name, version, CSRVersion1, CSRVersion2)
 	}
-}
-
-// SaveCSR writes g to a .csrg v1 file at path.
-func SaveCSR(g *Graph, path string) error {
-	return SaveCSRVersion(g, path, CSRVersion1)
 }
 
 // SaveCSRVersion writes g to a .csrg file at path in the given format version.
@@ -712,15 +703,9 @@ type CSRWriter struct {
 	numBlocks uint32
 }
 
-// NewCSRWriter starts a v1 .csrg document on ws (typically an *os.File) and
-// writes a placeholder header.
-func NewCSRWriter(ws io.WriteSeeker, name string) (*CSRWriter, error) {
-	return NewCSRWriterVersion(ws, name, CSRVersion1)
-}
-
-// NewCSRWriterVersion is NewCSRWriter with an explicit format version:
-// version 2 streams delta+varint-compressed edge blocks instead of
-// fixed-width records.
+// NewCSRWriterVersion starts a .csrg document of the given format version on
+// ws (typically an *os.File) and writes a placeholder header: version 1
+// streams fixed-width records, version 2 delta+varint-compressed edge blocks.
 func NewCSRWriterVersion(ws io.WriteSeeker, name string, version int) (*CSRWriter, error) {
 	if version != CSRVersion1 && version != CSRVersion2 {
 		return nil, fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", name, version, CSRVersion1, CSRVersion2)

@@ -59,7 +59,7 @@ func benchFiles(b *testing.B) (textPath, csrPath string) {
 		if benchErr = SaveEdgeList(g, filepath.Join(benchDir, "g.txt")); benchErr != nil {
 			return
 		}
-		if benchErr = SaveCSR(g, filepath.Join(benchDir, "g.csrg")); benchErr != nil {
+		if benchErr = SaveCSRVersion(g, filepath.Join(benchDir, "g.csrg"), CSRVersion1); benchErr != nil {
 			return
 		}
 		benchErr = SaveCSRVersion(g, filepath.Join(benchDir, "g.v2.csrg"), CSRVersion2)
@@ -183,7 +183,7 @@ func TestCSRLoadSpeedupAt1MEdges(t *testing.T) {
 	if err := SaveEdgeList(g, textPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCSR(g, csrPath); err != nil {
+	if err := SaveCSRVersion(g, csrPath, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -84,7 +84,7 @@ func TestCSRRoundTripEmptyGraph(t *testing.T) {
 func TestCSRFileRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	path := filepath.Join(t.TempDir(), "g.csrg")
-	if err := SaveCSR(g, path); err != nil {
+	if err := SaveCSRVersion(g, path, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCSR(path)
@@ -163,7 +163,7 @@ func TestCSRWriterStreamsWithoutMaterializing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewCSRWriter(f, g.Name)
+	w, err := NewCSRWriterVersion(f, g.Name, CSRVersion1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestLoadFileSniffsFormat(t *testing.T) {
 	if err := SaveEdgeList(g, textPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveCSR(g, binPath); err != nil {
+	if err := SaveCSRVersion(g, binPath, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 

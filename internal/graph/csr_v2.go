@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"graphpart/internal/par"
 )
 
 // .csrg format version 2: compressed edge blocks.
@@ -31,8 +30,8 @@ import (
 //
 // and the whole section by a uint32 block count. Deltas reset at block
 // boundaries, so every block decodes with no context beyond its header —
-// which is what lets LoadCSR fan the decode out over GOMAXPROCS workers
-// while preserving edge order.
+// which is what lets LoadCSR fan the decode out over par.Do workers while
+// preserving edge order.
 
 // csrV2BlockEdges is the number of edges per compressed block. 64Ki edges
 // ≈ 128–512 KiB decoded — big enough to amortize per-block overhead, small
@@ -44,6 +43,24 @@ const csrV2BlockEdges = 1 << 16
 // two fields per edge. Anything larger is corruption, rejected before any
 // allocation trusts it.
 const csrV2MaxBytesPerEdge = 10
+
+// checkV2BlockHeader rejects a block header no writer produces, and both
+// decoders call it before anything is allocated on the header's say-so:
+// writers cut blocks at csrV2BlockEdges, and an edge is two varints of at
+// least one byte each and at most csrV2MaxBytesPerEdge together. With it a
+// decoder's memory is bounded by the bytes actually present (bulk) or by one
+// block (stream), whatever the header's edge count claims.
+func checkV2BlockHeader(src string, bidx, cnt, byteLen int) error {
+	switch {
+	case cnt > csrV2BlockEdges:
+		return fmt.Errorf("csrg %s: block %d declares %d edges (max %d per block)", src, bidx, cnt, csrV2BlockEdges)
+	case byteLen < 2*cnt:
+		return fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (min 2/edge)", src, bidx, byteLen, cnt)
+	case byteLen > (cnt+1)*csrV2MaxBytesPerEdge:
+		return fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (max %d/edge)", src, bidx, byteLen, cnt, csrV2MaxBytesPerEdge)
+	}
+	return nil
+}
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -182,6 +199,9 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions
 		cnt := int(binary.LittleEndian.Uint32(payload[pos:]))
 		bl := int(binary.LittleEndian.Uint32(payload[pos+4:]))
 		pos += 8
+		if err := checkV2BlockHeader(src, bidx, cnt, bl); err != nil {
+			return nil, err
+		}
 		if int64(cnt) > int64(m)-base {
 			return nil, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", src, bidx, cnt, int64(m)-base, m)
 		}
@@ -202,53 +222,24 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions
 		return nil, fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, n)
 	}
 
+	// Blocks decode straight into their slots of the shared edge slice; a
+	// worker that hit a bad block skips the rest of its shards.
 	edges := make([]Edge, m)
-	workers := o.Workers
-	if workers <= 0 {
-		//graphlint:nondet worker-count default only; output is worker-count-independent (csr_v2_test.go)
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
+	workers := par.Workers(o.Workers)
+	maxIDs := make([]VertexID, workers)
+	errs := make([]error, workers)
+	par.Do(workers, len(blocks), func(bidx, w int) {
+		if errs[w] == nil {
+			b := blocks[bidx]
+			errs[w] = decodeV2Block(src, b.data, h.numVertices, b.base, bidx, edges[b.base:b.base+int64(b.count)], &maxIDs[w])
+		}
+	})
 	var maxID VertexID
-	if workers <= 1 {
-		for bidx, b := range blocks {
-			if err := decodeV2Block(src, b.data, h.numVertices, b.base, bidx, edges[b.base:b.base+int64(b.count)], &maxID); err != nil {
-				return nil, err
-			}
+	for w := range errs {
+		if errs[w] != nil {
+			return nil, errs[w]
 		}
-	} else {
-		var next atomic.Int64
-		maxIDs := make([]VertexID, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					bidx := int(next.Add(1)) - 1
-					if bidx >= len(blocks) {
-						return
-					}
-					b := blocks[bidx]
-					if err := decodeV2Block(src, b.data, h.numVertices, b.base, bidx, edges[b.base:b.base+int64(b.count)], &maxIDs[w]); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for w := range errs {
-			if errs[w] != nil {
-				return nil, errs[w]
-			}
-			if maxIDs[w] > maxID {
-				maxID = maxIDs[w]
-			}
-		}
+		maxID = max(maxID, maxIDs[w])
 	}
 	if m > 0 && int64(maxID)+1 != int64(n) {
 		return nil, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, n, maxID)
@@ -298,11 +289,11 @@ func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize int, fn f
 		crc = crc32.Update(crc, castagnoli, hdr[:])
 		cnt = int(binary.LittleEndian.Uint32(hdr[0:4]))
 		bl := int(binary.LittleEndian.Uint32(hdr[4:8]))
+		if err := checkV2BlockHeader(name, bidx, cnt, bl); err != nil {
+			return 0, nil, err
+		}
 		if int64(cnt) > m-total {
 			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d edges but only %d of the header's %d remain", name, bidx, cnt, m-total, m)
-		}
-		if bl > (cnt+1)*csrV2MaxBytesPerEdge {
-			return 0, nil, fmt.Errorf("csrg %s: block %d declares %d bytes for %d edges (max %d/edge)", name, bidx, bl, cnt, csrV2MaxBytesPerEdge)
 		}
 		payload = getByteBuf(bl)
 		buf := (*payload)[:bl]
@@ -322,10 +313,7 @@ func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize int, fn f
 		if err != nil {
 			return total, maxID, err
 		}
-		if cap(*blockp) < cnt {
-			*blockp = make([]Edge, 0, cnt)
-		}
-		out := (*blockp)[:cnt]
+		out := (*blockp)[:cnt] // cnt ≤ csrV2BlockEdges: readBlock checked
 		err = decodeV2Block(name, *payload, h.numVertices, total, bidx, out, &maxID)
 		putByteBuf(payload)
 		if err != nil {

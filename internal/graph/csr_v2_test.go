@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -228,11 +229,12 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 	hl := csrHeaderFixed + int(binary.LittleEndian.Uint32(data[24:28]))
 	block0 := hl + 4 // first block header
 
-	cases := []struct {
+	type corruption struct {
 		name    string
 		mutate  func([]byte) []byte
 		wantErr string
-	}{
+	}
+	cases := []corruption{
 		// Truncations surface as "truncated block" from the streaming
 		// decoder and as a checksum mismatch from the bulk loaders (the
 		// cut shifts the CRC window); both are named rejections, so these
@@ -295,6 +297,16 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 			return b
 		}, "version 2 carries no flags"},
 	}
+	// Block headers that lie about sizes the file does not hold: each must be
+	// refused from the header alone, before a buffer is sized from it.
+	for name, file := range hostileV2Files() {
+		cases = append(cases, corruption{name, func([]byte) []byte { return file }, "block 0 declares"})
+	}
+
+	// No row may cost a loader more than this on the way to its error: the
+	// valid file decodes in under 2 MiB, so anything near the limit was
+	// sized from a field the file lied about.
+	const maxAlloc = 8 << 20
 
 	dir := t.TempDir()
 	for _, tc := range cases {
@@ -316,7 +328,13 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 				},
 			}
 			for how, load := range loaders {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				err := load()
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; got > maxAlloc {
+					t.Errorf("%s allocated %d bytes before rejecting the file (limit %d)", how, got, maxAlloc)
+				}
 				if err == nil {
 					t.Fatalf("%s accepted the corrupt file", how)
 				}
@@ -337,7 +355,7 @@ func TestLoadCSRMmapMatchesPortable(t *testing.T) {
 	dir := t.TempDir()
 
 	withCSR := filepath.Join(dir, "with-csr.csrg")
-	if err := SaveCSR(g, withCSR); err != nil {
+	if err := SaveCSRVersion(g, withCSR, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	streamed := filepath.Join(dir, "streamed.csrg")
@@ -345,7 +363,7 @@ func TestLoadCSRMmapMatchesPortable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewCSRWriter(f, g.Name)
+	w, err := NewCSRWriterVersion(f, g.Name, CSRVersion1)
 	if err != nil {
 		t.Fatal(err)
 	}

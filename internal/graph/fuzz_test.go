@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,12 +35,49 @@ func fuzzCSRBytes(f *testing.F, version int) []byte {
 	return buf.Bytes()
 }
 
+// hostileV2File is a structurally complete 48-byte v2 file — header, one
+// block header, valid checksum — whose only block declares cnt edges in
+// byteLen bytes and carries none of them. Before checkV2BlockHeader the
+// decoders sized buffers from those two fields: 200 M edges cost ReadCSR
+// and LoadCSR 1.5 GiB and StreamCSR 1.9 GiB before either noticed the
+// bytes were not there.
+func hostileV2File(cnt, byteLen uint32) []byte {
+	var buf bytes.Buffer
+	if _, err := writeCSRHeader(&buf, "x", CSRVersion2, 0, 2, uint64(cnt)); err != nil {
+		panic(err) // bytes.Buffer does not fail
+	}
+	var blocks [12]byte
+	binary.LittleEndian.PutUint32(blocks[0:], 1) // block count, outside the CRC
+	binary.LittleEndian.PutUint32(blocks[4:], cnt)
+	binary.LittleEndian.PutUint32(blocks[8:], byteLen)
+	buf.Write(blocks[:])
+	return binary.LittleEndian.AppendUint32(buf.Bytes(), crc32.Checksum(blocks[4:], castagnoli))
+}
+
+// hostileV2Files are the crafted headers both corruption suites replay: the
+// bulk decoders' worst case (edges declared, no payload), the stream
+// decoder's (the largest payload the per-edge bound let through), and the
+// same two shapes at the per-block limit, where only the bytes-per-edge
+// floor stands between a small file and a large edge slice.
+func hostileV2Files() map[string][]byte {
+	const m = 200_000_000
+	return map[string][]byte{
+		"hostile block: 200M edges in no bytes":   hostileV2File(m, 0),
+		"hostile block: 200M edges in 1.9 GiB":    hostileV2File(m, (m+1)*csrV2MaxBytesPerEdge),
+		"hostile block: full block in no bytes":   hostileV2File(csrV2BlockEdges, 0),
+		"hostile block: one edge past full block": hostileV2File(csrV2BlockEdges+1, 2*(csrV2BlockEdges+1)),
+	}
+}
+
 // addCSRSeeds seeds both format versions plus the corruption-matrix
 // mutations: truncations at the interesting boundaries, a wrong magic, an
 // unsupported version, unknown flags, payload bit flips, lying vertex
-// counts, and a non-terminating v2 varint.
+// counts, a non-terminating v2 varint, and the hostile v2 block headers.
 func addCSRSeeds(f *testing.F) {
 	f.Helper()
+	for _, b := range hostileV2Files() {
+		f.Add(b)
+	}
 	v1 := fuzzCSRBytes(f, CSRVersion1)
 	v2 := fuzzCSRBytes(f, CSRVersion2)
 	mutate := func(base []byte, fn func([]byte) []byte) {

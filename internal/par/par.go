@@ -1,0 +1,73 @@
+// Package par is the repository's one fan-out: every layer that splits a
+// work list across goroutines — the v2 .csrg block decode, materialized
+// ingress, the engines' superstep phases, the experiment runner — does it
+// through Do, sizes the pieces with Range and resolves its worker option
+// with Workers. Sequential execution is Do at one worker, the same code
+// path rather than a second implementation, so a change to how work is
+// shared (or to how many workers a small work list deserves) has one site.
+//
+// par decides which goroutine evaluates a shard and nothing else: callers
+// choose the shard count from the work alone, keep per-shard (or
+// per-worker) scratch, and merge it in shard order, which is what makes
+// their results independent of the worker count. Long-lived goroutines
+// that form a pipeline rather than a fan-out (the stream builder's
+// consumers, the service's job workers) are not par's business.
+package par
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+)
+
+// Workers resolves a worker-count option: n ≤ 0 means GOMAXPROCS. This is
+// the only core-count read under internal/; it may change wall-clock,
+// never a result.
+func Workers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
+// Range returns shard s's half-open item range [lo, hi) of an n-item list
+// split into shards contiguous pieces; the pieces tile [0, n) in shard
+// order.
+func Range(n, shards, s int) (lo, hi int) {
+	return n * s / shards, n * (s + 1) / shards
+}
+
+// Do evaluates fn(shard, worker) exactly once for every shard in
+// [0, shards) on up to workers goroutines and returns when all are done.
+// Workers pull shards from a shared counter, so a skewed shard cannot
+// serialize the call behind a static block assignment; worker ids are
+// dense in [0, min(workers, shards)), for indexing per-worker scratch.
+// With one worker or one shard everything runs inline on the calling
+// goroutine as worker 0, in shard order.
+func Do(workers, shards int, fn func(shard, worker int)) {
+	if workers > shards {
+		workers = shards
+	}
+	if workers <= 1 {
+		for s := 0; s < shards; s++ {
+			fn(s, 0)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				s := int(next.Add(1)) - 1
+				if s >= shards {
+					return
+				}
+				fn(s, w)
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -1,11 +1,10 @@
 package partition
 
 import (
-	"sync"
-
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
 	"graphpart/internal/metrics"
+	"graphpart/internal/par"
 )
 
 // cutTable is the one vertex-cut bookkeeping core: which partitions hold an
@@ -80,10 +79,10 @@ func (t *cutTable) Quality() *metrics.Quality { return t.q }
 func (t *cutTable) deriveMasters(n, workers int, hint func(graph.VertexID) int32) {
 	t.masters = make([]int32, n)
 	locals := make([]*metrics.Quality, workers)
-	forShards(workers, func(w int) {
+	par.Do(workers, workers, func(w, _ int) {
 		local := metrics.NewQuality(t.numParts)
 		addReplica := local.AddReplica
-		lo, hi := shardRange(n, workers, w)
+		lo, hi := par.Range(n, workers, w)
 		for v := lo; v < hi; v++ {
 			reps := t.replicas.count(v)
 			if reps == 0 {
@@ -138,29 +137,4 @@ func chooseMaster(replicas *bitMatrix, v, reps int, hint int32, numParts int, se
 		idx++
 	})
 	return chosen
-}
-
-// shardRange returns shard w's half-open range [lo, hi) of n items split
-// into shards contiguous pieces.
-func shardRange(n, shards, w int) (lo, hi int) {
-	return n * w / shards, n * (w + 1) / shards
-}
-
-// forShards runs fn(w) for every w in [0, workers), workers ≥ 1, and
-// returns when all are done. With one worker fn runs inline on the calling
-// goroutine: the sequential path is the same code, not a special case.
-func forShards(workers int, fn func(w int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
 }

@@ -20,6 +20,7 @@ func init() {
 // exposed through the StreamingStrategy capability so the blocks can run
 // concurrently.
 type loaderState struct {
+	n     int        // vertices covered by parts (and pdeg)
 	parts *bitMatrix // A(v): partitions this loader has placed v's edges on
 	load  []int64    // edges this loader has assigned to each partition
 	pdeg  []int32    // HDRF partial-degree counters (δ)
@@ -28,6 +29,7 @@ type loaderState struct {
 
 func newLoaderState(numVertices, numParts int, seed uint64, partialDeg bool) *loaderState {
 	st := &loaderState{
+		n:     numVertices,
 		parts: newBitMatrix(numVertices, numParts),
 		load:  make([]int64, numParts),
 		rng:   hashing.NewRNG(seed),
@@ -38,12 +40,20 @@ func newLoaderState(numVertices, numParts int, seed uint64, partialDeg bool) *lo
 	return st
 }
 
-// grow extends the state to cover at least n vertices, so a persistent
-// incremental loader can follow a graph whose vertex set is discovered as
-// edges arrive.
+// cover makes sure the state covers both endpoints of e, so a loader can
+// follow a graph whose vertex set is discovered as edges arrive. For a
+// pre-sized loader it is one compare per edge.
+func (st *loaderState) cover(e graph.Edge) {
+	if n := int(max(e.Src, e.Dst)) + 1; n > st.n {
+		st.grow(n)
+	}
+}
+
+// grow extends the state to cover n > st.n vertices.
 func (st *loaderState) grow(n int) {
+	st.n = n
 	st.parts.ensureRows(n)
-	if st.pdeg != nil && n > len(st.pdeg) {
+	if st.pdeg != nil {
 		if n <= cap(st.pdeg) {
 			st.pdeg = st.pdeg[:n]
 		} else {
@@ -80,8 +90,12 @@ func (st *loaderState) place(e graph.Edge, p int) {
 	st.parts.set(int(e.Dst), p)
 }
 
-// greedyLoader adapts a loaderState to the Loader interface: one block of
-// the edge stream, one private state, no cross-loader coordination.
+// greedyLoader is the greedy strategies' Assigner: one block of the edge
+// stream, one private state, no cross-loader coordination. The state grows
+// when an edge names a vertex beyond it, so the same loader serves churn,
+// where the vertex set is discovered as edges arrive: a PartitionState's
+// persistent assigner is loader 0 of Options{Loaders: 1}, and an add-only
+// trace reproduces that one-shot pass placement for placement.
 type greedyLoader struct {
 	st       *loaderState
 	numParts int
@@ -90,8 +104,9 @@ type greedyLoader struct {
 	cands    []int
 }
 
-// Assign implements Loader.
+// Assign implements Assigner.
 func (l *greedyLoader) Assign(e graph.Edge) int32 {
+	l.st.cover(e)
 	var p int
 	if l.hdrf {
 		p = hdrfPick(l.st, e, l.numParts, l.lambda)
@@ -102,31 +117,19 @@ func (l *greedyLoader) Assign(e graph.Edge) int32 {
 	return int32(p)
 }
 
-// greedyIncremental is a persistent single-loader view used for churn: adds
-// stream through the ordinary greedy pick, deletes decrement the loads and
+// ObserveDelete implements DeleteObserver: deletes decrement the loads and
 // partial degrees so balance pressure tracks the live graph. The placement
 // sets stay monotone — the loader is oblivious to whether a vertex still
 // has edges on a partition, just as it is oblivious to other loaders —
 // which keeps per-batch work O(batch) at the cost of stale affinity after
-// heavy deletion. An add-only trace reproduces the one-shot single-loader
-// pass (Options{Loaders: 1}) placement for placement.
-type greedyIncremental struct {
-	greedyLoader
-}
-
-// AssignAdd implements IncrementalAssigner.
-func (l *greedyIncremental) AssignAdd(e graph.Edge) int32 {
-	l.st.grow(int(max(e.Src, e.Dst)) + 1)
-	return l.Assign(e)
-}
-
-// ObserveDelete implements IncrementalAssigner.
-func (l *greedyIncremental) ObserveDelete(e graph.Edge, p int32) {
+// heavy deletion. The edge may predate the loader (a PartitionState builds
+// a fresh one on Rebuild), so its endpoints may lie beyond the state.
+func (l *greedyLoader) ObserveDelete(e graph.Edge, p int32) {
 	if l.st.load[p] > 0 {
 		l.st.load[p]--
 	}
 	if l.st.pdeg != nil {
-		l.st.grow(int(max(e.Src, e.Dst)) + 1)
+		l.st.cover(e)
 		if l.st.pdeg[e.Src] > 0 {
 			l.st.pdeg[e.Src]--
 		}
@@ -163,7 +166,7 @@ func (Oblivious) Heuristic() bool { return true }
 func (o Oblivious) Loaders(numParts int) int { return loadersOrDefault(o.NumLoaders, numParts) }
 
 // NewLoader implements StreamingStrategy.
-func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Loader {
+func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
 	return &greedyLoader{
 		st:       newLoaderState(numVertices, numParts, hashing.Combine(seed, uint64(id)), false),
 		numParts: numParts,
@@ -174,16 +177,6 @@ func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Loader 
 // Partition implements Strategy.
 func (o Oblivious) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	return assignStreaming(g, o, numParts, seed, 1)
-}
-
-// NewIncremental implements IncrementalStrategy: one persistent loader
-// (loader id 0) whose state follows adds and deletes across batches.
-func (o Oblivious) NewIncremental(numParts int, seed uint64) (IncrementalAssigner, error) {
-	return &greedyIncremental{greedyLoader{
-		st:       newLoaderState(0, numParts, hashing.Combine(seed, 0), false),
-		numParts: numParts,
-		cands:    make([]int, 0, numParts),
-	}}, nil
 }
 
 // HDRF is High-Degree Replicated First (§5.2.4, Appendix B): greedy like
@@ -214,7 +207,7 @@ func (HDRF) Heuristic() bool { return true }
 func (h HDRF) Loaders(numParts int) int { return loadersOrDefault(h.NumLoaders, numParts) }
 
 // NewLoader implements StreamingStrategy.
-func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) Loader {
+func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
 	lambda := h.Lambda
 	if lambda == 0 {
 		lambda = 1
@@ -230,21 +223,6 @@ func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) Loader {
 // Partition implements Strategy.
 func (h HDRF) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	return assignStreaming(g, h, numParts, seed, 1)
-}
-
-// NewIncremental implements IncrementalStrategy: one persistent loader
-// whose loads and partial degrees follow adds and deletes across batches.
-func (h HDRF) NewIncremental(numParts int, seed uint64) (IncrementalAssigner, error) {
-	lambda := h.Lambda
-	if lambda == 0 {
-		lambda = 1
-	}
-	return &greedyIncremental{greedyLoader{
-		st:       newLoaderState(0, numParts, hashing.Combine(seed, 0), true),
-		numParts: numParts,
-		hdrf:     true,
-		lambda:   lambda,
-	}}, nil
 }
 
 // loadersOrDefault resolves a NumLoaders option: 0 means one loader per

@@ -3,8 +3,6 @@ package partition
 import (
 	"errors"
 	"fmt"
-
-	"graphpart/internal/graph"
 )
 
 // ErrNotIncremental is wrapped by AsIncremental when a strategy cannot
@@ -12,80 +10,33 @@ import (
 // whole edge list per pass). Callers fall back to repartition-per-batch.
 var ErrNotIncremental = errors.New("partition: strategy cannot assign incrementally")
 
-// IncrementalAssigner places edges one at a time into a long-lived
-// partitioning as the graph churns. Unlike an Assigner it may carry state
-// across calls (the greedy loaders do), and it is told about deletions so
-// that bounded state — per-partition loads, partial degrees — tracks the
-// live graph rather than the whole history.
-type IncrementalAssigner interface {
-	// AssignAdd places a newly arrived edge.
-	AssignAdd(e graph.Edge) int32
-	// ObserveDelete informs the assigner that edge e, previously placed on
-	// partition p, has been deleted. Stateless assigners ignore it.
-	ObserveDelete(e graph.Edge, p int32)
-}
-
-// IncrementalStrategy is the capability of strategies that natively maintain
-// assignment state across churn batches (Oblivious, HDRF: one persistent
-// loader whose loads and partial degrees follow adds and deletes).
-// Stateless strategies do not implement it — AsIncremental adapts them for
-// free, because a pure per-edge hash needs no state at all.
-type IncrementalStrategy interface {
-	Strategy
-	// NewIncremental builds the persistent assigner for (numParts, seed).
-	NewIncremental(numParts int, seed uint64) (IncrementalAssigner, error)
-}
-
-// statelessIncremental adapts a stateless Assigner to the incremental
-// interface: adds hash exactly as one-shot ingress would, deletes are
-// no-ops. This is what makes the incremental path's placements literally
-// identical to the one-shot path for the whole hash family.
-type statelessIncremental struct {
-	asg Assigner
-}
-
-func (s statelessIncremental) AssignAdd(e graph.Edge) int32    { return s.asg.Assign(e) }
-func (s statelessIncremental) ObserveDelete(graph.Edge, int32) {}
-
-// statelessIncrementalHinted additionally forwards the assigner's master
-// hints, so hint-driven master selection (1D-Target, AsymRandom) survives
-// the adaptation.
-type statelessIncrementalHinted struct {
-	statelessIncremental
-	h MasterHinter
-}
-
-func (s statelessIncrementalHinted) MasterHint(v graph.VertexID) int32 { return s.h.MasterHint(v) }
-
 // IsNotIncremental reports whether err means "this strategy cannot assign
 // incrementally" (as opposed to an invalid-parameter error).
 func IsNotIncremental(err error) bool {
 	return errors.Is(err, ErrNotIncremental)
 }
 
-// AsIncremental resolves a strategy's incremental assigner by capability:
-// native IncrementalStrategy first, then the free stateless adaptation.
+// AsIncremental resolves, by capability, the Assigner that places a churning
+// graph's edges one at a time across batches: a stateless strategy's own
+// assigner (adds hash exactly as one-shot ingress would), or loader 0 of a
+// streaming strategy, built for zero vertices and grown as edges arrive —
+// the same loader Options{Loaders: 1} streams the whole edge list through.
 // Anything else — the multi-pass family — gets an error wrapping
 // ErrNotIncremental that names the missing capability, and callers
 // repartition per batch instead.
-func AsIncremental(s Strategy, numParts int, seed uint64) (IncrementalAssigner, error) {
-	if is, ok := s.(IncrementalStrategy); ok {
-		return is.NewIncremental(numParts, seed)
-	}
-	if ss, ok := s.(StatelessStrategy); ok {
-		asg, err := ss.NewAssigner(numParts, seed)
+func AsIncremental(s Strategy, numParts int, seed uint64) (Assigner, error) {
+	switch impl := s.(type) {
+	case StatelessStrategy:
+		asg, err := impl.NewAssigner(numParts, seed)
 		if err != nil {
 			return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
 		}
-		base := statelessIncremental{asg: asg}
-		if h, ok := asg.(MasterHinter); ok {
-			return statelessIncrementalHinted{statelessIncremental: base, h: h}, nil
-		}
-		return base, nil
-	}
-	if mp, ok := s.(MultiPassStrategy); ok {
-		_, _, why := mp.MultiPass()
+		return asg, nil
+	case StreamingStrategy:
+		return impl.NewLoader(0, numParts, 0, seed), nil
+	case MultiPassStrategy:
+		_, _, why := impl.MultiPass()
 		return nil, fmt.Errorf("%w: %s is a MultiPassStrategy (%s)", ErrNotIncremental, s.Name(), why)
 	}
-	return nil, fmt.Errorf("%w: %s implements neither IncrementalStrategy nor StatelessStrategy", ErrNotIncremental, s.Name())
+	return nil, fmt.Errorf("%w: %s implements neither StatelessStrategy nor StreamingStrategy", ErrNotIncremental, s.Name())
 }

@@ -2,9 +2,9 @@ package partition
 
 import (
 	"fmt"
-	"runtime"
 
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 )
 
 // ParallelPartition is the one materialized ingress driver: it partitions g
@@ -25,10 +25,7 @@ import (
 // at every worker count. The strategy's own Partition method runs at most
 // once per call (and not at all for stateless/streaming strategies).
 func ParallelPartition(g *graph.Graph, s Strategy, numParts int, seed uint64, workers int) (*Assignment, error) {
-	if workers <= 0 {
-		//graphlint:nondet worker-count default only; placement is worker-count-independent (parallel_test.go)
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	if numParts < 1 {
 		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
 	}
@@ -67,7 +64,7 @@ func assignStateless(g *graph.Graph, s StatelessStrategy, numParts int, seed uin
 		hint = make([]int32, n)
 	}
 	errs := make([]error, workers)
-	forShards(workers, func(w int) {
+	par.Do(workers, workers, func(w, _ int) {
 		asg := probe
 		if w > 0 {
 			// Assigners may carry scratch state; one per goroutine.
@@ -75,13 +72,13 @@ func assignStateless(g *graph.Graph, s StatelessStrategy, numParts int, seed uin
 				return
 			}
 		}
-		lo, hi := shardRange(m, workers, w)
+		lo, hi := par.Range(m, workers, w)
 		for i := lo; i < hi; i++ {
 			parts[i] = asg.Assign(g.Edges[i])
 		}
 		if hint != nil {
 			h := asg.(MasterHinter)
-			lo, hi := shardRange(n, workers, w)
+			lo, hi := par.Range(n, workers, w)
 			for v := lo; v < hi; v++ {
 				hint[v] = h.MasterHint(graph.VertexID(v))
 			}
@@ -96,26 +93,23 @@ func assignStateless(g *graph.Graph, s StatelessStrategy, numParts int, seed uin
 }
 
 // assignStreaming runs a StreamingStrategy's independent loaders, each over
-// its own contiguous edge block and private state. Worker w takes loaders
-// w, w+workers, … one after another, so at most `workers` loader states are
-// live at once; blocks and per-loader seeds do not depend on the worker
-// count, so neither does the placement. Every StreamingStrategy's Partition
-// method is this function at one worker.
+// its own contiguous edge block and private state. Workers take loaders one
+// after another, so at most `workers` loader states are live at once; blocks
+// and per-loader seeds do not depend on the worker count, so neither does
+// the placement. Every StreamingStrategy's Partition method is this function
+// at one worker.
 func assignStreaming(g *graph.Graph, s StreamingStrategy, numParts int, seed uint64, workers int) (*Result, error) {
 	m := g.NumEdges()
 	nl := max(s.Loaders(numParts), 1)
-	workers = min(workers, nl)
 	parts := make([]int32, m)
-	forShards(workers, func(w int) {
-		for id := w; id < nl; id += workers {
-			lo, hi := loaderBlock(m, nl, id)
-			if lo >= hi {
-				continue
-			}
-			ld := s.NewLoader(g.NumVertices(), numParts, id, seed)
-			for i := lo; i < hi; i++ {
-				parts[i] = ld.Assign(g.Edges[i])
-			}
+	par.Do(workers, nl, func(id, _ int) {
+		lo, hi := loaderBlock(m, nl, id)
+		if lo >= hi {
+			return
+		}
+		ld := s.NewLoader(g.NumVertices(), numParts, id, seed)
+		for i := lo; i < hi; i++ {
+			parts[i] = ld.Assign(g.Edges[i])
 		}
 	})
 	return &Result{EdgeParts: parts}, nil

@@ -26,14 +26,21 @@
 // New strategies self-register via Register from an init function; no
 // central construction switch exists.
 //
+// Whatever the capability, one interface places an edge: Assigner. A
+// stateless strategy's NewAssigner, a streaming strategy's NewLoader and
+// the persistent assigner a PartitionState churns through (AsIncremental)
+// all return one; MasterHinter and DeleteObserver are the two optional
+// extras an Assigner may also implement.
+//
 // # One driver, one builder, one table
 //
 // Ingress runs either materialized — ParallelPartition produces an
 // Assignment over an in-memory graph; Partition is its one-worker call — or
 // streamed: a ShardedStreamBuilder consumes EdgeBatch chunks for a stateless
 // strategy in O(|V|·P/8) memory per worker without ever holding the edge
-// list. Sequential is the workers = 1 case of the same code, never a
-// second implementation.
+// list. Every fan-out is par.Do, so sequential is the workers = 1 case of
+// the same code, never a second implementation; the builder's consumer
+// goroutines are a pipeline, not a fan-out, and are its own.
 //
 // All of them fill the same bookkeeping, the unexported cutTable: the
 // replica bit-matrix, the masters and the metrics.Quality summary, with the
@@ -49,6 +56,7 @@ import (
 	"fmt"
 
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 )
 
 // Result is what a Strategy produces: a partition id per edge, and
@@ -161,9 +169,9 @@ func (a *Assignment) place(workers int) error {
 	// Every worker scans from edge 0 and stops at the first out-of-range
 	// placement, so all of them find the same — the lowest — bad index.
 	bad := m
-	forShards(workers, func(w int) {
-		vlo, vhi := shardRange(n, workers, w)
-		elo, ehi := shardRange(m, workers, w)
+	par.Do(workers, workers, func(w, _ int) {
+		vlo, vhi := par.Range(n, workers, w)
+		elo, ehi := par.Range(m, workers, w)
 		local := make([]int64, numParts)
 		for i, e := range edges {
 			p := int(parts[i])
@@ -209,9 +217,6 @@ func (a *Assignment) ForEachReplica(v graph.VertexID, fn func(p int)) {
 	a.replicas.forEach(int(v), fn)
 }
 
-// InEdgePartCount returns how many partitions hold at least one in-edge of v.
-func (a *Assignment) InEdgePartCount(v graph.VertexID) int { return a.inEdgeParts.count(int(v)) }
-
 // OutEdgePartCount returns how many partitions hold at least one out-edge of v.
 func (a *Assignment) OutEdgePartCount(v graph.VertexID) int { return a.outEdgeParts.count(int(v)) }
 
@@ -230,22 +235,4 @@ func (a *Assignment) InEdgesLocalToMaster(v graph.VertexID) bool {
 		return true
 	}
 	return a.inEdgeParts.onlyCol(int(v), m)
-}
-
-// OutEdgesLocalToMaster is InEdgesLocalToMaster for out-edges.
-func (a *Assignment) OutEdgesLocalToMaster(v graph.VertexID) bool {
-	m := a.Master(v)
-	if m < 0 {
-		return true
-	}
-	return a.outEdgeParts.onlyCol(int(v), m)
-}
-
-// Mirrors returns the number of mirror images of v (replicas minus master).
-func (a *Assignment) Mirrors(v graph.VertexID) int {
-	r := a.Replicas(v)
-	if r == 0 {
-		return 0
-	}
-	return r - 1
 }

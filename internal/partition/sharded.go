@@ -2,11 +2,11 @@ package partition
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 )
 
 // ShardedStreamBuilder is the one memory-bounded stream ingress: it consumes
@@ -29,8 +29,7 @@ type ShardedStreamBuilder struct {
 	shards   []*streamShard
 	jobs     chan shardJob
 	wg       sync.WaitGroup
-	errs     []error
-	failed   atomic.Bool
+	failed   atomic.Pointer[error] // the first assignment error; workers stop feeding once set
 	pool     sync.Pool
 	done     bool
 	sum      *StreamSummary
@@ -103,15 +102,11 @@ func NewShardedStreamBuilder(strat Strategy, numParts, workers int, seed uint64)
 	if numParts < 1 {
 		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
 	}
-	if workers <= 0 {
-		//graphlint:nondet worker-count default only; placement is worker-count-independent (sharded_test.go)
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = par.Workers(workers)
 	sb := &ShardedStreamBuilder{
 		strategy: s.Name(),
 		shards:   make([]*streamShard, workers),
 		jobs:     make(chan shardJob, 2*workers),
-		errs:     make([]error, workers),
 	}
 	sb.pool.New = func() any {
 		s := make([]graph.Edge, 0, graph.DefaultBatchSize)
@@ -129,10 +124,10 @@ func NewShardedStreamBuilder(strat Strategy, numParts, workers int, seed uint64)
 		go func(i int) {
 			defer sb.wg.Done()
 			for job := range sb.jobs {
-				if sb.errs[i] == nil {
+				if sb.failed.Load() == nil {
 					if err := sb.shards[i].feed(sb.strategy, EdgeBatch{Offset: job.offset, Edges: *job.buf}); err != nil {
-						sb.errs[i] = err
-						sb.failed.Store(true)
+						first := err // escapes only on this path: the feed loop stays allocation-free
+						sb.failed.CompareAndSwap(nil, &first)
 					}
 				}
 				*job.buf = (*job.buf)[:0]
@@ -150,21 +145,12 @@ func (sb *ShardedStreamBuilder) Feed(batch EdgeBatch) error {
 	if sb.done {
 		return fmt.Errorf("%w (sharded)", ErrFeedAfterFinish)
 	}
-	if sb.failed.Load() {
-		return sb.firstErr()
+	if errp := sb.failed.Load(); errp != nil {
+		return *errp
 	}
 	bufp := sb.pool.Get().(*[]graph.Edge)
 	*bufp = append((*bufp)[:0], batch.Edges...)
 	sb.jobs <- shardJob{offset: batch.Offset, buf: bufp}
-	return nil
-}
-
-func (sb *ShardedStreamBuilder) firstErr() error {
-	for _, err := range sb.errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -180,8 +166,8 @@ func (sb *ShardedStreamBuilder) Finish() (*StreamSummary, error) {
 		close(sb.jobs)
 		sb.wg.Wait()
 	}
-	if err := sb.firstErr(); err != nil {
-		return nil, err
+	if errp := sb.failed.Load(); errp != nil {
+		return nil, *errp
 	}
 	if sb.sum == nil {
 		root := sb.shards[0]

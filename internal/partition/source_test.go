@@ -43,7 +43,7 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 		if err := graph.SaveEdgeList(g, textPath); err != nil {
 			t.Fatal(err)
 		}
-		if err := graph.SaveCSR(g, v1Path); err != nil {
+		if err := graph.SaveCSRVersion(g, v1Path, graph.CSRVersion1); err != nil {
 			t.Fatal(err)
 		}
 		if err := graph.SaveCSRVersion(g, v2Path, graph.CSRVersion2); err != nil {
@@ -110,7 +110,7 @@ func TestStreamedBinarySourceMatchesText(t *testing.T) {
 	if err := graph.SaveEdgeList(g, textPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.SaveCSR(g, binPath); err != nil {
+	if err := graph.SaveCSRVersion(g, binPath, graph.CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
 	if err := graph.SaveCSRVersion(g, v2Path, graph.CSRVersion2); err != nil {

@@ -33,8 +33,8 @@ func edgeKey(e graph.Edge) uint64 {
 //     updated per image transition, so replication factor and edge balance
 //     are O(1) reads after O(batch) updates, never recomputed from scratch.
 //
-// Edges are placed by the strategy's IncrementalAssigner (stateless
-// strategies adapt for free; Oblivious/HDRF keep one persistent loader).
+// Edges are placed by the strategy's Assigner (AsIncremental: a stateless
+// strategy's own, or one persistent Oblivious/HDRF loader).
 // Multi-pass strategies cannot assign incrementally: for them every
 // ApplyBatch folds the churn into the live set and repartitions it one-shot
 // (Rebuild), which is exactly the cost the dyn.* experiments compare
@@ -48,8 +48,9 @@ type PartitionState struct {
 	strategy Strategy
 	workers  int
 
-	inc    IncrementalAssigner // nil ⇒ repartition per batch (multi-pass)
-	hinter MasterHinter        // nil when the assigner emits no hints
+	inc    Assigner       // nil ⇒ repartition per batch (multi-pass)
+	del    DeleteObserver // inc's, nil when deletes do not concern it
+	hinter MasterHinter   // inc's, nil when it emits no hints
 
 	n     int // vertex-space high-water mark (max id seen + 1)
 	live  []liveEdge
@@ -78,23 +79,31 @@ func NewPartitionState(s Strategy, numParts int, seed uint64, workers int) (*Par
 	if numParts < 1 {
 		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
 	}
-	inc, err := AsIncremental(s, numParts, seed)
-	if err != nil && !IsNotIncremental(err) {
-		return nil, err
-	}
 	st := &PartitionState{
 		cutTable: newCutTable(0, numParts, seed),
 		strategy: s,
 		workers:  workers,
-		inc:      inc,
 		index:    make(map[uint64][]int32),
 		ref:      newCountMatrix(0, numParts),
 		pinned:   newBitMatrix(0, numParts),
 	}
-	if inc != nil {
-		st.hinter, _ = inc.(MasterHinter)
+	if err := st.resetAssigner(); err != nil && !IsNotIncremental(err) {
+		return nil, err
 	}
 	return st, nil
+}
+
+// resetAssigner builds a fresh incremental assigner for the state's strategy
+// and resolves its optional capabilities once, not per edge.
+func (st *PartitionState) resetAssigner() error {
+	inc, err := AsIncremental(st.strategy, st.numParts, st.seed)
+	if err != nil {
+		return err
+	}
+	st.inc = inc
+	st.del, _ = inc.(DeleteObserver)
+	st.hinter, _ = inc.(MasterHinter)
+	return nil
 }
 
 // SetHotReplication replicates the k highest-degree live vertices onto
@@ -122,8 +131,8 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 			return stats, err
 		}
 		st.removeCopy(e, p)
-		if st.inc != nil {
-			st.inc.ObserveDelete(e, p)
+		if st.del != nil {
+			st.del.ObserveDelete(e, p)
 		}
 		st.deg[e.Src]--
 		st.deg[e.Dst]--
@@ -135,7 +144,7 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 		if st.inc != nil {
 			var routed bool
 			if p, routed = st.routeHot(e); !routed {
-				p = st.inc.AssignAdd(e)
+				p = st.inc.Assign(e)
 			}
 			if p < 0 || int(p) >= st.numParts {
 				return stats, fmt.Errorf("partition: strategy %s placed edge (%d,%d) on partition %d (numParts=%d)",
@@ -298,12 +307,9 @@ func (st *PartitionState) Rebuild() error {
 		st.masters[v] = -1
 	}
 	if st.inc != nil {
-		inc, err := AsIncremental(st.strategy, st.numParts, st.seed)
-		if err != nil {
+		if err := st.resetAssigner(); err != nil {
 			return err
 		}
-		st.inc = inc
-		st.hinter, _ = inc.(MasterHinter)
 	}
 	if st.hotK > 0 {
 		st.hot = st.hot[:0]
@@ -450,9 +456,6 @@ func (st *PartitionState) NumVertices() int { return st.n }
 // NumParts returns the partition count.
 func (st *PartitionState) NumParts() int { return st.numParts }
 
-// StrategyName returns the partitioning strategy's display name.
-func (st *PartitionState) StrategyName() string { return st.strategy.Name() }
-
 // Incremental reports whether churn is absorbed incrementally (false for
 // the multi-pass family, which repartitions per batch).
 func (st *PartitionState) Incremental() bool { return st.inc != nil }
@@ -460,10 +463,6 @@ func (st *PartitionState) Incremental() bool { return st.inc != nil }
 // EdgeCount returns the live per-partition edge counts (the summary's
 // backing slice; do not modify).
 func (st *PartitionState) EdgeCount() []int64 { return st.q.EdgeCounts() }
-
-// Masters returns the live master per vertex, -1 for isolated vertices
-// (the state's backing slice; do not modify).
-func (st *PartitionState) Masters() []int32 { return st.masters }
 
 // Degree returns v's live degree.
 func (st *PartitionState) Degree(v graph.VertexID) int {

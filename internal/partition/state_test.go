@@ -335,13 +335,41 @@ func TestHotReplicationNewFamilies(t *testing.T) {
 }
 
 func TestAsIncrementalCapabilities(t *testing.T) {
-	if _, err := AsIncremental(MustNew("2D", Options{}), 8, 1); err != nil {
+	twoD, err := AsIncremental(MustNew("2D", Options{}), 8, 1)
+	if err != nil {
 		t.Fatalf("stateless strategy must adapt: %v", err)
 	}
-	if _, err := AsIncremental(MustNew("HDRF", Options{}), 8, 1); err != nil {
-		t.Fatalf("HDRF must be natively incremental: %v", err)
+	if _, ok := twoD.(DeleteObserver); ok {
+		t.Error("2D's assigner is pure: it must not observe deletes")
 	}
-	_, err := AsIncremental(MustNew("Hybrid", Options{HybridThreshold: 30}), 8, 1)
+	g := gen.PrefAttach("grow", 1500, 4, 0x51)
+	for _, name := range []string{"HDRF", "Oblivious"} {
+		s := MustNew(name, Options{})
+		inc, err := AsIncremental(s, 8, 1)
+		if err != nil {
+			t.Fatalf("%s must be natively incremental: %v", name, err)
+		}
+		if _, ok := inc.(DeleteObserver); !ok {
+			t.Errorf("%s's loader must implement DeleteObserver", name)
+		}
+		// The churn assigner is loader 0 built for zero vertices: it must
+		// place an add-only stream exactly like the pre-sized loader 0 of
+		// the one-shot pass.
+		sized := s.(StreamingStrategy).NewLoader(g.NumVertices(), 8, 0, 1)
+		for i, e := range g.Edges {
+			if a, b := inc.Assign(e), sized.Assign(e); a != b {
+				t.Fatalf("%s: edge %d placed on %d by the grown loader, %d by the pre-sized one", name, i, a, b)
+			}
+		}
+	}
+	target, err := AsIncremental(MustNew("1D-Target", Options{}), 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := target.(MasterHinter); !ok {
+		t.Error("1D-Target's incremental assigner lost its MasterHinter")
+	}
+	_, err = AsIncremental(MustNew("Hybrid", Options{HybridThreshold: 30}), 8, 1)
 	if !IsNotIncremental(err) {
 		t.Fatalf("Hybrid: got %v, want ErrNotIncremental", err)
 	}

@@ -20,14 +20,27 @@ type EdgeBatch struct {
 	Edges  []graph.Edge
 }
 
-// Assigner is a per-edge placement function produced by a StatelessStrategy
-// for a fixed (numParts, seed). Assign must depend only on the edge — never
-// on call order or on previously assigned edges — which is what makes
-// stateless ingress embarrassingly parallel. Assigners may carry scratch
-// buffers and are NOT safe for concurrent use; they are cheap to construct,
-// so create one per goroutine.
+// Assigner is the one per-edge placer: Assign returns the partition of the
+// next edge. Stateless strategies build pure ones (NewAssigner: the answer
+// depends only on the edge, never on call order, which is what makes
+// stateless ingress embarrassingly parallel); streaming strategies build
+// loaders (NewLoader: Assign consumes the loader's share of the stream in
+// order and updates its private placement sets, loads and partial degrees,
+// as the paper's "oblivious" ingress does, §5.2.2); and a PartitionState
+// keeps one across churn batches (AsIncremental). Assigners may carry
+// scratch or state and are NOT safe for concurrent use; create one per
+// goroutine.
 type Assigner interface {
 	Assign(e graph.Edge) int32
+}
+
+// DeleteObserver is implemented by Assigners whose state should follow
+// deletions as well as adds (the greedy loaders' loads and partial
+// degrees). A PartitionState tells it about every edge it removes; pure
+// assigners have nothing to update and do not implement it.
+type DeleteObserver interface {
+	// ObserveDelete reports that edge e, previously placed on p, is gone.
+	ObserveDelete(e graph.Edge, p int32)
 }
 
 // MasterHinter is implemented by Assigners whose strategy also emits a
@@ -50,14 +63,6 @@ type StatelessStrategy interface {
 	NewAssigner(numParts int, seed uint64) (Assigner, error)
 }
 
-// Loader is one independent loader state of a StreamingStrategy. Assign
-// consumes the loader's share of the edge stream in order, updating the
-// loader's private state (placement sets, loads, partial degrees) as the
-// paper's "oblivious" ingress does (§5.2.2).
-type Loader interface {
-	Assign(e graph.Edge) int32
-}
-
 // StreamingStrategy is the capability of the greedy single-pass family
 // (Oblivious, HDRF): ingress runs as numLoaders *independent* loaders, each
 // streaming a contiguous block of the edge list with its own private state
@@ -71,8 +76,9 @@ type StreamingStrategy interface {
 	// machine; the default is one per partition).
 	Loaders(numParts int) int
 	// NewLoader builds loader #id of Loaders(numParts) with its own seed
-	// stream and private state.
-	NewLoader(numVertices, numParts, id int, seed uint64) Loader
+	// stream and private state, pre-sized for numVertices vertices (it
+	// grows when the stream names a higher id).
+	NewLoader(numVertices, numParts, id int, seed uint64) Assigner
 }
 
 // MultiPassStrategy is the capability of strategies that cannot consume the
