@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"graphpart/internal/advisor"
 	"graphpart/internal/datasets"
 	"graphpart/internal/report"
 	"graphpart/internal/service"
@@ -83,7 +82,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 	})
 
 	if *reportPath != "" {
-		if err := warmAdvisor(srv, *reportPath, *scale); err != nil {
+		if err := fitFrom(srv, *reportPath); err != nil {
 			return fmt.Errorf("warm advisor from %s: %w", *reportPath, err)
 		}
 		fmt.Fprintf(stdout, "advisor model fitted from %s\n", *reportPath)
@@ -143,9 +142,10 @@ func quitCh(quit <-chan struct{}) <-chan struct{} {
 	return quit
 }
 
-// warmAdvisor fits the server's advisor model from a benchrunner report
-// on disk, so /v1/advise answers from the first request.
-func warmAdvisor(srv *service.Server, path string, scale int) error {
+// fitFrom runs, on a benchrunner report on disk, the fit POST
+// /v1/advisor/fit runs on an uploaded one: /v1/advise answers from the first
+// request, with the model an upload of the same file would install.
+func fitFrom(srv *service.Server, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -155,20 +155,7 @@ func warmAdvisor(srv *service.Server, path string, scale int) error {
 	if err != nil {
 		return err
 	}
-	var mans []datasets.Manifest
-	for _, name := range datasets.Names() {
-		m, err := datasets.BuildManifest(name, scale)
-		if err != nil {
-			return err
-		}
-		mans = append(mans, m)
-	}
-	model, err := advisor.Fit(rep, mans)
-	if err != nil {
-		return err
-	}
-	srv.SetModel(model)
-	return nil
+	return srv.Refit(rep)
 }
 
 // splitList splits a comma-separated flag value, dropping empties.

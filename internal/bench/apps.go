@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -8,6 +9,7 @@ import (
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 	"graphpart/internal/partition"
 )
 
@@ -162,7 +164,7 @@ type pointKey struct {
 	app   string
 }
 
-var points onceMap[pointKey, *point]
+var points par.OnceMap[pointKey, *point]
 
 // measure runs one application over one strategy's assignment of dataset
 // on cc under the given engine mode. Points are cached per key, so figures
@@ -177,7 +179,7 @@ func measure(cfg Config, mode engine.Mode, dataset, strategy, appName string, cc
 		mode:  mode,
 		app:   appName,
 	}
-	return points.get(key, func() (*point, error) {
+	return points.Get(context.TODO(), key, func() (*point, error) {
 		spec, err := appByName(appName)
 		if err != nil {
 			return nil, err

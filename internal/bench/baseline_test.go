@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"graphpart/internal/par"
 	"graphpart/internal/report"
 )
 
@@ -78,11 +80,11 @@ func TestCellsMatchCommittedBaseline(t *testing.T) {
 
 // defaultRuns holds each experiment's DefaultConfig result, so the golden
 // and the baseline test read one run.
-var defaultRuns onceMap[string, *Result]
+var defaultRuns par.OnceMap[string, *Result]
 
 func runDefault(t *testing.T, e Experiment) *Result {
 	t.Helper()
-	res, err := defaultRuns.get(e.ID, func() (*Result, error) { return e.Run(DefaultConfig()) })
+	res, err := defaultRuns.Get(context.Background(), e.ID, func() (*Result, error) { return e.Run(DefaultConfig()) })
 	if err != nil {
 		t.Fatalf("%s: %v", e.ID, err)
 	}

@@ -15,7 +15,7 @@
 // zero. Every figure that runs an application goes through measure, which
 // returns one point (replication factor, modeled ingress, engine stats).
 // Assignments and points are cached once per key for the life of the
-// process (onceMap), so figures that share a point — tab5.1, fig5.9 and
+// process (par.OnceMap), so figures that share a point — tab5.1, fig5.9 and
 // adv.regret re-read the fig5.3–5.5 sweep — simulate it once, under the
 // concurrent Runner too.
 //
@@ -29,6 +29,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -44,6 +45,7 @@ import (
 	"graphpart/internal/engine"
 	"graphpart/internal/engine/graphx"
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
@@ -406,39 +408,6 @@ func All() []Experiment { return reg.all() }
 // Get looks an experiment up by ID in the registry map.
 func Get(id string) (Experiment, bool) { return reg.get(id) }
 
-// --- once-per-key cache ----------------------------------------------
-
-// onceMap computes one value per key, once. Under the concurrent Runner,
-// experiments racing for the same key share one computation instead of
-// each recomputing it (a classic cache stampede — the uk-web partitionings
-// and engine runs cost seconds each); later callers get the stored value.
-// Values are shared: callers must not mutate them.
-type onceMap[K comparable, V any] struct {
-	mu    sync.Mutex
-	slots map[K]*onceSlot[V]
-}
-
-type onceSlot[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-func (m *onceMap[K, V]) get(key K, compute func() (V, error)) (V, error) {
-	m.mu.Lock()
-	if m.slots == nil {
-		m.slots = map[K]*onceSlot[V]{}
-	}
-	e, ok := m.slots[key]
-	if !ok {
-		e = &onceSlot[V]{}
-		m.slots[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = compute() })
-	return e.v, e.err
-}
-
 // asgKey is everything an assignment depends on. Config.Workers is left
 // out on purpose: placement is identical at every worker count.
 type asgKey struct {
@@ -454,14 +423,20 @@ func (c Config) asgKey(dataset, strategy string, parts int) asgKey {
 	return asgKey{dataset, c.scale(), strategy, parts, c.HybridThreshold, c.Seed}
 }
 
-var assignments onceMap[asgKey, *partition.Assignment]
+// assignments and points (apps.go) are the bench's once-per-key caches.
+// Under the concurrent Runner, experiments racing for one key share one
+// computation instead of each recomputing it (a classic cache stampede — the
+// uk-web partitionings and engine runs cost seconds each). Values are
+// shared: callers must not mutate them. The experiments carry no context,
+// so no wait is ever abandoned.
+var assignments par.OnceMap[asgKey, *partition.Assignment]
 
 // assignment partitions a named dataset with a named strategy, caching the
 // result (experiments share many assignments). It runs the parallel
 // streaming pipeline, which is placement-identical to the sequential path
 // for every strategy.
 func assignment(cfg Config, dataset, strategy string, parts int) (*partition.Assignment, error) {
-	return assignments.get(cfg.asgKey(dataset, strategy, parts), func() (*partition.Assignment, error) {
+	return assignments.Get(context.TODO(), cfg.asgKey(dataset, strategy, parts), func() (*partition.Assignment, error) {
 		g, err := loadGraph(cfg, dataset)
 		if err != nil {
 			return nil, err

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
+	"graphpart/internal/par"
+	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
 
@@ -192,48 +192,6 @@ func TestAssignmentCacheSharing(t *testing.T) {
 	explicit.Model = &sameModel
 	if p5 := measureWCC(explicit, engine.ModePowerGraph); p5 != p1 {
 		t.Error("the point key compared cost models by pointer, not by value")
-	}
-}
-
-// TestOnceMapConcurrentCallers: the cache the concurrent Runner leans on —
-// goroutines racing for a key share one computation (errors included) and
-// distinct keys do not block each other's values. Run under -race.
-func TestOnceMapConcurrentCallers(t *testing.T) {
-	var m onceMap[int, *int]
-	var computed [4]atomic.Int32
-	errOdd := errors.New("odd key")
-	got := make([][4]*int, 8)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := range computed {
-				v, err := m.get(k, func() (*int, error) {
-					computed[k].Add(1)
-					if k%2 == 1 {
-						return nil, errOdd
-					}
-					v := k
-					return &v, nil
-				})
-				if (k%2 == 1) != (err == errOdd) {
-					t.Errorf("key %d: err = %v", k, err)
-				}
-				got[g][k] = v
-			}
-		}(g)
-	}
-	wg.Wait()
-	for k := range computed {
-		if n := computed[k].Load(); n != 1 {
-			t.Errorf("key %d computed %d times, want 1", k, n)
-		}
-		for g := range got {
-			if got[g][k] != got[0][k] {
-				t.Errorf("key %d: goroutine %d saw a different value", k, g)
-			}
-		}
 	}
 }
 
@@ -599,13 +557,6 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// reset empties a once-cache so the next get recomputes.
-func (m *onceMap[K, V]) reset() {
-	m.mu.Lock()
-	m.slots = nil
-	m.mu.Unlock()
-}
-
 // TestReportIsPureFunctionOfConfig: a report is a pure function of (scale,
 // seed, hybridThreshold, filter). Two full passes — run, assemble, encode —
 // over every non-slow experiment, one at Workers 1 and one at Workers 3, with
@@ -624,8 +575,8 @@ func TestReportIsPureFunctionOfConfig(t *testing.T) {
 		}
 	}
 	encode := func(workers int) []byte {
-		assignments.reset()
-		points.reset()
+		assignments = par.OnceMap[asgKey, *partition.Assignment]{}
+		points = par.OnceMap[pointKey, *point]{}
 		cfg := DefaultConfig()
 		cfg.Workers = workers
 		runner := Runner{Config: cfg}

@@ -12,6 +12,7 @@
 package datasets
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 )
 
 // Kind says where a dataset's edges come from.
@@ -214,20 +216,12 @@ type cacheKey struct {
 	scale int
 }
 
-// cacheEntry builds each graph once per key: concurrent loaders of the
-// same dataset share one build, and a cached road-ca never waits behind
-// an in-progress uk-web build (the lock only guards the map, not the
-// multi-second generator + CSR construction).
-type cacheEntry struct {
-	once sync.Once
-	g    *graph.Graph
-	err  error
-}
-
-var (
-	cacheMu sync.Mutex
-	cache   = map[cacheKey]*cacheEntry{}
-)
+// cache is the in-process level: each (name, scale) is built once and
+// concurrent loaders of one dataset share that build (a cached road-ca never
+// waits behind an in-progress uk-web). A failed build is not kept — an
+// external file dataset can fail transiently (file not there yet), and a
+// pinned error would outlive its cause — so the next Load retries.
+var cache par.OnceMap[cacheKey, *graph.Graph]
 
 // --- on-disk .csrg cache ----------------------------------------------
 
@@ -373,30 +367,10 @@ func Load(name string, scale int) (*graph.Graph, error) {
 	if !ok {
 		return nil, fmt.Errorf("datasets: unknown dataset %q (have %v)", name, Names())
 	}
-	key := cacheKey{name, scale}
-	cacheMu.Lock()
-	ce, hit := cache[key]
-	if !hit {
-		ce = &cacheEntry{}
-		cache[key] = ce
-	}
-	cacheMu.Unlock()
-	ce.once.Do(func() {
-		ce.g, ce.err = loadOrBuild(e, name, scale)
+	// Load's signature carries no context: a load is never abandoned.
+	return cache.Get(context.TODO(), cacheKey{name, scale}, func() (*graph.Graph, error) {
+		return loadOrBuild(e, name, scale)
 	})
-	if ce.err != nil {
-		// Builder errors are not cached: generators never fail, but an
-		// external file dataset can fail transiently (file not there yet),
-		// and a once-pinned error would outlive the cause. Dropping the
-		// entry lets the next Load retry; concurrent waiters deleting the
-		// same entry is harmless.
-		cacheMu.Lock()
-		if cache[key] == ce {
-			delete(cache, key)
-		}
-		cacheMu.Unlock()
-	}
-	return ce.g, ce.err
 }
 
 // MustLoad is Load that panics on errors; for tests and examples.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"graphpart/internal/graph"
+	"graphpart/internal/par"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -152,9 +153,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 
 	// Simulate a fresh process by clearing the in-memory cache entry.
-	cacheMu.Lock()
-	delete(cache, cacheKey{"cache-test", 1})
-	cacheMu.Unlock()
+	cache = par.OnceMap[cacheKey, *graph.Graph]{}
 
 	second := MustLoad("cache-test", 1)
 	if builds != 1 {
@@ -171,9 +170,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	if err := os.WriteFile(cached, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cacheMu.Lock()
-	delete(cache, cacheKey{"cache-test", 1})
-	cacheMu.Unlock()
+	cache = par.OnceMap[cacheKey, *graph.Graph]{}
 	third := MustLoad("cache-test", 1)
 	if builds != 2 {
 		t.Errorf("builds = %d; corrupt cache should force a rebuild", builds)

@@ -12,9 +12,18 @@
 // their results independent of the worker count. Long-lived goroutines
 // that form a pipeline rather than a fan-out (the stream builder's
 // consumers, the service's job workers) are not par's business.
+//
+// par is also the repository's one compute-once cache: the loaded datasets,
+// the bench's assignments and measured points, and the service's
+// assignments and manifests are each an OnceMap, so how concurrent callers
+// share a computation, what a failed one leaves behind and how a waiter
+// gives up are decided here and nowhere else (no other non-test file holds
+// a sync.Once). Mutable state that is not a cache — the service's live
+// churn streams — is not an OnceMap.
 package par
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -70,4 +79,56 @@ func Do(workers, shards int, fn func(shard, worker int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// OnceMap computes one value per key, at most once at a time, and keeps
+// it: callers racing for a key share one computation instead of each
+// repeating it, and later callers get the stored value. Values are shared,
+// so callers must not mutate them. The zero OnceMap is empty and ready.
+type OnceMap[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*onceEntry[V]
+}
+
+// onceEntry is one computation, running or finished; done closes when v
+// and err are set.
+type onceEntry[V any] struct {
+	done chan struct{}
+	v    V
+	err  error
+}
+
+// Get returns key's value, starting compute on a goroutine of its own when
+// the key has no entry. Every caller waits for the entry or for its own
+// ctx, whichever is first; a caller that gives up gets ctx.Err() while the
+// computation runs on, so its value still lands for the next caller. A
+// failed computation is dropped before its waiters wake: each of them sees
+// the error, and the next Get computes afresh.
+func (m *OnceMap[K, V]) Get(ctx context.Context, key K, compute func() (V, error)) (V, error) {
+	m.mu.Lock()
+	e, ok := m.entries[key]
+	if !ok {
+		if m.entries == nil {
+			m.entries = map[K]*onceEntry[V]{}
+		}
+		e = &onceEntry[V]{done: make(chan struct{})}
+		m.entries[key] = e
+		go func() {
+			defer close(e.done)
+			if e.v, e.err = compute(); e.err != nil {
+				// The entry is still key's: only an absent key gets a new one.
+				m.mu.Lock()
+				delete(m.entries, key)
+				m.mu.Unlock()
+			}
+		}()
+	}
+	m.mu.Unlock()
+	select {
+	case <-e.done:
+		return e.v, e.err
+	case <-ctx.Done():
+		var zero V
+		return zero, ctx.Err()
+	}
 }

@@ -1,7 +1,10 @@
 package par
 
 import (
+	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -99,5 +102,98 @@ func TestWorkersDefault(t *testing.T) {
 	}
 	if w := Workers(5); w != 5 {
 		t.Errorf("Workers(5) = %d", w)
+	}
+}
+
+// TestOnceMapConcurrentCallers: the one compute-once cache. Goroutines
+// racing for a succeeding key share one computation and one value; every
+// caller of a failing key sees its error, the error is not kept, and a later
+// Get computes afresh; a context that expires mid-compute gives its caller
+// ctx.Err() while the value still lands for the next one. Run under -race.
+func TestOnceMapConcurrentCallers(t *testing.T) {
+	var m OnceMap[int, *int]
+	bg := context.Background()
+
+	const keys, callers = 4, 8
+	var computed [keys]atomic.Int32
+	errOdd := errors.New("odd key")
+	got := make([][keys]*int, callers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range computed {
+				v, err := m.Get(bg, k, func() (*int, error) {
+					computed[k].Add(1)
+					if k%2 == 1 {
+						return nil, errOdd
+					}
+					v := k
+					return &v, nil
+				})
+				if (k%2 == 1) != (err == errOdd) {
+					t.Errorf("key %d: err = %v", k, err)
+				}
+				got[g][k] = v
+			}
+		}(g)
+	}
+	wg.Wait()
+	for k := range computed {
+		n := computed[k].Load()
+		if k%2 == 0 && n != 1 {
+			t.Errorf("key %d computed %d times, want 1", k, n)
+		}
+		// A failed entry is dropped as soon as it fails, so a caller that
+		// arrives after that recomputes: at least once, at most once each.
+		if k%2 == 1 && (n < 1 || n > callers) {
+			t.Errorf("failing key %d computed %d times", k, n)
+		}
+		for g := range got {
+			if got[g][k] != got[0][k] {
+				t.Errorf("key %d: goroutine %d saw a different value", k, g)
+			}
+		}
+	}
+
+	// A failure is not pinned: the next Get runs its own compute.
+	for _, k := range []int{1, 3} {
+		before := computed[k].Load()
+		v, err := m.Get(bg, k, func() (*int, error) {
+			computed[k].Add(1)
+			v := -k
+			return &v, nil
+		})
+		if err != nil || *v != -k || computed[k].Load() != before+1 {
+			t.Errorf("key %d after a failure: v=%v err=%v, %d computes", k, v, err, computed[k].Load()-before)
+		}
+	}
+
+	// An abandoned wait leaves the computation running.
+	ctx, cancel := context.WithCancel(bg)
+	entered, finish := make(chan struct{}), make(chan struct{})
+	abandoned := make(chan error, 1)
+	go func() {
+		_, err := m.Get(ctx, 200, func() (*int, error) {
+			close(entered)
+			<-finish
+			v := 200
+			return &v, nil
+		})
+		abandoned <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-abandoned; err != context.Canceled {
+		t.Errorf("abandoned wait returned %v, want context.Canceled", err)
+	}
+	close(finish)
+	v, err := m.Get(bg, 200, func() (*int, error) {
+		t.Error("the abandoned computation was restarted")
+		return nil, nil
+	})
+	if err != nil || v == nil || *v != 200 {
+		t.Errorf("value of the abandoned computation: v=%v err=%v", v, err)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"graphpart/internal/advisor"
 	"graphpart/internal/datasets"
-	"graphpart/internal/decision"
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 	"graphpart/internal/report"
@@ -20,27 +21,72 @@ import (
 // ErrNoModel answers advisor queries before any report has been fitted.
 var ErrNoModel = errors.New("service: no advisor model fitted; POST a benchrunner report to /v1/advisor/fit")
 
+// handler is one endpoint's work: it returns the value to answer with or
+// the error to answer instead, and never touches the ResponseWriter. It
+// waits on nothing but ctx-bounded calls, so ctx is the request's deadline.
+type handler func(ctx context.Context, r *http.Request) (any, error)
+
+// accepted wraps a handler's value to answer 202 instead of 200.
+type accepted struct{ v any }
+
+// statusError is a failure that is the request's own and knows its status.
+type statusError struct {
+	status int
+	msg    string
+}
+
+func (e statusError) Error() string { return e.msg }
+
+func statusErrorf(status int, format string, args ...any) error {
+	return statusError{status, fmt.Sprintf(format, args...)}
+}
+
+// statusOf is the one error→status mapping: a statusError says its own,
+// the named lifecycle errors have theirs, a wait that ended at the request
+// deadline is 504 and anything else is the server's fault.
+func statusOf(err error) int {
+	var se statusError
+	switch {
+	case errors.As(err, &se):
+		return se.status
+	case errors.Is(err, ErrNoModel):
+		return http.StatusConflict
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusInternalServerError
+}
+
 // apiError is the JSON error envelope every non-2xx response carries.
 type apiError struct {
 	Error  string `json:"error"`
 	Status int    `json:"status"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// respond writes a request's one reply — v, or err in the error envelope —
+// and returns the status it carried.
+func respond(w http.ResponseWriter, v any, err error) int {
+	status := http.StatusOK
+	if a, ok := v.(accepted); ok {
+		status, v = http.StatusAccepted, a.v
+	}
+	if err != nil {
+		status = statusOf(err)
+		v = apiError{Error: err.Error(), Status: status}
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // the response is already committed
+	return status
 }
 
-func (s *Server) errorf(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...), Status: status})
-}
-
-// routes mounts every endpoint. Method checks happen inside the handler
-// (not in the mux pattern) so 405 responses carry the same JSON error
-// envelope as every other failure.
+// routes mounts every endpoint.
 func (s *Server) routes() {
 	s.handle("/v1/healthz", "healthz", s.handleHealthz, http.MethodGet)
 	s.handle("/v1/datasets", "datasets", s.handleDatasets, http.MethodGet)
@@ -54,90 +100,91 @@ func (s *Server) routes() {
 	s.handle("/v1/metrics", "metrics", s.handleMetrics, http.MethodGet)
 }
 
-// handle wires one path: method filtering, then the instrumented handler.
-func (s *Server) handle(pattern, op string, h http.HandlerFunc, methods ...string) {
-	wrapped := s.instrument(op, h)
+// handle mounts one endpoint behind the request path every endpoint
+// shares: the method check (in here, not in the mux pattern, so a 405
+// carries the same JSON envelope as every other failure), the per-request
+// deadline, the body cap, the op's inflight gauge, request counters and
+// latency, and the reply.
+func (s *Server) handle(pattern, op string, h handler, methods ...string) {
+	e := s.met.register(op)
+	allow := strings.Join(methods, ", ")
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		for _, m := range methods {
-			if r.Method == m {
-				wrapped(w, r)
-				return
-			}
+		if !slices.Contains(methods, r.Method) {
+			// Not counted on purpose: a method probe is not endpoint traffic.
+			w.Header().Set("Allow", allow)
+			respond(w, nil, statusErrorf(http.StatusMethodNotAllowed,
+				"service: %s does not allow %s (allow: %s)", r.URL.Path, r.Method, allow))
+			return
 		}
-		w.Header().Set("Allow", strings.Join(methods, ", "))
-		// Not instrumented on purpose: a method probe is not endpoint
-		// traffic, and instrument would need the op before the check.
-		s.errorf(w, http.StatusMethodNotAllowed, "service: %s does not allow %s (allow: %s)",
-			r.URL.Path, r.Method, strings.Join(methods, ", "))
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
+		defer cancel()
+		if r.ContentLength != 0 { // unknown (-1) or positive: there is a body to cap
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
+		}
+		e.inflight.Add(1)
+		start := time.Now()
+		v, err := h(ctx, r)
+		status := respond(w, v, err)
+		e.inflight.Add(-1)
+		e.observe(status, time.Since(start))
 	})
 }
 
-// decodeBody decodes a JSON request body bounded at MaxBody, writing the
-// appropriate error (413 oversized, 400 malformed) itself. Returns false
-// when the response is already written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.errorf(w, http.StatusRequestEntityTooLarge, "service: request body exceeds %d bytes", tooBig.Limit)
-			return false
-		}
-		s.errorf(w, http.StatusBadRequest, "service: malformed JSON body: %v", err)
-		return false
+// bodyError types a failure to read or decode a request body: 413 when it
+// ran past MaxBody, otherwise 400 saying what the body should have been.
+func bodyError(what string, err error) error {
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &tooBig):
+		return statusErrorf(http.StatusRequestEntityTooLarge, "service: request body exceeds %d bytes", tooBig.Limit)
 	}
-	return true
+	return statusErrorf(http.StatusBadRequest, "service: %s: %v", what, err)
 }
 
-// queryInt parses an integer query parameter with a default.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
+// decodeJSON decodes a JSON request body into dst.
+func decodeJSON(r *http.Request, dst any) error {
+	return bodyError("malformed JSON body", json.NewDecoder(r.Body).Decode(dst))
+}
+
+// queryInt parses an integer query parameter's value, def when it is empty.
+func queryInt(name, v string, def int) (int, error) {
 	if v == "" {
 		return def, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil {
-		return 0, fmt.Errorf("service: query param %s=%q is not an integer", name, v)
+		return 0, statusErrorf(http.StatusBadRequest, "service: query param %s=%q is not an integer", name, v)
 	}
 	return n, nil
 }
 
-// checkParts validates a requested partition count.
-func (s *Server) checkParts(w http.ResponseWriter, parts int) bool {
-	if parts < 1 || parts > maxParts {
-		s.errorf(w, http.StatusBadRequest, "service: parts must be in [1, %d], got %d", maxParts, parts)
-		return false
+// bodyParts spells a JSON body's parts field the way a query does: the
+// field's zero value is a request that names none.
+func bodyParts(n int) string {
+	if n == 0 {
+		return ""
 	}
-	return true
+	return strconv.Itoa(n)
 }
 
-// checkDataset 404s unknown dataset names.
-func (s *Server) checkDataset(w http.ResponseWriter, name string) bool {
+// knownDataset 404s unknown dataset names.
+func knownDataset(name string) error {
 	if _, err := datasets.Describe(name); err != nil {
-		s.errorf(w, http.StatusNotFound, "%v", err)
-		return false
+		return statusError{http.StatusNotFound, err.Error()}
 	}
-	return true
-}
-
-// checkStrategy 404s unknown strategy names.
-func (s *Server) checkStrategy(w http.ResponseWriter, name string) bool {
-	if _, err := partition.New(name, partition.Options{}); err != nil {
-		s.errorf(w, http.StatusNotFound, "%v", err)
-		return false
-	}
-	return true
+	return nil
 }
 
 // --- health + datasets --------------------------------------------------
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+func (s *Server) handleHealthz(context.Context, *http.Request) (any, error) {
+	return map[string]any{
 		"status":   "ok",
 		"datasets": len(datasets.Names()),
 		"scale":    s.cfg.scale(),
-	})
+	}, nil
 }
 
 // datasetInfo is one row of GET /v1/datasets.
@@ -148,7 +195,7 @@ type datasetInfo struct {
 	Provenance string `json:"provenance,omitempty"`
 }
 
-func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDatasets(context.Context, *http.Request) (any, error) {
 	names := datasets.Names()
 	out := make([]datasetInfo, 0, len(names))
 	for _, n := range names {
@@ -161,22 +208,15 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 			Class: info.Class.String(), Provenance: info.Provenance,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"datasets": out})
+	return map[string]any{"datasets": out}, nil
 }
 
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleManifest(ctx context.Context, r *http.Request) (any, error) {
 	name := r.PathValue("name")
-	if !s.checkDataset(w, name) {
-		return
+	if err := knownDataset(name); err != nil {
+		return nil, err
 	}
-	m, err := withinTimeout(r.Context(), func() (datasets.Manifest, error) {
-		return s.manifest(name)
-	})
-	if err != nil {
-		s.respondError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
+	return s.manifest(ctx, name)
 }
 
 // --- assignment ---------------------------------------------------------
@@ -201,55 +241,35 @@ type assignmentResponse struct {
 	Vertex            *vertexLookup `json:"vertex,omitempty"`
 }
 
-func (s *Server) handleAssignment(w http.ResponseWriter, r *http.Request) {
-	ds, strat := r.PathValue("dataset"), r.PathValue("strategy")
-	if !s.checkDataset(w, ds) || !s.checkStrategy(w, strat) {
-		return
-	}
-	parts, err := queryInt(r, "parts", s.cfg.defaultParts())
+func (s *Server) handleAssignment(ctx context.Context, r *http.Request) (any, error) {
+	q := r.URL.Query()
+	k, err := s.key(true, r.PathValue("dataset"), r.PathValue("strategy"), q.Get("parts"))
 	if err != nil {
-		s.errorf(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	if !s.checkParts(w, parts) {
-		return
-	}
-	a, err := s.assignment(r.Context(), ds, strat, parts)
+	a, err := s.assignment(ctx, k)
 	if err != nil {
-		s.respondError(w, err)
-		return
+		return nil, err
 	}
 	resp := assignmentResponse{
-		Dataset: ds, Strategy: strat, Parts: parts,
+		Dataset: k.name, Strategy: k.strategy, Parts: k.parts,
 		Edges:             int64(a.G.NumEdges()),
 		Vertices:          a.G.NumVertices(),
 		ReplicationFactor: a.ReplicationFactor(),
 		EdgeBalance:       a.EdgeBalance(),
 	}
-	if vq := r.URL.Query().Get("vertex"); vq != "" {
+	if vq := q.Get("vertex"); vq != "" {
 		v64, err := strconv.ParseUint(vq, 10, 32)
 		if err != nil {
-			s.errorf(w, http.StatusBadRequest, "service: query param vertex=%q is not a vertex id", vq)
-			return
+			return nil, statusErrorf(http.StatusBadRequest, "service: query param vertex=%q is not a vertex id", vq)
 		}
 		v := graph.VertexID(v64)
 		if int(v) >= a.G.NumVertices() {
-			s.errorf(w, http.StatusNotFound, "service: vertex %d outside %s (%d vertices)", v, ds, a.G.NumVertices())
-			return
+			return nil, statusErrorf(http.StatusNotFound, "service: vertex %d outside %s (%d vertices)", v, k.name, a.G.NumVertices())
 		}
 		resp.Vertex = &vertexLookup{ID: v, Master: a.Master(v), Replicas: a.Replicas(v)}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// respondError maps computation errors to status codes: deadline → 504,
-// everything else → 500.
-func (s *Server) respondError(w http.ResponseWriter, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.errorf(w, http.StatusGatewayTimeout, "%v", err)
-		return
-	}
-	s.errorf(w, http.StatusInternalServerError, "%v", err)
+	return resp, nil
 }
 
 // --- jobs ---------------------------------------------------------------
@@ -261,44 +281,32 @@ type jobRequest struct {
 	Parts    int    `json:"parts"`
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobs(_ context.Context, r *http.Request) (any, error) {
 	if r.Method == http.MethodGet {
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
-		return
+		return map[string]any{"jobs": s.jobs.list()}, nil
 	}
 	var req jobRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return nil, err
 	}
-	if req.Parts == 0 {
-		req.Parts = s.cfg.defaultParts()
+	k, err := s.key(true, req.Dataset, req.Strategy, bodyParts(req.Parts))
+	if err != nil {
+		return nil, err
 	}
-	if !s.checkDataset(w, req.Dataset) || !s.checkStrategy(w, req.Strategy) || !s.checkParts(w, req.Parts) {
-		return
+	j, err := s.jobs.submit(k)
+	if err != nil {
+		return nil, err
 	}
-	j, err := s.jobs.submit(req.Dataset, req.Strategy, req.Parts)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		s.errorf(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, ErrDraining):
-		s.errorf(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		s.respondError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j)
+	return accepted{j}, nil
 }
 
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleJobStatus(_ context.Context, r *http.Request) (any, error) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(id)
 	if !ok {
-		s.errorf(w, http.StatusNotFound, "service: unknown job %q", id)
-		return
+		return nil, statusErrorf(http.StatusNotFound, "service: unknown job %q", id)
 	}
-	writeJSON(w, http.StatusOK, j)
+	return j, nil
 }
 
 // --- churn --------------------------------------------------------------
@@ -328,6 +336,19 @@ type churnResponse struct {
 	Incremental       bool    `json:"incremental"`
 }
 
+// response reads the stream's live quality beside a batch outcome (the
+// zero BatchStats for a read). The caller holds ls.mu.
+func (ls *liveState) response(k cutKey, stats partition.BatchStats) churnResponse {
+	return churnResponse{
+		Stream: k.name, Strategy: k.strategy, Parts: k.parts,
+		Added: stats.Added, Deleted: stats.Deleted, Rebuilt: stats.Rebuilt,
+		LiveEdges: ls.st.NumEdges(), Vertices: ls.st.NumVertices(),
+		ReplicationFactor: ls.st.ReplicationFactor(),
+		EdgeBalance:       ls.st.EdgeBalance(),
+		Incremental:       ls.st.Incremental(),
+	}
+}
+
 func edgesOf(pairs [][2]uint32) []graph.Edge {
 	out := make([]graph.Edge, len(pairs))
 	for i, p := range pairs {
@@ -336,84 +357,54 @@ func edgesOf(pairs [][2]uint32) []graph.Edge {
 	return out
 }
 
-func (s *Server) handleChurn(w http.ResponseWriter, r *http.Request) {
+// handleChurn applies POST /v1/churn's batch to its live stream, or answers
+// GET /v1/churn?stream=&strategy=&parts= with an existing stream's live
+// quality summary.
+func (s *Server) handleChurn(_ context.Context, r *http.Request) (any, error) {
 	if r.Method == http.MethodGet {
-		s.handleChurnState(w, r)
-		return
+		q := r.URL.Query()
+		k, err := s.key(false, q.Get("stream"), q.Get("strategy"), q.Get("parts"))
+		if err != nil {
+			return nil, err
+		}
+		ls, err := s.state(k, false)
+		if err != nil {
+			return nil, err
+		}
+		ls.mu.Lock()
+		defer ls.mu.Unlock()
+		return ls.response(k, partition.BatchStats{}), nil
 	}
 	var req churnRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+	if err := decodeJSON(r, &req); err != nil {
+		return nil, err
 	}
-	if req.Stream == "" {
-		req.Stream = "default"
-	}
-	if req.Parts == 0 {
-		req.Parts = s.cfg.defaultParts()
-	}
-	if !s.checkStrategy(w, req.Strategy) || !s.checkParts(w, req.Parts) {
-		return
-	}
-	ls, err := s.state(req.Stream, req.Strategy, req.Parts)
+	k, err := s.key(false, req.Stream, req.Strategy, bodyParts(req.Parts))
 	if err != nil {
-		s.respondError(w, err)
-		return
+		return nil, err
+	}
+	var maxID uint32
+	for _, e := range req.Adds {
+		maxID = max(maxID, e[0], e[1])
+	}
+	if cells := (int64(maxID) + 1) * int64(k.parts); cells > maxStateCells {
+		return nil, statusErrorf(http.StatusBadRequest,
+			"service: vertex id %d at %d parts needs %d state cells, limit %d", maxID, k.parts, cells, int64(maxStateCells))
+	}
+	ls, err := s.state(k, true)
+	if err != nil {
+		return nil, err
 	}
 	ls.mu.Lock()
+	defer ls.mu.Unlock()
 	stats, err := ls.st.ApplyBatch(edgesOf(req.Adds), edgesOf(req.Dels))
-	resp := churnResponse{
-		Stream: req.Stream, Strategy: req.Strategy, Parts: req.Parts,
-		Added: stats.Added, Deleted: stats.Deleted, Rebuilt: stats.Rebuilt,
-		LiveEdges: ls.st.NumEdges(), Vertices: ls.st.NumVertices(),
-		ReplicationFactor: ls.st.ReplicationFactor(),
-		EdgeBalance:       ls.st.EdgeBalance(),
-		Incremental:       ls.st.Incremental(),
-	}
-	ls.mu.Unlock()
 	if err != nil {
 		// A delete of a non-live edge aborts the batch mid-way; the state
 		// keeps the prefix that applied. 409 tells the client its view of
 		// the stream diverged from the server's.
-		s.errorf(w, http.StatusConflict, "service: churn batch aborted: %v", err)
-		return
+		return nil, statusErrorf(http.StatusConflict, "service: churn batch aborted: %v", err)
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleChurnState answers GET /v1/churn?stream=&strategy=&parts= with
-// the live quality summary of an existing stream.
-func (s *Server) handleChurnState(w http.ResponseWriter, r *http.Request) {
-	stream := r.URL.Query().Get("stream")
-	if stream == "" {
-		stream = "default"
-	}
-	strat := r.URL.Query().Get("strategy")
-	if !s.checkStrategy(w, strat) {
-		return
-	}
-	parts, err := queryInt(r, "parts", s.cfg.defaultParts())
-	if err != nil {
-		s.errorf(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.checkParts(w, parts) {
-		return
-	}
-	ls, ok := s.lookupState(stream, strat, parts)
-	if !ok {
-		s.errorf(w, http.StatusNotFound, "service: no live stream %q for %s/%d", stream, strat, parts)
-		return
-	}
-	ls.mu.Lock()
-	resp := churnResponse{
-		Stream: stream, Strategy: strat, Parts: parts,
-		LiveEdges: ls.st.NumEdges(), Vertices: ls.st.NumVertices(),
-		ReplicationFactor: ls.st.ReplicationFactor(),
-		EdgeBalance:       ls.st.EdgeBalance(),
-		Incremental:       ls.st.Incremental(),
-	}
-	ls.mu.Unlock()
-	writeJSON(w, http.StatusOK, resp)
+	return ls.response(k, stats), nil
 }
 
 // --- advisor ------------------------------------------------------------
@@ -426,35 +417,27 @@ type fitResponse struct {
 	Manifests    int      `json:"manifests"`
 }
 
-func (s *Server) handleAdvisorFit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
+func (s *Server) handleAdvisorFit(ctx context.Context, r *http.Request) (any, error) {
 	rep, err := report.Decode(r.Body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.errorf(w, http.StatusRequestEntityTooLarge, "service: request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.errorf(w, http.StatusBadRequest, "service: report body: %v", err)
-		return
+		return nil, bodyError("report body", err)
 	}
-	resp, err := withinTimeout(r.Context(), func() (fitResponse, error) {
-		return s.refit(rep)
-	})
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.respondError(w, err)
-		} else {
-			s.errorf(w, http.StatusUnprocessableEntity, "%v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return s.refit(ctx, rep)
 }
 
-// refit builds manifests for the registered datasets the report measures
-// and swaps in a freshly fitted model.
-func (s *Server) refit(rep *report.Report) (fitResponse, error) {
+// Refit fits the advisor model from a benchrunner report and installs it:
+// what POST /v1/advisor/fit runs on an uploaded report, for the daemon's
+// -report flag to run on one from disk before serving.
+func (s *Server) Refit(rep *report.Report) error {
+	_, err := s.refit(context.Background(), rep)
+	return err
+}
+
+// refit measures the manifests of the registered datasets the report
+// covers and swaps in a freshly fitted model. A report the advisor cannot
+// fit is 422; when ctx ends first the old model stays, and the manifests
+// measured so far are kept for the next attempt.
+func (s *Server) refit(ctx context.Context, rep *report.Report) (fitResponse, error) {
 	seen := map[string]bool{}
 	var mans []datasets.Manifest
 	for _, e := range rep.Experiments {
@@ -464,10 +447,10 @@ func (s *Server) refit(rep *report.Report) (fitResponse, error) {
 				continue
 			}
 			seen[name] = true
-			if _, err := datasets.Describe(name); err != nil {
+			if knownDataset(name) != nil {
 				continue // unregistered dataset: no manifest, advisor skips it
 			}
-			m, err := s.manifest(name)
+			m, err := s.manifest(ctx, name)
 			if err != nil {
 				return fitResponse{}, err
 			}
@@ -476,7 +459,7 @@ func (s *Server) refit(rep *report.Report) (fitResponse, error) {
 	}
 	model, err := advisor.Fit(rep, mans)
 	if err != nil {
-		return fitResponse{}, err
+		return fitResponse{}, statusError{http.StatusUnprocessableEntity, err.Error()}
 	}
 	s.advMu.Lock()
 	s.model = model
@@ -488,65 +471,52 @@ func (s *Server) refit(rep *report.Report) (fitResponse, error) {
 	return resp, nil
 }
 
-func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error) {
 	s.advMu.RLock()
 	model := s.model
 	s.advMu.RUnlock()
 	if model == nil {
-		s.errorf(w, http.StatusConflict, "%v", ErrNoModel)
-		return
+		return nil, ErrNoModel
 	}
 	q := r.URL.Query()
 	ds := q.Get("dataset")
 	if ds == "" {
-		s.errorf(w, http.StatusBadRequest, "service: advise needs a dataset query param")
-		return
+		return nil, statusErrorf(http.StatusBadRequest, "service: advise needs a dataset query param")
 	}
-	if !s.checkDataset(w, ds) {
-		return
+	if err := knownDataset(ds); err != nil {
+		return nil, err
 	}
 	sys := partition.System(q.Get("system"))
 	if sys == "" {
 		sys = partition.PowerGraph
 	}
-	machines, err := queryInt(r, "machines", s.cfg.defaultParts())
+	machines, err := queryInt("machines", q.Get("machines"), s.cfg.defaultParts())
 	if err != nil {
-		s.errorf(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
 	ratio := 4.0 // long-job default: partitions are held resident here
 	if rq := q.Get("ratio"); rq != "" {
-		ratio, err = strconv.ParseFloat(rq, 64)
-		if err != nil {
-			s.errorf(w, http.StatusBadRequest, "service: query param ratio=%q is not a number", rq)
-			return
+		if ratio, err = strconv.ParseFloat(rq, 64); err != nil {
+			return nil, statusErrorf(http.StatusBadRequest, "service: query param ratio=%q is not a number", rq)
 		}
 	}
-	app := q.Get("app")
-	rec, err := withinTimeout(r.Context(), func() (decision.Recommendation, error) {
-		m, err := s.manifest(ds)
-		if err != nil {
-			return decision.Recommendation{}, err
-		}
-		wl, err := advisor.WorkloadFor(m, machines, ratio, app)
-		if err != nil {
-			return decision.Recommendation{}, err
-		}
-		return model.Recommend(sys, wl)
-	})
+	m, err := s.manifest(ctx, ds)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.respondError(w, err)
-		} else {
-			s.errorf(w, http.StatusBadRequest, "%v", err)
-		}
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusOK, rec)
+	wl, err := advisor.WorkloadFor(m, machines, ratio, q.Get("app"))
+	if err != nil {
+		return nil, statusError{http.StatusBadRequest, err.Error()}
+	}
+	rec, err := model.Recommend(sys, wl)
+	if err != nil {
+		return nil, statusError{http.StatusBadRequest, err.Error()}
+	}
+	return rec, nil
 }
 
 // --- metrics ------------------------------------------------------------
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"cells": s.MetricsCells()})
+func (s *Server) handleMetrics(context.Context, *http.Request) (any, error) {
+	return map[string]any{"cells": s.MetricsCells()}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -93,20 +94,23 @@ func fitReportJSON() string {
 	return string(b)
 }
 
-func TestEndpointTable(t *testing.T) {
-	srv := newTestServer(t, Config{DefaultParts: 4})
-	fitBody := fitReportJSON()
+// endpointRow is one request of the endpoint table and what it must answer.
+type endpointRow struct {
+	name         string
+	method, path string
+	body         string
+	status       int
+	maxAlloc     uint64 // when set, bytes the request may allocate in total
+	check        func(t *testing.T, rec *httptest.ResponseRecorder)
+}
 
-	// Sequenced sub-tests: later cases depend on state earlier ones create
-	// (a churn stream, a fitted model), which is itself part of the API
-	// surface under test.
-	tests := []struct {
-		name         string
-		method, path string
-		body         string
-		status       int
-		check        func(t *testing.T, rec *httptest.ResponseRecorder)
-	}{
+// endpointRows is the endpoint table, for a server with DefaultParts 4.
+// The rows are sequenced: later ones depend on state earlier ones create
+// (a churn stream, a fitted model), which is itself part of the API
+// surface under test. TestWireGolden replays the same rows.
+func endpointRows() []endpointRow {
+	fitBody := fitReportJSON()
+	return []endpointRow{
 		{name: "healthz ok", method: http.MethodGet, path: "/v1/healthz", status: http.StatusOK,
 			check: func(t *testing.T, rec *httptest.ResponseRecorder) {
 				var got struct {
@@ -211,6 +215,18 @@ func TestEndpointTable(t *testing.T) {
 		{name: "churn unknown stream", method: http.MethodGet, path: "/v1/churn?stream=nope&strategy=2D&parts=4", status: http.StatusNotFound},
 		{name: "churn unknown strategy", method: http.MethodPost, path: "/v1/churn",
 			body: `{"stream":"t2","strategy":"NoSuchCut","adds":[[0,1]]}`, status: http.StatusNotFound},
+		// 62 bytes that used to buy 68 M reference counts: the stream must be
+		// refused before any state exists (the parent answered 200 and kept
+		// ~477 MiB).
+		{name: "churn absurd vertex id", method: http.MethodPost, path: "/v1/churn",
+			body:   `{"stream":"s","strategy":"2D","parts":17,"adds":[[4000000,1]]}`,
+			status: http.StatusBadRequest, maxAlloc: 8 << 20,
+			check: func(t *testing.T, rec *httptest.ResponseRecorder) {
+				if !strings.Contains(rec.Body.String(), "vertex id 4000000") {
+					t.Fatalf("the refusal does not name the id: %s", rec.Body)
+				}
+			}},
+		{name: "churn absurd vertex id made no stream", method: http.MethodGet, path: "/v1/churn?stream=s&strategy=2D&parts=17", status: http.StatusNotFound},
 		{name: "churn malformed json", method: http.MethodPost, path: "/v1/churn", body: `{"adds":`, status: http.StatusBadRequest},
 		{name: "jobs malformed json", method: http.MethodPost, path: "/v1/jobs", body: `not json`, status: http.StatusBadRequest},
 		{name: "jobs unknown dataset", method: http.MethodPost, path: "/v1/jobs",
@@ -264,9 +280,23 @@ func TestEndpointTable(t *testing.T) {
 				}
 			}},
 	}
-	for _, tc := range tests {
+}
+
+func TestEndpointTable(t *testing.T) {
+	srv := newTestServer(t, Config{DefaultParts: 4})
+	for _, tc := range endpointRows() {
 		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			if tc.maxAlloc > 0 {
+				runtime.ReadMemStats(&before)
+			}
 			rec := do(srv, tc.method, tc.path, tc.body)
+			if tc.maxAlloc > 0 {
+				runtime.ReadMemStats(&after)
+				if got := after.TotalAlloc - before.TotalAlloc; got > tc.maxAlloc {
+					t.Errorf("the request allocated %d bytes, limit %d", got, tc.maxAlloc)
+				}
+			}
 			if tc.status >= 400 {
 				wantError(t, rec, tc.status)
 			} else if rec.Code != tc.status {

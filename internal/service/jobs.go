@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Named job lifecycle errors. Handlers map them to status codes (429 for
+// Named job lifecycle errors. statusOf maps them to status codes (429 for
 // ErrQueueFull, 503 for ErrDraining); ErrShutdown lands in the Error
 // field of every job the drain rejected.
 var (
@@ -81,10 +81,9 @@ func newJobRunner(srv *Server, capacity, workers int) *jobRunner {
 	return r
 }
 
-// submit validates capacity and enqueues; the caller has already
-// validated dataset/strategy/parts so queue rejections are the only
-// failure mode here.
-func (r *jobRunner) submit(dataset, strategy string, parts int) (Job, error) {
+// submit validates capacity and enqueues; the key is already validated,
+// so queue rejections are the only failure mode here.
+func (r *jobRunner) submit(k cutKey) (Job, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.draining {
@@ -96,9 +95,9 @@ func (r *jobRunner) submit(dataset, strategy string, parts int) (Job, error) {
 	r.seq++
 	j := &Job{
 		ID:       fmt.Sprintf("job-%d", r.seq),
-		Dataset:  dataset,
-		Strategy: strategy,
-		Parts:    parts,
+		Dataset:  k.name,
+		Strategy: k.strategy,
+		Parts:    k.parts,
 		Status:   JobQueued,
 	}
 	r.byID[j.ID] = j
@@ -156,7 +155,7 @@ func (r *jobRunner) worker() {
 // cache, so a completed job warms the assignment endpoint for free.
 func (r *jobRunner) run(j *Job) {
 	start := time.Now()
-	a, err := r.srv.assignment(context.Background(), j.Dataset, j.Strategy, j.Parts)
+	a, err := r.srv.assignment(context.Background(), cutKey{j.Dataset, j.Strategy, j.Parts})
 	elapsed := time.Since(start)
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"context"
-	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,46 +61,6 @@ func (m *metricsRegistry) register(op string) *endpointStats {
 	e := &endpointStats{}
 	m.eps[op] = e
 	return e
-}
-
-// statusWriter captures the response status for the metrics middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// instrument wraps a handler with the op's inflight gauge, request
-// counters and latency accounting, plus the per-request timeout context.
-func (s *Server) instrument(op string, h http.HandlerFunc) http.HandlerFunc {
-	e := s.met.register(op)
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
-		defer cancel()
-		sw := &statusWriter{ResponseWriter: w}
-		e.inflight.Add(1)
-		start := time.Now()
-		h(sw, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		e.inflight.Add(-1)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		e.observe(sw.status, elapsed)
-	}
 }
 
 // MetricsCells exports every operation's counters in the report.Cell

@@ -7,13 +7,17 @@
 // benchrunner reports.
 //
 // Everything the one-shot CLIs do once per process, the service does
-// concurrently and repeatedly: dataset builds and partitionings are
-// deduplicated by singleflight caches (two concurrent requests for the
-// same assignment share one computation), churn streams serialize behind
-// per-state locks, and every endpoint exports latency/throughput/inflight
-// counters through the report.Cell schema at GET /v1/metrics. Shutdown is
-// graceful: inflight partition jobs complete, queued jobs are rejected
-// with ErrShutdown, and new submissions get ErrDraining.
+// concurrently and repeatedly. Every endpoint is a handler that returns a
+// value or an error, mounted behind one wrapper (Server.handle) that owns
+// the method check, the request deadline, the body cap, the counters
+// exported in the report.Cell schema at GET /v1/metrics, the JSON encode
+// and the error→status mapping. Dataset builds, partitionings and
+// manifests are each computed once per key by a par.OnceMap (two
+// concurrent requests for the same assignment share one computation, and
+// one that outlives its request still lands in the cache); churn streams
+// are mutable state behind per-stream locks. Shutdown is graceful:
+// inflight partition jobs complete, queued jobs are rejected with
+// ErrShutdown, and new submissions get ErrDraining.
 //
 // The API is documented in docs/SERVICE.md; cmd/partitiond is the daemon
 // binary and the svc.qps experiment load-tests an in-process instance.
@@ -29,6 +33,7 @@ import (
 
 	"graphpart/internal/advisor"
 	"graphpart/internal/datasets"
+	"graphpart/internal/par"
 	"graphpart/internal/partition"
 )
 
@@ -107,6 +112,11 @@ func (c Config) maxBody() int64 {
 // allocation.
 const maxParts = 1024
 
+// maxStateCells bounds (max vertex id + 1)·parts of a churn batch; a live
+// stream's reference counts are O(|V|·parts) int32s, so an absurd product
+// is a request error, not an allocation.
+const maxStateCells = 1 << 26
+
 // Server is one resident service instance. Create it with New, mount
 // Handler on an http.Server (or httptest), and Shutdown when done.
 type Server struct {
@@ -114,15 +124,14 @@ type Server struct {
 	mux *http.ServeMux
 	met *metricsRegistry
 
-	asgMu  sync.Mutex
-	asg    map[asgKey]*asgEntry
-	builds atomic.Int64 // completed assignment builds (singleflight audit)
+	// The two caches: a partitioning per key and a measured manifest per
+	// dataset, each computed once however many requests race for it.
+	assignments par.OnceMap[cutKey, *partition.Assignment]
+	manifests   par.OnceMap[string, datasets.Manifest]
+	builds      atomic.Int64 // completed assignment builds (singleflight audit)
 
 	stMu   sync.Mutex
-	states map[streamKey]*liveState
-
-	manMu     sync.Mutex
-	manifests map[string]datasets.Manifest
+	states map[cutKey]*liveState
 
 	advMu sync.RWMutex
 	model *advisor.Model
@@ -133,12 +142,10 @@ type Server struct {
 // New builds a Server and starts its job workers.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		met:       newMetricsRegistry(),
-		asg:       map[asgKey]*asgEntry{},
-		states:    map[streamKey]*liveState{},
-		manifests: map[string]datasets.Manifest{},
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		met:    newMetricsRegistry(),
+		states: map[cutKey]*liveState{},
 	}
 	s.jobs = newJobRunner(s, cfg.jobQueue(), cfg.jobWorkers())
 	s.routes()
@@ -158,90 +165,78 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.jobs.shutdown(ctx)
 }
 
-// SetModel installs a pre-fitted advisor model (the daemon's -report flag
-// warms one at boot); POST /v1/advisor/fit replaces it.
-func (s *Server) SetModel(m *advisor.Model) {
-	s.advMu.Lock()
-	s.model = m
-	s.advMu.Unlock()
-}
-
 // AssignmentBuilds reports how many partitionings the server has actually
 // computed — the singleflight regression tests pin this against the
 // number of distinct (dataset, strategy, parts) keys requested.
 func (s *Server) AssignmentBuilds() int64 { return s.builds.Load() }
 
-// --- assignment singleflight cache -------------------------------------
-
-type asgKey struct {
-	dataset  string
+// cutKey names one partitioning — of a registered dataset (assignments,
+// jobs) or of a live churn stream — under a strategy at a partition count.
+type cutKey struct {
+	name     string
 	strategy string
 	parts    int
 }
 
-// asgEntry is one in-flight or completed partitioning. The first
-// requester spawns the build goroutine; everyone else (and every later
-// request) waits on done — or gives up at its own deadline while the
-// build keeps running and lands in the cache.
-type asgEntry struct {
-	done chan struct{}
-	a    *partition.Assignment
-	err  error
-}
-
-// assignment returns the cached partitioning for the key, computing it at
-// most once per key across all concurrent requesters. On ctx expiry the
-// caller gets ctx.Err() but the computation is not abandoned.
-func (s *Server) assignment(ctx context.Context, dataset, strategy string, parts int) (*partition.Assignment, error) {
-	key := asgKey{dataset, strategy, parts}
-	s.asgMu.Lock()
-	e, ok := s.asg[key]
-	if !ok {
-		e = &asgEntry{done: make(chan struct{})}
-		s.asg[key] = e
-		go s.buildAssignment(key, e)
-	}
-	s.asgMu.Unlock()
-	select {
-	case <-e.done:
-		return e.a, e.err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("service: partitioning %s/%s/%d: %w", dataset, strategy, parts, ctx.Err())
-	}
-}
-
-// buildAssignment computes one cache entry. Failed entries are removed
-// before waiters wake so the next request can retry (the datasets layer
-// makes the same choice for transient external-file failures).
-func (s *Server) buildAssignment(key asgKey, e *asgEntry) {
-	defer close(e.done)
-	g, err := datasets.Load(key.dataset, s.cfg.scale())
-	if err == nil {
-		var st partition.Strategy
-		st, err = partition.New(key.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold})
-		if err == nil {
-			e.a, err = partition.ParallelPartition(g, st, key.parts, s.cfg.Seed, s.cfg.Workers)
+// key is the one place a request's (name, strategy, parts) is parsed,
+// defaulted and validated. parts is the number as the request spells it,
+// "" when it names none; an empty stream name is the stream "default".
+func (s *Server) key(dataset bool, name, strategy, parts string) (cutKey, error) {
+	if dataset {
+		if err := knownDataset(name); err != nil {
+			return cutKey{}, err
 		}
+	} else if name == "" {
+		name = "default"
 	}
+	if _, err := partition.New(strategy, partition.Options{}); err != nil {
+		return cutKey{}, statusError{http.StatusNotFound, err.Error()}
+	}
+	n, err := queryInt("parts", parts, s.cfg.defaultParts())
 	if err != nil {
-		e.err = err
-		s.asgMu.Lock()
-		if s.asg[key] == e {
-			delete(s.asg, key)
-		}
-		s.asgMu.Unlock()
-		return
+		return cutKey{}, err
 	}
-	s.builds.Add(1)
+	if n < 1 || n > maxParts {
+		return cutKey{}, statusErrorf(http.StatusBadRequest, "service: parts must be in [1, %d], got %d", maxParts, n)
+	}
+	return cutKey{name, strategy, n}, nil
+}
+
+// assignment returns the partitioning for the key, computing it at most
+// once per key across all concurrent requesters. On ctx expiry the caller
+// gets ctx.Err() but the computation is not abandoned: it lands in the
+// cache for the next request.
+func (s *Server) assignment(ctx context.Context, k cutKey) (*partition.Assignment, error) {
+	a, err := s.assignments.Get(ctx, k, func() (*partition.Assignment, error) {
+		g, err := datasets.Load(k.name, s.cfg.scale())
+		if err != nil {
+			return nil, err
+		}
+		st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold})
+		if err != nil {
+			return nil, err
+		}
+		a, err := partition.ParallelPartition(g, st, k.parts, s.cfg.Seed, s.cfg.Workers)
+		if err == nil {
+			s.builds.Add(1)
+		}
+		return a, err
+	})
+	if err != nil && err == ctx.Err() { // Get returns it bare
+		err = fmt.Errorf("service: partitioning %s/%s/%d: %w", k.name, k.strategy, k.parts, err)
+	}
+	return a, err
+}
+
+// manifest measures (once per dataset at the server's scale) the manifest
+// the advisor features come from.
+func (s *Server) manifest(ctx context.Context, name string) (datasets.Manifest, error) {
+	return s.manifests.Get(ctx, name, func() (datasets.Manifest, error) {
+		return datasets.BuildManifest(name, s.cfg.scale())
+	})
 }
 
 // --- live churn streams -------------------------------------------------
-
-type streamKey struct {
-	stream   string
-	strategy string
-	parts    int
-}
 
 // liveState is one mutable partitioning under churn. The PartitionState
 // is single-goroutine by contract; mu serializes the service's
@@ -251,77 +246,27 @@ type liveState struct {
 	st *partition.PartitionState
 }
 
-// state returns (creating on first use) the live state for a stream.
-// Greedy strategies pin Loaders:1, matching the incremental contract the
-// dyn.* experiments established.
-func (s *Server) state(stream, strategy string, parts int) (*liveState, error) {
-	key := streamKey{stream, strategy, parts}
+// state returns the stream's live state; create makes a missing one (POST)
+// where a read (GET) answers 404. Greedy strategies pin Loaders:1, matching
+// the incremental contract the dyn.* experiments established.
+func (s *Server) state(k cutKey, create bool) (*liveState, error) {
 	s.stMu.Lock()
 	defer s.stMu.Unlock()
-	if ls, ok := s.states[key]; ok {
+	if ls, ok := s.states[k]; ok {
 		return ls, nil
 	}
-	st, err := partition.New(strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold, Loaders: 1})
+	if !create {
+		return nil, statusErrorf(http.StatusNotFound, "service: no live stream %q for %s/%d", k.name, k.strategy, k.parts)
+	}
+	st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold, Loaders: 1})
 	if err != nil {
 		return nil, err
 	}
-	ps, err := partition.NewPartitionState(st, parts, s.cfg.Seed, s.cfg.Workers)
+	ps, err := partition.NewPartitionState(st, k.parts, s.cfg.Seed, s.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
 	ls := &liveState{st: ps}
-	s.states[key] = ls
+	s.states[k] = ls
 	return ls, nil
-}
-
-// lookupState returns the stream's live state without creating one.
-func (s *Server) lookupState(stream, strategy string, parts int) (*liveState, bool) {
-	s.stMu.Lock()
-	defer s.stMu.Unlock()
-	ls, ok := s.states[streamKey{stream, strategy, parts}]
-	return ls, ok
-}
-
-// --- manifests ----------------------------------------------------------
-
-// manifest measures (once per dataset at the server's scale) the manifest
-// the advisor features come from.
-func (s *Server) manifest(name string) (datasets.Manifest, error) {
-	s.manMu.Lock()
-	m, ok := s.manifests[name]
-	s.manMu.Unlock()
-	if ok {
-		return m, nil
-	}
-	m, err := datasets.BuildManifest(name, s.cfg.scale())
-	if err != nil {
-		return datasets.Manifest{}, err
-	}
-	s.manMu.Lock()
-	s.manifests[name] = m
-	s.manMu.Unlock()
-	return m, nil
-}
-
-// withinTimeout runs fn in its own goroutine and waits for the result or
-// the request deadline, whichever is first. Abandoned work finishes in
-// the background and keeps warming the server's caches — the next request
-// for the same thing hits the cache instead of restarting it.
-func withinTimeout[T any](ctx context.Context, fn func() (T, error)) (T, error) {
-	type out struct {
-		v   T
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		v, err := fn()
-		ch <- out{v, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.v, o.err
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
-	}
 }
