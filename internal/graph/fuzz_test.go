@@ -202,60 +202,33 @@ func FuzzStreamCSR(f *testing.F) {
 	})
 }
 
-// FuzzParseEdgeList: the text parser (ReadEdgeList and its streaming core)
-// must never panic, must name every rejection, and the materialized and
-// streaming paths must agree on what they parsed.
+// FuzzParseEdgeList: the text parser must never panic, must name every
+// rejection, and every feeder of it — StreamEdgeList, ReadEdgeList,
+// LoadEdgeList through a temp file, and the chunk fan-out at a chunk size
+// small enough to cut the input several times — must agree with the
+// reference loop (io_ref_test.go) on edges, max id, verdict and error text.
+// Inputs holding Unicode-only whitespace are where the two may differ by
+// design; there the feeders are only held to agreeing with each other.
 func FuzzParseEdgeList(f *testing.F) {
-	f.Add([]byte("0 1\n1 2\n2 0\n"))
-	f.Add([]byte("# SNAP comment\n% DIMACS comment\n\n5 1\t\n 1 5 \n"))
-	f.Add([]byte("0 1 extra fields ignored\n"))
-	f.Add([]byte("1\n"))                    // too few fields
-	f.Add([]byte("a b\n"))                  // non-numeric
-	f.Add([]byte("1 99999999999999999999")) // overflows uint32
-	f.Add([]byte("4294967295 0\n"))         // max uint32 id
-	f.Add([]byte("-1 2\n"))
-	f.Add([]byte(strings.Repeat("#", 2000) + "\n0 1"))
+	for _, seed := range edgeListSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var streamed int64
-		var streamMax VertexID
-		sn, smax, serr := StreamEdgeList("fuzz", bytes.NewReader(data), 3, func(offset int64, edges []Edge) error {
-			if offset != streamed {
-				t.Fatalf("batch offset %d, want %d", offset, streamed)
-			}
-			streamed += int64(len(edges))
-			for _, e := range edges {
-				if e.Src > streamMax {
-					streamMax = e.Src
-				}
-				if e.Dst > streamMax {
-					streamMax = e.Dst
-				}
-			}
-			return nil
-		})
-		if serr == nil && smax >= 1<<22 {
-			// Legal input, absurd vertex space: materializing would allocate
-			// O(maxID) degree arrays. The streaming path has validated it;
-			// skip the materialized comparison.
-			return
+		if !hasUnicodeOnlySpace(data) {
+			checkAgainstReference(t, data, t.TempDir(), 5, 64)
 		}
-		g, err := ReadEdgeList("fuzz", bytes.NewReader(data))
-		if err != nil {
-			checkNamedErr(t, err, "edge list")
-			if serr == nil {
+		streamed, _ := collectStream(StreamEdgeList, "in", bytes.NewReader(data), 3)
+		if streamed.err != nil {
+			checkNamedErr(t, streamed.err, "edge list")
+		}
+		edges, err := parseEdgeList("in", data, 5, 4)
+		agree(t, "parseEdgeList vs StreamEdgeList", data, streamed, parsed{edges: edges, maxID: streamed.maxID, err: err})
+		if streamed.err == nil && streamed.maxID < 1<<22 {
+			g, err := ReadEdgeList("in", bytes.NewReader(data))
+			if err != nil {
 				t.Fatalf("ReadEdgeList rejected (%v) but StreamEdgeList accepted", err)
 			}
-			return
-		}
-		if serr != nil {
-			t.Fatalf("ReadEdgeList accepted but StreamEdgeList rejected: %v", serr)
-		}
-		checkGraphInvariants(t, g)
-		if int64(len(g.Edges)) != sn || streamed != sn {
-			t.Fatalf("edge counts disagree: materialized %d, streamed %d (delivered %d)", len(g.Edges), sn, streamed)
-		}
-		if len(g.Edges) > 0 && int(smax)+1 != g.NumVertices() {
-			t.Fatalf("max id %d inconsistent with %d vertices", smax, g.NumVertices())
+			checkGraphInvariants(t, g)
 		}
 	})
 }
