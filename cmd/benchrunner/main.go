@@ -6,7 +6,7 @@
 //
 //	benchrunner -list
 //	benchrunner -run fig5.3,tab5.1
-//	benchrunner -all [-scale 2] [-seed 7] [-workers 4] [-cache ~/.graphpart]
+//	benchrunner -all [-scale 2] [-seed 7] [-workers 4]
 //	benchrunner -all -markdown > EXPERIMENTS-run.md
 //	benchrunner -all -json bench.json [-filter dataset=road,strategy=HDRF]
 //	benchrunner -all -json bench.json -compare BENCH_seed1.json
@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"graphpart/internal/bench"
-	"graphpart/internal/datasets"
 	"graphpart/internal/report"
 )
 
@@ -53,13 +52,8 @@ func main() {
 		compare  = flag.String("compare", "", "baseline report to diff this run against; regressions exit non-zero")
 		tol      = flag.Float64("tolerance", report.DefaultRelTol, "relative tolerance for -compare cell diffs, applied to every cell alike (a report holds no wall-clock value; 0 demands exact equality)")
 		filterS  = flag.String("filter", "", "dimension filter for report cells, e.g. dataset=road,strategy=HDRF")
-		cacheDir = flag.String("cache", "", "dataset disk-cache directory: built graphs persist as .csrg files and later runs load them binary instead of regenerating (default $"+datasets.CacheEnv+")")
 	)
 	flag.Parse()
-
-	if *cacheDir != "" {
-		datasets.SetCacheDir(*cacheDir)
-	}
 
 	if *list {
 		for _, e := range bench.All() {

@@ -81,6 +81,9 @@ func run(o options, stdout io.Writer) (int, error) {
 	if o.input == "" && o.dataset == "" {
 		return 2, fmt.Errorf("need -input FILE or -dataset NAME")
 	}
+	if o.machines < 1 {
+		return 2, fmt.Errorf("-machines must be at least 1, got %d", o.machines)
+	}
 
 	w, man, err := workload(o)
 	if err != nil {

@@ -19,6 +19,9 @@ func TestInputDatasetExclusive(t *testing.T) {
 	if code, err := run(options{}, &out); code != 2 || err == nil {
 		t.Errorf("neither -input nor -dataset: code=%d err=%v, want usage error", code, err)
 	}
+	if code, err := run(options{dataset: "road-ca", scale: 1, machines: 0}, &out); code != 2 || err == nil {
+		t.Errorf("-machines 0: code=%d err=%v, want usage error", code, err)
+	}
 }
 
 func TestUnknownDatasetFails(t *testing.T) {

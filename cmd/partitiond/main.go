@@ -1,7 +1,7 @@
 // Command partitiond is the resident partition-as-a-service daemon: it
-// keeps registered datasets loaded through the on-disk .csrg cache and
-// serves assignment lookups, async partition jobs, churn batches, advisor
-// recommendations, and request metrics over HTTP/JSON.
+// keeps registered datasets loaded in memory and serves assignment lookups,
+// async partition jobs, churn batches, advisor recommendations, and request
+// metrics over HTTP/JSON.
 //
 // Usage:
 //
@@ -58,15 +58,11 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 		timeout    = fs.Duration("timeout", 30*time.Second, "per-request handler timeout")
 		maxBody    = fs.Int64("max-body", 8<<20, "max request body bytes before 413")
 		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for inflight jobs at shutdown")
-		cacheDir   = fs.String("cache", "", "dataset disk-cache directory (default $"+datasets.CacheEnv+")")
 		reportPath = fs.String("report", "", "benchrunner report JSON to pre-fit the advisor model from")
 		preload    = fs.String("preload", "", "comma-separated dataset names to load before serving")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *cacheDir != "" {
-		datasets.SetCacheDir(*cacheDir)
 	}
 
 	srv := service.New(service.Config{
@@ -114,7 +110,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 	case err := <-errCh:
 		return err // listener failed before any shutdown request
 	case <-ctx.Done():
-	case <-quitCh(quit):
+	case <-quit: // nil when nobody can ask: blocks forever
 	}
 
 	fmt.Fprintln(stdout, "partitiond draining")
@@ -132,14 +128,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 	}
 	fmt.Fprintln(stdout, "partitiond stopped")
 	return nil
-}
-
-// quitCh makes a nil quit channel block forever instead of firing.
-func quitCh(quit <-chan struct{}) <-chan struct{} {
-	if quit == nil {
-		return make(chan struct{})
-	}
-	return quit
 }
 
 // fitFrom runs, on a benchrunner report on disk, the fit POST

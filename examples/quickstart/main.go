@@ -20,9 +20,8 @@ func main() {
 	log.SetFlags(0)
 
 	// 1. A heavy-tailed social graph from the dataset registry (the paper's
-	//    LiveJournal stand-in), with its measured manifest. Loads go through
-	//    the in-process cache and, when GRAPHPART_CACHE is set, the on-disk
-	//    .csrg cache.
+	//    LiveJournal stand-in), with its measured manifest. A process builds
+	//    each (name, scale) once.
 	g := datasets.MustLoad("livejournal", 1)
 	m, err := datasets.BuildManifest("livejournal", 1)
 	if err != nil {

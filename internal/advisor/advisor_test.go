@@ -175,7 +175,7 @@ func TestGridNeverRecommendedOffSquare(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Strategy == "Grid" && !perfectSquare(machines) {
+			if rec.Strategy == "Grid" && !decision.PerfectSquare(machines) {
 				t.Errorf("%s machines=%d: Grid recommended off-square", man.Name, machines)
 			}
 		}

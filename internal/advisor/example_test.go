@@ -9,12 +9,12 @@ import (
 	"graphpart/internal/report"
 )
 
-// ExampleAdvise fits the empirical advisor on a small measured report and
+// ExampleFit fits the empirical advisor on a small measured report and
 // asks it for a PowerGraph strategy. Real inputs come from `benchrunner
 // -json` (the cells) and `gengraph -manifest` (the dataset features); here
 // they are two hand-made workloads — a road network where the greedy
 // family wins and a skewed web graph where Grid wins.
-func ExampleAdvise() {
+func ExampleFit() {
 	cell := func(ds, strat string, total float64) report.Cell {
 		return report.Cell{
 			Dims:   report.Dims{Engine: "PowerGraph", Dataset: ds, Strategy: strat, App: "PageRank(C)", Cluster: "EC2-25", Parts: 25},
@@ -40,7 +40,11 @@ func ExampleAdvise() {
 	if err != nil {
 		panic(err)
 	}
-	rec, err := advisor.Advise(rep, mans, partition.PowerGraph, w)
+	m, err := advisor.Fit(rep, mans)
+	if err != nil {
+		panic(err)
+	}
+	rec, err := m.Recommend(partition.PowerGraph, w)
 	if err != nil {
 		panic(err)
 	}

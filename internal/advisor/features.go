@@ -57,7 +57,7 @@ func featureValue(w decision.Workload, name string) float64 {
 	case "machines":
 		return float64(w.Machines)
 	case "squareMachines":
-		if perfectSquare(w.Machines) {
+		if decision.PerfectSquare(w.Machines) {
 			return 1
 		}
 		return 0
@@ -96,15 +96,4 @@ func WorkloadFor(m datasets.Manifest, machines int, ratio float64, app string) (
 		MaxDegree:           m.Stats.MaxDegree,
 		AvgDegree:           m.Stats.AvgDegree,
 	}, nil
-}
-
-// perfectSquare reports whether n = k² (Grid needs a square machine
-// arrangement; same test as the paper trees').
-func perfectSquare(n int) bool {
-	for k := 0; k*k <= n; k++ {
-		if k*k == n {
-			return true
-		}
-	}
-	return false
 }

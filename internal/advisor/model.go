@@ -100,17 +100,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Advise is the one-shot form: fit a model from the report and manifests,
-// then recommend for a single system and workload. Callers comparing
-// several systems (or rules) should Fit once and Recommend repeatedly.
-func Advise(rep *report.Report, mans []datasets.Manifest, sys partition.System, w decision.Workload) (decision.Recommendation, error) {
-	m, err := Fit(rep, mans)
-	if err != nil {
-		return decision.Recommendation{}, err
-	}
-	return m.Recommend(sys, w)
-}
-
 // Name implements decision.Rule.
 func (m *Model) Name() string { return "empirical" }
 
@@ -262,7 +251,7 @@ func allowedStrategies(sys partition.System, w decision.Workload) (map[string]bo
 	}
 	allowed := make(map[string]bool, len(names))
 	for _, n := range names {
-		if n == "Grid" && w.Machines > 0 && !perfectSquare(w.Machines) {
+		if n == "Grid" && w.Machines > 0 && !decision.PerfectSquare(w.Machines) {
 			continue
 		}
 		allowed[n] = true

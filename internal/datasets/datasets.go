@@ -1,10 +1,10 @@
 // Package datasets is the registry of named benchmark graphs: the scaled
 // synthetic stand-ins for the six graphs in the paper's Table 4.2, plus any
 // externally registered edge-list or .csrg files. Every dataset has a
-// Manifest — kind, size, degree-skew statistics, provenance — and loads are
-// cached twice: once per process (in memory) and, when a cache directory is
-// configured, on disk in the binary .csrg format so later runs skip
-// generation and text parsing entirely.
+// Manifest — kind, size, degree-skew statistics, provenance — and each
+// (name, scale) is built once per process: a builtin is its generator, which
+// reruns as fast as a file of its output reads back, so nothing is kept on
+// disk.
 //
 // Scale 1 keeps every graph small enough that the full experiment suite runs
 // in seconds; benchmarks can request larger scales. Relative sizes mirror
@@ -14,10 +14,7 @@ package datasets
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"graphpart/internal/gen"
@@ -216,147 +213,16 @@ type cacheKey struct {
 	scale int
 }
 
-// cache is the in-process level: each (name, scale) is built once and
+// cache holds the loaded graphs: each (name, scale) is built once and
 // concurrent loaders of one dataset share that build (a cached road-ca never
 // waits behind an in-progress uk-web). A failed build is not kept — an
 // external file dataset can fail transiently (file not there yet), and a
 // pinned error would outlive its cause — so the next Load retries.
 var cache par.OnceMap[cacheKey, *graph.Graph]
 
-// --- on-disk .csrg cache ----------------------------------------------
-
-// CacheEnv is the environment variable every binary honors: when set to a
-// directory, built datasets are persisted there as .csrg files and later
-// loads are binary reads instead of generator runs.
-const CacheEnv = "GRAPHPART_CACHE"
-
-var (
-	cacheDirMu  sync.Mutex
-	cacheDirVal string
-	cacheDirSet bool
-)
-
-// SetCacheDir configures the on-disk dataset cache directory ("" disables
-// it). It overrides the GRAPHPART_CACHE environment variable.
-func SetCacheDir(dir string) {
-	cacheDirMu.Lock()
-	defer cacheDirMu.Unlock()
-	cacheDirVal, cacheDirSet = dir, true
-}
-
-// CacheDir returns the active cache directory: the SetCacheDir value when
-// set, otherwise GRAPHPART_CACHE, otherwise "" (disk cache disabled).
-func CacheDir() string {
-	cacheDirMu.Lock()
-	defer cacheDirMu.Unlock()
-	if cacheDirSet {
-		return cacheDirVal
-	}
-	return os.Getenv(CacheEnv)
-}
-
-// CachePath returns the .csrg path a (name, scale) pair caches to under dir.
-func CachePath(dir, name string, scale int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.s%d%s", sanitize(name), scale, graph.CSRExt))
-}
-
-// sanitize keeps cache filenames flat and portable for arbitrary registered
-// dataset names.
-func sanitize(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, name)
-}
-
-// loadOrBuild resolves one (name, scale): disk cache hit, else build and
-// best-effort populate the disk cache.
-func loadOrBuild(e entry, name string, scale int) (*graph.Graph, error) {
-	dir := CacheDir()
-	// External datasets never touch the disk cache: their source is already
-	// a file the user may edit, and a cached copy would shadow those edits
-	// forever. Generator-backed builders are deterministic, so their cache
-	// entries can never go stale.
-	if e.info.Kind == External {
-		dir = ""
-	}
-	if dir != "" {
-		// A hit must also carry the right identity: sanitize() can map two
-		// registered names to one filename, and the stored graph name is
-		// what distinguishes them — a mismatch is a miss, never a wrong
-		// graph served silently.
-		if g, err := graph.LoadCSR(CachePath(dir, name, scale)); err == nil && g.Name == name {
-			g.EnsureCSR()
-			return g, nil
-		}
-		// Miss, corrupt file, or identity mismatch: fall through and
-		// rebuild. The atomic rename below overwrites the stale entry.
-	}
-	g, err := e.build(scale)
-	if err != nil {
-		return nil, err
-	}
-	g.EnsureCSR()
-	// Only graphs named after their dataset are cacheable — the stored name
-	// is the identity the hit path checks. Every builtin and RegisterFile
-	// builder satisfies this.
-	if dir != "" && g.Name == name {
-		writeCache(dir, name, scale, g)
-	}
-	return g, nil
-}
-
-// writeCache persists g as .csrg via temp-file + rename, so concurrent
-// processes never observe a torn cache entry. Failures are non-fatal: the
-// cache is an optimization, not a dependency.
-//
-// Writers additionally serialize on an advisory flock beside the target:
-// rename is atomic per write, but two processes building the same dataset
-// would otherwise both write multi-MB temp files and rename over each
-// other — wasted IO, and on filesystems without atomic rename-over, a
-// reader-visible race. With the lock held the entry is revalidated first,
-// so the losing writer skips its redundant write entirely.
-func writeCache(dir, name string, scale int, g *graph.Graph) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	target := CachePath(dir, name, scale)
-	if unlock, err := lockFile(target + ".lock"); err == nil {
-		defer unlock()
-		if cached, err := graph.LoadCSR(target); err == nil && cached.Name == name {
-			return // a concurrent writer already landed this entry
-		}
-	}
-	tmp, err := os.CreateTemp(dir, sanitize(name)+".tmp-*")
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name())
-	// Cache entries use format v2: the compressed blocks keep the cache
-	// several times smaller and decode on all cores; the adjacency sections
-	// v1 could embed are rebuilt lazily on load instead.
-	if err := graph.WriteCSRVersion(g, tmp, graph.CSRVersion2); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	// CreateTemp makes 0600 files; widen so shared cache dirs stay usable.
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return
-	}
-	os.Rename(tmp.Name(), CachePath(dir, name, scale))
-}
-
 // Load builds (or returns the cached) graph for name at the given scale.
 // Scale 1 is the test-sized default; builders are deterministic, so the same
-// (name, scale) always yields the same graph — whether it came from the
-// generator, the in-process cache, or a .csrg disk cache hit.
+// (name, scale) always yields the same graph.
 func Load(name string, scale int) (*graph.Graph, error) {
 	if scale < 1 {
 		scale = 1
@@ -369,7 +235,12 @@ func Load(name string, scale int) (*graph.Graph, error) {
 	}
 	// Load's signature carries no context: a load is never abandoned.
 	return cache.Get(context.TODO(), cacheKey{name, scale}, func() (*graph.Graph, error) {
-		return loadOrBuild(e, name, scale)
+		g, err := e.build(scale)
+		if err != nil {
+			return nil, err
+		}
+		g.EnsureCSR()
+		return g, nil
 	})
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"graphpart/internal/graph"
-	"graphpart/internal/par"
 )
 
 func TestManifestRoundTrip(t *testing.T) {
@@ -121,67 +120,8 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-// TestDiskCacheRoundTrip pins the disk-cache contract: a first load writes a
-// .csrg file; a second process-equivalent load (fresh in-memory cache) reads
-// it back and yields a byte-identical edge list.
-func TestDiskCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	SetCacheDir(dir)
-	t.Cleanup(func() { SetCacheDir("") })
-
-	// A private registration keeps this test independent of the shared
-	// in-memory cache entries other tests may have populated.
-	builds := 0
-	if err := Register(Info{Name: "cache-test", Kind: SyntheticRoad, Class: graph.LowDegree},
-		func(scale int) (*graph.Graph, error) {
-			builds++
-			return graph.FromEdges("cache-test", []graph.Edge{
-				{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 2},
-			}), nil
-		}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unregister("cache-test") })
-
-	first := MustLoad("cache-test", 1)
-	if builds != 1 {
-		t.Fatalf("builds = %d after first load", builds)
-	}
-	cached := CachePath(dir, "cache-test", 1)
-	if _, err := os.Stat(cached); err != nil {
-		t.Fatalf("disk cache not written: %v", err)
-	}
-
-	// Simulate a fresh process by clearing the in-memory cache entry.
-	cache = par.OnceMap[cacheKey, *graph.Graph]{}
-
-	second := MustLoad("cache-test", 1)
-	if builds != 1 {
-		t.Errorf("builds = %d; second load should hit the disk cache", builds)
-	}
-	if !reflect.DeepEqual(first.Edges, second.Edges) {
-		t.Errorf("disk-cached edges differ:\n first  %v\n second %v", first.Edges, second.Edges)
-	}
-	if second.Name != "cache-test" {
-		t.Errorf("cached graph name %q", second.Name)
-	}
-
-	// A corrupt cache entry must be rebuilt, not trusted.
-	if err := os.WriteFile(cached, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cache = par.OnceMap[cacheKey, *graph.Graph]{}
-	third := MustLoad("cache-test", 1)
-	if builds != 2 {
-		t.Errorf("builds = %d; corrupt cache should force a rebuild", builds)
-	}
-	if !reflect.DeepEqual(first.Edges, third.Edges) {
-		t.Error("rebuild after corrupt cache produced different edges")
-	}
-}
-
 // TestLoadRetriesAfterTransientBuilderError pins that a failed build is not
-// pinned by the in-memory cache: external file datasets can fail transiently
+// pinned by the cache: external file datasets can fail transiently
 // (file not downloaded yet) and must succeed on a later Load.
 func TestLoadRetriesAfterTransientBuilderError(t *testing.T) {
 	calls := 0
@@ -206,48 +146,5 @@ func TestLoadRetriesAfterTransientBuilderError(t *testing.T) {
 	}
 	if g.NumEdges() != 1 || calls != 2 {
 		t.Errorf("retry produced |E|=%d after %d builder calls", g.NumEdges(), calls)
-	}
-}
-
-// TestDiskCacheRejectsForeignIdentity pins that a cache file holding a
-// different dataset (name collisions after sanitize, or a copied file) is
-// treated as a miss, never served as the requested dataset.
-func TestDiskCacheRejectsForeignIdentity(t *testing.T) {
-	dir := t.TempDir()
-	SetCacheDir(dir)
-	t.Cleanup(func() { SetCacheDir("") })
-
-	if err := Register(Info{Name: "ident-test", Kind: SyntheticRoad, Class: graph.LowDegree},
-		func(int) (*graph.Graph, error) {
-			return graph.FromEdges("ident-test", []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}}), nil
-		}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unregister("ident-test") })
-
-	// Plant a valid .csrg for a *different* graph at ident-test's cache path.
-	foreign := graph.FromEdges("some-other-graph", []graph.Edge{{Src: 0, Dst: 1}})
-	if err := graph.SaveCSRVersion(foreign, CachePath(dir, "ident-test", 1), graph.CSRVersion1); err != nil {
-		t.Fatal(err)
-	}
-
-	g := MustLoad("ident-test", 1)
-	if g.Name != "ident-test" || g.NumEdges() != 2 {
-		t.Errorf("foreign cache entry served: got %v", g)
-	}
-	// The rebuild must have replaced the foreign entry with the real one.
-	cached, err := graph.LoadCSR(CachePath(dir, "ident-test", 1))
-	if err != nil || cached.Name != "ident-test" {
-		t.Errorf("cache not repaired: %v, %v", cached, err)
-	}
-}
-
-func TestCachePathSanitizesNames(t *testing.T) {
-	p := CachePath("/tmp/c", "weird/name with spaces", 2)
-	if filepath.Dir(p) != "/tmp/c" {
-		t.Errorf("sanitized path escaped the cache dir: %s", p)
-	}
-	if filepath.Base(p) != "weird_name_with_spaces.s2.csrg" {
-		t.Errorf("unexpected cache filename %s", filepath.Base(p))
 	}
 }

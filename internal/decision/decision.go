@@ -10,6 +10,7 @@ package decision
 
 import (
 	"fmt"
+	"math"
 
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
@@ -51,14 +52,22 @@ type Workload struct {
 	AvgDegree      float64
 }
 
-// perfectSquare reports whether n = k².
-func perfectSquare(n int) bool {
-	for k := 0; k*k <= n; k++ {
-		if k*k == n {
-			return true
-		}
+// PerfectSquare reports whether n = k² (Grid needs a square machine
+// arrangement). It is O(1): the float root is exact below 2⁵³ and at most
+// one off above, and the corrections divide rather than square, so nothing
+// overflows up to MaxInt.
+func PerfectSquare(n int) bool {
+	if n < 0 {
+		return false
 	}
-	return false
+	k := int(math.Sqrt(float64(n)))
+	for k > 0 && k > n/k {
+		k--
+	}
+	for k+1 <= n/(k+1) {
+		k++
+	}
+	return k*k == n
 }
 
 // PowerGraph is the decision tree of Fig 5.9.
@@ -79,7 +88,7 @@ func powerGraphTrace(w Workload) (string, []string) {
 	case graph.LowDegree:
 		return "HDRF", []string{"low-degree graph → HDRF/Oblivious (Fig 5.9)"}
 	case graph.HeavyTailed:
-		if perfectSquare(w.Machines) {
+		if PerfectSquare(w.Machines) {
 			return "Grid", []string{
 				"heavy-tailed graph",
 				fmt.Sprintf("%d machines form a perfect square → Grid", w.Machines),
@@ -103,15 +112,10 @@ func powerGraphTrace(w Workload) (string, []string) {
 	}
 }
 
-// PowerLyra is the decision tree of Fig 6.6: like PowerGraph's, but a
-// natural application on a non-low-degree graph prefers Hybrid, and the
-// non-square fallback for heavy-tailed graphs is Hybrid too (§6.4.4).
-func PowerLyra(w Workload) string {
-	s, _ := powerLyraTrace(w)
-	return s
-}
-
-// powerLyraTrace walks Fig 6.6 and records the branch taken at each node.
+// powerLyraTrace walks the decision tree of Fig 6.6 and records the branch
+// taken at each node: like PowerGraph's, but a natural application on a
+// non-low-degree graph prefers Hybrid, and the non-square fallback for
+// heavy-tailed graphs is Hybrid too (§6.4.4).
 func powerLyraTrace(w Workload) (string, []string) {
 	if w.Class == graph.LowDegree {
 		return "Oblivious", []string{"low-degree graph → Oblivious (Fig 6.6; even for natural apps, §6.4.4)"}
@@ -124,7 +128,7 @@ func powerLyraTrace(w Workload) (string, []string) {
 	}
 	switch w.Class {
 	case graph.HeavyTailed:
-		if perfectSquare(w.Machines) {
+		if PerfectSquare(w.Machines) {
 			return "Grid", []string{
 				"heavy-tailed graph, non-natural application",
 				fmt.Sprintf("%d machines form a perfect square → Grid", w.Machines),
@@ -148,13 +152,8 @@ func powerLyraTrace(w Workload) (string, []string) {
 	}
 }
 
-// GraphX is the native-strategies rule of thumb (§7.4): Canonical Random
-// for low-degree/high-diameter graphs, 2D for power-law-like graphs.
-func GraphX(w Workload) string {
-	s, _ := graphXTrace(w)
-	return s
-}
-
+// graphXTrace is the native-strategies rule of thumb (§7.4): Canonical
+// Random for low-degree/high-diameter graphs, 2D for power-law-like graphs.
 func graphXTrace(w Workload) (string, []string) {
 	if w.Class == graph.LowDegree {
 		return "CanonicalRandom", []string{"low-degree graph → Canonical Random (§7.4)"}

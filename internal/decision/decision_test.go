@@ -1,6 +1,7 @@
 package decision
 
 import (
+	"math"
 	"testing"
 
 	"graphpart/internal/graph"
@@ -44,20 +45,20 @@ func TestPowerLyraTree(t *testing.T) {
 		{Workload{Class: graph.PowerLaw, NaturalApp: true, Machines: 16}, "Hybrid"},
 	}
 	for _, tc := range cases {
-		if got := PowerLyra(tc.w); got != tc.want {
-			t.Errorf("PowerLyra(%+v) = %s, want %s", tc.w, got, tc.want)
+		if got, _ := powerLyraTrace(tc.w); got != tc.want {
+			t.Errorf("powerLyraTrace(%+v) = %s, want %s", tc.w, got, tc.want)
 		}
 	}
 }
 
 func TestGraphXTrees(t *testing.T) {
-	if got := GraphX(Workload{Class: graph.LowDegree}); got != "CanonicalRandom" {
+	if got, _ := graphXTrace(Workload{Class: graph.LowDegree}); got != "CanonicalRandom" {
 		t.Errorf("GraphX low-degree = %s", got)
 	}
-	if got := GraphX(Workload{Class: graph.PowerLaw}); got != "2D" {
+	if got, _ := graphXTrace(Workload{Class: graph.PowerLaw}); got != "2D" {
 		t.Errorf("GraphX power-law = %s", got)
 	}
-	if got := GraphX(Workload{Class: graph.HeavyTailed}); got != "2D" {
+	if got, _ := graphXTrace(Workload{Class: graph.HeavyTailed}); got != "2D" {
 		t.Errorf("GraphX heavy-tailed = %s", got)
 	}
 	// Fig 9.3 adds the job-length branch for low-degree graphs.
@@ -97,7 +98,7 @@ func TestRecommendationsAreRunnable(t *testing.T) {
 	for machines := 4; machines <= 36; machines++ {
 		w := Workload{Class: graph.HeavyTailed, Machines: machines}
 		name := PowerGraph(w)
-		if name == "Grid" && !perfectSquare(machines) {
+		if name == "Grid" && !PerfectSquare(machines) {
 			t.Errorf("machines=%d: Grid recommended for non-square cluster", machines)
 		}
 	}
@@ -195,5 +196,24 @@ func TestAvoidLists(t *testing.T) {
 	}
 	if Avoid(partition.System("bogus")) != nil {
 		t.Error("unknown system should have nil avoid list")
+	}
+}
+
+func TestPerfectSquare(t *testing.T) {
+	// The top rows are the ones a counting loop never finishes: 1.3 s at
+	// 2⁶², and k*k wraps before it passes MaxInt64.
+	cases := []struct {
+		n    int
+		want bool
+	}{
+		{-4, false}, {0, true}, {1, true}, {2, false}, {24, false}, {25, true},
+		{1 << 62, true}, {1<<62 - 1, false},
+		{3037000499 * 3037000499, true}, // the largest square an int64 holds
+		{math.MaxInt64, false},
+	}
+	for _, tc := range cases {
+		if got := PerfectSquare(tc.n); got != tc.want {
+			t.Errorf("PerfectSquare(%d) = %v, want %v", tc.n, got, tc.want)
+		}
 	}
 }

@@ -494,6 +494,9 @@ func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
+	if machines < 1 || machines > maxParts {
+		return nil, statusErrorf(http.StatusBadRequest, "service: machines must be in [1, %d], got %d", maxParts, machines)
+	}
 	ratio := 4.0 // long-job default: partitions are held resident here
 	if rq := q.Get("ratio"); rq != "" {
 		if ratio, err = strconv.ParseFloat(rq, 64); err != nil {

@@ -258,6 +258,11 @@ func endpointRows() []endpointRow {
 		{name: "advise missing dataset", method: http.MethodGet, path: "/v1/advise", status: http.StatusBadRequest},
 		{name: "advise unknown dataset", method: http.MethodGet, path: "/v1/advise?dataset=no-such-graph", status: http.StatusNotFound},
 		{name: "advise bad ratio", method: http.MethodGet, path: "/v1/advise?dataset=road-ca&ratio=tall", status: http.StatusBadRequest},
+		// 70 bytes that used to pin a core for good: the square test behind the
+		// Grid feature counted up to √machines and wrapped at MaxInt64.
+		{name: "advise absurd machines", method: http.MethodGet, path: "/v1/advise?dataset=road-ca&machines=9223372036854775807", status: http.StatusBadRequest},
+		{name: "advise zero machines", method: http.MethodGet, path: "/v1/advise?dataset=road-ca&machines=0", status: http.StatusBadRequest},
+		{name: "advise negative machines", method: http.MethodGet, path: "/v1/advise?dataset=road-ca&machines=-4", status: http.StatusBadRequest},
 		{name: "advisor fit method not allowed", method: http.MethodGet, path: "/v1/advisor/fit", status: http.StatusMethodNotAllowed},
 		{name: "metrics ok", method: http.MethodGet, path: "/v1/metrics", status: http.StatusOK,
 			check: func(t *testing.T, rec *httptest.ResponseRecorder) {

@@ -1,8 +1,8 @@
 package service
 
 import (
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -38,29 +38,31 @@ func (e *endpointStats) observe(status int, d time.Duration) {
 	}
 }
 
+// opStats is one registered operation and its counters.
+type opStats struct {
+	op string
+	*endpointStats
+}
+
 // metricsRegistry holds per-endpoint counters. Operations are registered
-// up front (at route time), so the exported cell set is fixed and sorted
-// — the map is never mutated under traffic.
+// at route time only, before the server takes traffic, and kept sorted by
+// name there — so a scrape walks a fixed slice with no lock and no sort.
 type metricsRegistry struct {
-	mu    sync.Mutex
-	eps   map[string]*endpointStats
+	ops   []opStats
 	start time.Time
 }
 
 func newMetricsRegistry() *metricsRegistry {
-	return &metricsRegistry{eps: map[string]*endpointStats{}, start: time.Now()}
+	return &metricsRegistry{start: time.Now()}
 }
 
 // register creates the named operation's counters; idempotent.
 func (m *metricsRegistry) register(op string) *endpointStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e, ok := m.eps[op]; ok {
-		return e
+	i, found := slices.BinarySearchFunc(m.ops, op, func(o opStats, op string) int { return strings.Compare(o.op, op) })
+	if !found {
+		m.ops = slices.Insert(m.ops, i, opStats{op, &endpointStats{}})
 	}
-	e := &endpointStats{}
-	m.eps[op] = e
-	return e
+	return m.ops[i].endpointStats
 }
 
 // MetricsCells exports every operation's counters in the report.Cell
@@ -69,14 +71,6 @@ func (m *metricsRegistry) register(op string) *endpointStats {
 // output is stable for a given traffic history.
 func (s *Server) MetricsCells() []report.Cell {
 	m := s.met
-	m.mu.Lock()
-	ops := make([]string, 0, len(m.eps))
-	for op := range m.eps {
-		ops = append(ops, op)
-	}
-	m.mu.Unlock()
-	sort.Strings(ops)
-
 	uptime := time.Since(m.start).Seconds()
 	if uptime <= 0 {
 		uptime = 1e-9
@@ -86,10 +80,8 @@ func (s *Server) MetricsCells() []report.Cell {
 		cells = append(cells, report.Cell{Dims: report.Dims{Variant: op}, Metric: metric, Value: v, Unit: unit})
 	}
 	var totalReq, totalErr int64
-	for _, op := range ops {
-		m.mu.Lock()
-		e := m.eps[op]
-		m.mu.Unlock()
+	for _, e := range m.ops {
+		op := e.op
 		req := e.requests.Load()
 		ce, se := e.clientErrs.Load(), e.serverErrs.Load()
 		totalReq += req

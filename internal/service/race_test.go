@@ -51,7 +51,9 @@ func churnBody(stream string, adds, dels [][2]uint32) string {
 // package's TestStatelessChurnEquivalence: N clients hammer one server
 // with a mix of assignment lookups, churn batches, and advisor queries
 // under -race, and the final churn-stream state must be byte-identical
-// to a sequential replay of the same batches on a fresh server.
+// to a sequential replay of the same batches on a fresh server. Every
+// client's advisor answer must equal the replay server's, and the metrics
+// counters must account for exactly the requests the script made.
 func TestConcurrentBattery(t *testing.T) {
 	const (
 		clients = 8
@@ -64,8 +66,10 @@ func TestConcurrentBattery(t *testing.T) {
 		t.Fatalf("fit: %d (%s)", rec.Code, rec.Body)
 	}
 
+	const adviseURL = "/v1/advise?dataset=road-ca&machines=16&app=PageRank"
 	strategies := []string{"Grid", "Random", "2D"}
 	ops := make([][]churnOp, clients)
+	adviseBodies := make([]string, clients)
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
@@ -95,10 +99,12 @@ func TestConcurrentBattery(t *testing.T) {
 				ops[g] = append(ops[g], churnOp{client: g, body: body})
 
 				// Advisor read.
-				if rec := do(live, http.MethodGet, "/v1/advise?dataset=road-ca&machines=16&app=PageRank", ""); rec.Code != http.StatusOK {
+				rec := do(live, http.MethodGet, adviseURL, "")
+				if rec.Code != http.StatusOK {
 					t.Errorf("client %d: advise: %d (%s)", g, rec.Code, rec.Body)
 					return
 				}
+				adviseBodies[g] = rec.Body.String()
 				// Metrics read races the counters' atomics.
 				if rec := do(live, http.MethodGet, "/v1/metrics", ""); rec.Code != http.StatusOK {
 					t.Errorf("client %d: metrics: %d", g, rec.Code)
@@ -118,9 +124,31 @@ func TestConcurrentBattery(t *testing.T) {
 		t.Fatalf("live state: %d (%s)", liveState.Code, liveState.Body)
 	}
 
+	// The server's own counters account for every scripted request: one per
+	// client and iteration on each op, plus the state read on churn.
+	want := map[string]float64{
+		"assignment": clients * iters,
+		"churn":      clients*iters + 1,
+		"advise":     clients * iters,
+		"metrics":    clients * iters,
+	}
+	counted := map[string]float64{}
+	for _, c := range live.MetricsCells() {
+		counted[c.Dims.Variant+"/"+c.Metric] = c.Value
+	}
+	for op, n := range want {
+		if counted[op+"/requests"] != n || counted[op+"/client-errors"] != 0 || counted[op+"/server-errors"] != 0 {
+			t.Errorf("metrics: %s counts %v requests, %v client and %v server errors; the script made %v and no errors",
+				op, counted[op+"/requests"], counted[op+"/client-errors"], counted[op+"/server-errors"], n)
+		}
+	}
+
 	// Sequential replay on a fresh server: each client's batches in its
 	// own order, clients one after another.
 	replay := newTestServer(t, Config{DefaultParts: 4})
+	if rec := do(replay, http.MethodPost, "/v1/advisor/fit", fitReportJSON()); rec.Code != http.StatusOK {
+		t.Fatalf("replay fit: %d (%s)", rec.Code, rec.Body)
+	}
 	for _, clientOps := range ops {
 		for _, op := range clientOps {
 			if rec := do(replay, http.MethodPost, "/v1/churn", op.body); rec.Code != http.StatusOK {
@@ -136,6 +164,18 @@ func TestConcurrentBattery(t *testing.T) {
 	if liveState.Body.String() != replayState.Body.String() {
 		t.Fatalf("concurrent state diverged from sequential replay:\nconcurrent: %s\nsequential: %s",
 			liveState.Body, replayState.Body)
+	}
+
+	// Every racing client got the one recommendation the replay server gives.
+	replayAdvise := do(replay, http.MethodGet, adviseURL, "")
+	if replayAdvise.Code != http.StatusOK {
+		t.Fatalf("replay advise: %d (%s)", replayAdvise.Code, replayAdvise.Body)
+	}
+	for g, body := range adviseBodies {
+		if body != replayAdvise.Body.String() {
+			t.Errorf("client %d: advise under load differs from the replay server's:\nconcurrent: %s\nsequential: %s",
+				g, body, replayAdvise.Body)
+		}
 	}
 
 	// And both match a direct PartitionState replay below the HTTP layer,

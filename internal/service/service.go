@@ -1,6 +1,6 @@
 // Package service is the resident partition-as-a-service layer: an
-// HTTP/JSON server that keeps registered datasets loaded through the
-// two-level .csrg cache, serves assignment lookups and manifest stats,
+// HTTP/JSON server that keeps registered datasets loaded in memory,
+// serves assignment lookups and manifest stats,
 // executes partition jobs asynchronously on a bounded queue, applies churn
 // batches to live partition.PartitionState streams, and answers advisor
 // queries from a warm in-memory advisor.Model refittable from uploaded
@@ -20,7 +20,7 @@
 // ErrShutdown, and new submissions get ErrDraining.
 //
 // The API is documented in docs/SERVICE.md; cmd/partitiond is the daemon
-// binary and the svc.qps experiment load-tests an in-process instance.
+// binary and TestConcurrentBattery load-tests an in-process instance.
 package service
 
 import (
