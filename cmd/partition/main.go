@@ -86,6 +86,11 @@ func main() {
 		return
 	}
 
+	cc, err := clusterFor(*parts, *machines)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	var g *graph.Graph
 	switch {
 	case *dataset != "":
@@ -120,11 +125,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	m := *machines
-	if m <= 0 {
-		m = *parts
-	}
-	cc := cluster.Config{Machines: m, PartsPerMachine: (*parts + m - 1) / m}
 	ing := cluster.Ingress(a, s, cc, cluster.DefaultModel())
 
 	cls := graph.Classify(g)
@@ -133,7 +133,7 @@ func main() {
 	hw := humanWriter(*jsonOut)
 	fmt.Fprintf(hw, "graph:               %v (%s)\n", g, cls.Class)
 	printMetrics(hw, s, *parts, a, a.EdgeCount, *verbose,
-		fmt.Sprintf("ingress (simulated): %.4fs on %d machines", ing.Seconds, m))
+		fmt.Sprintf("ingress (simulated): %.4fs on %d machines", ing.Seconds, cc.Machines))
 
 	if *jsonOut != "" {
 		name := *dataset
@@ -151,7 +151,7 @@ func main() {
 	if *recommend {
 		for _, sys := range []partition.System{partition.PowerGraph, partition.PowerLyra, partition.GraphXAll} {
 			rec, err := decision.Recommend(sys, decision.Workload{
-				Class: cls.Class, Machines: m, ComputeIngressRatio: 2, NaturalApp: true,
+				Class: cls.Class, Machines: cc.Machines, ComputeIngressRatio: 2, NaturalApp: true,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -159,6 +159,20 @@ func main() {
 			fmt.Fprintf(hw, "recommended for %-14s %s\n", sys+":", rec)
 		}
 	}
+}
+
+// clusterFor is the cluster the ingress model prices: `machines` machines (0
+// means one per partition) hosting exactly `parts` partitions. A machine
+// count that does not divide the partition count is refused — rounding
+// PartsPerMachine up would price a cluster the assignment does not fit.
+func clusterFor(parts, machines int) (cluster.Config, error) {
+	if machines == 0 {
+		machines = parts
+	}
+	if machines < 1 || parts%machines != 0 {
+		return cluster.Config{}, fmt.Errorf("partition: -machines %d cannot host -parts %d: machines × partitions-per-machine must equal the partition count", machines, parts)
+	}
+	return cluster.Config{Machines: machines, PartsPerMachine: parts / machines}, nil
 }
 
 // runStream runs the memory-bounded batch ingress: the edge list is read
@@ -294,7 +308,8 @@ func humanWriter(jsonOut string) io.Writer {
 // printMetrics renders the common quality-metric block (plus the optional
 // extra line and the -verbose per-partition table) for either ingress path.
 func printMetrics(out io.Writer, s partition.Strategy, parts int, sum partitionSummary, edgeCount []int64, verbose bool, extra string) {
-	fmt.Fprintf(out, "strategy:            %s (%s)\n", s.Name(), shapeString(s, parts))
+	_, detail := describeShape(partition.ShapeOf(s, parts))
+	fmt.Fprintf(out, "strategy:            %s (%s)\n", s.Name(), detail)
 	fmt.Fprintf(out, "partitions:          %d\n", parts)
 	fmt.Fprintf(out, "replication factor:  %.4f\n", sum.ReplicationFactor())
 	fmt.Fprintf(out, "total replicas:      %d\n", sum.TotalReplicas())
@@ -312,30 +327,17 @@ func printMetrics(out io.Writer, s partition.Strategy, parts int, sum partitionS
 	}
 }
 
-// shapeString renders a strategy's capability-derived ingress shape.
-func shapeString(s partition.Strategy, parts int) string {
-	shape := partition.ShapeOf(s, parts)
+// describeShape is the one classification of an IngressShape: the
+// three-way class the ingress pipeline dispatches on, and the shape in words.
+func describeShape(shape partition.IngressShape) (class, detail string) {
 	switch {
 	case shape.MultiPassReason != "":
-		return fmt.Sprintf("%d passes: %s", shape.Passes, shape.MultiPassReason)
+		return fmt.Sprintf("multi-pass (%d passes)", shape.Passes),
+			fmt.Sprintf("%d passes: %s", shape.Passes, shape.MultiPassReason)
 	case shape.Loaders > 0:
-		return fmt.Sprintf("1 streaming pass, %d independent loaders", shape.Loaders)
+		return "streaming", fmt.Sprintf("1 streaming pass, %d independent loaders", shape.Loaders)
 	default:
-		return "1 streaming pass, stateless"
-	}
-}
-
-// capabilityClass folds a strategy's IngressShape into the three-way class
-// the ingress pipeline dispatches on.
-func capabilityClass(s partition.Strategy, parts int) string {
-	shape := partition.ShapeOf(s, parts)
-	switch {
-	case shape.MultiPassReason != "":
-		return fmt.Sprintf("multi-pass (%d passes)", shape.Passes)
-	case shape.Loaders > 0:
-		return "streaming"
-	default:
-		return "stateless"
+		return "stateless", "1 streaming pass, stateless"
 	}
 }
 
@@ -346,7 +348,8 @@ func listStrategies(out io.Writer, parts, threshold int) {
 	fmt.Fprintln(w, "strategy\tclass\tingress shape")
 	for _, n := range partition.AllNames() {
 		s := partition.MustNew(n, partition.Options{HybridThreshold: threshold})
-		fmt.Fprintf(w, "%s\t%s\t%s\n", n, capabilityClass(s, parts), shapeString(s, parts))
+		class, detail := describeShape(partition.ShapeOf(s, parts))
+		fmt.Fprintf(w, "%s\t%s\t%s\n", n, class, detail)
 	}
 	w.Flush()
 }

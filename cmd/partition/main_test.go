@@ -155,3 +155,29 @@ func TestRunStreamNamesCapability(t *testing.T) {
 		t.Error("-stream without -input accepted")
 	}
 }
+
+// TestClusterFor: -machines must describe a cluster the assignment fits —
+// machines × partitions-per-machine = -parts — or be refused naming both.
+func TestClusterFor(t *testing.T) {
+	for _, tc := range []struct {
+		parts, machines int
+		wantMachines    int // 0 = rejected
+	}{
+		{9, 0, 9}, {9, 9, 9}, {16, 4, 4},
+		{9, 16, 0}, {10, 4, 0}, {9, -1, 0},
+	} {
+		cc, err := clusterFor(tc.parts, tc.machines)
+		if tc.wantMachines == 0 {
+			for _, n := range []int{tc.parts, tc.machines} {
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprint(n)) {
+					t.Errorf("clusterFor(%d, %d) = %+v, %v; want an error naming %d", tc.parts, tc.machines, cc, err, n)
+				}
+			}
+			continue
+		}
+		if err != nil || cc.Machines != tc.wantMachines || cc.NumParts() != tc.parts {
+			t.Errorf("clusterFor(%d, %d) = %+v, %v; want %d machines hosting %d partitions",
+				tc.parts, tc.machines, cc, err, tc.wantMachines, tc.parts)
+		}
+	}
+}

@@ -200,8 +200,8 @@ func gcMultMemFactor(gcMult float64) float64 { return 1 + 0.1*(gcMult-1) }
 func partitionPhaseSeconds(a *partition.Assignment, cfg cluster.Config, model cluster.CostModel) float64 {
 	edges := float64(a.G.NumEdges())
 	perMachine := edges / float64(cfg.Machines)
-	assignNs := model.HashAssignNs * float64(a.Passes)
-	if a.Passes >= 3 || isGreedy(a.Strategy) {
+	assignNs := model.HashAssignNs * float64(a.Shape.Passes)
+	if a.Shape.Passes >= 3 || a.Shape.HeuristicPasses > 0 {
 		assignNs += model.HeuristicAssignNs * float64(a.NumParts)
 	}
 	assignSec := perMachine * assignNs / 1e9
@@ -217,13 +217,4 @@ func partitionPhaseSeconds(a *partition.Assignment, cfg cluster.Config, model cl
 	}
 	finalizeSec := reps / float64(cfg.Machines) * model.FinalizeReplicaNs * routingTableFactor / 1e9
 	return assignSec + shuffleSec + finalizeSec
-}
-
-// isGreedy reports whether the strategy registered under name declares
-// O(numParts) work per edge (partition.HeuristicStrategy). An assignment
-// carries only its strategy's name; one the registry does not know — a
-// deserialized assignment from another build — prices as a hash.
-func isGreedy(name string) bool {
-	s, err := partition.New(name, partition.Options{})
-	return err == nil && partition.IsHeuristic(s)
 }

@@ -222,8 +222,8 @@ func TestGraphXRejectsMismatchedCluster(t *testing.T) {
 
 func TestGraphXGreedyPartitioningSlower(t *testing.T) {
 	// Ch. 9: ported greedy strategies partition more slowly than the
-	// native hashes in GraphX. The surcharge follows the HeuristicStrategy
-	// capability, not a list of names: HEP (two passes, greedy) must cost
+	// native hashes in GraphX. The surcharge follows the assignment's
+	// ingress shape, not a list of names: HEP (two passes, greedy) must cost
 	// more than Hybrid (two passes, hash).
 	g := gen.PrefAttach("gx-greedy", 3000, 6, 0xb)
 	cc := cluster.GraphXLocal9
@@ -286,6 +286,54 @@ func TestGraphXParallelDeterminism(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestPartitionPhaseAllStrategies pins GraphX's modelled partitioning phase
+// for every registered strategy bit for bit: BENCH_seed1.json prices only
+// the nine GraphX-All strategies, and the phase reads the strategy's
+// ingress shape (passes, heuristic passes) through the assignment.
+func TestPartitionPhaseAllStrategies(t *testing.T) {
+	want := map[string]uint64{ // recorded on 5107ae9
+		"1D":              0x3f3f489eef07cef1, // 0.00047735100000000004
+		"1D-Target":       0x3f41d353c6f3e73a, // 0.000543991
+		"2D":              0x3f4137f861479004, // 0.000525471
+		"AsymRandom":      0x3f442796ea343330, // 0.000615071
+		"CanonicalRandom": 0x3f443151fef2b130, // 0.0006162310000000001
+		"Grid":            0x3f46d72f5151565f, // 0.00069703875
+		"H-Ginger":        0x3f51235f3be0e7f3, // 0.001046031
+		"HDRF":            0x3f4ea0ac29e17243, // 0.000934681
+		"HEP":             0x3f4d56498526925e, // 0.0008952960000000001
+		"Hybrid":          0x3f436dd2e3b4923b, // 0.000592926
+		"JaBeJaSwap":      0x3f53f16518c4ae2b, // 0.0012172209999999999
+		"Multilevel":      0x3f5035a38c1cea83, // 0.000989351
+		"Oblivious":       0x3f4eb2caba704b3a, // 0.0009368410000000001
+		"PDS":             0x3f283cdf66a374c6, // 0.00018491961538461536
+		"Random":          0x3f443151fef2b130, // 0.0006162310000000001
+		"ResilientGrid":   0x3f41a65d43ca5195, // 0.000538631
+	}
+	g := gen.PrefAttach("gx-phase", 1500, 5, 0xd)
+	names := partition.AllNames()
+	if len(names) != len(want) {
+		t.Errorf("%d registered strategies, %d pinned partition phases", len(names), len(want))
+	}
+	for _, name := range names {
+		cc := cluster.Config{Machines: 5, PartsPerMachine: 2}
+		switch name {
+		case "PDS":
+			cc = cluster.Config{Machines: 13, PartsPerMachine: 1}
+		case "Grid":
+			cc = cluster.Config{Machines: 4, PartsPerMachine: 4}
+		}
+		out, err := graphx.Run[float64, float64](app.PageRank{}, gxAssignment(t, g, name, cc),
+			graphx.Config{Cluster: cc, Iterations: 1}, model)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := math.Float64bits(out.Stats.PartitionSeconds); got != want[name] {
+			t.Errorf("%s: PartitionSeconds = %v (bits %#x), want bits %#x",
+				name, out.Stats.PartitionSeconds, got, want[name])
 		}
 	}
 }

@@ -156,12 +156,6 @@ type Oblivious struct {
 // Name implements Strategy.
 func (Oblivious) Name() string { return "Oblivious" }
 
-// Passes implements Strategy.
-func (Oblivious) Passes() int { return 1 }
-
-// Heuristic implements HeuristicStrategy.
-func (Oblivious) Heuristic() bool { return true }
-
 // Loaders implements StreamingStrategy.
 func (o Oblivious) Loaders(numParts int) int { return loadersOrDefault(o.NumLoaders, numParts) }
 
@@ -196,12 +190,6 @@ type HDRF struct {
 
 // Name implements Strategy.
 func (HDRF) Name() string { return "HDRF" }
-
-// Passes implements Strategy.
-func (HDRF) Passes() int { return 1 }
-
-// Heuristic implements HeuristicStrategy.
-func (HDRF) Heuristic() bool { return true }
 
 // Loaders implements StreamingStrategy.
 func (h HDRF) Loaders(numParts int) int { return loadersOrDefault(h.NumLoaders, numParts) }

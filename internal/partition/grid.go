@@ -23,9 +23,6 @@ type Grid struct{}
 // Name implements Strategy.
 func (Grid) Name() string { return "Grid" }
 
-// Passes implements Strategy.
-func (Grid) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (Grid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	side := ceilSqrt(numParts)
@@ -48,9 +45,6 @@ type ResilientGrid struct{}
 
 // Name implements Strategy.
 func (ResilientGrid) Name() string { return "ResilientGrid" }
-
-// Passes implements Strategy.
-func (ResilientGrid) Passes() int { return 1 }
 
 // NewAssigner implements StatelessStrategy.
 func (ResilientGrid) NewAssigner(numParts int, seed uint64) (Assigner, error) {

@@ -22,9 +22,6 @@ type Random struct{}
 // Name implements Strategy.
 func (Random) Name() string { return "Random" }
 
-// Passes implements Strategy.
-func (Random) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (Random) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return randomAssigner{parts: uint64(numParts), seed: seed}, nil
@@ -60,9 +57,6 @@ type AsymRandom struct{}
 // Name implements Strategy.
 func (AsymRandom) Name() string { return "AsymRandom" }
 
-// Passes implements Strategy.
-func (AsymRandom) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy.
 func (AsymRandom) NewAssigner(numParts int, seed uint64) (Assigner, error) {
 	return asymAssigner{parts: uint64(numParts), seed: seed}, nil
@@ -88,9 +82,6 @@ type OneD struct{}
 
 // Name implements Strategy.
 func (OneD) Name() string { return "1D" }
-
-// Passes implements Strategy.
-func (OneD) Passes() int { return 1 }
 
 // NewAssigner implements StatelessStrategy.
 func (OneD) NewAssigner(numParts int, seed uint64) (Assigner, error) {
@@ -121,9 +112,6 @@ type OneDTarget struct{}
 
 // Name implements Strategy.
 func (OneDTarget) Name() string { return "1D-Target" }
-
-// Passes implements Strategy.
-func (OneDTarget) Passes() int { return 1 }
 
 // NewAssigner implements StatelessStrategy.
 func (OneDTarget) NewAssigner(numParts int, seed uint64) (Assigner, error) {
@@ -158,9 +146,6 @@ type TwoD struct{}
 
 // Name implements Strategy.
 func (TwoD) Name() string { return "2D" }
-
-// Passes implements Strategy.
-func (TwoD) Passes() int { return 1 }
 
 // NewAssigner implements StatelessStrategy.
 func (TwoD) NewAssigner(numParts int, seed uint64) (Assigner, error) {

@@ -40,10 +40,6 @@ type HEP struct {
 // Name implements Strategy.
 func (HEP) Name() string { return "HEP" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (h HEP) Passes() int { p, _, _ := h.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: the degree threshold and the core
 // subgraph must be known before any edge can be placed, so a degree-census
 // scan precedes the placement scan; the placement scan pays O(numParts)
@@ -51,11 +47,6 @@ func (h HEP) Passes() int { p, _, _ := h.MultiPass(); return p }
 func (HEP) MultiPass() (passes, heuristicPasses int, why string) {
 	return 2, 1, "needs a degree census to split the low-degree core (in-memory NE) from the high-degree spill (streamed HDRF) under the memory budget"
 }
-
-// Heuristic implements HeuristicStrategy: the spill stream scores all
-// numParts candidates per edge, and the NE phase examines frontier
-// candidates per core edge.
-func (HEP) Heuristic() bool { return true }
 
 func (h HEP) budget() float64 {
 	b := h.MemBudget

@@ -30,10 +30,6 @@ type Hybrid struct {
 // Name implements Strategy.
 func (Hybrid) Name() string { return "Hybrid" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (h Hybrid) Passes() int { p, _, _ := h.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: hybrid-cut must know every
 // destination's in-degree before it can place that destination's edges, so
 // a degree-discovery scan precedes the placement scan and single-pass
@@ -102,10 +98,6 @@ type HybridGinger struct {
 // Name implements Strategy.
 func (HybridGinger) Name() string { return "H-Ginger" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (hg HybridGinger) Passes() int { p, _, _ := hg.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy. All three passes pay greedy
 // O(numParts) scoring in the ingress model: the degree pass, the placement
 // pass, and the Fennel-style refinement sweep, which additionally walks
@@ -114,9 +106,6 @@ func (hg HybridGinger) Passes() int { p, _, _ := hg.MultiPass(); return p }
 func (HybridGinger) MultiPass() (passes, heuristicPasses int, why string) {
 	return 3, 3, "hybrid's degree-counting scan plus a Fennel-style refinement sweep over vertex homes (§6.2.2)"
 }
-
-// Heuristic implements HeuristicStrategy.
-func (HybridGinger) Heuristic() bool { return true }
 
 // Partition implements Strategy.
 func (hg HybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {

@@ -49,21 +49,13 @@ type SwapStats struct {
 // Name implements Strategy.
 func (JaBeJaSwap) Name() string { return "JaBeJaSwap" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (jb JaBeJaSwap) Passes() int { p, _, _ := jb.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: the base assignment must be
 // complete before any swap can be evaluated, and every refinement round is
 // another full scan of the edge list.
 func (jb JaBeJaSwap) MultiPass() (passes, heuristicPasses int, why string) {
-	base := jb.base()
-	bp := base.Passes()
-	bh := 0
-	if IsHeuristic(base) {
-		bh = bp
-	}
-	return bp + jb.rounds(), bh, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
+	// Passes and HeuristicPasses do not depend on the partition count.
+	base := ShapeOf(jb.base(), 1)
+	return base.Passes + jb.rounds(), base.HeuristicPasses, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
 }
 
 func (jb JaBeJaSwap) base() Strategy {

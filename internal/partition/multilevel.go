@@ -29,10 +29,6 @@ type Multilevel struct {
 // Name implements Strategy.
 func (Multilevel) Name() string { return "Multilevel" }
 
-// Passes implements Strategy, derived from MultiPass so the two can never
-// drift apart.
-func (ml Multilevel) Passes() int { p, _, _ := ml.MultiPass(); return p }
-
 // MultiPass implements MultiPassStrategy: coarsening, initial partitioning
 // and projection all need the whole (successively contracted) edge list
 // resident; only the refinement sweeps pay O(numParts) work per vertex.

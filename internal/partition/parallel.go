@@ -18,9 +18,10 @@ import (
 //   - StreamingStrategy: each independent loader streams its own contiguous
 //     block of the edge list, concurrently — the paper's multi-loader
 //     ingress (§5.2.2).
-//   - anything else (the multi-pass family): one sequential strategy pass,
-//     but the Assignment is still built in parallel.
+//   - MultiPassStrategy: one sequential strategy pass, but the Assignment
+//     is still built in parallel.
 //
+// A strategy with none of the three is refused with ErrNoIngressCapability.
 // Parallelism changes wall-clock, never placement: the result is identical
 // at every worker count. The strategy's own Partition method runs at most
 // once per call (and not at all for stateless/streaming strategies).
@@ -36,13 +37,15 @@ func ParallelPartition(g *graph.Graph, s Strategy, numParts int, seed uint64, wo
 		res, err = assignStateless(g, impl, numParts, seed, workers)
 	case StreamingStrategy:
 		res, err = assignStreaming(g, impl, numParts, seed, workers)
-	default:
+	case MultiPassStrategy:
 		res, err = s.Partition(g, numParts, seed)
+	default:
+		err = ErrNoIngressCapability
 	}
 	if err != nil {
 		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
 	}
-	return newAssignment(g, s.Name(), s.Passes(), numParts, seed, res, workers)
+	return newAssignment(g, s, numParts, seed, res, workers)
 }
 
 // assignStateless shards the edge list across workers, each assigning with

@@ -70,6 +70,12 @@ func (c countingStreaming) NewLoader(numVertices, numParts, id int, seed uint64)
 	return c.Strategy.(StreamingStrategy).NewLoader(numVertices, numParts, id, seed)
 }
 
+type countingMultiPass struct{ countingStrategy }
+
+func (c countingMultiPass) MultiPass() (passes, heuristicPasses int, why string) {
+	return c.Strategy.(MultiPassStrategy).MultiPass()
+}
+
 // TestParallelNeverPartitionsTwice is the regression test for the old
 // hintOnce fallback, which re-ran a full sequential partition inside the
 // parallel path to recover master hints. One driver call — ParallelPartition
@@ -89,8 +95,8 @@ func TestParallelNeverPartitionsTwice(t *testing.T) {
 			s, wantCalls = countingStateless{wrapped}, 0
 		case StreamingStrategy:
 			s, wantCalls = countingStreaming{wrapped}, 0
-		default:
-			s, wantCalls = wrapped, 1
+		case MultiPassStrategy:
+			s, wantCalls = countingMultiPass{wrapped}, 1
 		}
 		if _, err := ParallelPartition(g, s, partsFor(name), 5, 4); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -145,7 +151,12 @@ func TestParallelRejectsBadAssignments(t *testing.T) {
 type badStrategy struct{ firstBad, short int }
 
 func (badStrategy) Name() string { return "Bad" }
-func (badStrategy) Passes() int  { return 1 }
+
+// MultiPass declares the capability ParallelPartition dispatches to Partition.
+func (badStrategy) MultiPass() (passes, heuristicPasses int, why string) {
+	return 1, 0, "test fake"
+}
+
 func (b badStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	parts := make([]int32, g.NumEdges()-b.short)
 	for i := b.firstBad; i < len(parts); i++ {

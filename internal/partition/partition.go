@@ -7,24 +7,31 @@
 //
 // # Ingress capabilities
 //
-// Strategies are dispatched by capability, never by name. Beyond the base
-// Strategy interface, a strategy may implement:
+// Strategies are dispatched by capability, never by name, and the
+// capability is the only statement of a strategy's ingress shape — how many
+// passes it makes over the edge list and how many of them score every
+// partition. Beyond the base Strategy interface (Name and Partition), every
+// strategy implements exactly one of:
 //
 //   - StatelessStrategy: placement is a pure per-edge function (the hash
 //     family: Random, CanonicalRandom, AsymRandom, 1D, 1D-Target, 2D, Grid,
 //     ResilientGrid, PDS). The edge stream shards arbitrarily across
 //     workers; per-vertex master hints, when produced, come from the
-//     assigner's MasterHinter per vertex shard.
+//     assigner's MasterHinter per vertex shard. One pass, none heuristic.
 //   - StreamingStrategy: single-pass greedy ingress over independent
 //     per-loader state (Oblivious, HDRF), matching the paper's
 //     one-loader-per-machine semantics (§5.2.2). Loader blocks run
-//     concurrently and the result is identical to the sequential pass.
+//     concurrently and the result is identical to the sequential pass. One
+//     pass, and it is heuristic.
 //   - MultiPassStrategy: cannot stream in one bounded-memory pass (Hybrid,
-//     H-Ginger); declares its pass structure and the reason.
+//     H-Ginger, HEP, JaBeJaSwap, Multilevel); declares its pass structure
+//     and the reason.
 //
-// ShapeOf folds these into an IngressShape for schedulers and cost models.
-// New strategies self-register via Register from an init function; no
-// central construction switch exists.
+// ShapeOf folds these into an IngressShape — it consults nothing else — and
+// ParallelPartition stamps it on the Assignment it builds, which is where
+// the cost models read it. New strategies self-register via Register from
+// an init function; no central construction switch exists, and Register
+// rejects a strategy that declares no capability.
 //
 // Whatever the capability, one interface places an edge: Assigner. A
 // stateless strategy's NewAssigner, a streaming strategy's NewLoader and
@@ -69,26 +76,14 @@ type Result struct {
 }
 
 // Strategy assigns every edge of a graph to one of numParts partitions.
-// Implementations must be deterministic for a given seed.
+// Implementations must be deterministic for a given seed. How a strategy
+// consumes the edge stream is stated by its capability interface
+// (StatelessStrategy, StreamingStrategy or MultiPassStrategy), not here.
 type Strategy interface {
 	// Name returns the strategy's display name as used in the paper.
 	Name() string
-	// Passes returns how many passes over the edge list the strategy
-	// makes during ingress (1 for all streaming strategies; 2 for Hybrid;
-	// 3 for Hybrid-Ginger). The ingress-time and memory models use this.
-	Passes() int
 	// Partition assigns edges to partitions.
 	Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error)
-}
-
-// HeuristicStrategy is implemented by the greedy strategies (Oblivious,
-// HDRF, Hybrid-Ginger) whose per-edge ingress cost scales with the number
-// of candidate partitions examined. The ingress model distinguishes these
-// from O(1) hash-based strategies.
-type HeuristicStrategy interface {
-	Strategy
-	// Heuristic reports that per-edge assignment work is O(numParts).
-	Heuristic() bool
 }
 
 // Assignment is a fully-materialized vertex-cut partitioning of a graph:
@@ -100,7 +95,9 @@ type Assignment struct {
 	G        *graph.Graph
 	NumParts int
 	Strategy string
-	Passes   int
+	// Shape is the ingress shape of the strategy that built the assignment
+	// (ShapeOf at NumParts); the cost models price ingress from it.
+	Shape IngressShape
 
 	EdgeParts []int32
 	Masters   []int32 // -1 for isolated vertices (the core's slice)
@@ -120,20 +117,18 @@ func Partition(g *graph.Graph, s Strategy, numParts int, seed uint64) (*Assignme
 
 // newAssignment materializes a strategy result into an Assignment using the
 // given number of workers (≥1; 1 runs inline). Worker count never changes the
-// result, only wall-clock. The strategy is identified by name and pass
-// count rather than interface so deserialized assignments (whose strategy
-// no longer exists as code) rebuild through the same validated path.
-func newAssignment(g *graph.Graph, name string, passes, numParts int, seed uint64, res *Result, workers int) (*Assignment, error) {
+// result, only wall-clock.
+func newAssignment(g *graph.Graph, s Strategy, numParts int, seed uint64, res *Result, workers int) (*Assignment, error) {
 	if len(res.EdgeParts) != g.NumEdges() {
 		return nil, fmt.Errorf("partition: strategy %s returned %d assignments for %d edges",
-			name, len(res.EdgeParts), g.NumEdges())
+			s.Name(), len(res.EdgeParts), g.NumEdges())
 	}
 	n := g.NumVertices()
 	a := &Assignment{
 		G:            g,
 		NumParts:     numParts,
-		Strategy:     name,
-		Passes:       passes,
+		Strategy:     s.Name(),
+		Shape:        ShapeOf(s, numParts),
 		EdgeParts:    res.EdgeParts,
 		cutTable:     newCutTable(n, numParts, seed),
 		inEdgeParts:  newBitMatrix(n, numParts),

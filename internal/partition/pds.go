@@ -25,9 +25,6 @@ func init() {
 // Name implements Strategy.
 func (PDS) Name() string { return "PDS" }
 
-// Passes implements Strategy.
-func (PDS) Passes() int { return 1 }
-
 // NewAssigner implements StatelessStrategy. The assigner carries a scratch
 // membership array, so create one per goroutine.
 func (PDS) NewAssigner(numParts int, seed uint64) (Assigner, error) {

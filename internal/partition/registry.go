@@ -157,10 +157,3 @@ func SystemStrategies(sys System) ([]string, error) {
 	}
 	return nil, fmt.Errorf("partition: unknown system %q", sys)
 }
-
-// IsHeuristic reports whether a strategy does O(numParts) work per edge
-// during ingress (the greedy family), as opposed to O(1) hashing.
-func IsHeuristic(s Strategy) bool {
-	h, ok := s.(HeuristicStrategy)
-	return ok && h.Heuristic()
-}

@@ -82,11 +82,11 @@ type StreamingStrategy interface {
 }
 
 // MultiPassStrategy is the capability of strategies that cannot consume the
-// edge stream in a single bounded-memory pass (Hybrid, H-Ginger). MultiPass
-// declares the pass structure — total scans over the edge list, how many of
-// them pay O(numParts) greedy scoring per edge — and why single-pass
-// streaming is impossible, so schedulers and the ingress model need no
-// per-name knowledge.
+// edge stream in a single bounded-memory pass (Hybrid, H-Ginger, HEP,
+// JaBeJaSwap, Multilevel). MultiPass declares the pass structure — total
+// scans over the edge list, how many of them pay O(numParts) greedy scoring
+// per edge — and why single-pass streaming is impossible, so schedulers and
+// the ingress model need no per-name knowledge.
 type MultiPassStrategy interface {
 	Strategy
 	MultiPass() (passes, heuristicPasses int, why string)
@@ -112,31 +112,22 @@ type IngressShape struct {
 	MultiPassReason string
 }
 
-// ShapeOf derives a strategy's ingress shape from its capabilities:
-// StatelessStrategy → one hash pass; StreamingStrategy → one pass over
-// independent sharded loaders (heuristic-priced if the strategy is greedy);
-// MultiPassStrategy → whatever the strategy declares. Strategies with none
-// of the capabilities fall back to Passes()/IsHeuristic.
+// ShapeOf derives a strategy's ingress shape from its capability and from
+// nothing else: StatelessStrategy → one hash pass; StreamingStrategy → one
+// heuristic pass over independent sharded loaders; MultiPassStrategy →
+// whatever the strategy declares. A strategy with no capability — which
+// Register and ParallelPartition both reject — has the zero shape.
 func ShapeOf(s Strategy, numParts int) IngressShape {
-	if mp, ok := s.(MultiPassStrategy); ok {
-		p, hp, why := mp.MultiPass()
+	switch impl := s.(type) {
+	case StatelessStrategy:
+		return IngressShape{Passes: 1, Streaming: true}
+	case StreamingStrategy:
+		return IngressShape{Passes: 1, HeuristicPasses: 1, Streaming: true, Loaders: impl.Loaders(numParts)}
+	case MultiPassStrategy:
+		p, hp, why := impl.MultiPass()
 		return IngressShape{Passes: p, HeuristicPasses: hp, MultiPassReason: why}
 	}
-	if ss, ok := s.(StreamingStrategy); ok {
-		hp := 0
-		if IsHeuristic(s) {
-			hp = 1
-		}
-		return IngressShape{Passes: 1, HeuristicPasses: hp, Streaming: true, Loaders: ss.Loaders(numParts)}
-	}
-	if _, ok := s.(StatelessStrategy); ok {
-		return IngressShape{Passes: 1, Streaming: true}
-	}
-	hp := 0
-	if IsHeuristic(s) {
-		hp = 1
-	}
-	return IngressShape{Passes: s.Passes(), HeuristicPasses: hp}
+	return IngressShape{}
 }
 
 // loaderBlock returns the contiguous edge-index range [lo, hi) streamed by

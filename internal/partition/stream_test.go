@@ -118,36 +118,51 @@ func TestStreamBuilderBadParts(t *testing.T) {
 	}
 }
 
-// TestShapeOf pins the capability-derived ingress shapes the cluster model
-// depends on.
+// TestShapeOf pins the capability-derived ingress shape of every registered
+// strategy — the two facts the ingress models price (passes, heuristic
+// passes) plus loaders and the multi-pass reason — at two partition counts.
 func TestShapeOf(t *testing.T) {
-	cases := []struct {
-		name      string
-		passes    int
-		heuristic int
-		streaming bool
-		loaders   int
-		multiPass bool
-	}{
-		{"Random", 1, 0, true, 0, false},
-		{"Grid", 1, 0, true, 0, false},
-		{"Oblivious", 1, 1, true, 16, false},
-		{"HDRF", 1, 1, true, 16, false},
-		{"Hybrid", 2, 0, false, 0, true},
-		{"H-Ginger", 3, 3, false, 0, true},
-		{"HEP", 2, 1, false, 0, true},
-		{"JaBeJaSwap", 5, 0, false, 0, true}, // Random's 1 pass + 4 swap rounds
-		{"Multilevel", 3, 1, false, 0, true},
+	hash := func(int) IngressShape { return IngressShape{Passes: 1, Streaming: true} }
+	greedy := func(parts int) IngressShape {
+		return IngressShape{Passes: 1, HeuristicPasses: 1, Streaming: true, Loaders: parts}
 	}
-	for _, tc := range cases {
-		shape := ShapeOf(MustNew(tc.name, Options{}), 16)
-		if shape.Passes != tc.passes || shape.HeuristicPasses != tc.heuristic ||
-			shape.Streaming != tc.streaming || shape.Loaders != tc.loaders {
-			t.Errorf("%s: shape %+v, want passes=%d hp=%d streaming=%v loaders=%d",
-				tc.name, shape, tc.passes, tc.heuristic, tc.streaming, tc.loaders)
+	multi := func(passes, heuristic int, why string) func(int) IngressShape {
+		return func(int) IngressShape {
+			return IngressShape{Passes: passes, HeuristicPasses: heuristic, MultiPassReason: why}
 		}
-		if (shape.MultiPassReason != "") != tc.multiPass {
-			t.Errorf("%s: MultiPassReason %q, want declared=%v", tc.name, shape.MultiPassReason, tc.multiPass)
+	}
+	want := map[string]func(parts int) IngressShape{
+		"1D":              hash,
+		"1D-Target":       hash,
+		"2D":              hash,
+		"AsymRandom":      hash,
+		"CanonicalRandom": hash,
+		"Grid":            hash,
+		"PDS":             hash,
+		"Random":          hash,
+		"ResilientGrid":   hash,
+		"HDRF":            greedy,
+		"Oblivious":       greedy,
+		"Hybrid":          multi(2, 0, "needs a full degree-counting scan before any edge can be placed (§6.2.1)"),
+		"H-Ginger":        multi(3, 3, "hybrid's degree-counting scan plus a Fennel-style refinement sweep over vertex homes (§6.2.2)"),
+		"HEP":             multi(2, 1, "needs a degree census to split the low-degree core (in-memory NE) from the high-degree spill (streamed HDRF) under the memory budget"),
+		"JaBeJaSwap":      multi(5, 0, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"), // Random's 1 pass + 4 swap rounds
+		"Multilevel":      multi(3, 1, "coarsens the whole graph by heavy-edge matching, partitions the coarse graph, and projects labels back through refinement sweeps — offline by construction"),
+	}
+	names := AllNames()
+	if len(names) != len(want) {
+		t.Errorf("%d registered strategies, %d pinned shapes", len(names), len(want))
+	}
+	for _, name := range names {
+		shapeAt, ok := want[name]
+		if !ok {
+			t.Errorf("%s: registered but its ingress shape is not pinned here", name)
+			continue
+		}
+		for _, parts := range []int{16, 9} {
+			if got := ShapeOf(MustNew(name, Options{}), parts); got != shapeAt(parts) {
+				t.Errorf("%s at %d parts: shape %+v, want %+v", name, parts, got, shapeAt(parts))
+			}
 		}
 	}
 }
@@ -167,15 +182,21 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 type noCapStrategy struct{}
 
 func (noCapStrategy) Name() string { return "NoCap" }
-func (noCapStrategy) Passes() int  { return 1 }
 func (noCapStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	return &Result{EdgeParts: make([]int32, g.NumEdges())}, nil
 }
 
 // TestRegisterRejectsCapabilityless: a strategy with no ingress capability
-// would dodge ShapeOf dispatch and every stream builder; Register panics at
-// init time instead, wrapping the named ErrNoIngressCapability.
+// has no ingress shape and would dodge every stream builder; Register panics
+// at init time instead, wrapping the named ErrNoIngressCapability, and
+// ParallelPartition refuses an unregistered one with the same error.
 func TestRegisterRejectsCapabilityless(t *testing.T) {
+	if shape := ShapeOf(noCapStrategy{}, 4); shape != (IngressShape{}) {
+		t.Errorf("capability-less strategy has shape %+v, want the zero shape", shape)
+	}
+	if _, err := Partition(testGraph(), noCapStrategy{}, 4, 1); !errors.Is(err, ErrNoIngressCapability) {
+		t.Errorf("Partition with a capability-less strategy: %v, want ErrNoIngressCapability", err)
+	}
 	defer func() {
 		r := recover()
 		if r == nil {

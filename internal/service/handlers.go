@@ -293,6 +293,10 @@ func (s *Server) handleJobs(_ context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A job for a pair the strategy refuses could only fail: refuse it now.
+	if _, err := s.newStrategy(k, 0); err != nil {
+		return nil, err
+	}
 	j, err := s.jobs.submit(k)
 	if err != nil {
 		return nil, err

@@ -94,6 +94,15 @@ func fitReportJSON() string {
 	return string(b)
 }
 
+// wantBodyContains is a row check: the reply carries the given message.
+func wantBodyContains(msg string) func(*testing.T, *httptest.ResponseRecorder) {
+	return func(t *testing.T, rec *httptest.ResponseRecorder) {
+		if !strings.Contains(rec.Body.String(), msg) {
+			t.Fatalf("the reply does not say %q: %s", msg, rec.Body)
+		}
+	}
+}
+
 // endpointRow is one request of the endpoint table and what it must answer.
 type endpointRow struct {
 	name         string
@@ -178,6 +187,13 @@ func endpointRows() []endpointRow {
 		{name: "assignment bad parts", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=0", status: http.StatusBadRequest},
 		{name: "assignment non-numeric parts", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=many", status: http.StatusBadRequest},
 		{name: "assignment absurd parts", method: http.MethodGet, path: fmt.Sprintf("/v1/assignment/road-ca/Grid?parts=%d", maxParts+1), status: http.StatusBadRequest},
+		// A (strategy, parts) pair the strategy itself refuses is the client's
+		// mistake, not the server's: these four answered 500 (202 for the job)
+		// after loading the dataset.
+		{name: "assignment grid non-square", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=10", status: http.StatusBadRequest,
+			check: wantBodyContains("numParts=10 is not a perfect square")},
+		{name: "assignment pds bad count", method: http.MethodGet, path: "/v1/assignment/road-ca/PDS?parts=10", status: http.StatusBadRequest,
+			check: wantBodyContains("no perfect difference set modulo 10")},
 		{name: "assignment bad vertex", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=4&vertex=x", status: http.StatusBadRequest},
 		{name: "assignment vertex out of range", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=4&vertex=4000000000", status: http.StatusNotFound},
 		{name: "assignment method not allowed", method: http.MethodDelete, path: "/v1/assignment/road-ca/Grid", status: http.StatusMethodNotAllowed},
@@ -215,22 +231,24 @@ func endpointRows() []endpointRow {
 		{name: "churn unknown stream", method: http.MethodGet, path: "/v1/churn?stream=nope&strategy=2D&parts=4", status: http.StatusNotFound},
 		{name: "churn unknown strategy", method: http.MethodPost, path: "/v1/churn",
 			body: `{"stream":"t2","strategy":"NoSuchCut","adds":[[0,1]]}`, status: http.StatusNotFound},
+		{name: "churn grid non-square", method: http.MethodPost, path: "/v1/churn",
+			body: `{"stream":"t2","strategy":"Grid","parts":10,"adds":[[0,1]]}`, status: http.StatusBadRequest,
+			check: wantBodyContains("numParts=10 is not a perfect square")},
 		// 62 bytes that used to buy 68 M reference counts: the stream must be
 		// refused before any state exists (the parent answered 200 and kept
 		// ~477 MiB).
 		{name: "churn absurd vertex id", method: http.MethodPost, path: "/v1/churn",
 			body:   `{"stream":"s","strategy":"2D","parts":17,"adds":[[4000000,1]]}`,
 			status: http.StatusBadRequest, maxAlloc: 8 << 20,
-			check: func(t *testing.T, rec *httptest.ResponseRecorder) {
-				if !strings.Contains(rec.Body.String(), "vertex id 4000000") {
-					t.Fatalf("the refusal does not name the id: %s", rec.Body)
-				}
-			}},
+			check: wantBodyContains("vertex id 4000000")},
 		{name: "churn absurd vertex id made no stream", method: http.MethodGet, path: "/v1/churn?stream=s&strategy=2D&parts=17", status: http.StatusNotFound},
 		{name: "churn malformed json", method: http.MethodPost, path: "/v1/churn", body: `{"adds":`, status: http.StatusBadRequest},
 		{name: "jobs malformed json", method: http.MethodPost, path: "/v1/jobs", body: `not json`, status: http.StatusBadRequest},
 		{name: "jobs unknown dataset", method: http.MethodPost, path: "/v1/jobs",
 			body: `{"dataset":"no-such-graph","strategy":"Grid"}`, status: http.StatusNotFound},
+		{name: "job grid non-square", method: http.MethodPost, path: "/v1/jobs",
+			body: `{"dataset":"road-ca","strategy":"Grid","parts":10}`, status: http.StatusBadRequest,
+			check: wantBodyContains("numParts=10 is not a perfect square")},
 		{name: "jobs unknown job id", method: http.MethodGet, path: "/v1/jobs/job-999", status: http.StatusNotFound},
 		{name: "advise before fit conflicts", method: http.MethodGet, path: "/v1/advise?dataset=road-ca", status: http.StatusConflict},
 		{name: "advisor fit malformed", method: http.MethodPost, path: "/v1/advisor/fit", body: `{"schemaVersion":99}`, status: http.StatusBadRequest},
@@ -311,6 +329,36 @@ func TestEndpointTable(t *testing.T) {
 				tc.check(t, rec)
 			}
 		})
+	}
+}
+
+// TestRefusedPartsAreTheClientsFault: a partition count the strategy itself
+// rejects is answered 400 on every endpoint that can build the pair — before
+// the dataset loads, without a job or a stream coming to exist, and counted
+// under client-errors, not server-errors.
+func TestRefusedPartsAreTheClientsFault(t *testing.T) {
+	gate, builds := registerGatedDataset(t, "svc-refused-parts")
+	close(gate) // a regression would build the dataset, not hang on it
+	srv := newTestServer(t, Config{})
+	for _, x := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/assignment/svc-refused-parts/Grid?parts=10", ""},
+		{http.MethodGet, "/v1/assignment/svc-refused-parts/PDS?parts=10", ""},
+		{http.MethodPost, "/v1/churn", `{"stream":"refused","strategy":"Grid","parts":10,"adds":[[0,1]]}`},
+		{http.MethodPost, "/v1/jobs", `{"dataset":"svc-refused-parts","strategy":"Grid","parts":10}`},
+	} {
+		wantError(t, do(srv, x.method, x.path, x.body), http.StatusBadRequest)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("the refused requests built the dataset %d times", n)
+	}
+	if jobs := srv.jobs.list(); len(jobs) != 0 {
+		t.Errorf("a job that could only fail was accepted: %+v", jobs)
+	}
+	wantError(t, do(srv, http.MethodGet, "/v1/churn?stream=refused&strategy=Grid&parts=10", ""), http.StatusNotFound)
+	for _, c := range srv.MetricsCells() {
+		if c.Metric == "server-errors" && c.Value != 0 {
+			t.Errorf("%s counts %v server errors after client mistakes", c.Dims.Variant, c.Value)
+		}
 	}
 }
 

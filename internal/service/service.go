@@ -202,17 +202,35 @@ func (s *Server) key(dataset bool, name, strategy, parts string) (cutKey, error)
 	return cutKey{name, strategy, n}, nil
 }
 
+// newStrategy builds k's strategy where a (strategy, parts) pair is first
+// built — a cache miss, a new stream, a job submission; never a cache hit.
+// A partition count the strategy itself refuses (Grid's perfect square,
+// PDS's p²+p+1) is the client's error: 400 with the strategy's message,
+// before any dataset is loaded or state allocated.
+func (s *Server) newStrategy(k cutKey, loaders int) (partition.Strategy, error) {
+	st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold, Loaders: loaders})
+	if err != nil {
+		return nil, err
+	}
+	if sl, ok := st.(partition.StatelessStrategy); ok {
+		if _, err := sl.NewAssigner(k.parts, s.cfg.Seed); err != nil {
+			return nil, statusError{http.StatusBadRequest, err.Error()}
+		}
+	}
+	return st, nil
+}
+
 // assignment returns the partitioning for the key, computing it at most
 // once per key across all concurrent requesters. On ctx expiry the caller
 // gets ctx.Err() but the computation is not abandoned: it lands in the
 // cache for the next request.
 func (s *Server) assignment(ctx context.Context, k cutKey) (*partition.Assignment, error) {
 	a, err := s.assignments.Get(ctx, k, func() (*partition.Assignment, error) {
-		g, err := datasets.Load(k.name, s.cfg.scale())
+		st, err := s.newStrategy(k, 0)
 		if err != nil {
 			return nil, err
 		}
-		st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold})
+		g, err := datasets.Load(k.name, s.cfg.scale())
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +276,7 @@ func (s *Server) state(k cutKey, create bool) (*liveState, error) {
 	if !create {
 		return nil, statusErrorf(http.StatusNotFound, "service: no live stream %q for %s/%d", k.name, k.strategy, k.parts)
 	}
-	st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold, Loaders: 1})
+	st, err := s.newStrategy(k, 1)
 	if err != nil {
 		return nil, err
 	}
