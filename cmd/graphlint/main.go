@@ -1,109 +1,47 @@
-// Graphlint is the repo's multichecker: it runs the internal/analysis suite
-// (detrange, nondet, registry, unsafeguard) over Go packages and exits
-// non-zero on any finding. The suite proves the determinism, capability and
-// hot-path invariants the regression gates depend on; docs/ANALYSIS.md
-// documents what each analyzer checks and how to waive a finding.
+// Graphlint prints the findings of the internal/analysis suite (detrange,
+// forbid, nondet, registry, unsafeguard) over Go packages and exits non-zero
+// on any. The gate is the root package's TestGraphlintClean, which runs the
+// same suite over ./... under `go test`; this command is for reading the
+// findings of one package, or of another module (benchmark/).
+// docs/ANALYSIS.md documents what each analyzer checks and how to waive a
+// finding.
 //
 // Usage:
 //
-//	go run ./cmd/graphlint ./...          # whole tree
-//	go run ./cmd/graphlint -run detrange ./internal/advisor
-//	go vet -vettool=$(which graphlint) ./...
-//
-// The second form runs a subset of analyzers; the third speaks the go vet
-// unit-checker protocol, so graphlint composes with vet's package graph and
-// caching.
+//	go run ./cmd/graphlint [packages]     # default ./...
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"graphpart/internal/analysis"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// go vet protocol probes: -V=full identifies the tool for the build
-	// cache; -flags declares no extra analyzer flags; a single *.cfg
-	// argument is a vet unit of work.
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			fmt.Println("graphlint version 1 (graphpart analyzer suite)")
-			return 0
-		case a == "-flags" || a == "--flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVetUnit(args[0])
-	}
-
-	fs := flag.NewFlagSet("graphlint", flag.ExitOnError)
-	var (
-		runFilter = fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-	)
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: graphlint [-run names] [packages]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+// run analyzes the packages matching patterns, resolved from dir: exit code 0
+// when clean, 1 with one file:line: analyzer: message line per finding, 2
+// when the packages do not load.
+func run(dir string, patterns []string, stdout, stderr io.Writer) int {
+	pkgs, err := analysis.Load(dir, patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, "graphlint:", err)
 		return 2
 	}
-	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	if *runFilter != "" {
-		byName := map[string]*analysis.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*runFilter, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "graphlint: unknown analyzer %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
+	diags, err := analysis.RunAnalyzers(pkgs, analysis.All())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphlint:", err)
-		return 2
-	}
-	pkgs, err := analysis.Load(cwd, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphlint:", err)
-		return 2
-	}
-	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphlint:", err)
+		fmt.Fprintln(stderr, "graphlint:", err)
 		return 2
 	}
 	for _, d := range diags {
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "graphlint: %d finding(s)\n", len(diags))
+		fmt.Fprintf(stderr, "graphlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

@@ -3,100 +3,40 @@ package main
 import (
 	"bytes"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"strings"
+	"regexp"
 	"testing"
 )
 
-// buildTool compiles graphlint into a temp dir and returns the binary path.
-func buildTool(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "graphlint")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// TestVetToolProtocol drives graphlint through go vet's -vettool protocol:
-// the -V=full identity probe, then a real vet run over two clean packages
-// (including their test variants, which vet type-checks as separate units).
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := buildTool(t)
-
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	f := strings.Fields(string(out))
-	if len(f) < 3 || f[1] != "version" {
-		t.Fatalf("-V=full printed %q; vet's probe requires 'name version ...'", strings.TrimSpace(string(out)))
-	}
-
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./internal/report/", "./internal/metrics/")
-	vet.Dir = "../.."
-	var stderr bytes.Buffer
-	vet.Stderr = &stderr
-	if err := vet.Run(); err != nil {
-		t.Fatalf("go vet -vettool over clean packages: %v\n%s", err, stderr.String())
-	}
-}
-
-// TestVetToolFlagsViolation proves findings propagate through the vet
-// protocol: a throwaway module containing a determinism-critical package
-// with a raw map range must fail `go vet -vettool` with a detrange finding.
-func TestVetToolFlagsViolation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := buildTool(t)
-	dir := t.TempDir()
-	write := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o666); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module tmplint\n\ngo 1.22\n")
-	write("metrics.go", `package metrics
-
-func Sum(m map[string]float64) float64 {
-	var total float64
-	for _, v := range m {
-		total += v
-	}
-	return total
-}
-`)
-	vet := exec.Command("go", "vet", "-vettool="+bin, ".")
-	vet.Dir = dir
-	var stderr bytes.Buffer
-	vet.Stderr = &stderr
-	if err := vet.Run(); err == nil {
-		t.Fatalf("go vet -vettool accepted a raw map range in a determinism-critical package")
-	}
-	if !strings.Contains(stderr.String(), "detrange") {
-		t.Fatalf("vet failed but without a detrange finding:\n%s", stderr.String())
-	}
-}
-
-// TestListAnalyzers pins the standalone -list mode.
-func TestListAnalyzers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary")
-	}
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-list").Output()
-	if err != nil {
-		t.Fatalf("-list: %v", err)
-	}
-	for _, name := range []string{"detrange", "nondet", "registry", "unsafeguard"} {
-		if !strings.Contains(string(out), name) {
-			t.Errorf("-list output missing analyzer %q:\n%s", name, out)
-		}
+// TestRun drives the whole command in-process over throwaway modules: a raw
+// map range in a determinism-critical package is exit 1 with the finding on
+// stdout, a clean package is exit 0, and one that does not parse is exit 2.
+func TestRun(t *testing.T) {
+	const clean = "package metrics\n\nfunc Sum(xs []float64) (total float64) {\n\tfor _, v := range xs {\n\t\ttotal += v\n\t}\n\treturn total\n}\n"
+	const mapRange = "package metrics\n\nfunc Sum(m map[string]float64) (total float64) {\n\tfor _, v := range m {\n\t\ttotal += v\n\t}\n\treturn total\n}\n"
+	for _, tc := range []struct {
+		name, source string
+		code         int
+		stdout       string
+	}{
+		{"finding", mapRange, 1, `metrics\.go:4:2: detrange: non-deterministic iteration over map m`},
+		{"clean", clean, 0, `^$`},
+		{"unparsable", "package metrics\n\nfunc {", 2, `^$`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, content := range map[string]string{"go.mod": "module tmplint\n\ngo 1.22\n", "metrics.go": tc.source} {
+				if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(dir, nil, &stdout, &stderr); code != tc.code {
+				t.Errorf("exit code %d, want %d\nstdout: %s\nstderr: %s", code, tc.code, &stdout, &stderr)
+			}
+			if !regexp.MustCompile(tc.stdout).MatchString(stdout.String()) {
+				t.Errorf("stdout %q does not match %q", &stdout, tc.stdout)
+			}
+		})
 	}
 }

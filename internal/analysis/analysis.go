@@ -1,33 +1,36 @@
-// Package analysis is the repo's static-analyzer suite: four checkers that
+// Package analysis is the repo's static-analyzer suite: five checkers that
 // mechanically prove the determinism, capability, and hot-path invariants
 // every regression gate in this reproduction leans on. The golden renders,
 // the worker-count-independent engines, and the BENCH_seed1.json cell diffs
 // are only trustworthy because result paths never observe map iteration
 // order, wall-clock time, or GOMAXPROCS — contracts that used to live in
-// tests and reviewer memory and are enforced here at vet time instead.
+// tests and reviewer memory and are enforced here instead. The root
+// package's TestGraphlintClean runs the suite over ./... in-process, so
+// `go test ./...` is the gate; cmd/graphlint prints the same findings.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis shape (Analyzer,
 // Pass, Diagnostic) but is built purely on the standard library's go/ast and
 // go/types, with export data supplied by `go list -export`, so the suite
-// needs no dependencies outside the Go toolchain. cmd/graphlint is the
-// multichecker driver; it also speaks the `go vet -vettool` protocol.
+// needs no dependencies outside the Go toolchain.
 //
 // The analyzers:
 //
+//   - forbid: one table of "only X may do Y" rows — wall-clock, global
+//     math/rand, core counts, sync.Once, the environment, unsafe, the
+//     daemon's imports, private fan-outs, per-strategy ingress declarations —
+//     each with its sanctioned packages and its waiver marker, if any.
 //   - detrange: no ranging over maps in determinism-critical packages unless
 //     the keys are collected and sorted, the loop is an order-independent
 //     idiom (map clearing), or the site carries a //graphlint:unordered
 //     waiver explaining why order cannot reach a result.
-//   - nondet: no time.Now / global math/rand / GOMAXPROCS in deterministic
-//     packages (the one sanctioned timing site is internal/service, whose
-//     metrics endpoint reports latency and uptime), and even there, no raw
-//     nondeterministic call may be embedded directly in a report.Cell Value.
+//   - nondet: where a nondeterministic source is legal (internal/service
+//     times requests), it still may not be embedded directly in a
+//     report.Cell Value.
 //   - registry: every file declaring a partition strategy registers it in
 //     that file's init, and every strategy implements exactly one ingress
 //     capability (stateless / streaming / multi-pass).
-//   - unsafeguard: unsafe and reflect header aliasing confined to the mmap
-//     layer (internal/graph/mmap*.go, csr_view.go), each use covered by an
-//     invariant comment.
+//   - unsafeguard: inside the mmap layer (internal/graph/mmap*.go,
+//     csr_view.go), each unsafe use is covered by an invariant comment.
 package analysis
 
 import (
@@ -82,7 +85,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All is the full graphlint suite in the order the multichecker runs it.
 func All() []*Analyzer {
-	return []*Analyzer{Detrange, Nondet, Registry, Unsafeguard}
+	return []*Analyzer{Detrange, Forbid, Nondet, Registry, Unsafeguard}
 }
 
 // RunAnalyzers applies each analyzer to each package and returns every
@@ -130,31 +133,11 @@ var detrangeCritical = map[string]bool{
 	"advisor": true, "decision": true, "engine": true, "graphx": true,
 }
 
-// nondetSanctioned are the packages allowed to read wall-clock time and
-// core counts at all: the service layer (service) measures request
-// latency/uptime for its metrics endpoint — observability, not result
-// computation — and the fan-out (par) owns the one "≤0 workers means
-// GOMAXPROCS" default, which picks goroutines and never a result (every
-// caller's worker-axis test proves it). Everything else internal must stay
-// a pure function of its inputs — the experiment harness (bench) included:
-// its report is regression-gated cell for cell, and wall-clock measurement
-// lives in the benchmark/ module. The analyzer suite itself and main
-// packages (CLIs print timings legitimately) are also out of scope.
-var nondetSanctioned = map[string]bool{
-	"analysis": true, "main": true, "par": true, "service": true,
-}
-
-// isTestFile reports whether the file sits in _test.go. The determinism
-// contracts are about production result paths; tests assert them and may
-// time or randomize freely.
-func isTestFile(fset *token.FileSet, f *ast.File) bool {
-	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
 // Waived reports whether node carries (or is immediately preceded by) a
 // comment containing the given //graphlint:<name> marker. Waivers document
 // why the invariant cannot be violated at this site; the analyzer trusts
-// the human, but the marker makes every exception greppable.
+// the human, but the marker makes every exception greppable, and forbid
+// flags a marker that states no reason.
 func (p *Pass) Waived(f *ast.File, node ast.Node, marker string) bool {
 	p.buildComments(f)
 	pos := p.Fset.Position(node.Pos())

@@ -20,7 +20,6 @@
 package analysistest
 
 import (
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"testing"
@@ -31,20 +30,25 @@ import (
 var wantRe = regexp.MustCompile("//\\s*want(?::(-?\\d+))?\\s+`([^`]+)`")
 
 type lineKey struct {
-	file string // base name: fixtures are single-directory packages
+	file string
 	line int
 }
 
-// Run loads the fixture package at root/<path> (root is the testdata/src
-// directory), applies the analyzers, and asserts the diagnostics and the
-// fixture's want comments match exactly.
-func Run(t *testing.T, root, path string, analyzers ...*analysis.Analyzer) {
+// Run loads the fixture packages matching root/<path> (root is the
+// testdata/src directory; path may end in /... for a fixture of several
+// packages) with analysis.Load, exactly as the tree itself is loaded, applies
+// the analyzers, and asserts the diagnostics and the fixtures' want comments
+// match exactly. It returns the diagnostics.
+func Run(t *testing.T, root, path string, analyzers ...*analysis.Analyzer) []analysis.Diagnostic {
 	t.Helper()
-	pkg, err := analysis.LoadFixture(root, path)
+	pkgs, err := analysis.Load(root, "./"+path)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", path, err)
 	}
-	diags, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, analyzers)
+	if len(pkgs) == 0 {
+		t.Fatalf("fixture %s matched no package", path)
+	}
+	diags, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", path, err)
 	}
@@ -57,33 +61,35 @@ func Run(t *testing.T, root, path string, analyzers ...*analysis.Analyzer) {
 	}
 	var expects []*expect
 	byKey := map[lineKey][]*expect{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				pos := pkg.Fset.Position(c.Pos())
-				for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
-					line := pos.Line
-					if m[1] != "" {
-						off, err := strconv.Atoi(m[1])
-						if err != nil {
-							t.Fatalf("%s:%d: bad want offset %q", pos.Filename, pos.Line, m[1])
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					pos := pkg.Fset.Position(c.Pos())
+					for _, m := range wantRe.FindAllStringSubmatch(c.Text, -1) {
+						line := pos.Line
+						if m[1] != "" {
+							off, err := strconv.Atoi(m[1])
+							if err != nil {
+								t.Fatalf("%s:%d: bad want offset %q", pos.Filename, pos.Line, m[1])
+							}
+							line += off
 						}
-						line += off
+						re, err := regexp.Compile(m[2])
+						if err != nil {
+							t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[2], err)
+						}
+						e := &expect{re: re, raw: m[2], key: lineKey{pos.Filename, line}}
+						expects = append(expects, e)
+						byKey[e.key] = append(byKey[e.key], e)
 					}
-					re, err := regexp.Compile(m[2])
-					if err != nil {
-						t.Fatalf("%s:%d: bad want regexp %q: %v", pos.Filename, pos.Line, m[2], err)
-					}
-					e := &expect{re: re, raw: m[2], key: lineKey{filepath.Base(pos.Filename), line}}
-					expects = append(expects, e)
-					byKey[e.key] = append(byKey[e.key], e)
 				}
 			}
 		}
 	}
 
 	for _, d := range diags {
-		k := lineKey{filepath.Base(d.Pos.Filename), d.Pos.Line}
+		k := lineKey{d.Pos.Filename, d.Pos.Line}
 		found := false
 		for _, e := range byKey[k] {
 			if e.re.MatchString(d.Message) {
@@ -100,4 +106,5 @@ func Run(t *testing.T, root, path string, analyzers ...*analysis.Analyzer) {
 			t.Errorf("missing diagnostic at %s:%d: no finding matched %q", e.key.file, e.key.line, e.raw)
 		}
 	}
+	return diags
 }

@@ -2,6 +2,8 @@ package analysis_test
 
 import (
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"graphpart/internal/analysis"
@@ -19,8 +21,20 @@ func TestDetrangeFixture(t *testing.T) {
 	analysistest.Run(t, fixtureRoot, "detrange", analysis.Detrange)
 }
 
-func TestNondetFlowFixture(t *testing.T) {
-	analysistest.Run(t, fixtureRoot, "nondetflow", analysis.Nondet)
+// TestForbidFixture runs the table over one fixture package per sanctioned
+// site (engine: none; par, service, main, graph's mmap layer) and then asks
+// that every row was tripped by a line carrying a want: a row nobody can show
+// firing is a row nobody knows works.
+func TestForbidFixture(t *testing.T) {
+	diags := analysistest.Run(t, fixtureRoot, "forbid/...", analysis.Forbid)
+	for i, why := range analysis.ForbidWhys() {
+		tripped := slices.ContainsFunc(diags, func(d analysis.Diagnostic) bool {
+			return strings.HasSuffix(d.Message, ": "+why)
+		})
+		if !tripped {
+			t.Errorf("forbid row %d (%q) has no positive line under testdata/src/forbid", i, why)
+		}
+	}
 }
 
 func TestNondetCellValueFixture(t *testing.T) {
@@ -39,10 +53,10 @@ func TestUnsafeguardFixture(t *testing.T) {
 	analysistest.Run(t, fixtureRoot, "unsafeguard", analysis.Unsafeguard)
 }
 
-// TestSuiteComplete pins the multichecker's contents: adding an analyzer
-// without wiring it into All() would silently drop it from CI.
+// TestSuiteComplete pins the suite's contents: adding an analyzer without
+// wiring it into All() would silently drop it from TestGraphlintClean.
 func TestSuiteComplete(t *testing.T) {
-	want := map[string]bool{"detrange": true, "nondet": true, "registry": true, "unsafeguard": true}
+	want := map[string]bool{"detrange": true, "forbid": true, "nondet": true, "registry": true, "unsafeguard": true}
 	got := analysis.All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

@@ -35,9 +35,6 @@ func runDetrange(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {

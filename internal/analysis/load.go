@@ -16,7 +16,9 @@ import (
 	"strings"
 )
 
-// Package is one parsed, type-checked package ready for analysis.
+// Package is one package's non-test files, parsed and type-checked. The
+// invariants are about production code: tests assert them and may time or
+// randomize freely, so no analyzer is ever shown a _test.go file.
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -32,29 +34,22 @@ type listedPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
-	Module     *struct{ Path string }
+	DepOnly    bool
 	Error      *struct{ Err string }
 }
 
 // Load resolves patterns with the go tool from dir, compiles export data
-// for every dependency, and parses + type-checks each matched package that
-// belongs to the surrounding module. Dependencies are imported from export
-// data, so only the packages under analysis are type-checked from source —
-// the same split `go vet` uses, without requiring golang.org/x/tools.
+// for every dependency, and parses + type-checks each matched package from
+// its GoFiles. Dependencies are
+// imported from export data, so only the packages under analysis are
+// type-checked from source — the same split `go vet` uses, without requiring
+// golang.org/x/tools. A package under testdata/ loads like any other when a
+// pattern names its directory, which is how the fixtures are loaded.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	matched, err := goList(dir, append([]string{"list", "-json=ImportPath"}, patterns...))
-	if err != nil {
-		return nil, err
-	}
-	want := map[string]bool{}
-	for _, p := range matched {
-		want[p.ImportPath] = true
-	}
-	closure, err := goList(dir, append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,Standard,Module,Error"}, patterns...))
+	closure, err := goList(dir, append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error"}, patterns...))
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +62,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if want[p.ImportPath] && len(p.GoFiles) > 0 {
+		if !p.DepOnly && len(p.GoFiles) > 0 {
 			targets = append(targets, p)
 		}
 	}
@@ -155,150 +150,4 @@ func checkFiles(fset *token.FileSet, importPath string, files []string, imp type
 		Types:      tpkg,
 		Info:       info,
 	}, nil
-}
-
-// CheckVetUnit type-checks one `go vet` unit of work: a package's source
-// files plus an importpath→exportfile map supplied by the vet driver.
-func CheckVetUnit(importPath string, files []string, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exportLookup(exports))
-	return checkFiles(fset, importPath, files, imp)
-}
-
-// --- fixture loading ---------------------------------------------------
-
-// fixtureImporter resolves imports for testdata fixture packages: an import
-// path with a directory under root type-checks recursively from source (so
-// fixtures can model cross-package shapes like report.Cell), anything else
-// is expected to be standard library and comes from export data.
-type fixtureImporter struct {
-	root    string // testdata/src
-	fset    *token.FileSet
-	std     types.Importer
-	checked map[string]*Package
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	dir := filepath.Join(fi.root, filepath.FromSlash(path))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		pkg, err := fi.load(path, dir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	return fi.std.Import(path)
-}
-
-func (fi *fixtureImporter) load(importPath, dir string) (*Package, error) {
-	if pkg, ok := fi.checked[importPath]; ok {
-		return pkg, nil
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("fixture %s: no .go files in %s", importPath, dir)
-	}
-	pkg, err := checkFiles(fi.fset, importPath, files, fi)
-	if err != nil {
-		return nil, err
-	}
-	pkg.Dir = dir
-	fi.checked[importPath] = pkg
-	return pkg, nil
-}
-
-// LoadFixture type-checks the fixture package in root/<path> (and its
-// fixture siblings), with standard-library imports satisfied from export
-// data. root is the testdata/src directory.
-func LoadFixture(root, path string) (*Package, error) {
-	stdExports, err := stdlibExports(root, path)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	fi := &fixtureImporter{
-		root:    root,
-		fset:    fset,
-		std:     importer.ForCompiler(fset, "gc", exportLookup(stdExports)),
-		checked: map[string]*Package{},
-	}
-	return fi.load(path, filepath.Join(root, filepath.FromSlash(path)))
-}
-
-// stdlibExports walks the fixture tree once for import specs, then asks the
-// go tool for export data covering every non-fixture (standard library)
-// import and its dependencies.
-func stdlibExports(root, path string) (map[string]string, error) {
-	seen := map[string]bool{}
-	var std []string
-	var collect func(path string) error
-	collect = func(path string) error {
-		if seen[path] {
-			return nil
-		}
-		seen[path] = true
-		dir := filepath.Join(root, filepath.FromSlash(path))
-		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			std = append(std, path)
-			return nil
-		}
-		fset := token.NewFileSet()
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-				continue
-			}
-			f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ImportsOnly)
-			if err != nil {
-				return err
-			}
-			for _, imp := range f.Imports {
-				p := strings.Trim(imp.Path.Value, `"`)
-				if err := collect(p); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := collect(path); err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	if len(std) == 0 {
-		return exports, nil
-	}
-	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, std...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", std, err, stderr.String())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPkg
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
 }

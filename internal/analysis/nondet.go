@@ -5,95 +5,30 @@ import (
 	"go/types"
 )
 
-// NondetWaiver marks a site where a wall-clock / core-count / global-rand
-// read provably cannot reach a deterministic result, with the proof cited:
-// //graphlint:nondet <why the value never reaches a result>.
-const NondetWaiver = "graphlint:nondet"
-
-// Nondet flags nondeterministic value sources in packages whose outputs are
-// regression-gated byte-for-byte. Two rules:
-//
-//  1. Outside the sanctioned packages (service, which times requests, and
-//     par, which owns the one GOMAXPROCS worker default), no internal
-//     package may call time.Now/Since/Until, runtime.GOMAXPROCS/NumCPU, or
-//     the global math/rand functions (seeded rand.New sources are fine —
-//     they are deterministic by construction). A read that provably cannot
-//     reach a result carries a //graphlint:nondet waiver saying why.
-//  2. Inside a sanctioned package, timing is legal but must flow through
-//     named variables: a nondeterministic call embedded directly in a
-//     report.Cell's Value is flagged, so every wall-clock cell is auditable
-//     at the measurement site.
+// Nondet keeps nondeterministic values auditable where reading them is
+// legal. Which sources are nondeterministic, and which packages may read
+// them at all, is the forbid table's business (the rows marked nondet:
+// wall-clock, core count, global math/rand). This analyzer adds the one rule
+// a table row cannot state: such a source may not be embedded directly in a
+// report.Cell's Value. Timing flows through named variables, so every
+// wall-clock cell is auditable at the measurement site.
 var Nondet = &Analyzer{
 	Name: "nondet",
-	Doc:  "flag wall-clock, global rand, and core-count reads on deterministic result paths",
+	Doc:  "flag wall-clock, global rand, and core-count reads embedded directly in a report.Cell value",
 	Run:  runNondet,
 }
 
-// nondetFuncName describes a flagged source for diagnostics, or "" if the
-// function is not a nondeterminism source.
-func nondetFuncName(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		switch fn.Name() {
-		case "Now", "Since", "Until":
-			return "time." + fn.Name()
-		}
-	case "runtime":
-		switch fn.Name() {
-		case "GOMAXPROCS", "NumCPU":
-			return "runtime." + fn.Name()
-		}
-	case "math/rand", "math/rand/v2":
-		// Constructors of explicitly-seeded generators are deterministic;
-		// everything else at package level draws from the global source.
-		switch fn.Name() {
-		case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-			return ""
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return "" // methods on a seeded *Rand are fine
-		}
-		return "rand." + fn.Name()
-	}
-	return ""
-}
-
 func runNondet(pass *Pass) error {
-	sanctioned := nondetSanctioned[pass.Pkg.Name()]
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if sanctioned {
-				return inspectCellValue(pass, f, n)
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			name := nondetFuncName(calleeFunc(pass.Info, call))
-			if name == "" {
-				return true
-			}
-			if stmtWaived(pass, f, call, NondetWaiver) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"%s in deterministic package %s: results here are regression-gated byte-for-byte; thread the value in as an input, or waive with //%s <proof it cannot reach a result>",
-				name, pass.Pkg.Name(), NondetWaiver)
-			return true
+			return inspectCellValue(pass, f, n)
 		})
 	}
 	return nil
 }
 
-// inspectCellValue enforces rule 2 in the sanctioned packages: a
-// report.Cell composite literal whose Value entry contains a
-// nondeterministic call directly.
+// inspectCellValue flags a report.Cell composite literal whose Value entry
+// refers to a nondeterministic source directly.
 func inspectCellValue(pass *Pass, f *ast.File, n ast.Node) bool {
 	cl, ok := n.(*ast.CompositeLit)
 	if !ok {
@@ -113,20 +48,23 @@ func inspectCellValue(pass *Pass, f *ast.File, n ast.Node) bool {
 			continue
 		}
 		ast.Inspect(kv.Value, func(v ast.Node) bool {
-			call, ok := v.(*ast.CallExpr)
+			id, ok := v.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			name := nondetFuncName(calleeFunc(pass.Info, call))
-			if name == "" {
+			obj := pass.Info.Uses[id]
+			if obj == nil {
 				return true
 			}
-			if stmtWaived(pass, f, cl, NondetWaiver) || stmtWaived(pass, f, call, NondetWaiver) {
+			if r := refRule(obj); r == nil || !r.nondet {
 				return true
 			}
-			pass.Reportf(call.Pos(),
+			if stmtWaived(pass, f, cl, NondetWaiver) || stmtWaived(pass, f, id, NondetWaiver) {
+				return true
+			}
+			pass.Reportf(id.Pos(),
 				"%s embedded directly in a report.Cell Value; measure into a named variable at the sanctioned timing site, then derive the cell",
-				name)
+				qualified(obj))
 			return true
 		})
 	}

@@ -48,9 +48,6 @@ func runRegistry(pass *Pass) error {
 		}
 	}
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
 		registered := registeredTypes(pass, f, registerFn)
 		for _, ts := range typeSpecs(f) {
 			obj, ok := pass.Info.Defs[ts.Name].(*types.TypeName)

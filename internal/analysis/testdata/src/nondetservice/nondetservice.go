@@ -7,7 +7,7 @@ package service
 import (
 	"time"
 
-	"report"
+	"graphpart/internal/report"
 )
 
 func goodMeasuredCell(f func()) report.Cell {

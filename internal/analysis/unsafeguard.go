@@ -1,99 +1,44 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-	"path/filepath"
-	"strings"
-)
+import "go/ast"
 
-// Unsafeguard confines pointer aliasing to the mmap layer. The zero-copy
-// load path reinterprets mapped bytes as []Edge / []uint32 slices, which is
-// sound only under the invariants csr_view.go states (little-endian host,
-// 8-aligned payload, pinned mapping); anywhere else, unsafe is a liability
-// with no measured win. Two rules:
-//
-//   - the unsafe package and reflect.SliceHeader/StringHeader aliasing may
-//     appear only in internal/graph's mmap*.go and csr_view.go;
-//   - inside those files, every use must be covered by an invariant
-//     comment — a doc comment on the enclosing declaration or a comment on
-//     the preceding line — so each aliasing site states why it is sound.
+// Unsafeguard holds the mmap layer to its documentation. The zero-copy load
+// path reinterprets mapped bytes as []Edge / []uint32 slices, which is sound
+// only under the invariants csr_view.go states (little-endian host,
+// 8-aligned payload, pinned mapping). Where unsafe and reflect-header
+// aliasing may appear at all is a row of the forbid table; inside the files
+// that row sanctions, every use must be covered by an invariant comment — a
+// doc comment on the enclosing declaration or a comment on the preceding
+// line — so each aliasing site states why it is sound.
 var Unsafeguard = &Analyzer{
 	Name: "unsafeguard",
-	Doc:  "confine unsafe/reflect-header aliasing to the documented mmap layer",
+	Doc:  "every unsafe/reflect-header use inside the mmap layer carries an invariant comment",
 	Run:  runUnsafeguard,
 }
 
-// unsafeAllowedFile reports whether the file may use unsafe: the mmap layer
-// of the graph package.
-func unsafeAllowedFile(pkgName, filename string) bool {
-	if pkgName != "graph" {
-		return false
-	}
-	base := filepath.Base(filename)
-	if base == "csr_view.go" {
-		return true
-	}
-	return strings.HasPrefix(base, "mmap") && strings.HasSuffix(base, ".go")
-}
-
 func runUnsafeguard(pass *Pass) error {
+	aliasing := refRules["unsafe.*"]
 	for _, f := range pass.Files {
-		if isTestFile(pass.Fset, f) {
-			continue
-		}
-		filename := pass.Fset.Position(f.Pos()).Filename
-		allowed := unsafeAllowedFile(pass.Pkg.Name(), filename)
-		for _, imp := range f.Imports {
-			if strings.Trim(imp.Path.Value, `"`) == "unsafe" && !allowed {
-				pass.Reportf(imp.Pos(),
-					"import of unsafe outside the mmap layer: aliasing is confined to internal/graph/mmap*.go and csr_view.go")
-			}
+		if !aliasing.sanctions(pass.Pkg.Name(), pass.Fset.Position(f.Pos()).Filename) {
+			continue // outside the layer every use is already a forbid finding
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			use := unsafeUseName(pass, sel)
-			if use == "" {
-				return true
-			}
-			if !allowed {
-				pass.Reportf(sel.Pos(),
-					"%s outside the mmap layer: aliasing is confined to internal/graph/mmap*.go and csr_view.go", use)
+			obj := pass.Info.Uses[sel.Sel]
+			if obj == nil || refRule(obj) != aliasing {
 				return true
 			}
 			if !hasInvariantComment(pass, f, sel) {
 				pass.Reportf(sel.Pos(),
-					"%s without an invariant comment: state why this aliasing is sound on the enclosing declaration or the preceding line", use)
+					"%s without an invariant comment: state why this aliasing is sound on the enclosing declaration or the preceding line", qualified(obj))
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// unsafeUseName classifies a selector as an unsafe-package use or a
-// reflect header type, returning a diagnostic label or "".
-func unsafeUseName(pass *Pass, sel *ast.SelectorExpr) string {
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	pkgName, ok := pass.Info.Uses[id].(*types.PkgName)
-	if !ok {
-		return ""
-	}
-	switch pkgName.Imported().Path() {
-	case "unsafe":
-		return "unsafe." + sel.Sel.Name
-	case "reflect":
-		if sel.Sel.Name == "SliceHeader" || sel.Sel.Name == "StringHeader" {
-			return "reflect." + sel.Sel.Name
-		}
-	}
-	return ""
 }
 
 // hasInvariantComment reports whether the use is covered by documentation:
