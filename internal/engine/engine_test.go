@@ -152,6 +152,56 @@ func TestNetworkScalesWithReplication(t *testing.T) {
 	}
 }
 
+// TestNetInClosedForm prices PowerGraph's network without the loop: one
+// all-active PageRank superstep with free activation signals moves one
+// accumulator and one value per mirror hosted on a machine other than its
+// master's, and nothing else. Four partitions a machine put some mirrors on
+// the master's own machine; 100 partitions make a replica row two words.
+func TestNetInClosedForm(t *testing.T) {
+	cc := cluster.Config{Machines: 25, PartsPerMachine: 4}
+	m := model
+	m.SignalBytes = 0
+	g := gen.PrefAttach("closed-form", 3000, 6, 0x5)
+	for _, strat := range []string{"Random", "2D"} {
+		a, err := partition.Partition(g, partition.MustNew(strat, partition.Options{}), cc.NumParts(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds := make([][]bool, g.NumVertices())
+		for v := range holds {
+			holds[v] = make([]bool, a.NumParts)
+		}
+		for i, e := range g.Edges {
+			holds[e.Src][a.EdgeParts[i]] = true
+			holds[e.Dst][a.EdgeParts[i]] = true
+		}
+		var remote, cohosted int
+		for v, row := range holds {
+			for p, held := range row {
+				switch master := int(a.Masters[v]); {
+				case !held || p == master:
+				case p%cc.Machines == master%cc.Machines:
+					cohosted++
+				default:
+					remote++
+				}
+			}
+		}
+		if cohosted == 0 {
+			t.Fatalf("%s: test premise broken: no mirror shares its master's machine", strat)
+		}
+		out, err := engine.Run[float64, float64](engine.ModePowerGraph, app.PageRank{}, a, cc, m, engine.Options{FixedIterations: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := app.PageRank{}
+		perMirror := float64(prog.AccBytes() + prog.ValueBytes() + 2*m.MsgOverheadBytes)
+		if want := float64(remote) * perMirror / float64(cc.Machines) / 1e9; out.Stats.AvgNetInGB != want {
+			t.Errorf("%s: AvgNetInGB = %v, want %v (%d remote mirrors, %d co-hosted)", strat, out.Stats.AvgNetInGB, want, remote, cohosted)
+		}
+	}
+}
+
 func TestMaxSuperstepsCap(t *testing.T) {
 	a := assignmentFor(t, "Random")
 	out, err := engine.Run[uint32, uint32](engine.ModePowerGraph, app.WCC{}, a, cluster.Local9, model,

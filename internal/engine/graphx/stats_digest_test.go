@@ -105,7 +105,7 @@ func gxLine(vals any, st graphx.Stats) string {
 // (gx) and returns its values and the digest line of its stats.
 type digestCase struct {
 	name string
-	gas  func(engine.Mode, *partition.Assignment, cluster.CostModel, int) (any, engine.Stats, error)
+	gas  func(engine.Mode, *partition.Assignment, cluster.Config, cluster.CostModel, int) (any, engine.Stats, error)
 	gx   func(*partition.Assignment, graphx.Config, cluster.CostModel) (any, graphx.Stats, error)
 }
 
@@ -118,12 +118,12 @@ func gasOpts(workers int) engine.Options {
 // capped at iterations.
 func programCase[V, A any](name string, prog engine.Program[V, A], fixed, iterations int) digestCase {
 	return digestCase{name,
-		func(mode engine.Mode, a *partition.Assignment, m cluster.CostModel, w int) (any, engine.Stats, error) {
+		func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, m cluster.CostModel, w int) (any, engine.Stats, error) {
 			opts := gasOpts(w)
 			if fixed > 0 {
 				opts.MaxSupersteps, opts.FixedIterations = 0, fixed
 			}
-			out, err := engine.Run(mode, prog, a, cluster.Local9, m, opts)
+			out, err := engine.Run(mode, prog, a, cc, m, opts)
 			if err != nil {
 				return nil, engine.Stats{}, err
 			}
@@ -151,8 +151,8 @@ var (
 		programCase("PageRank(C)", app.PageRank{Tolerance: 1e-2}, 0, 0),
 		wcc,
 		sssp,
-		{name: "K-Core", gas: func(mode engine.Mode, a *partition.Assignment, m cluster.CostModel, w int) (any, engine.Stats, error) {
-			return app.KCoreDecomposition(mode, 3, 6, a, cluster.Local9, m, gasOpts(w))
+		{name: "K-Core", gas: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, m cluster.CostModel, w int) (any, engine.Stats, error) {
+			return app.KCoreDecomposition(mode, 3, 6, a, cc, m, gasOpts(w))
 		}},
 		programCase("Coloring", app.Coloring{}, 0, 0),
 	}
@@ -173,7 +173,8 @@ func workingSet(a *partition.Assignment, cc cluster.Config, m cluster.CostModel)
 // graphx.Stats (scalars as IEEE-754 hex, per-machine and per-step series as
 // length/FNV of their bits) and an FNV of Values, over 6 apps × 2 GAS modes ×
 // 5 strategies and 3 apps × 3 strategies × 2 memory budgets for GraphX, on two
-// graphs, under the default and a non-dyadic cost model. A refactor of the
+// graphs, under the default and a non-dyadic cost model, then two apps × all
+// three systems × 2 strategies on a 25 × 4 cluster. A refactor of the
 // superstep loop must leave testdata/stats.digest byte-unchanged; regenerate
 // with -update only when a modelled cost is meant to move.
 func TestStatsDigest(t *testing.T) {
@@ -211,7 +212,7 @@ func TestStatsDigest(t *testing.T) {
 					for _, ap := range gasApps {
 						key := fmt.Sprintf("gas/%s/%s/%s/%s/%s", g.Name, strat, md.name, mode.name, ap.name)
 						emit(key, func(w int) (string, error) {
-							vals, st, err := ap.gas(mode.mode, a, md.m, w)
+							vals, st, err := ap.gas(mode.mode, a, cluster.Local9, md.m, w)
 							return gasLine(vals, st), err
 						})
 					}
@@ -252,6 +253,30 @@ func TestStatsDigest(t *testing.T) {
 			}
 			return gxLine(vals, st), err
 		})
+	}
+
+	// Wide rows and co-hosted mirrors: at 100 partitions a replica row is two
+	// words, and at four partitions a machine a mirror can sit on its master's
+	// machine and cost no network — neither of which the cases above reach.
+	wide := cluster.Config{Machines: 25, PartsPerMachine: 4}
+	for _, g := range digestGraphs() {
+		for _, strat := range []string{"Random", "2D"} {
+			a := gxAssignment(t, g, strat, wide)
+			for _, md := range models {
+				for _, ap := range []digestCase{pageRank10, sssp} {
+					for _, mode := range modes {
+						emit(fmt.Sprintf("gas@25x4/%s/%s/%s/%s/%s", g.Name, strat, md.name, mode.name, ap.name), func(w int) (string, error) {
+							vals, st, err := ap.gas(mode.mode, a, wide, md.m, w)
+							return gasLine(vals, st), err
+						})
+					}
+					emit(fmt.Sprintf("graphx@25x4/%s/%s/%s/%s", g.Name, strat, md.name, ap.name), func(w int) (string, error) {
+						vals, st, err := ap.gx(a, graphx.Config{Cluster: wide, Workers: w}, md.m)
+						return gxLine(vals, st), err
+					})
+				}
+			}
+		}
 	}
 
 	path := filepath.Join("testdata", "stats.digest")
