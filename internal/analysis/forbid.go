@@ -104,6 +104,11 @@ var forbidden = []rule{
 		where: "in package",
 		why:   "a strategy's capability interface is the only statement of its ingress shape; read partition.ShapeOf",
 	},
+	{
+		decls: []string{"ForEachReplica", "HasInEdges", "HasOutEdges", "Holds"},
+		where: "in package",
+		why:   "the engines read placement a row at a time; take the words from Assignment.Rows",
+	},
 }
 
 // sanctions reports whether the row allows its subject in this file.

@@ -122,3 +122,18 @@ type HeuristicStrategy interface { // want `declaration of HeuristicStrategy in 
 }
 
 func isGreedy(name string) bool { return name == "HDRF" } // want `declaration of isGreedy in package engine`
+
+// Placement is read a row at a time: no per-replica callback, no per-bit test.
+type assignment struct{ replicas []uint64 }
+
+func (a *assignment) ForEachReplica(fn func(p int)) {} // want `declaration of ForEachReplica in package engine`
+
+func (a *assignment) HasInEdges(p int) bool { return false } // want `declaration of HasInEdges in package engine`
+
+func (a *assignment) HasOutEdges(p int) bool { return false } // want `declaration of HasOutEdges in package engine`
+
+func Holds(a *assignment, p int) bool { return false } // want `declaration of Holds in package engine: the engines read placement a row at a time`
+
+func (a *assignment) Rows() (replicas, in, out []uint64) { return a.replicas, nil, nil }
+
+func (a *assignment) HasReplica(p int) bool { return a.replicas[p>>6]&(1<<uint(p&63)) != 0 }

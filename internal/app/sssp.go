@@ -57,7 +57,7 @@ func (SSSP) Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal float
 }
 
 // Sum implements engine.Program: min.
-func (SSSP) Sum(a, b float64) float64 { return math.Min(a, b) }
+func (SSSP) Sum(a, b float64) float64 { return min(a, b) }
 
 // Apply implements engine.Program.
 func (s SSSP) Apply(_ *graph.Graph, v graph.VertexID, old float64, acc float64, hasAcc bool) (float64, bool) {

@@ -9,7 +9,10 @@
 // application, cluster config), so experiments reproduce bit-for-bit.
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // Config describes a cluster (§4.1, Table 4.1).
 type Config struct {
@@ -102,6 +105,28 @@ type CostModel struct {
 	GCSlope         float64 // GC overhead multiplier slope past the knee
 	ExecutorBase    float64 // fixed executor memory overhead (bytes)
 	RedistributeSec float64 // cost of one failed fit + redistribution attempt
+}
+
+// Validate reports a cost model no run can be priced under, naming the
+// field: the two rates divide, so they must be positive; every other
+// constant is a size, a time or a ratio and must not be negative or NaN.
+func (m CostModel) Validate() error {
+	v := reflect.ValueOf(m)
+	for i := 0; i < v.NumField(); i++ {
+		name, x := v.Type().Field(i).Name, 0.0
+		if f := v.Field(i); f.CanFloat() {
+			x = f.Float()
+		} else {
+			x = float64(f.Int())
+		}
+		switch rate := name == "BandwidthBytesPerSec" || name == "DiskBytesPerSec"; {
+		case rate && !(x > 0):
+			return fmt.Errorf("cluster: cost model %s must be > 0, got %v", name, x)
+		case !(x >= 0):
+			return fmt.Errorf("cluster: cost model %s must be ≥ 0, got %v", name, x)
+		}
+	}
+	return nil
 }
 
 // DefaultModel returns the calibrated default cost model.

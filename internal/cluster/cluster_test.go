@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"graphpart/internal/gen"
@@ -176,6 +177,34 @@ func TestDefaultModelSane(t *testing.T) {
 	}
 	if m.ReplicaBytes <= 0 || m.EdgeMemBytes <= 0 {
 		t.Fatal("default memory constants non-positive")
+	}
+}
+
+// TestCostModelValidate: the default model passes, and each refusal names the
+// field — the two rates at zero, any constant negative or NaN, int fields
+// included.
+func TestCostModelValidate(t *testing.T) {
+	if err := DefaultModel().Validate(); err != nil {
+		t.Fatalf("default model refused: %v", err)
+	}
+	free := DefaultModel()
+	free.SignalBytes, free.BarrierNs = 0, 0
+	if err := free.Validate(); err != nil {
+		t.Errorf("zero sizes and times refused: %v", err)
+	}
+	for field, breakIt := range map[string]func(*CostModel){
+		"BandwidthBytesPerSec": func(m *CostModel) { m.BandwidthBytesPerSec = 0 },
+		"DiskBytesPerSec":      func(m *CostModel) { m.DiskBytesPerSec = 0 },
+		"GatherEdgeNs":         func(m *CostModel) { m.GatherEdgeNs = -1 },
+		"BarrierNs":            func(m *CostModel) { m.BarrierNs = math.NaN() },
+		"SignalBytes":          func(m *CostModel) { m.SignalBytes = -8 },
+		"RedistributeSec":      func(m *CostModel) { m.RedistributeSec = math.Inf(-1) },
+	} {
+		m := DefaultModel()
+		breakIt(&m)
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("broken %s: Validate() = %v, want an error naming the field", field, err)
+		}
 	}
 }
 

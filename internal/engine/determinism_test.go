@@ -133,6 +133,60 @@ func TestParallelEngineDeterminism(t *testing.T) {
 	}
 }
 
+// TestDecayingFrontierDeterminism keeps the fanned-out path under test: a
+// phase of fewer than 8 shards (2 048 items) stays on the calling goroutine,
+// which is every phase of the graphs above except an all-active one. Here
+// PageRank runs to convergence on 12 000 vertices, so its frontier starts
+// above the boundary and decays through it, and every float of Stats and
+// Values must be identical at 1, 2, 3 and 8 workers under all three systems.
+func TestDecayingFrontierDeterminism(t *testing.T) {
+	g := gen.PrefAttach("det-decay", 12000, 5, 0x9)
+	a, err := partition.Partition(g, partition.MustNew("HDRF", partition.Options{}), 9, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := app.PageRank{Tolerance: 1e-2}
+	gas := programCase("PageRank(C)", prog, 4000).run
+	systems := map[string]func(workers int) (vals, stats any, steps int, err error){
+		"PowerGraph": func(w int) (any, any, int, error) {
+			vals, st, err := gas(engine.ModePowerGraph, a, w)
+			return vals, st, st.Supersteps, err
+		},
+		"PowerLyra": func(w int) (any, any, int, error) {
+			vals, st, err := gas(engine.ModePowerLyra, a, w)
+			return vals, st, st.Supersteps, err
+		},
+		"GraphX": func(w int) (any, any, int, error) {
+			out, err := graphx.Run[float64, float64](prog, a, graphx.Config{Cluster: cluster.Local9, Workers: w}, model)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			return out.Values, out.Stats, out.Stats.Iterations, nil
+		},
+	}
+	for name, run := range systems {
+		wantVals, wantStats, steps, err := run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if steps < 3 {
+			t.Fatalf("%s: test premise broken: converged in %d supersteps, no decaying tail", name, steps)
+		}
+		for _, w := range []int{2, 3, 8} {
+			vals, stats, _, err := run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(vals, wantVals) {
+				t.Errorf("%s: Workers=%d Values differ from Workers=1", name, w)
+			}
+			if !reflect.DeepEqual(stats, wantStats) {
+				t.Errorf("%s: Workers=%d Stats differ from Workers=1:\n got %+v\nwant %+v", name, w, stats, wantStats)
+			}
+		}
+	}
+}
+
 // TestFixedIterationsIncludesIsolatedVertices is the regression test for the
 // frontier-rebuild bug: in FixedIterations mode, isolated vertices (Master <
 // 0) were skipped by the all-active rebuild and never reached Apply, so

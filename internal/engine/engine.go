@@ -11,17 +11,18 @@
 // functions of partitioning quality, which is exactly the relationship the
 // paper measures.
 //
-// A system is a cost policy, not a loop: a Charges value of four per-edge or
-// per-step numbers, a work multiplier and at most three per-vertex hooks.
-// Run builds PowerGraph's (every mirror gathers and is synced, §5.1.2) and
-// PowerLyra's (low-degree vertices touch only the partitions holding their
-// edges, §6.1); internal/engine/graphx builds GraphX's (ch. 7). A policy sees
-// the placement and its own shard's Meters and nothing else — not values,
-// not the frontier, not another shard — so it can change what a placement
-// costs and never what the program computes.
+// A system is a cost policy, not a loop, and a policy is data: a Charges value
+// of four per-edge or per-step numbers, a work multiplier, the degree at or
+// below which a vertex is narrow and three per-vertex Transfers. Run builds
+// PowerGraph's (every mirror gathers and is synced, §5.1.2) and PowerLyra's
+// (low-degree vertices touch only the partitions holding their edges, §6.1);
+// internal/engine/graphx builds GraphX's (ch. 7). Nothing of a policy runs at
+// visit time — Execute evaluates it against the placement — so it can change
+// what a placement costs and never what the program computes.
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"graphpart/internal/cluster"
@@ -58,14 +59,6 @@ func (d Direction) String() string {
 
 func (d Direction) in() bool  { return d&DirIn != 0 }
 func (d Direction) out() bool { return d&DirOut != 0 }
-
-// Holds reports whether partition p holds an edge of v in direction d — the
-// test behind PowerLyra's low-degree gather and sync and GraphX's shuffle.
-// It spells the bit tests out to stay within the inlining budget of the
-// per-replica loops that call it.
-func (d Direction) Holds(a *partition.Assignment, v graph.VertexID, p int) bool {
-	return d&DirIn != 0 && a.HasInEdges(v, p) || d&DirOut != 0 && a.HasOutEdges(v, p)
-}
 
 // Program is a GAS vertex program (§3.1) over vertex values V and gather
 // accumulators A. Implementations must be pure: the engines own all state.
@@ -182,86 +175,42 @@ type Outcome[V any] struct {
 // worker-count independence makes Stats and Values byte-identical for every
 // opts.Workers — and reads the Stats off the finished run.
 func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg cluster.Config, model cluster.CostModel, opts Options) (*Outcome[V], error) {
-	if err := cfg.Validate(); err != nil {
+	if err := errors.Join(cfg.Validate(), model.Validate()); err != nil {
 		return nil, err
 	}
 	if cfg.NumParts() != a.NumParts {
 		return nil, fmt.Errorf("engine: assignment has %d partitions but cluster has %d", a.NumParts, cfg.NumParts())
 	}
-	g := a.G
-	threshold := opts.HighDegreeThreshold
-	if threshold <= 0 {
-		threshold = partition.DefaultHybridThreshold
-	}
-	gatherDir, scatterDir := prog.GatherDir(), prog.ScatterDir()
 	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
 	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)
 
-	// low is PowerLyra's differentiated processing (§6.1), keyed on the
-	// degree in the *gather* direction: hybrid-cut partitions by in-degree,
-	// and an in-gathering vertex with few in-edges is "low-degree" no matter
-	// how many out-edges it has (§6.2.1). PowerGraph has no low vertices.
-	low := func(v graph.VertexID) bool {
-		if mode != ModePowerLyra {
-			return false
-		}
-		switch gatherDir {
-		case DirIn:
-			return g.InDegree(v) <= threshold
-		case DirOut:
-			return g.OutDegree(v) <= threshold
-		}
-		return g.Degree(v) <= threshold
-	}
-	// A low vertex pushes its value only along a one-way scatter direction;
-	// scattering both ways (or not at all) reaches every mirror.
-	oneWayScatter := scatterDir == DirIn || scatterDir == DirOut
-
+	// PowerGraph: partial accumulators flow from every mirror to the master,
+	// which syncs all mirrors of an active vertex every superstep (§5.1.2).
 	charges := Charges{
 		GatherEdgeNs:  model.GatherEdgeNs,
 		ScatterEdgeNs: model.ScatterEdgeNs,
 		SignalBytes:   float64(model.SignalBytes),
 		WorkMult:      1,
-		// Gather-stage network: partial accumulators flow from mirror
-		// partitions to the master — from every mirror, or for a low vertex
-		// only from partitions actually holding gather-direction edges.
-		Gathered: func(v graph.VertexID, master int, ms *Meters) {
-			lowV, mm := low(v), cfg.MachineOf(master)
-			a.ForEachReplica(v, func(p int) {
-				if p == master || lowV && !gatherDir.Holds(a, v, p) {
-					return
-				}
-				if cfg.MachineOf(p) != mm {
-					ms.Out[p] += accB
-					ms.In[master] += accB
-					ms.Dyn += accB
-				}
-			})
-		},
-		// Apply-stage network: the master pushes the updated value to
-		// mirrors. PowerGraph syncs all mirrors of an active vertex every
-		// superstep. PowerLyra processes low-degree vertices GraphLab/
-		// Pregel-style (§6.1): their value travels as a message, only when
-		// it changed, and only to partitions that need it for scatter — the
-		// hybrid engine's synchronization saving for natural applications.
-		Applied: func(v graph.VertexID, master int, changed bool, ms *Meters) {
-			lowV := low(v)
-			if lowV && !changed {
-				return
-			}
-			mm := cfg.MachineOf(master)
-			a.ForEachReplica(v, func(p int) {
-				if p == master || lowV && oneWayScatter && !scatterDir.Holds(a, v, p) {
-					return
-				}
-				ms.Work[p] += model.ApplyVertexNs // mirror applies the update
-				if cfg.MachineOf(p) != mm {
-					ms.Out[master] += valB
-					ms.In[p] += valB
-					ms.Dyn += valB
-				}
-			})
-		},
+		NarrowDegree:  -1,
+		Gathered:      Transfer{Bytes: accB, Narrow: prog.GatherDir()},
+		Applied:       Transfer{Bytes: valB, MirrorNs: model.ApplyVertexNs, Narrow: DirBoth},
+	}
+	// PowerLyra's differentiated processing (§6.1) makes the low-degree
+	// vertices narrow: they gather only from partitions actually holding
+	// gather-direction edges, and GraphLab/Pregel-style their value travels
+	// as a message — only when it changed, and only to the partitions that
+	// need it for a one-way scatter (scattering both ways, or not at all,
+	// reaches every mirror): the hybrid engine's synchronization saving for
+	// natural applications.
+	if mode == ModePowerLyra {
+		charges.NarrowDegree = opts.HighDegreeThreshold
+		if charges.NarrowDegree <= 0 {
+			charges.NarrowDegree = partition.DefaultHybridThreshold
+		}
+		charges.NarrowSyncOnChange = true
+		if d := prog.ScatterDir(); d == DirIn || d == DirOut {
+			charges.Applied.Narrow = d
+		}
 	}
 
 	maxSteps := opts.MaxSupersteps

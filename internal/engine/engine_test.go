@@ -3,11 +3,13 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
+	"graphpart/internal/engine/graphx"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
@@ -199,6 +201,23 @@ func TestNetInClosedForm(t *testing.T) {
 		if want := float64(remote) * perMirror / float64(cc.Machines) / 1e9; out.Stats.AvgNetInGB != want {
 			t.Errorf("%s: AvgNetInGB = %v, want %v (%d remote mirrors, %d co-hosted)", strat, out.Stats.AvgNetInGB, want, remote, cohosted)
 		}
+	}
+}
+
+// TestRunRefusesInvalidCostModel: a zero bandwidth used to divide 0 by 0 into
+// ComputeSeconds = NaN with no error; both Run functions now refuse the model
+// as they refuse a bad cluster, naming the field.
+func TestRunRefusesInvalidCostModel(t *testing.T) {
+	a := assignmentFor(t, "Random")
+	m := model
+	m.BandwidthBytesPerSec = 0
+	_, err := engine.Run[float64, float64](engine.ModePowerGraph, app.PageRank{}, a, cluster.Local9, m, engine.Options{FixedIterations: 1})
+	if err == nil || !strings.Contains(err.Error(), "BandwidthBytesPerSec") {
+		t.Errorf("engine.Run: err = %v, want one naming BandwidthBytesPerSec", err)
+	}
+	_, err = graphx.Run[float64, float64](app.PageRank{}, a, graphx.Config{Cluster: cluster.Local9, Iterations: 1}, m)
+	if err == nil || !strings.Contains(err.Error(), "BandwidthBytesPerSec") {
+		t.Errorf("graphx.Run: err = %v, want one naming BandwidthBytesPerSec", err)
 	}
 }
 

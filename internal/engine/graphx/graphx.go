@@ -8,12 +8,12 @@
 package graphx
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
-	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 )
 
@@ -72,7 +72,7 @@ type Outcome[V any] struct {
 // Run executes prog under the GraphX model.
 func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Config, model cluster.CostModel) (*Outcome[V], error) {
 	cc := cfg.Cluster
-	if err := cc.Validate(); err != nil {
+	if err := errors.Join(cc.Validate(), model.Validate()); err != nil {
 		return nil, err
 	}
 	if cc.NumParts() != a.NumParts {
@@ -128,7 +128,6 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 	// engine.Execute runs the vertex program; what is GraphX's own is the
 	// price list: a per-task floor, RDD-scan edge work inflated by GC, the
 	// aggregateMessages shuffle and routing-table value shipping.
-	gatherDir := prog.GatherDir()
 	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
 	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)
 	ex := engine.Execute(prog, a, cc, model, engine.Charges{
@@ -137,34 +136,15 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 		StepFloorNs:  model.TaskOverheadNs,
 		GatherEdgeNs: model.RDDEdgeNs,
 		WorkMult:     gcMult,
-		// aggregateMessages shuffle: each edge partition holding
-		// gather-direction edges of v sends one combined message to v's
-		// vertex partition (master).
-		Gathered: func(v graph.VertexID, master int, ms *engine.Meters) {
-			mm := cc.MachineOf(master)
-			a.ForEachReplica(v, func(p int) {
-				if p != master && cc.MachineOf(p) != mm && gatherDir.Holds(a, v, p) {
-					ms.Out[p] += accB
-					ms.In[master] += accB
-				}
-			})
-		},
+		// aggregateMessages shuffle: every vertex is narrow — each edge
+		// partition holding gather-direction edges of v sends one combined
+		// message to v's vertex partition (master).
+		NarrowDegree: math.MaxInt,
+		Gathered:     engine.Transfer{Bytes: accB, Narrow: prog.GatherDir()},
 		// Vertex-value shipping: changed vertices broadcast their new value
 		// to every edge partition holding their edges (GraphX's routing
 		// tables) — the replication-factor-proportional cost.
-		Shipped: func(v graph.VertexID, master int, ms *engine.Meters) {
-			mm := cc.MachineOf(master)
-			a.ForEachReplica(v, func(p int) {
-				if p == master {
-					return
-				}
-				ms.Work[p] += model.ApplyVertexNs
-				if cc.MachineOf(p) != mm {
-					ms.Out[master] += valB
-					ms.In[p] += valB
-				}
-			})
-		},
+		Shipped: engine.Transfer{Bytes: valB, MirrorNs: model.ApplyVertexNs, Narrow: engine.DirBoth},
 	}, cfg.Iterations, false, cfg.Workers)
 
 	stats.IterSeconds = ex.StepSeconds

@@ -138,7 +138,7 @@ func TestGraphXReactivatorFrontierMatchesGAS(t *testing.T) {
 	g := graph.FromEdges("path+clique", edges)
 	cc := cluster.Config{Machines: 1, PartsPerMachine: 4}
 	a := gxAssignment(t, g, "CanonicalRandom", cc)
-	visits := cluster.CostModel{GatherEdgeNs: 1e9, RDDEdgeNs: 1e9, BandwidthBytesPerSec: 1}
+	visits := cluster.CostModel{GatherEdgeNs: 1e9, RDDEdgeNs: 1e9, BandwidthBytesPerSec: 1, DiskBytesPerSec: 1}
 
 	gx, err := graphx.Run[int32, int32](app.KCore{K: 2}, a, graphx.Config{Cluster: cc}, visits)
 	if err != nil {

@@ -14,12 +14,11 @@ import (
 )
 
 // BenchmarkEngineParallel times the one superstep loop under each system's
-// cost policy, sequential vs parallel, on the two workload shapes the paper's
-// experiments span: a high-diameter road network (many supersteps, small
-// frontiers) and a skewed power-law graph (few supersteps, hub-heavy
-// frontiers). On a multi-core host workers=all should beat workers=1 on the
-// power-law graph; the road network bounds the sharding overhead in the
-// regime parallelism cannot help.
+// cost policy, sequential vs parallel, on all-active frontiers: three
+// PageRank supersteps over a road network and a skewed power-law graph
+// (hub-heavy shards). On a multi-core host workers=all should beat workers=1
+// on both. The regime parallelism cannot help is the SmallFrontier benchmark
+// below.
 func BenchmarkEngineParallel(b *testing.B) {
 	graphs := []*graph.Graph{
 		gen.RoadNet("road-net", 250, 250, 1),
@@ -66,6 +65,37 @@ func BenchmarkEngineParallel(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkEngineParallelSmallFrontier is the regime itself: PowerLyra SSSP
+// to convergence on a road network — hundreds of supersteps whose frontiers
+// are a few thousand vertices at most — where the per-superstep and per-visit
+// overhead is all there is, and workers=all must not lose to workers=1.
+func BenchmarkEngineParallelSmallFrontier(b *testing.B) {
+	g := gen.RoadNet("road-net", 400, 400, 1)
+	g.EnsureCSR()
+	a, err := partition.Partition(g, partition.MustNew("2D", partition.Options{}), cluster.EC2x16.NumParts(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		n    int
+	}{{"1", 1}, {"all", 0}} {
+		b.Run("workers="+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var edges int64
+			for i := 0; i < b.N; i++ {
+				out, err := engine.Run[float64, float64](engine.ModePowerLyra, app.SSSP{Source: 0}, a, cluster.EC2x16, model,
+					engine.Options{Workers: w.n})
+				if err != nil {
+					b.Fatal(err)
+				}
+				edges += out.Stats.EdgesProcessed
+			}
+			b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
+		})
 	}
 }
 

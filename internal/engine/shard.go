@@ -3,8 +3,9 @@ package engine
 // Deterministic work-sharding for the superstep core (Execute), and so for
 // all three systems' runs. par.Do picks the goroutine that evaluates a
 // shard (inline on the caller at one worker or one shard); this file is the
-// engine's policy around it: how many shards a work list gets, the
-// per-shard and per-worker scratch, and the shard-order merges.
+// engine's policy around it: how many shards a work list gets, whether they
+// are worth a hand-off at all, the per-shard and per-worker scratch, and the
+// shard-order merges.
 //
 // The central invariant: the decomposition of a phase's work list into
 // contiguous shards depends only on the *length of the list*, never on the
@@ -24,10 +25,15 @@ import (
 
 const (
 	// minShardItems is the smallest work-list slice worth a shard of its
-	// own: below it, merge overhead dominates and the phase runs inline.
-	// Small frontiers (the long convergence tail of SSSP on road networks)
-	// therefore stay on the calling goroutine automatically.
+	// own: below it, merge overhead dominates.
 	minShardItems = 256
+	// minParallelShards is the fewest shards worth a goroutine hand-off: a
+	// phase of fewer (under 2 048 items, microseconds of work) runs its
+	// shards in order on the calling goroutine. Small frontiers (the long
+	// convergence tail of SSSP on road networks) therefore never leave it.
+	// Measured on the benchmark's pipelines: at 16 the halting tail of
+	// GraphX PageRank, which still parallelises, loses 3%; at 8 it is flat.
+	minParallelShards = 8
 	// maxShards caps per-shard scratch memory and merge cost.
 	maxShards = 64
 )
@@ -45,21 +51,21 @@ func numShards(n int) int {
 	return s
 }
 
-// Meters is one shard's private accounting scratch: per-partition CPU work
+// meters is one shard's private accounting scratch: per-partition CPU work
 // and traffic, plus the scalar counters a superstep accumulates. Workers
-// write only their own shard's Meters — it is all a Charges hook may write —
-// and the merge (in shard order) happens on the coordinating goroutine.
+// write only their own shard's meters, and the merge (in shard order)
+// happens on the coordinating goroutine.
 // Adjacent shards' structs share cache lines, so code on the per-vertex path
 // adds to the slices freely but to the scalar fields only where it must.
-type Meters struct {
+type meters struct {
 	Work, In, Out []float64 // indexed by partition
 	Edges         int64     // gather+scatter edge visits, stored once per shard
 	Dyn           float64   // dynamic message bytes (peak-memory accounting)
 }
 
 // newMeters returns zeroed meters for numParts partitions.
-func newMeters(numParts int) Meters {
-	return Meters{
+func newMeters(numParts int) meters {
+	return meters{
 		Work: make([]float64, numParts),
 		In:   make([]float64, numParts),
 		Out:  make([]float64, numParts),
@@ -67,16 +73,15 @@ func newMeters(numParts int) Meters {
 }
 
 // reset zeroes the meters for reuse.
-func (m *Meters) reset() {
-	for i := range m.Work {
-		m.Work[i], m.In[i], m.Out[i] = 0, 0, 0
-	}
-	m.Edges = 0
-	m.Dyn = 0
+func (m *meters) reset() {
+	clear(m.Work)
+	clear(m.In)
+	clear(m.Out)
+	m.Edges, m.Dyn = 0, 0
 }
 
 // mergeInto adds this shard's per-partition meters into the global arrays.
-func (m *Meters) mergeInto(work, in, out []float64) {
+func (m *meters) mergeInto(work, in, out []float64) {
 	for p := range work {
 		work[p] += m.Work[p]
 		in[p] += m.In[p]
@@ -98,13 +103,6 @@ func (b bitset) Set(i int) { b[i>>6] |= 1 << uint(i&63) }
 
 // Get reports bit i.
 func (b bitset) Get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Clear zeroes the whole set.
-func (b bitset) Clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
 
 // MergeClear ORs src into b and zeroes src, in one pass.
 func (b bitset) MergeClear(src bitset) {
@@ -135,7 +133,7 @@ type sharder struct {
 	// shard count so idle workers are never spawned.
 	Workers int
 
-	shards  []Meters
+	shards  []meters
 	changed [][]graph.VertexID
 	next    []bitset // per-worker activation bitmaps, allocated on first use
 	n       int      // vertices, for bitmap sizing
@@ -145,12 +143,9 @@ type sharder struct {
 // partitions. No phase can use more shards than numShards(n) (work lists
 // are at most n items), so both pools are bounded up front.
 func newSharder(workers, numParts, n int) *sharder {
-	w := par.Workers(workers)
-	if maxSh := numShards(n); w > maxSh {
-		w = maxSh
-	}
+	w := min(par.Workers(workers), numShards(n))
 	sh := &sharder{Workers: w, n: n}
-	sh.shards = make([]Meters, numShards(n))
+	sh.shards = make([]meters, numShards(n))
 	for i := range sh.shards {
 		sh.shards[i] = newMeters(numParts)
 	}
@@ -159,28 +154,38 @@ func newSharder(workers, numParts, n int) *sharder {
 	return sh
 }
 
+// workersFor returns the goroutines a phase of ns shards runs on: the
+// caller's alone below minParallelShards. Only who evaluates a shard
+// depends on it — the decomposition, the scratch and the merges do not.
+func (sh *sharder) workersFor(ns int) int {
+	if ns < minParallelShards {
+		return 1
+	}
+	return sh.Workers
+}
+
 // Do runs body over contiguous shards of an nItems-long work list. For
 // phases with no meters (e.g. committing newVals), where shards only write
 // disjoint indexes.
 func (sh *sharder) Do(nItems int, body func(lo, hi int)) {
 	ns := numShards(nItems)
-	par.Do(sh.Workers, ns, func(s, _ int) {
+	par.Do(sh.workersFor(ns), ns, func(s, _ int) {
 		lo, hi := par.Range(nItems, ns, s)
 		body(lo, hi)
 	})
 }
 
 // Meter runs body over contiguous shards of an nItems-long work list, each
-// shard with zeroed private Meters and a reusable change-list buffer (body
+// shard with zeroed private meters and a reusable change-list buffer (body
 // returns the buffer it appended to). Meters merge into work/in/out in
 // shard order and the per-shard change lists concatenate onto dst — also in
 // shard order, so for a contiguous decomposition the result is in work-list
 // order, exactly as a sequential loop would produce it. Returns the
 // appended dst plus the summed Edges and Dyn counters.
 func (sh *sharder) Meter(nItems int, work, in, out []float64, dst []graph.VertexID,
-	body func(lo, hi int, ms *Meters, ch []graph.VertexID) []graph.VertexID) ([]graph.VertexID, int64, float64) {
+	body func(lo, hi int, ms *meters, ch []graph.VertexID) []graph.VertexID) ([]graph.VertexID, int64, float64) {
 	ns := numShards(nItems)
-	par.Do(sh.Workers, ns, func(s, _ int) {
+	par.Do(sh.workersFor(ns), ns, func(s, _ int) {
 		ms := &sh.shards[s]
 		ms.reset()
 		lo, hi := par.Range(nItems, ns, s)
@@ -198,15 +203,15 @@ func (sh *sharder) Meter(nItems int, work, in, out []float64, dst []graph.Vertex
 }
 
 // Scatter runs body over contiguous shards of an nItems-long change list,
-// each shard with zeroed private Meters and its worker's activation bitmap.
+// each shard with zeroed private meters and its worker's activation bitmap.
 // frontier is cleared, then the per-worker bitmaps OR-merge into it (and
 // are cleared for the next superstep). Meters merge in shard order; returns
 // the summed Edges counter.
 func (sh *sharder) Scatter(nItems int, work, in, out []float64, frontier bitset,
-	body func(lo, hi int, ms *Meters, nb bitset)) int64 {
-	frontier.Clear()
+	body func(lo, hi int, ms *meters, nb bitset)) int64 {
+	clear(frontier)
 	ns := numShards(nItems)
-	par.Do(sh.Workers, ns, func(s, w int) {
+	par.Do(sh.workersFor(ns), ns, func(s, w int) {
 		ms := &sh.shards[s]
 		ms.reset()
 		nb := sh.next[w]

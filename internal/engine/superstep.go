@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/bits"
+
 	"graphpart/internal/cluster"
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
@@ -11,10 +13,9 @@ import (
 // three, so a policy can change what a placement costs and never what the
 // program computes.
 //
-// The numbers are charged by the loop itself, per edge or per step. The hooks
-// run once per replicated vertex (one that has a master), on the worker that
-// owns the vertex's shard, and may write nothing but that shard's Meters; a
-// nil hook charges nothing.
+// A policy is data: the loop evaluates every field itself, per edge, per step
+// or — the three Transfers — once per replicated vertex (one that has a
+// master), so nothing a system supplies runs at visit time.
 type Charges struct {
 	// StepFloorNs is every partition's work at the start of a superstep,
 	// active or not: Spark's one task per partition per iteration (ch. 7).
@@ -30,15 +31,118 @@ type Charges struct {
 	// advances: GraphX's GC overhead (Fig 9.4); 1 for the GAS systems.
 	WorkMult float64
 
-	// Gathered charges the partial accumulators mirrors send to v's master,
-	// after v's gather scan and before its apply.
-	Gathered func(v graph.VertexID, master int, ms *Meters)
-	// Applied charges the value sync from v's master to its mirrors, right
-	// after the master's apply.
-	Applied func(v graph.VertexID, master int, changed bool, ms *Meters)
-	// Shipped charges shipping a changed vertex's value in the scatter
-	// phase, before v activates its neighbors.
-	Shipped func(v graph.VertexID, master int, ms *Meters)
+	// NarrowDegree is the gather-direction degree at or below which a vertex
+	// is narrow, i.e. processed Pregel-style (§6.1): its transfers reach only
+	// the mirrors holding its edges in each Transfer's Narrow direction. -1
+	// makes no vertex narrow, math.MaxInt every one.
+	NarrowDegree int
+	// NarrowSyncOnChange skips a narrow vertex's Applied transfer when Apply
+	// left its value unchanged: the value travels as a message, not a sync.
+	NarrowSyncOnChange bool
+
+	// Gathered is the partial accumulators mirrors send to v's master, after
+	// v's gather scan and before its apply; Applied the value sync from the
+	// master to its mirrors, right after the master's apply; Shipped the value
+	// a changed vertex's master ships to its mirrors in the scatter phase,
+	// before v activates its neighbors.
+	Gathered, Applied, Shipped Transfer
+}
+
+// Transfer prices one exchange between a vertex's master and each mirror it
+// reaches; the zero Transfer charges nothing.
+type Transfer struct {
+	// Bytes cross the wire, and count towards the step's dynamic memory, for
+	// a mirror hosted on another machine than the master.
+	Bytes float64
+	// MirrorNs is the reached mirror's CPU, charged to its partition.
+	MirrorNs float64
+	// Narrow is the edge direction a narrow vertex's mirror must hold to be
+	// reached; DirBoth reaches them all, as a vertex that is not narrow does.
+	Narrow Direction
+}
+
+// placement is what a visit reads of where things are, in the shape it is
+// stored: the assignment's row words and per-vertex and per-edge slices, and
+// one partition→machine table built once per run.
+type placement struct {
+	a       *partition.Assignment
+	machine []int32
+}
+
+// charge prices transfer t of v, if v has a master: every mirror reached pays
+// t.MirrorNs, and one on another machine than master's moves t.Bytes — towards
+// the master if toMaster, from it otherwise. Mirrors are visited in ascending
+// partition order, so every meter sums its floats in one fixed sequence.
+func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master int, narrow bool, ms *meters) {
+	if master < 0 || t.Bytes == 0 && t.MirrorNs == 0 {
+		return
+	}
+	atMaster, atMirror := ms.Out, ms.In
+	if toMaster {
+		atMaster, atMirror = ms.In, ms.Out
+	}
+	reps, in, out := pl.a.Rows(v)
+	mm, dyn := pl.machine[master], ms.Dyn
+	for wi, w := range reps {
+		if narrow {
+			var held uint64
+			if t.Narrow.in() {
+				held = in[wi]
+			}
+			if t.Narrow.out() {
+				held |= out[wi]
+			}
+			w &= held
+		}
+		if wi == master>>6 {
+			w &^= 1 << uint(master&63)
+		}
+		for ; w != 0; w &= w - 1 {
+			p := wi<<6 + bits.TrailingZeros64(w)
+			if t.MirrorNs != 0 {
+				ms.Work[p] += t.MirrorNs
+			}
+			if pl.machine[p] != mm {
+				atMaster[master] += t.Bytes
+				atMirror[p] += t.Bytes
+				dyn += t.Bytes
+			}
+		}
+	}
+	ms.Dyn = dyn
+}
+
+// activate scatters along one adjacency list of a changed vertex. Adding zero
+// is a no-op, so a policy with no per-edge scatter charge (GraphX) skips the
+// placement lookups.
+func (pl placement) activate(ch *Charges, nbrs []graph.VertexID, eids []int32, ms *meters, nb bitset) int64 {
+	charged := ch.ScatterEdgeNs != 0 || ch.SignalBytes != 0
+	edgeParts, masters := pl.a.EdgeParts, pl.a.Masters
+	for i, u := range nbrs {
+		if charged {
+			p := edgeParts[eids[i]]
+			ms.Work[p] += ch.ScatterEdgeNs
+			if um := masters[u]; um >= 0 && pl.machine[p] != pl.machine[um] {
+				ms.Out[p] += ch.SignalBytes
+				ms.In[um] += ch.SignalBytes
+			}
+		}
+		nb.Set(int(u))
+	}
+	return int64(len(nbrs))
+}
+
+// gatherDegree is v's degree in gather direction d, which is what makes it
+// narrow: hybrid-cut partitions by in-degree, and an in-gathering vertex with
+// few in-edges is low-degree no matter how many out-edges it has (§6.2.1).
+func gatherDegree(g *graph.Graph, d Direction, v graph.VertexID) int {
+	switch d {
+	case DirIn:
+		return g.InDegree(v)
+	case DirOut:
+		return g.OutDegree(v)
+	}
+	return g.Degree(v)
 }
 
 // Execution is what one Execute call leaves behind.
@@ -53,22 +157,25 @@ type Execution[V any] struct {
 	Converged bool
 	// Edges counts gather+scatter edge visits.
 	Edges int64
-	// PeakDynBytes is the largest per-machine mean of the bytes the hooks
-	// added to Meters.Dyn in one superstep.
+	// PeakDynBytes is the largest per-machine mean of the bytes the
+	// Transfers moved in one superstep.
 	PeakDynBytes float64
 }
 
 // Execute runs prog over the partitioned graph on the simulated cluster,
-// charging as ch says. It is the one superstep loop of the repo: Init and
-// InitiallyActive, the gather/Sum scan, Apply for replicated and isolated
-// vertices, the commit, scatter activation, Reactivator voting and the step
-// cap live here and nowhere else.
+// charging as ch says: ch is data, and the loop evaluates it against the
+// placement as it is stored — row words, the per-edge and per-vertex slices
+// and one partition→machine table — calling nothing per visit. It is the one
+// superstep loop of the repo: Init and InitiallyActive, the gather/Sum scan,
+// Apply for replicated and isolated vertices, the commit, scatter activation,
+// Reactivator voting and the step cap live here and nowhere else.
 //
 // maxSteps ≤ 0 runs to convergence. allActive puts every vertex — isolated
 // ones included — in every superstep's frontier (the paper's "PageRank(10)").
 //
 // Each phase (gather+apply, commit, scatter) executes on up to workers
-// goroutines (≤0 means GOMAXPROCS) over contiguous shards of its work list.
+// goroutines (≤0 means GOMAXPROCS) over contiguous shards of its work list;
+// a phase too small to be worth a hand-off runs its shards on the caller.
 // The shard structure depends only on the list's length and all
 // floating-point meters merge in shard order, so every worker count —
 // including 1, which is the same code run inline — produces byte-identical
@@ -101,24 +208,11 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 	gatherDir, scatterDir := prog.GatherDir(), prog.ScatterDir()
 	reactivator, _ := any(prog).(Reactivator[V])
 
-	// activate scatters along one adjacency list of a changed vertex. Adding
-	// zero is a no-op, so a policy with no per-edge scatter charge (GraphX)
-	// skips the placement lookups.
-	chargeScatter := ch.ScatterEdgeNs != 0 || ch.SignalBytes != 0
-	activate := func(nbrs []graph.VertexID, eids []int32, ms *Meters, nb bitset) int64 {
-		for i, u := range nbrs {
-			if chargeScatter {
-				p := int(a.EdgeParts[eids[i]])
-				ms.Work[p] += ch.ScatterEdgeNs
-				if um := a.Master(u); um >= 0 && cfg.MachineOf(p) != cfg.MachineOf(um) {
-					ms.Out[p] += ch.SignalBytes
-					ms.In[um] += ch.SignalBytes
-				}
-			}
-			nb.Set(int(u))
-		}
-		return int64(len(nbrs))
+	pl := placement{a: a, machine: make([]int32, a.NumParts)}
+	for p := range pl.machine {
+		pl.machine[p] = int32(cfg.MachineOf(p))
 	}
+	edgeParts, masters := a.EdgeParts, a.Masters
 
 	for step := 0; ; step++ {
 		if maxSteps > 0 && step >= maxSteps {
@@ -147,7 +241,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 		var gatherEdges int64
 		var dynBytes float64
 		changedList, gatherEdges, dynBytes = sh.Meter(len(frontier), work, inBytes, outBytes, changedList[:0],
-			func(lo, hi int, ms *Meters, chg []graph.VertexID) []graph.VertexID {
+			func(lo, hi int, ms *meters, chg []graph.VertexID) []graph.VertexID {
 				var edges int64
 				for _, v := range frontier[lo:hi] {
 					var acc A
@@ -161,7 +255,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 							} else {
 								acc, hasAcc = c, true
 							}
-							ms.Work[a.EdgeParts[eids[i]]] += ch.GatherEdgeNs
+							ms.Work[edgeParts[eids[i]]] += ch.GatherEdgeNs
 						}
 						edges += int64(len(eids))
 					}
@@ -174,7 +268,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 							} else {
 								acc, hasAcc = c, true
 							}
-							ms.Work[a.EdgeParts[eids[i]]] += ch.GatherEdgeNs
+							ms.Work[edgeParts[eids[i]]] += ch.GatherEdgeNs
 						}
 						edges += int64(len(eids))
 					}
@@ -183,10 +277,9 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 					// network, but its value still evolves through Apply
 					// (PageRank's (1−d) floor, K-core removal of degree-0
 					// vertices).
-					master := a.Master(v)
-					if master >= 0 && ch.Gathered != nil {
-						ch.Gathered(v, master, ms)
-					}
+					master := int(masters[v])
+					narrow := gatherDegree(g, gatherDir, v) <= ch.NarrowDegree
+					pl.charge(ch.Gathered, true, v, master, narrow, ms)
 					nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
 					newVals[v] = nv
 					if changed {
@@ -194,8 +287,8 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 					}
 					if master >= 0 {
 						ms.Work[master] += model.ApplyVertexNs
-						if ch.Applied != nil {
-							ch.Applied(v, master, changed, ms)
+						if changed || !(narrow && ch.NarrowSyncOnChange) {
+							pl.charge(ch.Applied, false, v, master, narrow, ms)
 						}
 					}
 				}
@@ -215,17 +308,15 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 		// merged by OR (commutative and idempotent, so the merged frontier
 		// is independent of shard→worker scheduling).
 		ex.Edges += gatherEdges + sh.Scatter(len(changedList), work, inBytes, outBytes, nextActive,
-			func(lo, hi int, ms *Meters, nb bitset) {
+			func(lo, hi int, ms *meters, nb bitset) {
 				var edges int64
 				for _, v := range changedList[lo:hi] {
-					if master := a.Master(v); master >= 0 && ch.Shipped != nil {
-						ch.Shipped(v, master, ms)
-					}
+					pl.charge(ch.Shipped, false, v, int(masters[v]), gatherDegree(g, gatherDir, v) <= ch.NarrowDegree, ms)
 					if scatterDir.out() {
-						edges += activate(g.OutNeighbors(v), g.OutEdgeIDs(v), ms, nb)
+						edges += pl.activate(&ch, g.OutNeighbors(v), g.OutEdgeIDs(v), ms, nb)
 					}
 					if scatterDir.in() {
-						edges += activate(g.InNeighbors(v), g.InEdgeIDs(v), ms, nb)
+						edges += pl.activate(&ch, g.InNeighbors(v), g.InEdgeIDs(v), ms, nb)
 					}
 				}
 				ms.Edges = edges
