@@ -109,6 +109,11 @@ var forbidden = []rule{
 		where: "in package",
 		why:   "the engines read placement a row at a time; take the words from Assignment.Rows",
 	},
+	{
+		decls: []string{"InEdgeIDs", "OutEdgeIDs"},
+		where: "in package",
+		why:   "the engine slices adjacency from the view Execute took once; take graph.Adjacency and call List",
+	},
 }
 
 // sanctions reports whether the row allows its subject in this file.

@@ -137,3 +137,15 @@ func Holds(a *assignment, p int) bool { return false } // want `declaration of H
 func (a *assignment) Rows() (replicas, in, out []uint64) { return a.replicas, nil, nil }
 
 func (a *assignment) HasReplica(p int) bool { return a.replicas[p>>6]&(1<<uint(p&63)) != 0 }
+
+// Adjacency is a view taken once and sliced per visit: no per-vertex accessor
+// that re-checks the build and re-reads the index.
+type csr struct {
+	index, edgeIDs []int32
+}
+
+func (g *csr) InEdgeIDs(v int) []int32 { return g.edgeIDs[g.index[v]:g.index[v+1]] } // want `declaration of InEdgeIDs in package engine: the engine slices adjacency from the view Execute took once`
+
+func (g *csr) OutEdgeIDs(v int) []int32 { return nil } // want `declaration of OutEdgeIDs in package engine`
+
+func (g *csr) List(v int) []int32 { return g.edgeIDs[g.index[v]:g.index[v+1]] }

@@ -125,21 +125,22 @@ func TestSSSPMatchesBFS(t *testing.T) {
 	}
 }
 
-// TestSSSPSumIsMathMin: Sum is the builtin min, which inlines where math.Min
-// is an out-of-line call; the two must agree bit for bit on signed zeros and
-// infinities, or SSSP's distances could move. A NaN operand gives NaN from
-// both; which NaN is the one place they differ (min(-0, NaN) keeps the sign
-// bit), and no distance is ever NaN: +Inf + 1 is +Inf.
+// TestSSSPSumIsMathMin: SSSP combines distances with nearer, the builtin min,
+// which inlines where math.Min is an out-of-line call; the two must agree bit
+// for bit on signed zeros and infinities, or SSSP's distances could move. A
+// NaN operand gives NaN from both; which NaN is the one place they differ
+// (min(-0, NaN) keeps the sign bit), and no distance is ever NaN: +Inf + 1 is
+// +Inf.
 func TestSSSPSumIsMathMin(t *testing.T) {
 	xs := []float64{0, math.Copysign(0, -1), 1, math.Inf(1), math.NaN()}
 	for _, a := range xs {
 		for _, b := range xs {
-			got, want := (SSSP{}).Sum(a, b), math.Min(a, b)
+			got, want := nearer(a, b), math.Min(a, b)
 			if math.IsNaN(got) && math.IsNaN(want) {
 				continue
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("Sum(%v, %v) = %v (%#x), math.Min gives %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
+				t.Errorf("nearer(%v, %v) = %v (%#x), math.Min gives %v (%#x)", a, b, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
 	}

@@ -26,19 +26,6 @@ func (s ColorSet) Has(c int32) bool {
 	return w < len(s) && s[w]&(1<<uint(c%64)) != 0
 }
 
-// Union returns the union of two sets.
-func (s ColorSet) Union(o ColorSet) ColorSet {
-	if len(o) > len(s) {
-		s, o = o, s
-	}
-	out := make(ColorSet, len(s))
-	copy(out, s)
-	for i := range o {
-		out[i] |= o[i]
-	}
-	return out
-}
-
 // smallestFree returns the smallest non-negative color not in the set.
 func (s ColorSet) smallestFree() int32 {
 	for c := int32(0); ; c++ {
@@ -61,15 +48,9 @@ type Coloring struct {
 	Seed uint64
 }
 
-// higherPriority reports whether a outranks b, breaking hash ties by id so
-// that no two distinct vertices ever compare equal.
-func (c Coloring) higherPriority(a, b graph.VertexID) bool {
-	ha, hb := hashing.Vertex(c.Seed^0xc0109, a), hashing.Vertex(c.Seed^0xc0109, b)
-	if ha != hb {
-		return ha > hb
-	}
-	return a > b
-}
+// priority is v's rank key: a vertex outranks another on a larger hash, hash
+// ties broken by id so that no two distinct vertices ever compare equal.
+func (c Coloring) priority(v graph.VertexID) uint64 { return hashing.Vertex(c.Seed^0xc0109, v) }
 
 // Name implements engine.Program.
 func (Coloring) Name() string { return "Coloring" }
@@ -87,21 +68,18 @@ func (Coloring) Init(*graph.Graph, graph.VertexID) int32 { return 0 }
 // InitiallyActive implements engine.Program.
 func (Coloring) InitiallyActive(*graph.Graph, graph.VertexID) bool { return true }
 
-// Gather implements engine.Program: the colors of higher-priority
-// neighbors.
-func (c Coloring) Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal int32, target graph.VertexID) ColorSet {
-	nbr, nbrVal := src, srcVal
-	if target == src {
-		nbr, nbrVal = dst, dstVal
+// Gather implements engine.Program: the colors of v's higher-priority
+// neighbors, ORed into the one set acc (which it may grow and returns), v's
+// own priority hashed once per list.
+func (c Coloring) Gather(_ *graph.Graph, v graph.VertexID, _ engine.Direction, nbrs []graph.VertexID, vals []int32, acc ColorSet, _ bool) ColorSet {
+	hv := c.priority(v)
+	for _, u := range nbrs {
+		if hu := c.priority(u); hu > hv || hu == hv && u > v {
+			acc = acc.Add(vals[u])
+		}
 	}
-	if c.higherPriority(nbr, target) {
-		return ColorSet(nil).Add(nbrVal)
-	}
-	return nil
+	return acc
 }
-
-// Sum implements engine.Program.
-func (Coloring) Sum(a, b ColorSet) ColorSet { return a.Union(b) }
 
 // Apply implements engine.Program: take the smallest color unused by
 // higher-priority neighbors.

@@ -48,20 +48,16 @@ func (kc KCore) InitiallyActive(_ *graph.Graph, v graph.VertexID) bool {
 	return kc.InitRemoved == nil || !kc.InitRemoved[v]
 }
 
-// Gather implements engine.Program: 1 for each removed neighbor.
-func (KCore) Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal int32, target graph.VertexID) int32 {
-	nbrVal := srcVal
-	if target == src {
-		nbrVal = dstVal
+// Gather implements engine.Program: the number of removed neighbors, counted
+// up from the zero an empty accumulator is.
+func (KCore) Gather(_ *graph.Graph, _ graph.VertexID, _ engine.Direction, nbrs []graph.VertexID, vals []int32, acc int32, _ bool) int32 {
+	for _, u := range nbrs {
+		if vals[u] == VertexRemoved {
+			acc++
+		}
 	}
-	if nbrVal == VertexRemoved {
-		return 1
-	}
-	return 0
+	return acc
 }
-
-// Sum implements engine.Program.
-func (KCore) Sum(a, b int32) int32 { return a + b }
 
 // Apply implements engine.Program: remove when remaining degree < K.
 func (kc KCore) Apply(g *graph.Graph, v graph.VertexID, old int32, acc int32, hasAcc bool) (int32, bool) {

@@ -54,18 +54,27 @@ func (PageRank) Init(*graph.Graph, graph.VertexID) float64 { return 1 }
 // InitiallyActive implements engine.Program.
 func (PageRank) InitiallyActive(*graph.Graph, graph.VertexID) bool { return true }
 
-// Gather implements engine.Program: contribution p(u)/|No(u)| of in-edge
-// (u,v).
-func (PageRank) Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal float64, target graph.VertexID) float64 {
-	od := g.OutDegree(src)
-	if od == 0 {
-		return 0
+// Gather implements engine.Program: each edge contributes p(src)/|No(src)|,
+// summed. The source of an in-edge (u, v) is the neighbor; along an out-edge
+// — a direction PageRank never gathers — it is v itself.
+func (PageRank) Gather(g *graph.Graph, v graph.VertexID, dir engine.Direction, nbrs []graph.VertexID, vals []float64, acc float64, hasAcc bool) float64 {
+	for _, u := range nbrs {
+		src := u
+		if dir == engine.DirOut {
+			src = v
+		}
+		c := 0.0
+		if od := g.OutDegree(src); od != 0 {
+			c = vals[src] / float64(od)
+		}
+		if hasAcc {
+			acc += c
+		} else {
+			acc, hasAcc = c, true
+		}
 	}
-	return srcVal / float64(od)
+	return acc
 }
-
-// Sum implements engine.Program.
-func (PageRank) Sum(a, b float64) float64 { return a + b }
 
 // Apply implements engine.Program.
 func (p PageRank) Apply(g *graph.Graph, v graph.VertexID, old float64, acc float64, hasAcc bool) (float64, bool) {

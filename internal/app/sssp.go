@@ -48,16 +48,21 @@ func (s SSSP) Init(_ *graph.Graph, v graph.VertexID) float64 {
 // InitiallyActive implements engine.Program: only the source (§3.3.4).
 func (s SSSP) InitiallyActive(_ *graph.Graph, v graph.VertexID) bool { return v == s.Source }
 
-// Gather implements engine.Program: neighbor's distance + 1.
-func (SSSP) Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal float64, target graph.VertexID) float64 {
-	if target == dst {
-		return srcVal + 1
+// Gather implements engine.Program: the nearest neighbor's distance + 1.
+func (SSSP) Gather(_ *graph.Graph, _ graph.VertexID, _ engine.Direction, nbrs []graph.VertexID, vals []float64, acc float64, hasAcc bool) float64 {
+	for _, u := range nbrs {
+		if c := vals[u] + 1; hasAcc {
+			acc = nearer(acc, c)
+		} else {
+			acc, hasAcc = c, true
+		}
 	}
-	return dstVal + 1
+	return acc
 }
 
-// Sum implements engine.Program: min.
-func (SSSP) Sum(a, b float64) float64 { return min(a, b) }
+// nearer combines two distances: the builtin min, which inlines where
+// math.Min is an out-of-line call (TestSSSPSumIsMathMin holds the two equal).
+func nearer(a, b float64) float64 { return min(a, b) }
 
 // Apply implements engine.Program.
 func (s SSSP) Apply(_ *graph.Graph, v graph.VertexID, old float64, acc float64, hasAcc bool) (float64, bool) {

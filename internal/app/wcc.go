@@ -28,20 +28,14 @@ func (WCC) Init(_ *graph.Graph, v graph.VertexID) uint32 { return uint32(v) }
 // send out their labels (§3.3.2).
 func (WCC) InitiallyActive(*graph.Graph, graph.VertexID) bool { return true }
 
-// Gather implements engine.Program: the neighbor's current label.
-func (WCC) Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal uint32, target graph.VertexID) uint32 {
-	if target == dst {
-		return srcVal
+// Gather implements engine.Program: the smallest label among the neighbors.
+func (WCC) Gather(_ *graph.Graph, _ graph.VertexID, _ engine.Direction, nbrs []graph.VertexID, vals []uint32, acc uint32, hasAcc bool) uint32 {
+	for _, u := range nbrs {
+		if c := vals[u]; !hasAcc || c < acc {
+			acc, hasAcc = c, true
+		}
 	}
-	return dstVal
-}
-
-// Sum implements engine.Program: min.
-func (WCC) Sum(a, b uint32) uint32 {
-	if a < b {
-		return a
-	}
-	return b
+	return acc
 }
 
 // Apply implements engine.Program.

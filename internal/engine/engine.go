@@ -74,12 +74,16 @@ type Program[V, A any] interface {
 	Init(g *graph.Graph, v graph.VertexID) V
 	// InitiallyActive reports whether v is active in the first superstep.
 	InitiallyActive(g *graph.Graph, v graph.VertexID) bool
-	// Gather returns the contribution of one gather-direction edge (src,
-	// dst) to target's accumulator. target is either src or dst.
-	Gather(g *graph.Graph, src, dst graph.VertexID, srcVal, dstVal V, target graph.VertexID) A
-	// Sum combines two accumulator values (must be commutative and
-	// associative, §3.1).
-	Sum(a, b A) A
+	// Gather folds one adjacency list of v into acc and returns it: nbrs is
+	// v's in-neighbor list (dir is DirIn: the edges are (u, v)) or its
+	// out-neighbor list (DirOut: (v, u)), and vals holds every vertex's
+	// current value. Each neighbor contributes once per edge, in list
+	// order. acc is the zero A until hasAcc, which says it already holds
+	// v's other list: the first contribution ever initialises it, and every
+	// other one is combined with the program's sum, which must be
+	// commutative and associative (§3.1). An empty list returns acc as it
+	// came. acc is the program's to modify in place.
+	Gather(g *graph.Graph, v graph.VertexID, dir Direction, nbrs []graph.VertexID, vals []V, acc A, hasAcc bool) A
 	// Apply computes v's new value from the aggregated accumulator.
 	// hasAcc is false when v had no gather-direction edges. changed
 	// triggers scatter activation.
@@ -128,7 +132,8 @@ type Options struct {
 	// MaxSupersteps caps execution; ≤0 means run to convergence.
 	MaxSupersteps int
 	// FixedIterations, when >0, forces every vertex active for exactly
-	// this many supersteps (the paper's "PageRank(10)" configuration).
+	// this many supersteps (the paper's "PageRank(10)" configuration). It
+	// is a cap of its own: Run rejects it together with MaxSupersteps.
 	FixedIterations int
 	// HighDegreeThreshold is PowerLyra's high/low-degree cutoff; 0 means
 	// partition.DefaultHybridThreshold. Only used by ModePowerLyra.
@@ -180,6 +185,10 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 	}
 	if cfg.NumParts() != a.NumParts {
 		return nil, fmt.Errorf("engine: assignment has %d partitions but cluster has %d", a.NumParts, cfg.NumParts())
+	}
+	if opts.MaxSupersteps > 0 && opts.FixedIterations > 0 {
+		return nil, fmt.Errorf("engine: MaxSupersteps %d and FixedIterations %d are both set; FixedIterations is its own cap",
+			opts.MaxSupersteps, opts.FixedIterations)
 	}
 	accB := float64(prog.AccBytes() + model.MsgOverheadBytes)
 	valB := float64(prog.ValueBytes() + model.MsgOverheadBytes)

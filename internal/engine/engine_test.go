@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"graphpart/internal/app"
@@ -249,6 +250,67 @@ func TestMaxSuperstepsCap(t *testing.T) {
 	}
 	if !reflect.DeepEqual(toConvergence[0], toConvergence[1]) {
 		t.Errorf("MaxSupersteps -1 and 0 disagree:\n%+v\n%+v", toConvergence[1], toConvergence[0])
+	}
+}
+
+// TestRunRefusesBothCaps: FixedIterations used to win silently over a
+// MaxSupersteps set beside it; the pair is contradictory and is an error.
+func TestRunRefusesBothCaps(t *testing.T) {
+	a := assignmentFor(t, "Random")
+	_, err := engine.Run[float64, float64](engine.ModePowerGraph, app.PageRank{}, a, cluster.Local9, model,
+		engine.Options{MaxSupersteps: 3, FixedIterations: 10})
+	if err == nil || !strings.Contains(err.Error(), "MaxSupersteps") || !strings.Contains(err.Error(), "FixedIterations") {
+		t.Errorf("err = %v, want one naming MaxSupersteps and FixedIterations", err)
+	}
+}
+
+// countingProgram counts the calls Execute makes through a Program. A vertex's
+// visit runs on one goroutine and supersteps are separated by par.Do's
+// barrier, so pending[v] needs no lock; the totals are atomic.
+type countingProgram[V, A any] struct {
+	engine.Program[V, A]
+	pending          []int32 // Gather calls for v since its last Apply
+	gathers, applies atomic.Int64
+	overcalled       atomic.Int64 // Applies preceded by more than two Gathers
+}
+
+func (c *countingProgram[V, A]) Gather(g *graph.Graph, v graph.VertexID, dir engine.Direction, nbrs []graph.VertexID, vals []V, acc A, hasAcc bool) A {
+	c.pending[v]++
+	c.gathers.Add(1)
+	return c.Program.Gather(g, v, dir, nbrs, vals, acc, hasAcc)
+}
+
+func (c *countingProgram[V, A]) Apply(g *graph.Graph, v graph.VertexID, old V, acc A, hasAcc bool) (V, bool) {
+	if c.pending[v] > 2 {
+		c.overcalled.Add(1)
+	}
+	c.pending[v] = 0
+	c.applies.Add(1)
+	return c.Program.Apply(g, v, old, acc, hasAcc)
+}
+
+// TestGatherCallsPerVertexNotPerEdge: the call count is the contract. Apply
+// runs once per frontier vertex, and no vertex may see more than one Gather
+// per direction before it — so a superstep makes at most 2·|frontier| calls
+// through the Program however many edges it scans — while the edge visits
+// charged are what they always were: 697 supersteps and 3 858 600 visits on
+// BenchmarkEngineParallelSmallFrontier's input, at any worker count.
+func TestGatherCallsPerVertexNotPerEdge(t *testing.T) {
+	a := smallFrontierInput(t)
+	for _, workers := range []int{1, 3} {
+		prog := &countingProgram[float64, float64]{Program: app.SSSP{Source: 0}, pending: make([]int32, a.G.NumVertices())}
+		out, err := engine.Run[float64, float64](engine.ModePowerLyra, prog, a, cluster.EC2x16, model, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Stats.Supersteps != 697 || out.Stats.EdgesProcessed != 3858600 {
+			t.Errorf("workers=%d: %d supersteps, %d edge visits; want 697 and 3858600", workers, out.Stats.Supersteps, out.Stats.EdgesProcessed)
+		}
+		gathers, applies := prog.gathers.Load(), prog.applies.Load()
+		if n := prog.overcalled.Load(); n != 0 || gathers != 2*applies {
+			t.Errorf("workers=%d: %d Gather calls for %d frontier visits (%d visits saw more than two); want one per direction",
+				workers, gathers, applies, n)
+		}
 	}
 }
 

@@ -13,6 +13,26 @@ import (
 	"graphpart/internal/partition"
 )
 
+// benchWorkers is the worker axis of every benchmark here: sequential, and
+// whatever the box has.
+var benchWorkers = []struct {
+	name string
+	n    int
+}{{"1", 1}, {"all", 0}}
+
+// smallFrontierInput is BenchmarkEngineParallelSmallFrontier's input — a
+// 400×400 road network, 2D at EC2x16's 16 parts — which
+// TestGatherCallsPerVertexNotPerEdge pins the step and visit counts of.
+func smallFrontierInput(tb testing.TB) *partition.Assignment {
+	g := gen.RoadNet("road-net", 400, 400, 1)
+	g.EnsureCSR()
+	a, err := partition.Partition(g, partition.MustNew("2D", partition.Options{}), cluster.EC2x16.NumParts(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
 // BenchmarkEngineParallel times the one superstep loop under each system's
 // cost policy, sequential vs parallel, on all-active frontiers: three
 // PageRank supersteps over a road network and a skewed power-law graph
@@ -46,10 +66,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, w := range []struct {
-				name string
-				n    int
-			}{{"1", 1}, {"all", 0}} {
+			for _, w := range benchWorkers {
 				b.Run(fmt.Sprintf("%s/%s/workers=%s", g.Name, sys.name, w.name), func(b *testing.B) {
 					var edges int64
 					for i := 0; i < b.N; i++ {
@@ -73,16 +90,8 @@ func BenchmarkEngineParallel(b *testing.B) {
 // are a few thousand vertices at most — where the per-superstep and per-visit
 // overhead is all there is, and workers=all must not lose to workers=1.
 func BenchmarkEngineParallelSmallFrontier(b *testing.B) {
-	g := gen.RoadNet("road-net", 400, 400, 1)
-	g.EnsureCSR()
-	a, err := partition.Partition(g, partition.MustNew("2D", partition.Options{}), cluster.EC2x16.NumParts(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range []struct {
-		name string
-		n    int
-	}{{"1", 1}, {"all", 0}} {
+	a := smallFrontierInput(b)
+	for _, w := range benchWorkers {
 		b.Run("workers="+w.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var edges int64
@@ -95,6 +104,31 @@ func BenchmarkEngineParallelSmallFrontier(b *testing.B) {
 				edges += out.Stats.EdgesProcessed
 			}
 			b.ReportMetric(float64(edges)/b.Elapsed().Seconds(), "edges/s")
+		})
+	}
+}
+
+// BenchmarkEngineParallelDense is the other regime, and the compute stage of
+// the benchmark's pipeline-graphx: ten GraphX PageRank iterations over a
+// heavy-tailed graph at 40 parts, every frontier most of the graph, so the
+// time is the gather scan — per-edge loads, not per-superstep overhead.
+func BenchmarkEngineParallelDense(b *testing.B) {
+	g := gen.PrefAttach("social", 50000, 10, 1)
+	g.EnsureCSR()
+	a, err := partition.Partition(g, partition.MustNew("2D", partition.Options{}), cluster.GraphXLocal10.NumParts(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range benchWorkers {
+		b.Run("workers="+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := graphx.Run[float64, float64](app.PageRank{}, a,
+					graphx.Config{Cluster: cluster.GraphXLocal10, Iterations: 10, Workers: w.n}, model)
+				if err != nil || out.Stats.Iterations != 10 {
+					b.Fatalf("%d iterations, err %v", out.Stats.Iterations, err)
+				}
+			}
 		})
 	}
 }

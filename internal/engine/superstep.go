@@ -132,17 +132,28 @@ func (pl placement) activate(ch *Charges, nbrs []graph.VertexID, eids []int32, m
 	return int64(len(nbrs))
 }
 
-// gatherDegree is v's degree in gather direction d, which is what makes it
-// narrow: hybrid-cut partitions by in-degree, and an in-gathering vertex with
-// few in-edges is low-degree no matter how many out-edges it has (§6.2.1).
-func gatherDegree(g *graph.Graph, d Direction, v graph.VertexID) int {
+// scan charges ns of work per edge of one gathered list, to the partition
+// holding the edge.
+func (pl placement) scan(eids []int32, ns float64, ms *meters) int64 {
+	work, edgeParts := ms.Work, pl.a.EdgeParts
+	for _, e := range eids {
+		work[edgeParts[e]] += ns
+	}
+	return int64(len(eids))
+}
+
+// degree is the degree in direction d of a vertex with the given in- and
+// out-list lengths. In the gather direction it is what makes a vertex narrow:
+// hybrid-cut partitions by in-degree, and an in-gathering vertex with few
+// in-edges is low-degree no matter how many out-edges it has (§6.2.1).
+func (d Direction) degree(in, out int) int {
 	switch d {
 	case DirIn:
-		return g.InDegree(v)
+		return in
 	case DirOut:
-		return g.OutDegree(v)
+		return out
 	}
-	return g.Degree(v)
+	return in + out
 }
 
 // Execution is what one Execute call leaves behind.
@@ -166,9 +177,14 @@ type Execution[V any] struct {
 // charging as ch says: ch is data, and the loop evaluates it against the
 // placement as it is stored — row words, the per-edge and per-vertex slices
 // and one partition→machine table — calling nothing per visit. It is the one
-// superstep loop of the repo: Init and InitiallyActive, the gather/Sum scan,
-// Apply for replicated and isolated vertices, the commit, scatter activation,
+// superstep loop of the repo: Init and InitiallyActive, the gather scan, Apply
+// for replicated and isolated vertices, the commit, scatter activation,
 // Reactivator voting and the step cap live here and nowhere else.
+//
+// The graph's CSR is taken once, as two adjacency views, and a visit slices
+// them: the program folds a whole neighbor list per Gather call (its own loop,
+// statically dispatched), and Execute charges that list's edges in a loop of
+// its own, so no call through prog sits in a per-edge loop.
 //
 // maxSteps ≤ 0 runs to convergence. allActive puts every vertex — isolated
 // ones included — in every superstep's frontier (the paper's "PageRank(10)").
@@ -184,7 +200,10 @@ type Execution[V any] struct {
 func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.Config, model cluster.CostModel,
 	ch Charges, maxSteps int, allActive bool, workers int) *Execution[V] {
 	g := a.G
-	g.EnsureCSR()
+	// The phase closures are built every superstep and capture what they
+	// use: two pointers, not the views' eighteen words.
+	inAdj, outAdj := g.Adjacency()
+	in, out := &inAdj, &outAdj
 	n := g.NumVertices()
 
 	vals := make([]V, n)
@@ -212,7 +231,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 	for p := range pl.machine {
 		pl.machine[p] = int32(cfg.MachineOf(p))
 	}
-	edgeParts, masters := a.EdgeParts, a.Masters
+	masters := a.Masters
 
 	for step := 0; ; step++ {
 		if maxSteps > 0 && step >= maxSteps {
@@ -244,33 +263,19 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 			func(lo, hi int, ms *meters, chg []graph.VertexID) []graph.VertexID {
 				var edges int64
 				for _, v := range frontier[lo:hi] {
+					inNbrs, inEids := in.List(v)
+					outNbrs, outEids := out.List(v)
 					var acc A
 					hasAcc := false
 					if gatherDir.in() {
-						eids := g.InEdgeIDs(v)
-						for i, u := range g.InNeighbors(v) {
-							c := prog.Gather(g, u, v, vals[u], vals[v], v)
-							if hasAcc {
-								acc = prog.Sum(acc, c)
-							} else {
-								acc, hasAcc = c, true
-							}
-							ms.Work[edgeParts[eids[i]]] += ch.GatherEdgeNs
-						}
-						edges += int64(len(eids))
+						acc = prog.Gather(g, v, DirIn, inNbrs, vals, acc, false)
+						hasAcc = len(inNbrs) > 0
+						edges += pl.scan(inEids, ch.GatherEdgeNs, ms)
 					}
 					if gatherDir.out() {
-						eids := g.OutEdgeIDs(v)
-						for i, u := range g.OutNeighbors(v) {
-							c := prog.Gather(g, v, u, vals[v], vals[u], v)
-							if hasAcc {
-								acc = prog.Sum(acc, c)
-							} else {
-								acc, hasAcc = c, true
-							}
-							ms.Work[edgeParts[eids[i]]] += ch.GatherEdgeNs
-						}
-						edges += int64(len(eids))
+						acc = prog.Gather(g, v, DirOut, outNbrs, vals, acc, hasAcc)
+						hasAcc = hasAcc || len(outNbrs) > 0
+						edges += pl.scan(outEids, ch.GatherEdgeNs, ms)
 					}
 
 					// An isolated vertex (master < 0) has no replicas and no
@@ -278,7 +283,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 					// (PageRank's (1−d) floor, K-core removal of degree-0
 					// vertices).
 					master := int(masters[v])
-					narrow := gatherDegree(g, gatherDir, v) <= ch.NarrowDegree
+					narrow := gatherDir.degree(len(inNbrs), len(outNbrs)) <= ch.NarrowDegree
 					pl.charge(ch.Gathered, true, v, master, narrow, ms)
 					nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
 					newVals[v] = nv
@@ -311,12 +316,15 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 			func(lo, hi int, ms *meters, nb bitset) {
 				var edges int64
 				for _, v := range changedList[lo:hi] {
-					pl.charge(ch.Shipped, false, v, int(masters[v]), gatherDegree(g, gatherDir, v) <= ch.NarrowDegree, ms)
+					inNbrs, inEids := in.List(v)
+					outNbrs, outEids := out.List(v)
+					narrow := gatherDir.degree(len(inNbrs), len(outNbrs)) <= ch.NarrowDegree
+					pl.charge(ch.Shipped, false, v, int(masters[v]), narrow, ms)
 					if scatterDir.out() {
-						edges += pl.activate(&ch, g.OutNeighbors(v), g.OutEdgeIDs(v), ms, nb)
+						edges += pl.activate(&ch, outNbrs, outEids, ms, nb)
 					}
 					if scatterDir.in() {
-						edges += pl.activate(&ch, g.InNeighbors(v), g.InEdgeIDs(v), ms, nb)
+						edges += pl.activate(&ch, inNbrs, inEids, ms, nb)
 					}
 				}
 				ms.Edges = edges

@@ -41,6 +41,8 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 	if !reflect.DeepEqual(got.Edges, want.Edges) {
 		t.Errorf("edge lists differ:\n got %v\nwant %v", got.Edges, want.Edges)
 	}
+	gotIn, _ := got.Adjacency()
+	wantIn, _ := want.Adjacency()
 	for v := 0; v < want.NumVertices(); v++ {
 		id := VertexID(v)
 		if got.OutDegree(id) != want.OutDegree(id) || got.InDegree(id) != want.InDegree(id) {
@@ -50,8 +52,10 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 		if !reflect.DeepEqual(got.OutNeighbors(id), want.OutNeighbors(id)) {
 			t.Errorf("vertex %d: out-neighbors %v, want %v", v, got.OutNeighbors(id), want.OutNeighbors(id))
 		}
-		if !reflect.DeepEqual(got.InEdgeIDs(id), want.InEdgeIDs(id)) {
-			t.Errorf("vertex %d: in-edge ids %v, want %v", v, got.InEdgeIDs(id), want.InEdgeIDs(id))
+		_, gotIDs := gotIn.List(id)
+		_, wantIDs := wantIn.List(id)
+		if !reflect.DeepEqual(gotIDs, wantIDs) {
+			t.Errorf("vertex %d: in-edge ids %v, want %v", v, gotIDs, wantIDs)
 		}
 	}
 }

@@ -146,16 +146,28 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	return g.inAdj[g.inIndex[v]:g.inIndex[v+1]]
 }
 
-// OutEdgeIDs returns the edge ids of v's out-edges, parallel to OutNeighbors.
-func (g *Graph) OutEdgeIDs(v VertexID) []int32 {
-	g.buildCSR()
-	return g.outEdge[g.outIndex[v]:g.outIndex[v+1]]
+// Adjacency is one direction of the graph's CSR: v's neighbors are
+// Neighbors[Index[v]:Index[v+1]], and EdgeIDs, parallel to Neighbors, names
+// the edge behind each. The slices are the graph's own; do not modify. A loop
+// over many vertices takes the view once and slices it per vertex, where
+// OutNeighbors and InNeighbors re-check the build on every call.
+type Adjacency struct {
+	Index     []int32
+	Neighbors []VertexID
+	EdgeIDs   []int32
 }
 
-// InEdgeIDs returns the edge ids of v's in-edges, parallel to InNeighbors.
-func (g *Graph) InEdgeIDs(v VertexID) []int32 {
+// List returns v's neighbors and, parallel to them, their edge ids.
+func (a Adjacency) List(v VertexID) ([]VertexID, []int32) {
+	lo, hi := a.Index[v], a.Index[v+1]
+	return a.Neighbors[lo:hi], a.EdgeIDs[lo:hi]
+}
+
+// Adjacency returns the in- and out-direction views of the graph's CSR,
+// building it if it is not built yet.
+func (g *Graph) Adjacency() (in, out Adjacency) {
 	g.buildCSR()
-	return g.inEdge[g.inIndex[v]:g.inIndex[v+1]]
+	return Adjacency{g.inIndex, g.inAdj, g.inEdge}, Adjacency{g.outIndex, g.outAdj, g.outEdge}
 }
 
 // MaxDegree returns the maximum total degree over all vertices.

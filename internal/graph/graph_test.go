@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -69,11 +70,11 @@ func TestNeighbors(t *testing.T) {
 
 func TestEdgeIDsParallelToNeighbors(t *testing.T) {
 	g := smallGraph()
+	in, out := g.Adjacency()
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		nbrs := g.OutNeighbors(v)
-		eids := g.OutEdgeIDs(v)
-		if len(nbrs) != len(eids) {
-			t.Fatalf("v=%d: len mismatch", v)
+		nbrs, eids := out.List(v)
+		if !slices.Equal(nbrs, g.OutNeighbors(v)) || len(nbrs) != len(eids) || len(nbrs) != g.OutDegree(v) {
+			t.Fatalf("v=%d: out list %v / %v, OutNeighbors %v, degree %d", v, nbrs, eids, g.OutNeighbors(v), g.OutDegree(v))
 		}
 		for i := range nbrs {
 			e := g.Edges[eids[i]]
@@ -81,8 +82,10 @@ func TestEdgeIDsParallelToNeighbors(t *testing.T) {
 				t.Errorf("v=%d edge id %d = %v, want src=%d dst=%d", v, eids[i], e, v, nbrs[i])
 			}
 		}
-		inbrs := g.InNeighbors(v)
-		ieids := g.InEdgeIDs(v)
+		inbrs, ieids := in.List(v)
+		if !slices.Equal(inbrs, g.InNeighbors(v)) || len(inbrs) != len(ieids) || len(inbrs) != g.InDegree(v) {
+			t.Fatalf("v=%d: in list %v / %v, InNeighbors %v, degree %d", v, inbrs, ieids, g.InNeighbors(v), g.InDegree(v))
+		}
 		for i := range inbrs {
 			e := g.Edges[ieids[i]]
 			if e.Dst != v || e.Src != inbrs[i] {
