@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"graphpart/internal/advisor"
@@ -67,8 +70,17 @@ type apiError struct {
 	Status int    `json:"status"`
 }
 
+// replyBufs recycles the indented reply bodies. A buffer grown past
+// maxPooledReply is left to the collector, so one large reply (a long job
+// list) does not pin its size in the pool.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 64 << 10
+
 // respond writes a request's one reply — v, or err in the error envelope —
-// and returns the status it carried.
+// and returns the status it carried. v is marshalled before anything is
+// written, so a value that cannot be encoded answers 500 with the envelope
+// instead of its status with an empty body.
 func respond(w http.ResponseWriter, v any, err error) int {
 	status := http.StatusOK
 	if a, ok := v.(accepted); ok {
@@ -78,12 +90,97 @@ func respond(w http.ResponseWriter, v any, err error) int {
 		status = statusOf(err)
 		v = apiError{Error: err.Error(), Status: status}
 	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = json.Marshal(apiError{Error: "service: encode reply: " + err.Error(), Status: status}) // two plain fields always encode
+	}
+	bp := replyBufs.Get().(*[]byte)
+	body := append(indentJSON((*bp)[:0], b), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the response is already committed
+	w.Write(body) //nolint:errcheck // the status is committed; a failed write is a gone client
+	if cap(body) <= maxPooledReply {
+		*bp = body
+		replyBufs.Put(bp)
+	}
 	return status
+}
+
+// newlineIndent is a newline and the indentation of the first 16 levels;
+// deeper levels append the rest in runs of it.
+const newlineIndent = "\n                                "
+
+// appendNewline appends a newline and depth two-space indents.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for n := 2 * depth; n > 0; {
+		k := min(n, len(newlineIndent)-1)
+		dst = append(dst, newlineIndent[1:1+k]...)
+		n -= k
+	}
+	return dst
+}
+
+// indentJSON appends src, compact JSON as json.Marshal writes it, to dst
+// indented byte for byte as encoding/json's Indent with prefix "" and
+// indent "  " would (FuzzIndentJSON holds it to that), in one pass: a
+// string, number or literal is copied whole, and only the punctuation
+// between them is looked at byte by byte.
+func indentJSON(dst, src []byte) []byte {
+	depth := 0
+	for i := 0; i < len(src); {
+		switch c := src[i]; c {
+		case '"':
+			// The closing quote is the first one after an even run of
+			// backslashes; json.Marshal escapes every other special byte.
+			j := i + 1
+			for {
+				n := bytes.IndexByte(src[j:], '"')
+				if n < 0 { // unterminated: not json.Marshal output
+					return append(dst, src[i:]...)
+				}
+				j += n
+				k := j
+				for src[k-1] == '\\' {
+					k--
+				}
+				if (j-k)%2 == 0 {
+					break
+				}
+				j++
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j + 1
+		case '{', '[':
+			if i+1 < len(src) && src[i+1] == c+2 { // "{}" or "[]" stays on its line
+				dst = append(dst, c, c+2)
+				i += 2
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, c), depth)
+			i++
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+			i++
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+			i++
+		case ':':
+			dst = append(dst, ':', ' ')
+			i++
+		default: // a number or literal runs to the next ',', '}' or ']'
+			j := i + 1
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
+				j++
+			}
+			dst = append(dst, src[i:j]...)
+			i = j
+		}
+	}
+	return dst
 }
 
 // routes mounts every endpoint.
@@ -505,6 +602,9 @@ func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error)
 	if rq := q.Get("ratio"); rq != "" {
 		if ratio, err = strconv.ParseFloat(rq, 64); err != nil {
 			return nil, statusErrorf(http.StatusBadRequest, "service: query param ratio=%q is not a number", rq)
+		}
+		if math.IsNaN(ratio) || math.IsInf(ratio, 0) || ratio < 0 {
+			return nil, statusErrorf(http.StatusBadRequest, "service: query param ratio=%q must be a finite number >= 0", rq)
 		}
 	}
 	m, err := s.manifest(ctx, ds)

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -435,4 +439,122 @@ func TestRequestTimeout(t *testing.T) {
 	srv := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
 	rec := do(srv, http.MethodGet, "/v1/datasets/uk-web", "")
 	wantError(t, rec, http.StatusGatewayTimeout)
+}
+
+// TestAdviseRatioRange: a ratio that parses as a float but means nothing —
+// not a number, infinite or negative — is refused 400 naming the
+// parameter, where it used to flow into the advisor and answer 200.
+func TestAdviseRatioRange(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	if rec := do(srv, http.MethodPost, "/v1/advisor/fit", fitReportJSON()); rec.Code != http.StatusOK {
+		t.Fatalf("fit status = %d (%s)", rec.Code, rec.Body)
+	}
+	for _, ratio := range []string{"NaN", "Inf", "-Inf", "%2BInf", "-1", "-0.5", "1e309"} {
+		rec := do(srv, http.MethodGet, "/v1/advise?dataset=road-ca&ratio="+ratio, "")
+		if e := wantError(t, rec, http.StatusBadRequest); !strings.Contains(e.Error, "query param ratio=") {
+			t.Errorf("ratio=%s: the error does not name the parameter: %q", ratio, e.Error)
+		}
+	}
+	for _, ratio := range []string{"0", "0.5", "4", "1e6"} {
+		if rec := do(srv, http.MethodGet, "/v1/advise?dataset=road-ca&ratio="+ratio, ""); rec.Code != http.StatusOK {
+			t.Errorf("ratio=%s: status = %d (%s)", ratio, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestRespondUnencodableIs500: a reply json cannot encode answers 500 in
+// the error envelope naming the encode error, not its own status with an
+// empty body.
+func TestRespondUnencodableIs500(t *testing.T) {
+	for _, v := range []any{
+		struct{ RF float64 }{math.NaN()},
+		accepted{map[string]float64{"rf": math.Inf(1)}},
+	} {
+		rec := httptest.NewRecorder()
+		if status := respond(rec, v, nil); status != http.StatusInternalServerError {
+			t.Errorf("respond(%v) returned %d, want 500", v, status)
+		}
+		if e := wantError(t, rec, http.StatusInternalServerError); !strings.Contains(e.Error, "unsupported value") {
+			t.Errorf("the envelope does not name the encode error: %q", e.Error)
+		}
+	}
+}
+
+// raceEnabled is set under the race detector (race_enabled_test.go).
+var raceEnabled bool
+
+// TestLookupAllocs: a warm vertex lookup's allocation count is the reply
+// path's cost contract. The marshal-then-indent reply answers it in 16;
+// an encoder with SetIndent took 21.
+func TestLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomizes sync.Pool reuse")
+	}
+	srv := newTestServer(t, Config{})
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/assignment/road-ca/Grid?parts=4&vertex=7", nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("warm-up status = %d (%s)", rec.Code, rec.Body)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
+	})
+	t.Logf("%.0f allocations per lookup", allocs)
+	if allocs > 16 {
+		t.Errorf("a warm vertex lookup allocates %.0f times, want at most 16", allocs)
+	}
+}
+
+// FuzzIndentJSON: indentJSON of any value json.Marshal writes is byte for
+// byte what json.Indent makes of it. A fuzz input that is valid JSON is
+// marshalled as a json.RawMessage (compacted, HTML-escaped, every escape
+// kept as written) and, decoded into an any, re-marshalled.
+func FuzzIndentJSON(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "wire_golden.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sec := range strings.Split(string(golden), "\n## ") {
+		if _, body, ok := strings.Cut(sec, "\n< Allow:"); ok {
+			if _, body, ok = strings.Cut(body, "\n"); ok && json.Valid([]byte(body)) {
+				f.Add(body) // every reply the golden pins, compacted below
+			}
+		}
+	}
+	deep := strings.Repeat(`{"k":[`, 20) + "1" + strings.Repeat("]}", 20)
+	for _, seed := range []string{
+		`"a\\"`, `"a\""`, `"a\\\""`, `{"a\\":"\\\\","b\"":["\\\""]}`,
+		`"<a & b>"`, `{"<":"< "}`,
+		`{}`, `[]`, `[{}]`, `{"a":[]}`, `[[],{},[[{}]]]`, `{"a":{"b":{"c":[]}}}`,
+		deep, strings.Repeat("[", 40) + strings.Repeat("]", 40),
+		`[1,-0.5e+10,true,false,null,"x"]`, `0`, `""`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if !json.Valid([]byte(s)) {
+			return
+		}
+		vs := []any{json.RawMessage(s)}
+		var decoded any
+		if json.Unmarshal([]byte(s), &decoded) == nil { // a number past float64 does not decode
+			vs = append(vs, decoded)
+		}
+		for _, v := range vs {
+			b, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.Indent(&want, b, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			if got := indentJSON(nil, b); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("indentJSON(%s):\n got %s\nwant %s", b, got, want.Bytes())
+			}
+		}
+	})
 }
