@@ -79,6 +79,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	churnOpt := churnOptions{
+		Parts:     *parts,
+		Seed:      *seed,
+		Windows:   *churn,
+		DelFrac:   *churnDel,
+		Rebalance: *rebalance,
+		Hot:       *hot,
+		Workers:   *workers,
+		Verbose:   *verbose,
+	}
+	if err := churnOpt.check(*stream); err != nil {
+		log.Fatal(err)
+	}
+
 	if *stream {
 		if err := runStream(humanWriter(*jsonOut), s, *input, *parts, *seed, *batch, *workers, *verbose, *jsonOut); err != nil {
 			log.Fatal(err)
@@ -105,16 +119,7 @@ func main() {
 	}
 
 	if *churn > 0 {
-		if err := runChurn(os.Stdout, g, s, churnOptions{
-			Parts:     *parts,
-			Seed:      *seed,
-			Windows:   *churn,
-			DelFrac:   *churnDel,
-			Rebalance: *rebalance,
-			Hot:       *hot,
-			Workers:   *workers,
-			Verbose:   *verbose,
-		}); err != nil {
+		if err := runChurn(os.Stdout, g, s, churnOpt); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -217,6 +222,28 @@ type churnOptions struct {
 	Verbose   bool
 }
 
+// check refuses, naming the flag and its value, a churn flag that could not
+// take effect: a negative window count, a replay combined with -stream, a
+// rebalance threshold that is neither 0 (off) nor above 1, a negative hot
+// set, or -rebalance or -hot without -churn.
+func (opt churnOptions) check(stream bool) error {
+	switch {
+	case opt.Windows < 0:
+		return fmt.Errorf("partition: -churn %d: the window count cannot be negative", opt.Windows)
+	case opt.Windows > 0 && stream:
+		return fmt.Errorf("partition: -churn %d cannot run with -stream: a churn replay needs the materialized edge list", opt.Windows)
+	case opt.Windows == 0 && opt.Rebalance != 0:
+		return fmt.Errorf("partition: -rebalance %g needs -churn", opt.Rebalance)
+	case opt.Windows == 0 && opt.Hot != 0:
+		return fmt.Errorf("partition: -hot %d needs -churn", opt.Hot)
+	case opt.Rebalance != 0 && !(opt.Rebalance > 1):
+		return fmt.Errorf("partition: -rebalance %g: the edge-balance threshold must be above 1 (0 = off)", opt.Rebalance)
+	case opt.Hot < 0:
+		return fmt.Errorf("partition: -hot %d: the hot-vertex count cannot be negative", opt.Hot)
+	}
+	return nil
+}
+
 // runChurn replays the graph's edge list as a deterministic timestamped
 // add/delete trace through a long-lived PartitionState, printing per-window
 // quality and the final summary — the incremental counterpart of the
@@ -243,7 +270,7 @@ func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOpti
 			if stats.Rebuilt {
 				line += " (repartitioned)"
 			}
-			if opt.Rebalance > 1 && st.NeedsRebalance(rcfg) {
+			if st.NeedsRebalance(rcfg) {
 				rs := st.Rebalance(rcfg)
 				moved += rs.Moved
 				line += fmt.Sprintf(" rebalanced(moved=%d balance=%.4f)", rs.Moved, rs.BalanceAfter)

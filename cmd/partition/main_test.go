@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -153,6 +155,42 @@ func TestRunStreamNamesCapability(t *testing.T) {
 	}
 	if err := runStream(io.Discard, partition.MustNew("Grid", partition.Options{}), "", 9, 1, 0, 1, false, ""); err == nil {
 		t.Error("-stream without -input accepted")
+	}
+}
+
+// TestChurnFlagsThatCannotTakeEffectAreRefused runs the binary in a child
+// process: each churn flag that would do nothing must exit 1 naming itself
+// and its value, before the graph loads or anything prints.
+func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
+	if args := os.Getenv("PARTITION_MAIN_ARGS"); args != "" {
+		os.Args = append([]string{"partition"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct{ flags, want string }{
+		{"-churn 3 -rebalance 0.5", "-rebalance 0.5"},
+		{"-churn 3 -rebalance 1", "-rebalance 1"},
+		{"-churn 3 -hot -5", "-hot -5"},
+		{"-churn -2", "-churn -2"},
+		{"-rebalance 1.2", "-rebalance 1.2"},
+		{"-hot 8", "-hot 8"},
+		{"-churn 3 -stream", "-churn 3"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestChurnFlagsThatCannotTakeEffectAreRefused$")
+		cmd.Env = append(os.Environ(), "PARTITION_MAIN_ARGS=-dataset road-ca -strategy Random -parts 4 "+tc.flags)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(stderr.String(), tc.want) || stdout.Len() != 0 {
+			t.Errorf("partition %s: %v, stderr %q, stdout %q; want exit 1 naming %q and no output",
+				tc.flags, err, stderr.String(), stdout.String(), tc.want)
+		}
+	}
+	for _, ok := range []churnOptions{{}, {Windows: 3}, {Windows: 3, Rebalance: 1.2, Hot: 64}} {
+		if err := ok.check(false); err != nil {
+			t.Errorf("%+v refused: %v", ok, err)
+		}
 	}
 }
 

@@ -23,7 +23,8 @@
 // (bench_test.go). Every experiment is deterministic.
 //
 // docs/EXPERIMENTS.md is a generated catalog of this registry; regenerate it
-// after adding or changing experiments (CI fails when it is stale).
+// after adding or changing experiments (gendocs' TestCatalogIsCurrent fails
+// when it is stale).
 //
 //go:generate go run ./gendocs -o ../../docs/EXPERIMENTS.md
 package bench

@@ -4,8 +4,8 @@
 // experiment with its paper artifact, the dimension values its cells cover,
 // its metrics, and its structured checks.
 //
-// Invoked via `go generate ./internal/bench`; CI fails when the committed
-// catalog is stale.
+// Invoked via `go generate ./internal/bench`; TestCatalogIsCurrent fails
+// when the committed catalog is stale.
 package main
 
 import (
@@ -26,9 +26,31 @@ func main() {
 	out := flag.String("o", "docs/EXPERIMENTS.md", "output file")
 	flag.Parse()
 
+	results, err := run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(*out, []byte(render(results)), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "gendocs: wrote %s (%d experiments)\n", *out, len(results))
+}
+
+// run executes every registered experiment at the default config; an
+// experiment that fails fails the catalog.
+func run() ([]bench.RunResult, error) {
 	runner := bench.Runner{Config: bench.DefaultConfig()}
 	results := runner.Run(bench.All())
+	for _, rr := range results {
+		if rr.Err != nil {
+			return nil, fmt.Errorf("gendocs: %s: %w", rr.Experiment.ID, rr.Err)
+		}
+	}
+	return results, nil
+}
 
+// render is the catalog document for the results, a pure function of them.
+func render(results []bench.RunResult) string {
 	var sb strings.Builder
 	sb.WriteString("# Experiment catalog\n\n")
 	sb.WriteString("<!-- Code generated by `go generate ./internal/bench` (internal/bench/gendocs). DO NOT EDIT. -->\n\n")
@@ -40,18 +62,10 @@ func main() {
 			"paper's qualitative claims (✓/✗ is the scale-1 verdict). Regenerate with\n"+
 			"`go generate ./internal/bench`; run any experiment with\n"+
 			"`go run ./cmd/benchrunner -run <id>`.\n\n", len(results))
-
 	for _, rr := range results {
-		if rr.Err != nil {
-			log.Fatalf("gendocs: %s: %v", rr.Experiment.ID, rr.Err)
-		}
 		writeExperiment(&sb, rr)
 	}
-
-	if err := os.WriteFile(*out, []byte(sb.String()), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "gendocs: wrote %s (%d experiments)\n", *out, len(results))
+	return sb.String()
 }
 
 func writeExperiment(sb *strings.Builder, rr bench.RunResult) {

@@ -6,17 +6,15 @@ import (
 )
 
 // RebalanceConfig tunes when and how far a PartitionState is rebalanced.
+// The migration is balance-driven; its receiver scoring prefers partitions
+// already holding the moved edge's endpoints, which keeps the replication
+// factor from growing and usually shrinks it.
 type RebalanceConfig struct {
 	// MaxBalance is the edge-balance (max/mean) threshold: NeedsRebalance
 	// fires above it and Rebalance migrates edges until every partition is
-	// at or under ⌊MaxBalance · mean⌋ edges. Must be > 1.
+	// at or under ⌊MaxBalance · mean⌋ edges. At or below 1, neither does
+	// anything.
 	MaxBalance float64
-	// MaxRF, when > 0, also triggers NeedsRebalance once the replication
-	// factor drifts above it. The migration pass itself is balance-driven;
-	// its receiver scoring prefers partitions already holding the moved
-	// edge's endpoints, which is what keeps RF from growing and usually
-	// shrinks it.
-	MaxRF float64
 }
 
 // RebalanceStats reports what one Rebalance pass did.
@@ -28,16 +26,10 @@ type RebalanceStats struct {
 	RFAfter       float64
 }
 
-// NeedsRebalance reports whether the state's quality has drifted past the
-// configured thresholds.
+// NeedsRebalance reports whether the state's edge balance has drifted past
+// the configured threshold.
 func (st *PartitionState) NeedsRebalance(cfg RebalanceConfig) bool {
-	if cfg.MaxBalance > 1 && st.q.EdgeBalance() > cfg.MaxBalance {
-		return true
-	}
-	if cfg.MaxRF > 0 && st.q.ReplicationFactor() > cfg.MaxRF {
-		return true
-	}
-	return false
+	return cfg.MaxBalance > 1 && st.q.EdgeBalance() > cfg.MaxBalance
 }
 
 // Rebalance migrates edges off overloaded partitions until none exceeds
