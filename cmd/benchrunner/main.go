@@ -1,6 +1,8 @@
 // Command benchrunner regenerates the paper's tables and figures on the
 // simulated cluster and emits them as plain text, markdown, CSV, or a
-// machine-readable JSON report with cross-run regression diffing.
+// machine-readable JSON report. A report is a pure function of its config,
+// so two -json runs are compared with diff; BENCH_seed1.json is held cell
+// for cell by internal/bench's TestCellsMatchCommittedBaseline.
 //
 // Usage:
 //
@@ -9,15 +11,16 @@
 //	benchrunner -all [-scale 2] [-seed 7] [-workers 4]
 //	benchrunner -all -markdown > EXPERIMENTS-run.md
 //	benchrunner -all -json bench.json [-filter dataset=road,strategy=HDRF]
-//	benchrunner -all -json bench.json -compare BENCH_seed1.json
 package main
 
 import (
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -25,17 +28,12 @@ import (
 	"graphpart/internal/report"
 )
 
-// options collects the output/compare switches of one invocation.
+// options collects the output switches of one invocation.
 type options struct {
-	markdown  bool
-	jsonOut   string
-	csvOut    string
-	compare   string
-	tolerance float64
-	filter    report.Filter
-	// subset holds the -run experiment IDs; nil means -all. -compare
-	// scopes the baseline to it so a partial run only gates what it ran.
-	subset []string
+	markdown bool
+	jsonOut  string
+	csvOut   string
+	filter   report.Filter
 }
 
 func main() {
@@ -49,8 +47,6 @@ func main() {
 		markdown = flag.Bool("markdown", false, "emit Markdown instead of plain tables")
 		jsonOut  = flag.String("json", "", "write the machine-readable report to this file ('-' for stdout)")
 		csvOut   = flag.String("csv", "", "write the typed cells as CSV to this file ('-' for stdout)")
-		compare  = flag.String("compare", "", "baseline report to diff this run against; regressions exit non-zero")
-		tol      = flag.Float64("tolerance", report.DefaultRelTol, "relative tolerance for -compare cell diffs, applied to every cell alike (a report holds no wall-clock value; 0 demands exact equality)")
 		filterS  = flag.String("filter", "", "dimension filter for report cells, e.g. dataset=road,strategy=HDRF")
 	)
 	flag.Parse()
@@ -63,7 +59,6 @@ func main() {
 	}
 
 	var selected []bench.Experiment
-	var subset []string
 	switch {
 	case *all:
 		selected = bench.All()
@@ -81,23 +76,17 @@ func main() {
 				os.Exit(2)
 			}
 			selected = append(selected, e)
-			subset = append(subset, id)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *jsonOut == "-" && *csvOut == "-" {
-		fmt.Fprintln(os.Stderr, "benchrunner: -json - and -csv - cannot both stream to stdout")
-		os.Exit(2)
+	opts := options{markdown: *markdown, jsonOut: *jsonOut, csvOut: *csvOut}
+	err := opts.validate()
+	if err == nil {
+		opts.filter, err = report.ParseFilter(*filterS)
 	}
-	if *markdown && (*jsonOut == "-" || *csvOut == "-") {
-		fmt.Fprintln(os.Stderr, "benchrunner: -markdown cannot render while a report streams to stdout; write the report to a file instead")
-		os.Exit(2)
-	}
-
-	filter, err := report.ParseFilter(*filterS)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
 		os.Exit(2)
@@ -107,41 +96,36 @@ func main() {
 	cfg.Scale = *scale
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-
-	opts := options{
-		markdown:  *markdown,
-		jsonOut:   *jsonOut,
-		csvOut:    *csvOut,
-		compare:   *compare,
-		tolerance: *tol,
-		filter:    filter,
-		subset:    subset,
-	}
 	os.Exit(run(selected, cfg, opts, os.Stdout, os.Stderr))
+}
+
+// validate refuses output switches that cannot all be honoured, before
+// anything runs.
+func (o options) validate() error {
+	switch {
+	case o.jsonOut == "-" && o.csvOut == "-":
+		return errors.New("-json - and -csv - cannot both stream to stdout")
+	case o.jsonOut != "" && o.jsonOut != "-" && o.csvOut != "" && o.csvOut != "-" &&
+		filepath.Clean(o.jsonOut) == filepath.Clean(o.csvOut):
+		return fmt.Errorf("-json and -csv both name %s: the CSV would overwrite the report", filepath.Clean(o.jsonOut))
+	case o.markdown && (o.jsonOut == "-" || o.csvOut == "-"):
+		return errors.New("-markdown cannot render while a report streams to stdout; write the report to a file instead")
+	}
+	return nil
 }
 
 // run executes the selected experiments (concurrently, on cfg.Workers
 // goroutines), renders them in input order, emits the requested reports,
-// and returns the process exit code: 0 when everything ran, rendered, and
-// (with -compare) matched the baseline; 1 otherwise. The baseline is read
-// before anything runs, so an unreadable one, or one from another config,
-// costs no experiment time.
+// and returns the process exit code: 0 when everything ran and rendered,
+// 1 otherwise.
 func run(selected []bench.Experiment, cfg bench.Config, opts options, stdout, stderr io.Writer) int {
-	var base *report.Report
-	if opts.compare != "" {
-		var err error
-		if base, err = loadBaseline(opts.compare, cfg.Info()); err != nil {
-			fmt.Fprintf(stderr, "benchrunner: -compare: %v\n", err)
-			return 1
-		}
-	}
+	start := time.Now()
 	runner := bench.Runner{Config: cfg, Filter: opts.filter,
-		// Liveness for long concurrent runs: the timing line lands on
-		// stderr the moment an experiment finishes, in completion order;
-		// tables still render in input order below.
+		// Liveness for long concurrent runs: a line lands on stderr the
+		// moment an experiment finishes, in completion order, with the time
+		// since the run began; tables still render in input order below.
 		Progress: func(rr bench.RunResult) {
-			fmt.Fprintf(stderr, "[%s done in %v]\n", rr.Experiment.ID,
-				time.Duration(rr.Seconds*float64(time.Second)).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[%s done at %v]\n", rr.Experiment.ID, time.Since(start).Round(time.Millisecond))
 		},
 	}
 	results := runner.Run(selected)
@@ -188,9 +172,6 @@ func run(selected []bench.Experiment, cfg bench.Config, opts options, stdout, st
 			failed++
 		}
 	}
-	if base != nil && compareBaseline(base, rep, opts, stderr) > 0 {
-		failed++
-	}
 
 	if failed > 0 {
 		return 1
@@ -212,49 +193,6 @@ func writeCSV(w io.Writer, rep *report.Report) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// loadBaseline reads the -compare baseline and refuses one produced under
-// another (scale, seed, hybridThreshold): a report is a pure function of
-// those, so against the wrong baseline every cell reads as a regression.
-// Workers is not compared — it never changes a result.
-func loadBaseline(path string, cur report.ConfigInfo) (*report.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	base, err := report.Decode(f)
-	if err != nil {
-		return nil, err
-	}
-	bc := base.Manifest.Config
-	if bc.Scale != cur.Scale || bc.Seed != cur.Seed || bc.HybridThreshold != cur.HybridThreshold {
-		return nil, fmt.Errorf("%s was produced at (scale %d, seed %d, hybridThreshold %d) but this run is (scale %d, seed %d, hybridThreshold %d); rerun with the baseline's config",
-			path, bc.Scale, bc.Seed, bc.HybridThreshold, cur.Scale, cur.Seed, cur.HybridThreshold)
-	}
-	return base, nil
-}
-
-// compareBaseline diffs the fresh report against the baseline and reports
-// every regression; it returns how many were found. A -run subset or
-// -filter scopes the baseline first, so partial runs only gate the
-// experiments and cells they actually produced; a full unfiltered run
-// compares against the whole baseline so vanished experiments still flag.
-func compareBaseline(base, cur *report.Report, opts options, stderr io.Writer) int {
-	if opts.subset != nil || opts.filter != nil {
-		base = base.Scoped(opts.subset, opts.filter)
-	}
-	diffs := report.Compare(base, cur, opts.tolerance)
-	for _, d := range diffs {
-		fmt.Fprintf(stderr, "benchrunner: regression: %s\n", d)
-	}
-	if len(diffs) > 0 {
-		fmt.Fprintf(stderr, "benchrunner: %d regression(s) vs %s\n", len(diffs), opts.compare)
-	} else {
-		fmt.Fprintf(stderr, "benchrunner: no regressions vs %s (%d baseline experiments)\n", opts.compare, len(base.Experiments))
-	}
-	return len(diffs)
 }
 
 func renderMarkdown(w io.Writer, e bench.Experiment, t *bench.Table) error {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -131,178 +130,53 @@ func TestMarkdownCarriesFigure(t *testing.T) {
 	}
 }
 
-// TestJSONReportAndCompare drives the full CLI path: write a JSON report,
-// compare a fresh run against it (pass), then against tampered baselines
-// (value regression, missing cell) and expect non-zero exits.
-func TestJSONReportAndCompare(t *testing.T) {
-	cfg := bench.DefaultConfig()
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "base.json")
-
-	exps := []bench.Experiment{goodExperiment()}
-	if code := run(exps, cfg, options{jsonOut: baseline}, io.Discard, io.Discard); code != 0 {
-		t.Fatalf("baseline run exited %d", code)
+// TestJSONReport drives the full CLI path for -json: the written report
+// decodes and holds the run's one experiment and its one cell.
+func TestJSONReport(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "report.json")
+	if code := run([]bench.Experiment{goodExperiment()}, bench.DefaultConfig(), options{jsonOut: path}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("json run exited %d", code)
 	}
-	f, err := os.Open(baseline)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, err := report.Decode(f)
 	f.Close()
 	if err != nil {
-		t.Fatalf("baseline does not decode: %v", err)
+		t.Fatalf("report does not decode: %v", err)
 	}
 	if len(rep.Experiments) != 1 || len(rep.Experiments[0].Cells) != 1 {
-		t.Fatalf("unexpected baseline shape: %+v", rep.Experiments)
-	}
-
-	// Identical run → no regressions.
-	var stderr strings.Builder
-	if code := run(exps, cfg, options{compare: baseline}, io.Discard, &stderr); code != 0 {
-		t.Fatalf("self-compare exited %d:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "no regressions") {
-		t.Errorf("stderr missing pass confirmation: %q", stderr.String())
-	}
-
-	// Value drift → regression.
-	tampered := *rep
-	tampered.Experiments = append([]report.Experiment(nil), rep.Experiments...)
-	cells := append([]report.Cell(nil), rep.Experiments[0].Cells...)
-	cells[0].Value *= 1.5
-	tampered.Experiments[0].Cells = cells
-	drifted := filepath.Join(dir, "drifted.json")
-	writeReport(t, drifted, &tampered)
-	stderr.Reset()
-	if code := run(exps, cfg, options{compare: drifted}, io.Discard, &stderr); code != 1 {
-		t.Fatalf("drifted compare exited %d, want 1:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "regression") {
-		t.Errorf("stderr missing regression report: %q", stderr.String())
-	}
-
-	// Baseline cell absent from the current run → regression.
-	extra := *rep
-	extra.Experiments = append([]report.Experiment(nil), rep.Experiments...)
-	extraCells := append([]report.Cell(nil), rep.Experiments[0].Cells...)
-	extraCells = append(extraCells, report.Cell{
-		Dims: report.Dims{Dataset: "gone"}, Metric: "vanished", Value: 1})
-	extra.Experiments[0].Cells = extraCells
-	missing := filepath.Join(dir, "missing.json")
-	writeReport(t, missing, &extra)
-	stderr.Reset()
-	if code := run(exps, cfg, options{compare: missing}, io.Discard, &stderr); code != 1 {
-		t.Fatalf("missing-cell compare exited %d, want 1:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "missing-cell") {
-		t.Errorf("stderr missing missing-cell diff: %q", stderr.String())
-	}
-
-	// An unreadable baseline is an error, not a silent pass.
-	if code := run(exps, cfg, options{compare: filepath.Join(dir, "nope.json")}, io.Discard, io.Discard); code != 1 {
-		t.Error("absent baseline did not fail the run")
+		t.Fatalf("unexpected report shape: %+v", rep.Experiments)
 	}
 }
 
-// TestCompareScopesSubsetRuns: a -run subset (or -filter) compared against
-// a full baseline must only gate what it ran — unselected experiments and
-// filter-pruned cells are not regressions; a genuinely drifted cell in the
-// selected subset still is.
-func TestCompareScopesSubsetRuns(t *testing.T) {
-	cfg := bench.DefaultConfig()
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "full.json")
-
-	full := []bench.Experiment{goodExperiment(), figureExperiment()}
-	if code := run(full, cfg, options{jsonOut: baseline}, io.Discard, io.Discard); code != 0 {
-		t.Fatal("full baseline run failed")
-	}
-
-	// Subset run: only "good"; the baseline's "fig" experiment must not flag.
-	var stderr strings.Builder
-	subsetOpts := options{compare: baseline, subset: []string{"good"}}
-	if code := run([]bench.Experiment{goodExperiment()}, cfg, subsetOpts, io.Discard, &stderr); code != 0 {
-		t.Fatalf("subset compare exited %d:\n%s", code, stderr.String())
-	}
-
-	// Filtered run: cells pruned from the current report must not flag.
-	f, err := report.ParseFilter("dataset=no-such-dataset")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr.Reset()
-	filteredOpts := options{compare: baseline, filter: f}
-	if code := run(full, cfg, filteredOpts, io.Discard, &stderr); code != 0 {
-		t.Fatalf("filtered compare exited %d:\n%s", code, stderr.String())
-	}
-
-	// A real regression inside the subset still fails.
-	drift := bench.Experiment{
-		ID: "good", Title: "healthy", Paper: "n/a",
-		Run: func(bench.Config) (*bench.Result, error) {
-			r := bench.NewResult("good", "healthy", "a")
-			r.Row(report.Dims{Dataset: "road-ca", Strategy: "HDRF", Parts: 9}).
-				Metric("rf", 99.0, "ratio", 2)
-			r.Checkf(true, "healthy claim", "all good %s", bench.Mark(true))
-			return r, nil
-		},
-	}
-	stderr.Reset()
-	if code := run([]bench.Experiment{drift}, cfg, subsetOpts, io.Discard, &stderr); code != 1 {
-		t.Fatalf("drifted subset compare exited %d, want 1:\n%s", code, stderr.String())
-	}
-}
-
-// TestCompareRefusesOtherConfig: a report is a pure function of (scale,
-// seed, hybridThreshold), so a baseline from another triple would flag every
-// cell. -compare refuses it in one line naming both triples, before any
-// experiment runs, and exits 1. Workers never changes a result and is not
-// compared.
-func TestCompareRefusesOtherConfig(t *testing.T) {
-	cfg := bench.DefaultConfig()
-	baseline := filepath.Join(t.TempDir(), "base.json")
-	if code := run([]bench.Experiment{goodExperiment()}, cfg, options{jsonOut: baseline}, io.Discard, io.Discard); code != 0 {
-		t.Fatal("baseline run failed")
-	}
-	ran := false
-	probe := goodExperiment()
-	inner := probe.Run
-	probe.Run = func(c bench.Config) (*bench.Result, error) { ran = true; return inner(c) }
-
-	base := cfg.Info()
-	for name, mutate := range map[string]func(*bench.Config){
-		"scale":           func(c *bench.Config) { c.Scale = 2 },
-		"seed":            func(c *bench.Config) { c.Seed = 7 },
-		"hybridThreshold": func(c *bench.Config) { c.HybridThreshold++ },
+// TestOptionRefusals: output switches that cannot all be honoured are
+// refused before anything runs, naming what collides; -json and -csv naming
+// one file used to write the report and then truncate it with the CSV.
+func TestOptionRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts options
+		want string // "" = accepted
+	}{
+		{"both stream to stdout", options{jsonOut: "-", csvOut: "-"}, "cannot both stream"},
+		{"one file", options{jsonOut: "out", csvOut: "out"}, "both name out"},
+		{"one file, two spellings", options{jsonOut: "./dir/../out", csvOut: "out"}, "both name out"},
+		{"markdown with json on stdout", options{markdown: true, jsonOut: "-"}, "-markdown cannot render"},
+		{"markdown with csv on stdout", options{markdown: true, csvOut: "-"}, "-markdown cannot render"},
+		{"two files", options{jsonOut: "out.json", csvOut: "out.csv"}, ""},
+		{"json on stdout, csv to a file", options{jsonOut: "-", csvOut: "out.csv"}, ""},
+		{"markdown with reports in files", options{markdown: true, jsonOut: "out.json", csvOut: "out.csv"}, ""},
+		{"no reports", options{}, ""},
 	} {
-		other := cfg
-		mutate(&other)
-		ran = false
-		var stderr strings.Builder
-		if code := run([]bench.Experiment{probe}, other, options{compare: baseline}, io.Discard, &stderr); code != 1 {
-			t.Errorf("%s mismatch exited %d, want 1", name, code)
+		err := tc.opts.validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: got %v, want a refusal containing %q", tc.name, err, tc.want)
 		}
-		if ran {
-			t.Errorf("%s mismatch: experiments ran before the refusal", name)
-		}
-		msg := stderr.String()
-		o := other.Info()
-		for _, triple := range []report.ConfigInfo{base, o} {
-			want := fmt.Sprintf("(scale %d, seed %d, hybridThreshold %d)", triple.Scale, triple.Seed, triple.HybridThreshold)
-			if !strings.Contains(msg, want) {
-				t.Errorf("%s mismatch: stderr %q does not name %s", name, msg, want)
-			}
-		}
-		if strings.Count(msg, "\n") != 1 || strings.Contains(msg, "regression") {
-			t.Errorf("%s mismatch: want one refusal line and no diffs, got %q", name, msg)
-		}
-	}
-
-	other := cfg
-	other.Workers = cfg.Workers + 3
-	var stderr strings.Builder
-	if code := run([]bench.Experiment{probe}, other, options{compare: baseline}, io.Discard, &stderr); code != 0 {
-		t.Errorf("a workers-only difference was refused (exit %d):\n%s", code, stderr.String())
 	}
 }
 
@@ -346,17 +220,5 @@ func TestCSVOutput(t *testing.T) {
 	}
 	if got := strings.Split(strings.TrimSpace(string(data2)), "\n"); len(got) != 1 {
 		t.Errorf("filtered csv has %d lines, want header only:\n%s", len(got), data2)
-	}
-}
-
-func writeReport(t *testing.T, path string, rep *report.Report) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := rep.Encode(f); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -172,8 +172,8 @@ func (r *Result) Checkf(pass bool, claim, format string, args ...any) {
 
 // Check appends a structured check without a table note — for verdicts the
 // rendered table only mentions when they fail. Recording the passing case
-// keeps the check visible to -compare, which gates only checks that passed
-// in the baseline.
+// keeps the check in the report, where TestCellsMatchCommittedBaseline holds
+// its verdict to BENCH_seed1.json.
 func (r *Result) Check(pass bool, claim, observed string) {
 	r.Checks = append(r.Checks, report.Check{Claim: claim, Observed: observed, Pass: pass})
 }

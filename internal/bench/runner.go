@@ -2,19 +2,15 @@ package bench
 
 import (
 	"sync"
-	"time"
 
 	"graphpart/internal/par"
 	"graphpart/internal/report"
 )
 
-// RunResult pairs an experiment with its typed outcome. Seconds is the
-// experiment's wall-clock runtime, for Progress lines only: it never enters
-// a report.
+// RunResult pairs an experiment with its typed outcome.
 type RunResult struct {
 	Experiment Experiment
 	Result     *Result // nil when Err != nil
-	Seconds    float64
 	Err        error
 }
 
@@ -49,11 +45,8 @@ func (r Runner) Run(exps []Experiment) []RunResult {
 	var progressMu sync.Mutex
 	par.Do(par.Workers(r.Config.Workers), len(exps), func(i, _ int) {
 		e := exps[i]
-		//graphlint:nondet progress timer: RunResult.Seconds feeds the stderr progress line and nothing Report reads
-		start := time.Now()
 		res, err := e.Run(r.Config)
-		//graphlint:nondet same progress timer
-		out[i] = RunResult{Experiment: e, Result: res, Seconds: time.Since(start).Seconds(), Err: err}
+		out[i] = RunResult{Experiment: e, Result: res, Err: err}
 		if r.Progress != nil {
 			progressMu.Lock()
 			r.Progress(out[i])

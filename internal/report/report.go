@@ -3,8 +3,9 @@
 // typed measurement cells keyed by the paper's dimensions (dataset ×
 // strategy × app × engine), structured pass/fail checks, and a versioned
 // JSON report with a run manifest. Rendering (plain tables, markdown) is a
-// view over these records; this package is the data they are derived from,
-// and what cross-run regression diffing (Compare) consumes.
+// view over these records; this package is the data they are derived from.
+// Two reports of one config are compared byte for byte: a report is a pure
+// function of its config, so `diff` of two -json files is the A/B.
 package report
 
 import (
