@@ -163,18 +163,20 @@ func TestBaselineDiffNamesWhatMoved(t *testing.T) {
 		{"extra check", func(e *report.Experiment) { e.Checks = append(e.Checks, report.Check{Claim: "new claim", Pass: true}) },
 			`check 2 "new claim" is not in the baseline`},
 	} {
-		cur := report.Experiment{
-			Cells:  append([]report.Cell(nil), base.Cells...),
-			Checks: append([]report.Check(nil), base.Checks...),
-		}
-		tc.mutate(&cur)
-		diffs := baselineDiff(cur.Cells, cur.Checks, base)
-		switch {
-		case tc.want == "" && len(diffs) != 0:
-			t.Errorf("%s: flagged %q", tc.name, diffs)
-		case tc.want != "" && (len(diffs) != 1 || !strings.Contains(diffs[0], tc.want)):
-			t.Errorf("%s: got %q, want one difference naming %q", tc.name, diffs, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			cur := report.Experiment{
+				Cells:  append([]report.Cell(nil), base.Cells...),
+				Checks: append([]report.Check(nil), base.Checks...),
+			}
+			tc.mutate(&cur)
+			diffs := baselineDiff(cur.Cells, cur.Checks, base)
+			switch {
+			case tc.want == "" && len(diffs) != 0:
+				t.Errorf("flagged %q", diffs)
+			case tc.want != "" && (len(diffs) != 1 || !strings.Contains(diffs[0], tc.want)):
+				t.Errorf("got %q, want one difference naming %q", diffs, tc.want)
+			}
+		})
 	}
 }
 
