@@ -52,7 +52,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		out      = flag.String("o", "", "output file; a .csrg suffix selects the binary format (default stdout, text)")
 		stream   = flag.Bool("stream", false, "stream edge batches to the output without materializing the graph (road only)")
-		batch    = flag.Int("batch", 0, "edges per stream batch (0 = default)")
 		convert  = flag.String("convert", "", "convert this graph file (text or .csrg, sniffed) to -o's format, streaming")
 		format   = flag.String("format", "v2", "binary .csrg version for outputs: v1 (fixed-width, mmap-able) or v2 (compressed blocks)")
 		manifest = flag.Bool("manifest", false, "print the dataset's manifest (sizes, degree-skew stats, provenance) as JSON and exit")
@@ -76,7 +75,7 @@ func main() {
 		if *out == "" {
 			log.Fatal("gengraph: -convert needs -o FILE")
 		}
-		if err := convertFile(*convert, *out, *batch, version); err != nil {
+		if err := convertFile(*convert, *out, version); err != nil {
 			log.Fatal(err)
 		}
 	case *stream:
@@ -86,7 +85,7 @@ func main() {
 		if *kind != "road" {
 			log.Fatalf("gengraph: -stream supports -kind road (got %q); the degree-sequence generators need the whole stub multiset", *kind)
 		}
-		if err := streamRoad(*n, *seed, *batch, *out, version); err != nil {
+		if err := streamRoad(*n, *seed, *out, version); err != nil {
 			log.Fatal(err)
 		}
 	default:
@@ -164,7 +163,7 @@ func materialize(dataset string, scale int, kind string, n, m int, alpha float64
 
 // streamRoad emits a road lattice in O(batch) memory, to a text edge list or
 // (with a .csrg output path) the binary format via the streaming CSR writer.
-func streamRoad(n int, seed uint64, batch int, out string, version int) error {
+func streamRoad(n int, seed uint64, out string, version int) error {
 	side := latticeSide(n)
 	var edges int64
 	if graph.IsCSRPath(out) {
@@ -177,7 +176,7 @@ func streamRoad(n int, seed uint64, batch int, out string, version int) error {
 		if err != nil {
 			return err
 		}
-		if err := gen.StreamRoadNet(side, side, seed, batch, func(b []graph.Edge) error {
+		if err := gen.StreamRoadNet(side, side, seed, graph.DefaultBatchSize, func(b []graph.Edge) error {
 			edges += int64(len(b))
 			return cw.Append(b)
 		}); err != nil {
@@ -204,7 +203,7 @@ func streamRoad(n int, seed uint64, batch int, out string, version int) error {
 		if _, err := fmt.Fprintf(w, "# road (streamed %dx%d lattice)\n", side, side); err != nil {
 			return err
 		}
-		if err := gen.StreamRoadNet(side, side, seed, batch, func(b []graph.Edge) error {
+		if err := gen.StreamRoadNet(side, side, seed, graph.DefaultBatchSize, func(b []graph.Edge) error {
 			edges += int64(len(b))
 			return graph.WriteEdgeBatch(w, b)
 		}); err != nil {
@@ -222,7 +221,7 @@ func streamRoad(n int, seed uint64, batch int, out string, version int) error {
 // by extension) without materializing the edge list. The output goes to a
 // temp file renamed into place on success, so a failed conversion never
 // leaves a partial dst behind — and converting a file onto itself works.
-func convertFile(src, dst string, batch, version int) error {
+func convertFile(src, dst string, version int) error {
 	f, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp-*")
 	if err != nil {
 		return err
@@ -236,7 +235,7 @@ func convertFile(src, dst string, batch, version int) error {
 		if err != nil {
 			return err
 		}
-		total, _, err = graph.StreamFile(src, batch, func(_ int64, edges []graph.Edge) error {
+		total, _, err = graph.StreamFile(src, graph.DefaultBatchSize, func(_ int64, edges []graph.Edge) error {
 			return cw.Append(edges)
 		})
 		if err != nil {
@@ -250,7 +249,7 @@ func convertFile(src, dst string, batch, version int) error {
 		if _, err := fmt.Fprintf(bw, "# converted from %s\n", src); err != nil {
 			return err
 		}
-		total, _, err = graph.StreamFile(src, batch, func(_ int64, edges []graph.Edge) error {
+		total, _, err = graph.StreamFile(src, graph.DefaultBatchSize, func(_ int64, edges []graph.Edge) error {
 			return graph.WriteEdgeBatch(bw, edges)
 		})
 		if err != nil {

@@ -46,7 +46,7 @@ func TestConvertRoundTripsAllDatasets(t *testing.T) {
 			if version == 0 {
 				version = graph.CSRVersion2 // unused for text outputs
 			}
-			if err := convertFile(paths[hop.src], dst, 1000, version); err != nil {
+			if err := convertFile(paths[hop.src], dst, version); err != nil {
 				t.Fatalf("%s/%s: %v", name, hop.label, err)
 			}
 			paths[hop.label] = dst

@@ -36,7 +36,6 @@ import (
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/datasets"
-	"graphpart/internal/decision"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
 	"graphpart/internal/partition"
@@ -57,14 +56,12 @@ func main() {
 		memBudget = flag.Float64("mem-budget", 0, "HEP in-memory edge budget as a fraction of |E| (0 = strategy default)")
 		workers   = flag.Int("workers", 0, "ingress workers, materialized and -stream alike (0 = GOMAXPROCS; never changes the result)")
 		stream    = flag.Bool("stream", false, "stream -input in batches without materializing the edge list (stateless strategies only)")
-		batch     = flag.Int("batch", 0, "edges per stream batch (0 = default)")
 		churn     = flag.Int("churn", 0, "replay the graph as N timestamped add/delete windows through a mutable partition state instead of one-shot ingress")
 		churnDel  = flag.Float64("churn-del", 0.2, "per-window deletion fraction of that window's additions (with -churn)")
 		rebalance = flag.Float64("rebalance", 0, "edge-balance threshold: migrate edges whenever max/mean drifts above it (with -churn; 0 = off)")
 		hot       = flag.Int("hot", 0, "replicate the top-K live-degree vertices on every partition (with -churn; 0 = off)")
 		verbose   = flag.Bool("verbose", false, "print per-partition loads")
 		list      = flag.Bool("strategies", false, "list available strategies with their ingress capability class and exit")
-		recommend = flag.Bool("recommend", false, "also print the decision-tree recommendation for this graph")
 		jsonOut   = flag.String("json", "", "also write the quality metrics as typed JSON cells (benchrunner's Cell schema) to this file ('-' for stdout)")
 	)
 	flag.Parse()
@@ -94,7 +91,7 @@ func main() {
 	}
 
 	if *stream {
-		if err := runStream(humanWriter(*jsonOut), s, *input, *parts, *seed, *batch, *workers, *verbose, *jsonOut); err != nil {
+		if err := runStream(humanWriter(*jsonOut), s, *input, *parts, *seed, *workers, *verbose, *jsonOut); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -132,11 +129,10 @@ func main() {
 
 	ing := cluster.Ingress(a, s, cc, cluster.DefaultModel())
 
-	cls := graph.Classify(g)
 	// With -json -, stdout carries the JSON document alone; the
 	// human-readable block moves to stderr rather than disappearing.
 	hw := humanWriter(*jsonOut)
-	fmt.Fprintf(hw, "graph:               %v (%s)\n", g, cls.Class)
+	fmt.Fprintf(hw, "graph:               %v (%s)\n", g, graph.Classify(g).Class)
 	printMetrics(hw, s, *parts, a, a.EdgeCount, *verbose,
 		fmt.Sprintf("ingress (simulated): %.4fs on %d machines", ing.Seconds, cc.Machines))
 
@@ -150,18 +146,6 @@ func main() {
 			Metric: "ingress-seconds", Value: ing.Seconds, Unit: "s"})
 		if err := writeCells(*jsonOut, cells); err != nil {
 			log.Fatal(err)
-		}
-	}
-
-	if *recommend {
-		for _, sys := range []partition.System{partition.PowerGraph, partition.PowerLyra, partition.GraphXAll} {
-			rec, err := decision.Recommend(sys, decision.Workload{
-				Class: cls.Class, Machines: cc.Machines, ComputeIngressRatio: 2, NaturalApp: true,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(hw, "recommended for %-14s %s\n", sys+":", rec)
 		}
 	}
 }
@@ -183,7 +167,7 @@ func clusterFor(parts, machines int) (cluster.Config, error) {
 // runStream runs the memory-bounded batch ingress: the edge list is read
 // once, fed to the stream builder's workers and never held in memory. The
 // builder rejects strategies that cannot stream, naming their capability.
-func runStream(out io.Writer, s partition.Strategy, input string, parts int, seed uint64, batch, workers int, verbose bool, jsonOut string) error {
+func runStream(out io.Writer, s partition.Strategy, input string, parts int, seed uint64, workers int, verbose bool, jsonOut string) error {
 	if input == "" {
 		return fmt.Errorf("partition: -stream needs -input FILE")
 	}
@@ -191,7 +175,7 @@ func runStream(out io.Writer, s partition.Strategy, input string, parts int, see
 	if err != nil {
 		return err
 	}
-	_, _, streamErr := graph.StreamFile(input, batch, func(offset int64, edges []graph.Edge) error {
+	_, _, streamErr := graph.StreamFile(input, graph.DefaultBatchSize, func(offset int64, edges []graph.Edge) error {
 		return b.Feed(partition.EdgeBatch{Offset: offset, Edges: edges})
 	})
 	// Finish even after a failed read: it is what stops the workers.
@@ -256,7 +240,6 @@ func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOpti
 	if opt.Hot > 0 {
 		st.SetHotReplication(opt.Hot)
 	}
-	rcfg := partition.RebalanceConfig{MaxBalance: opt.Rebalance}
 	fmt.Fprintf(out, "graph:               %v (churn: %d windows, del-frac %.2f)\n", g, opt.Windows, opt.DelFrac)
 	moved := 0
 	_, err = gen.ChurnTrace(g.Edges, gen.ChurnConfig{Windows: opt.Windows, DelFrac: opt.DelFrac, Seed: opt.Seed},
@@ -270,8 +253,8 @@ func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOpti
 			if stats.Rebuilt {
 				line += " (repartitioned)"
 			}
-			if st.NeedsRebalance(rcfg) {
-				rs := st.Rebalance(rcfg)
+			if st.NeedsRebalance(opt.Rebalance) {
+				rs := st.Rebalance(opt.Rebalance)
 				moved += rs.Moved
 				line += fmt.Sprintf(" rebalanced(moved=%d balance=%.4f)", rs.Moved, rs.BalanceAfter)
 			}

@@ -108,9 +108,10 @@ func TestRunChurnMultiPassRepartitions(t *testing.T) {
 // TestRunStreamWorkerIndependent: -stream goes through the one stream
 // builder, so -workers changes wall-clock only — the rendered block,
 // per-partition table included, is byte-equal at 1 and 3 workers and
-// reports the materialized path's replication factor.
+// reports the materialized path's replication factor. The graph spans
+// several graph.DefaultBatchSize batches, so the workers share the stream.
 func TestRunStreamWorkerIndependent(t *testing.T) {
-	g := gen.PrefAttach("pa", 3000, 4, 7)
+	g := gen.PrefAttach("pa", 70000, 4, 7)
 	path := filepath.Join(t.TempDir(), "g.txt")
 	if err := graph.SaveEdgeList(g, path); err != nil {
 		t.Fatal(err)
@@ -118,7 +119,7 @@ func TestRunStreamWorkerIndependent(t *testing.T) {
 	s := partition.MustNew("Grid", partition.Options{})
 	render := func(workers int) string {
 		var sb strings.Builder
-		if err := runStream(&sb, s, path, 9, 1, 512, workers, true, ""); err != nil {
+		if err := runStream(&sb, s, path, 9, 1, workers, true, ""); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return sb.String()
@@ -145,7 +146,7 @@ func TestRunStreamNamesCapability(t *testing.T) {
 	}
 	for name, capability := range map[string]string{"HDRF": "StreamingStrategy", "Hybrid": "MultiPassStrategy"} {
 		var sb strings.Builder
-		err := runStream(&sb, partition.MustNew(name, partition.Options{}), path, 9, 1, 0, 2, false, "")
+		err := runStream(&sb, partition.MustNew(name, partition.Options{}), path, 9, 1, 2, false, "")
 		if err == nil || !strings.Contains(err.Error(), capability) {
 			t.Errorf("%s: got %v, want a refusal naming %s", name, err, capability)
 		}
@@ -153,7 +154,7 @@ func TestRunStreamNamesCapability(t *testing.T) {
 			t.Errorf("%s: refused run still printed:\n%s", name, sb.String())
 		}
 	}
-	if err := runStream(io.Discard, partition.MustNew("Grid", partition.Options{}), "", 9, 1, 0, 1, false, ""); err == nil {
+	if err := runStream(io.Discard, partition.MustNew("Grid", partition.Options{}), "", 9, 1, 1, false, ""); err == nil {
 		t.Error("-stream without -input accepted")
 	}
 }

@@ -62,7 +62,7 @@ func main() {
 	w.Flush()
 
 	// 3. What does the paper's decision tree recommend?
-	rec, err := decision.Recommend(partition.PowerLyra, decision.Workload{
+	rec, err := decision.PaperTrees().Recommend(partition.PowerLyra, decision.Workload{
 		Class:               cls.Class,
 		Machines:            cc.Machines,
 		ComputeIngressRatio: 2, // long-running job
@@ -71,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ndecision tree (Fig 6.6) recommends: %s\n", rec)
+	fmt.Printf("\ndecision tree (Fig 6.6) recommends: %s\n", rec.Strategy)
 	for name, why := range decision.Avoid(partition.PowerLyra) {
 		fmt.Printf("avoid %-12s %s\n", name+":", why)
 	}

@@ -27,14 +27,11 @@ func main() {
 	cc := cluster.EC2x16
 	model := cluster.DefaultModel()
 
-	rec, err := decision.Recommend(partition.PowerGraph, decision.Workload{
+	rec := decision.PowerGraph(decision.Workload{
 		Class:               cls.Class,
 		Machines:            cc.Machines,
 		ComputeIngressRatio: 3,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("decision tree (Fig 5.9) recommends: %s\n\n", rec)
 
 	for _, name := range []string{rec, "Random"} {

@@ -21,15 +21,7 @@ const DefaultTolerance = 1e-3
 // It is a *natural* application (gathers In, scatters Out), the case
 // PowerLyra's hybrid engine optimizes (§6.1).
 type PageRank struct {
-	Damping   float64 // 0 means DefaultDamping
 	Tolerance float64 // 0 means DefaultTolerance
-}
-
-func (p PageRank) damping() float64 {
-	if p.Damping == 0 {
-		return DefaultDamping
-	}
-	return p.Damping
 }
 
 func (p PageRank) tolerance() float64 {
@@ -82,7 +74,10 @@ func (p PageRank) Apply(g *graph.Graph, v graph.VertexID, old float64, acc float
 	if hasAcc {
 		sum = acc
 	}
-	next := (1 - p.damping()) + p.damping()*sum
+	// d is a float64 variable, not the untyped constant: 1-d must round
+	// the way float64 arithmetic does, or every rank moves in its last bit.
+	d := DefaultDamping
+	next := (1 - d) + d*sum
 	return next, math.Abs(next-old) > p.tolerance()
 }
 

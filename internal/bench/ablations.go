@@ -38,7 +38,7 @@ func ablHDRFLambda() Experiment {
 			type res struct{ rf, bal float64 }
 			results := map[float64]res{}
 			for _, lambda := range []float64{0.25, 0.5, 1, 2, 4, 8} {
-				a, err := partition.ParallelPartition(g, partition.HDRF{Lambda: lambda}, 25, cfg.Seed, 0)
+				a, err := partition.ParallelPartition(g, partition.HDRF{Lambda: lambda}, 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}
@@ -75,7 +75,7 @@ func ablHybridThreshold() Experiment {
 			r := NewResult("abl.threshold", "Hybrid threshold ablation (uk-web, 25 parts)",
 				"threshold", "high-degree-vertices", "replication-factor", "edge-balance")
 			for _, thr := range []int{5, 15, 30, 60, 120, 1 << 30} {
-				a, err := partition.ParallelPartition(g, partition.Hybrid{Threshold: thr}, 25, cfg.Seed, 0)
+				a, err := partition.ParallelPartition(g, partition.Hybrid{Threshold: thr}, 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}
@@ -122,7 +122,7 @@ func ablLoaders() Experiment {
 					if err != nil {
 						return nil, err
 					}
-					a, err := partition.ParallelPartition(g, s, 16, cfg.Seed, 0)
+					a, err := partition.ParallelPartition(g, s, 16, cfg.Seed, cfg.Workers)
 					if err != nil {
 						return nil, err
 					}
@@ -162,11 +162,11 @@ func ablLocality() Experiment {
 					N: 30000, Alpha: 1.62, MaxOutD: 3000,
 					Locality: loc, Window: 64, Seed: 0x0b3b,
 				})
-				hdrf, err := partition.ParallelPartition(g, partition.HDRF{}, 25, cfg.Seed, 0)
+				hdrf, err := partition.ParallelPartition(g, partition.HDRF{}, 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}
-				grid, err := partition.ParallelPartition(g, partition.Grid{}, 25, cfg.Seed, 0)
+				grid, err := partition.ParallelPartition(g, partition.Grid{}, 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}

@@ -51,7 +51,7 @@ func gxIterationExperiment(id, dataset, paper string, check func(r *Result, cum 
 		Title: fmt.Sprintf("GraphX-all cumulative per-iteration times (%s, Local-9, 25 iterations)", dataset),
 		Paper: paper,
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
+			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal9
 			cols := []string{"app", "strategy"}
 			for _, ic := range iterCheckpoints {
@@ -162,7 +162,7 @@ func fig94() Experiment {
 		Title: "Effect of executor memory on execution time (GraphX-all, road-ca, Local-9)",
 		Paper: "three regimes: (1) too little memory → the job fails; (2) fits cluster-wide but not in few executors → unpredictable redistribution attempts inflate time; (3) fits in a few executors → fast, and execution time keeps decreasing as added memory shrinks GC overhead",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
+			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal9
 			a, err := assignment(cfg, "road-ca", "CanonicalRandom", cc.NumParts())
 			if err != nil {

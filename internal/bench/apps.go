@@ -157,11 +157,10 @@ func (p *point) peakMemGB() float64 {
 // Config.Workers out, because the engines are byte-identical at every
 // worker count.
 type pointKey struct {
-	asg   asgKey
-	cc    cluster.Config
-	model cluster.CostModel
-	mode  engine.Mode
-	app   string
+	asg  asgKey
+	cc   cluster.Config
+	mode engine.Mode
+	app  string
 }
 
 var points par.OnceMap[pointKey, *point]
@@ -173,11 +172,10 @@ var points par.OnceMap[pointKey, *point]
 // process. The returned point is shared: callers must not modify it.
 func measure(cfg Config, mode engine.Mode, dataset, strategy, appName string, cc cluster.Config) (*point, error) {
 	key := pointKey{
-		asg:   cfg.asgKey(dataset, strategy, cc.NumParts()),
-		cc:    cc,
-		model: cfg.model(),
-		mode:  mode,
-		app:   appName,
+		asg:  cfg.asgKey(dataset, strategy, cc.NumParts()),
+		cc:   cc,
+		mode: mode,
+		app:  appName,
 	}
 	return points.Get(context.TODO(), key, func() (*point, error) {
 		spec, err := appByName(appName)
@@ -188,7 +186,7 @@ func measure(cfg Config, mode engine.Mode, dataset, strategy, appName string, cc
 		if err != nil {
 			return nil, err
 		}
-		stats, err := spec.run(mode, a, cc, key.model, cfg.engineOpts())
+		stats, err := spec.run(mode, a, cc, cluster.DefaultModel(), cfg.engineOpts())
 		if err != nil {
 			return nil, err
 		}

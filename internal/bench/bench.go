@@ -19,12 +19,13 @@
 // adv.regret re-read the fig5.3–5.5 sweep — simulate it once, under the
 // concurrent Runner too.
 //
-// Run them via cmd/benchrunner or the root-level Go benchmarks
-// (bench_test.go). Every experiment is deterministic.
+// Run them via cmd/benchrunner. Every experiment is deterministic.
 //
-// docs/EXPERIMENTS.md is a generated catalog of this registry; regenerate it
-// after adding or changing experiments (gendocs' TestCatalogIsCurrent fails
-// when it is stale).
+// docs/EXPERIMENTS.md is a generated catalog of this registry, rendered from
+// the committed baseline's cells and checks. After adding or changing
+// experiments, regenerate the baseline first (from the repository root:
+// go run ./cmd/benchrunner -all -json BENCH_seed1.json), then the catalog
+// (gendocs' TestCatalogIsCurrent fails when it is stale).
 //
 //go:generate go run ./gendocs -o ../../docs/EXPERIMENTS.md
 package bench
@@ -51,16 +52,15 @@ import (
 	"graphpart/internal/report"
 )
 
+// hybridThreshold is the high-degree cutoff used by Hybrid/H-Ginger and the
+// PowerLyra engine. The scaled datasets use 30 (the paper's 100 assumes
+// million-vertex graphs).
+const hybridThreshold = 30
+
 // Config tunes an experiment run.
 type Config struct {
 	// Scale multiplies dataset sizes (1 = test-sized).
 	Scale int
-	// Model is the cluster cost model; zero value means DefaultModel.
-	Model *cluster.CostModel
-	// HybridThreshold is the high-degree cutoff used by Hybrid/H-Ginger
-	// and the PowerLyra engine. The scaled datasets use 30 (the paper's
-	// 100 assumes million-vertex graphs).
-	HybridThreshold int
 	// Seed for all partitioners.
 	Seed uint64
 	// Workers bounds the engines' per-superstep worker goroutines, the
@@ -74,14 +74,7 @@ type Config struct {
 // DefaultConfig returns the configuration used by tests and the default
 // benchrunner invocation.
 func DefaultConfig() Config {
-	return Config{Scale: 1, HybridThreshold: 30, Seed: 1}
-}
-
-func (c Config) model() cluster.CostModel {
-	if c.Model != nil {
-		return *c.Model
-	}
-	return cluster.DefaultModel()
+	return Config{Scale: 1, Seed: 1}
 }
 
 func (c Config) scale() int {
@@ -96,7 +89,7 @@ func (c Config) Info() report.ConfigInfo {
 	return report.ConfigInfo{
 		Scale:           c.scale(),
 		Seed:            c.Seed,
-		HybridThreshold: c.HybridThreshold,
+		HybridThreshold: hybridThreshold,
 		Workers:         c.Workers,
 	}
 }
@@ -104,7 +97,7 @@ func (c Config) Info() report.ConfigInfo {
 // engineOpts is the base engine.Options every experiment starts from; app
 // specs fill in their own iteration caps.
 func (c Config) engineOpts() engine.Options {
-	return engine.Options{HighDegreeThreshold: c.HybridThreshold, Workers: c.Workers}
+	return engine.Options{HighDegreeThreshold: hybridThreshold, Workers: c.Workers}
 }
 
 // graphxConfig is the base graphx.Config every GraphX experiment starts
@@ -416,12 +409,11 @@ type asgKey struct {
 	scale    int
 	strategy string
 	parts    int
-	thr      int
 	seed     uint64
 }
 
 func (c Config) asgKey(dataset, strategy string, parts int) asgKey {
-	return asgKey{dataset, c.scale(), strategy, parts, c.HybridThreshold, c.Seed}
+	return asgKey{dataset, c.scale(), strategy, parts, c.Seed}
 }
 
 // assignments and points (apps.go) are the bench's once-per-key caches.
@@ -442,7 +434,7 @@ func assignment(cfg Config, dataset, strategy string, parts int) (*partition.Ass
 		if err != nil {
 			return nil, err
 		}
-		s, err := strategyFor(cfg, strategy)
+		s, err := strategyFor(strategy)
 		if err != nil {
 			return nil, err
 		}
@@ -458,17 +450,17 @@ func ingest(cfg Config, dataset, strategy string, cc cluster.Config) (*partition
 	if err != nil {
 		return nil, cluster.IngressStats{}, err
 	}
-	s, err := strategyFor(cfg, strategy)
+	s, err := strategyFor(strategy)
 	if err != nil {
 		return nil, cluster.IngressStats{}, err
 	}
-	return a, cluster.Ingress(a, s, cc, cfg.model()), nil
+	return a, cluster.Ingress(a, s, cc, cluster.DefaultModel()), nil
 }
 
 // strategyFor constructs the named strategy the way every assignment and
 // ingress model in this package does.
-func strategyFor(cfg Config, name string) (partition.Strategy, error) {
-	return partition.New(name, partition.Options{HybridThreshold: cfg.HybridThreshold})
+func strategyFor(name string) (partition.Strategy, error) {
+	return partition.New(name, partition.Options{HybridThreshold: hybridThreshold})
 }
 
 // loadGraph is a thin wrapper over datasets.Load at the config's scale.

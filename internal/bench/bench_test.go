@@ -33,16 +33,13 @@ func TestTableRender(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.Scale != 1 || cfg.HybridThreshold != 30 {
+	if cfg.Scale != 1 {
 		t.Errorf("unexpected default config %+v", cfg)
-	}
-	if cfg.model().BandwidthBytesPerSec <= 0 {
-		t.Error("default model invalid")
 	}
 	if (Config{Scale: -3}).scale() != 1 {
 		t.Error("negative scale not clamped")
 	}
-	info := (Config{Scale: -3, Seed: 7, HybridThreshold: 30, Workers: 2}).Info()
+	info := (Config{Scale: -3, Seed: 7, Workers: 2}).Info()
 	if info.Scale != 1 || info.Seed != 7 || info.Workers != 2 {
 		t.Errorf("unexpected config info %+v", info)
 	}
@@ -161,7 +158,7 @@ func TestAssignmentCacheSharing(t *testing.T) {
 
 	// measure shares the same once-per-key cache: equal keys are one engine
 	// run (the same *point), and everything a point depends on is in the
-	// key — a different cost model or engine mode runs again.
+	// key — a different engine mode runs again.
 	measureWCC := func(cfg Config, mode engine.Mode) *point {
 		t.Helper()
 		p, err := measure(cfg, mode, "road-ca", "Random", "WCC", cluster.Local9)
@@ -179,19 +176,6 @@ func TestAssignmentCacheSharing(t *testing.T) {
 	}
 	if p3 := measureWCC(cfg, engine.ModePowerLyra); p3 == p1 || p3.stats.Mode != engine.ModePowerLyra {
 		t.Error("a different engine mode shared a point")
-	}
-	slow := cluster.DefaultModel()
-	slow.BandwidthBytesPerSec /= 2
-	slowCfg := cfg
-	slowCfg.Model = &slow
-	if p4 := measureWCC(slowCfg, engine.ModePowerGraph); p4 == p1 || p4.ingress.Seconds <= p1.ingress.Seconds {
-		t.Error("a different cost model shared a point")
-	}
-	sameModel := cluster.DefaultModel()
-	explicit := cfg
-	explicit.Model = &sameModel
-	if p5 := measureWCC(explicit, engine.ModePowerGraph); p5 != p1 {
-		t.Error("the point key compared cost models by pointer, not by value")
 	}
 }
 
@@ -558,7 +542,7 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestReportIsPureFunctionOfConfig: a report is a pure function of (scale,
-// seed, hybridThreshold, filter). Two full passes — run, assemble, encode —
+// seed, filter). Two full passes — run, assemble, encode —
 // over every non-slow experiment, one at Workers 1 and one at Workers 3, with
 // the assignment and point caches emptied in between so the second pass
 // recomputes everything, must encode to the same bytes once the manifest's

@@ -32,7 +32,7 @@ func graphxTotalSeconds(cfg Config, ds, strat, appName string, iters int, cc clu
 	if err != nil {
 		return 0, err
 	}
-	st, err := runGraphXApp(appName, a, cfg.graphxConfig(cc, iters), cfg.model())
+	st, err := runGraphXApp(appName, a, cfg.graphxConfig(cc, iters), cluster.DefaultModel())
 	if err != nil {
 		return 0, err
 	}

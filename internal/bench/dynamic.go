@@ -34,8 +34,8 @@ const dynWindows = 6
 // dynStrategy builds a strategy for the dynamic experiments. Greedy
 // strategies pin Loaders:1 so their one-shot baseline streams the same
 // single persistent loader state the incremental path maintains.
-func dynStrategy(cfg Config, name string) (partition.Strategy, error) {
-	return partition.New(name, partition.Options{HybridThreshold: cfg.HybridThreshold, Loaders: 1})
+func dynStrategy(name string) (partition.Strategy, error) {
+	return partition.New(name, partition.Options{HybridThreshold: hybridThreshold, Loaders: 1})
 }
 
 // runTrace drives a fresh PartitionState through a churn trace over g,
@@ -72,7 +72,7 @@ func dynDrift() Experiment {
 			statelessExact := true
 			hdrfWorst := 1.0
 			for _, name := range []string{"2D", "Grid", "HDRF"} {
-				s, err := dynStrategy(cfg, name)
+				s, err := dynStrategy(name)
 				if err != nil {
 					return nil, err
 				}
@@ -155,11 +155,10 @@ func dynRebalance() Experiment {
 			r := NewResult("dyn.rebalance",
 				fmt.Sprintf("1D under churn (uk-web, %d parts, threshold %.2f, hot %d)", parts, maxBalance, hotK),
 				"variant", "balance", "rf", "moved")
-			s, err := dynStrategy(cfg, "1D")
+			s, err := dynStrategy("1D")
 			if err != nil {
 				return nil, err
 			}
-			rcfg := partition.RebalanceConfig{MaxBalance: maxBalance}
 			balances := map[string]float64{}
 			moves := map[string]int{}
 			for _, v := range variants {
@@ -173,8 +172,8 @@ func dynRebalance() Experiment {
 				moved := 0
 				_, err = runTrace(cfg, st, g, 0.25,
 					func(w gen.ChurnWindow, stats partition.BatchStats) error {
-						if v.rebalance && st.NeedsRebalance(rcfg) {
-							moved += st.Rebalance(rcfg).Moved
+						if v.rebalance && st.NeedsRebalance(maxBalance) {
+							moved += st.Rebalance(maxBalance).Moved
 						}
 						return nil
 					})
@@ -217,12 +216,12 @@ func dynCost() Experiment {
 			}
 			const parts = 16
 			cc := cluster.Config{Machines: 8, PartsPerMachine: 2}
-			model := cfg.model()
+			model := cluster.DefaultModel()
 			r := NewResult("dyn.cost", "Incremental vs repartition cost per churn trace (twitter, 16 parts, 8 machines)",
 				"strategy", "del-frac", "incr-s", "repart-s", "speedup")
 			allCheaper := true
 			for _, name := range []string{"2D", "HDRF"} {
-				s, err := dynStrategy(cfg, name)
+				s, err := dynStrategy(name)
 				if err != nil {
 					return nil, err
 				}

@@ -45,7 +45,7 @@ func famCompare() Experiment {
 				opt  partition.Options
 			}{
 				{"HDRF", partition.Options{Loaders: 1}}, // pure streaming: one loader, one pass
-				{"Hybrid", partition.Options{HybridThreshold: cfg.HybridThreshold}},
+				{"Hybrid", partition.Options{HybridThreshold: hybridThreshold}},
 				{"HEP", partition.Options{}}, // DefaultMemBudget core
 				{"JaBeJaSwap", partition.Options{}},
 				{"Multilevel", partition.Options{}},

@@ -1,8 +1,10 @@
-// Command gendocs regenerates docs/EXPERIMENTS.md from the bench registry:
-// it runs every registered experiment at scale 1 (experiments are
-// deterministic, so the catalog is stable) and writes one section per
-// experiment with its paper artifact, the dimension values its cells cover,
-// its metrics, and its structured checks.
+// Command gendocs regenerates docs/EXPERIMENTS.md from two sources: the
+// bench registry (each experiment's id, title and paper artifact) and the
+// committed scale-1 baseline BENCH_seed1.json (its cells and checks). It
+// writes one section per experiment with its paper artifact, the dimension
+// values its cells cover, its metrics, and its structured checks. It runs
+// no experiment: TestCellsMatchCommittedBaseline holds the baseline to a
+// fresh run, so the catalog is as current as the baseline.
 //
 // Invoked via `go generate ./internal/bench`; TestCatalogIsCurrent fails
 // when the committed catalog is stale.
@@ -13,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,31 +29,39 @@ func main() {
 	out := flag.String("o", "docs/EXPERIMENTS.md", "output file")
 	flag.Parse()
 
-	results, err := run()
+	// The catalog lives in docs/, one level below the baseline.
+	base, err := loadBaseline(filepath.Join(filepath.Dir(*out), "..", "BENCH_seed1.json"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile(*out, []byte(render(results)), 0o644); err != nil {
+	doc, err := render(bench.All(), base)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "gendocs: wrote %s (%d experiments)\n", *out, len(results))
-}
-
-// run executes every registered experiment at the default config; an
-// experiment that fails fails the catalog.
-func run() ([]bench.RunResult, error) {
-	runner := bench.Runner{Config: bench.DefaultConfig()}
-	results := runner.Run(bench.All())
-	for _, rr := range results {
-		if rr.Err != nil {
-			return nil, fmt.Errorf("gendocs: %s: %w", rr.Experiment.ID, rr.Err)
-		}
+	if err := os.WriteFile(*out, []byte(doc), 0o644); err != nil {
+		log.Fatal(err)
 	}
-	return results, nil
+	fmt.Fprintf(os.Stderr, "gendocs: wrote %s (%d experiments)\n", *out, len(bench.All()))
 }
 
-// render is the catalog document for the results, a pure function of them.
-func render(results []bench.RunResult) string {
+// loadBaseline decodes the committed report.
+func loadBaseline(path string) (*report.Report, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return report.Decode(f)
+}
+
+// render is the catalog document for the registered experiments, a pure
+// function of them and the baseline. A registered experiment the baseline
+// lacks fails the catalog.
+func render(exps []bench.Experiment, base *report.Report) (string, error) {
+	byID := map[string]report.Experiment{}
+	for _, e := range base.Experiments {
+		byID[e.ID] = e
+	}
 	var sb strings.Builder
 	sb.WriteString("# Experiment catalog\n\n")
 	sb.WriteString("<!-- Code generated by `go generate ./internal/bench` (internal/bench/gendocs). DO NOT EDIT. -->\n\n")
@@ -61,15 +72,18 @@ func render(results []bench.RunResult) string {
 			"the metrics it emits, and the structured checks it asserts against the\n"+
 			"paper's qualitative claims (✓/✗ is the scale-1 verdict). Regenerate with\n"+
 			"`go generate ./internal/bench`; run any experiment with\n"+
-			"`go run ./cmd/benchrunner -run <id>`.\n\n", len(results))
-	for _, rr := range results {
-		writeExperiment(&sb, rr)
+			"`go run ./cmd/benchrunner -run <id>`.\n\n", len(exps))
+	for _, e := range exps {
+		res, ok := byID[e.ID]
+		if !ok {
+			return "", fmt.Errorf("gendocs: %s is not in the baseline (regenerate BENCH_seed1.json first)", e.ID)
+		}
+		writeExperiment(&sb, e, res)
 	}
-	return sb.String()
+	return sb.String(), nil
 }
 
-func writeExperiment(sb *strings.Builder, rr bench.RunResult) {
-	e, res := rr.Experiment, rr.Result
+func writeExperiment(sb *strings.Builder, e bench.Experiment, res report.Experiment) {
 	fmt.Fprintf(sb, "## `%s` — %s\n\n", e.ID, e.Title)
 	fmt.Fprintf(sb, "**Paper:** %s\n\n", e.Paper)
 
@@ -79,8 +93,7 @@ func writeExperiment(sb *strings.Builder, rr bench.RunResult) {
 			fmt.Fprintf(sb, "- **%s:** %s\n", axisLabel(axis), strings.Join(vals, ", "))
 		}
 	}
-	metrics := collectMetrics(res.Cells)
-	fmt.Fprintf(sb, "- **metrics:** %s\n", strings.Join(metrics, ", "))
+	fmt.Fprintf(sb, "- **metrics:** %s\n", strings.Join(dims["metric"], ", "))
 	fmt.Fprintf(sb, "- **cells:** %d\n\n", len(res.Cells))
 
 	if len(res.Checks) > 0 {
@@ -92,8 +105,9 @@ func writeExperiment(sb *strings.Builder, rr bench.RunResult) {
 	}
 }
 
-// collectDims gathers the distinct values each dimension axis takes across
-// the experiment's cells, sorted for stable output.
+// collectDims gathers the distinct values each dimension axis, and the
+// metric name, takes across the experiment's cells, sorted for stable
+// output.
 func collectDims(cells []report.Cell) map[string][]string {
 	sets := map[string]map[string]bool{}
 	add := func(axis, v string) {
@@ -112,6 +126,7 @@ func collectDims(cells []report.Cell) map[string][]string {
 		add("engine", c.Dims.Engine)
 		add("cluster", c.Dims.Cluster)
 		add("variant", c.Dims.Variant)
+		add("metric", c.Metric)
 		if c.Dims.Parts != 0 {
 			add("parts", strconv.Itoa(c.Dims.Parts))
 		}
@@ -133,19 +148,6 @@ func collectDims(cells []report.Cell) map[string][]string {
 		}
 		out[axis] = vals
 	}
-	return out
-}
-
-func collectMetrics(cells []report.Cell) []string {
-	set := map[string]bool{}
-	for _, c := range cells {
-		set[c.Metric] = true
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
 	return out
 }
 

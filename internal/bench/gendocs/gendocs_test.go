@@ -5,16 +5,21 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"graphpart/internal/bench"
+	"graphpart/internal/report"
 )
 
 // TestCatalogIsCurrent renders the catalog through the generator's own path
-// and compares it byte for byte with the committed docs/EXPERIMENTS.md, so a
-// registry, cell or check change that was not regenerated fails `go test`.
+// — the registry plus the committed baseline — and compares it byte for
+// byte with the committed docs/EXPERIMENTS.md, so a registry, cell or check
+// change that was not regenerated fails `go test`.
 func TestCatalogIsCurrent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every registered experiment (~20 s); run without -short")
+	base, err := loadBaseline(filepath.Join("..", "..", "..", "BENCH_seed1.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	results, err := run()
+	got, err := render(bench.All(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +27,6 @@ func TestCatalogIsCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render(results)
 	if got == string(want) {
 		return
 	}
@@ -38,5 +42,16 @@ func TestCatalogIsCurrent(t *testing.T) {
 		if g != w {
 			t.Fatalf("docs/EXPERIMENTS.md is stale from line %d (run go generate ./internal/bench and commit):\n committed: %q\n rendered:  %q", i+1, w, g)
 		}
+	}
+}
+
+// TestCatalogNeedsEveryExperimentInBaseline: a registered experiment the
+// baseline lacks fails the catalog, naming it, instead of rendering an
+// empty section.
+func TestCatalogNeedsEveryExperimentInBaseline(t *testing.T) {
+	exps := []bench.Experiment{{ID: "x.1", Title: "kept"}, {ID: "x.2", Title: "missing"}}
+	base := &report.Report{Experiments: []report.Experiment{{ID: "x.1", Title: "kept"}}}
+	if _, err := render(exps, base); err == nil || !strings.Contains(err.Error(), "x.2") {
+		t.Errorf("render with x.2 missing from the baseline returned %v, want an error naming x.2", err)
 	}
 }

@@ -66,7 +66,7 @@ func fig71() Experiment {
 		Title: "PageRank computation times on GraphX (native strategies × graphs, 10 iterations, Local-10)",
 		Paper: "partitioning time is similar for all (stateless hash) strategies and much smaller than computation; Canonical Random competitive on road networks, 2D on skewed graphs",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
+			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal10
 			r := NewResult("fig7.1", "GraphX PageRank compute times",
 				"graph", "strategy", "partition-s", "compute-s")
@@ -172,7 +172,7 @@ func tab71() Experiment {
 		Title: "Computation-time rankings for GraphX (Table 7.1)",
 		Paper: "Canonical Random fastest or near-fastest on road networks; 2D fastest or near-fastest on skewed graphs; Random (asymmetric) generally last",
 		Run: func(cfg Config) (*Result, error) {
-			model := cfg.model()
+			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal10
 			r := NewResult("tab7.1", "GraphX strategy rankings (ascending compute time)",
 				"app", "graph", "ranking", "best")

@@ -190,16 +190,6 @@ func graphXAllTrace(w Workload) (string, []string) {
 	return "2D", []string{fmt.Sprintf("%s graph → 2D (Fig 9.3)", w.Class)}
 }
 
-// Recommend is the strategy-only form of PaperTrees().Recommend, kept for
-// callers that need no trace.
-func Recommend(sys partition.System, w Workload) (string, error) {
-	rec, err := PaperTrees().Recommend(sys, w)
-	if err != nil {
-		return "", err
-	}
-	return rec.Strategy, nil
-}
-
 // Avoid lists strategies the paper recommends against for a system, with
 // reasons (§5.4.4, §6.4.4, §8.2.2).
 func Avoid(sys partition.System) map[string]string {

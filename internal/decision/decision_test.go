@@ -79,15 +79,15 @@ func TestRecommendDispatch(t *testing.T) {
 		partition.PowerGraph, partition.PowerLyra, partition.GraphX,
 		partition.PowerLyraAll, partition.GraphXAll,
 	} {
-		name, err := Recommend(sys, w)
+		rec, err := PaperTrees().Recommend(sys, w)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if _, err := partition.New(name, partition.Options{}); err != nil {
-			t.Errorf("%s recommends unconstructible strategy %q", sys, name)
+		if _, err := partition.New(rec.Strategy, partition.Options{}); err != nil {
+			t.Errorf("%s recommends unconstructible strategy %q", sys, rec.Strategy)
 		}
 	}
-	if _, err := Recommend(partition.System("bogus"), w); err == nil {
+	if _, err := PaperTrees().Recommend(partition.System("bogus"), w); err == nil {
 		t.Error("unknown system accepted")
 	}
 }
@@ -152,9 +152,6 @@ func TestPaperTreesReproduceEveryLeaf(t *testing.T) {
 		if rec.Strategy != tc.want {
 			t.Errorf("%s %+v = %s, want %s", tc.sys, tc.w, rec.Strategy, tc.want)
 		}
-		if rec.Strategy != Recommend2(t, tc.sys, tc.w) {
-			t.Errorf("%s: Rule and legacy Recommend disagree", tc.sys)
-		}
 		if len(rec.Explanation) == 0 {
 			t.Errorf("%s %+v: empty explanation trace", tc.sys, tc.w)
 		}
@@ -165,16 +162,6 @@ func TestPaperTreesReproduceEveryLeaf(t *testing.T) {
 	if _, err := rule.Recommend(partition.System("bogus"), Workload{}); err == nil {
 		t.Error("unknown system accepted by PaperTrees")
 	}
-}
-
-// Recommend2 is the legacy dispatch, asserted equal to the Rule form.
-func Recommend2(t *testing.T, sys partition.System, w Workload) string {
-	t.Helper()
-	s, err := Recommend(sys, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
 }
 
 func TestSystems(t *testing.T) {

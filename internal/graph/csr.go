@@ -307,10 +307,6 @@ type CSRLoadOptions struct {
 	// DisableMmap forces the portable read-everything path even where the
 	// zero-copy memory-mapped path is available.
 	DisableMmap bool
-	// Workers bounds the goroutines decoding v2 edge blocks (≤0 means
-	// GOMAXPROCS). v1 decoding is a bulk copy (or a zero-copy alias) and
-	// ignores it.
-	Workers int
 }
 
 // LoadCSR reads a .csrg file through the fastest path the platform offers:
@@ -327,7 +323,7 @@ func LoadCSR(path string) (*Graph, error) {
 // pin the portable read path against the mmap path.
 func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
 	if !o.DisableMmap && MmapSupported() {
-		if g, err, handled := loadCSRMmap(path, o); handled {
+		if g, err, handled := loadCSRMmap(path); handled {
 			return g, err
 		}
 		// The mapping did not engage (empty file, mmap failure): fall
@@ -337,14 +333,14 @@ func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeCSRData(path, data, o, nil)
+	return decodeCSRData(path, data, nil)
 }
 
 // loadCSRMmap maps the file and decodes from the mapping. handled is false
 // when mmap could not engage and the caller should fall back; when true, g
 // and err are the final result. A graph that aliases the mapping pins it via
 // g.mmap (unmapped by finalizer); otherwise the mapping is released here.
-func loadCSRMmap(path string, o CSRLoadOptions) (g *Graph, err error, handled bool) {
+func loadCSRMmap(path string) (g *Graph, err error, handled bool) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err, true
@@ -361,7 +357,7 @@ func loadCSRMmap(path string, o CSRLoadOptions) (g *Graph, err error, handled bo
 	if err != nil {
 		return nil, nil, false
 	}
-	g, err = decodeCSRData(path, ref.data, o, ref)
+	g, err = decodeCSRData(path, ref.data, ref)
 	if err != nil || g.mmap == nil {
 		// Decode failed, or nothing aliased the mapping (v2, misaligned
 		// legacy header): release it now instead of waiting for the GC.
@@ -370,26 +366,17 @@ func loadCSRMmap(path string, o CSRLoadOptions) (g *Graph, err error, handled bo
 	return g, err, true
 }
 
-// ReadCSR reads a .csrg document from r (buffering it fully).
-func ReadCSR(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCSRData("stream", data, CSRLoadOptions{}, nil)
-}
-
 // decodeCSRData decodes a whole in-memory (or memory-mapped) .csrg file.
 // When ref is non-nil, data is a read-only mapping the result may alias:
 // sections that can be reinterpreted in place (little-endian host, aligned
 // payload) become views into the mapping and g.mmap pins it.
-func decodeCSRData(src string, data []byte, o CSRLoadOptions, ref *mmapRef) (*Graph, error) {
+func decodeCSRData(src string, data []byte, ref *mmapRef) (*Graph, error) {
 	h, off, err := decodeCSRHeader(src, data)
 	if err != nil {
 		return nil, err
 	}
 	if h.version == CSRVersion2 {
-		return decodeCSRv2(src, data, off, h, o)
+		return decodeCSRv2(src, data, off, h)
 	}
 	want := int64(off) + h.payloadLen() + 4
 	if int64(len(data)) != want {

@@ -62,7 +62,7 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 
 func TestCSRRoundTrip(t *testing.T) {
 	g := testGraph(t)
-	got, err := ReadCSR(bytes.NewReader(writeCSRBytes(t, g)))
+	got, err := decodeCSRData("stream", writeCSRBytes(t, g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCSRRoundTrip(t *testing.T) {
 
 func TestCSRRoundTripEmptyGraph(t *testing.T) {
 	g := FromEdges("empty", nil)
-	got, err := ReadCSR(bytes.NewReader(writeCSRBytes(t, g)))
+	got, err := decodeCSRData("stream", writeCSRBytes(t, g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCSRCorruptionDetection(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), data...))
-			_, err := ReadCSR(bytes.NewReader(buf))
+			_, err := decodeCSRData("stream", buf, nil)
 			if err == nil {
 				t.Fatal("corrupt file accepted")
 			}

@@ -168,7 +168,7 @@ func WriteCSR2(g *Graph, w io.Writer) error {
 // the blocks (every structural field is validated before any decode trusts
 // it), then decode independent blocks on parallel workers straight into
 // their slots of the shared edge slice.
-func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions) (*Graph, error) {
+func decodeCSRv2(src string, data []byte, off int, h csrHeader) (*Graph, error) {
 	if int64(len(data)) < int64(off)+8 {
 		return nil, fmt.Errorf("csrg %s: truncated v2 payload (%d bytes)", src, len(data))
 	}
@@ -225,7 +225,7 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader, o CSRLoadOptions
 	// Blocks decode straight into their slots of the shared edge slice; a
 	// worker that hit a bad block skips the rest of its shards.
 	edges := make([]Edge, m)
-	workers := par.Workers(o.Workers)
+	workers := par.Workers(0)
 	maxIDs := make([]VertexID, workers)
 	errs := make([]error, workers)
 	par.Do(workers, len(blocks), func(bidx, w int) {

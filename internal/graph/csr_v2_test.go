@@ -64,7 +64,7 @@ func TestCSRv2RoundTrip(t *testing.T) {
 				g = blockGraph(t, numEdges)
 			}
 			data := writeCSR2Bytes(t, g)
-			got, err := ReadCSR(bytes.NewReader(data))
+			got, err := decodeCSRData("stream", data, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,8 +96,6 @@ func TestCSRv2FileRoundTripAllPaths(t *testing.T) {
 	}{
 		{"auto", CSRLoadOptions{}},
 		{"portable", CSRLoadOptions{DisableMmap: true}},
-		{"serial", CSRLoadOptions{Workers: 1}},
-		{"parallel", CSRLoadOptions{Workers: 4}},
 	} {
 		got, err := LoadCSRWith(path, tc.opts)
 		if err != nil {

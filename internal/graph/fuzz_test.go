@@ -38,9 +38,9 @@ func fuzzCSRBytes(f *testing.F, version int) []byte {
 // hostileV2File is a structurally complete 48-byte v2 file — header, one
 // block header, valid checksum — whose only block declares cnt edges in
 // byteLen bytes and carries none of them. Before checkV2BlockHeader the
-// decoders sized buffers from those two fields: 200 M edges cost ReadCSR
-// and LoadCSR 1.5 GiB and StreamCSR 1.9 GiB before either noticed the
-// bytes were not there.
+// decoders sized buffers from those two fields: 200 M edges cost LoadCSR
+// 1.5 GiB and StreamCSR 1.9 GiB before either noticed the bytes were not
+// there.
 func hostileV2File(cnt, byteLen uint32) []byte {
 	var buf bytes.Buffer
 	if _, err := writeCSRHeader(&buf, "x", CSRVersion2, 0, 2, uint64(cnt)); err != nil {
@@ -152,12 +152,13 @@ func checkGraphInvariants(t *testing.T, g *Graph) {
 	}
 }
 
-// FuzzReadCSR: the bulk loader must reject arbitrary bytes with a named
-// csrg error or return a structurally valid graph — and never panic.
+// FuzzReadCSR: the bulk decoder behind LoadCSR must reject arbitrary bytes
+// with a named csrg error or return a structurally valid graph — and never
+// panic.
 func FuzzReadCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadCSR(bytes.NewReader(data))
+		g, err := decodeCSRData("stream", data, nil)
 		if err != nil {
 			checkNamedErr(t, err, "csrg")
 			return
@@ -186,7 +187,7 @@ func FuzzStreamCSR(f *testing.F) {
 		if err != nil {
 			checkNamedErr(t, err, "csrg")
 		}
-		g, bulkErr := ReadCSR(bytes.NewReader(data))
+		g, bulkErr := decodeCSRData("stream", data, nil)
 		if bulkErr != nil {
 			return
 		}

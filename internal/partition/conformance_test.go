@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -202,7 +203,7 @@ func checkIncrementalAddOnly(t *testing.T, s Strategy, g *graph.Graph, numParts 
 	shape := ShapeOf(s, numParts)
 	switch {
 	case err != nil:
-		if !IsNotIncremental(err) {
+		if !errors.Is(err, ErrNotIncremental) {
 			t.Fatalf("AsIncremental: %v", err)
 		}
 		if shape.Passes <= 1 {

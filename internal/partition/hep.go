@@ -29,12 +29,11 @@ const DefaultMemBudget = 0.5
 // almost all vertices are low-degree, so even a modest budget covers most
 // edges with the high-quality in-memory phase, while the hub-dominated
 // remainder is exactly the regime HDRF's degree-aware scoring handles best.
+// The spill stream scores at HDRF's λ = 1.
 type HEP struct {
 	// MemBudget is the in-memory edge budget as a fraction of |E|
 	// (0 means DefaultMemBudget; values are clamped to [0,1]).
 	MemBudget float64
-	// Lambda is the HDRF balance weight for the spill stream (0 means λ=1).
-	Lambda float64
 }
 
 // Name implements Strategy.
@@ -64,10 +63,6 @@ func (h HEP) budget() float64 {
 
 // Partition implements Strategy.
 func (h HEP) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	lambda := h.Lambda
-	if lambda == 0 {
-		lambda = 1
-	}
 	n := g.NumVertices()
 	m := g.NumEdges()
 	parts := make([]int32, m)
@@ -197,7 +192,7 @@ func (h HEP) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, erro
 		if assigned[i] {
 			continue
 		}
-		p := hdrfPick(st, e, numParts, lambda)
+		p := hdrfPick(st, e, numParts, 1)
 		st.place(e, p)
 		parts[i] = int32(p)
 	}

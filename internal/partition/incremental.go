@@ -10,12 +10,6 @@ import (
 // whole edge list per pass). Callers fall back to repartition-per-batch.
 var ErrNotIncremental = errors.New("partition: strategy cannot assign incrementally")
 
-// IsNotIncremental reports whether err means "this strategy cannot assign
-// incrementally" (as opposed to an invalid-parameter error).
-func IsNotIncremental(err error) bool {
-	return errors.Is(err, ErrNotIncremental)
-}
-
 // AsIncremental resolves, by capability, the Assigner that places a churning
 // graph's edges one at a time across batches: a stateless strategy's own
 // assigner (adds hash exactly as one-shot ingress would), or loader 0 of a

@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"fmt"
-
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
 )
@@ -11,30 +9,23 @@ func init() {
 	Register("JaBeJaSwap", func(opt Options) Strategy { return JaBeJaSwap{} })
 }
 
-// DefaultSwapRounds is how many refinement rounds JaBeJaSwap runs when the
-// Rounds field is zero: enough for the acceptance rate to decay to noise on
-// the synthetic power-law graphs while keeping ingress a small multiple of
-// the base strategy's.
-const DefaultSwapRounds = 4
+// swapRounds is how many refinement rounds JaBeJaSwap runs: enough for the
+// acceptance rate to decay to noise on the synthetic power-law graphs while
+// keeping ingress a small multiple of the base assignment's.
+const swapRounds = 4
 
 // JaBeJaSwap is a JA-BE-JA-style refinement partitioner (arXiv 1403.6270):
-// it first places every edge with a base strategy, then runs seeded rounds
-// of pairwise edge-partition swaps. Each round scans the edge list once;
-// edge i proposes swapping partitions with a pseudo-randomly chosen partner
-// edge j, and the swap is kept only when it strictly reduces the total
-// vertex-image count. Because a swap moves one edge from p to q and one
-// from q to p, the per-partition edge counts — and therefore the balance —
-// are invariants of refinement: JA-BE-JA's defining property. Replication
-// factor is monotonically non-increasing across rounds; the annealing
-// temperature is zero (no uphill moves), keeping every run deterministic
-// and every round an improvement.
-type JaBeJaSwap struct {
-	// Base is the strategy whose assignment is refined (nil means Random,
-	// the paper's baseline for every system).
-	Base Strategy
-	// Rounds is the number of swap rounds (0 means DefaultSwapRounds).
-	Rounds int
-}
+// it first places every edge with Random, the paper's baseline for every
+// system, then runs seeded rounds of pairwise edge-partition swaps. Each
+// round scans the edge list once; edge i proposes swapping partitions with
+// a pseudo-randomly chosen partner edge j, and the swap is kept only when
+// it strictly reduces the total vertex-image count. Because a swap moves
+// one edge from p to q and one from q to p, the per-partition edge counts —
+// and therefore the balance — are invariants of refinement: JA-BE-JA's
+// defining property. Replication factor is monotonically non-increasing
+// across rounds; the annealing temperature is zero (no uphill moves),
+// keeping every run deterministic and every round an improvement.
+type JaBeJaSwap struct{}
 
 // SwapStats reports what one JaBeJaSwap refinement did: how many swaps each
 // round proposed and accepted, and the replication factor before and after.
@@ -52,24 +43,10 @@ func (JaBeJaSwap) Name() string { return "JaBeJaSwap" }
 // MultiPass implements MultiPassStrategy: the base assignment must be
 // complete before any swap can be evaluated, and every refinement round is
 // another full scan of the edge list.
-func (jb JaBeJaSwap) MultiPass() (passes, heuristicPasses int, why string) {
+func (JaBeJaSwap) MultiPass() (passes, heuristicPasses int, why string) {
 	// Passes and HeuristicPasses do not depend on the partition count.
-	base := ShapeOf(jb.base(), 1)
-	return base.Passes + jb.rounds(), base.HeuristicPasses, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
-}
-
-func (jb JaBeJaSwap) base() Strategy {
-	if jb.Base != nil {
-		return jb.Base
-	}
-	return Random{}
-}
-
-func (jb JaBeJaSwap) rounds() int {
-	if jb.Rounds <= 0 {
-		return DefaultSwapRounds
-	}
-	return jb.Rounds
+	base := ShapeOf(Random{}, 1)
+	return base.Passes + swapRounds, base.HeuristicPasses, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
 }
 
 // Partition implements Strategy.
@@ -81,19 +58,14 @@ func (jb JaBeJaSwap) Partition(g *graph.Graph, numParts int, seed uint64) (*Resu
 // PartitionStats is Partition plus the refinement statistics: the round
 // count, proposal/acceptance totals, and the replication factor the base
 // assignment had before any swap ran.
-func (jb JaBeJaSwap) PartitionStats(g *graph.Graph, numParts int, seed uint64) (*Result, SwapStats, error) {
-	stats := SwapStats{Rounds: jb.rounds()}
-	base := jb.base()
-	res, err := base.Partition(g, numParts, seed)
+func (JaBeJaSwap) PartitionStats(g *graph.Graph, numParts int, seed uint64) (*Result, SwapStats, error) {
+	stats := SwapStats{Rounds: swapRounds}
+	res, err := Random{}.Partition(g, numParts, seed)
 	if err != nil {
 		return nil, stats, err
 	}
 	n := g.NumVertices()
 	m := g.NumEdges()
-	if len(res.EdgeParts) != m {
-		return nil, stats, fmt.Errorf("partition: base strategy %s returned %d assignments for %d edges",
-			base.Name(), len(res.EdgeParts), m)
-	}
 	parts := res.EdgeParts
 
 	// Per-(vertex, partition) incidence counts: the number of live edges of
@@ -105,10 +77,6 @@ func (jb JaBeJaSwap) PartitionStats(g *graph.Graph, numParts int, seed uint64) (
 	placed := int64(0)
 	for i, e := range g.Edges {
 		p := parts[i]
-		if p < 0 || int(p) >= numParts {
-			return nil, stats, fmt.Errorf("partition: base strategy %s placed edge %d on partition %d (numParts=%d)",
-				base.Name(), i, p, numParts)
-		}
 		counts[int(e.Src)*numParts+int(p)]++
 		counts[int(e.Dst)*numParts+int(p)]++
 	}

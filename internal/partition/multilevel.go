@@ -19,12 +19,9 @@ func init() {
 // home, a cut edge goes to whichever endpoint's home currently holds fewer
 // edges. It fills the batch-rebalancing role of ADR-009: the quality
 // ceiling an offline pass can reach when ingress cost is no object, against
-// which the streaming families are compared.
-type Multilevel struct {
-	// CoarseTarget stops coarsening at or below this many vertices
-	// (0 means max(64, 8·numParts)).
-	CoarseTarget int
-}
+// which the streaming families are compared. Coarsening stops at or below
+// max(64, 8·numParts) vertices.
+type Multilevel struct{}
 
 // Name implements Strategy.
 func (Multilevel) Name() string { return "Multilevel" }
@@ -77,13 +74,10 @@ func (ml Multilevel) Partition(g *graph.Graph, numParts int, seed uint64) (*Resu
 
 // vertexLabels runs the coarsen → partition → uncoarsen pipeline and
 // returns each vertex's home partition.
-func (ml Multilevel) vertexLabels(g *graph.Graph, numParts int) []int32 {
-	target := ml.CoarseTarget
-	if target <= 0 {
-		target = 8 * numParts
-		if target < 64 {
-			target = 64
-		}
+func (Multilevel) vertexLabels(g *graph.Graph, numParts int) []int32 {
+	target := 8 * numParts
+	if target < 64 {
+		target = 64
 	}
 
 	// Level 0: the input graph, normalized to weighted undirected form.

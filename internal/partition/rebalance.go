@@ -5,18 +5,6 @@ import (
 	"sort"
 )
 
-// RebalanceConfig tunes when and how far a PartitionState is rebalanced.
-// The migration is balance-driven; its receiver scoring prefers partitions
-// already holding the moved edge's endpoints, which keeps the replication
-// factor from growing and usually shrinks it.
-type RebalanceConfig struct {
-	// MaxBalance is the edge-balance (max/mean) threshold: NeedsRebalance
-	// fires above it and Rebalance migrates edges until every partition is
-	// at or under ⌊MaxBalance · mean⌋ edges. At or below 1, neither does
-	// anything.
-	MaxBalance float64
-}
-
 // RebalanceStats reports what one Rebalance pass did.
 type RebalanceStats struct {
 	Moved         int
@@ -26,33 +14,33 @@ type RebalanceStats struct {
 	RFAfter       float64
 }
 
-// NeedsRebalance reports whether the state's edge balance has drifted past
-// the configured threshold.
-func (st *PartitionState) NeedsRebalance(cfg RebalanceConfig) bool {
-	return cfg.MaxBalance > 1 && st.q.EdgeBalance() > cfg.MaxBalance
+// NeedsRebalance reports whether the state's edge balance (max/mean) has
+// drifted past maxBalance. At or below 1 it never does.
+func (st *PartitionState) NeedsRebalance(maxBalance float64) bool {
+	return maxBalance > 1 && st.q.EdgeBalance() > maxBalance
 }
 
 // Rebalance migrates edges off overloaded partitions until none exceeds
-// ceil(MaxBalance · mean) edges. Donors are drained most-loaded first,
-// newest edges first; each moved edge goes to the under-cap partition
+// ⌊maxBalance · mean⌋ edges; at or below 1 it does nothing. Donors are
+// drained most-loaded first, newest edges first; each moved edge goes to the under-cap partition
 // scoring best on (endpoints already resident, load, id) — resident
 // endpoints mean the move adds no new vertex images. Works for every
 // strategy: migration touches only the state's own bookkeeping, never the
 // assigner. Deterministic given the state.
-func (st *PartitionState) Rebalance(cfg RebalanceConfig) RebalanceStats {
+func (st *PartitionState) Rebalance(maxBalance float64) RebalanceStats {
 	stats := RebalanceStats{
 		BalanceBefore: st.q.EdgeBalance(),
 		RFBefore:      st.q.ReplicationFactor(),
 	}
-	if cfg.MaxBalance <= 1 || st.q.NumEdges() == 0 {
+	if maxBalance <= 1 || st.q.NumEdges() == 0 {
 		stats.BalanceAfter, stats.RFAfter = stats.BalanceBefore, stats.RFBefore
 		return stats
 	}
-	// Cap = ⌊MaxBalance·mean⌋ so the post-pass balance (maxLoad/mean) lands
+	// Cap = ⌊maxBalance·mean⌋ so the post-pass balance (maxLoad/mean) lands
 	// at or under the threshold; clamped to ⌈mean⌉, below which draining
 	// donors is infeasible (total headroom < total overflow).
 	mean := float64(st.q.NumEdges()) / float64(st.numParts)
-	cap64 := int64(cfg.MaxBalance * mean)
+	cap64 := int64(maxBalance * mean)
 	if minCap := int64(math.Ceil(mean)); cap64 < minCap {
 		cap64 = minCap
 	}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -87,7 +88,7 @@ func NewPartitionState(s Strategy, numParts int, seed uint64, workers int) (*Par
 		ref:      newCountMatrix(0, numParts),
 		pinned:   newBitMatrix(0, numParts),
 	}
-	if err := st.resetAssigner(); err != nil && !IsNotIncremental(err) {
+	if err := st.resetAssigner(); err != nil && !errors.Is(err, ErrNotIncremental) {
 		return nil, err
 	}
 	return st, nil

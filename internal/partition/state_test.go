@@ -197,18 +197,18 @@ func TestRebalanceBringsBalanceUnderThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyTrace(t, st, g, gen.ChurnConfig{Windows: 1, DelFrac: 0, Seed: 1})
-	cfg := RebalanceConfig{MaxBalance: 1.1}
-	if !st.NeedsRebalance(cfg) {
+	maxBalance := 1.1
+	if !st.NeedsRebalance(maxBalance) {
 		t.Skipf("graph not imbalanced enough to exercise rebalance (balance %v)", st.EdgeBalance())
 	}
-	stats := st.Rebalance(cfg)
+	stats := st.Rebalance(maxBalance)
 	if stats.Moved == 0 {
 		t.Fatal("rebalance moved nothing despite imbalance")
 	}
-	if stats.BalanceAfter > cfg.MaxBalance+0.05 {
-		t.Fatalf("balance %v after rebalance, want ≤ ~%v", stats.BalanceAfter, cfg.MaxBalance)
+	if stats.BalanceAfter > maxBalance+0.05 {
+		t.Fatalf("balance %v after rebalance, want ≤ ~%v", stats.BalanceAfter, maxBalance)
 	}
-	if st.NeedsRebalance(cfg) {
+	if st.NeedsRebalance(maxBalance) {
 		t.Fatalf("still needs rebalance after pass: balance %v", st.EdgeBalance())
 	}
 	// The bookkeeping must survive migration intact.
@@ -269,14 +269,14 @@ func TestRebalanceNewFamilies(t *testing.T) {
 				t.Fatal(err)
 			}
 			applyTrace(t, st, g, gen.ChurnConfig{Windows: 2, DelFrac: 0.05, Seed: 3})
-			cfg := RebalanceConfig{MaxBalance: 1.05}
+			maxBalance := 1.05
 			before := st.EdgeBalance()
-			stats := st.Rebalance(cfg)
-			if st.NeedsRebalance(cfg) {
+			stats := st.Rebalance(maxBalance)
+			if st.NeedsRebalance(maxBalance) {
 				t.Fatalf("balance %v after rebalance (before %v, moved %d), want ≤ %v",
-					st.EdgeBalance(), before, stats.Moved, cfg.MaxBalance)
+					st.EdgeBalance(), before, stats.Moved, maxBalance)
 			}
-			if before > cfg.MaxBalance && stats.Moved == 0 {
+			if before > maxBalance && stats.Moved == 0 {
 				t.Fatalf("balance %v over threshold yet rebalance moved nothing", before)
 			}
 			var total int64
@@ -316,7 +316,7 @@ func TestHotReplicationNewFamilies(t *testing.T) {
 			if hot < 16 {
 				t.Fatalf("%d vertices fully replicated, want ≥16 hot pins", hot)
 			}
-			st.Rebalance(RebalanceConfig{MaxBalance: 1.1})
+			st.Rebalance(1.1)
 			st.SetHotReplication(0)
 			for v := 0; v < st.NumVertices(); v++ {
 				if st.Degree(graph.VertexID(v)) == 0 && st.Replicas(graph.VertexID(v)) != 0 {
@@ -370,7 +370,7 @@ func TestAsIncrementalCapabilities(t *testing.T) {
 		t.Error("1D-Target's incremental assigner lost its MasterHinter")
 	}
 	_, err = AsIncremental(MustNew("Hybrid", Options{HybridThreshold: 30}), 8, 1)
-	if !IsNotIncremental(err) {
+	if !errors.Is(err, ErrNotIncremental) {
 		t.Fatalf("Hybrid: got %v, want ErrNotIncremental", err)
 	}
 	if !errors.Is(err, ErrNotIncremental) {

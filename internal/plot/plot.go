@@ -12,6 +12,9 @@ import (
 	"strings"
 )
 
+// width and height are the plot area of every chart, in characters.
+const width, height = 64, 18
+
 // Point is one labeled sample of a scatter plot.
 type Point struct {
 	X, Y  float64
@@ -26,19 +29,10 @@ type Scatter struct {
 	Points []Point
 	// Trend, if non-nil, draws the line y = Trend[0]·x + Trend[1].
 	Trend *[2]float64
-	// Width and Height of the plot area in characters (defaults 64×20).
-	Width, Height int
 }
 
 // Render writes the plot.
 func (s *Scatter) Render(w io.Writer) error {
-	width, height := s.Width, s.Height
-	if width <= 0 {
-		width = 64
-	}
-	if height <= 0 {
-		height = 18
-	}
 	if len(s.Points) == 0 {
 		_, err := fmt.Fprintf(w, "%s\n(no data)\n", s.Title)
 		return err
@@ -129,19 +123,10 @@ type Lines struct {
 	YLabel string
 	X      []float64
 	Series []Series
-	Width  int
-	Height int
 }
 
 // Render writes the chart.
 func (l *Lines) Render(w io.Writer) error {
-	width, height := l.Width, l.Height
-	if width <= 0 {
-		width = 64
-	}
-	if height <= 0 {
-		height = 18
-	}
 	if len(l.X) == 0 || len(l.Series) == 0 {
 		_, err := fmt.Fprintf(w, "%s\n(no data)\n", l.Title)
 		return err

@@ -1,6 +1,6 @@
-// The size gate: SIZE.json records how big the system is — code-only lines
-// and exported identifiers per package, flags per binary, the registries and
-// the docs' bytes — and TestSize fails when the tree no longer matches it.
+// The size gate: SIZE.json records how big the system is — code-only lines,
+// exported identifiers and exported struct fields per package, flags per
+// binary, the registries and the docs' bytes — and TestSize fails when the tree no longer matches it.
 // Growth is allowed, but only as a visible SIZE.json diff in the same change:
 //
 //	go test . -run TestSize -update
@@ -70,6 +70,7 @@ func measureSize() (map[string]map[string]int, error) {
 	size := map[string]map[string]int{
 		"code_lines": {}, // per package: lines carrying a non-comment token
 		"exported":   {}, // per package: exported package-level names and methods
+		"fields":     {}, // per package: exported fields of exported struct types
 		"flags":      {}, // per cmd/* binary: flag definitions
 		"registry": {
 			"experiments": len(bench.All()),
@@ -89,6 +90,7 @@ func measureSize() (map[string]map[string]int, error) {
 		}
 		size["code_lines"][dir] = lines
 		size["exported"][dir] = exportedNames(files)
+		size["fields"][dir] = exportedFields(files)
 		if filepath.Dir(dir) == "cmd" {
 			size["flags"][dir] = flagDefinitions(files)
 		}
@@ -231,8 +233,42 @@ func exportedNames(files []*ast.File) int {
 	return n
 }
 
-// receiverExported reports whether a method receiver's base type — behind a
-// pointer and type parameters — is exported.
+// exportedFields counts the exported fields of package-level exported struct
+// types, embedded ones under their type's name: each is a value a caller can
+// set, as a flag is.
+func exportedFields(files []*ast.File) int {
+	n := 0
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok || d.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					if len(field.Names) == 0 && receiverExported(field.Type) {
+						n++
+					}
+					for _, name := range field.Names {
+						if name.IsExported() {
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// receiverExported reports whether a method receiver's or an embedded
+// field's base type — behind a pointer, a package name and type parameters —
+// is exported.
 func receiverExported(x ast.Expr) bool {
 	for {
 		switch r := x.(type) {
@@ -242,6 +278,8 @@ func receiverExported(x ast.Expr) bool {
 			x = r.X
 		case *ast.IndexListExpr:
 			x = r.X
+		case *ast.SelectorExpr:
+			x = r.Sel
 		case *ast.Ident:
 			return r.IsExported()
 		default:
