@@ -26,7 +26,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	out := flag.String("o", "docs/EXPERIMENTS.md", "output file")
+	out := flag.String("o", "docs/EXPERIMENTS.md", "output file; BENCH_seed1.json is read from the parent of its directory")
 	flag.Parse()
 
 	// The catalog lives in docs/, one level below the baseline.

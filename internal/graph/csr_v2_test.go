@@ -90,14 +90,22 @@ func TestCSRv2FileRoundTripAllPaths(t *testing.T) {
 	if v, ok, err := CSRFileVersion(path); err != nil || !ok || v != CSRVersion2 {
 		t.Fatalf("CSRFileVersion = (%d, %v, %v), want (2, true, nil)", v, ok, err)
 	}
+	// The v2 decoder splits blocks across GOMAXPROCS workers and merges
+	// their per-worker max IDs; serial and parallel pin both paths whatever
+	// the host's CPU count (0 leaves GOMAXPROCS as it is).
 	for _, tc := range []struct {
-		name string
-		opts CSRLoadOptions
+		name  string
+		opts  CSRLoadOptions
+		procs int
 	}{
-		{"auto", CSRLoadOptions{}},
-		{"portable", CSRLoadOptions{DisableMmap: true}},
+		{"auto", CSRLoadOptions{}, 0},
+		{"portable", CSRLoadOptions{DisableMmap: true}, 0},
+		{"serial", CSRLoadOptions{}, 1},
+		{"parallel", CSRLoadOptions{}, 4},
 	} {
+		prev := runtime.GOMAXPROCS(tc.procs)
 		got, err := LoadCSRWith(path, tc.opts)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -22,11 +22,11 @@ func (st *PartitionState) NeedsRebalance(maxBalance float64) bool {
 
 // Rebalance migrates edges off overloaded partitions until none exceeds
 // ⌊maxBalance · mean⌋ edges; at or below 1 it does nothing. Donors are
-// drained most-loaded first, newest edges first; each moved edge goes to the under-cap partition
-// scoring best on (endpoints already resident, load, id) — resident
-// endpoints mean the move adds no new vertex images. Works for every
-// strategy: migration touches only the state's own bookkeeping, never the
-// assigner. Deterministic given the state.
+// drained most-loaded first, newest edges first; each moved edge goes to
+// the under-cap partition scoring best on (endpoints already resident,
+// load, id) — resident endpoints mean the move adds no new vertex images.
+// Works for every strategy: migration touches only the state's own
+// bookkeeping, never the assigner. Deterministic given the state.
 func (st *PartitionState) Rebalance(maxBalance float64) RebalanceStats {
 	stats := RebalanceStats{
 		BalanceBefore: st.q.EdgeBalance(),

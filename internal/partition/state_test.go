@@ -373,7 +373,4 @@ func TestAsIncrementalCapabilities(t *testing.T) {
 	if !errors.Is(err, ErrNotIncremental) {
 		t.Fatalf("Hybrid: got %v, want ErrNotIncremental", err)
 	}
-	if !errors.Is(err, ErrNotIncremental) {
-		t.Fatalf("error must wrap ErrNotIncremental: %v", err)
-	}
 }

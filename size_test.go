@@ -1,6 +1,7 @@
 // The size gate: SIZE.json records how big the system is — code-only lines,
 // exported identifiers and exported struct fields per package, flags per
-// binary, the registries and the docs' bytes — and TestSize fails when the tree no longer matches it.
+// binary, the registries and the docs' bytes — and TestSize fails when the
+// tree no longer matches it.
 // Growth is allowed, but only as a visible SIZE.json diff in the same change:
 //
 //	go test . -run TestSize -update
