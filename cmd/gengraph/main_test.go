@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/binary"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -62,9 +64,13 @@ func TestConvertRoundTripsAllDatasets(t *testing.T) {
 				t.Fatalf("%s/%s: edge list differs after conversion", name, hop.label)
 			}
 			if graph.IsCSRPath(dst) {
-				v, ok, err := graph.CSRFileVersion(dst)
-				if err != nil || !ok || v != version {
-					t.Fatalf("%s/%s: wrote version (%d, %v, %v), want %d", name, hop.label, v, ok, err, version)
+				// The format version is the uint16 at bytes [4:6).
+				data, err := os.ReadFile(dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v := int(binary.LittleEndian.Uint16(data[4:6])); v != version {
+					t.Fatalf("%s/%s: wrote version %d, want %d", name, hop.label, v, version)
 				}
 			}
 		}

@@ -76,7 +76,7 @@ func (f PowerLawFit) Predict(d int) float64 {
 // FitPowerLaw fits count(d) = C·d^(-alpha) to a degree histogram by linear
 // least squares in log-log space. Degree-0 entries are ignored.
 func FitPowerLaw(hist map[int]int) PowerLawFit {
-	degrees, counts := SortedHistogram(hist)
+	degrees, counts := sortedHistogram(hist)
 	n := 0
 	var sx, sy, sxx, sxy float64
 	for i, d := range degrees {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"os"
 	"strings"
+
+	"graphpart/internal/par"
 )
 
 // The .csrg binary graph format.
@@ -22,9 +24,10 @@ import (
 //
 //   - version 1 stores fixed-width records: every section is a flat array
 //     whose length is known from the header, so a reader can mmap the file
-//     and slice the sections at fixed offsets without copying (LoadCSR does
-//     exactly that where the platform allows). Optionally the prebuilt CSR
-//     adjacency sections follow the edges, making EnsureCSR free after load.
+//     and slice the sections at fixed offsets without copying (LoadFile and
+//     LoadCSRWith do exactly that where the platform allows). Optionally the
+//     prebuilt CSR adjacency sections follow the edges, making EnsureCSR
+//     free after load.
 //   - version 2 stores the edge list as delta+varint-compressed blocks
 //     (see csr_v2.go): files are several times smaller and the per-block
 //     headers let independent blocks decode on parallel workers. v2 files
@@ -65,8 +68,8 @@ import (
 // The trailing checksum detects bit rot and torn writes; a wrong header
 // length detects truncation before any decode happens.
 
-// CSRMagic is the 4-byte signature at the start of every .csrg file.
-const CSRMagic = "CSRG"
+// csrMagic is the 4-byte signature at the start of every .csrg file.
+const csrMagic = "CSRG"
 
 // The .csrg format versions this package reads and writes. Version 1 is the
 // fixed-width mmap-able layout; version 2 compresses the edge section into
@@ -76,9 +79,6 @@ const (
 	CSRVersion1 = 1
 	CSRVersion2 = 2
 )
-
-// CSRExt is the conventional file extension for the binary graph format.
-const CSRExt = ".csrg"
 
 const (
 	csrFlagHasCSR   = 1 << 0 // CSR adjacency sections follow the edge section
@@ -95,65 +95,38 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // --- writing ----------------------------------------------------------
 
-// WriteCSR writes g in .csrg v1 form, including the CSR adjacency sections
-// so a later LoadCSR returns a graph whose EnsureCSR is a no-op. The edge
-// section preserves g.Edges order exactly.
-func WriteCSR(g *Graph, w io.Writer) error {
-	m := g.NumEdges()
-	if m > csrMaxEdges {
-		return fmt.Errorf("csrg %s: %d edges exceed the int32 edge-id space", g.Name, m)
-	}
-	g.EnsureCSR()
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := writeCSRHeader(bw, g.Name, CSRVersion1, csrFlagHasCSR, uint64(g.NumVertices()), uint64(m)); err != nil {
-		return err
-	}
-	crc := uint32(0)
-	sink := func(chunk []byte) error {
-		crc = crc32.Update(crc, castagnoli, chunk)
-		_, err := bw.Write(chunk)
-		return err
-	}
-	if err := encodeEdges(g.Edges, sink); err != nil {
-		return err
-	}
-	for _, sec := range []struct {
-		u []uint32
-		i []int32
-	}{
-		{i: g.outIndex}, {u: g.outAdj}, {i: g.outEdge},
-		{i: g.inIndex}, {u: g.inAdj}, {i: g.inEdge},
-	} {
-		var err error
-		if sec.u != nil {
-			err = encode32s(sec.u, sink)
-		} else {
-			err = encode32s(sec.i, sink)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc)
-	if _, err := bw.Write(foot[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // WriteCSRVersion writes g in the requested .csrg format version: 1 for the
-// fixed-width mmap-able layout (with prebuilt adjacency sections), 2 for the
-// compressed block layout (smaller files, parallel decode, no adjacency).
+// fixed-width mmap-able layout, with the adjacency sections so a later load
+// returns a graph whose EnsureCSR is a no-op; 2 for the compressed block
+// layout (smaller files, parallel decode, no adjacency). The edge section
+// preserves g.Edges order exactly.
 func WriteCSRVersion(g *Graph, w io.Writer, version int) error {
-	switch version {
-	case CSRVersion1:
-		return WriteCSR(g, w)
-	case CSRVersion2:
-		return WriteCSR2(g, w)
-	default:
-		return fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", g.Name, version, CSRVersion1, CSRVersion2)
+	flags := uint16(0)
+	if version == CSRVersion1 {
+		flags = csrFlagHasCSR
 	}
+	e, err := newCSREncoder(w, g.Name, version, flags, uint64(g.NumVertices()), uint64(g.NumEdges()))
+	if err != nil {
+		return err
+	}
+	if err := e.append(g.Edges); err != nil {
+		return err
+	}
+	if flags&csrFlagHasCSR != 0 {
+		in, out := g.Adjacency()
+		for _, a := range []Adjacency{out, in} {
+			if err := encode32s(a.Index, e.sink); err != nil {
+				return err
+			}
+			if err := encode32s(a.Neighbors, e.sink); err != nil {
+				return err
+			}
+			if err := encode32s(a.EdgeIDs, e.sink); err != nil {
+				return err
+			}
+		}
+	}
+	return e.finish()
 }
 
 // SaveCSRVersion writes g to a .csrg file at path in the given format version.
@@ -169,6 +142,96 @@ func SaveCSRVersion(g *Graph, path string, version int) error {
 	return f.Close()
 }
 
+// csrEncoder writes one .csrg document: the header, the payload (summed
+// into the checksum as it goes) and the footer. WriteCSRVersion drives it
+// with the counts known up front; CSRWriter with zero counts that it patches
+// on Close. A v2 payload opens with the block count, which is the header's
+// edge count cut into blocks of csrV2BlockEdges.
+type csrEncoder struct {
+	bw      *bufio.Writer
+	name    string
+	version int
+	hdrLen  int // payload start, where v2's block count sits
+	crc     uint32
+	edges   int64
+	block   []Edge // v2: the edges of the block not yet full
+	enc     []byte // v2: the block being written, compressed
+}
+
+func newCSREncoder(w io.Writer, name string, version int, flags uint16, numVertices, numEdges uint64) (*csrEncoder, error) {
+	if version != CSRVersion1 && version != CSRVersion2 {
+		return nil, fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", name, version, CSRVersion1, CSRVersion2)
+	}
+	e := &csrEncoder{bw: bufio.NewWriterSize(w, 1<<20), name: name, version: version}
+	var err error
+	if e.hdrLen, err = writeCSRHeader(e.bw, name, uint16(version), flags, numVertices, numEdges); err != nil {
+		return nil, err
+	}
+	if version == CSRVersion2 {
+		// Written outside the CRC: the v2 checksum starts after the block
+		// count (see format doc), so CSRWriter can patch it.
+		_, err = e.bw.Write(binary.LittleEndian.AppendUint32(nil, csrV2Blocks(int64(numEdges))))
+	}
+	return e, err
+}
+
+func (e *csrEncoder) sink(chunk []byte) error {
+	e.crc = crc32.Update(e.crc, castagnoli, chunk)
+	_, err := e.bw.Write(chunk)
+	return err
+}
+
+// append encodes a batch of edges: v1 as fixed-width records, v2 into the
+// pending block, written out each time it reaches csrV2BlockEdges.
+func (e *csrEncoder) append(edges []Edge) error {
+	if e.edges+int64(len(edges)) > csrMaxEdges {
+		return fmt.Errorf("csrg %s: edge count exceeds the int32 edge-id space", e.name)
+	}
+	e.edges += int64(len(edges))
+	if e.version == CSRVersion1 {
+		return encodeEdges(edges, e.sink)
+	}
+	for len(edges) > 0 {
+		take := min(csrV2BlockEdges-len(e.block), len(edges))
+		e.block = append(e.block, edges[:take]...)
+		edges = edges[take:]
+		if len(e.block) == csrV2BlockEdges {
+			if err := e.writeBlock(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// writeBlock compresses the pending v2 block and writes it behind its
+// edge-count and byte-length header.
+func (e *csrEncoder) writeBlock() error {
+	e.enc = appendV2Block(e.enc[:0], e.block)
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(e.block)))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(e.enc)))
+	e.block = e.block[:0]
+	if err := e.sink(hdr[:]); err != nil {
+		return err
+	}
+	return e.sink(e.enc)
+}
+
+// finish writes the last, partial v2 block and the checksum footer, and
+// flushes.
+func (e *csrEncoder) finish() error {
+	if len(e.block) > 0 {
+		if err := e.writeBlock(); err != nil {
+			return err
+		}
+	}
+	if _, err := e.bw.Write(binary.LittleEndian.AppendUint32(nil, e.crc)); err != nil {
+		return err
+	}
+	return e.bw.Flush()
+}
+
 // writeCSRHeader emits the fixed header plus the (NUL-padded) name and
 // returns the total header length — the file offset where the payload
 // starts. The padding rounds that offset up to a multiple of 8 so the v1
@@ -182,7 +245,7 @@ func writeCSRHeader(w io.Writer, name string, version, flags uint16, numVertices
 		padded += 8 - rem
 	}
 	hdr := make([]byte, csrHeaderFixed+padded)
-	copy(hdr[0:4], CSRMagic)
+	copy(hdr[0:4], csrMagic)
 	binary.LittleEndian.PutUint16(hdr[4:6], version)
 	binary.LittleEndian.PutUint16(hdr[6:8], flags)
 	binary.LittleEndian.PutUint64(hdr[8:16], numVertices)
@@ -266,7 +329,7 @@ func decodeCSRHeader(src string, b []byte) (csrHeader, int, error) {
 	if len(b) < csrHeaderFixed {
 		return h, 0, fmt.Errorf("csrg %s: truncated header (%d bytes)", src, len(b))
 	}
-	if string(b[0:4]) != CSRMagic {
+	if string(b[0:4]) != csrMagic {
 		return h, 0, fmt.Errorf("csrg %s: bad magic %q (not a .csrg file)", src, b[0:4])
 	}
 	h.version = binary.LittleEndian.Uint16(b[4:6])
@@ -309,61 +372,63 @@ type CSRLoadOptions struct {
 	DisableMmap bool
 }
 
-// LoadCSR reads a .csrg file through the fastest path the platform offers:
-// on little-endian unix the file is memory-mapped and the v1 sections are
+// LoadCSRWith reads a .csrg file. By default the file is memory-mapped where
+// the platform allows, and on a little-endian host the v1 sections are
 // sliced in place without copying (the payload checksum is still verified);
-// elsewhere — or when the mapping fails — the whole file is read in one call
-// and decoded with bulk fixed-width conversions. v2 files decode their
+// otherwise, or with DisableMmap, the whole file is read in one call and
+// decoded with bulk fixed-width conversions. v2 files decode their
 // compressed edge blocks on parallel workers either way.
-func LoadCSR(path string) (*Graph, error) {
-	return LoadCSRWith(path, CSRLoadOptions{})
-}
-
-// LoadCSRWith is LoadCSR with explicit path selection — benchmarks use it to
-// pin the portable read path against the mmap path.
 func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
-	if !o.DisableMmap && MmapSupported() {
-		if g, err, handled := loadCSRMmap(path); handled {
-			return g, err
-		}
-		// The mapping did not engage (empty file, mmap failure): fall
-		// through to the portable path, which reports precise errors.
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeCSRData(path, data, nil)
+	return loadFile(path, !o.DisableMmap, decodeCSRData)
 }
 
-// loadCSRMmap maps the file and decodes from the mapping. handled is false
-// when mmap could not engage and the caller should fall back; when true, g
-// and err are the final result. A graph that aliases the mapping pins it via
-// g.mmap (unmapped by finalizer); otherwise the mapping is released here.
-func loadCSRMmap(path string) (g *Graph, err error, handled bool) {
+// LoadFile loads a graph from path in whichever format the file holds:
+// bytes that start with the .csrg magic and a version decode as binary
+// (an unsupported version fails by name), anything else parses as a text
+// edge list. The file is opened and mapped (or read) once.
+func LoadFile(path string) (*Graph, error) {
+	return loadFile(path, true, func(src string, data []byte, ref *mmapRef) (*Graph, error) {
+		if isCSR(data) {
+			return decodeCSRData(src, data, ref)
+		}
+		edges, err := parseEdgeList(src, data, edgeListChunk, par.Workers(0))
+		if err != nil {
+			return nil, err
+		}
+		return FromEdges(src, edges), nil
+	})
+}
+
+// loadFile opens the file at path once and decodes its bytes, which decode
+// must not write to: a private read-only mapping where mapOK and the
+// platform has one — no heap, and parse workers fault the pages in side by
+// side — or else one read of the whole file. The mapping (ref) is released
+// when decode returns unless the graph aliases it through g.mmap.
+func loadFile(path string, mapOK bool, decode func(src string, data []byte, ref *mmapRef) (*Graph, error)) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err, true
+		return nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err, true
+		return nil, err
 	}
-	if fi.Size() < csrHeaderFixed || int64(int(fi.Size())) != fi.Size() {
-		return nil, nil, false
+	size := fi.Size()
+	if mapOK && size > 0 && int64(int(size)) == size {
+		if ref, err := mmapFile(f, size); err == nil {
+			g, err := decode(path, ref.data, ref)
+			if err != nil || g.mmap == nil {
+				ref.unmap()
+			}
+			return g, err
+		}
 	}
-	ref, err := mmapFile(f, fi.Size())
-	if err != nil {
-		return nil, nil, false
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
 	}
-	g, err = decodeCSRData(path, ref.data, ref)
-	if err != nil || g.mmap == nil {
-		// Decode failed, or nothing aliased the mapping (v2, misaligned
-		// legacy header): release it now instead of waiting for the GC.
-		ref.unmap()
-	}
-	return g, err, true
+	return decode(path, data, nil)
 }
 
 // decodeCSRData decodes a whole in-memory (or memory-mapped) .csrg file.
@@ -493,7 +558,7 @@ func scanEdgeIDs(src string, edges []Edge, numVertices uint64) (VertexID, error)
 // decodeEdgeChunk decodes len(b)/8 interleaved (src,dst) records from b
 // into out, bounds-checking every endpoint against the declared vertex
 // count and folding ids into maxID. base is the global index of out[0],
-// for error messages. Both the bulk loader and StreamCSR decode through
+// for error messages. Both the bulk loader and streamCSR decode through
 // this one loop so the paths cannot diverge.
 func decodeEdgeChunk(src string, b []byte, numVertices uint64, base int64, out []Edge, maxID *VertexID) error {
 	m := len(b) / 8
@@ -577,14 +642,14 @@ func (g *Graph) validateCSRSections(src string) error {
 
 // --- streaming --------------------------------------------------------
 
-// StreamCSR is StreamEdgeList for the binary format: it reads the edge
+// streamCSR is streamEdgeList for the binary format: it reads the edge
 // section of a .csrg stream (either version) in batches of batchSize edges,
 // calling fn with each batch's global offset. Memory stays O(batchSize) for
 // v1 and O(block) for v2. Any v1 CSR adjacency sections are read through
 // (and the payload checksum verified) after the edges are delivered.
 //
 // It returns the total edge count and the maximum vertex id seen.
-func StreamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
+func streamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
@@ -640,7 +705,7 @@ func StreamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, ed
 	}
 
 	// Consume any trailing CSR sections so the payload checksum can be
-	// verified end to end, then check the footer.
+	// verified end to end.
 	remaining := h.payloadLen() - 8*m
 	for remaining > 0 {
 		want := int64(len(buf))
@@ -653,17 +718,24 @@ func StreamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, ed
 		crc = crc32.Update(crc, castagnoli, buf[:want])
 		remaining -= want
 	}
+	return total, maxID, checkStreamTrailer(name, br, h, crc, total, maxID)
+}
+
+// checkStreamTrailer ends both stream decoders: it reads the checksum footer
+// and holds it to the CRC of the payload streamed, and the header's vertex
+// count to the largest id the edges held.
+func checkStreamTrailer(name string, br io.Reader, h csrHeader, crc uint32, total int64, maxID VertexID) error {
 	var foot [4]byte
 	if _, err := io.ReadFull(br, foot[:]); err != nil {
-		return total, maxID, fmt.Errorf("csrg %s: missing checksum footer: %w", name, err)
+		return fmt.Errorf("csrg %s: missing checksum footer: %w", name, err)
 	}
 	if stored := binary.LittleEndian.Uint32(foot[:]); stored != crc {
-		return total, maxID, fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", name, crc, stored)
+		return fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", name, crc, stored)
 	}
 	if total > 0 && int64(maxID)+1 != int64(h.numVertices) {
-		return total, maxID, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", name, h.numVertices, maxID)
+		return fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", name, h.numVertices, maxID)
 	}
-	return total, maxID, nil
+	return nil
 }
 
 // CSRWriter is the streaming side of the binary format: it converts an edge
@@ -672,53 +744,22 @@ func StreamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, ed
 // patched on Close); the written file carries no CSR sections — readers
 // rebuild adjacency lazily, exactly as with text edge lists.
 type CSRWriter struct {
-	ws      io.WriteSeeker
-	bw      *bufio.Writer
-	name    string
-	version int
-	hdrLen  int // payload start; v2 patches numBlocks here on Close
-	crc     uint32
-	edges   int64
-	maxID   VertexID
-	closed  bool
-	err     error
-
-	// v2 state: edges accumulate into block until it holds csrV2BlockEdges,
-	// then the block is compressed through enc and written.
-	block     []Edge
-	enc       []byte
-	numBlocks uint32
+	ws     io.WriteSeeker
+	enc    *csrEncoder
+	maxID  VertexID
+	closed bool
+	err    error
 }
 
 // NewCSRWriterVersion starts a .csrg document of the given format version on
 // ws (typically an *os.File) and writes a placeholder header: version 1
 // streams fixed-width records, version 2 delta+varint-compressed edge blocks.
 func NewCSRWriterVersion(ws io.WriteSeeker, name string, version int) (*CSRWriter, error) {
-	if version != CSRVersion1 && version != CSRVersion2 {
-		return nil, fmt.Errorf("csrg %s: unknown writer version %d (have %d and %d)", name, version, CSRVersion1, CSRVersion2)
-	}
-	w := &CSRWriter{ws: ws, bw: bufio.NewWriterSize(ws, 1<<20), name: name, version: version}
-	n, err := writeCSRHeader(w.bw, name, uint16(version), 0, 0, 0)
+	enc, err := newCSREncoder(ws, name, version, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	w.hdrLen = n
-	if version == CSRVersion2 {
-		// Placeholder block count, patched on Close. Written outside the
-		// CRC — the v2 checksum starts after this field (see format doc).
-		var quad [4]byte
-		if _, err := w.bw.Write(quad[:]); err != nil {
-			return nil, err
-		}
-		w.block = make([]Edge, 0, csrV2BlockEdges)
-	}
-	return w, nil
-}
-
-func (w *CSRWriter) sink(chunk []byte) error {
-	w.crc = crc32.Update(w.crc, castagnoli, chunk)
-	_, err := w.bw.Write(chunk)
-	return err
+	return &CSRWriter{ws: ws, enc: enc}, nil
 }
 
 // Append writes one batch of edges. The slice is not retained.
@@ -727,60 +768,13 @@ func (w *CSRWriter) Append(edges []Edge) error {
 		return w.err
 	}
 	if w.closed {
-		return fmt.Errorf("csrg %s: Append after Close", w.name)
-	}
-	if w.edges+int64(len(edges)) > csrMaxEdges {
-		w.err = fmt.Errorf("csrg %s: edge count exceeds the int32 edge-id space", w.name)
-		return w.err
+		return fmt.Errorf("csrg %s: Append after Close", w.enc.name)
 	}
 	for _, e := range edges {
-		if e.Src > w.maxID {
-			w.maxID = e.Src
-		}
-		if e.Dst > w.maxID {
-			w.maxID = e.Dst
-		}
+		w.maxID = max(w.maxID, e.Src, e.Dst)
 	}
-	if w.version == CSRVersion2 {
-		for len(edges) > 0 {
-			take := csrV2BlockEdges - len(w.block)
-			if take > len(edges) {
-				take = len(edges)
-			}
-			w.block = append(w.block, edges[:take]...)
-			edges = edges[take:]
-			w.edges += int64(take)
-			if len(w.block) == csrV2BlockEdges {
-				if w.err = w.flushBlock(); w.err != nil {
-					return w.err
-				}
-			}
-		}
-		return nil
-	}
-	w.err = encodeEdges(edges, w.sink)
-	w.edges += int64(len(edges))
+	w.err = w.enc.append(edges)
 	return w.err
-}
-
-// flushBlock compresses and writes the pending v2 block.
-func (w *CSRWriter) flushBlock() error {
-	if len(w.block) == 0 {
-		return nil
-	}
-	w.enc = appendV2Block(w.enc[:0], w.block)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(w.block)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(w.enc)))
-	if err := w.sink(hdr[:]); err != nil {
-		return err
-	}
-	if err := w.sink(w.enc); err != nil {
-		return err
-	}
-	w.numBlocks++
-	w.block = w.block[:0]
-	return nil
 }
 
 // Close writes the checksum footer, patches the edge/vertex counts (and the
@@ -788,52 +782,30 @@ func (w *CSRWriter) flushBlock() error {
 // end. The receiver is unusable afterwards; closing the underlying file
 // remains the caller's job.
 func (w *CSRWriter) Close() error {
-	if w.err != nil {
+	if w.err != nil || w.closed {
 		return w.err
 	}
-	if w.closed {
-		return nil
-	}
 	w.closed = true
-	if w.version == CSRVersion2 {
-		if err := w.flushBlock(); err != nil {
-			return err
-		}
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], w.crc)
-	if _, err := w.bw.Write(foot[:]); err != nil {
-		return err
-	}
-	if err := w.bw.Flush(); err != nil {
+	e := w.enc
+	if err := e.finish(); err != nil {
 		return err
 	}
 	end, err := w.ws.Seek(0, io.SeekEnd)
 	if err != nil {
 		return err
 	}
-	var counts [16]byte
 	numVertices := uint64(0)
-	if w.edges > 0 {
+	if e.edges > 0 {
 		numVertices = uint64(w.maxID) + 1
 	}
-	binary.LittleEndian.PutUint64(counts[0:8], numVertices)
-	binary.LittleEndian.PutUint64(counts[8:16], uint64(w.edges))
-	if _, err := w.ws.Seek(8, io.SeekStart); err != nil {
+	counts := binary.LittleEndian.AppendUint64(nil, numVertices)
+	if err := w.patch(8, binary.LittleEndian.AppendUint64(counts, uint64(e.edges))); err != nil {
 		return err
 	}
-	if _, err := w.ws.Write(counts[:]); err != nil {
-		return err
-	}
-	if w.version == CSRVersion2 {
+	if e.version == CSRVersion2 {
 		// The block count sits at the start of the payload, outside the
 		// CRC, so patching it cannot invalidate the streamed checksum.
-		var quad [4]byte
-		binary.LittleEndian.PutUint32(quad[:], w.numBlocks)
-		if _, err := w.ws.Seek(int64(w.hdrLen), io.SeekStart); err != nil {
-			return err
-		}
-		if _, err := w.ws.Write(quad[:]); err != nil {
+		if err := w.patch(int64(e.hdrLen), binary.LittleEndian.AppendUint32(nil, csrV2Blocks(e.edges))); err != nil {
 			return err
 		}
 	}
@@ -841,91 +813,46 @@ func (w *CSRWriter) Close() error {
 	return err
 }
 
-// --- format sniffing --------------------------------------------------
-
-// sniffCSR reads the magic and format version of the file at path. isCSR is
-// true for any file that starts with the .csrg magic — including versions
-// this reader does not support, so dispatchers route such files to the
-// binary path where the unsupported version is named instead of feeding
-// binary bytes to the text parser.
-func sniffCSR(path string) (isCSR bool, version uint16, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, 0, err
+// patch overwrites the file at off with b.
+func (w *CSRWriter) patch(off int64, b []byte) error {
+	if _, err := w.ws.Seek(off, io.SeekStart); err != nil {
+		return err
 	}
-	defer f.Close()
-	var hdr [6]byte
-	n, err := io.ReadFull(f, hdr[:])
-	if err == io.ErrUnexpectedEOF || err == io.EOF {
-		return false, 0, nil // shorter than magic+version: not binary
-	}
-	if err != nil {
-		return false, 0, err
-	}
-	if n != 6 || string(hdr[:4]) != CSRMagic {
-		return false, 0, nil
-	}
-	return true, binary.LittleEndian.Uint16(hdr[4:6]), nil
+	_, err := w.ws.Write(b)
+	return err
 }
 
-// CSRFileVersion reports the .csrg format version of the file at path.
-// ok is false when the file does not start with the binary magic (a text
-// edge list, say). A true ok with an out-of-range version means the file is
-// binary but from a future format revision — loaders reject it by name.
-func CSRFileVersion(path string) (version int, ok bool, err error) {
-	bin, v, err := sniffCSR(path)
-	return int(v), bin, err
-}
+// --- dispatch ---------------------------------------------------------
 
-// errUnsupportedVersion names an unsupported binary version the same way
-// decodeCSRHeader does, for dispatchers that reject before decoding.
-func errUnsupportedVersion(path string, version uint16) error {
-	return fmt.Errorf("csrg %s: unsupported format version %d (reader supports %d–%d)", path, version, CSRVersion1, CSRVersion2)
-}
-
-// LoadFile loads a graph from path in whichever format the file holds,
-// sniffing the .csrg magic and version: v1/v2 binary files go through
-// LoadCSR, unknown binary versions fail by name, everything else goes
-// through the text edge-list parser.
-func LoadFile(path string) (*Graph, error) {
-	bin, ver, err := sniffCSR(path)
-	if err != nil {
-		return nil, err
-	}
-	if bin {
-		if ver < CSRVersion1 || ver > CSRVersion2 {
-			return nil, errUnsupportedVersion(path, ver)
-		}
-		return LoadCSR(path)
-	}
-	return LoadEdgeList(path)
-}
+// isCSR reports whether b starts with the .csrg magic and the version field.
+// A version this reader does not support still counts, so that file is
+// rejected by name instead of being fed to the text parser.
+func isCSR(b []byte) bool { return len(b) >= 6 && string(b[:4]) == csrMagic }
 
 // StreamFile streams a graph file batch-by-batch in whichever format the
-// file holds — the binary fast path via StreamCSR, text via StreamEdgeList —
-// with the same contract as both: fn sees every edge in stream order, memory
-// stays O(batchSize), and the totals are returned.
+// file holds — .csrg by its magic, text otherwise — with the same contract
+// for both: fn sees every edge in stream order, memory stays O(batchSize),
+// and the totals are returned.
 func StreamFile(path string, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
-	bin, ver, err := sniffCSR(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	if bin && (ver < CSRVersion1 || ver > CSRVersion2) {
-		return 0, 0, errUnsupportedVersion(path, ver)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	if bin {
-		return StreamCSR(path, f, batchSize, fn)
+	var head [6]byte
+	n, err := f.ReadAt(head[:], 0)
+	if err != nil && err != io.EOF {
+		return 0, 0, err
 	}
-	return StreamEdgeList(path, f, batchSize, fn)
+	if isCSR(head[:n]) {
+		return streamCSR(path, f, batchSize, fn)
+	}
+	return streamEdgeList(path, f, batchSize, fn)
 }
 
-// IsCSRPath reports whether path carries the conventional binary extension.
-// Writers use it to pick an output format; readers sniff content instead.
+// IsCSRPath reports whether path carries the conventional binary extension,
+// .csrg. Writers use it to pick an output format; readers sniff content
+// instead.
 func IsCSRPath(path string) bool {
-	return strings.HasSuffix(strings.ToLower(path), CSRExt)
+	return strings.HasSuffix(strings.ToLower(path), ".csrg")
 }

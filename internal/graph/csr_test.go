@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,10 +23,10 @@ func testGraph(t *testing.T) *Graph {
 	return FromEdges("csr-test", edges)
 }
 
-func writeCSRBytes(t *testing.T, g *Graph) []byte {
+func writeCSRBytes(t *testing.T, g *Graph, version int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteCSR(g, &buf); err != nil {
+	if err := WriteCSRVersion(g, &buf, version); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -62,7 +64,7 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 
 func TestCSRRoundTrip(t *testing.T) {
 	g := testGraph(t)
-	got, err := decodeCSRData("stream", writeCSRBytes(t, g), nil)
+	got, err := decodeCSRData("stream", writeCSRBytes(t, g, CSRVersion1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestCSRRoundTrip(t *testing.T) {
 
 func TestCSRRoundTripEmptyGraph(t *testing.T) {
 	g := FromEdges("empty", nil)
-	got, err := decodeCSRData("stream", writeCSRBytes(t, g), nil)
+	got, err := decodeCSRData("stream", writeCSRBytes(t, g, CSRVersion1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestCSRFileRoundTrip(t *testing.T) {
 	if err := SaveCSRVersion(g, path, CSRVersion1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCSR(path)
+	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestCSRFileRoundTrip(t *testing.T) {
 // version, unknown flags, and payload bit flips (checksum).
 func TestCSRCorruptionDetection(t *testing.T) {
 	g := testGraph(t)
-	data := writeCSRBytes(t, g)
+	data := writeCSRBytes(t, g, CSRVersion1)
 
 	cases := []struct {
 		name    string
@@ -188,7 +190,7 @@ func TestCSRWriterStreamsWithoutMaterializing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := LoadCSR(path)
+	got, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +203,9 @@ func TestCSRWriterStreamsWithoutMaterializing(t *testing.T) {
 
 func TestStreamCSRMatchesEdgeOrder(t *testing.T) {
 	g := testGraph(t)
-	data := writeCSRBytes(t, g)
+	data := writeCSRBytes(t, g, CSRVersion1)
 	var streamed []Edge
-	total, maxID, err := StreamCSR("t", bytes.NewReader(data), 3, func(offset int64, edges []Edge) error {
+	total, maxID, err := streamCSR("t", bytes.NewReader(data), 3, func(offset int64, edges []Edge) error {
 		if int(offset) != len(streamed) {
 			t.Errorf("batch offset %d, want %d", offset, len(streamed))
 		}
@@ -223,14 +225,14 @@ func TestStreamCSRMatchesEdgeOrder(t *testing.T) {
 
 func TestStreamCSRDetectsTruncationAndCorruption(t *testing.T) {
 	g := testGraph(t)
-	data := writeCSRBytes(t, g)
+	data := writeCSRBytes(t, g, CSRVersion1)
 
-	if _, _, err := StreamCSR("t", bytes.NewReader(data[:len(data)-2]), 0, func(int64, []Edge) error { return nil }); err == nil {
+	if _, _, err := streamCSR("t", bytes.NewReader(data[:len(data)-2]), 0, func(int64, []Edge) error { return nil }); err == nil {
 		t.Error("truncated stream accepted")
 	}
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)-6] ^= 1 // inside the CSR sections
-	if _, _, err := StreamCSR("t", bytes.NewReader(flipped), 0, func(int64, []Edge) error { return nil }); err == nil ||
+	if _, _, err := streamCSR("t", bytes.NewReader(flipped), 0, func(int64, []Edge) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Errorf("corrupted stream: got %v, want checksum error", err)
 	}
@@ -288,6 +290,65 @@ func TestIsCSRPath(t *testing.T) {
 	} {
 		if got := IsCSRPath(path); got != want {
 			t.Errorf("IsCSRPath(%q) = %v, want %v", path, got, want)
+		}
+	}
+}
+
+// TestCSRFileBytesPinned pins every writer's output byte for byte: the bulk
+// and the streaming writer at both versions, over the small testGraph and a
+// two-block graph. Streamed v2 must equal bulk v2; streamed v1 differs from
+// bulk v1 only in carrying no adjacency sections. A changed digest is a
+// change of file format.
+func TestCSRFileBytesPinned(t *testing.T) {
+	const (
+		smallV1        = "bbee5cc4db761bdf70688e584ef9d6aad265a3114e68a759d51f4d1178c0c4e4"
+		smallV2        = "a84fe2a33024cf8cff074f743ce4b12ffebb19e1c7bb675548c2100c73c5883a"
+		smallStreamV1  = "311720c974fb5b550f4cdf8d1de3796bbd30011f4169d475e604a28b2c2be76f"
+		twoBlkV1       = "01d0d5a9365006350da370010f0835131dd31666927b145d7f2b79056fd30803"
+		twoBlkV2       = "2b5737981751d2ad0fb7dbb96066a91b410e107fee55a5e3e6662acc7eda2699"
+		twoBlkStreamV1 = "79ea00760a7b3c40feda2f7586eaf40c99d8558bc995571979bebf22db377142"
+	)
+	streamed := func(g *Graph, version int) []byte {
+		f, err := os.Create(filepath.Join(t.TempDir(), "g.csrg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		w, err := NewCSRWriterVersion(f, g.Name, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(g.Edges); i += 1000 {
+			if err := w.Append(g.Edges[i:min(i+1000, len(g.Edges))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	small, twoBlk := testGraph(t), blockGraph(t, csrV2BlockEdges+4567)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"small/v1", writeCSRBytes(t, small, CSRVersion1), smallV1},
+		{"small/v2", writeCSRBytes(t, small, CSRVersion2), smallV2},
+		{"small/stream-v1", streamed(small, CSRVersion1), smallStreamV1},
+		{"small/stream-v2", streamed(small, CSRVersion2), smallV2},
+		{"two-block/v1", writeCSRBytes(t, twoBlk, CSRVersion1), twoBlkV1},
+		{"two-block/v2", writeCSRBytes(t, twoBlk, CSRVersion2), twoBlkV2},
+		{"two-block/stream-v1", streamed(twoBlk, CSRVersion1), twoBlkStreamV1},
+		{"two-block/stream-v2", streamed(twoBlk, CSRVersion2), twoBlkV2},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(tc.data)); got != tc.want {
+			t.Errorf("%s: sha256 %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

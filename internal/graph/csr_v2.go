@@ -30,13 +30,16 @@ import (
 //
 // and the whole section by a uint32 block count. Deltas reset at block
 // boundaries, so every block decodes with no context beyond its header —
-// which is what lets LoadCSR fan the decode out over par.Do workers while
-// preserving edge order.
+// which is what lets the bulk loader fan the decode out over par.Do workers
+// while preserving edge order.
 
 // csrV2BlockEdges is the number of edges per compressed block. 64Ki edges
 // ≈ 128–512 KiB decoded — big enough to amortize per-block overhead, small
-// enough that StreamCSR's one resident block keeps a stream's memory flat.
+// enough that streamCSR's one resident block keeps a stream's memory flat.
 const csrV2BlockEdges = 1 << 16
+
+// csrV2Blocks is the number of blocks m edges are cut into.
+func csrV2Blocks(m int64) uint32 { return uint32((m + csrV2BlockEdges - 1) / csrV2BlockEdges) }
 
 // csrV2MaxBytesPerEdge bounds a block's declared byte length relative to
 // its edge count: a uvarint of a zigzagged 33-bit delta is at most 5 bytes,
@@ -113,55 +116,6 @@ func decodeV2Block(src string, payload []byte, numVertices uint64, base int64, b
 		return fmt.Errorf("csrg %s: block %d: %d trailing bytes after %d edges", src, blockIdx, len(payload)-pos, len(out))
 	}
 	return nil
-}
-
-// WriteCSR2 writes g in .csrg version-2 form: delta+varint-compressed edge
-// blocks, no adjacency sections (readers rebuild them lazily). The edge
-// section preserves g.Edges order exactly.
-func WriteCSR2(g *Graph, w io.Writer) error {
-	m := g.NumEdges()
-	if m > csrMaxEdges {
-		return fmt.Errorf("csrg %s: %d edges exceed the int32 edge-id space", g.Name, m)
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := writeCSRHeader(bw, g.Name, CSRVersion2, 0, uint64(g.NumVertices()), uint64(m)); err != nil {
-		return err
-	}
-	numBlocks := (m + csrV2BlockEdges - 1) / csrV2BlockEdges
-	var quad [4]byte
-	binary.LittleEndian.PutUint32(quad[:], uint32(numBlocks))
-	if _, err := bw.Write(quad[:]); err != nil {
-		return err
-	}
-	crc := uint32(0)
-	sink := func(chunk []byte) error {
-		crc = crc32.Update(crc, castagnoli, chunk)
-		_, err := bw.Write(chunk)
-		return err
-	}
-	var enc []byte
-	for lo := 0; lo < m; lo += csrV2BlockEdges {
-		hi := lo + csrV2BlockEdges
-		if hi > m {
-			hi = m
-		}
-		enc = appendV2Block(enc[:0], g.Edges[lo:hi])
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(hi-lo))
-		binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(enc)))
-		if err := sink(hdr[:]); err != nil {
-			return err
-		}
-		if err := sink(enc); err != nil {
-			return err
-		}
-	}
-	var foot [4]byte
-	binary.LittleEndian.PutUint32(foot[:], crc)
-	if _, err := bw.Write(foot[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
 
 // decodeCSRv2 decodes a whole in-memory v2 file: verify the checksum, index
@@ -249,7 +203,7 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader) (*Graph, error) 
 	return g, nil
 }
 
-// streamCSRv2 is the v2 tail of StreamCSR: br is positioned just past the
+// streamCSRv2 is the v2 tail of streamCSR: br is positioned just past the
 // header. Blocks are read and decoded one at a time (the CRC must see every
 // byte in file order); fn sees batches in stream order from this goroutine.
 func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
@@ -326,15 +280,5 @@ func streamCSRv2(name string, br *bufio.Reader, h csrHeader, batchSize int, fn f
 	if total != m {
 		return total, maxID, fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", name, total, m)
 	}
-	var foot [4]byte
-	if _, err := io.ReadFull(br, foot[:]); err != nil {
-		return total, maxID, fmt.Errorf("csrg %s: missing checksum footer: %w", name, err)
-	}
-	if stored := binary.LittleEndian.Uint32(foot[:]); stored != crc {
-		return total, maxID, fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", name, crc, stored)
-	}
-	if total > 0 && int64(maxID)+1 != int64(h.numVertices) {
-		return total, maxID, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", name, h.numVertices, maxID)
-	}
-	return total, maxID, nil
+	return total, maxID, checkStreamTrailer(name, br, h, crc, total, maxID)
 }

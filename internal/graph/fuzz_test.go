@@ -38,9 +38,9 @@ func fuzzCSRBytes(f *testing.F, version int) []byte {
 // hostileV2File is a structurally complete 48-byte v2 file — header, one
 // block header, valid checksum — whose only block declares cnt edges in
 // byteLen bytes and carries none of them. Before checkV2BlockHeader the
-// decoders sized buffers from those two fields: 200 M edges cost LoadCSR
-// 1.5 GiB and StreamCSR 1.9 GiB before either noticed the bytes were not
-// there.
+// decoders sized buffers from those two fields: 200 M edges cost the bulk
+// loader 1.5 GiB and the stream decoder 1.9 GiB before either noticed the
+// bytes were not there.
 func hostileV2File(cnt, byteLen uint32) []byte {
 	var buf bytes.Buffer
 	if _, err := writeCSRHeader(&buf, "x", CSRVersion2, 0, 2, uint64(cnt)); err != nil {
@@ -152,9 +152,9 @@ func checkGraphInvariants(t *testing.T, g *Graph) {
 	}
 }
 
-// FuzzReadCSR: the bulk decoder behind LoadCSR must reject arbitrary bytes
-// with a named csrg error or return a structurally valid graph — and never
-// panic.
+// FuzzReadCSR: the bulk decoder behind LoadFile and LoadCSRWith must reject
+// arbitrary bytes with a named csrg error or return a structurally valid
+// graph — and never panic.
 func FuzzReadCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -177,7 +177,7 @@ func FuzzStreamCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var streamed []Edge
-		total, maxID, err := StreamCSR("fuzz", bytes.NewReader(data), 7, func(offset int64, edges []Edge) error {
+		total, maxID, err := streamCSR("fuzz", bytes.NewReader(data), 7, func(offset int64, edges []Edge) error {
 			if int(offset) != len(streamed) {
 				t.Fatalf("batch offset %d, want %d", offset, len(streamed))
 			}
@@ -204,10 +204,10 @@ func FuzzStreamCSR(f *testing.F) {
 }
 
 // FuzzParseEdgeList: the text parser must never panic, must name every
-// rejection, and every feeder of it — StreamEdgeList, ReadEdgeList,
-// LoadEdgeList through a temp file, and the chunk fan-out at a chunk size
-// small enough to cut the input several times — must agree with the
-// reference loop (io_ref_test.go) on edges, max id, verdict and error text.
+// rejection, and every feeder of it — streamEdgeList, LoadFile through a
+// temp file, and the chunk fan-out at a chunk size small enough to cut the
+// input several times — must agree with the reference loop (io_ref_test.go)
+// on edges, max id, verdict and error text.
 // Inputs holding Unicode-only whitespace are where the two may differ by
 // design; there the feeders are only held to agreeing with each other.
 func FuzzParseEdgeList(f *testing.F) {
@@ -218,18 +218,11 @@ func FuzzParseEdgeList(f *testing.F) {
 		if !hasUnicodeOnlySpace(data) {
 			checkAgainstReference(t, data, t.TempDir(), 5, 64)
 		}
-		streamed, _ := collectStream(StreamEdgeList, "in", bytes.NewReader(data), 3)
+		streamed, _ := collectStream(streamEdgeList, "in", bytes.NewReader(data), 3)
 		if streamed.err != nil {
 			checkNamedErr(t, streamed.err, "edge list")
 		}
 		edges, err := parseEdgeList("in", data, 5, 4)
-		agree(t, "parseEdgeList vs StreamEdgeList", data, streamed, parsed{edges: edges, maxID: streamed.maxID, err: err})
-		if streamed.err == nil && streamed.maxID < 1<<22 {
-			g, err := ReadEdgeList("in", bytes.NewReader(data))
-			if err != nil {
-				t.Fatalf("ReadEdgeList rejected (%v) but StreamEdgeList accepted", err)
-			}
-			checkGraphInvariants(t, g)
-		}
+		agree(t, "parseEdgeList vs streamEdgeList", data, streamed, parsed{edges: edges, maxID: streamed.maxID, err: err})
 	})
 }

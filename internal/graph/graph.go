@@ -20,8 +20,9 @@ type Edge struct {
 	Src, Dst VertexID
 }
 
-// Graph is an immutable directed graph. Build one with New or FromEdges and
-// do not mutate Edges afterwards; the adjacency indexes are built once.
+// Graph is an immutable directed graph. Build one with FromEdges or load one
+// with LoadFile, and do not mutate Edges afterwards; the adjacency indexes
+// are built once.
 type Graph struct {
 	Name  string
 	Edges []Edge
@@ -225,9 +226,9 @@ func (g *Graph) DegreeHistogram() map[int]int {
 	return h
 }
 
-// SortedHistogram flattens a histogram map into (degree, count) pairs sorted
+// sortedHistogram flattens a histogram map into (degree, count) pairs sorted
 // by degree, skipping degree 0 (which cannot be plotted on log axes).
-func SortedHistogram(h map[int]int) (degrees []int, counts []int) {
+func sortedHistogram(h map[int]int) (degrees []int, counts []int) {
 	for d := range h {
 		if d > 0 {
 			degrees = append(degrees, d)

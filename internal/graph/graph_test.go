@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"bytes"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -131,7 +132,7 @@ func TestInDegreeHistogram(t *testing.T) {
 }
 
 func TestSortedHistogramSkipsZero(t *testing.T) {
-	degs, counts := SortedHistogram(map[int]int{0: 5, 3: 2, 1: 7})
+	degs, counts := sortedHistogram(map[int]int{0: 5, 3: 2, 1: 7})
 	if len(degs) != 2 || degs[0] != 1 || degs[1] != 3 {
 		t.Fatalf("degrees = %v, want [1 3]", degs)
 	}
@@ -148,7 +149,11 @@ func TestReadEdgeList(t *testing.T) {
 
 2 0 extra-field-ok
 `
-	g, err := ReadEdgeList("test", strings.NewReader(in))
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,19 +167,19 @@ func TestReadEdgeList(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	for _, bad := range []string{"0", "a b", "0 b"} {
-		if _, err := ReadEdgeList("bad", strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadEdgeList(%q): want error, got nil", bad)
+		if _, _, err := streamEdgeList("bad", strings.NewReader(bad), 0, func(int64, []Edge) error { return nil }); err == nil {
+			t.Errorf("streamEdgeList(%q): want error, got nil", bad)
 		}
 	}
 }
 
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := smallGraph()
-	var buf bytes.Buffer
-	if err := WriteEdgeList(g, &buf); err != nil {
+	path := filepath.Join(t.TempDir(), "rt.txt")
+	if err := SaveEdgeList(g, path); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList("rt", &buf)
+	g2, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

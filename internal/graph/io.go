@@ -20,9 +20,10 @@ const DefaultBatchSize = 1 << 16
 // The text edge list — one "src dst" pair per line, the storage format the
 // paper uses for every dataset (§4.2) — has one parser, parseEdgeLines,
 // which works on bytes and allocates nothing, and two feeders that decide
-// only where the bytes come from: StreamEdgeList refills one pooled buffer
-// from any io.Reader, LoadEdgeList cuts a whole file at newline boundaries
-// and parses the pieces on par.Do workers.
+// only where the bytes come from: streamEdgeList (behind StreamFile) refills
+// one pooled buffer from any io.Reader, parseEdgeList (behind LoadFile) cuts
+// a whole file at newline boundaries and parses the pieces on par.Do
+// workers.
 //
 // A line is what lies between two '\n' bytes (the last line needs none).
 // Fields are separated by ASCII whitespace — space, \t, \v, \f, \r, so a
@@ -70,8 +71,8 @@ func digitRun(b []byte, i int) (VertexID, int) {
 // parseEdgeLines parses the lines of b — the first of which is line number
 // line of the source — and appends their edges to dst. It never grows dst:
 // it stops in front of the first edge that finds dst full, so a caller
-// either sizes dst for every line of b (LoadEdgeList) or drains dst and
-// calls again (StreamEdgeList). It returns the extended dst, the bytes and
+// either sizes dst for every line of b (parseEdgeList) or drains dst and
+// calls again (streamEdgeList). It returns the extended dst, the bytes and
 // lines it consumed (whole lines only) and the largest id it appended. b
 // must end at a line boundary; only its last line may lack the '\n'.
 func parseEdgeLines(name string, b []byte, line int, dst []Edge) (_ []Edge, used, lines int, maxID VertexID, err error) {
@@ -130,7 +131,7 @@ func badEdgeLine(name string, lineNo int, line []byte) error {
 	return fmt.Errorf("edge list %s line %d: bad dst: %w", name, lineNo, err)
 }
 
-// StreamEdgeList parses a plain-text edge list (format above) from r in
+// streamEdgeList parses a plain-text edge list (format above) from r in
 // batches of batchSize edges, calling fn with each batch's offset (global
 // index of its first edge) and edges. The batch slice is reused between
 // calls; fn must copy anything it retains. Memory stays O(batchSize)
@@ -141,7 +142,7 @@ func badEdgeLine(name string, lineNo int, line []byte) error {
 //
 // It returns the total edge count and the maximum vertex id seen (0 when
 // the stream held no edges).
-func StreamEdgeList(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
+func streamEdgeList(name string, r io.Reader, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
@@ -210,62 +211,11 @@ func StreamEdgeList(name string, r io.Reader, batchSize int, fn func(offset int6
 	return total, maxID, nil
 }
 
-// ReadEdgeList parses a plain-text edge list into a materialized Graph: it
-// is StreamEdgeList with the batches collected, for input that is not a
-// file.
-func ReadEdgeList(name string, r io.Reader) (*Graph, error) {
-	var edges []Edge
-	if _, _, err := StreamEdgeList(name, r, 0, func(_ int64, batch []Edge) error {
-		edges = append(edges, batch...)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return FromEdges(name, edges), nil
-}
-
 // edgeListChunk is how much of a file one parse task takes (cuts move
 // forward to the next line boundary): small enough that a few MiB of text
 // still spread over every worker, large enough that a task's fixed cost
 // disappears.
 const edgeListChunk = 256 << 10
-
-// LoadEdgeList reads an edge-list file from disk: the whole file is mapped
-// (or, where it cannot be, read) once and its lines parsed on parallel
-// workers straight into one exactly sized edge slice. Edge order, the line
-// an error names and the resulting Graph do not depend on the worker count,
-// and the Graph never aliases the file's bytes.
-func LoadEdgeList(path string) (*Graph, error) {
-	data, release, err := readOnlyFile(path)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	edges, err := parseEdgeList(path, data, edgeListChunk, par.Workers(0))
-	if err != nil {
-		return nil, err
-	}
-	return FromEdges(path, edges), nil
-}
-
-// readOnlyFile returns the bytes of the file at path, not to be written to,
-// and the function that gives them back: a private mapping where the
-// platform has one — no heap, and the parse workers fault the pages in side
-// by side — or else one os.ReadFile.
-func readOnlyFile(path string) (data []byte, release func(), err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() > 0 && int64(int(fi.Size())) == fi.Size() {
-		if ref, err := mmapFile(f, fi.Size()); err == nil {
-			return ref.data, ref.unmap, nil
-		}
-	}
-	data, err = os.ReadFile(path)
-	return data, func() {}, err
-}
 
 // textChunk is one parse task of parseEdgeList: whole lines of the input
 // and the range of the shared edge slice they may fill.
@@ -332,7 +282,7 @@ func parseEdgeList(name string, data []byte, chunkSize, workers int) ([]Edge, er
 }
 
 // WriteEdgeList writes the graph as a plain-text edge list with a header
-// comment, in the same format ReadEdgeList accepts.
+// comment, in the same format LoadFile accepts.
 func WriteEdgeList(g *Graph, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintf(bw, "# %s: %d vertices, %d edges\n", g.Name, g.NumVertices(), g.NumEdges()); err != nil {
@@ -345,7 +295,7 @@ func WriteEdgeList(g *Graph, w io.Writer) error {
 }
 
 // WriteEdgeBatch appends a batch of edges in edge-list format to w, the
-// producer side of StreamEdgeList. Callers own any buffering and headers:
+// producer side of StreamFile. Callers own any buffering and headers:
 // the lines are formatted into a pooled buffer and reach w in few large
 // writes, whatever w is.
 func WriteEdgeBatch(w io.Writer, edges []Edge) error {

@@ -153,28 +153,29 @@ func graphParsed(g *Graph, err error) parsed {
 }
 
 // checkAgainstReference runs every text feeder over data and compares each
-// with the reference: StreamEdgeList at two batch sizes (with the reference's
+// with the reference: streamEdgeList at two batch sizes (with the reference's
 // batch boundaries), the in-memory chunk fan-out at each given chunk size at
-// one and four workers, and ReadEdgeList and LoadEdgeList through a file in
-// dir — unless the input is legal with an absurd vertex space, which would
-// materialize O(max id) degree arrays.
+// one and four workers, and LoadFile through a file in dir — unless the
+// input is legal with an absurd vertex space, which would materialize O(max
+// id) degree arrays, or starts with the .csrg magic, which LoadFile decodes
+// as binary.
 func checkAgainstReference(t *testing.T, data []byte, dir string, chunkSizes ...int) {
 	t.Helper()
 	ref, _ := collectStream(refStreamEdgeList, "in", bytes.NewReader(data), 0)
 	for _, batchSize := range []int{0, 3} {
 		_, refBatches := collectStream(refStreamEdgeList, "in", bytes.NewReader(data), batchSize)
-		got, batches := collectStream(StreamEdgeList, "in", bytes.NewReader(data), batchSize)
-		agree(t, fmt.Sprintf("StreamEdgeList(batch %d)", batchSize), data, ref, got)
+		got, batches := collectStream(streamEdgeList, "in", bytes.NewReader(data), batchSize)
+		agree(t, fmt.Sprintf("streamEdgeList(batch %d)", batchSize), data, ref, got)
 		if ref.err == nil && !slices.Equal(batches, refBatches) {
-			t.Fatalf("StreamEdgeList(batch %d) on %q: batches (offset, len) %v, reference %v", batchSize, clip(data), batches, refBatches)
+			t.Fatalf("streamEdgeList(batch %d) on %q: batches (offset, len) %v, reference %v", batchSize, clip(data), batches, refBatches)
 		}
 	}
 	// Readers that hand every line over in pieces, and the last bytes
 	// together with io.EOF: the carried-over partial line.
-	got, _ := collectStream(StreamEdgeList, "in", iotest.DataErrReader(iotest.OneByteReader(bytes.NewReader(data))), 3)
-	agree(t, "StreamEdgeList(one byte per read)", data, ref, got)
-	got, _ = collectStream(StreamEdgeList, "in", iotest.DataErrReader(bytes.NewReader(data)), 0)
-	agree(t, "StreamEdgeList(data with EOF)", data, ref, got)
+	got, _ := collectStream(streamEdgeList, "in", iotest.DataErrReader(iotest.OneByteReader(bytes.NewReader(data))), 3)
+	agree(t, "streamEdgeList(one byte per read)", data, ref, got)
+	got, _ = collectStream(streamEdgeList, "in", iotest.DataErrReader(bytes.NewReader(data)), 0)
+	agree(t, "streamEdgeList(data with EOF)", data, ref, got)
 	for _, chunkSize := range chunkSizes {
 		for _, workers := range []int{1, 4} {
 			edges, err := parseEdgeList("in", data, chunkSize, workers)
@@ -182,18 +183,16 @@ func checkAgainstReference(t *testing.T, data []byte, dir string, chunkSizes ...
 			agree(t, fmt.Sprintf("parseEdgeList(chunk %d, workers %d)", chunkSize, workers), data, ref, got)
 		}
 	}
-	if ref.err == nil && ref.maxID >= 1<<22 {
+	if (ref.err == nil && ref.maxID >= 1<<22) || isCSR(data) {
 		return
 	}
-	g, err := ReadEdgeList("in", bytes.NewReader(data))
-	agree(t, "ReadEdgeList", data, ref, graphParsed(g, err))
 	path := filepath.Join(dir, "in.txt")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	g, err = LoadEdgeList(path) // names its errors after the path, so the reference must too
+	g, err := LoadFile(path) // names its errors after the path, so the reference must too
 	refAtPath, _ := collectStream(refStreamEdgeList, path, bytes.NewReader(data), 0)
-	agree(t, "LoadEdgeList", data, refAtPath, graphParsed(g, err))
+	agree(t, "LoadFile", data, refAtPath, graphParsed(g, err))
 }
 
 // edgeListSeeds is the fuzz seed corpus of FuzzParseEdgeList; the
@@ -283,8 +282,8 @@ func TestTextFeedersAgreeWithReference(t *testing.T) {
 	checkAgainstReference(t, []byte(good+"17 4294967296\n1 2\n"), dir, 64, 4096)
 	checkAgainstReference(t, []byte(good+"17 oops\n1 2\n"+good+"3\n"), dir, 64, 4096)
 
-	// Several refills of StreamEdgeList's buffer and several real chunks of
-	// LoadEdgeList's, with a line longer than either in the middle.
+	// Several refills of streamEdgeList's buffer and several real chunks of
+	// LoadFile's, with a line longer than either in the middle.
 	big := strings.Repeat(good, 12) + "# " + strings.Repeat("x", 2*edgeListChunk) + "\n" + strings.Repeat(good, 12)
 	checkAgainstReference(t, []byte(big), dir, edgeListChunk)
 	checkAgainstReference(t, []byte(big+"5 5 5\n5\n"), dir, edgeListChunk)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -21,7 +23,7 @@ func TestStreamEdgeListBatches(t *testing.T) {
 	for _, batchSize := range []int{1, 3, 10, 100} {
 		var got []Edge
 		var offsets []int64
-		total, maxID, err := StreamEdgeList("t", strings.NewReader(sb.String()), batchSize,
+		total, maxID, err := streamEdgeList("t", strings.NewReader(sb.String()), batchSize,
 			func(offset int64, edges []Edge) error {
 				offsets = append(offsets, offset)
 				got = append(got, edges...) // copy: the batch slice is reused
@@ -58,7 +60,7 @@ func TestStreamEdgeListBatches(t *testing.T) {
 
 func TestStreamEdgeListPropagatesCallbackError(t *testing.T) {
 	sentinel := errors.New("stop")
-	_, _, err := StreamEdgeList("t", strings.NewReader("1 2\n3 4\n"), 1,
+	_, _, err := streamEdgeList("t", strings.NewReader("1 2\n3 4\n"), 1,
 		func(int64, []Edge) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
@@ -67,8 +69,8 @@ func TestStreamEdgeListPropagatesCallbackError(t *testing.T) {
 
 func TestStreamEdgeListBadInput(t *testing.T) {
 	for _, bad := range []string{"1\n", "x y\n", "1 z\n"} {
-		if _, _, err := StreamEdgeList("bad", strings.NewReader(bad), 0, func(int64, []Edge) error { return nil }); err == nil {
-			t.Errorf("StreamEdgeList(%q): want error, got nil", bad)
+		if _, _, err := streamEdgeList("bad", strings.NewReader(bad), 0, func(int64, []Edge) error { return nil }); err == nil {
+			t.Errorf("streamEdgeList(%q): want error, got nil", bad)
 		}
 	}
 }
@@ -83,17 +85,12 @@ func TestWriteEdgeBatchRoundTrip(t *testing.T) {
 	if err := WriteEdgeBatch(&buf, edges[2:]); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadEdgeList("rt", &buf)
-	if err != nil {
-		t.Fatal(err)
+	got, _ := collectStream(streamEdgeList, "rt", &buf, 0)
+	if got.err != nil {
+		t.Fatal(got.err)
 	}
-	if g.NumEdges() != len(edges) {
-		t.Fatalf("%d edges, want %d", g.NumEdges(), len(edges))
-	}
-	for i, e := range edges {
-		if g.Edges[i] != e {
-			t.Fatalf("edge %d = %v, want %v", i, g.Edges[i], e)
-		}
+	if !slices.Equal(got.edges, edges) {
+		t.Fatalf("edges = %v, want %v", got.edges, edges)
 	}
 }
 
@@ -135,16 +132,16 @@ func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
 // long"), and the line count still comes out right behind it.
 func TestStreamEdgeListLongLine(t *testing.T) {
 	in := "# " + strings.Repeat("x", 2<<20) + "\n0 1\nbad\n"
-	_, _, err := StreamEdgeList("long", strings.NewReader(in), 0, func(int64, []Edge) error { return nil })
+	_, _, err := streamEdgeList("long", strings.NewReader(in), 0, func(int64, []Edge) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "edge list long line 3:") {
 		t.Fatalf("err = %v, want a line 3 rejection", err)
 	}
-	g, err := ReadEdgeList("long", strings.NewReader(in[:len(in)-len("bad\n")]))
-	if err != nil {
-		t.Fatal(err)
+	got, _ := collectStream(streamEdgeList, "long", strings.NewReader(in[:len(in)-len("bad\n")]), 0)
+	if got.err != nil {
+		t.Fatal(got.err)
 	}
-	if g.NumEdges() != 1 || g.Edges[0] != (Edge{0, 1}) {
-		t.Fatalf("edges = %v, want [{0 1}]", g.Edges)
+	if !slices.Equal(got.edges, []Edge{{0, 1}}) {
+		t.Fatalf("edges = %v, want [{0 1}]", got.edges)
 	}
 }
 
@@ -161,7 +158,7 @@ func TestStreamEdgeListAllocsDoNotGrowWithInput(t *testing.T) {
 		var n int64
 		return testing.AllocsPerRun(10, func() {
 			var err error
-			n, _, err = StreamEdgeList("a", strings.NewReader(in), 0, func(int64, []Edge) error { return nil })
+			n, _, err = streamEdgeList("a", strings.NewReader(in), 0, func(int64, []Edge) error { return nil })
 			if err != nil || n != int64(edges) {
 				t.Fatalf("streamed %d of %d edges, err %v", n, edges, err)
 			}
@@ -169,7 +166,7 @@ func TestStreamEdgeListAllocsDoNotGrowWithInput(t *testing.T) {
 	}
 	small, large := allocs(1_000), allocs(100_000)
 	if large > small+2 || large > 16 {
-		t.Errorf("allocations per warm StreamEdgeList call: %.0f at 1k edges, %.0f at 100k; want them equal and small", small, large)
+		t.Errorf("allocations per warm streamEdgeList call: %.0f at 1k edges, %.0f at 100k; want them equal and small", small, large)
 	}
 }
 
@@ -178,7 +175,7 @@ func TestStreamEdgeListAllocsDoNotGrowWithInput(t *testing.T) {
 func TestStreamEdgeListReadError(t *testing.T) {
 	r := io.MultiReader(strings.NewReader("0 1\n2 3\n4"), iotest.ErrReader(io.ErrUnexpectedEOF))
 	var got int
-	_, _, err := StreamEdgeList("pipe", r, 1, func(_ int64, edges []Edge) error { got += len(edges); return nil })
+	_, _, err := streamEdgeList("pipe", r, 1, func(_ int64, edges []Edge) error { got += len(edges); return nil })
 	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.HasPrefix(err.Error(), "edge list pipe: ") {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF under the input's name", err)
 	}
@@ -191,8 +188,69 @@ func TestStreamEdgeListReadError(t *testing.T) {
 // difference from strings.Fields: only ASCII whitespace separates fields.
 func TestUnicodeSpaceDoesNotSeparateFields(t *testing.T) {
 	for _, in := range []string{"1\u00a02\n", "1\u20032\n", "\u00851 2\n"} {
-		if _, err := ReadEdgeList("u", strings.NewReader(in)); err == nil {
-			t.Errorf("ReadEdgeList(%q) accepted a line whose fields only Unicode whitespace separates", in)
+		if _, _, err := streamEdgeList("u", strings.NewReader(in), 0, func(int64, []Edge) error { return nil }); err == nil {
+			t.Errorf("streamEdgeList(%q) accepted a line whose fields only Unicode whitespace separates", in)
 		}
+	}
+}
+
+const benchEdges = 1_000_000
+
+// benchGraph1M builds a deterministic 1M-edge graph with a skewed degree
+// distribution (hash-mixed endpoints over 200k vertices).
+func benchGraph1M() *Graph {
+	edges := make([]Edge, benchEdges)
+	x := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	const n = 200_000
+	for i := range edges {
+		src := VertexID(next() % n)
+		dst := VertexID(next() % n)
+		if next()%8 == 0 { // a hub tail, so parsing costs vary by line length
+			dst = VertexID(next() % 64)
+		}
+		edges[i] = Edge{src, dst}
+	}
+	return FromEdges("bench-1m", edges)
+}
+
+// TestLoadEdgeListAllocBudgetAt1MEdges is the text path's deterministic
+// bar (wall-clock comparisons belong to benchmark/, the one stopwatch): the
+// loader parses straight from the file's bytes into one exactly sized edge
+// slice, so a 1M-edge load allocates the edges (8 B each), the two degree
+// arrays and a handful of bookkeeping objects — not two strings per line.
+// Skipped in -short runs.
+func TestLoadEdgeListAllocBudgetAt1MEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-edge load skipped in -short mode")
+	}
+	textPath := filepath.Join(t.TempDir(), "g.txt")
+	if err := SaveEdgeList(benchGraph1M(), textPath); err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, err := LoadFile(textPath)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if g.NumEdges() != benchEdges {
+				b.Fatalf("loaded %d edges", g.NumEdges())
+			}
+		}
+	})
+	perEdge := float64(res.AllocedBytesPerOp()) / benchEdges
+	t.Logf("LoadFile on text at 1M edges: %.1f B/edge, %d allocs/op", perEdge, res.AllocsPerOp())
+	if perEdge > 24 {
+		t.Errorf("LoadFile on text allocates %.1f B/edge at 1M edges, want ≤ 24", perEdge)
+	}
+	if res.AllocsPerOp() > 64 {
+		t.Errorf("LoadFile on text makes %d allocations at 1M edges, want ≤ 64", res.AllocsPerOp())
 	}
 }

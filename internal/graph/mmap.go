@@ -15,8 +15,3 @@ func (r *mmapRef) unmap() {
 		r.data = nil
 	}
 }
-
-// MmapSupported reports whether the zero-copy memory-mapped load path can
-// engage on this platform: a unix mmap syscall plus a little-endian host,
-// so the on-disk section layout is also the in-memory layout.
-func MmapSupported() bool { return mmapAvailable && hostLittleEndian }

@@ -103,8 +103,8 @@ func (m *bitMatrix) row(row int) []uint64 {
 	return m.bits[row*m.words : (row+1)*m.words]
 }
 
-// subsetOf reports whether row a's bits (in m) are a subset of the single
-// set {col}. Used to test "all edges on one partition".
+// onlyCol reports whether row's bits are a subset of the single set {col}.
+// Used to test "all edges on one partition".
 func (m *bitMatrix) onlyCol(row, col int) bool {
 	base := row * m.words
 	for wi := 0; wi < m.words; wi++ {

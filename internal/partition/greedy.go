@@ -64,9 +64,9 @@ func (st *loaderState) grow(n int) {
 	}
 }
 
-// leastLoaded returns the least-loaded partition among the set bits of
-// mask rows a (and b, if both non-nil: the union), or over all partitions
-// when none is set. Ties are broken pseudo-randomly, as in PowerGraph.
+// leastLoadedIn returns the least-loaded partition among cands, which must
+// not be empty. Ties are broken pseudo-randomly, uniformly over the tied
+// candidates, as in PowerGraph.
 func (st *loaderState) leastLoadedIn(cands []int) int {
 	best := cands[0]
 	ties := 1

@@ -65,11 +65,11 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 			sources[how] = lg
 		}
 		load("text", func() (*graph.Graph, error) { return graph.LoadFile(textPath) })
-		load("v1-mmap", func() (*graph.Graph, error) { return graph.LoadCSR(v1Path) })
+		load("v1-mmap", func() (*graph.Graph, error) { return graph.LoadCSRWith(v1Path, graph.CSRLoadOptions{}) })
 		load("v1-read", func() (*graph.Graph, error) {
 			return graph.LoadCSRWith(v1Path, graph.CSRLoadOptions{DisableMmap: true})
 		})
-		load("v2", func() (*graph.Graph, error) { return graph.LoadCSR(v2Path) })
+		load("v2", func() (*graph.Graph, error) { return graph.LoadFile(v2Path) })
 		fromText := sources["text"]
 
 		for _, name := range strategies {
