@@ -68,6 +68,14 @@ func (q *Quality) AddReplica(p int) {
 	q.totalReplicas++
 }
 
+// AddReplicas records n vertices gaining an image on partition p — the bulk
+// form of AddReplica, used when a sharded scan folds its per-partition image
+// counts in.
+func (q *Quality) AddReplicas(p int, n int64) {
+	q.partReplicas[p] += n
+	q.totalReplicas += n
+}
+
 // RemoveReplica records a vertex losing its image on partition p.
 func (q *Quality) RemoveReplica(p int) {
 	q.partReplicas[p]--

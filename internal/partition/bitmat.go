@@ -67,34 +67,19 @@ func (m *bitMatrix) count(row int) int {
 	return n
 }
 
-// forEach calls fn for every set column in a row, in ascending order.
-func (m *bitMatrix) forEach(row int, fn func(col int)) {
-	base := row * m.words
-	for wi := 0; wi < m.words; wi++ {
-		w := m.bits[base+wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			fn(wi*64 + b)
-			w &= w - 1
-		}
-	}
-}
-
-// or folds every set bit of other into m, growing m to other's row count.
-// Both matrices must have the same column count. Because set-union is
-// commutative and associative, or-merging per-worker matrices yields the
-// same matrix a single sequential pass would have built.
-func (m *bitMatrix) or(other *bitMatrix) {
+// orRows folds other's rows [lo, hi) into m; rows past other's end are
+// skipped. m must already hold those rows and both matrices must have the same
+// column count. Set-union is commutative and associative, so or-merging
+// per-worker matrices, in any order and by any row split, yields the matrix
+// a single sequential pass would have built.
+func (m *bitMatrix) orRows(other *bitMatrix, lo, hi int) {
 	if m.words != other.words {
 		panic("bitMatrix: or across different column counts")
 	}
-	if len(other.bits) > len(m.bits) {
-		m.ensureRows(len(other.bits) / other.words)
-	}
-	for i, w := range other.bits {
-		if w != 0 {
-			m.bits[i] |= w
-		}
+	src := other.bits[min(lo*other.words, len(other.bits)):min(hi*other.words, len(other.bits))]
+	dst := m.bits[lo*m.words:]
+	for i, w := range src {
+		dst[i] |= w
 	}
 }
 

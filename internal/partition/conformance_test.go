@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"graphpart/internal/gen"
@@ -94,6 +95,18 @@ func checkEveryEdgeOnce(t *testing.T, s Strategy, g *graph.Graph, numParts int) 
 	}
 	if rf := a.ReplicationFactor(); rf < 1 || rf > float64(numParts) {
 		t.Fatalf("replication factor %v out of range [1,%d]", rf, numParts)
+	}
+}
+
+// forEach calls fn for every set column in a row, in ascending order. The
+// replay below counts images one bit at a time through it, which keeps it
+// independent of deriveMasters' byte-lane counts.
+func (m *bitMatrix) forEach(row int, fn func(col int)) {
+	for wi, w := range m.row(row) {
+		for w != 0 {
+			fn(wi*64 + bits.TrailingZeros64(w))
+			w &= w - 1
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"math/bits"
+
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
 	"graphpart/internal/metrics"
@@ -70,33 +72,71 @@ func (t *cutTable) ReplicasOnPart(p int) int64 { return t.q.ReplicasOnPart(p) }
 // Quality returns the aggregate quality summary (shared; do not modify).
 func (t *cutTable) Quality() *metrics.Quality { return t.q }
 
-// deriveMasters is the bulk master pass of the one-shot paths: from a
-// filled replica matrix over n vertices it allocates the masters, picks
-// each one and folds the image counts into the quality summary, sharded by
-// vertex range over workers ≥ 1. Each worker accumulates into a private
-// summary and the merge is a sum, so the result is independent of the worker
-// count. hint may be nil; workers calling it concurrently must be safe.
+// deriveMasters is the bulk master pass of every one-shot path (the
+// materialized driver and the stream builder's Finish): from a filled
+// replica matrix over n vertices it allocates the masters, picks each one
+// and folds the image counts into the quality summary, sharded by vertex
+// range over workers ≥ 1. Each worker accumulates into a private summary
+// and the merge is a sum, so the result is independent of the worker count.
+// hint may be nil; the workers call it concurrently.
+//
+// Image counts are kept in byte lanes rather than visited bit by bit: byte k
+// of lanes[8*wi+j] counts the rows holding column 64*wi+8*k+j, so a row word
+// costs eight shift-mask-adds whatever its bits. A byte holds 255, so the
+// lanes fold into the summary every 255 placed rows.
 func (t *cutTable) deriveMasters(n, workers int, hint func(graph.VertexID) int32) {
 	t.masters = make([]int32, n)
 	locals := make([]*metrics.Quality, workers)
+	words, rows, masters := t.replicas.words, t.replicas.bits, t.masters
 	par.Do(workers, workers, func(w, _ int) {
 		local := metrics.NewQuality(t.numParts)
-		addReplica := local.AddReplica
+		lanes := make([]uint64, 8*words)
+		fold := func() {
+			for i, l := range lanes {
+				for k := 0; k < 8; k++ {
+					// Columns past numParts are never set, so their bytes stay 0.
+					if c := int64(l >> (8 * k) & 0xff); c != 0 {
+						local.AddReplicas(i/8*64+8*k+i%8, c)
+					}
+				}
+				lanes[i] = 0
+			}
+		}
+		pending := 0
 		lo, hi := par.Range(n, workers, w)
 		for v := lo; v < hi; v++ {
-			reps := t.replicas.count(v)
+			row := rows[v*words : (v+1)*words]
+			reps := 0
+			for wi, x := range row {
+				reps += bits.OnesCount64(x)
+				// Unrolled by hand: a loop over the lanes measured ~20% slower.
+				const ones = 0x0101010101010101
+				l := (*[8]uint64)(lanes[8*wi:])
+				l[0] += x & ones
+				l[1] += x >> 1 & ones
+				l[2] += x >> 2 & ones
+				l[3] += x >> 3 & ones
+				l[4] += x >> 4 & ones
+				l[5] += x >> 5 & ones
+				l[6] += x >> 6 & ones
+				l[7] += x >> 7 & ones
+			}
 			if reps == 0 {
-				t.masters[v] = -1
+				masters[v] = -1
 				continue
 			}
 			local.VertexPlaced()
-			t.replicas.forEach(v, addReplica)
+			if pending++; pending == 255 {
+				fold()
+				pending = 0
+			}
 			h := int32(-1)
 			if hint != nil {
 				h = hint(graph.VertexID(v))
 			}
-			t.masters[v] = chooseMaster(t.replicas, v, reps, h, t.numParts, t.seed)
+			masters[v] = chooseMaster(row, v, reps, h, t.seed)
 		}
+		fold()
 		locals[w] = local
 	})
 	for _, local := range locals {
@@ -116,25 +156,28 @@ func (t *cutTable) recomputeMaster(v int, hinter MasterHinter) {
 	if hinter != nil {
 		hint = hinter.MasterHint(graph.VertexID(v))
 	}
-	t.masters[v] = chooseMaster(t.replicas, v, reps, hint, t.numParts, t.seed)
+	t.masters[v] = chooseMaster(t.replicas.row(v), v, reps, hint, t.seed)
 }
 
-// chooseMaster picks vertex v's master. PowerGraph picks one replica at
-// random (§5.1.1); we pick deterministically by hashing the vertex over its
-// replica list. A hint overrides the hash when the hinted partition
-// actually holds a replica (Hybrid's low-degree masters, 1D-Target).
-func chooseMaster(replicas *bitMatrix, v, reps int, hint int32, numParts int, seed uint64) int32 {
-	if hint >= 0 && int(hint) < numParts && replicas.has(v, int(hint)) {
+// chooseMaster picks the master of vertex v, whose replica row holds reps
+// set bits. PowerGraph picks one replica at random (§5.1.1); we pick
+// deterministically by hashing the vertex over its ascending replica list.
+// A hint overrides the hash when the hinted partition actually holds a
+// replica (Hybrid's low-degree masters, 1D-Target).
+func chooseMaster(row []uint64, v, reps int, hint int32, seed uint64) int32 {
+	if uint(hint) < uint(64*len(row)) && row[hint/64]&(1<<(hint%64)) != 0 {
 		return hint
 	}
 	pick := int(hashing.Vertex(seed^0xa57e, graph.VertexID(v)) % uint64(reps))
-	idx := 0
-	chosen := int32(-1)
-	replicas.forEach(v, func(col int) {
-		if idx == pick {
-			chosen = int32(col)
+	for wi, x := range row {
+		if c := bits.OnesCount64(x); pick >= c {
+			pick -= c
+			continue
 		}
-		idx++
-	})
-	return chosen
+		for ; pick > 0; pick-- {
+			x &= x - 1 // clear the lowest set bit
+		}
+		return int32(64*wi + bits.TrailingZeros64(x))
+	}
+	return -1 // unreachable: reps counts row's bits
 }

@@ -23,7 +23,7 @@ import (
 //
 // Feed is intended for a single producer (the file reader); the concurrency
 // lives behind it. Memory is O(workers · |V|·P/8) bits plus the in-flight
-// batch copies.
+// batch copies until Finish, which keeps only the summary's |V|·P bits.
 type ShardedStreamBuilder struct {
 	strategy string
 	shards   []*streamShard
@@ -70,14 +70,24 @@ func (sh *streamShard) feed(strategy string, batch EdgeBatch) error {
 	return nil
 }
 
-// merge folds another shard's accumulated state into sh. Every piece of
+// merge folds the other shards' accumulated state into sh. Every piece of
 // shard state is a commutative monoid under merge (counter sums, bit-set
 // unions, max vertex id), which is what makes sharded ingress exact: masters
-// and image counts are derived only at Finish, from the merged state.
-func (sh *streamShard) merge(o *streamShard) {
-	sh.n = max(sh.n, o.n)
-	sh.q.Merge(o.q)
-	sh.replicas.or(o.replicas)
+// and image counts are derived only at Finish, from the merged state. The
+// counters and vertex spaces fold on the calling goroutine in O(shards·P);
+// the replica rows fold by vertex range on workers goroutines.
+func (sh *streamShard) merge(others []*streamShard, workers int) {
+	for _, o := range others {
+		sh.n = max(sh.n, o.n)
+		sh.q.Merge(o.q)
+	}
+	sh.replicas.ensureRows(sh.n)
+	par.Do(workers, workers, func(w, _ int) {
+		lo, hi := par.Range(sh.n, workers, w)
+		for _, o := range others {
+			sh.replicas.orRows(o.replicas, lo, hi)
+		}
+	})
 }
 
 // NewShardedStreamBuilder prepares a stream ingress with the given worker
@@ -155,39 +165,45 @@ func (sb *ShardedStreamBuilder) Feed(batch EdgeBatch) error {
 }
 
 // Finish drains the workers, merges their private state and derives masters
-// and the quality metrics from it. The summary matches what Partition would
-// have computed for the same edges: identical EdgeCount, Masters and
-// ReplicationFactor. Finish is idempotent; after the first call the builder
-// accepts no more edges. An assignment error from any worker surfaces here
-// (and on the Feed that follows it).
+// and the quality metrics from it, both by vertex range on the builder's
+// workers. The summary matches what Partition would have computed for the
+// same edges: identical EdgeCount, Masters and ReplicationFactor. Finish is
+// idempotent; after the first call the builder accepts no more edges and
+// holds nothing but the summary: the other shards and the batch buffers are
+// released, on the error path too. An assignment error from any worker
+// surfaces here (and on the Feed that follows it).
 func (sb *ShardedStreamBuilder) Finish() (*StreamSummary, error) {
 	if !sb.done {
 		sb.done = true
 		close(sb.jobs)
 		sb.wg.Wait()
+		if sb.failed.Load() == nil {
+			sb.sum = sb.summarize()
+		}
+		sb.shards, sb.pool = nil, sync.Pool{}
 	}
 	if errp := sb.failed.Load(); errp != nil {
 		return nil, *errp
 	}
-	if sb.sum == nil {
-		root := sb.shards[0]
-		for _, o := range sb.shards[1:] {
-			root.merge(o)
-		}
-		var hint func(graph.VertexID) int32
-		if h, ok := root.asg.(MasterHinter); ok {
-			hint = h.MasterHint
-		}
-		root.deriveMasters(root.n, 1, hint)
-		sb.sum = &StreamSummary{
-			Strategy:    sb.strategy,
-			NumParts:    root.numParts,
-			NumVertices: root.n,
-			NumEdges:    root.q.NumEdges(),
-			EdgeCount:   root.q.EdgeCounts(),
-			Masters:     root.masters,
-			cutTable:    root.cutTable,
-		}
-	}
 	return sb.sum, nil
+}
+
+// summarize merges every shard into the first and derives its masters.
+func (sb *ShardedStreamBuilder) summarize() *StreamSummary {
+	root, workers := sb.shards[0], len(sb.shards)
+	root.merge(sb.shards[1:], workers)
+	var hint func(graph.VertexID) int32
+	if h, ok := root.asg.(MasterHinter); ok {
+		hint = h.MasterHint
+	}
+	root.deriveMasters(root.n, workers, hint)
+	return &StreamSummary{
+		Strategy:    sb.strategy,
+		NumParts:    root.numParts,
+		NumVertices: root.n,
+		NumEdges:    root.q.NumEdges(),
+		EdgeCount:   root.q.EdgeCounts(),
+		Masters:     root.masters,
+		cutTable:    root.cutTable,
+	}
 }

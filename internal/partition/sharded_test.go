@@ -37,6 +37,56 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestWideRowsMatchOracle pins the master pass on replica rows wider than
+// one 64-bit word — every other test runs at P = 9 or 7 — for the stream
+// builder and the materialized driver at several worker counts, on the
+// hash path (Grid, ResilientGrid, Random) and the hint path (1D-Target).
+func TestWideRowsMatchOracle(t *testing.T) {
+	g := gen.PrefAttach("wide", 3000, 8, 0x3d)
+	for _, c := range []struct {
+		name  string
+		parts int
+	}{{"Grid", 100}, {"ResilientGrid", 70}, {"1D-Target", 70}, {"Random", 130}} {
+		s := MustNew(c.name, Options{})
+		want := buildOracle(t, s, g, c.parts, 9)
+		for _, workers := range []int{1, 3, 8} {
+			label := fmt.Sprintf("%s/P=%d/w=%d", c.name, c.parts, workers)
+			got := streamSummary(t, s, g, c.parts, workers, 512, 9)
+			assertTablesEqual(t, label+"/stream", viewOf(&got.cutTable, got.NumVertices), want.view())
+			a, err := ParallelPartition(g, s, c.parts, 9, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			assertMatchesOracle(t, label+"/driver", a, want)
+		}
+	}
+}
+
+// TestFinishReleasesShards: once Finish has built the summary, the builder
+// holds nothing but it — no shard matrices, no assigners, no pooled batch
+// buffers — and a second Finish returns the same summary.
+func TestFinishReleasesShards(t *testing.T) {
+	g := gen.PrefAttach("release", 2000, 4, 0x35)
+	sb, err := NewShardedStreamBuilder(MustNew("Grid", Options{}), 9, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedInBatches(t, sb, g, 256)
+	sum, err := sb.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.shards != nil {
+		t.Errorf("Finish kept %d shards", len(sb.shards))
+	}
+	if buf := sb.pool.Get(); buf != nil {
+		t.Errorf("Finish kept the batch pool: Get returned %T", buf)
+	}
+	if again, err := sb.Finish(); again != sum || err != nil {
+		t.Errorf("second Finish = %p, %v; want %p, nil", again, err, sum)
+	}
+}
+
 // badAssigner places every edge out of range, to exercise the sharded error
 // path end to end.
 type badAssigner struct{}
@@ -64,6 +114,9 @@ func TestShardedPropagatesAssignmentErrors(t *testing.T) {
 	}
 	if !strings.Contains(finishErr.Error(), "placed edge") {
 		t.Errorf("error %q does not name the misplaced edge", finishErr)
+	}
+	if sb.shards != nil {
+		t.Errorf("a failed Finish kept %d shards", len(sb.shards))
 	}
 	if err := sb.Feed(EdgeBatch{}); err == nil {
 		t.Error("Feed after Finish accepted")

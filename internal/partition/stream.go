@@ -46,7 +46,9 @@ type DeleteObserver interface {
 // MasterHinter is implemented by Assigners whose strategy also emits a
 // per-vertex master hint (a pure function of the vertex id, e.g. 1D-Target's
 // hash-by-target). Hints are produced per vertex shard by the parallel
-// pipeline; no full sequential re-partition is ever needed.
+// pipeline; no full sequential re-partition is ever needed. Unlike Assign,
+// MasterHint must be safe for concurrent use: the stream builder's Finish
+// calls one assigner's MasterHint from several goroutines at once.
 type MasterHinter interface {
 	MasterHint(v graph.VertexID) int32
 }
