@@ -8,6 +8,7 @@ import (
 
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
+	"graphpart/internal/hashing"
 	"graphpart/internal/metrics"
 )
 
@@ -107,6 +108,28 @@ func (m *bitMatrix) forEach(row int, fn func(col int)) {
 			fn(wi*64 + bits.TrailingZeros64(w))
 			w &= w - 1
 		}
+	}
+}
+
+// TestSelectBitMatchesForEach pins chooseMaster's broadword select to the
+// bit-by-bit walk: for words of every density, including all-ones and the
+// top bit alone, the k-th set column forEach visits is selectBit(x, k).
+func TestSelectBitMatchesForEach(t *testing.T) {
+	m := newBitMatrix(1, 64)
+	words := []uint64{1, 1 << 63, ^uint64(0), 0x8000000000000001, 0xff00}
+	for i := uint64(0); i < 20000; i++ {
+		h := hashing.Mix64(i)
+		words = append(words, h, h&hashing.Mix64(^i), h&0xffff, h>>uint(i%64))
+	}
+	for _, x := range words {
+		m.bits[0] = x
+		k := 0
+		m.forEach(0, func(col int) {
+			if got := selectBit(x, k); got != col {
+				t.Fatalf("selectBit(%#x, %d) = %d, want %d", x, k, got, col)
+			}
+			k++
+		})
 	}
 }
 

@@ -174,10 +174,27 @@ func chooseMaster(row []uint64, v, reps int, hint int32, seed uint64) int32 {
 			pick -= c
 			continue
 		}
-		for ; pick > 0; pick-- {
-			x &= x - 1 // clear the lowest set bit
-		}
-		return int32(64*wi + bits.TrailingZeros64(x))
+		return int32(64*wi + selectBit(x, pick))
 	}
 	return -1 // unreachable: reps counts row's bits
+}
+
+// selectBit returns the position of x's (k+1)-th lowest set bit, for k <
+// popcount(x). It is broadword select: per-byte prefix popcounts find the
+// byte, and the same count over that byte's bits, spread one per byte,
+// finds the bit. No branch depends on x or k: a loop clearing the lowest
+// bit k times mispredicts on the hashed k, and made the master pass ~1.6×
+// slower.
+func selectBit(x uint64, k int) int {
+	const l8, h8 = 0x0101010101010101, 0x8080808080808080
+	// byteLE counts the bytes of p (each ≤ 64) that are ≤ k.
+	byteLE := func(p uint64) int { return bits.OnesCount64((uint64(k)*l8 | h8 - p) & h8) }
+	s := x - x>>1&0x5555555555555555
+	s = s&0x3333333333333333 + s>>2&0x3333333333333333
+	s = (s + s>>4) & 0x0f0f0f0f0f0f0f0f * l8 // byte i: set bits in bytes 0..i
+	b := 8 * byteLE(s)
+	k -= int(s << 8 >> b & 0xff)
+	y := x >> b & 0xff * l8 & 0x8040201008040201 // bit i of the byte, alone in byte i
+	y = (y + 0x7f7f7f7f7f7f7f7f) >> 7 & l8 * l8  // byte i: set bits in positions 0..i
+	return b + byteLE(y)
 }
