@@ -187,7 +187,7 @@ func chooseMaster(row []uint64, v, reps int, hint int32, seed uint64) int32 {
 // slower.
 func selectBit(x uint64, k int) int {
 	const l8, h8 = 0x0101010101010101, 0x8080808080808080
-	// byteLE counts the bytes of p (each ≤ 64) that are ≤ k.
+	// byteLE counts the bytes of p (each ≤ 64) that are ≤ the current k.
 	byteLE := func(p uint64) int { return bits.OnesCount64((uint64(k)*l8 | h8 - p) & h8) }
 	s := x - x>>1&0x5555555555555555
 	s = s&0x3333333333333333 + s>>2&0x3333333333333333
