@@ -169,6 +169,14 @@ type Stats struct {
 	SuperstepSeconds []float64
 }
 
+// MaxParts is the most partitions an assignment run on the engines may have:
+// Execute keeps each edge's partition in one byte.
+const MaxParts = 256
+
+// ErrTooManyParts is what Run and graphx.Run return for an assignment of more
+// than MaxParts partitions.
+var ErrTooManyParts = fmt.Errorf("the engines run at most %d partitions", MaxParts)
+
 // Outcome carries the computed vertex values along with run statistics.
 type Outcome[V any] struct {
 	Values []V
@@ -185,6 +193,9 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 	}
 	if cfg.NumParts() != a.NumParts {
 		return nil, fmt.Errorf("engine: assignment has %d partitions but cluster has %d", a.NumParts, cfg.NumParts())
+	}
+	if a.NumParts > MaxParts {
+		return nil, fmt.Errorf("engine: assignment has %d partitions: %w", a.NumParts, ErrTooManyParts)
 	}
 	if opts.MaxSupersteps > 0 && opts.FixedIterations > 0 {
 		return nil, fmt.Errorf("engine: MaxSupersteps %d and FixedIterations %d are both set; FixedIterations is its own cap",

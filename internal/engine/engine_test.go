@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -261,6 +263,70 @@ func TestRunRefusesBothCaps(t *testing.T) {
 		engine.Options{MaxSupersteps: 3, FixedIterations: 10})
 	if err == nil || !strings.Contains(err.Error(), "MaxSupersteps") || !strings.Contains(err.Error(), "FixedIterations") {
 		t.Errorf("err = %v, want one naming MaxSupersteps and FixedIterations", err)
+	}
+}
+
+// TestRunRefusesMoreThanMaxParts: a placement column entry is one byte, so
+// engine.Run refuses an assignment of MaxParts+1 partitions on a cluster that
+// matches it, with ErrTooManyParts, and runs one of MaxParts.
+func TestRunRefusesMoreThanMaxParts(t *testing.T) {
+	g := gen.PrefAttach("many-parts", 2000, 4, 0x3)
+	for _, parts := range []int{engine.MaxParts, engine.MaxParts + 1} {
+		a, err := partition.Partition(g, partition.Random{}, parts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = engine.Run[float64, float64](engine.ModePowerGraph, app.PageRank{}, a, cluster.Config{Machines: parts, PartsPerMachine: 1}, model,
+			engine.Options{FixedIterations: 1})
+		if tooMany := parts > engine.MaxParts; errors.Is(err, engine.ErrTooManyParts) != tooMany || !tooMany && err != nil {
+			t.Errorf("%d parts: err = %v", parts, err)
+		}
+	}
+}
+
+// raceEnabled is set under the race detector (race_enabled_test.go).
+var raceEnabled bool
+
+// TestDenseRunAllocatesItsClosedForm pins what one GraphX PageRank run on
+// BenchmarkEngineParallelDense's input allocates to its closed form: two
+// value arrays, the frontier and the change buffer, the in-column (one byte per
+// slot; PageRank scatters free in GraphX, so there is no out-column), the
+// frontier bitmaps and the per-shard meters, O(shards·parts), plus an
+// allowance for the size-class rounding of the large arrays, the cluster
+// tables, the closures and the Stats. Per-shard buffers that grow with the
+// frontier (≈ 475 KB here) do not fit in the allowance.
+func TestDenseRunAllocatesItsClosedForm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	a := denseInput(t)
+	const workers = 2
+	run := func() {
+		out, err := graphx.Run[float64, float64](app.PageRank{}, a,
+			graphx.Config{Cluster: cluster.GraphXLocal10, Iterations: 10, Workers: workers}, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Stats.Iterations != 10 {
+			t.Fatalf("%d iterations, want 10", out.Stats.Iterations)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+
+	n, slots := a.G.NumVertices(), a.G.NumEdges()
+	const shards, allowance = 64, 64 << 10
+	form := 2*n*8 + // vals, newVals
+		n*4 + n*4 + // frontier, change buffer
+		slots + // in-column
+		(1+workers)*(n+63)/64*8 + // next frontier, per-worker bitmaps
+		shards*(3*a.NumParts*8+96) + // per-shard meters: three slices, two counters
+		allowance
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(form) {
+		t.Errorf("a dense run allocated %d B, closed form %d B", got, form)
 	}
 }
 

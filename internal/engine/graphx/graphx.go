@@ -78,6 +78,9 @@ func Run[V, A any](prog engine.Program[V, A], a *partition.Assignment, cfg Confi
 	if cc.NumParts() != a.NumParts {
 		return nil, fmt.Errorf("graphx: assignment has %d partitions, cluster provides %d", a.NumParts, cc.NumParts())
 	}
+	if a.NumParts > engine.MaxParts {
+		return nil, fmt.Errorf("graphx: assignment has %d partitions: %w", a.NumParts, engine.ErrTooManyParts)
+	}
 	machines := cc.Machines
 
 	stats := Stats{App: prog.Name(), Strategy: a.Strategy}

@@ -1,6 +1,7 @@
 package graphx_test
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -217,6 +218,18 @@ func TestGraphXRejectsMismatchedCluster(t *testing.T) {
 		graphx.Config{Cluster: cluster.GraphXLocal10, Iterations: 3}, model)
 	if err == nil {
 		t.Fatal("accepted mismatched cluster")
+	}
+}
+
+// TestGraphXRefusesMoreThanMaxParts: graphx.Run refuses an assignment of
+// engine.MaxParts+1 partitions on a cluster that matches it, with
+// engine.ErrTooManyParts.
+func TestGraphXRefusesMoreThanMaxParts(t *testing.T) {
+	cc := cluster.Config{Machines: engine.MaxParts + 1, PartsPerMachine: 1}
+	a := gxAssignment(t, gen.PrefAttach("gx-many-parts", 2000, 4, 0x3), "CanonicalRandom", cc)
+	_, err := graphx.Run[float64, float64](app.PageRank{}, a, graphx.Config{Cluster: cc, Iterations: 1}, model)
+	if !errors.Is(err, engine.ErrTooManyParts) {
+		t.Errorf("err = %v, want engine.ErrTooManyParts", err)
 	}
 }
 

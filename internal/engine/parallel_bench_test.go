@@ -33,6 +33,19 @@ func smallFrontierInput(tb testing.TB) *partition.Assignment {
 	return a
 }
 
+// denseInput is BenchmarkEngineParallelDense's input — a heavy-tailed
+// 50 000-vertex graph, 2D at GraphXLocal10's 40 parts — which
+// TestDenseRunAllocatesItsClosedForm bounds the allocation of.
+func denseInput(tb testing.TB) *partition.Assignment {
+	g := gen.PrefAttach("social", 50000, 10, 1)
+	g.EnsureCSR()
+	a, err := partition.Partition(g, partition.MustNew("2D", partition.Options{}), cluster.GraphXLocal10.NumParts(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return a
+}
+
 // BenchmarkEngineParallel times the one superstep loop under each system's
 // cost policy, sequential vs parallel, on all-active frontiers: three
 // PageRank supersteps over a road network and a skewed power-law graph
@@ -113,12 +126,7 @@ func BenchmarkEngineParallelSmallFrontier(b *testing.B) {
 // heavy-tailed graph at 40 parts, every frontier most of the graph, so the
 // time is the gather scan — per-edge loads, not per-superstep overhead.
 func BenchmarkEngineParallelDense(b *testing.B) {
-	g := gen.PrefAttach("social", 50000, 10, 1)
-	g.EnsureCSR()
-	a, err := partition.Partition(g, partition.MustNew("2D", partition.Options{}), cluster.GraphXLocal10.NumParts(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	a := denseInput(b)
 	for _, w := range benchWorkers {
 		b.Run("workers="+w.name, func(b *testing.B) {
 			b.ReportAllocs()

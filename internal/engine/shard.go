@@ -18,6 +18,7 @@ package engine
 
 import (
 	"math/bits"
+	"slices"
 
 	"graphpart/internal/graph"
 	"graphpart/internal/par"
@@ -134,14 +135,15 @@ type sharder struct {
 	Workers int
 
 	shards  []meters
-	changed [][]graph.VertexID
+	changed []int    // per-shard change counts of the last Meter
 	next    []bitset // per-worker activation bitmaps, allocated on first use
 	n       int      // vertices, for bitmap sizing
 }
 
 // newSharder sizes the scratch for a run over n vertices and numParts
-// partitions. No phase can use more shards than numShards(n) (work lists
-// are at most n items), so both pools are bounded up front.
+// partitions. No metered phase can use more shards than numShards(n)
+// (frontiers and change lists are at most n items), so both pools are
+// bounded up front.
 func newSharder(workers, numParts, n int) *sharder {
 	w := min(par.Workers(workers), numShards(n))
 	sh := &sharder{Workers: w, n: n}
@@ -149,7 +151,7 @@ func newSharder(workers, numParts, n int) *sharder {
 	for i := range sh.shards {
 		sh.shards[i] = newMeters(numParts)
 	}
-	sh.changed = make([][]graph.VertexID, len(sh.shards))
+	sh.changed = make([]int, len(sh.shards))
 	sh.next = make([]bitset, w)
 	return sh
 }
@@ -176,30 +178,36 @@ func (sh *sharder) Do(nItems int, body func(lo, hi int)) {
 }
 
 // Meter runs body over contiguous shards of an nItems-long work list, each
-// shard with zeroed private meters and a reusable change-list buffer (body
-// returns the buffer it appended to). Meters merge into work/in/out in
-// shard order and the per-shard change lists concatenate onto dst — also in
-// shard order, so for a contiguous decomposition the result is in work-list
-// order, exactly as a sequential loop would produce it. Returns the
-// appended dst plus the summed Edges and Dyn counters.
+// shard with zeroed private meters and its own window of one change buffer:
+// shard [lo, hi) appends to dst[lo:lo:hi], at most one entry per item, and
+// body returns what it appended. dst's backing array is reused, grown only
+// when shorter than the list. Meters merge into work/in/out in shard order
+// and the windows compact to the front of dst, also in shard order, so for a
+// contiguous decomposition the result is in work-list order, exactly as a
+// sequential loop would produce it. Returns the changes plus the summed Edges
+// and Dyn counters.
 func (sh *sharder) Meter(nItems int, work, in, out []float64, dst []graph.VertexID,
 	body func(lo, hi int, ms *meters, ch []graph.VertexID) []graph.VertexID) ([]graph.VertexID, int64, float64) {
+	dst = slices.Grow(dst[:0], nItems)[:nItems]
 	ns := numShards(nItems)
 	par.Do(sh.workersFor(ns), ns, func(s, _ int) {
 		ms := &sh.shards[s]
 		ms.reset()
 		lo, hi := par.Range(nItems, ns, s)
-		sh.changed[s] = body(lo, hi, ms, sh.changed[s][:0])
+		sh.changed[s] = len(body(lo, hi, ms, dst[lo:lo:hi]))
 	})
 	var edges int64
 	var dyn float64
+	off := 0
 	for s := 0; s < ns; s++ {
 		sh.shards[s].mergeInto(work, in, out)
 		edges += sh.shards[s].Edges
 		dyn += sh.shards[s].Dyn
-		dst = append(dst, sh.changed[s]...)
+		// off ≤ lo: every earlier window holds at most its own length.
+		lo, _ := par.Range(nItems, ns, s)
+		off += copy(dst[off:], dst[lo:lo+sh.changed[s]])
 	}
-	return dst, edges, dyn
+	return dst[:off], edges, dyn
 }
 
 // Scatter runs body over contiguous shards of an nItems-long change list,

@@ -48,6 +48,9 @@ type Charges struct {
 	Gathered, Applied, Shipped Transfer
 }
 
+// scatterCharged reports whether a scatter edge costs anything.
+func (ch *Charges) scatterCharged() bool { return ch.ScatterEdgeNs != 0 || ch.SignalBytes != 0 }
+
 // Transfer prices one exchange between a vertex's master and each mirror it
 // reaches; the zero Transfer charges nothing.
 type Transfer struct {
@@ -61,18 +64,35 @@ type Transfer struct {
 	Narrow Direction
 }
 
-// placement is what a visit reads of where things are, in the shape it is
-// stored: the assignment's row words and per-vertex and per-edge slices, and
-// one partition→machine table built once per run.
+// placement is what a visit reads of where things are, in the shape a visit
+// walks it, all built once per run: the assignment's row words and masters, a
+// partition→machine table, and per machine the row words of the partitions it
+// hosts (local[m*words+wi]). The per-edge partitions are the views' columns.
 type placement struct {
 	a       *partition.Assignment
 	machine []int32
+	local   []uint64
+}
+
+// newPlacement builds a's placement tables for the machines of cfg.
+func newPlacement(a *partition.Assignment, cfg cluster.Config) placement {
+	words := (a.NumParts + 63) / 64
+	pl := placement{a: a, machine: make([]int32, a.NumParts), local: make([]uint64, cfg.Machines*words)}
+	for p := range pl.machine {
+		m := cfg.MachineOf(p)
+		pl.machine[p] = int32(m)
+		pl.local[m*words+p>>6] |= 1 << uint(p&63)
+	}
+	return pl
 }
 
 // charge prices transfer t of v, if v has a master: every mirror reached pays
 // t.MirrorNs, and one on another machine than master's moves t.Bytes — towards
-// the master if toMaster, from it otherwise. Mirrors are visited in ascending
-// partition order, so every meter sums its floats in one fixed sequence.
+// the master if toMaster, from it otherwise. The remote mirrors are the reached
+// words masked by master's machine. Mirrors are visited in ascending partition
+// order, so every meter sums its floats in one fixed sequence; atMaster and
+// atMirror are always different slices, so the master's sum can stay in a
+// register.
 func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master int, narrow bool, ms *meters) {
 	if master < 0 || t.Bytes == 0 && t.MirrorNs == 0 {
 		return
@@ -82,7 +102,9 @@ func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master i
 		atMaster, atMirror = ms.In, ms.Out
 	}
 	reps, in, out := pl.a.Rows(v)
-	mm, dyn := pl.machine[master], ms.Dyn
+	mm, words := int(pl.machine[master]), len(reps)
+	local := pl.local[mm*words : (mm+1)*words]
+	sent, dyn := atMaster[master], ms.Dyn
 	for wi, w := range reps {
 		if narrow {
 			var held uint64
@@ -97,30 +119,31 @@ func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master i
 		if wi == master>>6 {
 			w &^= 1 << uint(master&63)
 		}
-		for ; w != 0; w &= w - 1 {
-			p := wi<<6 + bits.TrailingZeros64(w)
-			if t.MirrorNs != 0 {
-				ms.Work[p] += t.MirrorNs
-			}
-			if pl.machine[p] != mm {
-				atMaster[master] += t.Bytes
-				atMirror[p] += t.Bytes
-				dyn += t.Bytes
+		if t.MirrorNs != 0 {
+			for r := w; r != 0; r &= r - 1 {
+				ms.Work[wi<<6+bits.TrailingZeros64(r)] += t.MirrorNs
 			}
 		}
+		for r := w &^ local[wi]; r != 0; r &= r - 1 {
+			atMirror[wi<<6+bits.TrailingZeros64(r)] += t.Bytes
+			sent += t.Bytes
+			dyn += t.Bytes
+		}
 	}
+	atMaster[master] = sent
 	ms.Dyn = dyn
 }
 
-// activate scatters along one adjacency list of a changed vertex. Adding zero
-// is a no-op, so a policy with no per-edge scatter charge (GraphX) skips the
-// placement lookups.
-func (pl placement) activate(ch *Charges, nbrs []graph.VertexID, eids []int32, ms *meters, nb bitset) int64 {
-	charged := ch.ScatterEdgeNs != 0 || ch.SignalBytes != 0
-	edgeParts, masters := pl.a.EdgeParts, pl.a.Masters
+// activate scatters along one adjacency list of a changed vertex, parts being
+// its slice of the placement column. Adding zero is a no-op, so a policy with
+// no per-edge scatter charge (GraphX) skips the placement lookups and builds
+// no column for them.
+func (pl placement) activate(ch *Charges, nbrs []graph.VertexID, parts []uint8, ms *meters, nb bitset) int64 {
+	charged := ch.scatterCharged()
+	masters := pl.a.Masters
 	for i, u := range nbrs {
 		if charged {
-			p := edgeParts[eids[i]]
+			p := parts[i]
 			ms.Work[p] += ch.ScatterEdgeNs
 			if um := masters[u]; um >= 0 && pl.machine[p] != pl.machine[um] {
 				ms.Out[p] += ch.SignalBytes
@@ -133,13 +156,49 @@ func (pl placement) activate(ch *Charges, nbrs []graph.VertexID, eids []int32, m
 }
 
 // scan charges ns of work per edge of one gathered list, to the partition
-// holding the edge.
-func (pl placement) scan(eids []int32, ns float64, ms *meters) int64 {
-	work, edgeParts := ms.Work, pl.a.EdgeParts
-	for _, e := range eids {
-		work[edgeParts[e]] += ns
+// holding the edge: parts is the list's slice of the placement column.
+func scan(parts []uint8, ns float64, ms *meters) int64 {
+	work := ms.Work
+	for _, p := range parts {
+		work[p] += ns
 	}
-	return int64(len(eids))
+	return int64(len(parts))
+}
+
+// view is one direction of the CSR as a visit reads it: the neighbor lists
+// and, parallel to them, the placement column — col[i] is the partition of
+// the edge at adjacency slot i. col is nil when the run charges no edge of
+// the direction.
+type view struct {
+	index []int32
+	nbrs  []graph.VertexID
+	col   []uint8
+}
+
+// newView takes one direction of the CSR and, if charged, builds its
+// placement column by range on sh's workers: the one pass through the edge
+// ids a run makes.
+func newView(adj graph.Adjacency, a *partition.Assignment, charged bool, sh *sharder) *view {
+	vw := &view{index: adj.Index, nbrs: adj.Neighbors}
+	if charged {
+		eids, edgeParts := adj.EdgeIDs, a.EdgeParts
+		vw.col = make([]uint8, len(eids))
+		sh.Do(len(eids), func(lo, hi int) {
+			for i, e := range eids[lo:hi] {
+				vw.col[lo+i] = uint8(edgeParts[e])
+			}
+		})
+	}
+	return vw
+}
+
+// list returns v's neighbors and their slice of the column (nil without one).
+func (vw *view) list(v graph.VertexID) ([]graph.VertexID, []uint8) {
+	lo, hi := vw.index[v], vw.index[v+1]
+	if vw.col == nil {
+		return vw.nbrs[lo:hi], nil
+	}
+	return vw.nbrs[lo:hi], vw.col[lo:hi]
 }
 
 // degree is the degree in direction d of a vertex with the given in- and
@@ -175,16 +234,19 @@ type Execution[V any] struct {
 
 // Execute runs prog over the partitioned graph on the simulated cluster,
 // charging as ch says: ch is data, and the loop evaluates it against the
-// placement as it is stored — row words, the per-edge and per-vertex slices
-// and one partition→machine table — calling nothing per visit. It is the one
+// placement — row words, masters, per-machine masks and the edges' partitions
+// in adjacency order — calling nothing per visit. It is the one
 // superstep loop of the repo: Init and InitiallyActive, the gather scan, Apply
 // for replicated and isolated vertices, the commit, scatter activation,
 // Reactivator voting and the step cap live here and nowhere else.
 //
-// The graph's CSR is taken once, as two adjacency views, and a visit slices
-// them: the program folds a whole neighbor list per Gather call (its own loop,
+// The graph's CSR is taken once, as two views, and a visit slices them: the
+// program folds a whole neighbor list per Gather call (its own loop,
 // statically dispatched), and Execute charges that list's edges in a loop of
-// its own, so no call through prog sits in a per-edge loop.
+// its own over the view's placement column, so no call through prog sits in a
+// per-edge loop and no edge id is read after the columns are built. A
+// direction gets a column only if it is gathered, or scattered with a
+// per-edge charge.
 //
 // maxSteps ≤ 0 runs to convergence. allActive puts every vertex — isolated
 // ones included — in every superstep's frontier (the paper's "PageRank(10)").
@@ -195,15 +257,12 @@ type Execution[V any] struct {
 // The shard structure depends only on the list's length and all
 // floating-point meters merge in shard order, so every worker count —
 // including 1, which is the same code run inline — produces byte-identical
-// results. a and cfg must agree on the partition count and cfg must be valid;
-// the systems' Run functions check both.
+// results. a and cfg must agree on the partition count, which is at most
+// MaxParts (a column entry is one byte), and cfg must be valid; the systems'
+// Run functions check all three.
 func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.Config, model cluster.CostModel,
 	ch Charges, maxSteps int, allActive bool, workers int) *Execution[V] {
 	g := a.G
-	// The phase closures are built every superstep and capture what they
-	// use: two pointers, not the views' eighteen words.
-	inAdj, outAdj := g.Adjacency()
-	in, out := &inAdj, &outAdj
 	n := g.NumVertices()
 
 	vals := make([]V, n)
@@ -222,15 +281,18 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 	inBytes := make([]float64, a.NumParts)
 	outBytes := make([]float64, a.NumParts)
 	sh := newSharder(workers, a.NumParts, n)
-	changedList := make([]graph.VertexID, 0, n)
+	var changedList []graph.VertexID
 
 	gatherDir, scatterDir := prog.GatherDir(), prog.ScatterDir()
 	reactivator, _ := any(prog).(Reactivator[V])
 
-	pl := placement{a: a, machine: make([]int32, a.NumParts)}
-	for p := range pl.machine {
-		pl.machine[p] = int32(cfg.MachineOf(p))
-	}
+	// The phase closures are built every superstep and capture what they
+	// use: two pointers, not the views' eighteen words.
+	inAdj, outAdj := g.Adjacency()
+	in := newView(inAdj, a, gatherDir.in() || ch.scatterCharged() && scatterDir.in(), sh)
+	out := newView(outAdj, a, gatherDir.out() || ch.scatterCharged() && scatterDir.out(), sh)
+
+	pl := newPlacement(a, cfg)
 	masters := a.Masters
 
 	for step := 0; ; step++ {
@@ -259,23 +321,23 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 		// order, exactly as a sequential loop produces it.
 		var gatherEdges int64
 		var dynBytes float64
-		changedList, gatherEdges, dynBytes = sh.Meter(len(frontier), work, inBytes, outBytes, changedList[:0],
+		changedList, gatherEdges, dynBytes = sh.Meter(len(frontier), work, inBytes, outBytes, changedList,
 			func(lo, hi int, ms *meters, chg []graph.VertexID) []graph.VertexID {
 				var edges int64
 				for _, v := range frontier[lo:hi] {
-					inNbrs, inEids := in.List(v)
-					outNbrs, outEids := out.List(v)
+					inNbrs, inParts := in.list(v)
+					outNbrs, outParts := out.list(v)
 					var acc A
 					hasAcc := false
 					if gatherDir.in() {
 						acc = prog.Gather(g, v, DirIn, inNbrs, vals, acc, false)
 						hasAcc = len(inNbrs) > 0
-						edges += pl.scan(inEids, ch.GatherEdgeNs, ms)
+						edges += scan(inParts, ch.GatherEdgeNs, ms)
 					}
 					if gatherDir.out() {
 						acc = prog.Gather(g, v, DirOut, outNbrs, vals, acc, hasAcc)
 						hasAcc = hasAcc || len(outNbrs) > 0
-						edges += pl.scan(outEids, ch.GatherEdgeNs, ms)
+						edges += scan(outParts, ch.GatherEdgeNs, ms)
 					}
 
 					// An isolated vertex (master < 0) has no replicas and no
@@ -316,15 +378,15 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 			func(lo, hi int, ms *meters, nb bitset) {
 				var edges int64
 				for _, v := range changedList[lo:hi] {
-					inNbrs, inEids := in.List(v)
-					outNbrs, outEids := out.List(v)
+					inNbrs, inParts := in.list(v)
+					outNbrs, outParts := out.list(v)
 					narrow := gatherDir.degree(len(inNbrs), len(outNbrs)) <= ch.NarrowDegree
 					pl.charge(ch.Shipped, false, v, int(masters[v]), narrow, ms)
 					if scatterDir.out() {
-						edges += pl.activate(&ch, outNbrs, outEids, ms, nb)
+						edges += pl.activate(&ch, outNbrs, outParts, ms, nb)
 					}
 					if scatterDir.in() {
-						edges += pl.activate(&ch, inNbrs, inEids, ms, nb)
+						edges += pl.activate(&ch, inNbrs, inParts, ms, nb)
 					}
 				}
 				ms.Edges = edges
