@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"graphpart/internal/datasets"
@@ -63,6 +64,9 @@ func TestConvertRoundTripsAllDatasets(t *testing.T) {
 			if !reflect.DeepEqual(got.Edges, g.Edges) {
 				t.Fatalf("%s/%s: edge list differs after conversion", name, hop.label)
 			}
+			// A v1 load's Edges alias the file mapping, which is released
+			// once got is unreachable: keep got until its edges are read.
+			runtime.KeepAlive(got)
 			if graph.IsCSRPath(dst) {
 				// The format version is the uint16 at bytes [4:6).
 				data, err := os.ReadFile(dst)

@@ -95,6 +95,12 @@ var forbidden = []rule{
 		why:     "the daemon is tested in internal/service; nothing else links it or speaks HTTP",
 	},
 	{
+		imports: []string{"graphpart/internal/oracle"},
+		in:      []string{"main"},
+		where:   "outside a main package, in package",
+		why:     "internal/oracle is the tests' independent reference; product code that called it could hide the same bug in both",
+	},
+	{
 		decls: []string{"forShards", "forEachShard", "resolveWorkers"},
 		where: "in package",
 		why:   "internal/par owns every fan-out; call par.Do",
@@ -106,13 +112,14 @@ var forbidden = []rule{
 	},
 	{
 		decls: []string{"ForEachReplica", "HasInEdges", "HasOutEdges", "Holds"},
+		in:    []string{"oracle"},
 		where: "in package",
 		why:   "the engines read placement a row at a time; take the words from Assignment.Rows",
 	},
 	{
 		decls: []string{"InEdgeIDs", "OutEdgeIDs"},
 		where: "in package",
-		why:   "the engine slices adjacency from the view Execute took once; take graph.Adjacency and call List",
+		why:   "the engine slices adjacency from the view Execute took once; take graph.Adjacency and slice it by Index",
 	},
 }
 

@@ -1,6 +1,6 @@
 // Package main (fixture): binaries may time themselves, stamp a report with
-// the host's core count and link the daemon, but settings still arrive as
-// flags.
+// the host's core count, link the daemon and check against the oracle, but
+// settings still arrive as flags.
 package main
 
 import (
@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"time"
 
+	_ "graphpart/internal/oracle"
 	"graphpart/internal/service"
 )
 

@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"time"
 
+	_ "graphpart/internal/oracle"  // want `import of graphpart/internal/oracle outside a main package, in package engine: internal/oracle is the tests' independent reference`
 	_ "graphpart/internal/service" // want `import of graphpart/internal/service outside the service layer`
 )
 

@@ -11,6 +11,7 @@ import (
 	"graphpart/internal/engine"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
+	"graphpart/internal/oracle"
 	"graphpart/internal/partition"
 )
 
@@ -35,7 +36,7 @@ var propCluster = cluster.Config{Machines: 5, PartsPerMachine: 1}
 
 // TestWCCLabelsArePartitionProperty: for any graph, WCC labels form a valid
 // partition — every edge connects same-labeled endpoints, and each label
-// equals the minimum vertex id carrying it.
+// equals the minimum vertex id carrying it — which is the oracle's labelling.
 func TestWCCLabelsArePartitionProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		g := randomGraphFrom(raw)
@@ -48,22 +49,7 @@ func TestWCCLabelsArePartitionProperty(t *testing.T) {
 		}
 		out, err := engine.Run[uint32, uint32](engine.ModePowerGraph, WCC{}, a, propCluster, testModel,
 			engine.Options{MaxSupersteps: 4000})
-		if err != nil || !out.Stats.Converged {
-			return false
-		}
-		labels := out.Values
-		for _, e := range g.Edges {
-			if labels[e.Src] != labels[e.Dst] {
-				return false
-			}
-		}
-		// The label of each component is its smallest member id.
-		for v, l := range labels {
-			if uint32(v) < l {
-				return false
-			}
-		}
-		return true
+		return err == nil && out.Stats.Converged && slices.Equal(out.Values, oracle.WCC(g.NumVertices(), g.Edges))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -72,7 +58,7 @@ func TestWCCLabelsArePartitionProperty(t *testing.T) {
 
 // TestSSSPTriangleInequalityProperty: for any graph, converged distances
 // satisfy |d(u) − d(v)| ≤ 1 across every (undirected) edge, and d is 0 only
-// at the source.
+// at the source: they are the oracle's BFS hop counts.
 func TestSSSPTriangleInequalityProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		g := randomGraphFrom(raw)
@@ -86,23 +72,7 @@ func TestSSSPTriangleInequalityProperty(t *testing.T) {
 		src := g.Edges[0].Src
 		out, err := engine.Run[float64, float64](engine.ModePowerGraph, SSSP{Source: src}, a, propCluster, testModel,
 			engine.Options{MaxSupersteps: 4000})
-		if err != nil || !out.Stats.Converged {
-			return false
-		}
-		d := out.Values
-		if d[src] != 0 {
-			return false
-		}
-		for _, e := range g.Edges {
-			du, dv := d[e.Src], d[e.Dst]
-			if math.IsInf(du, 1) != math.IsInf(dv, 1) {
-				return false // an edge connects reached and unreached
-			}
-			if !math.IsInf(du, 1) && math.Abs(du-dv) > 1 {
-				return false
-			}
-		}
-		return true
+		return err == nil && out.Stats.Converged && slices.Equal(out.Values, oracle.BFS(g.NumVertices(), g.Edges, src, false))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -134,7 +104,8 @@ func TestColoringProperProperty(t *testing.T) {
 }
 
 // TestKCoreMonotoneProperty: the k-core shrinks (weakly) as k grows, and
-// every surviving vertex has ≥ k neighbors inside the core.
+// every surviving vertex has ≥ k neighbors inside the core: the core numbers
+// are the ones the oracle peels.
 func TestKCoreMonotoneProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		g := randomGraphFrom(raw)
@@ -147,32 +118,7 @@ func TestKCoreMonotoneProperty(t *testing.T) {
 		}
 		core, stats, err := KCoreDecomposition(engine.ModePowerGraph, 2, 5, a, propCluster, testModel,
 			engine.Options{MaxSupersteps: 4000})
-		if err != nil || !stats.Converged {
-			return false
-		}
-		for k := 2; k <= 5; k++ {
-			inCore := func(v graph.VertexID) bool { return core[v] >= k }
-			for v := 0; v < g.NumVertices(); v++ {
-				if !inCore(graph.VertexID(v)) {
-					continue
-				}
-				deg := 0
-				for _, u := range g.OutNeighbors(graph.VertexID(v)) {
-					if inCore(u) {
-						deg++
-					}
-				}
-				for _, u := range g.InNeighbors(graph.VertexID(v)) {
-					if inCore(u) {
-						deg++
-					}
-				}
-				if deg < k {
-					return false
-				}
-			}
-		}
-		return true
+		return err == nil && stats.Converged && slices.Equal(core, oracle.KCore(g.NumVertices(), g.Edges, 2, 5))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -231,9 +177,10 @@ func checkFolds[V, A any](t *testing.T, prog engine.Program[V, A], ref edgeRef[V
 	t.Helper()
 	in, out := g.Adjacency()
 	for v := graph.VertexID(0); int(v) < g.NumVertices(); v++ {
-		inNbrs, _ := in.List(v)
-		outNbrs, _ := out.List(v)
-		lists := map[engine.Direction][]graph.VertexID{engine.DirIn: inNbrs, engine.DirOut: outNbrs}
+		lists := map[engine.Direction][]graph.VertexID{
+			engine.DirIn:  in.Neighbors[in.Index[v]:in.Index[v+1]],
+			engine.DirOut: out.Neighbors[out.Index[v]:out.Index[v+1]],
+		}
 		for _, order := range [][2]engine.Direction{{engine.DirIn, engine.DirOut}, {engine.DirOut, engine.DirIn}} {
 			var got, want A
 			hasAcc := false

@@ -1,144 +1,10 @@
 package app
 
 import (
-	"math"
-
 	"graphpart/internal/engine"
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
 )
-
-// Sequential reference implementations used to validate the engines.
-
-// refPageRank runs synchronous PageRank for iters iterations (or to
-// convergence when iters == 0) with damping d.
-func refPageRank(g *graph.Graph, d float64, tol float64, iters int) []float64 {
-	n := g.NumVertices()
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	for i := range pr {
-		pr[i] = 1
-	}
-	for it := 0; iters == 0 || it < iters; it++ {
-		changed := false
-		for v := 0; v < n; v++ {
-			sum := 0.0
-			for _, u := range g.InNeighbors(graph.VertexID(v)) {
-				sum += pr[u] / float64(g.OutDegree(u))
-			}
-			next[v] = (1 - d) + d*sum
-			if math.Abs(next[v]-pr[v]) > tol {
-				changed = true
-			}
-		}
-		pr, next = next, pr
-		if iters == 0 && !changed {
-			break
-		}
-	}
-	return pr
-}
-
-// refWCC computes weakly-connected-component labels (min vertex id per
-// component).
-func refWCC(g *graph.Graph) []uint32 {
-	n := g.NumVertices()
-	label := make([]uint32, n)
-	for v := range label {
-		label[v] = uint32(v)
-	}
-	for {
-		changed := false
-		for _, e := range g.Edges {
-			if label[e.Src] < label[e.Dst] {
-				label[e.Dst] = label[e.Src]
-				changed = true
-			} else if label[e.Dst] < label[e.Src] {
-				label[e.Src] = label[e.Dst]
-				changed = true
-			}
-		}
-		if !changed {
-			return label
-		}
-	}
-}
-
-// refBFS computes unweighted shortest-path distances from src, treating
-// edges as undirected when directed is false.
-func refBFS(g *graph.Graph, src graph.VertexID, directed bool) []float64 {
-	n := g.NumVertices()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	if int(src) >= n {
-		return dist
-	}
-	dist[src] = 0
-	queue := []graph.VertexID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		relax := func(u graph.VertexID) {
-			if dist[v]+1 < dist[u] {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-		for _, u := range g.OutNeighbors(v) {
-			relax(u)
-		}
-		if !directed {
-			for _, u := range g.InNeighbors(v) {
-				relax(u)
-			}
-		}
-	}
-	return dist
-}
-
-// refKCoreNumbers peels the graph and returns each vertex's core number
-// capped at kmax; vertices below the kmin-core get kmin−1.
-func refKCoreNumbers(g *graph.Graph, kmin, kmax int) []int {
-	n := g.NumVertices()
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(graph.VertexID(v))
-	}
-	removed := make([]bool, n)
-	core := make([]int, n)
-	for v := range core {
-		core[v] = kmin - 1
-	}
-	for k := kmin; k <= kmax; k++ {
-		for {
-			any := false
-			for v := 0; v < n; v++ {
-				if removed[v] || deg[v] >= k {
-					continue
-				}
-				removed[v] = true
-				any = true
-				for _, u := range g.OutNeighbors(graph.VertexID(v)) {
-					deg[u]--
-				}
-				for _, u := range g.InNeighbors(graph.VertexID(v)) {
-					deg[u]--
-				}
-			}
-			if !any {
-				break
-			}
-		}
-		for v := 0; v < n; v++ {
-			if !removed[v] {
-				core[v] = k
-			}
-		}
-	}
-	return core
-}
 
 // The per-edge definitions of the five programs, as engine.Program had them
 // before a Gather call folded a whole adjacency list: the contribution of one

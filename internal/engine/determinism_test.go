@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"graphpart/internal/app"
@@ -11,6 +13,7 @@ import (
 	"graphpart/internal/engine/graphx"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
+	"graphpart/internal/oracle"
 	"graphpart/internal/partition"
 )
 
@@ -24,6 +27,9 @@ type detCase struct {
 	// counterpart: FixedIterations' all-active frontier and the multi-pass
 	// decomposition driver.
 	graphx func(a *partition.Assignment, workers int) (any, int, error)
+	// oracle is the answer internal/oracle computes from g's edge list alone
+	// (see agrees).
+	oracle func(g *graph.Graph) any
 }
 
 func detOpts(workers int) engine.Options {
@@ -31,50 +37,85 @@ func detOpts(workers int) engine.Options {
 }
 
 // programCase runs one vertex program capped at maxSteps under all three
-// systems.
-func programCase[V, A any](name string, prog engine.Program[V, A], maxSteps int) detCase {
+// systems on cfg.
+func programCase[V, A any](name string, prog engine.Program[V, A], maxSteps int, cfg cluster.Config, answer func(*graph.Graph) any) detCase {
 	return detCase{name,
 		func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
 			opts := detOpts(w)
 			opts.MaxSupersteps = maxSteps
-			out, err := engine.Run(mode, prog, a, cluster.Local9, model, opts)
+			out, err := engine.Run(mode, prog, a, cfg, model, opts)
 			if err != nil {
 				return nil, engine.Stats{}, err
 			}
 			return out.Values, out.Stats, nil
 		},
 		func(a *partition.Assignment, w int) (any, int, error) {
-			out, err := graphx.Run(prog, a, graphx.Config{Cluster: cluster.Local9, Iterations: maxSteps, Workers: w}, model)
+			out, err := graphx.Run(prog, a, graphx.Config{Cluster: cfg, Iterations: maxSteps, Workers: w}, model)
 			if err != nil {
 				return nil, 0, err
 			}
 			return out.Values, out.Stats.Iterations, nil
-		}}
+		},
+		answer}
 }
 
-func detCases() []detCase {
+// detCases are the applications of the suite on cluster cfg. Damping and
+// tolerances are written out for the oracle, not read from app, so a drift
+// there is caught.
+func detCases(cfg cluster.Config) []detCase {
+	pageRank := func(tol float64, iters int, activeSet bool) func(*graph.Graph) any {
+		return func(g *graph.Graph) any {
+			return near(oracle.PageRank(g.NumVertices(), g.Edges, 0.85, tol, iters, activeSet))
+		}
+	}
 	return []detCase{
 		{"PageRank(10)", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
 			opts := detOpts(w)
 			opts.MaxSupersteps = 0
 			opts.FixedIterations = 10
-			out, err := engine.Run[float64, float64](mode, app.PageRank{}, a, cluster.Local9, model, opts)
+			out, err := engine.Run[float64, float64](mode, app.PageRank{}, a, cfg, model, opts)
 			if err != nil {
 				return nil, engine.Stats{}, err
 			}
 			return out.Values, out.Stats, nil
-		}, nil},
-		programCase("PageRank(cap 10)", app.PageRank{}, 10),
-		programCase("PageRank(C)", app.PageRank{Tolerance: 1e-2}, 4000),
-		programCase("WCC", app.WCC{}, 4000),
-		programCase("SSSP", app.SSSP{Source: 0}, 4000),
+		}, nil, pageRank(1e-3, 10, false)},
+		programCase("PageRank(cap 10)", app.PageRank{}, 10, cfg, pageRank(1e-3, 10, true)),
+		programCase("PageRank(C)", app.PageRank{Tolerance: 1e-2}, 4000, cfg, pageRank(1e-2, 4000, true)),
+		programCase("WCC", app.WCC{}, 4000, cfg, func(g *graph.Graph) any { return oracle.WCC(g.NumVertices(), g.Edges) }),
+		programCase("SSSP", app.SSSP{Source: 0}, 4000, cfg, func(g *graph.Graph) any {
+			return oracle.BFS(g.NumVertices(), g.Edges, 0, false)
+		}),
 		{"K-Core", func(mode engine.Mode, a *partition.Assignment, w int) (any, engine.Stats, error) {
-			cores, stats, err := app.KCoreDecomposition(mode, 3, 6, a, cluster.Local9, model, detOpts(w))
-			return cores, stats, err
-		}, nil},
-		programCase("K-Core(3)", app.KCore{K: 3}, 4000),
-		programCase("Coloring", app.Coloring{}, 4000),
+			return app.KCoreDecomposition(mode, 3, 6, a, cfg, model, detOpts(w))
+		}, nil, func(g *graph.Graph) any { return oracle.KCore(g.NumVertices(), g.Edges, 3, 6) }},
+		programCase("K-Core(3)", app.KCore{K: 3}, 4000, cfg, func(g *graph.Graph) any {
+			removed := make([]int32, g.NumVertices())
+			for v, core := range oracle.KCore(g.NumVertices(), g.Edges, 3, 3) {
+				if core < 3 {
+					removed[v] = app.VertexRemoved
+				}
+			}
+			return removed
+		}),
+		programCase("Coloring", app.Coloring{}, 4000, cfg, func(*graph.Graph) any { return nil }),
 	}
+}
+
+// near is an oracle answer the engines may miss in the last bits: the
+// oracle sums PageRank's terms in edge-list order.
+type near []float64
+
+// agrees reports whether vals are the oracle's answer: within a relative
+// 1e-12 of a near answer, equal to any other, and a proper coloring where
+// there is no answer.
+func agrees(g *graph.Graph, vals, answer any) bool {
+	switch want := answer.(type) {
+	case nil:
+		return app.ValidColoring(g, vals.([]int32))
+	case near:
+		return slices.EqualFunc(vals.([]float64), want, func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) })
+	}
+	return reflect.DeepEqual(vals, answer)
 }
 
 // TestParallelEngineDeterminism pins the tentpole contract: for every
@@ -108,7 +149,7 @@ func TestParallelEngineDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range modes {
-				for _, tc := range detCases() {
+				for _, tc := range detCases(cluster.Local9) {
 					t.Run(fmt.Sprintf("%s/%s/mode%d/%s", gname, strat, mode, tc.name), func(t *testing.T) {
 						seqVals, seqStats, err := tc.run(mode, a, 1)
 						if err != nil {
@@ -146,7 +187,7 @@ func TestDecayingFrontierDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := app.PageRank{Tolerance: 1e-2}
-	gas := programCase("PageRank(C)", prog, 4000).run
+	gas := programCase("PageRank(C)", prog, 4000, cluster.Local9, nil).run
 	systems := map[string]func(workers int) (vals, stats any, steps int, err error){
 		"PowerGraph": func(w int) (any, any, int, error) {
 			vals, st, err := gas(engine.ModePowerGraph, a, w)

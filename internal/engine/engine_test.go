@@ -15,6 +15,7 @@ import (
 	"graphpart/internal/engine/graphx"
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
+	"graphpart/internal/oracle"
 	"graphpart/internal/partition"
 )
 
@@ -71,50 +72,35 @@ func TestLyraSavingLargerWithHybridPartitioning(t *testing.T) {
 	}
 }
 
-// TestSameResultsAcrossModes: engine mode affects accounting, never values.
-func TestSameResultsAcrossModes(t *testing.T) {
-	a := assignmentFor(t, "Grid")
-	pg, err := engine.Run[float64, float64](engine.ModePowerGraph, app.PageRank{}, a, cluster.Local9, model,
-		engine.Options{FixedIterations: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lyra, err := engine.Run[float64, float64](engine.ModePowerLyra, app.PageRank{}, a, cluster.Local9, model,
-		engine.Options{FixedIterations: 7, HighDegreeThreshold: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range pg.Values {
-		if pg.Values[v] != lyra.Values[v] {
-			t.Fatalf("value[%d] differs across engine modes: %v vs %v", v, pg.Values[v], lyra.Values[v])
-		}
-	}
-}
-
 // TestSameResultsAcrossSystems is the metamorphic form of "partitioning and
-// system change cost, never answers": on one placement, every application
-// gives byte-identical Values and the same superstep count under PowerGraph,
-// PowerLyra and GraphX at every worker count — K-Core, whose Reactivator
-// voting GraphX must honour, included.
+// system change cost, never answers": on the placement of every strategy,
+// every application gives byte-identical Values and the same superstep count
+// under PowerGraph, PowerLyra and GraphX at every worker count — K-Core, whose
+// Reactivator voting GraphX must honour, included — and those values are the
+// ones the oracle recomputes from the edge list alone.
 func TestSameResultsAcrossSystems(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.PrefAttach("power-law", 2200, 5, 0x9),
 		gen.RoadNet("road-net", 30, 30, 0x9),
 	}
 	for _, g := range graphs {
-		for _, strat := range []string{"Random", "2D", "HDRF"} {
-			a, err := partition.Partition(g, partition.MustNew(strat, partition.Options{}), 9, 2)
+		for _, strat := range partition.AllNames() {
+			cfg := cluster.Local9
+			if strat == "PDS" { // p²+p+1 parts
+				cfg = cluster.Config{Machines: 7, PartsPerMachine: 1}
+			}
+			a, err := partition.Partition(g, partition.MustNew(strat, partition.Options{}), cfg.NumParts(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tc := range detCases() {
-				if tc.graphx == nil {
-					continue
-				}
+			for _, tc := range detCases(cfg) {
 				t.Run(fmt.Sprintf("%s/%s/%s", g.Name, strat, tc.name), func(t *testing.T) {
 					want, st, err := tc.run(engine.ModePowerGraph, a, 1)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if !agrees(g, want, tc.oracle(g)) {
+						t.Errorf("PowerGraph workers=1 Values are not the oracle's")
 					}
 					check := func(system string, w int, vals any, steps int, err error) {
 						if err != nil {
@@ -132,8 +118,10 @@ func TestSameResultsAcrossSystems(t *testing.T) {
 							vals, mst, err := tc.run(mode, a, w)
 							check(fmt.Sprintf("mode%d", mode), w, vals, mst.Supersteps, err)
 						}
-						vals, iters, err := tc.graphx(a, w)
-						check("GraphX", w, vals, iters, err)
+						if tc.graphx != nil {
+							vals, iters, err := tc.graphx(a, w)
+							check("GraphX", w, vals, iters, err)
+						}
 					}
 				})
 			}
@@ -160,32 +148,33 @@ func TestNetworkScalesWithReplication(t *testing.T) {
 // TestNetInClosedForm prices PowerGraph's network without the loop: one
 // all-active PageRank superstep with free activation signals moves one
 // accumulator and one value per mirror hosted on a machine other than its
-// master's, and nothing else. Four partitions a machine put some mirrors on
-// the master's own machine; 100 partitions make a replica row two words.
+// master's, and nothing else, whatever the strategy. The oracle says which
+// partitions hold an image. Four partitions a machine put some mirrors on the
+// master's own machine; 100 partitions make a replica row two words. PDS
+// takes 91 = 9²+9+1 partitions, seven a machine.
 func TestNetInClosedForm(t *testing.T) {
-	cc := cluster.Config{Machines: 25, PartsPerMachine: 4}
 	m := model
 	m.SignalBytes = 0
 	g := gen.PrefAttach("closed-form", 3000, 6, 0x5)
-	for _, strat := range []string{"Random", "2D"} {
+	for _, strat := range partition.AllNames() {
+		cc := cluster.Config{Machines: 25, PartsPerMachine: 4}
+		if strat == "PDS" {
+			cc = cluster.Config{Machines: 13, PartsPerMachine: 7}
+		}
 		a, err := partition.Partition(g, partition.MustNew(strat, partition.Options{}), cc.NumParts(), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		holds := make([][]bool, g.NumVertices())
-		for v := range holds {
-			holds[v] = make([]bool, a.NumParts)
-		}
-		for i, e := range g.Edges {
-			holds[e.Src][a.EdgeParts[i]] = true
-			holds[e.Dst][a.EdgeParts[i]] = true
+		cut, err := oracle.NewCut(g.NumVertices(), a.NumParts, g.Edges, a.EdgeParts, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var remote, cohosted int
-		for v, row := range holds {
-			for p, held := range row {
-				switch master := int(a.Masters[v]); {
-				case !held || p == master:
-				case p%cc.Machines == master%cc.Machines:
+		for v, master := range a.Masters {
+			for p := 0; p < a.NumParts; p++ {
+				switch {
+				case !cut.Holds(graph.VertexID(v), p) || p == int(master):
+				case cc.MachineOf(p) == cc.MachineOf(int(master)):
 					cohosted++
 				default:
 					remote++

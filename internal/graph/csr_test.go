@@ -54,8 +54,8 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 		if !reflect.DeepEqual(got.OutNeighbors(id), want.OutNeighbors(id)) {
 			t.Errorf("vertex %d: out-neighbors %v, want %v", v, got.OutNeighbors(id), want.OutNeighbors(id))
 		}
-		_, gotIDs := gotIn.List(id)
-		_, wantIDs := wantIn.List(id)
+		gotIDs := gotIn.EdgeIDs[gotIn.Index[v]:gotIn.Index[v+1]]
+		wantIDs := wantIn.EdgeIDs[wantIn.Index[v]:wantIn.Index[v+1]]
 		if !reflect.DeepEqual(gotIDs, wantIDs) {
 			t.Errorf("vertex %d: in-edge ids %v, want %v", v, gotIDs, wantIDs)
 		}

@@ -158,12 +158,6 @@ type Adjacency struct {
 	EdgeIDs   []int32
 }
 
-// List returns v's neighbors and, parallel to them, their edge ids.
-func (a Adjacency) List(v VertexID) ([]VertexID, []int32) {
-	lo, hi := a.Index[v], a.Index[v+1]
-	return a.Neighbors[lo:hi], a.EdgeIDs[lo:hi]
-}
-
 // Adjacency returns the in- and out-direction views of the graph's CSR,
 // building it if it is not built yet.
 func (g *Graph) Adjacency() (in, out Adjacency) {

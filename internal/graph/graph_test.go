@@ -73,7 +73,8 @@ func TestEdgeIDsParallelToNeighbors(t *testing.T) {
 	g := smallGraph()
 	in, out := g.Adjacency()
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
-		nbrs, eids := out.List(v)
+		lo, hi := out.Index[v], out.Index[v+1]
+		nbrs, eids := out.Neighbors[lo:hi], out.EdgeIDs[lo:hi]
 		if !slices.Equal(nbrs, g.OutNeighbors(v)) || len(nbrs) != len(eids) || len(nbrs) != g.OutDegree(v) {
 			t.Fatalf("v=%d: out list %v / %v, OutNeighbors %v, degree %d", v, nbrs, eids, g.OutNeighbors(v), g.OutDegree(v))
 		}
@@ -83,7 +84,8 @@ func TestEdgeIDsParallelToNeighbors(t *testing.T) {
 				t.Errorf("v=%d edge id %d = %v, want src=%d dst=%d", v, eids[i], e, v, nbrs[i])
 			}
 		}
-		inbrs, ieids := in.List(v)
+		lo, hi = in.Index[v], in.Index[v+1]
+		inbrs, ieids := in.Neighbors[lo:hi], in.EdgeIDs[lo:hi]
 		if !slices.Equal(inbrs, g.InNeighbors(v)) || len(inbrs) != len(ieids) || len(inbrs) != g.InDegree(v) {
 			t.Fatalf("v=%d: in list %v / %v, InNeighbors %v, degree %d", v, inbrs, ieids, g.InNeighbors(v), g.InDegree(v))
 		}

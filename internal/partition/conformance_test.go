@@ -4,31 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"testing"
 
 	"graphpart/internal/gen"
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
-	"graphpart/internal/metrics"
 )
 
 // The conformance suite is the registration gate for strategies: one
 // table-driven property set executed against EVERY registered strategy on a
 // power-law and a road graph. A strategy that registers but violates any of
-// these properties — assignment completeness, summary agreement, parallel
-// and seed determinism, the incremental contract — fails
+// these properties — placements and summary equal to the oracle's at every
+// worker count, seed determinism, the incremental contract — fails
 // here by construction, without anyone writing a strategy-specific test.
 // The paper's 13 and the post-paper families (HEP, JaBeJaSwap, Multilevel)
 // are all proven against the same contract; CI runs this suite under -race.
-
-// conformanceParts picks a partition count every strategy accepts: Grid
-// needs a perfect square, PDS needs p²+p+1.
-func conformanceParts(name string) int {
-	if name == "PDS" {
-		return 7
-	}
-	return 9
-}
 
 // conformanceOptions pins Loaders to one so the greedy strategies' one-shot
 // pass uses the same single loader state the persistent incremental
@@ -59,7 +50,7 @@ func TestConformance(t *testing.T) {
 		g.EnsureCSR()
 		for _, name := range AllNames() {
 			s := MustNew(name, conformanceOptions())
-			numParts := conformanceParts(name)
+			numParts := partsFor(name)
 			for _, c := range conformanceSuite {
 				g, s, c := g, s, c
 				t.Run(g.Name+"/"+name+"/"+c.name, func(t *testing.T) {
@@ -71,37 +62,8 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// checkEveryEdgeOnce: the strategy returns exactly one in-range partition
-// per edge, the per-partition counts sum back to the edge count, and the
-// replication factor lands in [1, numParts].
-func checkEveryEdgeOnce(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
-	a, err := Partition(g, s, numParts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.EdgeParts) != g.NumEdges() {
-		t.Fatalf("%d assignments for %d edges", len(a.EdgeParts), g.NumEdges())
-	}
-	for i, p := range a.EdgeParts {
-		if p < 0 || int(p) >= numParts {
-			t.Fatalf("edge %d on partition %d (numParts=%d)", i, p, numParts)
-		}
-	}
-	var total int64
-	for _, c := range a.EdgeCount {
-		total += c
-	}
-	if total != int64(g.NumEdges()) {
-		t.Fatalf("edge counts sum to %d, want %d", total, g.NumEdges())
-	}
-	if rf := a.ReplicationFactor(); rf < 1 || rf > float64(numParts) {
-		t.Fatalf("replication factor %v out of range [1,%d]", rf, numParts)
-	}
-}
-
-// forEach calls fn for every set column in a row, in ascending order. The
-// replay below counts images one bit at a time through it, which keeps it
-// independent of deriveMasters' byte-lane counts.
+// forEach calls fn for every set column in a row, in ascending order, one
+// bit at a time: the walk chooseMaster's broadword select must agree with.
 func (m *bitMatrix) forEach(row int, fn func(col int)) {
 	for wi, w := range m.row(row) {
 		for w != 0 {
@@ -133,69 +95,35 @@ func TestSelectBitMatchesForEach(t *testing.T) {
 	}
 }
 
-// checkSummaryAgreesWithQuality: the assignment's precomputed Quality
-// summary equals an independent accumulator replaying the edge placements
-// from scratch — per-partition counts, per-vertex replica sets, totals,
-// replication factor and balance.
+// checkEveryEdgeOnce: Partition — the one-worker call of the one driver —
+// places every edge where the test-side oracle does. The oracle refuses a
+// partition out of range and counts each edge once.
+func checkEveryEdgeOnce(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
+	a, err := Partition(g, s, numParts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPlacedAsOracle(t, "Partition", a, buildOracle(t, s, g, numParts, 1))
+}
+
+// checkSummaryAgreesWithQuality: Partition's summary — masters, replicas,
+// edges and images per partition, totals, RF and balance — is the one the
+// oracle counts in plain slices from the same placements.
 func checkSummaryAgreesWithQuality(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
 	a, err := Partition(g, s, numParts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumVertices()
-	q := metrics.NewQuality(numParts)
-	reps := newBitMatrix(n, numParts)
-	for i, e := range g.Edges {
-		p := int(a.EdgeParts[i])
-		q.AddEdge(p)
-		reps.set(int(e.Src), p)
-		reps.set(int(e.Dst), p)
-	}
-	for v := 0; v < n; v++ {
-		c := reps.count(v)
-		if got := a.Replicas(graph.VertexID(v)); got != c {
-			t.Fatalf("vertex %d: %d replicas in summary, replay has %d", v, got, c)
-		}
-		if c == 0 {
-			continue
-		}
-		q.VertexPlaced()
-		reps.forEach(v, q.AddReplica)
-	}
-	for p := 0; p < numParts; p++ {
-		if a.EdgeCount[p] != q.EdgesOn(p) {
-			t.Errorf("part %d: %d edges in summary, replay has %d", p, a.EdgeCount[p], q.EdgesOn(p))
-		}
-		if a.ReplicasOnPart(p) != q.ReplicasOnPart(p) {
-			t.Errorf("part %d: %d images in summary, replay has %d", p, a.ReplicasOnPart(p), q.ReplicasOnPart(p))
-		}
-	}
-	if a.TotalReplicas() != q.TotalReplicas() {
-		t.Errorf("total replicas %d, replay has %d", a.TotalReplicas(), q.TotalReplicas())
-	}
-	if a.ReplicationFactor() != q.ReplicationFactor() {
-		t.Errorf("RF %v, replay has %v", a.ReplicationFactor(), q.ReplicationFactor())
-	}
-	if a.EdgeBalance() != q.EdgeBalance() {
-		t.Errorf("balance %v, replay has %v", a.EdgeBalance(), q.EdgeBalance())
-	}
-	if a.Quality().NumEdges() != q.NumEdges() {
-		t.Errorf("quality edge count %d, replay has %d", a.Quality().NumEdges(), q.NumEdges())
-	}
+	o := buildOracle(t, s, g, numParts, 1)
+	assertTablesEqual(t, "Partition", viewOf(&a.cutTable, len(o.Masters)), cutView(o))
 }
 
-// checkParallelMatchesSequential: the one driver at workers 1, 2, 3 and 5
-// — Partition is the one-worker call — places every edge, picks every
-// master and counts every image exactly as the sequential test-side oracle
-// does. Parallelism changes wall-clock, never placement.
+// checkParallelMatchesSequential: the one driver at workers 2, 3 and 5
+// places every edge, picks every master and counts every image exactly as
+// the oracle does. Parallelism changes wall-clock, never placement.
 func checkParallelMatchesSequential(t *testing.T, s Strategy, g *graph.Graph, numParts int) {
 	want := buildOracle(t, s, g, numParts, 1)
-	seq, err := Partition(g, s, numParts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesOracle(t, "Partition", seq, want)
-	for _, workers := range []int{1, 2, 3, 5} {
+	for _, workers := range []int{2, 3, 5} {
 		par, err := ParallelPartition(g, s, numParts, 1, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -216,15 +144,8 @@ func checkSeedDeterministic(t *testing.T, s Strategy, g *graph.Graph, numParts i
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for i := range a1.EdgeParts {
-			if a1.EdgeParts[i] != a2.EdgeParts[i] {
-				t.Fatalf("seed %d: edge %d differs between identical runs", seed, i)
-			}
-		}
-		for v := range a1.Masters {
-			if a1.Masters[v] != a2.Masters[v] {
-				t.Fatalf("seed %d: vertex %d master differs between identical runs", seed, v)
-			}
+		if !slices.Equal(a1.EdgeParts, a2.EdgeParts) || !slices.Equal(a1.Masters, a2.Masters) {
+			t.Fatalf("seed %d: placements or masters differ between identical runs", seed)
 		}
 	}
 }
@@ -262,9 +183,8 @@ func checkIncrementalAddOnly(t *testing.T, s Strategy, g *graph.Graph, numParts 
 
 // FuzzConformance drives random small edge lists through random registered
 // strategies, asserting the conformance invariants never panic: whatever
-// the input, a successful Partition assigns every edge exactly once to an
-// in-range partition, keeps RF in [1, numParts], and is deterministic for
-// its seed. Partition-count rejections (Grid's perfect square, PDS's
+// the input, a successful Partition — and a second run with the same seed —
+// places every edge and counts every image as the oracle does. Partition-count rejections (Grid's perfect square, PDS's
 // p²+p+1) are valid outcomes, not failures. The seed corpus replays the
 // corruption-matrix seed graph's shapes — hubs, duplicate edges, a self
 // loop, isolated ids — for every strategy family.
@@ -292,37 +212,12 @@ func FuzzConformance(f *testing.F) {
 		if err != nil {
 			return // partition-count rejection: a documented, non-panicking outcome
 		}
-		if len(a.EdgeParts) != len(edges) {
-			t.Fatalf("%s: %d assignments for %d edges", name, len(a.EdgeParts), len(edges))
-		}
-		var total int64
-		for p, c := range a.EdgeCount {
-			if c < 0 {
-				t.Fatalf("%s: negative edge count on partition %d", name, p)
-			}
-			total += c
-		}
-		if total != int64(len(edges)) {
-			t.Fatalf("%s: edge counts sum to %d, want %d", name, total, len(edges))
-		}
-		for i, p := range a.EdgeParts {
-			if p < 0 || int(p) >= numParts {
-				t.Fatalf("%s: edge %d on partition %d (numParts=%d)", name, i, p, numParts)
-			}
-		}
-		if len(edges) > 0 {
-			if rf := a.ReplicationFactor(); rf < 1 || rf > float64(numParts) {
-				t.Fatalf("%s: replication factor %v out of range [1,%d]", name, rf, numParts)
-			}
-		}
+		want := buildOracle(t, s, g, numParts, seed)
+		assertMatchesOracle(t, name, a, want)
 		again, err := Partition(g, s, numParts, seed)
 		if err != nil {
 			t.Fatalf("%s: second run errored: %v", name, err)
 		}
-		for i := range a.EdgeParts {
-			if a.EdgeParts[i] != again.EdgeParts[i] {
-				t.Fatalf("%s: edge %d differs between identical runs", name, i)
-			}
-		}
+		assertMatchesOracle(t, name+" again", again, want)
 	})
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,37 +27,26 @@ func allStrategies() []Strategy {
 	return out
 }
 
+// TestEveryStrategyAssignsEveryEdge: at default options — several loaders
+// for the greedy strategies — Partition places every edge, sets every
+// replica bit and picks every master as the oracle does: a master is one of
+// the vertex's images, −1 for an isolated vertex.
 func TestEveryStrategyAssignsEveryEdge(t *testing.T) {
 	g := testGraph()
 	for _, s := range allStrategies() {
-		numParts := 9
-		if s.Name() == "PDS" {
-			numParts = 7 // p=2: p²+p+1
-		}
+		numParts := partsFor(s.Name())
 		a, err := Partition(g, s, numParts, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		var total int64
-		for _, c := range a.EdgeCount {
-			total += c
-		}
-		if total != int64(g.NumEdges()) {
-			t.Errorf("%s: %d edges assigned, want %d", s.Name(), total, g.NumEdges())
-		}
-		if rf := a.ReplicationFactor(); rf < 1 || rf > float64(numParts) {
-			t.Errorf("%s: replication factor %v out of range [1,%d]", s.Name(), rf, numParts)
-		}
+		assertMatchesOracle(t, s.Name(), a, buildOracle(t, s, g, numParts, 1))
 	}
 }
 
 func TestStrategiesDeterministic(t *testing.T) {
 	g := testGraph()
 	for _, s := range allStrategies() {
-		numParts := 9
-		if s.Name() == "PDS" {
-			numParts = 7
-		}
+		numParts := partsFor(s.Name())
 		a1, err := Partition(g, s, numParts, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -65,10 +55,8 @@ func TestStrategiesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
-		for i := range a1.EdgeParts {
-			if a1.EdgeParts[i] != a2.EdgeParts[i] {
-				t.Fatalf("%s: edge %d differs between identical runs", s.Name(), i)
-			}
+		if !slices.Equal(a1.EdgeParts, a2.EdgeParts) {
+			t.Fatalf("%s: placements differ between identical runs", s.Name())
 		}
 	}
 }
@@ -315,37 +303,10 @@ func TestGingerNotWorseThanHybridRF(t *testing.T) {
 	}
 }
 
-func TestMastersAreReplicas(t *testing.T) {
-	g := testGraph()
-	for _, s := range allStrategies() {
-		numParts := 9
-		if s.Name() == "PDS" {
-			numParts = 7
-		}
-		a, err := Partition(g, s, numParts, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := 0; v < g.NumVertices(); v++ {
-			vid := graph.VertexID(v)
-			m := a.Master(vid)
-			if g.Degree(vid) == 0 {
-				if m != -1 {
-					t.Fatalf("%s: isolated vertex %d has master %d", s.Name(), v, m)
-				}
-				continue
-			}
-			if m < 0 || !a.HasReplica(vid, m) {
-				t.Fatalf("%s: vertex %d master %d is not a replica", s.Name(), v, m)
-			}
-		}
-	}
-}
-
+// TestReplicationFactorProperty: for arbitrary small graphs under Random,
+// the replica bits, the counts and the RF drawn from them are the oracle's,
+// which puts an image of both endpoints wherever an edge lives.
 func TestReplicationFactorProperty(t *testing.T) {
-	// RF == total replicas / placed vertices for arbitrary small graphs
-	// under Random, and every edge's endpoints have a replica where the
-	// edge lives.
 	f := func(raw []uint16) bool {
 		if len(raw) < 4 {
 			return true
@@ -359,25 +320,8 @@ func TestReplicationFactorProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i, e := range g.Edges {
-			p := int(a.EdgeParts[i])
-			if !a.HasReplica(e.Src, p) || !a.HasReplica(e.Dst, p) {
-				return false
-			}
-		}
-		var totalReps int64
-		placed := 0
-		for v := 0; v < g.NumVertices(); v++ {
-			r := a.Replicas(graph.VertexID(v))
-			totalReps += int64(r)
-			if r > 0 {
-				placed++
-			}
-		}
-		if placed == 0 {
-			return a.ReplicationFactor() == 0
-		}
-		return a.ReplicationFactor() == float64(totalReps)/float64(placed)
+		assertMatchesOracle(t, "Random", a, buildOracle(t, Random{}, g, 5, 1))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

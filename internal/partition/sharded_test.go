@@ -24,7 +24,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 			continue
 		}
 		parts := partsFor(name)
-		want := buildOracle(t, s, g, parts, 9).view()
+		want := cutView(buildOracle(t, s, g, parts, 9))
 		for _, workers := range []int{1, 3, 8} {
 			got := streamSummary(t, s, g, parts, workers, 512, 9)
 			label := fmt.Sprintf("%s/w=%d", name, workers)
@@ -52,7 +52,7 @@ func TestWideRowsMatchOracle(t *testing.T) {
 		for _, workers := range []int{1, 3, 8} {
 			label := fmt.Sprintf("%s/P=%d/w=%d", c.name, c.parts, workers)
 			got := streamSummary(t, s, g, c.parts, workers, 512, 9)
-			assertTablesEqual(t, label+"/stream", viewOf(&got.cutTable, got.NumVertices), want.view())
+			assertTablesEqual(t, label+"/stream", viewOf(&got.cutTable, got.NumVertices), cutView(want))
 			a, err := ParallelPartition(g, s, c.parts, 9, workers)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

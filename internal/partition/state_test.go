@@ -32,10 +32,7 @@ func TestIncrementalMatchesOneShotAddOnly(t *testing.T) {
 	g := testGraph()
 	for _, name := range AllNames() {
 		s := MustNew(name, Options{HybridThreshold: 30, Loaders: 1})
-		numParts := 9
-		if name == "PDS" {
-			numParts = 7
-		}
+		numParts := partsFor(name)
 		st, err := NewPartitionState(s, numParts, 1, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -60,10 +57,7 @@ func TestStatelessChurnEquivalence(t *testing.T) {
 		if !ok {
 			continue
 		}
-		numParts := 9
-		if s.Name() == "PDS" {
-			numParts = 7
-		}
+		numParts := partsFor(s.Name())
 		for _, seed := range []uint64{1, 42} {
 			for _, workers := range []int{1, 4} {
 				st, err := NewPartitionState(ss, numParts, seed, workers)
