@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"graphpart/internal/cluster"
-	"graphpart/internal/engine"
 	"graphpart/internal/gen"
 	"graphpart/internal/partition"
 	"graphpart/internal/report"
@@ -202,11 +201,11 @@ func ablEngine() Experiment {
 			saving := map[key]float64{}
 			for _, strat := range []string{"Hybrid", "Random"} {
 				for _, appName := range []string{"PageRank(10)", "WCC"} {
-					pg, err := measure(cfg, engine.ModePowerGraph, "uk-web", strat, appName, cc)
+					pg, err := measure(cfg, onPowerGraph, "uk-web", strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}
-					lyra, err := measure(cfg, engine.ModePowerLyra, "uk-web", strat, appName, cc)
+					lyra, err := measure(cfg, onPowerLyra, "uk-web", strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}

@@ -16,7 +16,6 @@ import (
 	"graphpart/internal/cluster"
 	"graphpart/internal/datasets"
 	"graphpart/internal/decision"
-	"graphpart/internal/engine"
 	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
@@ -31,78 +30,12 @@ func init() {
 // all-strategies leaves pool workloads across cluster shapes.
 const advisorRegretTol = 0.20
 
-// advCase is one end-to-end workload the advisor is graded on.
-type advCase struct {
-	engine string
-	sys    partition.System
-	ds     string
-	app    string
-	iters  int // GraphX iteration count; 0 on the vertex-cut engines
-	cc     cluster.Config
-}
-
-// variant is the Variant dimension of the case's cells: the iteration
-// count for GraphX jobs, derived from iters so label and run cannot drift.
-func (c advCase) variant() string {
-	if c.iters > 0 {
-		return itersVariant(c.iters)
-	}
-	return ""
-}
-
-func (c advCase) job() string {
-	if v := c.variant(); v != "" {
-		return c.app + " " + v
-	}
-	return c.app
-}
-
-// advStrategies is the measurable strategy set per engine. PowerLyra keeps
-// the engine sweep affordable with its four headline strategies.
-func advStrategies(engine string) []string {
-	switch engine {
-	case enginePowerGraph:
-		return powerGraphStrategies
-	case enginePowerLyra:
-		return []string{"Random", "Grid", "Oblivious", "Hybrid"}
-	}
-	return graphxAllStrategies()
-}
-
-// totalSeconds measures ingress (partitioning) + compute for the case
-// under one strategy.
-func (c advCase) totalSeconds(cfg Config, strat string) (float64, error) {
-	mode := engine.ModePowerLyra
-	switch c.engine {
-	case engineGraphX:
-		return graphxTotalSeconds(cfg, c.ds, strat, c.app, c.iters, c.cc)
-	case enginePowerGraph:
-		mode = engine.ModePowerGraph
-	}
-	p, err := measure(cfg, mode, c.ds, strat, c.app, c.cc)
-	if err != nil {
-		return 0, err
-	}
-	return p.totalSeconds(), nil
-}
-
 // advCases are the graded workloads: fig5.9's and fig9.3's cases plus the
 // natural/non-natural PowerLyra pair of fig6.6.
-func advCases() []advCase {
-	pgCC, gxCC, plCC := cluster.EC2x25, cluster.GraphXLocal9, cluster.EC2x25
-	return []advCase{
-		{enginePowerGraph, partition.PowerGraph, "road-ca", "PageRank(C)", 0, pgCC},
-		{enginePowerGraph, partition.PowerGraph, "road-usa", "PageRank(C)", 0, pgCC},
-		{enginePowerGraph, partition.PowerGraph, "livejournal", "PageRank(C)", 0, pgCC},
-		{enginePowerGraph, partition.PowerGraph, "uk-web", "PageRank(C)", 0, pgCC},
-		{enginePowerGraph, partition.PowerGraph, "uk-web", "K-Core", 0, pgCC},
-		{engineGraphX, partition.GraphXAll, "road-ca", "PageRank", 2, gxCC},
-		{engineGraphX, partition.GraphXAll, "road-ca", "PageRank", 25, gxCC},
-		{engineGraphX, partition.GraphXAll, "livejournal", "PageRank", 2, gxCC},
-		{engineGraphX, partition.GraphXAll, "livejournal", "PageRank", 25, gxCC},
-		{enginePowerLyra, partition.PowerLyra, "uk-web", "PageRank(10)", 0, plCC},
-		{enginePowerLyra, partition.PowerLyra, "uk-web", "WCC", 0, plCC},
-	}
+func advCases() []treeCase {
+	return append(treeCases(),
+		treeCase{partition.PowerLyra, onPowerLyra, "uk-web", "PageRank(10)", cluster.EC2x25, 0},
+		treeCase{partition.PowerLyra, onPowerLyra, "uk-web", "WCC", cluster.EC2x25, 0})
 }
 
 func advRegret() Experiment {
@@ -115,26 +48,20 @@ func advRegret() Experiment {
 
 			// --- measure: training cells for the advisor ---------------
 			train := NewResult("train", "advisor training cells")
-			totals := map[advCase]map[string]float64{}
-			for _, c := range cases {
-				totals[c] = map[string]float64{}
-				for _, strat := range advStrategies(c.engine) {
-					tt, err := c.totalSeconds(cfg, strat)
-					if err != nil {
-						return nil, err
-					}
-					totals[c][strat] = tt
-					train.Cell(report.Dims{Dataset: c.ds, Strategy: strat, App: c.app,
-						Engine: c.engine, Cluster: clusterName(c.cc), Parts: c.cc.NumParts(),
-						Variant: c.variant()}, "total-s", tt, "s")
+			measured := make([]caseTotals, len(cases))
+			for i, c := range cases {
+				m, err := measureCase(cfg, c, train)
+				if err != nil {
+					return nil, err
 				}
+				measured[i] = m
 			}
 			// Ingress and replication sweeps give the learner its
 			// short-job/long-job structure and cover datasets the
 			// end-to-end cases don't reach.
 			for _, engineName := range []string{enginePowerGraph, enginePowerLyra} {
 				spec := sweepSpec{engine: engineName, datasets: pgDatasets,
-					clusters: []cluster.Config{cluster.EC2x25}, strategies: advStrategies(engineName),
+					clusters: []cluster.Config{cluster.EC2x25}, strategies: caseStrategies(engineName),
 					metrics: []sweepMetric{sweepIngress, sweepRF}}
 				if _, err := spec.run(cfg, train); err != nil {
 					return nil, err
@@ -165,53 +92,41 @@ func advRegret() Experiment {
 				"engine", "graph", "job", "advisor", "tree", "best",
 				"adv-regret", "tree-regret", "agree")
 			trees := decision.PaperTrees()
-			regretOf := func(scores map[string]float64, best float64, strat string) (float64, error) {
-				s, ok := scores[strat]
-				if !ok {
-					return 0, fmt.Errorf("bench: recommended strategy %q was not measured", strat)
-				}
-				return s/best - 1, nil
-			}
 			allWithin, agreeCount := true, 0
 			var advSum, treeSum float64
-			for _, c := range cases {
+			for i, c := range cases {
+				m := measured[i]
 				// The advisor's own observation for this workload carries
 				// the measured feature vector (ratio included); replaying
 				// it is the regret the ISSUE gates on.
 				var w decision.Workload
 				found := false
-				for _, o := range mdl.Observations(c.engine) {
+				for _, o := range mdl.Observations(c.sys.engine) {
 					if o.Kind == advisor.KindTotal && o.Dataset == c.ds && o.App == c.app && o.Variant == c.variant() {
 						w, found = o.W, true
 						break
 					}
 				}
 				if !found {
-					return nil, fmt.Errorf("bench: advisor extracted no observation for %s/%s/%s", c.engine, c.ds, c.job())
+					return nil, fmt.Errorf("bench: advisor extracted no observation for %s/%s/%s", c.sys.engine, c.ds, c.job())
 				}
-				adv, err := mdl.Recommend(c.sys, w)
+				adv, err := mdl.Recommend(c.tree, w)
 				if err != nil {
 					return nil, err
 				}
-				tree, err := trees.Recommend(c.sys, w)
+				tree, err := trees.Recommend(c.tree, w)
 				if err != nil {
 					return nil, err
 				}
-				best, bestT := "", -1.0
-				//graphlint:unordered argmin with a total tie-break on name — order-independent
-				for strat, tt := range totals[c] {
-					if bestT < 0 || tt < bestT || (tt == bestT && strat < best) {
-						best, bestT = strat, tt
-					}
-				}
-				advRegret, err := regretOf(totals[c], bestT, adv.Strategy)
+				advT, err := m.total(adv.Strategy)
 				if err != nil {
 					return nil, err
 				}
-				treeRegret, err := regretOf(totals[c], bestT, tree.Strategy)
+				treeT, err := m.total(tree.Strategy)
 				if err != nil {
 					return nil, err
 				}
+				advRegret, treeRegret := advT/m.bestT-1, treeT/m.bestT-1
 				agree := adv.Strategy == tree.Strategy
 				if agree {
 					agreeCount++
@@ -221,10 +136,9 @@ func advRegret() Experiment {
 				}
 				advSum += advRegret
 				treeSum += treeRegret
-				d := report.Dims{Dataset: c.ds, App: c.app, Engine: c.engine,
-					Cluster: clusterName(c.cc), Parts: c.cc.NumParts(), Variant: c.variant()}
+				d := c.dims("")
 				r.Row(d).
-					Col(c.engine, c.ds, c.job(), adv.Strategy, tree.Strategy, best).
+					Col(c.sys.engine, c.ds, c.job(), adv.Strategy, tree.Strategy, m.best).
 					Metric("advisor-regret", advRegret, "ratio", 3).
 					MetricAt(d, "tree-regret", treeRegret, "ratio", 3).
 					Colf("%v", agree)

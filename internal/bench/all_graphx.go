@@ -34,7 +34,7 @@ func init() {
 
 // cumulativeAt returns the cumulative time at iteration i (1-based),
 // flattening after convergence, as the paper's per-iteration curves do.
-func cumulativeAt(st graphx.Stats, iter int) float64 {
+func cumulativeAt(st *graphx.Stats, iter int) float64 {
 	if len(st.CumulativeSeconds) == 0 {
 		return st.PartitionSeconds
 	}
@@ -51,7 +51,6 @@ func gxIterationExperiment(id, dataset, paper string, check func(r *Result, cum 
 		Title: fmt.Sprintf("GraphX-all cumulative per-iteration times (%s, Local-9, 25 iterations)", dataset),
 		Paper: paper,
 		Run: func(cfg Config) (*Result, error) {
-			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal9
 			cols := []string{"app", "strategy"}
 			for _, ic := range iterCheckpoints {
@@ -63,18 +62,14 @@ func gxIterationExperiment(id, dataset, paper string, check func(r *Result, cum 
 			for _, appName := range []string{"SSSP", "WCC", "PageRank"} {
 				cum[appName] = map[string][]float64{}
 				for _, strat := range graphxAllStrategies() {
-					a, err := assignment(cfg, dataset, strat, cc.NumParts())
-					if err != nil {
-						return nil, err
-					}
-					st, err := runGraphXApp(appName, a, cfg.graphxConfig(cc, gx9Iterations), model)
+					p, err := measure(cfg, onGraphX(gx9Iterations), dataset, strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}
 					row := r.Row(gxDims(cc, dataset, strat, appName)).Col(appName, strat)
 					var series []float64
 					for _, ic := range iterCheckpoints {
-						v := cumulativeAt(st, ic)
+						v := cumulativeAt(p.gx, ic)
 						series = append(series, v)
 						row.Metric(fmt.Sprintf("t@%d", ic), v, "s", 3)
 					}
@@ -168,6 +163,12 @@ func fig94() Experiment {
 			if err != nil {
 				return nil, err
 			}
+			// The sweep varies the executor budget, which no point key
+			// carries, so it calls the app table's runner uncached.
+			pageRank, err := appByName("PageRank")
+			if err != nil {
+				return nil, err
+			}
 			// Scale the sweep to the graph's working set so the three
 			// regimes appear at any dataset scale.
 			_, totalMem := cluster.ComputeMem(a, cc, model)
@@ -185,7 +186,7 @@ func fig94() Experiment {
 				mem := perMachine*frac + model.ExecutorBase
 				gcfg := cfg.graphxConfig(cc, gx9Iterations)
 				gcfg.ExecutorMemBytes = mem
-				st, err := runGraphXApp("PageRank", a, gcfg, model)
+				st, err := pageRank.gx(a, gcfg, model)
 				if err != nil {
 					return nil, err
 				}

@@ -4,7 +4,6 @@ package bench
 
 import (
 	"graphpart/internal/cluster"
-	"graphpart/internal/engine"
 	"graphpart/internal/metrics"
 	"graphpart/internal/partition"
 	"graphpart/internal/report"
@@ -90,7 +89,7 @@ func fig83() Experiment {
 			cc := cluster.Local9
 			r := NewResult("fig8.3", "Net-in GB vs RF, PageRank, all strategies (Local-9, Twitter)",
 				"strategy", "replication-factor", "net-in-GB", "vs-trend")
-			points, err := measureEach(cfg, engine.ModePowerLyra, "twitter", lyraAllStrategies(), "PageRank(10)", cc)
+			points, err := measureEach(cfg, onPowerLyra, "twitter", lyraAllStrategies(), "PageRank(10)", cc)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +148,7 @@ func fig84() Experiment {
 			r := NewResult("fig8.4", "CPU utilization box plots vs compute time",
 				"app", "strategy", "compute-s", "util-median", "util-q1", "util-q3", "util-min", "util-max")
 			for _, appName := range []string{"PageRank(10)", "K-Core"} {
-				points, err := measureEach(cfg, engine.ModePowerLyra, "uk-web", lyraAllStrategies(), appName, cc)
+				points, err := measureEach(cfg, onPowerLyra, "uk-web", lyraAllStrategies(), appName, cc)
 				if err != nil {
 					return nil, err
 				}

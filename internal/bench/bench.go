@@ -7,17 +7,21 @@
 // plain tables, markdown, CSV, the JSON report) is a view derived from it.
 //
 // The paper's evaluation is one matrix — strategy × graph × cluster ×
-// application — and the vertex-cut experiments read it through one core.
-// The all-strategies tables (figs 5.6/5.7, 6.4/6.5, 8.1/8.2 and
+// application — run on three systems, and the experiments read it through
+// one core. The all-strategies tables (figs 5.6/5.7, 6.4/6.5, 8.1/8.2 and
 // adv.regret's training sweep) are each a sweepSpec: sweepSpec.run emits
 // the rows and returns the measured grid, and the experiment's checks read
 // that grid, where reading an unmeasured point is an error rather than a
-// zero. Every figure that runs an application goes through measure, which
-// returns one point (replication factor, modeled ingress, engine stats).
-// Assignments and points are cached once per key for the life of the
-// process (par.OnceMap), so figures that share a point — tab5.1, fig5.9 and
-// adv.regret re-read the fig5.3–5.5 sweep — simulate it once, under the
-// concurrent Runner too.
+// zero. Every figure that runs an application on PowerGraph, PowerLyra or
+// GraphX goes through measure, which runs the one app table's entry and
+// returns one point (replication factor, and modeled ingress with engine
+// stats, or GraphX's stats); only fig9.4's executor-memory sweep calls the
+// table uncached. Assignments and points are cached once per key for the
+// life of the process (par.OnceMap), so figures that share a point —
+// tab5.1, fig5.9 and adv.regret re-read the fig5.3–5.5 sweep, tab7.1
+// re-reads fig7.1's, fig9.3 and adv.regret re-read figs 9.1/9.2's —
+// simulate it once, under the concurrent Runner too. Figs 5.9 and 9.3 and
+// adv.regret grade the decision trees over one case table.
 //
 // Run them via cmd/benchrunner. Every experiment is deterministic.
 //

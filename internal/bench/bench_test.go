@@ -159,32 +159,87 @@ func TestAssignmentCacheSharing(t *testing.T) {
 	// measure shares the same once-per-key cache: equal keys are one engine
 	// run (the same *point), and everything a point depends on is in the
 	// key — a different engine mode runs again.
-	measureWCC := func(cfg Config, mode engine.Mode) *point {
+	measureWCC := func(sys system, cc cluster.Config) *point {
 		t.Helper()
-		p, err := measure(cfg, mode, "road-ca", "Random", "WCC", cluster.Local9)
+		p, err := measure(cfg, sys, "road-ca", "Random", "WCC", cc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	p1 := measureWCC(cfg, engine.ModePowerGraph)
-	if p1.stats.Supersteps == 0 || p1.rf != a1.ReplicationFactor() || p1.ingress.Seconds <= 0 {
+	p1 := measureWCC(onPowerGraph, cluster.Local9)
+	if p1.stats.Supersteps == 0 || p1.rf != a1.ReplicationFactor() || p1.ingress.Seconds <= 0 || p1.gx != nil {
 		t.Errorf("measure returned an empty point: %+v", p1)
 	}
-	if p2 := measureWCC(cfg, engine.ModePowerGraph); p2 != p1 {
+	if p2 := measureWCC(onPowerGraph, cluster.Local9); p2 != p1 {
 		t.Error("measure ran the engine twice for identical keys")
 	}
-	if p3 := measureWCC(cfg, engine.ModePowerLyra); p3 == p1 || p3.stats.Mode != engine.ModePowerLyra {
+	if p3 := measureWCC(onPowerLyra, cluster.Local9); p3 == p1 || p3.stats.Mode != engine.ModePowerLyra {
 		t.Error("a different engine mode shared a point")
+	}
+
+	// GraphX points live in the same cache, keyed on the iteration cap too.
+	g1 := measureWCC(onGraphX(10), cluster.GraphXLocal9)
+	if g1.gx == nil || g1.gx.Iterations == 0 || g1.gx.Iterations > 10 || g1.totalSeconds() != g1.gx.PartitionSeconds+g1.gx.ComputeSeconds {
+		t.Errorf("measure returned an empty GraphX point: %+v", g1)
+	}
+	if g2 := measureWCC(onGraphX(10), cluster.GraphXLocal9); g2 != g1 {
+		t.Error("measure ran GraphX twice for identical keys")
+	}
+	if g3 := measureWCC(onGraphX(2), cluster.GraphXLocal9); g3 == g1 || g3.gx.Iterations > 2 {
+		t.Errorf("a different iteration cap shared a point (%d iterations)", g3.gx.Iterations)
+	}
+	if p4 := measureWCC(onPowerGraph, cluster.GraphXLocal9); p4 == g1 || p4.gx != nil {
+		t.Error("a vertex-cut run shared a GraphX point")
 	}
 }
 
 // TestMeasureUnknownApp: a mistyped application name is an error, not a
 // zero engine.Stats.
 func TestMeasureUnknownApp(t *testing.T) {
-	_, err := measure(DefaultConfig(), engine.ModePowerGraph, "road-ca", "Random", "PageRank(11)", cluster.Local9)
+	_, err := measure(DefaultConfig(), onPowerGraph, "road-ca", "Random", "PageRank(11)", cluster.Local9)
 	if err == nil || !strings.Contains(err.Error(), `"PageRank(11)"`) {
 		t.Errorf("measure with an unknown app returned %v, want an error naming it", err)
+	}
+	// An app the paper does not run on a system is an error naming both.
+	for _, tc := range []struct {
+		sys system
+		app string
+		cc  cluster.Config
+	}{
+		{onPowerGraph, "PageRank", cluster.Local9},
+		{onGraphX(10), "K-Core", cluster.GraphXLocal9},
+	} {
+		_, err := measure(DefaultConfig(), tc.sys, "road-ca", "Random", tc.app, tc.cc)
+		if err == nil || !strings.Contains(err.Error(), tc.app) || !strings.Contains(err.Error(), tc.sys.engine) {
+			t.Errorf("%s on %s returned %v, want an error naming both", tc.app, tc.sys.engine, err)
+		}
+	}
+}
+
+// TestTreeGradeRefusesUnmeasuredRecommendation: a tree pick outside the
+// measured strategies is an error naming it. Read from a plain map its
+// total is 0, and "0 ≤ 1.10 × best" is a vacuous ✓.
+func TestTreeGradeRefusesUnmeasuredRecommendation(t *testing.T) {
+	m := caseTotals{totals: map[string]float64{"Grid": 2, "HDRF": 3}, best: "Grid", bestT: 2}
+	for _, tc := range []struct {
+		rec, missing string
+		greedyPair   bool
+	}{
+		{"Oblivious", "Oblivious", false},
+		{"HDRF", "Oblivious", true}, // the HDRF/Oblivious leaf reads both
+	} {
+		_, err := m.within(tc.rec, 1.10, tc.greedyPair)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.missing+`"`) {
+			t.Errorf("within(%s, greedyPair=%v) = %v, want an error naming %s", tc.rec, tc.greedyPair, err, tc.missing)
+		}
+	}
+	if ok, err := m.within("HDRF", 1.10, false); err != nil || ok {
+		t.Errorf("HDRF at 1.5× the best: within = %v, %v; want false, nil", ok, err)
+	}
+	m.totals["Oblivious"] = 2.1
+	if ok, err := m.within("HDRF", 1.10, true); err != nil || !ok {
+		t.Errorf("HDRF leaf with Oblivious at 1.05× the best: within = %v, %v; want true, nil", ok, err)
 	}
 }
 
@@ -226,9 +281,9 @@ func TestSweepCheckReadsUnmeasuredPoint(t *testing.T) {
 func TestAdvCaseVariantMatchesIterations(t *testing.T) {
 	graphxCases := 0
 	for _, c := range advCases() {
-		if c.engine != engineGraphX {
-			if c.iters != 0 || c.variant() != "" {
-				t.Errorf("%s/%s: vertex-cut case carries iters=%d variant=%q", c.ds, c.app, c.iters, c.variant())
+		if c.sys.engine != engineGraphX {
+			if c.sys.iters != 0 || c.variant() != "" {
+				t.Errorf("%s/%s: vertex-cut case carries iters=%d variant=%q", c.ds, c.app, c.sys.iters, c.variant())
 			}
 			continue
 		}
@@ -237,7 +292,7 @@ func TestAdvCaseVariantMatchesIterations(t *testing.T) {
 		if _, err := fmt.Sscanf(c.variant(), "iters=%d", &labelled); err != nil {
 			t.Errorf("%s/%s: variant %q: %v", c.ds, c.app, c.variant(), err)
 		}
-		if got := DefaultConfig().graphxConfig(c.cc, c.iters).Iterations; got != labelled || got < 1 {
+		if got := DefaultConfig().graphxConfig(c.cc, c.sys.iters).Iterations; got != labelled || got < 1 {
 			t.Errorf("%s/%s: runs %d iterations, cells say %q", c.ds, c.app, got, c.variant())
 		}
 	}

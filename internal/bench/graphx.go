@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"sort"
 
-	"graphpart/internal/app"
 	"graphpart/internal/cluster"
-	"graphpart/internal/engine/graphx"
-	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
 
@@ -23,31 +20,6 @@ var graphxDatasets = []string{"road-ca", "road-usa", "livejournal", "enwiki"}
 
 // graphxApps are the chapter-7 applications, run for 10 iterations (§7.3).
 var graphxApps = []string{"PageRank", "SSSP", "WCC"}
-
-// runGraphXApp executes one application under the GraphX engine.
-func runGraphXApp(appName string, a *partition.Assignment, gcfg graphx.Config, model cluster.CostModel) (graphx.Stats, error) {
-	switch appName {
-	case "PageRank":
-		out, err := graphx.Run[float64, float64](app.PageRank{}, a, gcfg, model)
-		if err != nil {
-			return graphx.Stats{}, err
-		}
-		return out.Stats, nil
-	case "SSSP":
-		out, err := graphx.Run[float64, float64](app.SSSP{Source: ssspSource(a.G)}, a, gcfg, model)
-		if err != nil {
-			return graphx.Stats{}, err
-		}
-		return out.Stats, nil
-	case "WCC":
-		out, err := graphx.Run[uint32, uint32](app.WCC{}, a, gcfg, model)
-		if err != nil {
-			return graphx.Stats{}, err
-		}
-		return out.Stats, nil
-	}
-	return graphx.Stats{}, fmt.Errorf("bench: unknown GraphX app %q", appName)
-}
 
 // gxDims are the cell dimensions of a GraphX measurement.
 func gxDims(cc cluster.Config, ds, strat, appName string) report.Dims {
@@ -66,21 +38,17 @@ func fig71() Experiment {
 		Title: "PageRank computation times on GraphX (native strategies × graphs, 10 iterations, Local-10)",
 		Paper: "partitioning time is similar for all (stateless hash) strategies and much smaller than computation; Canonical Random competitive on road networks, 2D on skewed graphs",
 		Run: func(cfg Config) (*Result, error) {
-			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal10
 			r := NewResult("fig7.1", "GraphX PageRank compute times",
 				"graph", "strategy", "partition-s", "compute-s")
 			partTimes := map[string][]float64{}
 			for _, ds := range graphxDatasets {
 				for _, strat := range graphxStrategies {
-					a, err := assignment(cfg, ds, strat, cc.NumParts())
+					p, err := measure(cfg, onGraphX(10), ds, strat, "PageRank", cc)
 					if err != nil {
 						return nil, err
 					}
-					st, err := runGraphXApp("PageRank", a, cfg.graphxConfig(cc, 10), model)
-					if err != nil {
-						return nil, err
-					}
+					st := p.gx
 					r.Row(gxDims(cc, ds, strat, "PageRank")).Col(ds, strat).
 						Metric("partition-s", st.PartitionSeconds, "s", 3).
 						Metric("compute-s", st.ComputeSeconds, "s", 3)
@@ -172,7 +140,6 @@ func tab71() Experiment {
 		Title: "Computation-time rankings for GraphX (Table 7.1)",
 		Paper: "Canonical Random fastest or near-fastest on road networks; 2D fastest or near-fastest on skewed graphs; Random (asymmetric) generally last",
 		Run: func(cfg Config) (*Result, error) {
-			model := cluster.DefaultModel()
 			cc := cluster.GraphXLocal10
 			r := NewResult("tab7.1", "GraphX strategy rankings (ascending compute time)",
 				"app", "graph", "ranking", "best")
@@ -181,18 +148,14 @@ func tab71() Experiment {
 				for _, ds := range graphxDatasets {
 					times := map[string]float64{}
 					for _, strat := range graphxStrategies {
-						a, err := assignment(cfg, ds, strat, cc.NumParts())
+						p, err := measure(cfg, onGraphX(10), ds, strat, appName, cc)
 						if err != nil {
 							return nil, err
 						}
-						st, err := runGraphXApp(appName, a, cfg.graphxConfig(cc, 10), model)
-						if err != nil {
-							return nil, err
-						}
-						times[strat] = st.ComputeSeconds
+						times[strat] = p.gx.ComputeSeconds
 						// The rendered row is the ranking; the underlying
 						// measurements go out as cells.
-						r.Cell(gxDims(cc, ds, strat, appName), "compute-s", st.ComputeSeconds, "s")
+						r.Cell(gxDims(cc, ds, strat, appName), "compute-s", p.gx.ComputeSeconds, "s")
 					}
 					// Sorted iteration makes the argmin's tie-break (first
 					// name in ascending order) deterministic.

@@ -5,7 +5,6 @@ package bench
 import (
 	"graphpart/internal/cluster"
 	"graphpart/internal/datasets"
-	"graphpart/internal/engine"
 	"graphpart/internal/graph"
 	"graphpart/internal/report"
 )
@@ -40,7 +39,7 @@ func correlationTable(id, title, metricName, unit string, pick func(*point) floa
 			}
 			var all []series
 			for _, spec := range paperApps() {
-				pts, err := measureEach(cfg, engine.ModePowerGraph, "uk-web", powerGraphStrategies, spec.name, cc)
+				pts, err := measureEach(cfg, onPowerGraph, "uk-web", powerGraphStrategies, spec.name, cc)
 				if err != nil {
 					return nil, err
 				}
@@ -189,7 +188,7 @@ func tab51() Experiment {
 			totals := map[job]float64{}
 			for _, strat := range []string{"Grid", "HDRF"} {
 				for _, appName := range []string{"PageRank(C)", "K-Core"} {
-					p, err := measure(cfg, engine.ModePowerGraph, "uk-web", strat, appName, cc)
+					p, err := measure(cfg, onPowerGraph, "uk-web", strat, appName, cc)
 					if err != nil {
 						return nil, err
 					}

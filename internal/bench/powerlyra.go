@@ -4,7 +4,6 @@ package bench
 
 import (
 	"graphpart/internal/cluster"
-	"graphpart/internal/engine"
 	"graphpart/internal/report"
 )
 
@@ -20,7 +19,7 @@ func hybridFamily(name string) bool { return name == "Hybrid" || name == "H-Ging
 // lyraPoints runs one application over all PowerLyra strategies on uk-web,
 // EC2-25, under the hybrid engine — the sweep behind Figs 6.1–6.3.
 func lyraPoints(cfg Config, appName string) ([]*point, error) {
-	return measureEach(cfg, engine.ModePowerLyra, "uk-web", powerLyraStrategies, appName, cluster.EC2x25)
+	return measureEach(cfg, onPowerLyra, "uk-web", powerLyraStrategies, appName, cluster.EC2x25)
 }
 
 // plDims are the cell dimensions of the chapter-6 uk-web/EC2-25 sweeps.
@@ -233,7 +232,7 @@ func fig66() Experiment {
 					if err != nil {
 						return nil, err
 					}
-					p, err := measure(cfg, engine.ModePowerLyra, "uk-web", strat, appName, cluster.EC2x25)
+					p, err := measure(cfg, onPowerLyra, "uk-web", strat, appName, cluster.EC2x25)
 					if err != nil {
 						return nil, err
 					}

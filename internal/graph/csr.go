@@ -378,6 +378,11 @@ type CSRLoadOptions struct {
 // otherwise, or with DisableMmap, the whole file is read in one call and
 // decoded with bulk fixed-width conversions. v2 files decode their
 // compressed edge blocks on parallel workers either way.
+//
+// A zero-copy v1 load's Edges and CSR slices alias the mapping, which is
+// released once the returned *Graph is unreachable: they are valid only
+// while the graph is reachable, so a caller that keeps a slice must keep
+// the graph alive as well.
 func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
 	return loadFile(path, !o.DisableMmap, decodeCSRData)
 }
@@ -385,7 +390,10 @@ func LoadCSRWith(path string, o CSRLoadOptions) (*Graph, error) {
 // LoadFile loads a graph from path in whichever format the file holds:
 // bytes that start with the .csrg magic and a version decode as binary
 // (an unsupported version fails by name), anything else parses as a text
-// edge list. The file is opened and mapped (or read) once.
+// edge list. The file is opened and mapped (or read) once. A v1 file takes
+// the zero-copy path where LoadCSRWith does, under the same lifetime rule:
+// the graph's Edges and CSR slices are valid only while the *Graph is
+// reachable.
 func LoadFile(path string) (*Graph, error) {
 	return loadFile(path, true, func(src string, data []byte, ref *mmapRef) (*Graph, error) {
 		if isCSR(data) {

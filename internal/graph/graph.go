@@ -42,7 +42,11 @@ type Graph struct {
 
 	// mmap pins the memory mapping some of the slices above alias when the
 	// graph was loaded through the zero-copy path (csr.go); the mapping is
-	// released by finalizer once the graph is unreachable.
+	// released by finalizer once the graph is unreachable. A slice taken
+	// from such a graph (Edges, a CSR section) does not keep the graph
+	// reachable: it is valid only while its *Graph is, so a caller that
+	// keeps the slice keeps the graph too (runtime.KeepAlive where nothing
+	// else does).
 	mmap *mmapRef
 }
 

@@ -87,19 +87,3 @@ func (m *bitMatrix) orRows(other *bitMatrix, lo, hi int) {
 func (m *bitMatrix) row(row int) []uint64 {
 	return m.bits[row*m.words : (row+1)*m.words]
 }
-
-// onlyCol reports whether row's bits are a subset of the single set {col}.
-// Used to test "all edges on one partition".
-func (m *bitMatrix) onlyCol(row, col int) bool {
-	base := row * m.words
-	for wi := 0; wi < m.words; wi++ {
-		want := uint64(0)
-		if col/64 == wi {
-			want = 1 << uint(col%64)
-		}
-		if m.bits[base+wi]&^want != 0 {
-			return false
-		}
-	}
-	return true
-}

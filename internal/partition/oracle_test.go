@@ -164,9 +164,10 @@ func assertPlacedAsOracle(t testing.TB, label string, a *Assignment, o *oracle.C
 		t.Fatalf("%s: exported Masters/EdgeCount do not alias the core", label)
 	}
 	for v := range graph.VertexID(len(o.Masters)) {
+		reps, _, _ := a.Rows(v)
 		for p := range o.NumParts {
-			if a.HasReplica(v, p) != o.Holds(v, p) {
-				t.Fatalf("%s: vertex %d has a replica on part %d: %v, oracle says %v", label, v, p, a.HasReplica(v, p), o.Holds(v, p))
+			if has := reps[p/64]>>(p%64)&1 == 1; has != o.Holds(v, p) {
+				t.Fatalf("%s: vertex %d has a replica on part %d: %v, oracle says %v", label, v, p, has, o.Holds(v, p))
 			}
 		}
 	}

@@ -204,27 +204,10 @@ func (a *Assignment) place(workers int) error {
 	return nil
 }
 
-// HasReplica reports whether partition p holds a replica of v.
-func (a *Assignment) HasReplica(v graph.VertexID, p int) bool { return a.replicas.has(int(v), p) }
-
 // Rows returns v's placement in the shape it is stored: the words of its
 // replica, in-edge and out-edge partition sets, partition p at bit p%64 of
 // word p/64. An assignment pins no images, so replicas is the union of in and
 // out. The slices are shared; do not modify.
 func (a *Assignment) Rows(v graph.VertexID) (replicas, in, out []uint64) {
 	return a.replicas.row(int(v)), a.inEdgeParts.row(int(v)), a.outEdgeParts.row(int(v))
-}
-
-// OutEdgePartCount returns how many partitions hold at least one out-edge of v.
-func (a *Assignment) OutEdgePartCount(v graph.VertexID) int { return a.outEdgeParts.count(int(v)) }
-
-// InEdgesLocalToMaster reports whether every in-edge of v lives on v's
-// master partition — the condition under which PowerLyra's hybrid engine
-// performs a purely local gather for an in-gathering application (§6.1).
-func (a *Assignment) InEdgesLocalToMaster(v graph.VertexID) bool {
-	m := a.Master(v)
-	if m < 0 {
-		return true
-	}
-	return a.inEdgeParts.onlyCol(int(v), m)
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,18 @@ func testGraph() *graph.Graph {
 
 func roadGraph() *graph.Graph {
 	return gen.RoadNet("test-road", 40, 40, 0xbeef)
+}
+
+// partsIn lists, ascending, the partitions set in one of the word slices
+// Assignment.Rows returns.
+func partsIn(row []uint64) []int {
+	var ps []int
+	for wi, w := range row {
+		for ; w != 0; w &= w - 1 {
+			ps = append(ps, wi*64+bits.TrailingZeros64(w))
+		}
+	}
+	return ps
 }
 
 // allStrategies returns one instance of every strategy with parameters
@@ -101,9 +114,9 @@ func TestOneDColocatesOutEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		if g.OutDegree(graph.VertexID(v)) > 0 && a.OutEdgePartCount(graph.VertexID(v)) != 1 {
-			t.Fatalf("1D: vertex %d out-edges on %d partitions, want 1", v, a.OutEdgePartCount(graph.VertexID(v)))
+	for v := range graph.VertexID(g.NumVertices()) {
+		if _, _, out := a.Rows(v); g.OutDegree(v) > 0 && len(partsIn(out)) != 1 {
+			t.Fatalf("1D: vertex %d out-edges on partitions %v, want one", v, partsIn(out))
 		}
 	}
 }
@@ -114,10 +127,9 @@ func TestOneDTargetColocatesInEdgesWithMaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v < g.NumVertices(); v++ {
-		vid := graph.VertexID(v)
-		if g.InDegree(vid) > 0 && !a.InEdgesLocalToMaster(vid) {
-			t.Fatalf("1D-Target: vertex %d in-edges not local to master", v)
+	for v := range graph.VertexID(g.NumVertices()) {
+		if _, in, _ := a.Rows(v); g.InDegree(v) > 0 && !slices.Equal(partsIn(in), []int{a.Master(v)}) {
+			t.Fatalf("1D-Target: vertex %d in-edges on partitions %v, master %d", v, partsIn(in), a.Master(v))
 		}
 	}
 }
@@ -273,9 +285,9 @@ func TestHybridLowDegreeMastersLocal(t *testing.T) {
 		if g.InDegree(vid) == 0 || g.InDegree(vid) > thr {
 			continue
 		}
-		if !a.InEdgesLocalToMaster(vid) {
-			t.Fatalf("Hybrid: low-degree vertex %d (in-deg %d) in-edges not local to master",
-				v, g.InDegree(vid))
+		if _, in, _ := a.Rows(vid); !slices.Equal(partsIn(in), []int{a.Master(vid)}) {
+			t.Fatalf("Hybrid: low-degree vertex %d (in-deg %d) in-edges on partitions %v, master %d",
+				v, g.InDegree(vid), partsIn(in), a.Master(vid))
 		}
 	}
 }
