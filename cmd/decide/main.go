@@ -166,10 +166,7 @@ func workload(o options) (decision.Workload, datasets.Manifest, error) {
 		}
 		man = datasets.MeasureManifest(g)
 	}
-	w, err := advisor.WorkloadFor(man, o.machines, o.ratio, o.app)
-	if err != nil {
-		return decision.Workload{}, man, err
-	}
+	w := advisor.WorkloadFor(man, o.machines, o.ratio, o.app)
 	// -natural widens the app-derived default (a non-PageRank natural app
 	// exists only by assertion); it never narrows it.
 	if o.natural {

@@ -9,11 +9,11 @@
 // edge list is. Streaming accepts both formats; the binary one skips text
 // parsing entirely. Other strategies are refused with their capability named.
 //
-// With -churn N, the edge list is replayed as N deterministic timestamped
-// add/delete windows through a long-lived mutable partition state instead
-// of one-shot ingress; -rebalance sets the edge-balance threshold above
-// which edges migrate off overloaded partitions, and -hot K replicates the
-// K highest-degree vertices everywhere.
+// With -churn N, the edge list is replayed as N deterministic add/delete
+// windows through a long-lived mutable partition state instead of one-shot
+// ingress; -rebalance sets the edge-balance threshold above which edges
+// migrate off overloaded partitions, and -hot K replicates the K
+// highest-degree vertices everywhere.
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ func main() {
 		memBudget = flag.Float64("mem-budget", 0, "HEP in-memory edge budget as a fraction of |E| (0 = strategy default)")
 		workers   = flag.Int("workers", 0, "ingress workers, materialized and -stream alike (0 = GOMAXPROCS; never changes the result)")
 		stream    = flag.Bool("stream", false, "stream -input in batches without materializing the edge list (stateless strategies only)")
-		churn     = flag.Int("churn", 0, "replay the graph as N timestamped add/delete windows through a mutable partition state instead of one-shot ingress")
+		churn     = flag.Int("churn", 0, "replay the graph as N add/delete windows through a mutable partition state instead of one-shot ingress")
 		churnDel  = flag.Float64("churn-del", 0.2, "per-window deletion fraction of that window's additions (with -churn)")
 		rebalance = flag.Float64("rebalance", 0, "edge-balance threshold: migrate edges whenever max/mean drifts above it (with -churn; 0 = off)")
 		hot       = flag.Int("hot", 0, "replicate the top-K live-degree vertices on every partition (with -churn; 0 = off)")
@@ -89,6 +89,14 @@ func main() {
 	if err := churnOpt.check(*stream); err != nil {
 		log.Fatal(err)
 	}
+	// -input and -dataset are two sources for one graph, so neither wins;
+	// -stream reads only a file.
+	switch {
+	case *input != "" && *dataset != "":
+		log.Fatal("partition: -input and -dataset are mutually exclusive; give one")
+	case *input == "" && (*stream || *dataset == ""):
+		log.Fatal("partition: need -input FILE (or, without -stream, -dataset NAME; see -h)")
+	}
 
 	if *stream {
 		if err := runStream(humanWriter(*jsonOut), s, *input, *parts, *seed, *workers, *verbose, *jsonOut); err != nil {
@@ -103,13 +111,12 @@ func main() {
 	}
 
 	var g *graph.Graph
-	switch {
-	case *dataset != "":
+	name := *input
+	if *dataset != "" {
+		name = *dataset
 		g, err = datasets.Load(*dataset, *scale)
-	case *input != "":
+	} else {
 		g, err = graph.LoadFile(*input)
-	default:
-		log.Fatal("partition: need -input FILE or -dataset NAME (see -h)")
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -137,10 +144,6 @@ func main() {
 		fmt.Sprintf("ingress (simulated): %.4fs on %d machines", ing.Seconds, cc.Machines))
 
 	if *jsonOut != "" {
-		name := *dataset
-		if name == "" {
-			name = *input
-		}
 		cells := qualityCells(name, s.Name(), *parts, a)
 		cells = append(cells, report.Cell{Dims: cellDims(name, s.Name(), *parts),
 			Metric: "ingress-seconds", Value: ing.Seconds, Unit: "s"})
@@ -168,9 +171,6 @@ func clusterFor(parts, machines int) (cluster.Config, error) {
 // once, fed to the stream builder's workers and never held in memory. The
 // builder rejects strategies that cannot stream, naming their capability.
 func runStream(out io.Writer, s partition.Strategy, input string, parts int, seed uint64, workers int, verbose bool, jsonOut string) error {
-	if input == "" {
-		return fmt.Errorf("partition: -stream needs -input FILE")
-	}
 	b, err := partition.NewShardedStreamBuilder(s, parts, workers, seed)
 	if err != nil {
 		return err
@@ -228,10 +228,10 @@ func (opt churnOptions) check(stream bool) error {
 	return nil
 }
 
-// runChurn replays the graph's edge list as a deterministic timestamped
-// add/delete trace through a long-lived PartitionState, printing per-window
-// quality and the final summary — the incremental counterpart of the
-// one-shot path below.
+// runChurn replays the graph's edge list as a deterministic add/delete
+// trace through a long-lived PartitionState, printing per-window quality
+// and the final summary — the incremental counterpart of the one-shot path
+// below.
 func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOptions) error {
 	st, err := partition.NewPartitionState(s, opt.Parts, opt.Seed, opt.Workers)
 	if err != nil {
@@ -244,7 +244,7 @@ func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOpti
 	moved := 0
 	_, err = gen.ChurnTrace(g.Edges, gen.ChurnConfig{Windows: opt.Windows, DelFrac: opt.DelFrac, Seed: opt.Seed},
 		func(w gen.ChurnWindow) error {
-			stats, err := st.ApplyBatch(gen.Edges(w.Adds), gen.Edges(w.Dels))
+			stats, err := st.ApplyBatch(w.Adds, w.Dels)
 			if err != nil {
 				return err
 			}

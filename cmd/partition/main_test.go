@@ -161,7 +161,8 @@ func TestRunStreamNamesCapability(t *testing.T) {
 
 // TestChurnFlagsThatCannotTakeEffectAreRefused runs the binary in a child
 // process: each churn flag that would do nothing must exit 1 naming itself
-// and its value, before the graph loads or anything prints.
+// and its value, before the graph loads or anything prints. So must -input
+// beside -dataset, naming both, and -stream without -input.
 func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 	if args := os.Getenv("PARTITION_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"partition"}, strings.Fields(args)...)
@@ -176,6 +177,9 @@ func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 		{"-rebalance 1.2", "-rebalance 1.2"},
 		{"-hot 8", "-hot 8"},
 		{"-churn 3 -stream", "-churn 3"},
+		{"-input graph.txt", "-input and -dataset"},
+		{"-input graph.txt -stream", "-input and -dataset"},
+		{"-stream", "need -input FILE"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestChurnFlagsThatCannotTakeEffectAreRefused$")
 		cmd.Env = append(os.Environ(), "PARTITION_MAIN_ARGS=-dataset road-ca -strategy Random -parts 4 "+tc.flags)

@@ -12,7 +12,6 @@ import (
 	"graphpart/internal/cluster"
 	"graphpart/internal/datasets"
 	"graphpart/internal/decision"
-	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 )
 
@@ -27,11 +26,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cls := graph.Classify(g)
 	fmt.Printf("dataset %s (%s, stands in for %s vertices / %s edges)\n",
 		m.Name, m.Kind, m.PaperVerts, m.PaperEdges)
 	fmt.Printf("graph %v — class %s (max degree %d, avg %.1f, degree Gini %.2f)\n\n",
-		g, cls.Class, m.Stats.MaxDegree, m.Stats.AvgDegree, m.Stats.Gini)
+		g, m.Class, m.Stats.MaxDegree, m.Stats.AvgDegree, m.Stats.Gini)
 
 	// 2. Partition it on a simulated 9-machine cluster with every
 	//    PowerLyra strategy and compare quality.
@@ -63,7 +61,7 @@ func main() {
 
 	// 3. What does the paper's decision tree recommend?
 	rec, err := decision.PaperTrees().Recommend(partition.PowerLyra, decision.Workload{
-		Class:               cls.Class,
+		Class:               m.Class,
 		Machines:            cc.Machines,
 		ComputeIngressRatio: 2, // long-running job
 		NaturalApp:          true,

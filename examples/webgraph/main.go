@@ -24,7 +24,7 @@ func main() {
 
 	g := datasets.MustLoad("uk-web", 1)
 	cls := graph.Classify(g)
-	fmt.Printf("dataset %v — class %s (low-degree-ratio %.2f)\n\n", g, cls.Class, cls.Fit.LowDegreeRatio)
+	fmt.Printf("dataset %v — class %s (low-degree-ratio %.2f)\n\n", g, cls.Class, cls.LowDegreeRatio)
 
 	cc := cluster.EC2x25
 	model := cluster.DefaultModel()

@@ -98,10 +98,7 @@ func TestDeterministicRecommendation(t *testing.T) {
 			partition.PowerLyraAll, partition.GraphXAll,
 		} {
 			for _, ratio := range []float64{0.25, 5} {
-				w, err := WorkloadFor(man, 25, ratio, "PageRank(C)")
-				if err != nil {
-					t.Fatal(err)
-				}
+				w := WorkloadFor(man, 25, ratio, "PageRank(C)")
 				r1, err1 := m1.Recommend(sys, w)
 				r2, err2 := m2.Recommend(sys, w)
 				if (err1 == nil) != (err2 == nil) {
@@ -123,10 +120,7 @@ func TestRecommendationsAreConstructible(t *testing.T) {
 			partition.PowerGraph, partition.PowerLyra, partition.GraphX,
 			partition.PowerLyraAll, partition.GraphXAll, partition.AllFamilies,
 		} {
-			w, err := WorkloadFor(man, 25, 1, "WCC")
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := WorkloadFor(man, 25, 1, "WCC")
 			rec, err := m.Recommend(sys, w)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", man.Name, sys, err)
@@ -167,10 +161,7 @@ func TestGridNeverRecommendedOffSquare(t *testing.T) {
 	_, mans := seedInputs(t)
 	for _, man := range mans {
 		for machines := 5; machines <= 26; machines++ {
-			w, err := WorkloadFor(man, machines, 0.5, "PageRank(C)")
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := WorkloadFor(man, machines, 0.5, "PageRank(C)")
 			rec, err := m.Recommend(partition.PowerGraph, w)
 			if err != nil {
 				t.Fatal(err)
@@ -253,10 +244,7 @@ func TestUnmeasuredEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := WorkloadFor(mans[0], 25, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := WorkloadFor(mans[0], 25, 1, "")
 	if _, err := m.Recommend(partition.GraphX, w); err == nil {
 		t.Error("recommendation for an unmeasured engine did not error")
 	}
@@ -275,10 +263,7 @@ func TestNearestDatasetPrediction(t *testing.T) {
 	}
 	ext := road
 	ext.Name = "my-road-graph"
-	w, err := WorkloadFor(ext, 25, 0.5, "PageRank(C)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := WorkloadFor(ext, 25, 0.5, "PageRank(C)")
 	rec, err := m.Recommend(partition.PowerGraph, w)
 	if err != nil {
 		t.Fatal(err)
@@ -293,12 +278,6 @@ func TestNearestDatasetPrediction(t *testing.T) {
 		if c.Dims.Strategy != rec.Strategy {
 			t.Errorf("predicted cell for %s, want recommended %s", c.Dims.Strategy, rec.Strategy)
 		}
-	}
-}
-
-func TestWorkloadForRejectsBadClass(t *testing.T) {
-	if _, err := WorkloadFor(datasets.Manifest{Name: "x", Class: "bogus"}, 9, 1, ""); err == nil {
-		t.Error("bogus degree class accepted")
 	}
 }
 

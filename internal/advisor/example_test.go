@@ -5,6 +5,7 @@ import (
 
 	"graphpart/internal/advisor"
 	"graphpart/internal/datasets"
+	"graphpart/internal/graph"
 	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
@@ -30,16 +31,13 @@ func ExampleFit() {
 		}}},
 	}
 	mans := []datasets.Manifest{
-		{Name: "road", Class: "low-degree",
-			Stats: datasets.DegreeStats{MaxDegree: 8, AvgDegree: 3.2, Gini: 0.08}},
-		{Name: "web", Class: "power-law",
-			Stats: datasets.DegreeStats{MaxDegree: 3000, AvgDegree: 41, Gini: 0.79, Alpha: 1.2, R2: 0.83, LowDegreeRatio: 0.52}},
+		{Name: "road", Class: graph.LowDegree,
+			Stats: graph.DegreeStats{MaxDegree: 8, AvgDegree: 3.2, Gini: 0.08}},
+		{Name: "web", Class: graph.PowerLaw,
+			Stats: graph.DegreeStats{MaxDegree: 3000, AvgDegree: 41, Gini: 0.79, Alpha: 1.2, R2: 0.83, LowDegreeRatio: 0.52}},
 	}
 
-	w, err := advisor.WorkloadFor(mans[1], 25, 0.5, "PageRank(C)")
-	if err != nil {
-		panic(err)
-	}
+	w := advisor.WorkloadFor(mans[1], 25, 0.5, "PageRank(C)")
 	m, err := advisor.Fit(rep, mans)
 	if err != nil {
 		panic(err)

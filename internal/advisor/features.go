@@ -10,12 +10,10 @@
 package advisor
 
 import (
-	"fmt"
 	"strings"
 
 	"graphpart/internal/datasets"
 	"graphpart/internal/decision"
-	"graphpart/internal/graph"
 )
 
 // featureNames are the workload features the learner may split on, in the
@@ -77,23 +75,14 @@ func NaturalApp(app string) bool {
 // concrete job: the manifest supplies the graph-side features (class and
 // degree-skew statistics), the arguments the job side. It is the single
 // translation point between the dataset subsystem and the decision layer.
-func WorkloadFor(m datasets.Manifest, machines int, ratio float64, app string) (decision.Workload, error) {
-	cls, err := graph.ParseDegreeClass(m.Class)
-	if err != nil {
-		return decision.Workload{}, fmt.Errorf("advisor: manifest %s: %w", m.Name, err)
-	}
+func WorkloadFor(m datasets.Manifest, machines int, ratio float64, app string) decision.Workload {
 	return decision.Workload{
-		Class:               cls,
+		Class:               m.Class,
 		Machines:            machines,
 		ComputeIngressRatio: ratio,
 		NaturalApp:          NaturalApp(app),
 		Dataset:             m.Name,
 		App:                 app,
-		Gini:                m.Stats.Gini,
-		Alpha:               m.Stats.Alpha,
-		R2:                  m.Stats.R2,
-		LowDegreeRatio:      m.Stats.LowDegreeRatio,
-		MaxDegree:           m.Stats.MaxDegree,
-		AvgDegree:           m.Stats.AvgDegree,
-	}, nil
+		DegreeStats:         m.Stats,
+	}
 }

@@ -68,10 +68,7 @@ func Fit(rep *report.Report, mans []datasets.Manifest) (*Model, error) {
 	for _, m := range mans {
 		mm[m.Name] = m
 	}
-	obs, skipped, err := observations(rep, mm)
-	if err != nil {
-		return nil, err
-	}
+	obs, skipped := observations(rep, mm)
 	if len(obs) == 0 {
 		return nil, fmt.Errorf("advisor: no usable measurement cells in report (need engine+dataset+strategy dims and manifests for the datasets; %d groups lacked a manifest)", skipped)
 	}

@@ -197,7 +197,7 @@ func variantRatio(variant string) (float64, bool) {
 // scored, plus short-job (ingress) and long-job (replication) proxy
 // observations. Datasets without a manifest are skipped — their feature
 // vector is unknown; skipped counts how many groups that dropped.
-func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []*Observation, skipped int, err error) {
+func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []*Observation, skipped int) {
 	totals := map[groupKey]scoreTable{}
 	compute := map[groupKey]scoreTable{}
 	ingress := map[ingressKey]scoreTable{}
@@ -248,23 +248,20 @@ func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []
 		}
 	}
 
-	build := func(gk groupKey, kind string, ratio float64, scores map[string]float64) error {
+	build := func(gk groupKey, kind string, ratio float64, scores map[string]float64) {
 		if len(scores) < 2 {
-			return nil // nothing to choose between
+			return // nothing to choose between
 		}
 		m, ok := mans[gk.dataset]
 		if !ok {
 			skipped++
-			return nil
-		}
-		w, err := WorkloadFor(m, machinesOf(gk.cluster, gk.parts), ratio, gk.app)
-		if err != nil {
-			return err
+			return
 		}
 		o := &Observation{
 			Engine: gk.engine, Dataset: gk.dataset, App: gk.app,
 			Variant: gk.variant, Cluster: gk.cluster, Parts: gk.parts,
-			Kind: kind, Ratio: ratio, W: w, Scores: scores,
+			Kind: kind, Ratio: ratio, Scores: scores,
+			W: WorkloadFor(m, machinesOf(gk.cluster, gk.parts), ratio, gk.app),
 		}
 		for _, s := range o.Strategies() {
 			if o.Best == "" || scores[s] < o.BestScore {
@@ -272,7 +269,6 @@ func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []
 			}
 		}
 		obs = append(obs, o)
-		return nil
 	}
 
 	// Measured (or synthesized) end-to-end totals. The ratio is recovered
@@ -302,9 +298,7 @@ func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []
 		} else if r, ok := variantRatio(gk.variant); ok {
 			ratio = r
 		}
-		if err := build(gk, KindTotal, ratio, scores); err != nil {
-			return nil, 0, err
-		}
+		build(gk, KindTotal, ratio, scores)
 	}
 
 	// Compute-only groups with no ingress to pair with: long-job proxies.
@@ -312,25 +306,19 @@ func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []
 		if _, have := totals[gk]; have {
 			continue
 		}
-		if err := build(gk, KindCompute, longJobRatio, compute[gk].means()); err != nil {
-			return nil, 0, err
-		}
+		build(gk, KindCompute, longJobRatio, compute[gk].means())
 	}
 
 	// Ingress sweeps: short-job proxies (the job is the load).
 	for _, ik := range sortedIngressKeys(ingress) {
 		gk := groupKey{ik.engine, ik.dataset, "", "", ik.cluster, ik.parts}
-		if err := build(gk, KindIngress, shortJobRatio, ingress[ik].means()); err != nil {
-			return nil, 0, err
-		}
+		build(gk, KindIngress, shortJobRatio, ingress[ik].means())
 	}
 
 	// Replication-factor sweeps: long-job network proxies.
 	for _, ik := range sortedIngressKeys(replication) {
 		gk := groupKey{ik.engine, ik.dataset, "", "", ik.cluster, ik.parts}
-		if err := build(gk, KindReplication, longJobRatio, replication[ik].means()); err != nil {
-			return nil, 0, err
-		}
+		build(gk, KindReplication, longJobRatio, replication[ik].means())
 	}
 
 	sort.Slice(obs, func(i, j int) bool {
@@ -339,5 +327,5 @@ func observations(rep *report.Report, mans map[string]datasets.Manifest) (obs []
 		kb := fmt.Sprintf("%s|%s|%s|%s|%s|%d|%s", b.Engine, b.Dataset, b.App, b.Variant, b.Cluster, b.Parts, b.Kind)
 		return ka < kb
 	})
-	return obs, skipped, nil
+	return obs, skipped
 }

@@ -35,8 +35,7 @@ const prConvTolerance = 1e-2
 // The table holds one runner per system family; a nil runner is a system the
 // paper does not run the application on.
 type appSpec struct {
-	name    string
-	natural bool
+	name string
 	// run executes it on PowerGraph or PowerLyra.
 	run func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error)
 	// gx executes it on GraphX, whose config carries the iteration cap.
@@ -63,21 +62,21 @@ func ssspSource(g *graph.Graph) graph.VertexID {
 // runs for the point's iteration cap and SSSP and WCC are the same entries.
 var appTable = []appSpec{
 	{
-		name: "PageRank(10)", natural: true,
+		name: "PageRank(10)",
 		run: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error) {
 			opts.FixedIterations = 10
 			return statsOf(engine.Run[float64, float64](mode, app.PageRank{}, a, cc, model, opts))
 		},
 	},
 	{
-		name: "PageRank(C)", natural: true,
+		name: "PageRank(C)",
 		run: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error) {
 			opts.MaxSupersteps = maxSupersteps
 			return statsOf(engine.Run[float64, float64](mode, app.PageRank{Tolerance: prConvTolerance}, a, cc, model, opts))
 		},
 	},
 	{
-		name: "WCC", natural: false,
+		name: "WCC",
 		run: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error) {
 			opts.MaxSupersteps = maxSupersteps
 			return statsOf(engine.Run[uint32, uint32](mode, app.WCC{}, a, cc, model, opts))
@@ -87,7 +86,7 @@ var appTable = []appSpec{
 		},
 	},
 	{
-		name: "SSSP", natural: false, // undirected variant, as in §6.4.1
+		name: "SSSP", // undirected variant, as in §6.4.1
 		run: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error) {
 			opts.MaxSupersteps = maxSupersteps
 			return statsOf(engine.Run[float64, float64](mode, app.SSSP{Source: ssspSource(a.G)}, a, cc, model, opts))
@@ -97,7 +96,7 @@ var appTable = []appSpec{
 		},
 	},
 	{
-		name: "K-Core", natural: false,
+		name: "K-Core",
 		run: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error) {
 			opts.MaxSupersteps = maxSupersteps
 			_, stats, err := app.KCoreDecomposition(mode, kcoreMin, kcoreMax, a, cc, model, opts)
@@ -105,14 +104,14 @@ var appTable = []appSpec{
 		},
 	},
 	{
-		name: "Coloring", natural: false,
+		name: "Coloring",
 		run: func(mode engine.Mode, a *partition.Assignment, cc cluster.Config, model cluster.CostModel, opts engine.Options) (engine.Stats, error) {
 			opts.MaxSupersteps = maxSupersteps
 			return statsOf(engine.Run[int32, app.ColorSet](mode, app.Coloring{}, a, cc, model, opts))
 		},
 	},
 	{
-		name: "PageRank", natural: true,
+		name: "PageRank",
 		gx: func(a *partition.Assignment, gcfg graphx.Config, model cluster.CostModel) (graphx.Stats, error) {
 			return gxStatsOf(graphx.Run[float64, float64](app.PageRank{}, a, gcfg, model))
 		},

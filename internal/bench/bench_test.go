@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"graphpart/internal/advisor"
+	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
 	"graphpart/internal/par"
@@ -412,11 +414,25 @@ func TestPaperAppsComplete(t *testing.T) {
 			t.Errorf("paperApps missing %s", want)
 		}
 	}
-	// Exactly the natural ones are flagged natural.
-	for _, s := range paperApps() {
-		wantNatural := strings.HasPrefix(s.name, "PageRank")
-		if s.natural != wantNatural {
-			t.Errorf("%s natural=%v, want %v", s.name, s.natural, wantNatural)
+	// The advisor's name rule agrees with each program's gather and
+	// scatter directions (§6.1) for every app table entry.
+	programNatural := map[string]bool{
+		"PageRank(10)": engine.Natural[float64, float64](app.PageRank{}),
+		"PageRank(C)":  engine.Natural[float64, float64](app.PageRank{Tolerance: prConvTolerance}),
+		"PageRank":     engine.Natural[float64, float64](app.PageRank{}),
+		"WCC":          engine.Natural[uint32, uint32](app.WCC{}),
+		"SSSP":         engine.Natural[float64, float64](app.SSSP{}),
+		"K-Core":       engine.Natural[int32, int32](app.KCore{}),
+		"Coloring":     engine.Natural[int32, app.ColorSet](app.Coloring{}),
+	}
+	for _, s := range appTable {
+		want, ok := programNatural[s.name]
+		if !ok {
+			t.Errorf("app table entry %s has no program listed", s.name)
+			continue
+		}
+		if got := advisor.NaturalApp(s.name); got != want {
+			t.Errorf("advisor.NaturalApp(%q) = %v, engine.Natural of its program = %v", s.name, got, want)
 		}
 	}
 }

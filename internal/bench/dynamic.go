@@ -45,7 +45,7 @@ func runTrace(cfg Config, st *partition.PartitionState, g *graph.Graph, delFrac 
 	perWindow func(w gen.ChurnWindow, stats partition.BatchStats) error) ([]graph.Edge, error) {
 	return gen.ChurnTrace(g.Edges, gen.ChurnConfig{Windows: dynWindows, DelFrac: delFrac, Seed: cfg.Seed},
 		func(w gen.ChurnWindow) error {
-			stats, err := st.ApplyBatch(gen.Edges(w.Adds), gen.Edges(w.Dels))
+			stats, err := st.ApplyBatch(w.Adds, w.Dels)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package bench
 // PowerLyra experiments: chapter 6 (Figs 6.1–6.6).
 
 import (
+	"graphpart/internal/advisor"
 	"graphpart/internal/cluster"
 	"graphpart/internal/report"
 )
@@ -228,16 +229,12 @@ func fig66() Experiment {
 			net := map[key]float64{}
 			for _, strat := range []string{"Oblivious", "Hybrid"} {
 				for _, appName := range []string{"PageRank(10)", "WCC"} {
-					spec, err := appByName(appName)
-					if err != nil {
-						return nil, err
-					}
 					p, err := measure(cfg, onPowerLyra, "uk-web", strat, appName, cluster.EC2x25)
 					if err != nil {
 						return nil, err
 					}
 					nat := "no"
-					if spec.natural {
+					if advisor.NaturalApp(appName) {
 						nat = "yes"
 					}
 					r.Row(plDims(strat, appName)).Col(appName, nat, strat).

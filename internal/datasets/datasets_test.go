@@ -46,7 +46,7 @@ func TestDatasetsLandInPaperDegreeClasses(t *testing.T) {
 		cls := graph.Classify(g)
 		if cls.Class != info.Class {
 			t.Errorf("%s: classified %v (maxdeg=%d ratio=%.3f), paper class %v",
-				name, cls.Class, cls.MaxDegree, cls.Fit.LowDegreeRatio, info.Class)
+				name, cls.Class, cls.MaxDegree, cls.LowDegreeRatio, info.Class)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphpart/internal/graph"
@@ -15,7 +16,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Kind != SyntheticRoad || m.Class != "low-degree" {
+	if m.Kind != SyntheticRoad || m.Class != graph.LowDegree {
 		t.Errorf("road-ca manifest kind=%s class=%s", m.Kind, m.Class)
 	}
 	if m.Vertices == 0 || m.Edges == 0 || m.Provenance == "" {
@@ -64,6 +65,21 @@ func TestDecodeManifestRejectsEmpty(t *testing.T) {
 	}
 	if _, err := DecodeManifest(bytes.NewReader([]byte("not json"))); err == nil {
 		t.Error("malformed manifest accepted")
+	}
+}
+
+// TestDecodeManifestRejectsUnknownClass: the class is a graph.DegreeClass,
+// so a manifest naming any other class, or none, fails to decode instead
+// of reaching a decision tree.
+func TestDecodeManifestRejectsUnknownClass(t *testing.T) {
+	for _, in := range []string{`{"name":"x","class":"bogus"}`, `{"name":"x","class":""}`, `{"name":"x"}`, `{"name":"x","class":null}`} {
+		if _, err := DecodeManifest(strings.NewReader(in)); err == nil {
+			t.Errorf("%s accepted", in)
+		}
+	}
+	m, err := DecodeManifest(strings.NewReader(`{"name":"x","class":"heavy-tailed"}`))
+	if err != nil || m.Class != graph.HeavyTailed {
+		t.Errorf("heavy-tailed manifest decoded as %v, %v", m.Class, err)
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 )
 
 // Workload describes the inputs recommendation rules branch on. The first
-// four fields are the nodes of the paper's trees; the rest are the
-// measured degree-skew features (datasets.Manifest.Stats) and workload
-// identity that empirical rules use. Zero values mean "unknown" — the
-// paper trees never look at them.
+// four fields are the nodes of the paper's trees; the rest are workload
+// identity and the graph's measured degree-skew features
+// (graph.DegreeStats, as graph.Classify and datasets.Manifest.Stats carry
+// them) that empirical rules use. Zero values mean "unknown" — the paper
+// trees never look at them.
 type Workload struct {
 	// Class is the input graph's degree-distribution class; derive it with
 	// graph.Classify if unknown.
@@ -40,16 +41,7 @@ type Workload struct {
 	// application; empirical rules use them to look up measured cells.
 	Dataset string
 	App     string
-	// Gini, Alpha, R2, LowDegreeRatio, MaxDegree and AvgDegree mirror the
-	// measured skew statistics of datasets.DegreeStats: the Gini
-	// coefficient of the total-degree distribution and the log-log
-	// power-law fit behind Fig 5.8.
-	Gini           float64
-	Alpha          float64
-	R2             float64
-	LowDegreeRatio float64
-	MaxDegree      int
-	AvgDegree      float64
+	graph.DegreeStats
 }
 
 // PerfectSquare reports whether n = k² (Grid needs a square machine
@@ -161,19 +153,13 @@ func graphXTrace(w Workload) (string, []string) {
 	return "2D", []string{fmt.Sprintf("%s graph → 2D (§7.4)", w.Class)}
 }
 
-// GraphXAll is the decision tree of Fig 9.3 (all strategies ported into
-// GraphX):
+// graphXAllTrace walks the decision tree of Fig 9.3 (all strategies ported
+// into GraphX) and records the branch taken at each node:
 //
 //	Low-degree graph?
 //	  Compute/Ingress low  → Canonical Random
 //	  Compute/Ingress high → HDRF/Oblivious
 //	Power-law/other        → 2D
-func GraphXAll(w Workload) string {
-	s, _ := graphXAllTrace(w)
-	return s
-}
-
-// graphXAllTrace walks Fig 9.3 and records the branch taken at each node.
 func graphXAllTrace(w Workload) (string, []string) {
 	if w.Class == graph.LowDegree {
 		if w.ComputeIngressRatio > 1 {

@@ -62,14 +62,14 @@ func TestGraphXTrees(t *testing.T) {
 		t.Errorf("GraphX heavy-tailed = %s", got)
 	}
 	// Fig 9.3 adds the job-length branch for low-degree graphs.
-	if got := GraphXAll(Workload{Class: graph.LowDegree, ComputeIngressRatio: 0.5}); got != "CanonicalRandom" {
-		t.Errorf("GraphXAll short low-degree = %s", got)
+	if got, _ := graphXAllTrace(Workload{Class: graph.LowDegree, ComputeIngressRatio: 0.5}); got != "CanonicalRandom" {
+		t.Errorf("Fig 9.3 short low-degree = %s", got)
 	}
-	if got := GraphXAll(Workload{Class: graph.LowDegree, ComputeIngressRatio: 8}); got != "HDRF" {
-		t.Errorf("GraphXAll long low-degree = %s", got)
+	if got, _ := graphXAllTrace(Workload{Class: graph.LowDegree, ComputeIngressRatio: 8}); got != "HDRF" {
+		t.Errorf("Fig 9.3 long low-degree = %s", got)
 	}
-	if got := GraphXAll(Workload{Class: graph.PowerLaw}); got != "2D" {
-		t.Errorf("GraphXAll power-law = %s", got)
+	if got, _ := graphXAllTrace(Workload{Class: graph.PowerLaw}); got != "2D" {
+		t.Errorf("Fig 9.3 power-law = %s", got)
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 	"graphpart/internal/hashing"
 )
 
-// ChurnConfig shapes a deterministic timestamped add/delete trace over an
-// edge list.
+// ChurnConfig shapes a deterministic add/delete trace over an edge list.
 type ChurnConfig struct {
 	// Windows is the number of ingestion windows the edge list is split
 	// into (≥1). Window w adds the contiguous slice [m·w/W, m·(w+1)/W) of
@@ -23,24 +22,15 @@ type ChurnConfig struct {
 	Seed uint64
 }
 
-// TimedEdge is one trace event: a monotone timestamp plus the edge it adds
-// or deletes.
-type TimedEdge struct {
-	Time int64
-	Edge graph.Edge
-}
-
 // ChurnWindow is one ingestion window of a churn trace: the deletions
-// applied at its start, then the additions. Timestamps are strictly
-// monotone across the whole trace.
+// applied at its start, then the additions.
 type ChurnWindow struct {
 	Index int
-	Dels  []TimedEdge
-	Adds  []TimedEdge
+	Dels  []graph.Edge
+	Adds  []graph.Edge
 }
 
-// ChurnTrace splits an edge list into a deterministic timestamped
-// add/delete trace and feeds each window to fn in order. Deletions are
+// ChurnTrace splits an edge list into a deterministic add/delete trace and feeds each window to fn in order. Deletions are
 // sampled only from edges still live, so the trace is always applicable;
 // the returned slice is the surviving edge set in original stream order —
 // what a one-shot partitioning of the post-churn graph should consume.
@@ -57,7 +47,6 @@ func ChurnTrace(edges []graph.Edge, cfg ChurnConfig, fn func(w ChurnWindow) erro
 	// marks survivors so the final set keeps original stream order.
 	live := make([]int, 0, m)
 	alive := make([]bool, m)
-	var now int64
 	for w := 0; w < cfg.Windows; w++ {
 		lo, hi := m*w/cfg.Windows, m*(w+1)/cfg.Windows
 		cw := ChurnWindow{Index: w}
@@ -71,15 +60,13 @@ func ChurnTrace(edges []graph.Edge, cfg ChurnConfig, fn func(w ChurnWindow) erro
 			live[pick] = live[len(live)-1]
 			live = live[:len(live)-1]
 			alive[idx] = false
-			now++
-			cw.Dels = append(cw.Dels, TimedEdge{Time: now, Edge: edges[idx]})
+			cw.Dels = append(cw.Dels, edges[idx])
 		}
 		for i := lo; i < hi; i++ {
 			live = append(live, i)
 			alive[i] = true
-			now++
-			cw.Adds = append(cw.Adds, TimedEdge{Time: now, Edge: edges[i]})
 		}
+		cw.Adds = append(cw.Adds, edges[lo:hi]...)
 		if err := fn(cw); err != nil {
 			return nil, err
 		}
@@ -91,13 +78,4 @@ func ChurnTrace(edges []graph.Edge, cfg ChurnConfig, fn func(w ChurnWindow) erro
 		}
 	}
 	return survivors, nil
-}
-
-// Edges strips the timestamps off a trace slice.
-func Edges(te []TimedEdge) []graph.Edge {
-	out := make([]graph.Edge, len(te))
-	for i, t := range te {
-		out[i] = t.Edge
-	}
-	return out
 }

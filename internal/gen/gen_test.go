@@ -52,7 +52,7 @@ func TestPrefAttachHeavyTailed(t *testing.T) {
 	// the graph has the low-degree deficit of social networks.
 	cls := graph.Classify(g)
 	if cls.Class != graph.HeavyTailed {
-		t.Errorf("classified %v (ratio=%.3f), want heavy-tailed", cls.Class, cls.Fit.LowDegreeRatio)
+		t.Errorf("classified %v (ratio=%.3f), want heavy-tailed", cls.Class, cls.LowDegreeRatio)
 	}
 	// Hubs exist.
 	if cls.MaxDegree < 50 {
@@ -75,7 +75,7 @@ func TestPowerLawFullTail(t *testing.T) {
 	cls := graph.Classify(g)
 	if cls.Class != graph.PowerLaw {
 		t.Errorf("classified %v (ratio=%.3f, maxdeg=%d), want power-law",
-			cls.Class, cls.Fit.LowDegreeRatio, cls.MaxDegree)
+			cls.Class, cls.LowDegreeRatio, cls.MaxDegree)
 	}
 	// Most vertices are low-degree.
 	h := g.DegreeHistogram()

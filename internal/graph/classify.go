@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+
+	"graphpart/internal/metrics"
 )
 
 // DegreeClass is the paper's three-way degree-distribution taxonomy (§4.2,
@@ -37,18 +39,25 @@ func (c DegreeClass) String() string {
 	return "unknown"
 }
 
-// ParseDegreeClass inverts String: it maps the serialized class names used
-// by dataset manifests back to the taxonomy.
-func ParseDegreeClass(s string) (DegreeClass, error) {
-	switch s {
-	case "low-degree":
-		return LowDegree, nil
-	case "heavy-tailed":
-		return HeavyTailed, nil
-	case "power-law":
-		return PowerLaw, nil
+// MarshalText writes the class as String does; UnmarshalText accepts only
+// the three class names, so a manifest naming another class fails to
+// decode rather than reaching a decision tree.
+func (c DegreeClass) MarshalText() ([]byte, error) {
+	if c < LowDegree || c > PowerLaw {
+		return nil, fmt.Errorf("graph: unknown degree class %d", int(c))
 	}
-	return LowDegree, fmt.Errorf("graph: unknown degree class %q", s)
+	return []byte(c.String()), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (c *DegreeClass) UnmarshalText(text []byte) error {
+	for k := LowDegree; k <= PowerLaw; k++ {
+		if string(text) == k.String() {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("graph: unknown degree class %q", text)
 }
 
 // PowerLawFit holds the result of a log-log least-squares fit of a degree
@@ -77,49 +86,24 @@ func (f PowerLawFit) Predict(d int) float64 {
 // least squares in log-log space. Degree-0 entries are ignored.
 func FitPowerLaw(hist map[int]int) PowerLawFit {
 	degrees, counts := sortedHistogram(hist)
-	n := 0
-	var sx, sy, sxx, sxy float64
+	return fitPowerLaw(degrees, counts, hist)
+}
+
+// fitPowerLaw is FitPowerLaw over the histogram already flattened by
+// sortedHistogram. Fewer than two distinct degrees fit nothing.
+func fitPowerLaw(degrees, counts []int, hist map[int]int) PowerLawFit {
+	var x, y []float64
 	for i, d := range degrees {
-		if counts[i] <= 0 {
-			continue
+		if counts[i] > 0 {
+			x = append(x, math.Log(float64(d)))
+			y = append(y, math.Log(float64(counts[i])))
 		}
-		x := math.Log(float64(d))
-		y := math.Log(float64(counts[i]))
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-		n++
 	}
-	if n < 2 {
+	line, err := metrics.Fit(x, y)
+	if err != nil {
 		return PowerLawFit{}
 	}
-	fn := float64(n)
-	denom := fn*sxx - sx*sx
-	if denom == 0 {
-		return PowerLawFit{}
-	}
-	slope := (fn*sxy - sx*sy) / denom
-	intercept := (sy - slope*sx) / fn
-	fit := PowerLawFit{Alpha: -slope, LogC: intercept}
-
-	// R² of the log-log fit.
-	meanY := sy / fn
-	var ssTot, ssRes float64
-	for i, d := range degrees {
-		if counts[i] <= 0 {
-			continue
-		}
-		x := math.Log(float64(d))
-		y := math.Log(float64(counts[i]))
-		pred := intercept + slope*x
-		ssTot += (y - meanY) * (y - meanY)
-		ssRes += (y - pred) * (y - pred)
-	}
-	if ssTot > 0 {
-		fit.R2 = 1 - ssRes/ssTot
-	}
-
+	fit := PowerLawFit{Alpha: -line.Slope, LogC: line.Intercept, R2: line.R2}
 	observedLow := float64(hist[1] + hist[2])
 	predictedLow := fit.Predict(1) + fit.Predict(2)
 	if predictedLow > 0 {
@@ -128,12 +112,31 @@ func FitPowerLaw(hist map[int]int) PowerLawFit {
 	return fit
 }
 
+// DegreeStats is the degree-skew feature vector of one graph: the evidence
+// the paper's decision trees branch on (maximum degree for the low-degree
+// test, the Fig 5.8 fit position for heavy-tailed vs power-law) plus the
+// skew statistics ML-based strategy selection extracts. Dataset manifests
+// carry it as their "stats" object.
+type DegreeStats struct {
+	MaxDegree   int     `json:"maxDegree"`
+	MaxInDegree int     `json:"maxInDegree"`
+	AvgDegree   float64 `json:"avgDegree"`
+	// Gini is the Gini coefficient of the total-degree distribution: 0 for
+	// perfectly uniform degrees (road lattices), approaching 1 as a few hubs
+	// hold most of the edges.
+	Gini float64 `json:"gini"`
+	// Alpha/R2/LowDegreeRatio come from the log-log power-law fit of the
+	// total-degree histogram (FitPowerLaw): the regression the paper draws
+	// through Figure 5.8 and uses to separate heavy-tailed from power-law.
+	Alpha          float64 `json:"alpha"`
+	R2             float64 `json:"r2"`
+	LowDegreeRatio float64 `json:"lowDegreeRatio"`
+}
+
 // Classification bundles the degree class with the evidence behind it.
 type Classification struct {
-	Class     DegreeClass
-	MaxDegree int
-	AvgDegree float64
-	Fit       PowerLawFit
+	Class DegreeClass
+	DegreeStats
 }
 
 // lowDegreeMaxDegree is the maximum-degree cutoff below which a graph is
@@ -149,27 +152,61 @@ const lowDegreeMaxDegree = 32
 // low-degree deficit of social networks (Fig 5.8a/b).
 const lowDegreeRatioCutoff = 0.25
 
-// Classify determines the degree class of g using the same evidence the
-// paper uses: maximum degree for the low-degree test, and the position of
+// Classify measures g's degree-skew statistics from one total-degree
+// histogram and determines its class from the same evidence the paper
+// uses: maximum degree for the low-degree test, and the position of
 // low-degree counts relative to the log-log regression line (Fig 5.8) to
-// split heavy-tailed from power-law.
+// split heavy-tailed from power-law. Total degree separates the classes
+// best: social graphs have few vertices with *total* degree 1–2 even
+// though their in-degree tail reaches low values.
 func Classify(g *Graph) Classification {
-	c := Classification{
-		MaxDegree: g.MaxDegree(),
-		AvgDegree: g.AvgDegree(),
+	hist := g.DegreeHistogram()
+	degrees, counts := sortedHistogram(hist)
+	fit := fitPowerLaw(degrees, counts, hist)
+	c := Classification{DegreeStats: DegreeStats{
+		MaxInDegree:    g.MaxInDegree(),
+		AvgDegree:      g.AvgDegree(),
+		Gini:           gini(degrees, counts, hist[0], g.NumVertices()),
+		Alpha:          fit.Alpha,
+		R2:             fit.R2,
+		LowDegreeRatio: fit.LowDegreeRatio,
+	}}
+	if len(degrees) > 0 {
+		c.MaxDegree = degrees[len(degrees)-1]
 	}
-	if c.MaxDegree <= lowDegreeMaxDegree {
+	switch {
+	case c.MaxDegree <= lowDegreeMaxDegree:
 		c.Class = LowDegree
-		return c
-	}
-	// Total degree separates the classes best: social graphs have few
-	// vertices with *total* degree 1–2 even though their in-degree tail
-	// reaches low values.
-	c.Fit = FitPowerLaw(g.DegreeHistogram())
-	if c.Fit.LowDegreeRatio >= lowDegreeRatioCutoff {
+	case c.LowDegreeRatio >= lowDegreeRatioCutoff:
 		c.Class = PowerLaw
-	} else {
+	default:
 		c.Class = HeavyTailed
 	}
 	return c
+}
+
+// gini computes the Gini coefficient of a degree distribution from its
+// positive degrees sorted ascending, their counts, the number of isolated
+// vertices and the vertex total: G = Σ (2i−n−1)·d_i / (n·Σd), with i the
+// 1-based rank.
+func gini(degrees, counts []int, isolated, n int) float64 {
+	var (
+		rank      = float64(isolated) // vertices seen so far: degree 0 ranks first
+		weightSum float64             // Σ (2i−n−1)·d_i accumulated per histogram bucket
+		degSum    float64
+	)
+	fn := float64(n)
+	for i, d := range degrees {
+		c := float64(counts[i])
+		// The c vertices of degree d occupy ranks rank+1 … rank+c; the sum
+		// of (2i−n−1) over that run has the closed form below.
+		sumRanks := c*(2*rank+c+1) - c*(fn+1)
+		weightSum += sumRanks * float64(d)
+		degSum += c * float64(d)
+		rank += c
+	}
+	if n == 0 || degSum == 0 {
+		return 0
+	}
+	return weightSum / (fn * degSum)
 }

@@ -53,6 +53,11 @@ func TestFitPowerLawDegenerate(t *testing.T) {
 	if fit := FitPowerLaw(map[int]int{5: 10}); fit.Alpha != 0 {
 		t.Errorf("single-point histogram: alpha = %v, want 0", fit.Alpha)
 	}
+	// Equal counts lie on a flat line: metrics.Fit's zero-variance rule
+	// makes that an exact fit (R² = 1), not the R² = 0 of no fit at all.
+	if fit := FitPowerLaw(map[int]int{1: 1, 2: 1, 7: 1}); fit.R2 != 1 || fit.Alpha != 0 {
+		t.Errorf("equal-count histogram: alpha = %v, R² = %v, want 0 and 1", fit.Alpha, fit.R2)
+	}
 }
 
 func TestPredictInverseOfFit(t *testing.T) {
@@ -85,6 +90,16 @@ func TestClassifyLowDegree(t *testing.T) {
 	}
 }
 
+// TestClassifyGini: a 3-star plus one isolated vertex has sorted degrees
+// 0,1,1,1,3, so G = Σ(2i−n−1)·d_i / (n·Σd) = 12/30; the isolated vertex
+// still takes the first rank.
+func TestClassifyGini(t *testing.T) {
+	c := Classify(FromEdges("star", []Edge{{0, 1}, {0, 2}, {0, 4}}))
+	if c.Gini != 0.4 || c.MaxDegree != 3 || c.MaxInDegree != 1 {
+		t.Errorf("star: Gini %v, max degree %d, max in-degree %d; want 0.4, 3, 1", c.Gini, c.MaxDegree, c.MaxInDegree)
+	}
+}
+
 func TestDegreeClassString(t *testing.T) {
 	tests := map[DegreeClass]string{
 		LowDegree:      "low-degree",
@@ -95,6 +110,30 @@ func TestDegreeClassString(t *testing.T) {
 	for c, want := range tests {
 		if got := c.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", c, got, want)
+		}
+	}
+}
+
+// TestDegreeClassText: the text form is String's for the three classes,
+// round-trips, and refuses anything else both ways.
+func TestDegreeClassText(t *testing.T) {
+	for _, c := range []DegreeClass{LowDegree, HeavyTailed, PowerLaw} {
+		text, err := c.MarshalText()
+		if err != nil || string(text) != c.String() {
+			t.Errorf("%v.MarshalText() = %q, %v", c, text, err)
+		}
+		var back DegreeClass
+		if err := back.UnmarshalText(text); err != nil || back != c {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, c)
+		}
+	}
+	if _, err := DegreeClass(9).MarshalText(); err == nil {
+		t.Error("DegreeClass(9) marshalled")
+	}
+	var c DegreeClass
+	for _, bad := range []string{"unknown", "bogus", "", "Low-Degree"} {
+		if err := c.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) accepted", bad)
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 func applyTrace(t *testing.T, st *PartitionState, g *graph.Graph, cfg gen.ChurnConfig) []graph.Edge {
 	t.Helper()
 	survivors, err := gen.ChurnTrace(g.Edges, cfg, func(w gen.ChurnWindow) error {
-		_, err := st.ApplyBatch(gen.Edges(w.Adds), gen.Edges(w.Dels))
+		_, err := st.ApplyBatch(w.Adds, w.Dels)
 		return err
 	})
 	if err != nil {

@@ -611,11 +611,7 @@ func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	wl, err := advisor.WorkloadFor(m, machines, ratio, q.Get("app"))
-	if err != nil {
-		return nil, statusError{http.StatusBadRequest, err.Error()}
-	}
-	rec, err := model.Recommend(sys, wl)
+	rec, err := model.Recommend(sys, advisor.WorkloadFor(m, machines, ratio, q.Get("app")))
 	if err != nil {
 		return nil, statusError{http.StatusBadRequest, err.Error()}
 	}
