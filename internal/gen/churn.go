@@ -30,10 +30,11 @@ type ChurnWindow struct {
 	Adds  []graph.Edge
 }
 
-// ChurnTrace splits an edge list into a deterministic add/delete trace and feeds each window to fn in order. Deletions are
-// sampled only from edges still live, so the trace is always applicable;
-// the returned slice is the surviving edge set in original stream order —
-// what a one-shot partitioning of the post-churn graph should consume.
+// ChurnTrace splits an edge list into a deterministic add/delete trace and
+// feeds each window to fn in order. Deletions are sampled only from edges
+// still live, so the trace is always applicable; the returned slice is the
+// surviving edge set in original stream order — what a one-shot
+// partitioning of the post-churn graph should consume.
 func ChurnTrace(edges []graph.Edge, cfg ChurnConfig, fn func(w ChurnWindow) error) ([]graph.Edge, error) {
 	if cfg.Windows < 1 {
 		return nil, fmt.Errorf("gen: churn needs ≥1 window, got %d", cfg.Windows)
