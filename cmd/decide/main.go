@@ -142,8 +142,8 @@ func run(o options, stdout io.Writer) (int, error) {
 	}
 	fmt.Fprintln(stdout)
 	for _, sys := range []partition.System{partition.PowerGraph, partition.PowerLyra} {
-		for name, why := range decision.Avoid(sys) {
-			fmt.Fprintf(stdout, "avoid on %-11s %-12s %s\n", string(sys)+":", name, why)
+		for _, a := range decision.Avoid(sys) {
+			fmt.Fprintf(stdout, "avoid on %-11s %-12s %s\n", string(sys)+":", a.Strategy, a.Why)
 		}
 	}
 	return 0, nil

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -108,5 +111,34 @@ func TestEmpiricalDeterministic(t *testing.T) {
 	}
 	if a, b := render(), render(); a != b {
 		t.Errorf("two identical invocations differ:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+	}
+}
+
+// TestTextOutputDeterministic: six identical -input invocations print one
+// byte-identical report, the avoid lines included.
+func TestTextOutputDeterministic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	var edges strings.Builder
+	for v := 1; v < 300; v++ {
+		fmt.Fprintf(&edges, "%d %d\n%d %d\n", v, v-1, v, v%7)
+	}
+	if err := os.WriteFile(path, []byte(edges.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 6; i++ {
+		var out bytes.Buffer
+		if code, err := run(options{input: path, machines: 16, ratio: 1, explain: true}, &out); err != nil || code != 0 {
+			t.Fatalf("run %d: code=%d err=%v", i, code, err)
+		}
+		switch {
+		case i == 0:
+			first = out.String()
+			if !strings.Contains(first, "avoid on PowerLyra:") {
+				t.Fatalf("no avoid lines:\n%s", first)
+			}
+		case out.String() != first:
+			t.Fatalf("run %d differs from run 0:\n--- run 0 ---\n%s\n--- run %d ---\n%s", i, first, i, out.String())
+		}
 	}
 }

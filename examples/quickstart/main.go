@@ -70,7 +70,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ndecision tree (Fig 6.6) recommends: %s\n", rec.Strategy)
-	for name, why := range decision.Avoid(partition.PowerLyra) {
-		fmt.Printf("avoid %-12s %s\n", name+":", why)
+	for _, a := range decision.Avoid(partition.PowerLyra) {
+		fmt.Printf("avoid %-12s %s\n", a.Strategy+":", a.Why)
 	}
 }

@@ -176,23 +176,23 @@ func graphXAllTrace(w Workload) (string, []string) {
 	return "2D", []string{fmt.Sprintf("%s graph → 2D (Fig 9.3)", w.Class)}
 }
 
-// Avoid lists strategies the paper recommends against for a system, with
-// reasons (§5.4.4, §6.4.4, §8.2.2).
-func Avoid(sys partition.System) map[string]string {
+// Avoid lists the strategies the paper recommends against for a system,
+// sorted by strategy name, each with its reason (§5.4.4, §6.4.4, §8.2.2).
+func Avoid(sys partition.System) []struct{ Strategy, Why string } {
 	switch sys {
 	case partition.PowerGraph:
-		return map[string]string{
-			"Random": "consistently high replication factor; Grid has similar ingress speed with better partitions (§5.4.4)",
+		return []struct{ Strategy, Why string }{
+			{"Random", "consistently high replication factor; Grid has similar ingress speed with better partitions (§5.4.4)"},
 		}
 	case partition.PowerLyra, partition.PowerLyraAll:
-		return map[string]string{
-			"Random":     "consistently high replication factor (§6.4.4)",
-			"H-Ginger":   "much slower ingress and higher memory for marginal replication-factor gains over Hybrid (§6.4.4)",
-			"AsymRandom": "even worse replication factor than Random (§8.2.2)",
+		return []struct{ Strategy, Why string }{
+			{"AsymRandom", "even worse replication factor than Random (§8.2.2)"},
+			{"H-Ginger", "much slower ingress and higher memory for marginal replication-factor gains over Hybrid (§6.4.4)"},
+			{"Random", "consistently high replication factor (§6.4.4)"},
 		}
 	case partition.GraphX, partition.GraphXAll:
-		return map[string]string{
-			"AsymRandom": "direction-sensitive hashing splits symmetric edge pairs, inflating replication (§8.2.2)",
+		return []struct{ Strategy, Why string }{
+			{"AsymRandom", "direction-sensitive hashing splits symmetric edge pairs, inflating replication (§8.2.2)"},
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package decision
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"graphpart/internal/graph"
@@ -174,15 +175,29 @@ func TestSystems(t *testing.T) {
 	}
 }
 
+// TestAvoidLists pins each system's list and its order: sorted by strategy
+// name, so every caller prints it the same way on every run.
 func TestAvoidLists(t *testing.T) {
-	if m := Avoid(partition.PowerLyra); m["H-Ginger"] == "" || m["Random"] == "" {
-		t.Error("PowerLyra avoid list missing H-Ginger/Random")
-	}
-	if m := Avoid(partition.PowerGraph); m["Random"] == "" {
-		t.Error("PowerGraph avoid list missing Random")
-	}
-	if Avoid(partition.System("bogus")) != nil {
-		t.Error("unknown system should have nil avoid list")
+	for _, c := range []struct {
+		sys  partition.System
+		want []string
+	}{
+		{partition.PowerGraph, []string{"Random"}},
+		{partition.PowerLyra, []string{"AsymRandom", "H-Ginger", "Random"}},
+		{partition.PowerLyraAll, []string{"AsymRandom", "H-Ginger", "Random"}},
+		{partition.GraphX, []string{"AsymRandom"}},
+		{partition.System("bogus"), nil},
+	} {
+		var got []string
+		for _, a := range Avoid(c.sys) {
+			if a.Why == "" {
+				t.Errorf("%s: %s has no reason", c.sys, a.Strategy)
+			}
+			got = append(got, a.Strategy)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("Avoid(%s) = %v, want %v", c.sys, got, c.want)
+		}
 	}
 }
 

@@ -25,6 +25,13 @@ type loaderState struct {
 	load  []int64    // edges this loader has assigned to each partition
 	pdeg  []int32    // HDRF partial-degree counters (δ)
 	rng   *hashing.RNG
+
+	// HDRF's λ·CBAL per partition, each entry valid while the load it was
+	// computed from and the max and min loads are unchanged. A state is
+	// always scored with one λ.
+	bal            []float64
+	balLoad        []int64
+	balMax, balMin int64
 }
 
 func newLoaderState(numVertices, numParts int, seed uint64, partialDeg bool) *loaderState {
@@ -36,6 +43,9 @@ func newLoaderState(numVertices, numParts int, seed uint64, partialDeg bool) *lo
 	}
 	if partialDeg {
 		st.pdeg = make([]int32, numVertices)
+		st.bal = make([]float64, numParts)
+		st.balLoad = make([]int64, numParts)
+		st.balMax = -1 // no entry is valid yet
 	}
 	return st
 }
@@ -258,6 +268,10 @@ func obliviousPick(st *loaderState, e graph.Edge, numParts int, scratch *[]int) 
 	return st.leastLoadedIn(cands)
 }
 
+// hdrfPick scores every partition for e and returns the best, ties broken
+// pseudo-randomly as in leastLoadedIn. The replication term takes one of
+// four values per edge, so it is read from a table indexed by the two
+// membership bits; the balance term comes from the state's memo.
 func hdrfPick(st *loaderState, e graph.Edge, numParts int, lambda float64) int {
 	st.pdeg[e.Src]++
 	st.pdeg[e.Dst]++
@@ -265,6 +279,9 @@ func hdrfPick(st *loaderState, e graph.Edge, numParts int, lambda float64) int {
 	dv := float64(st.pdeg[e.Dst])
 	thetaU := du / (du + dv)
 	thetaV := dv / (du + dv)
+	// CREP by membership: bit 0 is M ∈ A(u), bit 1 is M ∈ A(v).
+	gu, gv := 1+(1-thetaU), 1+(1-thetaV)
+	crep := [4]float64{0, gu, gv, gu + gv}
 
 	var maxLoad, minLoad int64
 	maxLoad, minLoad = st.load[0], st.load[0]
@@ -276,31 +293,46 @@ func hdrfPick(st *loaderState, e graph.Edge, numParts int, lambda float64) int {
 			minLoad = l
 		}
 	}
-	denom := float64(maxLoad-minLoad) + 1
+	bal := st.balance(maxLoad, minLoad, lambda)
 
+	au, av := st.parts.row(int(e.Src)), st.parts.row(int(e.Dst))
 	best := 0
 	bestScore := -1.0
 	ties := 1
-	for p := 0; p < numParts; p++ {
-		var crep float64
-		if st.parts.has(int(e.Src), p) {
-			crep += 1 + (1 - thetaU)
-		}
-		if st.parts.has(int(e.Dst), p) {
-			crep += 1 + (1 - thetaV)
-		}
-		// CBAL ∈ [0,1): less-loaded partitions score higher.
-		cbal := float64(maxLoad-st.load[p]) / denom
-		score := crep + lambda*cbal
-		switch {
-		case score > bestScore:
-			best, bestScore, ties = p, score, 1
-		case score == bestScore:
-			ties++
-			if st.rng.Intn(ties) == 0 {
-				best = p
+	for wi, wu := range au {
+		wv := av[wi]
+		for p := wi * 64; p < min(wi*64+64, numParts); p++ {
+			score := crep[(wu&1|wv&1<<1)&3] + bal[p]
+			wu, wv = wu>>1, wv>>1
+			switch {
+			case score > bestScore:
+				best, bestScore, ties = p, score, 1
+			case score == bestScore:
+				ties++
+				if st.rng.Intn(ties) == 0 {
+					best = p
+				}
 			}
 		}
 	}
 	return best
+}
+
+// balance returns HDRF's λ·CBAL for every partition. An entry is recomputed
+// only when the max load, the min load or its own load has moved since it
+// was last computed, always with the same expression, so a memoized entry
+// equals a fresh one bit for bit whatever the loads did in between.
+func (st *loaderState) balance(maxLoad, minLoad int64, lambda float64) []float64 {
+	all := maxLoad != st.balMax || minLoad != st.balMin
+	st.balMax, st.balMin = maxLoad, minLoad
+	denom := float64(maxLoad-minLoad) + 1
+	for p, l := range st.load {
+		if all || st.balLoad[p] != l {
+			st.balLoad[p] = l
+			// CBAL ∈ [0,1): less-loaded partitions score higher.
+			cbal := float64(maxLoad-l) / denom
+			st.bal[p] = lambda * cbal
+		}
+	}
+	return st.bal
 }

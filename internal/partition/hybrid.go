@@ -133,16 +133,19 @@ func (hg HybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Re
 	balance := func(p int) float64 { return 0.5 * (vCount[p] + ratio*eCount[p]) }
 
 	// Refinement sweep over low-degree vertices in id order (the greedy,
-	// order-dependent sweep the real implementation performs).
+	// order-dependent sweep the real implementation performs). nbrAt counts
+	// the current vertex's in-neighbours per home and is zeroed again
+	// through the same in-neighbours, so the sweep allocates nothing per
+	// vertex.
+	nbrAt := make([]float64, numParts)
 	for v := 0; v < n; v++ {
 		vid := graph.VertexID(v)
 		if high[v] || g.Degree(vid) == 0 {
 			continue
 		}
 		inDeg := float64(g.InDegree(vid))
-		// Count in-neighbors' homes.
-		nbrAt := make(map[int32]float64)
-		for _, u := range g.InNeighbors(vid) {
+		nbrs := g.InNeighbors(vid)
+		for _, u := range nbrs {
 			nbrAt[home[u]]++
 		}
 		best := home[v]
@@ -151,7 +154,7 @@ func (hg HybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Re
 			if int32(p) == home[v] {
 				continue
 			}
-			score := nbrAt[int32(p)] - balance(p)
+			score := nbrAt[p] - balance(p)
 			if score > bestScore {
 				best, bestScore = int32(p), score
 			}
@@ -162,6 +165,9 @@ func (hg HybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Re
 		// help balance inflate the replication factor).
 		if best != home[v] && nbrAt[best] <= nbrAt[home[v]] {
 			best = home[v]
+		}
+		for _, u := range nbrs {
+			nbrAt[home[u]] = 0
 		}
 		if best != home[v] {
 			vCount[home[v]]--

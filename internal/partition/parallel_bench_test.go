@@ -89,3 +89,40 @@ func BenchmarkStreamBuilder1M(b *testing.B) {
 		})
 	}
 }
+
+// paperSweep50k lazily builds the graph of the benchmark module's
+// partition-sweep workload: 50 000 vertices × 10 edges each, heavy-tailed.
+var paperSweep50k = sync.OnceValue(func() *graph.Graph {
+	return gen.PrefAttach("sweep-50k", 50_000, 10, 1)
+})
+
+// BenchmarkPaperSweep partitions one resident graph with the paper's twelve
+// strategies constructible at 16 partitions (all thirteen but PDS), the
+// pass the benchmark module's partition-sweep workload times, at one worker
+// and at GOMAXPROCS. Profile the partition layer with
+// `go test -run '^$' -bench PaperSweep -cpuprofile cpu.prof`.
+func BenchmarkPaperSweep(b *testing.B) {
+	g := paperSweep50k()
+	g.EnsureCSR()
+	var strats []Strategy
+	for _, name := range []string{
+		"Random", "CanonicalRandom", "AsymRandom", "Oblivious", "HDRF", "Grid",
+		"ResilientGrid", "Hybrid", "H-Ginger", "1D", "1D-Target", "2D",
+	} {
+		strats = append(strats, MustNew(name, Options{}))
+	}
+	for _, arm := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range strats {
+					if _, err := ParallelPartition(g, s, 16, 1, arm.workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

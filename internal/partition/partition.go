@@ -149,11 +149,13 @@ func newAssignment(g *graph.Graph, s Strategy, numParts int, seed uint64, res *R
 
 // place validates EdgeParts and fills the edge counts and the
 // replica/in/out bit-matrices. Workers shard the matrices by vertex range:
-// each scans the whole edge list but writes only rows in its own range, so
-// row storage is disjoint and needs no locks. The same scan range-checks
-// every placement it reads and counts the edges of the worker's own edge
-// range. The scan is redundant (O(workers·m) reads), so the fan-out is
-// capped: past a handful of workers the extra sequential reads cost more
+// each scans the whole edge list but sets in- and out-edge bits only in rows
+// of its own range, so row storage is disjoint and needs no locks, then
+// derives those rows' replicas as in|out (an assignment pins no images). The
+// same scan range-checks every placement it reads; the edges of the worker's
+// own edge range are counted in a loop of their own once the scan found none
+// out of range. The scan is redundant (O(workers·m) reads), so the fan-out
+// is capped: past a handful of workers the extra sequential reads cost more
 // memory bandwidth than the divided random-access bit-sets save.
 func (a *Assignment) place(workers int) error {
 	workers = min(workers, 8)
@@ -166,8 +168,6 @@ func (a *Assignment) place(workers int) error {
 	bad := m
 	par.Do(workers, workers, func(w, _ int) {
 		vlo, vhi := par.Range(n, workers, w)
-		elo, ehi := par.Range(m, workers, w)
-		local := make([]int64, numParts)
 		for i, e := range edges {
 			p := int(parts[i])
 			if p < 0 || p >= numParts {
@@ -176,17 +176,20 @@ func (a *Assignment) place(workers int) error {
 				}
 				return
 			}
-			if i >= elo && i < ehi {
-				local[p]++
-			}
 			if s := int(e.Src); s >= vlo && s < vhi {
-				reps.set(s, p)
 				out.set(s, p)
 			}
 			if d := int(e.Dst); d >= vlo && d < vhi {
-				reps.set(d, p)
 				in.set(d, p)
 			}
+		}
+		for i := vlo * reps.words; i < vhi*reps.words; i++ {
+			reps.bits[i] = in.bits[i] | out.bits[i]
+		}
+		elo, ehi := par.Range(m, workers, w)
+		local := make([]int64, numParts)
+		for _, p := range parts[elo:ehi] {
+			local[p]++
 		}
 		counts[w] = local
 	})
