@@ -9,8 +9,8 @@ import (
 )
 
 // TestRun drives the whole command in-process over throwaway modules: a raw
-// map range in a determinism-critical package is exit 1 with the finding on
-// stdout, a clean package is exit 0, and one that does not parse is exit 2.
+// map range is exit 1 with the finding on stdout, a clean package is exit
+// 0, and one that does not parse is exit 2.
 func TestRun(t *testing.T) {
 	const clean = "package metrics\n\nfunc Sum(xs []float64) (total float64) {\n\tfor _, v := range xs {\n\t\ttotal += v\n\t}\n\treturn total\n}\n"
 	const mapRange = "package metrics\n\nfunc Sum(m map[string]float64) (total float64) {\n\tfor _, v := range m {\n\t\ttotal += v\n\t}\n\treturn total\n}\n"

@@ -19,10 +19,11 @@
 //     math/rand, core counts, sync.Once, the environment, unsafe, the
 //     daemon's imports, private fan-outs, per-strategy ingress declarations —
 //     each with its sanctioned packages and its waiver marker, if any.
-//   - detrange: no ranging over maps in determinism-critical packages unless
-//     the keys are collected and sorted, the loop is an order-independent
-//     idiom (map clearing), or the site carries a //graphlint:unordered
-//     waiver explaining why order cannot reach a result.
+//   - detrange: no ranging over maps, in any package, unless the keys are
+//     collected (optionally filtered) and sorted, the loop is an
+//     order-independent idiom (map clearing), or the site carries a
+//     //graphlint:unordered waiver explaining why order cannot reach a
+//     result.
 //   - nondet: where a nondeterministic source is legal (internal/service
 //     times requests), it still may not be embedded directly in a
 //     report.Cell Value.
@@ -124,14 +125,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // --- shared predicates -------------------------------------------------
-
-// detrangeCritical are the package names whose result paths feed golden
-// renders and BENCH cell diffs: iteration order there is observable as
-// output bytes. graphx rides along with engine (it is the second engine).
-var detrangeCritical = map[string]bool{
-	"partition": true, "metrics": true, "bench": true, "report": true,
-	"advisor": true, "decision": true, "engine": true, "graphx": true,
-}
 
 // Waived reports whether node carries (or is immediately preceded by) a
 // comment containing the given //graphlint:<name> marker. Waivers document

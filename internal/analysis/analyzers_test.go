@@ -18,7 +18,7 @@ var fixtureRoot = filepath.Join("testdata", "src")
 // waiver-negative (the marker comment suppressing the finding).
 
 func TestDetrangeFixture(t *testing.T) {
-	analysistest.Run(t, fixtureRoot, "detrange", analysis.Detrange)
+	analysistest.Run(t, fixtureRoot, "detrange/...", analysis.Detrange)
 }
 
 // TestForbidFixture runs the table over one fixture package per sanctioned

@@ -10,14 +10,14 @@ import (
 // //graphlint:unordered <why order does not matter>.
 const UnorderedWaiver = "graphlint:unordered"
 
-// Detrange flags `for ... := range m` over maps in determinism-critical
-// packages. Map iteration order is randomized per loop, so any map range on
-// a result path can leak scheduling noise into golden renders, BENCH cell
-// values, or fitted models. Three shapes are recognized as safe:
+// Detrange flags `for ... := range m` over maps in every package. Map
+// iteration order is randomized per loop, so any map range on a result
+// path can leak scheduling noise into golden renders, BENCH cell values,
+// fitted models or replies. Three shapes are recognized as safe:
 //
-//   - collect-and-sort: every statement in the body appends to slices, and
-//     each collected slice is later passed to a sort.* / slices.* call in
-//     the same function;
+//   - collect-and-sort: every statement in the body, or in the body's one
+//     else-less if, appends to slices, and each collected slice is later
+//     passed to a sort.* / slices.* call in the same function;
 //   - map clearing: a body that only delete()s the ranged key from the
 //     ranged map (order-independent by the language spec);
 //   - `for range m` with no iteration variables (pure repetition).
@@ -26,14 +26,11 @@ const UnorderedWaiver = "graphlint:unordered"
 // cannot be observed.
 var Detrange = &Analyzer{
 	Name: "detrange",
-	Doc:  "flag unordered map iteration in determinism-critical packages",
+	Doc:  "flag unordered map iteration",
 	Run:  runDetrange,
 }
 
 func runDetrange(pass *Pass) error {
-	if !detrangeCritical[pass.Pkg.Name()] {
-		return nil
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
@@ -57,8 +54,8 @@ func runDetrange(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(rs.Pos(),
-				"non-deterministic iteration over map %s in determinism-critical package %s; iterate sorted keys, or waive with //%s <reason>",
-				types.ExprString(rs.X), pass.Pkg.Name(), UnorderedWaiver)
+				"non-deterministic iteration over map %s; iterate sorted keys, or waive with //%s <reason>",
+				types.ExprString(rs.X), UnorderedWaiver)
 			return true
 		})
 	}
@@ -90,12 +87,19 @@ func isMapClearLoop(pass *Pass, rs *ast.RangeStmt) bool {
 }
 
 // isCollectAndSort matches the sorted-key idiom: the body only appends the
-// iteration variables into slices, and every one of those slices reaches a
-// sort.* or slices.* call later in the same function. The sort is what
-// discharges the obligation — collecting alone still leaks order.
+// iteration variables into slices, or is one if without an else that only
+// does (a filter), and every one of those slices reaches a sort.* or
+// slices.* call later in the same function. The sort is what discharges
+// the obligation — collecting alone still leaks order.
 func isCollectAndSort(pass *Pass, f *ast.File, rs *ast.RangeStmt) bool {
+	stmts := rs.Body.List
+	if len(stmts) == 1 {
+		if is, ok := stmts[0].(*ast.IfStmt); ok && is.Init == nil && is.Else == nil {
+			stmts = is.Body.List
+		}
+	}
 	var collected []types.Object
-	for _, stmt := range rs.Body.List {
+	for _, stmt := range stmts {
 		as, ok := stmt.(*ast.AssignStmt)
 		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
 			return false

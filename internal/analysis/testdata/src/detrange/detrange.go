@@ -1,6 +1,6 @@
-// Package metrics (fixture) exercises the detrange analyzer: its name puts
-// it in the determinism-critical set, so every map range must be a
-// recognized order-safe shape, sorted-key iteration, or carry a waiver.
+// Package metrics (fixture) exercises the detrange analyzer: every map
+// range must be a recognized order-safe shape, sorted-key iteration, or
+// carry a waiver.
 package metrics
 
 import "sort"
@@ -46,6 +46,27 @@ func goodCollectAndSort(m map[string]int) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+func badFilteredNoSort(m map[int]int) []int {
+	var keys []int
+	for k := range m { // want `non-deterministic iteration over map m`
+		if k > 0 {
+			keys = append(keys, k)
+		}
+	}
+	return keys // filtered, collected, never sorted
+}
+
+func goodFilteredCollectAndSort(h map[int]int) []int {
+	var degrees []int
+	for d := range h {
+		if d > 0 {
+			degrees = append(degrees, d)
+		}
+	}
+	sort.Ints(degrees)
+	return degrees
 }
 
 func goodMergeSorted(shards map[int]*Quality) *Quality {

@@ -132,6 +132,7 @@ func collectDims(cells []report.Cell) map[string][]string {
 		}
 	}
 	out := map[string][]string{}
+	//graphlint:unordered fills a map, one key per axis, so visit order cannot show
 	for axis, set := range sets {
 		vals := make([]string, 0, len(set))
 		for v := range set {

@@ -1,0 +1,185 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// churnDecodeAgrees decodes b with parseChurn and, when it accepts, with
+// encoding/json as the fallback would, and fails t unless both give the
+// same request (nil and empty slices told apart). It reports whether
+// parseChurn accepted.
+func churnDecodeAgrees(t *testing.T, b []byte) bool {
+	t.Helper()
+	fast, ok := parseChurn(b)
+	if !ok {
+		if !reflect.DeepEqual(fast, churnRequest{}) {
+			t.Fatalf("parseChurn declined %q with %#v, not the zero request", b, fast)
+		}
+		return false
+	}
+	var slow churnRequest
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&slow); err != nil {
+		t.Fatalf("parseChurn accepted %q; encoding/json: %v", b, err)
+	}
+	if !reflect.DeepEqual(fast, slow) {
+		t.Fatalf("%q:\nparseChurn    %#v\nencoding/json %#v", b, fast, slow)
+	}
+	return true
+}
+
+// serviceDocChurnBody is the POST /v1/churn body of docs/SERVICE.md's curl
+// example.
+func serviceDocChurnBody(tb testing.TB) string {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "SERVICE.md"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "localhost:7474/v1/churn \\\n  -d '")
+	body, _, ok2 := strings.Cut(rest, "'")
+	if !ok || !ok2 {
+		tb.Fatal("docs/SERVICE.md has no churn curl example")
+	}
+	return body
+}
+
+// workloadChurnBody writes a batch in the shape the service-churn
+// workload of the benchmark module sends: compact, keys in struct order,
+// every key present, parts 16.
+func workloadChurnBody(stream string, adds, dels [][2]uint32) []byte {
+	b := fmt.Appendf(nil, `{"stream":%q,"strategy":"2D","parts":16`, stream)
+	for _, x := range []struct {
+		key   string
+		pairs [][2]uint32
+	}{{"adds", adds}, {"dels", dels}} {
+		b = fmt.Appendf(b, `,%q:[`, x.key)
+		for i, p := range x.pairs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = fmt.Appendf(b, "[%d,%d]", p[0], p[1])
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// ringEdges returns n edges of a ring of benchRing distinct edges, from
+// the at-th on.
+func ringEdges(at, n int) [][2]uint32 {
+	out := make([][2]uint32, n)
+	for i := range out {
+		k := (at + i) % benchRing
+		out[i] = [2]uint32{uint32(k), uint32((k*37 + 11) % benchRing)}
+	}
+	return out
+}
+
+// ringBatch is the workload's batch at position at: n adds ahead of and
+// n dels behind a window of benchPreload live edges.
+func ringBatch(stream string, n, at int) []byte {
+	return workloadChurnBody(stream, ringEdges(at+benchPreload, n), ringEdges(at, n))
+}
+
+const (
+	benchRing    = 2048 // edges in the ring a churn stream walks round
+	benchPreload = 1024 // live edges of the stream
+)
+
+// TestParseChurnTakesRealTraffic holds the fast path to the bodies real
+// clients send: were it to decline them, the fallback would still answer
+// correctly and only the speed would be lost, which nothing else checks.
+func TestParseChurnTakesRealTraffic(t *testing.T) {
+	bodies := map[string]string{
+		"service doc example":  serviceDocChurnBody(t),
+		"race battery":         churnBody("battery", batteryEdges(1, 2), batteryEdges(0, 3)),
+		"race battery no dels": churnBody("battery", batteryEdges(2, 0), nil),
+	}
+	for _, n := range []int{4, 32, 256} {
+		bodies["workload batch of "+strconv.Itoa(n)] = string(ringBatch("client0", n, 3*n))
+	}
+	for name, b := range bodies {
+		if !churnDecodeAgrees(t, []byte(b)) {
+			t.Errorf("%s: parseChurn declined %.80q", name, b)
+		}
+	}
+}
+
+// FuzzChurnDecode holds parseChurn to encoding/json: any body it accepts
+// must decode to the same request there. A body it declines is decoded by
+// encoding/json itself, so declining is always correct.
+func FuzzChurnDecode(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "wire_golden.txt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sec := range strings.Split(string(golden), "\n## ") {
+		if _, rest, ok := strings.Cut(sec, "\n> POST /v1/churn\n> "); ok {
+			body, _, _ := strings.Cut(rest, "\n")
+			f.Add([]byte(body)) // every churn body the wire tests send
+		}
+	}
+	f.Add([]byte(serviceDocChurnBody(f)))
+	f.Add([]byte(churnBody("battery", batteryEdges(0, 1), batteryEdges(0, 0))))
+	f.Add(ringBatch("client3", 4, 0))
+	for _, seed := range []string{
+		`{}`, ` {"parts":0} `, "\t{\n\"adds\" : [ [ 1 , 2 ] ] ,\r\"dels\":[]}",
+		`{"Stream":"a"}`, `{"STRATEGY":"2D"}`, `{"adds":[[1,2]],"Adds":[]}`,
+		`{"adds":[[0,1,7]]}`, `{"adds":[[2]]}`, `{"adds":[[]]}`, `{"adds":null}`, `null`,
+		`{"parts":-0}`, `{"parts":1e2}`, `{"parts":1.0}`, `{"parts":01}`, `{"parts":"4"}`,
+		`{"adds":[[4294967295,0]]}`, `{"adds":[[4294967296,0]]}`, `{"parts":9223372036854775808}`,
+		`{"stream":"a\"b"}`, `{"stream":"\u0041"}`, `{"stream":"a\\b"}`, "{\"stream\":\"\xff\"}",
+		"{\"stream\":\"\xc3\xa9\"}", "{\"stream\":\"a\tb\"}",
+		`{"stream":"a","stream":"b"}`, `{"adds":[[1,2]],"adds":[]}`, `{"adds":[[1,2],[3,4]],"adds":[[5,6]]}`,
+		`{"stream":"a"}junk`, `{"stream":"a"}}`, `{"stream":"a",}`, `{"stream":"a"`, `{"adds":[[1,2],]}`,
+		`{"padding":"x"}`, `[]`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) { churnDecodeAgrees(t, b) })
+}
+
+// BenchmarkChurnPost prices one POST /v1/churn through the handler stack
+// at the service-churn workload's batch sizes, on a 2D stream at 16 parts
+// holding benchPreload live edges.
+func BenchmarkChurnPost(b *testing.B) {
+	srv := New(Config{})
+	b.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck // no job ran
+	h := srv.Handler()
+	post := func(body []byte) *httptest.ResponseRecorder {
+		req, _ := http.NewRequest(http.MethodPost, "/v1/churn", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, n := range []int{4, 32, 256} {
+		b.Run(fmt.Sprintf("%d+%d", n, n), func(b *testing.B) {
+			// A stream of its own per round: b.Run calls this once per b.N.
+			stream := fmt.Sprintf("bench%d-%d", n, b.N)
+			if rec := post(workloadChurnBody(stream, ringEdges(0, benchPreload), nil)); rec.Code != http.StatusOK {
+				b.Fatalf("pre-load: %d %s", rec.Code, rec.Body)
+			}
+			bodies := make([][]byte, benchRing/n)
+			for i := range bodies {
+				bodies[i] = ringBatch(stream, n, i*n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				if rec := post(bodies[i%len(bodies)]); rec.Code != http.StatusOK {
+					b.Fatalf("batch %d: %d %s", i, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

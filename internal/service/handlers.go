@@ -240,9 +240,25 @@ func bodyError(what string, err error) error {
 	return statusErrorf(http.StatusBadRequest, "service: %s: %v", what, err)
 }
 
-// decodeJSON decodes a JSON request body into dst.
-func decodeJSON(r *http.Request, dst any) error {
-	return bodyError("malformed JSON body", json.NewDecoder(r.Body).Decode(dst))
+// maxBodyHint bounds the bytes a declared Content-Length reserves before
+// they arrive; a longer body grows the buffer as it is read.
+const maxBodyHint = 64 << 10
+
+// readBody reads the whole request body, which handle capped at MaxBody:
+// a body that runs past the cap is 413 even when its first JSON value
+// ends inside it. A body no longer than maxBodyHint is read into one
+// allocation of its declared length.
+func readBody(r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), maxBodyHint)) + bytes.MinRead)
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), bodyError("read request body", err)
+}
+
+// decodeJSON decodes the first JSON value of a request body into dst, as
+// a json.Decoder does: bytes after that value are not looked at.
+func decodeJSON(b []byte, dst any) error {
+	return bodyError("malformed JSON body", json.NewDecoder(bytes.NewReader(b)).Decode(dst))
 }
 
 // queryInt parses an integer query parameter's value, def when it is empty.
@@ -382,8 +398,12 @@ func (s *Server) handleJobs(_ context.Context, r *http.Request) (any, error) {
 	if r.Method == http.MethodGet {
 		return map[string]any{"jobs": s.jobs.list()}, nil
 	}
+	b, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
 	var req jobRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(b, &req); err != nil {
 		return nil, err
 	}
 	k, err := s.key(true, req.Dataset, req.Strategy, bodyParts(req.Parts))
@@ -450,6 +470,121 @@ func (ls *liveState) response(k cutKey, stats partition.BatchStats) churnRespons
 	}
 }
 
+// parseChurn decodes b when it is a churn body in the canonical shape: one
+// object whose keys are spelled exactly as churnRequest's tags, stream and
+// strategy ASCII strings without escapes, parts a decimal int, adds and
+// dels arrays of [src, dst] decimal uint32 pairs, JSON whitespace between
+// tokens, and a repeated key's last value winning. Like json.Decoder it
+// stops at the closing brace. Anything else — null, a sign, a fraction, an
+// exponent, a leading zero, an overflow, another key or spelling — it
+// declines with the zero request, for the caller to decode b with
+// encoding/json instead; FuzzChurnDecode holds every body it accepts to
+// encoding/json's value.
+func parseChurn(b []byte) (churnRequest, bool) {
+	var req churnRequest
+	s := churnScan{b: b}
+	ok := s.next('{')
+	for first := true; ok && !s.next('}'); first = false {
+		ok = first || s.next(',')
+		key, isKey := s.str()
+		ok = ok && isKey && s.next(':')
+		var v []byte
+		var n uint64
+		var isVal bool // stays false for any other key
+		switch string(key) {
+		case "stream":
+			v, isVal = s.str()
+			req.Stream = string(v)
+		case "strategy":
+			v, isVal = s.str()
+			req.Strategy = string(v)
+		case "parts":
+			n, isVal = s.uint(math.MaxInt)
+			req.Parts = int(n)
+		case "adds":
+			req.Adds, isVal = s.pairs()
+		case "dels":
+			req.Dels, isVal = s.pairs()
+		}
+		ok = ok && isVal
+	}
+	if !ok {
+		return churnRequest{}, false
+	}
+	return req, true
+}
+
+// churnScan is parseChurn's cursor over a body.
+type churnScan struct {
+	b []byte
+	i int
+}
+
+// skip advances past JSON whitespace.
+func (s *churnScan) skip() {
+	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
+		s.i++
+	}
+}
+
+// next skips whitespace and consumes c, reporting whether it was there.
+func (s *churnScan) next(c byte) bool {
+	s.skip()
+	ok := s.i < len(s.b) && s.b[s.i] == c
+	if ok {
+		s.i++
+	}
+	return ok
+}
+
+// str consumes a string of ASCII bytes from 0x20 up, none a backslash,
+// and returns what is between the quotes.
+func (s *churnScan) str() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	start := s.i
+	for s.i < len(s.b) && s.b[s.i] >= 0x20 && s.b[s.i] < 0x80 && s.b[s.i] != '\\' && s.b[s.i] != '"' {
+		s.i++
+	}
+	ok := s.i < len(s.b) && s.b[s.i] == '"'
+	s.i++
+	return s.b[start : s.i-1], ok
+}
+
+// uint consumes a decimal integer of at most max, after whitespace. It
+// stops before a digit that would pass max or follows a leading zero, and
+// before a sign, fraction or exponent; each fails the caller's next
+// punctuation.
+func (s *churnScan) uint(max uint64) (n uint64, ok bool) {
+	s.skip()
+	start := s.i
+	for ; s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' && (s.i == start || s.b[start] != '0'); s.i++ {
+		d := uint64(s.b[s.i] - '0')
+		if n > (max-d)/10 {
+			break
+		}
+		n = n*10 + d
+	}
+	return n, s.i > start
+}
+
+// pairs consumes an array of [src, dst] pairs; [] is an empty, non-nil
+// slice, as encoding/json makes it.
+func (s *churnScan) pairs() ([][2]uint32, bool) {
+	out := [][2]uint32{}
+	ok := s.next('[')
+	for ok && !s.next(']') {
+		ok = (len(out) == 0 || s.next(',')) && s.next('[')
+		src, isSrc := s.uint(math.MaxUint32)
+		ok = ok && isSrc && s.next(',')
+		dst, isDst := s.uint(math.MaxUint32)
+		ok = ok && isDst && s.next(']')
+		out = append(out, [2]uint32{uint32(src), uint32(dst)})
+	}
+	return out, ok
+}
+
 func edgesOf(pairs [][2]uint32) []graph.Edge {
 	out := make([]graph.Edge, len(pairs))
 	for i, p := range pairs {
@@ -476,8 +611,13 @@ func (s *Server) handleChurn(_ context.Context, r *http.Request) (any, error) {
 		defer ls.mu.Unlock()
 		return ls.response(k, partition.BatchStats{}), nil
 	}
-	var req churnRequest
-	if err := decodeJSON(r, &req); err != nil {
+	// A canonical body skips reflection; any other is encoding/json's.
+	b, err := readBody(r)
+	req, ok := parseChurn(b)
+	if err == nil && !ok {
+		err = decodeJSON(b, &req)
+	}
+	if err != nil {
 		return nil, err
 	}
 	k, err := s.key(false, req.Stream, req.Strategy, bodyParts(req.Parts))
@@ -519,7 +659,11 @@ type fitResponse struct {
 }
 
 func (s *Server) handleAdvisorFit(ctx context.Context, r *http.Request) (any, error) {
-	rep, err := report.Decode(r.Body)
+	b, err := readBody(r)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := report.Decode(bytes.NewReader(b))
 	if err != nil {
 		return nil, bodyError("report body", err)
 	}

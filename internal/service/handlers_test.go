@@ -366,13 +366,17 @@ func TestRefusedPartsAreTheClientsFault(t *testing.T) {
 	}
 }
 
-// TestOversizedBodies pins the 413 path on every body-accepting endpoint.
+// TestOversizedBodies pins the 413 path on every body-accepting endpoint,
+// for a body whose first value ends inside the cap too.
 func TestOversizedBodies(t *testing.T) {
 	srv := newTestServer(t, Config{MaxBody: 64})
 	big := `{"dataset":"road-ca","strategy":"Grid","padding":"` + strings.Repeat("x", 256) + `"}`
 	for _, path := range []string{"/v1/jobs", "/v1/churn", "/v1/advisor/fit"} {
 		rec := do(srv, http.MethodPost, path, big)
 		wantError(t, rec, http.StatusRequestEntityTooLarge)
+	}
+	for _, x := range insideTheCap {
+		wantError(t, do(srv, http.MethodPost, x.path, strings.Repeat(x.first, 5)), http.StatusRequestEntityTooLarge)
 	}
 }
 

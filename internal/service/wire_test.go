@@ -84,6 +84,16 @@ func (w *wireScript) send(s *Server, name, method, path, body string) *httptest.
 	return rec
 }
 
+// insideTheCap are JSON values shorter than a 64-byte MaxBody, one per
+// body-accepting endpoint. Sent five times over, the body passes the cap
+// after its first value ends: a json.Decoder on the capped body would
+// stop at that value and never meet the cap.
+var insideTheCap = []struct{ path, first string }{
+	{"/v1/jobs", `{"dataset":"road-ca","strategy":"Random","parts":2}`},
+	{"/v1/churn", `{"stream":"cap","strategy":"2D","adds":[[0,1]]}`},
+	{"/v1/advisor/fit", `{"schemaVersion":1,"experiments":[]}`},
+}
+
 // TestWireGolden replays a fixed script — every row of TestEndpointTable,
 // then the 413, 405, 422, 429/503 and 504 paths — and compares status,
 // Content-Type, Allow and body bytes with testdata/wire_golden.txt. The
@@ -125,6 +135,10 @@ func TestWireGolden(t *testing.T) {
 	big := `{"dataset":"road-ca","strategy":"Grid","padding":"` + strings.Repeat("x", 256) + `"}`
 	for _, path := range []string{"/v1/jobs", "/v1/churn", "/v1/advisor/fit"} {
 		w.send(small, "oversized: "+path, http.MethodPost, path, big)
+	}
+	// 413 too when the body's first value ends inside the cap.
+	for _, x := range insideTheCap {
+		w.send(small, "oversized: value ends inside the cap: "+x.path, http.MethodPost, x.path, strings.Repeat(x.first, 5))
 	}
 
 	// 504: the dataset cannot finish building before the gate opens, so
