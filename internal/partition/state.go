@@ -8,14 +8,16 @@ import (
 	"graphpart/internal/graph"
 )
 
-// liveEdge is one live edge of a PartitionState: the edge plus the partition
-// it currently lives on.
+// liveEdge is one live edge of a PartitionState: the edge, the partition
+// it currently lives on, and the live positions of the next older and next
+// newer copy of the same edge (-1 for none).
 type liveEdge struct {
-	e graph.Edge
-	p int32
+	e          graph.Edge
+	p          int32
+	prev, next int32
 }
 
-// edgeKey packs an edge into the map key used by the live-edge index.
+// edgeKey packs an edge into the key of the live-edge index.
 func edgeKey(e graph.Edge) uint64 {
 	return uint64(e.Src)<<32 | uint64(e.Dst)
 }
@@ -24,12 +26,16 @@ func edgeKey(e graph.Edge) uint64 {
 // the counterpart of the frozen Assignment. It keeps every piece of
 // vertex-cut bookkeeping incrementally maintainable:
 //
-//   - the live edge list with each edge's partition (and a multiset index,
-//     so duplicate edges delete correctly);
+//   - the live edge list with each edge's partition, an edgeIndex from each
+//     edge to its newest live copy, and per-edge links to the older and
+//     newer copies, so a duplicate edge deletes newest first in one probe
+//     (the index's hash is randomly seeded; nothing iterates it, so no
+//     result depends on the seed);
 //   - per-vertex, per-partition endpoint reference counts (a bitMatrix can
 //     say a vertex touches a partition but not when it stops — the counts
 //     are what make the replica sets decrementable; at 32× the bits they
-//     live here and never in the one-shot holders);
+//     live here and never in the one-shot holders; a vertex's counts sum
+//     to its live degree, a self-loop counting twice);
 //   - the cutTable core — replica bit-matrix, masters and quality summary —
 //     updated per image transition, so replication factor and edge balance
 //     are O(1) reads after O(batch) updates, never recomputed from scratch.
@@ -55,11 +61,10 @@ type PartitionState struct {
 
 	n     int // vertex-space high-water mark (max id seen + 1)
 	live  []liveEdge
-	index map[uint64][]int32 // edge key → positions in live, insertion order
+	index edgeIndex // edge key → newest live copy
 
 	ref    *countMatrix // endpoint reference counts per (vertex, partition)
-	pinned *bitMatrix   // hot-vertex images held beyond their edges
-	deg    []int32      // live degree per vertex (drives hot selection)
+	pinned *bitMatrix   // hot-vertex images held beyond their edges; empty whenever hot is
 
 	hotK int     // replicate the top-hotK degree vertices everywhere; 0 = off
 	hot  []int32 // current hot set, ascending vertex id
@@ -84,7 +89,7 @@ func NewPartitionState(s Strategy, numParts int, seed uint64, workers int) (*Par
 		cutTable: newCutTable(0, numParts, seed),
 		strategy: s,
 		workers:  workers,
-		index:    make(map[uint64][]int32),
+		index:    newEdgeIndex(),
 		ref:      newCountMatrix(0, numParts),
 		pinned:   newBitMatrix(0, numParts),
 	}
@@ -135,8 +140,6 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 		if st.del != nil {
 			st.del.ObserveDelete(e, p)
 		}
-		st.deg[e.Src]--
-		st.deg[e.Dst]--
 		stats.Deleted++
 	}
 	for _, e := range adds {
@@ -154,8 +157,6 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 			st.placeCopy(e, p)
 		}
 		st.link(e, p)
-		st.deg[e.Src]++
-		st.deg[e.Dst]++
 		stats.Added++
 	}
 	if st.inc == nil {
@@ -168,42 +169,47 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 }
 
 // unlink removes one live copy of e (the most recently added) from the
-// edge index and live list, returning the partition it lived on.
+// edge index and live list, returning the partition it lived on. The tail
+// edge moves into the freed position, so whatever pointed at the tail — its
+// index slot or its copies' links — is redirected there.
 func (st *PartitionState) unlink(e graph.Edge) (int32, error) {
 	key := edgeKey(e)
-	lst := st.index[key]
-	if len(lst) == 0 {
+	pos := st.index.get(key)
+	if pos < 0 {
 		return -1, fmt.Errorf("partition: delete of edge (%d,%d) which is not live", e.Src, e.Dst)
 	}
-	pos := lst[len(lst)-1]
-	if len(lst) == 1 {
-		delete(st.index, key)
+	gone := st.live[pos]
+	if gone.prev >= 0 {
+		st.live[gone.prev].next = -1
+		st.index.set(key, gone.prev)
 	} else {
-		st.index[key] = lst[:len(lst)-1]
+		st.index.del(key)
 	}
-	p := st.live[pos].p
 	last := int32(len(st.live) - 1)
 	if pos != last {
 		moved := st.live[last]
 		st.live[pos] = moved
-		mlst := st.index[edgeKey(moved.e)]
-		for i := len(mlst) - 1; i >= 0; i-- {
-			if mlst[i] == last {
-				mlst[i] = pos
-				break
-			}
+		if moved.prev >= 0 {
+			st.live[moved.prev].next = pos
+		}
+		if moved.next >= 0 {
+			st.live[moved.next].prev = pos
+		} else {
+			st.index.set(edgeKey(moved.e), pos)
 		}
 	}
 	st.live = st.live[:last]
-	return p, nil
+	return gone.p, nil
 }
 
-// link appends e as a live edge on partition p.
+// link appends e as a live edge on partition p, the newest copy of e.
 func (st *PartitionState) link(e graph.Edge, p int32) {
 	pos := int32(len(st.live))
-	st.live = append(st.live, liveEdge{e: e, p: p})
-	key := edgeKey(e)
-	st.index[key] = append(st.index[key], pos)
+	prev := st.index.put(edgeKey(e), pos)
+	if prev >= 0 {
+		st.live[prev].next = pos
+	}
+	st.live = append(st.live, liveEdge{e: e, p: p, prev: prev, next: -1})
 }
 
 // ensure grows the vertex-space bookkeeping to cover at least n vertices.
@@ -214,9 +220,6 @@ func (st *PartitionState) ensure(n int) {
 	st.ref.ensureRows(n)
 	st.replicas.ensureRows(n)
 	st.pinned.ensureRows(n)
-	for len(st.deg) < n {
-		st.deg = append(st.deg, 0)
-	}
 	for len(st.masters) < n {
 		st.masters = append(st.masters, -1)
 	}
@@ -239,9 +242,10 @@ func (st *PartitionState) removeCopy(e graph.Edge, p int32) {
 }
 
 // addIncidence bumps v's endpoint count on p; the 0→1 transition creates an
-// image unless a pinned hot image already holds it.
+// image unless a pinned hot image already holds it (none can while the hot
+// set is empty).
 func (st *PartitionState) addIncidence(v, p int) {
-	if st.ref.inc(v, p) == 1 && !st.pinned.has(v, p) {
+	if st.ref.inc(v, p) == 1 && (len(st.hot) == 0 || !st.pinned.has(v, p)) {
 		st.gainImage(v, p)
 	}
 }
@@ -249,7 +253,7 @@ func (st *PartitionState) addIncidence(v, p int) {
 // removeIncidence drops v's endpoint count on p; the 1→0 transition removes
 // the image unless it is pinned hot.
 func (st *PartitionState) removeIncidence(v, p int) {
-	if st.ref.dec(v, p) == 0 && !st.pinned.has(v, p) {
+	if st.ref.dec(v, p) == 0 && (len(st.hot) == 0 || !st.pinned.has(v, p)) {
 		st.loseImage(v, p)
 	}
 }
@@ -382,15 +386,16 @@ func (st *PartitionState) leastLoadedHolding(v int) int32 {
 func (st *PartitionState) refreshHot() {
 	var next []int32
 	if st.hotK > 0 {
+		deg := make([]int32, st.n)
 		cands := make([]int32, 0, st.n)
 		for v := 0; v < st.n; v++ {
-			if st.deg[v] > 0 {
+			if deg[v] = st.degree(v); deg[v] > 0 {
 				cands = append(cands, int32(v))
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool {
-			if st.deg[cands[i]] != st.deg[cands[j]] {
-				return st.deg[cands[i]] > st.deg[cands[j]]
+			if deg[cands[i]] != deg[cands[j]] {
+				return deg[cands[i]] > deg[cands[j]]
 			}
 			return cands[i] < cands[j]
 		})
@@ -465,12 +470,21 @@ func (st *PartitionState) Incremental() bool { return st.inc != nil }
 // backing slice; do not modify).
 func (st *PartitionState) EdgeCount() []int64 { return st.q.EdgeCounts() }
 
-// Degree returns v's live degree.
+// Degree returns v's live degree (a self-loop counts twice).
 func (st *PartitionState) Degree(v graph.VertexID) int {
 	if int(v) >= st.n {
 		return 0
 	}
-	return int(st.deg[v])
+	return int(st.degree(int(v)))
+}
+
+// degree sums v's endpoint counts over the partitions: its live degree.
+func (st *PartitionState) degree(v int) int32 {
+	var sum int32
+	for p := 0; p < st.numParts; p++ {
+		sum += st.ref.get(v, p)
+	}
+	return sum
 }
 
 // LiveEdges returns a copy of the live edge set. For add-only histories the

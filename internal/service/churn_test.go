@@ -17,22 +17,22 @@ import (
 
 // churnDecodeAgrees decodes b with parseChurn and, when it accepts, with
 // encoding/json as the fallback would, and fails t unless both give the
-// same request (nil and empty slices told apart). It reports whether
-// parseChurn accepted.
+// same batch after the fallback's conversion to edges (nil and empty
+// slices told apart). It reports whether parseChurn accepted.
 func churnDecodeAgrees(t *testing.T, b []byte) bool {
 	t.Helper()
 	fast, ok := parseChurn(b)
 	if !ok {
-		if !reflect.DeepEqual(fast, churnRequest{}) {
-			t.Fatalf("parseChurn declined %q with %#v, not the zero request", b, fast)
+		if !reflect.DeepEqual(fast, churnBatch{}) {
+			t.Fatalf("parseChurn declined %q with %#v, not the zero batch", b, fast)
 		}
 		return false
 	}
-	var slow churnRequest
-	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&slow); err != nil {
+	var req churnRequest
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&req); err != nil {
 		t.Fatalf("parseChurn accepted %q; encoding/json: %v", b, err)
 	}
-	if !reflect.DeepEqual(fast, slow) {
+	if slow := req.batch(); !reflect.DeepEqual(fast, slow) {
 		t.Fatalf("%q:\nparseChurn    %#v\nencoding/json %#v", b, fast, slow)
 	}
 	return true
@@ -56,8 +56,8 @@ func serviceDocChurnBody(tb testing.TB) string {
 // workloadChurnBody writes a batch in the shape the service-churn
 // workload of the benchmark module sends: compact, keys in struct order,
 // every key present, parts 16.
-func workloadChurnBody(stream string, adds, dels [][2]uint32) []byte {
-	b := fmt.Appendf(nil, `{"stream":%q,"strategy":"2D","parts":16`, stream)
+func workloadChurnBody(stream, strategy string, adds, dels [][2]uint32) []byte {
+	b := fmt.Appendf(nil, `{"stream":%q,"strategy":%q,"parts":16`, stream, strategy)
 	for _, x := range []struct {
 		key   string
 		pairs [][2]uint32
@@ -87,8 +87,8 @@ func ringEdges(at, n int) [][2]uint32 {
 
 // ringBatch is the workload's batch at position at: n adds ahead of and
 // n dels behind a window of benchPreload live edges.
-func ringBatch(stream string, n, at int) []byte {
-	return workloadChurnBody(stream, ringEdges(at+benchPreload, n), ringEdges(at, n))
+func ringBatch(stream, strategy string, n, at int) []byte {
+	return workloadChurnBody(stream, strategy, ringEdges(at+benchPreload, n), ringEdges(at, n))
 }
 
 const (
@@ -106,7 +106,7 @@ func TestParseChurnTakesRealTraffic(t *testing.T) {
 		"race battery no dels": churnBody("battery", batteryEdges(2, 0), nil),
 	}
 	for _, n := range []int{4, 32, 256} {
-		bodies["workload batch of "+strconv.Itoa(n)] = string(ringBatch("client0", n, 3*n))
+		bodies["workload batch of "+strconv.Itoa(n)] = string(ringBatch("client0", "2D", n, 3*n))
 	}
 	for name, b := range bodies {
 		if !churnDecodeAgrees(t, []byte(b)) {
@@ -131,7 +131,7 @@ func FuzzChurnDecode(f *testing.F) {
 	}
 	f.Add([]byte(serviceDocChurnBody(f)))
 	f.Add([]byte(churnBody("battery", batteryEdges(0, 1), batteryEdges(0, 0))))
-	f.Add(ringBatch("client3", 4, 0))
+	f.Add(ringBatch("client3", "2D", 4, 0))
 	for _, seed := range []string{
 		`{}`, ` {"parts":0} `, "\t{\n\"adds\" : [ [ 1 , 2 ] ] ,\r\"dels\":[]}",
 		`{"Stream":"a"}`, `{"STRATEGY":"2D"}`, `{"adds":[[1,2]],"Adds":[]}`,
@@ -150,8 +150,9 @@ func FuzzChurnDecode(f *testing.F) {
 }
 
 // BenchmarkChurnPost prices one POST /v1/churn through the handler stack
-// at the service-churn workload's batch sizes, on a 2D stream at 16 parts
-// holding benchPreload live edges.
+// at the service-churn workload's batch sizes, on a stream at 16 parts
+// holding benchPreload live edges, for the strategies of the workload's
+// first two clients: 2D (stateless) and HDRF (greedy).
 func BenchmarkChurnPost(b *testing.B) {
 	srv := New(Config{})
 	b.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck // no job ran
@@ -162,24 +163,26 @@ func BenchmarkChurnPost(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		return rec
 	}
-	for _, n := range []int{4, 32, 256} {
-		b.Run(fmt.Sprintf("%d+%d", n, n), func(b *testing.B) {
-			// A stream of its own per round: b.Run calls this once per b.N.
-			stream := fmt.Sprintf("bench%d-%d", n, b.N)
-			if rec := post(workloadChurnBody(stream, ringEdges(0, benchPreload), nil)); rec.Code != http.StatusOK {
-				b.Fatalf("pre-load: %d %s", rec.Code, rec.Body)
-			}
-			bodies := make([][]byte, benchRing/n)
-			for i := range bodies {
-				bodies[i] = ringBatch(stream, n, i*n)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := range b.N {
-				if rec := post(bodies[i%len(bodies)]); rec.Code != http.StatusOK {
-					b.Fatalf("batch %d: %d %s", i, rec.Code, rec.Body)
+	for _, strategy := range []string{"2D", "HDRF"} {
+		for _, n := range []int{4, 32, 256} {
+			b.Run(fmt.Sprintf("%s/%d+%d", strategy, n, n), func(b *testing.B) {
+				// A stream of its own per round: b.Run calls this once per b.N.
+				stream := fmt.Sprintf("bench-%s-%d-%d", strategy, n, b.N)
+				if rec := post(workloadChurnBody(stream, strategy, ringEdges(0, benchPreload), nil)); rec.Code != http.StatusOK {
+					b.Fatalf("pre-load: %d %s", rec.Code, rec.Body)
 				}
-			}
-		})
+				bodies := make([][]byte, benchRing/n)
+				for i := range bodies {
+					bodies[i] = ringBatch(stream, strategy, n, i*n)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := range b.N {
+					if rec := post(bodies[i%len(bodies)]); rec.Code != http.StatusOK {
+						b.Fatalf("batch %d: %d %s", i, rec.Code, rec.Body)
+					}
+				}
+			})
+		}
 	}
 }

@@ -432,14 +432,30 @@ func (s *Server) handleJobStatus(_ context.Context, r *http.Request) (any, error
 
 // --- churn --------------------------------------------------------------
 
-// churnRequest is the POST /v1/churn body: one batch of edge additions
-// and deletions for a named live stream. Edges are [src, dst] pairs.
+// churnRequest is the POST /v1/churn body as encoding/json decodes it:
+// one batch of edge additions and deletions for a named live stream.
+// Edges are [src, dst] pairs.
 type churnRequest struct {
 	Stream   string      `json:"stream"`
 	Strategy string      `json:"strategy"`
 	Parts    int         `json:"parts"`
 	Adds     [][2]uint32 `json:"adds"`
 	Dels     [][2]uint32 `json:"dels"`
+}
+
+// churnBatch is a churn body with its edges ready for ApplyBatch: what
+// parseChurn fills directly, and a decoded churnRequest converts to.
+type churnBatch struct {
+	Stream   string
+	Strategy string
+	Parts    int
+	Adds     []graph.Edge
+	Dels     []graph.Edge
+}
+
+func (r churnRequest) batch() churnBatch {
+	return churnBatch{Stream: r.Stream, Strategy: r.Strategy, Parts: r.Parts,
+		Adds: edgesOf(r.Adds), Dels: edgesOf(r.Dels)}
 }
 
 // churnResponse reports the batch outcome and the stream's live quality.
@@ -477,11 +493,11 @@ func (ls *liveState) response(k cutKey, stats partition.BatchStats) churnRespons
 // tokens, and a repeated key's last value winning. Like json.Decoder it
 // stops at the closing brace. Anything else — null, a sign, a fraction, an
 // exponent, a leading zero, an overflow, another key or spelling — it
-// declines with the zero request, for the caller to decode b with
+// declines with the zero batch, for the caller to decode b with
 // encoding/json instead; FuzzChurnDecode holds every body it accepts to
 // encoding/json's value.
-func parseChurn(b []byte) (churnRequest, bool) {
-	var req churnRequest
+func parseChurn(b []byte) (churnBatch, bool) {
+	var req churnBatch
 	s := churnScan{b: b}
 	ok := s.next('{')
 	for first := true; ok && !s.next('}'); first = false {
@@ -509,7 +525,7 @@ func parseChurn(b []byte) (churnRequest, bool) {
 		ok = ok && isVal
 	}
 	if !ok {
-		return churnRequest{}, false
+		return churnBatch{}, false
 	}
 	return req, true
 }
@@ -569,10 +585,10 @@ func (s *churnScan) uint(max uint64) (n uint64, ok bool) {
 	return n, s.i > start
 }
 
-// pairs consumes an array of [src, dst] pairs; [] is an empty, non-nil
-// slice, as encoding/json makes it.
-func (s *churnScan) pairs() ([][2]uint32, bool) {
-	out := [][2]uint32{}
+// pairs consumes an array of [src, dst] pairs as edges; [] is an empty,
+// non-nil slice, as encoding/json makes it.
+func (s *churnScan) pairs() ([]graph.Edge, bool) {
+	out := []graph.Edge{}
 	ok := s.next('[')
 	for ok && !s.next(']') {
 		ok = (len(out) == 0 || s.next(',')) && s.next('[')
@@ -580,12 +596,16 @@ func (s *churnScan) pairs() ([][2]uint32, bool) {
 		ok = ok && isSrc && s.next(',')
 		dst, isDst := s.uint(math.MaxUint32)
 		ok = ok && isDst && s.next(']')
-		out = append(out, [2]uint32{uint32(src), uint32(dst)})
+		out = append(out, graph.Edge{Src: uint32(src), Dst: uint32(dst)})
 	}
 	return out, ok
 }
 
+// edgesOf converts [src, dst] pairs to edges, nil staying nil.
 func edgesOf(pairs [][2]uint32) []graph.Edge {
+	if pairs == nil {
+		return nil
+	}
 	out := make([]graph.Edge, len(pairs))
 	for i, p := range pairs {
 		out[i] = graph.Edge{Src: p[0], Dst: p[1]}
@@ -615,7 +635,9 @@ func (s *Server) handleChurn(_ context.Context, r *http.Request) (any, error) {
 	b, err := readBody(r)
 	req, ok := parseChurn(b)
 	if err == nil && !ok {
-		err = decodeJSON(b, &req)
+		var slow churnRequest
+		err = decodeJSON(b, &slow)
+		req = slow.batch()
 	}
 	if err != nil {
 		return nil, err
@@ -626,7 +648,7 @@ func (s *Server) handleChurn(_ context.Context, r *http.Request) (any, error) {
 	}
 	var maxID uint32
 	for _, e := range req.Adds {
-		maxID = max(maxID, e[0], e[1])
+		maxID = max(maxID, e.Src, e.Dst)
 	}
 	if cells := (int64(maxID) + 1) * int64(k.parts); cells > maxStateCells {
 		return nil, statusErrorf(http.StatusBadRequest,
@@ -638,7 +660,7 @@ func (s *Server) handleChurn(_ context.Context, r *http.Request) (any, error) {
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	stats, err := ls.st.ApplyBatch(edgesOf(req.Adds), edgesOf(req.Dels))
+	stats, err := ls.st.ApplyBatch(req.Adds, req.Dels)
 	if err != nil {
 		// A delete of a non-live edge aborts the batch mid-way; the state
 		// keeps the prefix that applied. 409 tells the client its view of
