@@ -386,10 +386,10 @@ func (st *PartitionState) leastLoadedHolding(v int) int32 {
 func (st *PartitionState) refreshHot() {
 	var next []int32
 	if st.hotK > 0 {
-		deg := make([]int32, st.n)
+		deg := make([]int, st.n)
 		cands := make([]int32, 0, st.n)
 		for v := 0; v < st.n; v++ {
-			if deg[v] = st.degree(v); deg[v] > 0 {
+			if deg[v] = st.Degree(graph.VertexID(v)); deg[v] > 0 {
 				cands = append(cands, int32(v))
 			}
 		}
@@ -470,21 +470,17 @@ func (st *PartitionState) Incremental() bool { return st.inc != nil }
 // backing slice; do not modify).
 func (st *PartitionState) EdgeCount() []int64 { return st.q.EdgeCounts() }
 
-// Degree returns v's live degree (a self-loop counts twice).
+// Degree returns v's live degree (a self-loop counts twice): the sum of
+// its endpoint counts.
 func (st *PartitionState) Degree(v graph.VertexID) int {
 	if int(v) >= st.n {
 		return 0
 	}
-	return int(st.degree(int(v)))
-}
-
-// degree sums v's endpoint counts over the partitions: its live degree.
-func (st *PartitionState) degree(v int) int32 {
-	var sum int32
+	d := 0
 	for p := 0; p < st.numParts; p++ {
-		sum += st.ref.get(v, p)
+		d += int(st.ref.get(int(v), p))
 	}
-	return sum
+	return d
 }
 
 // LiveEdges returns a copy of the live edge set. For add-only histories the
