@@ -74,15 +74,20 @@ func inspectCellValue(pass *Pass, f *ast.File, n ast.Node) bool {
 // isReportCell reports whether t is (a pointer to) the Cell type of a
 // package named report.
 func isReportCell(t types.Type) bool {
+	obj := namedObj(t)
+	return obj != nil && obj.Name() == "Cell" && obj.Pkg() != nil && obj.Pkg().Name() == "report"
+}
+
+// namedObj returns the name of t's type, behind at most one pointer; nil
+// when that type is not named.
+func namedObj(t types.Type) *types.TypeName {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
 	}
-	obj := named.Obj()
-	return obj.Name() == "Cell" && obj.Pkg() != nil && obj.Pkg().Name() == "report"
+	return nil
 }
 
 // stmtWaived extends Waived to also accept the marker on the enclosing

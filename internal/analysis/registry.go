@@ -12,11 +12,13 @@ import (
 // registry is the only construction path. Concretely, in any package named
 // partition that declares a Strategy interface and a Register function:
 //
-//   - every non-interface type that satisfies Strategy must be passed to
-//     Register from an init function in the same file that declares it
-//     (adding a strategy must never require central edits, and a declared
-//     strategy that is not registered is dead weight the experiment tables
-//     silently miss);
+//   - every non-interface type that satisfies Strategy must be registered
+//     from an init function in the same file that declares it — named
+//     inside a Register call, or the type (or pointer to it) of a value a
+//     Register call's factory returns, as when one type's package-level
+//     rows register under several names (adding a strategy must never
+//     require central edits, and a declared strategy that is not registered
+//     is dead weight the experiment tables silently miss);
 //   - every such type must implement exactly one ingress capability —
 //     StatelessStrategy, StreamingStrategy, or MultiPassStrategy — because
 //     ShapeOf, the stream builders and AsIncremental dispatch on exactly
@@ -86,7 +88,8 @@ func runRegistry(pass *Pass) error {
 }
 
 // registeredTypes collects the type objects referenced anywhere inside a
-// Register(...) call within an init function of file f.
+// Register(...) call within an init function of file f, and the types
+// (behind one pointer) of the values its return statements return.
 func registeredTypes(pass *Pass, f *ast.File, registerFn *types.Func) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	for _, decl := range f.Decls {
@@ -103,9 +106,16 @@ func registeredTypes(pass *Pass, f *ast.File, registerFn *types.Func) map[types.
 				return true
 			}
 			ast.Inspect(call, func(a ast.Node) bool {
-				if id, ok := a.(*ast.Ident); ok {
-					if tn, ok := pass.Info.Uses[id].(*types.TypeName); ok {
+				switch a := a.(type) {
+				case *ast.Ident:
+					if tn, ok := pass.Info.Uses[a].(*types.TypeName); ok {
 						out[tn] = true
+					}
+				case *ast.ReturnStmt:
+					for _, r := range a.Results {
+						if tn := namedObj(pass.Info.TypeOf(r)); tn != nil {
+							out[tn] = true
+						}
 					}
 				}
 				return true

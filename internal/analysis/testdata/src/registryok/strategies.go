@@ -17,7 +17,21 @@ func (*Greedy) NewLoader(id int) func(int) int32 {
 	return nil
 }
 
+// Row is a stateless strategy registered through package-level pointer
+// values: one type serves several names, and no Register call names it —
+// the factory's return value is what registers it.
+type Row struct{ name string }
+
+func (r *Row) Name() string                           { return r.name }
+func (*Row) Partition(numParts int) []int32           { return nil }
+func (*Row) NewAssigner(numParts int) func(int) int32 { return nil }
+
+var modRow, xorRow = &Row{"mod"}, &Row{"xor"}
+
 func init() {
 	Register("hash", func() Strategy { return Hash{} })
 	Register("greedy", func() Strategy { return &Greedy{} })
+	for _, r := range []*Row{modRow, xorRow} {
+		Register(r.name, func() Strategy { return r })
+	}
 }

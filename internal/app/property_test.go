@@ -29,7 +29,7 @@ func randomGraphFrom(raw []uint16) *graph.Graph {
 }
 
 func runOn(g *graph.Graph) (*partition.Assignment, error) {
-	return partition.Partition(g, partition.Random{}, 5, 1)
+	return partition.Partition(g, partition.MustNew("Random", partition.Options{}), 5, 1)
 }
 
 var propCluster = cluster.Config{Machines: 5, PartsPerMachine: 1}
@@ -234,7 +234,7 @@ func TestGatherFoldsLikeThePerEdgeDefinition(t *testing.T) {
 // allocations, the per-list form makes 10 763, and the bound sits between.
 func TestColoringGatherAllocatesPerVertexAtMost(t *testing.T) {
 	g := gen.PrefAttach("pa", 1200, 5, 0x22)
-	a, err := partition.Partition(g, partition.Random{}, 9, 1)
+	a, err := partition.Partition(g, partition.MustNew("Random", partition.Options{}), 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

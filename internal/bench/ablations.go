@@ -74,7 +74,7 @@ func ablHybridThreshold() Experiment {
 			r := NewResult("abl.threshold", "Hybrid threshold ablation (uk-web, 25 parts)",
 				"threshold", "high-degree-vertices", "replication-factor", "edge-balance")
 			for _, thr := range []int{5, 15, 30, 60, 120, 1 << 30} {
-				a, err := partition.ParallelPartition(g, partition.Hybrid{Threshold: thr}, 25, cfg.Seed, cfg.Workers)
+				a, err := partition.ParallelPartition(g, partition.MustNew("Hybrid", partition.Options{HybridThreshold: thr}), 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}
@@ -165,7 +165,7 @@ func ablLocality() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				grid, err := partition.ParallelPartition(g, partition.Grid{}, 25, cfg.Seed, cfg.Workers)
+				grid, err := partition.ParallelPartition(g, partition.MustNew("Grid", partition.Options{}), 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}

@@ -97,7 +97,7 @@ func famCompare() Experiment {
 			}
 			dial := map[float64]float64{}
 			for _, b := range famBudgets {
-				a, err := partition.ParallelPartition(ukWeb, partition.HEP{MemBudget: b}, parts, cfg.Seed, cfg.Workers)
+				a, err := partition.ParallelPartition(ukWeb, partition.MustNew("HEP", partition.Options{MemBudget: b}), parts, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
 				}

@@ -90,20 +90,22 @@ func TestUtilizationEmptyRun(t *testing.T) {
 	}
 }
 
-// ingressAssignment builds a small assignment for ingress-model tests.
-func ingressAssignment(t *testing.T, strat partition.Strategy, parts int) *partition.Assignment {
+// ingressAssignment builds a small assignment for ingress-model tests with
+// the named strategy (the hybrid family at threshold 30).
+func ingressAssignment(t *testing.T, name string, parts int) (*partition.Assignment, partition.Strategy) {
 	t.Helper()
+	s := partition.MustNew(name, partition.Options{HybridThreshold: 30})
 	g := gen.PrefAttach("ingress-test", 3000, 6, 0x77)
-	a, err := partition.Partition(g, strat, parts, 1)
+	a, err := partition.Partition(g, s, parts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a
+	return a, s
 }
 
 func TestIngressPhasesSumToTotal(t *testing.T) {
-	a := ingressAssignment(t, partition.Random{}, 9)
-	st := Ingress(a, partition.Random{}, Local9, DefaultModel())
+	a, s := ingressAssignment(t, "Random", 9)
+	st := Ingress(a, s, Local9, DefaultModel())
 	var sum float64
 	for _, ph := range st.Phases {
 		sum += ph.Seconds
@@ -123,11 +125,12 @@ func TestIngressOrderings(t *testing.T) {
 	// dataset stand-ins; here we verify the model's components: the
 	// greedy family pays a strictly larger assignment phase, and Grid
 	// beats Random because fewer replicas finalize faster (§5.4.4).
-	random := Ingress(ingressAssignment(t, partition.Random{}, 25), partition.Random{}, EC2x25, model)
-	grid := Ingress(ingressAssignment(t, partition.Grid{}, 25), partition.Grid{}, EC2x25, model)
-	hdrf := Ingress(ingressAssignment(t, partition.HDRF{}, 25), partition.HDRF{}, EC2x25, model)
-	hybrid := Ingress(ingressAssignment(t, partition.Hybrid{Threshold: 30}, 25), partition.Hybrid{Threshold: 30}, EC2x25, model)
-	ginger := Ingress(ingressAssignment(t, partition.HybridGinger{Threshold: 30}, 25), partition.HybridGinger{Threshold: 30}, EC2x25, model)
+	ingress := func(name string) IngressStats {
+		a, s := ingressAssignment(t, name, 25)
+		return Ingress(a, s, EC2x25, model)
+	}
+	random, grid, hdrf := ingress("Random"), ingress("Grid"), ingress("HDRF")
+	hybrid, ginger := ingress("Hybrid"), ingress("H-Ginger")
 
 	if grid.Seconds >= random.Seconds {
 		t.Errorf("Grid ingress %.4f ≥ Random %.4f (lower-RF finalize should win, §5.4.4)", grid.Seconds, random.Seconds)
@@ -153,7 +156,7 @@ func TestIngressOrderings(t *testing.T) {
 }
 
 func TestComputeMemPositive(t *testing.T) {
-	a := ingressAssignment(t, partition.Random{}, 9)
+	a, _ := ingressAssignment(t, "Random", 9)
 	perMachine, total := ComputeMem(a, Local9, DefaultModel())
 	if len(perMachine) != Local9.Machines {
 		t.Fatalf("ComputeMem returned %d machines, want %d", len(perMachine), Local9.Machines)

@@ -99,15 +99,10 @@ func Ingress(a *partition.Assignment, s partition.Strategy, cfg Config, model Co
 		}
 	}
 
-	// Memory during ingress: raw edge buffers (larger for multi-pass
-	// strategies, which hold the previous pass's assignment too), plus
+	// Memory during ingress: raw edge buffers of the busiest machine's
+	// inbound edges (larger for multi-pass strategies, which hold the
+	// previous pass's assignment too), plus
 	// per-vertex strategy state (degree counters, Ginger scores).
-	var maxLocalEdges float64
-	for _, c := range inEdges {
-		if c > maxLocalEdges {
-			maxLocalEdges = c
-		}
-	}
 	bufFactor := model.IngressBufferFactor
 	stateBytes := 0.0
 	if shape.Streaming && shape.Loaders > 0 {
@@ -128,11 +123,11 @@ func Ingress(a *partition.Assignment, s partition.Strategy, cfg Config, model Co
 	if passes >= 3 {
 		stateBytes += verts * float64(model.GingerStateBytes)
 	}
-	peakMem := maxLocalEdges*float64(model.EdgeMemBytes)*bufFactor +
+	peakMem := maxInEdges*float64(model.EdgeMemBytes)*bufFactor +
 		replicasMax(replicas)*float64(model.ReplicaBytes) + stateBytes
 
 	phases := []IngressPhase{
-		{Name: "load", Seconds: loadSec, MemPerMachine: maxLocalEdges * float64(model.EdgeMemBytes)},
+		{Name: "load", Seconds: loadSec, MemPerMachine: maxInEdges * float64(model.EdgeMemBytes)},
 		{Name: "assign+shuffle", Seconds: assignSec + shuffleSec, MemPerMachine: peakMem},
 		{Name: "finalize", Seconds: maxFinalize, MemPerMachine: peakMem},
 	}

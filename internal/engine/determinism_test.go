@@ -240,7 +240,7 @@ func TestFixedIterationsIncludesIsolatedVertices(t *testing.T) {
 	g := graph.FromEdges("isolated", []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 5, Dst: 6},
 	})
-	a, err := partition.Partition(g, partition.Random{}, 9, 1)
+	a, err := partition.Partition(g, partition.MustNew("Random", partition.Options{}), 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func TestRunRefusesBothCaps(t *testing.T) {
 func TestRunRefusesMoreThanMaxParts(t *testing.T) {
 	g := gen.PrefAttach("many-parts", 2000, 4, 0x3)
 	for _, parts := range []int{engine.MaxParts, engine.MaxParts + 1} {
-		a, err := partition.Partition(g, partition.Random{}, parts, 1)
+		a, err := partition.Partition(g, partition.MustNew("Random", partition.Options{}), parts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func BenchmarkEngineParallel(b *testing.B) {
 	for _, g := range graphs {
 		g.EnsureCSR()
 		for _, sys := range systems {
-			a, err := partition.Partition(g, partition.Random{}, sys.cc.NumParts(), 1)
+			a, err := partition.Partition(g, partition.MustNew("Random", partition.Options{}), sys.cc.NumParts(), 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -482,11 +482,8 @@ func decodeCSRData(src string, data []byte, ref *mmapRef) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if m > 0 && int(maxID)+1 != n {
-		return nil, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, n, maxID)
-	}
-	if m == 0 && n != 0 {
-		return nil, fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, n)
+	if err := checkVertexCount(src, h.numVertices, int64(m), maxID); err != nil {
+		return nil, err
 	}
 	g := &Graph{Name: h.name, Edges: edges, numVertices: n}
 
@@ -731,7 +728,7 @@ func streamCSR(name string, r io.Reader, batchSize int, fn func(offset int64, ed
 
 // checkStreamTrailer ends both stream decoders: it reads the checksum footer
 // and holds it to the CRC of the payload streamed, and the header's vertex
-// count to the largest id the edges held.
+// count to the edges streamed.
 func checkStreamTrailer(name string, br io.Reader, h csrHeader, crc uint32, total int64, maxID VertexID) error {
 	var foot [4]byte
 	if _, err := io.ReadFull(br, foot[:]); err != nil {
@@ -740,8 +737,19 @@ func checkStreamTrailer(name string, br io.Reader, h csrHeader, crc uint32, tota
 	if stored := binary.LittleEndian.Uint32(foot[:]); stored != crc {
 		return fmt.Errorf("csrg %s: payload checksum mismatch (%#08x != stored %#08x): file is corrupt", name, crc, stored)
 	}
-	if total > 0 && int64(maxID)+1 != int64(h.numVertices) {
-		return fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", name, h.numVertices, maxID)
+	return checkVertexCount(name, h.numVertices, total, maxID)
+}
+
+// checkVertexCount holds a decoded file's header vertex count to its edges,
+// for every decoder: with edges, the largest id they hold is the last
+// vertex; without, there are no vertices, since writers derive the vertex
+// set from edges.
+func checkVertexCount(src string, numVertices uint64, numEdges int64, maxID VertexID) error {
+	switch {
+	case numEdges > 0 && uint64(maxID)+1 != numVertices:
+		return fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, numVertices, maxID)
+	case numEdges == 0 && numVertices != 0:
+		return fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, numVertices)
 	}
 	return nil
 }

@@ -102,64 +102,118 @@ func TestCSRFileRoundTrip(t *testing.T) {
 
 // TestCSRCorruptionDetection covers the failure modes the format must catch:
 // truncation at every interesting boundary, a wrong magic, an unsupported
-// version, unknown flags, and payload bit flips (checksum).
+// version, unknown flags, payload bit flips (checksum), lying vertex counts
+// and a file that declares vertices but holds no edges. Rows marked streamed
+// must also be refused, with the same message, by streamCSR and StreamFile;
+// the others the stream reports in its own words, or (trailing bytes) cannot
+// see.
 func TestCSRCorruptionDetection(t *testing.T) {
 	g := testGraph(t)
 	data := writeCSRBytes(t, g, CSRVersion1)
+	edgeless := edgelessCSR(t, CSRVersion1)
 
 	cases := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr string
+		name     string
+		mutate   func([]byte) []byte
+		wantErr  string
+		streamed bool
 	}{
-		{"empty file", func(b []byte) []byte { return nil }, "truncated header"},
-		{"truncated header", func(b []byte) []byte { return b[:10] }, "truncated header"},
-		{"truncated name", func(b []byte) []byte { return b[:csrHeaderFixed+2] }, "truncated header name"},
-		{"truncated payload", func(b []byte) []byte { return b[:len(b)/2] }, "truncated or oversized"},
-		{"missing footer", func(b []byte) []byte { return b[:len(b)-4] }, "truncated or oversized"},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xff) }, "truncated or oversized"},
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad magic"},
+		{"empty file", func(b []byte) []byte { return nil }, "truncated header", false},
+		{"truncated header", func(b []byte) []byte { return b[:10] }, "truncated header", false},
+		{"truncated name", func(b []byte) []byte { return b[:csrHeaderFixed+2] }, "truncated header name", false},
+		{"truncated payload", func(b []byte) []byte { return b[:len(b)/2] }, "truncated or oversized", false},
+		{"missing footer", func(b []byte) []byte { return b[:len(b)-4] }, "truncated or oversized", false},
+		{"trailing garbage", func(b []byte) []byte { return append(b, 0xff) }, "truncated or oversized", false},
+		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad magic", false}, // StreamFile reads it as text
 		{"wrong version", func(b []byte) []byte {
 			binary.LittleEndian.PutUint16(b[4:6], 99)
 			return b
-		}, "unsupported format version"},
+		}, "unsupported format version", true},
 		{"unknown flags", func(b []byte) []byte {
 			binary.LittleEndian.PutUint16(b[6:8], 0x80)
 			return b
-		}, "unknown flags"},
+		}, "unknown flags", true},
 		{"flipped payload bit", func(b []byte) []byte {
 			b[len(b)-5] ^= 0x40 // last payload byte, just before the footer
 			return b
-		}, "checksum mismatch"},
+		}, "checksum mismatch", true},
 		{"version zero", func(b []byte) []byte {
 			binary.LittleEndian.PutUint16(b[4:6], 0)
 			return b
-		}, "unsupported format version"},
+		}, "unsupported format version", true},
 		{"version from the future", func(b []byte) []byte {
 			binary.LittleEndian.PutUint16(b[4:6], CSRVersion2+1)
 			return b
-		}, "unsupported format version"},
+		}, "unsupported format version", true},
 		{"vertex count lies low", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:16], 2) // real max id is 7
 			return b
-		}, ""},
+		}, "", true},
 		{"vertex count lies high", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:16], 1000)
 			return b
-		}, ""},
+		}, "", true},
+		{"vertices with no edges", func([]byte) []byte { return edgeless }, "5 vertices with no edges", true},
 	}
+	path := filepath.Join(t.TempDir(), "corrupt.csrg")
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), data...))
-			_, err := decodeCSRData("stream", buf, nil)
-			if err == nil {
-				t.Fatal("corrupt file accepted")
+			loaders := map[string]func() error{
+				"decodeCSRData": func() error { _, err := decodeCSRData("stream", buf, nil); return err },
 			}
-			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			if tc.streamed {
+				if err := os.WriteFile(path, buf, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				loaders["streamCSR"] = func() error {
+					_, _, err := streamCSR("corrupt", bytes.NewReader(buf), 0, func(int64, []Edge) error { return nil })
+					return err
+				}
+				loaders["StreamFile"] = func() error {
+					_, _, err := StreamFile(path, 0, func(int64, []Edge) error { return nil })
+					return err
+				}
+			}
+			for how, load := range loaders {
+				err := load()
+				if err == nil {
+					t.Fatalf("%s accepted the corrupt file", how)
+				}
+				if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s: error %q does not mention %q", how, err, tc.wantErr)
+				}
 			}
 		})
 	}
+}
+
+// edgelessCSR is the streaming writer's file for no edges with its header
+// raised to five vertices (the header is outside the checksum). Writers
+// derive the vertex set from edges, so every loader must refuse it.
+func edgelessCSR(t *testing.T, version int) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "edgeless.csrg")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewCSRWriterVersion(f, "edgeless", version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(b[8:16], 5)
+	return b
 }
 
 func TestCSRWriterStreamsWithoutMaterializing(t *testing.T) {

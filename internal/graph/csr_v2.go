@@ -172,9 +172,6 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader) (*Graph, error) 
 	if base != int64(m) {
 		return nil, fmt.Errorf("csrg %s: blocks hold %d edges, header says %d", src, base, m)
 	}
-	if m == 0 && n != 0 {
-		return nil, fmt.Errorf("csrg %s: %d vertices with no edges (writers derive the vertex set from edges)", src, n)
-	}
 
 	// Blocks decode straight into their slots of the shared edge slice; a
 	// worker that hit a bad block skips the rest of its shards.
@@ -195,8 +192,8 @@ func decodeCSRv2(src string, data []byte, off int, h csrHeader) (*Graph, error) 
 		}
 		maxID = max(maxID, maxIDs[w])
 	}
-	if m > 0 && int64(maxID)+1 != int64(n) {
-		return nil, fmt.Errorf("csrg %s: header says %d vertices but max edge id is %d", src, n, maxID)
+	if err := checkVertexCount(src, h.numVertices, int64(m), maxID); err != nil {
+		return nil, err
 	}
 	g := &Graph{Name: h.name, Edges: edges, numVertices: n}
 	g.buildDegrees()

@@ -209,7 +209,8 @@ func TestStreamCSRv2MatchesEdgeOrder(t *testing.T) {
 
 // TestCSRv2CorruptionDetection is the v2 corruption matrix: every mutation
 // must surface as a named error — never a panic, never silent acceptance —
-// through the bulk loader, the mmap loader, and the streaming decoder.
+// through the bulk loader, the mmap loader, and the streaming decoder, on a
+// reader and on a file.
 // Mutations below the checksum line call refixV2CRC so the structural
 // validation itself is what trips.
 func TestCSRv2CorruptionDetection(t *testing.T) {
@@ -286,6 +287,8 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 			return b
 		}, "version 2 carries no flags"},
 	}
+	edgeless := edgelessCSR(t, CSRVersion2)
+	cases = append(cases, corruption{"vertices with no edges", func([]byte) []byte { return edgeless }, "5 vertices with no edges"})
 	// Block headers that lie about sizes the file does not hold: each must be
 	// refused from the header alone, before a buffer is sized from it.
 	for name, file := range hostileV2Files() {
@@ -313,6 +316,10 @@ func TestCSRv2CorruptionDetection(t *testing.T) {
 				},
 				"streamCSR": func() error {
 					_, _, err := streamCSR("corrupt", bytes.NewReader(buf), 512, func(int64, []Edge) error { return nil })
+					return err
+				},
+				"StreamFile": func() error {
+					_, _, err := StreamFile(path, 512, func(int64, []Edge) error { return nil })
 					return err
 				},
 			}

@@ -171,8 +171,10 @@ func FuzzReadCSR(f *testing.F) {
 // must name every rejection, must deliver batches at contiguous offsets, and
 // must agree with the bulk loader — an independent decoder of the same bytes
 // — whenever that one accepts: same edge count, same max id, same edge
-// sequence, across both format versions. (The converse is not required: the
-// stream does not see trailing bytes or validate v1 adjacency sections.)
+// sequence, across both format versions. Both hold the header's vertex count
+// to the edges with one check, so an edge-less file that declares vertices
+// fails both. (The converse is not required: the stream does not see
+// trailing bytes or validate v1 adjacency sections.)
 func FuzzStreamCSR(f *testing.F) {
 	addCSRSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -44,6 +44,11 @@ var conformanceSuite = []conformanceCase{
 }
 
 func TestConformance(t *testing.T) {
+	// Serial, so it runs before the parallel rows start: AllocsPerRun counts
+	// every goroutine's allocations.
+	for _, name := range AllNames() {
+		t.Run(name+"/built-by-name", func(t *testing.T) { checkBuiltByName(t, name) })
+	}
 	for _, g := range []*graph.Graph{testGraph(), roadGraph()} {
 		// The subtests share g and run in parallel; the graph's lazy
 		// adjacency build is not synchronized, so build it once up front.
@@ -92,6 +97,22 @@ func TestSelectBitMatchesForEach(t *testing.T) {
 			}
 			k++
 		})
+	}
+}
+
+// checkBuiltByName: the registry is the only construction path, so a
+// strategy prints the name that builds it, and building a stateless one
+// allocates nothing (the service builds one per request).
+func checkBuiltByName(t *testing.T, name string) {
+	s := MustNew(name, conformanceOptions())
+	if got := s.Name(); got != name {
+		t.Fatalf("New(%q).Name() = %q", name, got)
+	}
+	if _, ok := s.(StatelessStrategy); !ok {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = New(name, Options{}) }); allocs != 0 {
+		t.Errorf("New(%q) allocates %v times per call, want 0", name, allocs)
 	}
 }
 

@@ -265,7 +265,7 @@ func TestDegreeIsRefRowSum(t *testing.T) {
 			st.SetHotReplication(hotK)
 			check("hot on")
 			churn("hot", 20)
-			if err := st.Rebuild(); err != nil {
+			if err := st.rebuild(); err != nil {
 				t.Fatal(err)
 			}
 			check("rebuilt")

@@ -12,7 +12,7 @@ import (
 // refuses further edges with ErrFeedAfterFinish, and Finish stays
 // idempotent — same summary, the late Feed not leaked in.
 func checkFeedAfterFinish(t *testing.T, workers int) {
-	sb, err := NewShardedStreamBuilder(Random{}, 4, workers, 1)
+	sb, err := NewShardedStreamBuilder(random, 4, workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

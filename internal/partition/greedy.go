@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	Register("Oblivious", func(opt Options) Strategy { return Oblivious{NumLoaders: opt.Loaders} })
+	Register("Oblivious", func(opt Options) Strategy { return oblivious{numLoaders: opt.Loaders} })
 	Register("HDRF", func(opt Options) Strategy { return HDRF{NumLoaders: opt.Loaders} })
 }
 
@@ -133,7 +133,7 @@ func (l *greedyLoader) Assign(e graph.Edge) int32 {
 // has edges on a partition, just as it is oblivious to other loaders —
 // which keeps per-batch work O(batch) at the cost of stale affinity after
 // heavy deletion. The edge may predate the loader (a PartitionState builds
-// a fresh one on Rebuild), so its endpoints may lie beyond the state.
+// a fresh one on rebuild), so its endpoints may lie beyond the state.
 func (l *greedyLoader) ObserveDelete(e graph.Edge, p int32) {
 	if l.st.load[p] > 0 {
 		l.st.load[p]--
@@ -149,7 +149,7 @@ func (l *greedyLoader) ObserveDelete(e graph.Edge, p int32) {
 	}
 }
 
-// Oblivious is PowerGraph's greedy heuristic (§5.2.2, Appendix A). For
+// oblivious is PowerGraph's greedy heuristic (§5.2.2, Appendix A). For
 // each edge (u,v) with current placement sets A(u), A(v):
 //
 //	Case 1: A(u)∩A(v) ≠ ∅        → least-loaded partition in the intersection
@@ -157,20 +157,20 @@ func (l *greedyLoader) ObserveDelete(e graph.Edge, p int32) {
 //	Case 3: both empty            → least-loaded partition overall
 //	Case 4: both non-empty, disjoint → least-loaded in A(u)∪A(v)
 //
-// NumLoaders controls how many independent loader views stripe the edge
+// numLoaders controls how many independent loader views stripe the edge
 // list (0 means one per partition, matching one loader per machine).
-type Oblivious struct {
-	NumLoaders int
+type oblivious struct {
+	numLoaders int
 }
 
 // Name implements Strategy.
-func (Oblivious) Name() string { return "Oblivious" }
+func (oblivious) Name() string { return "Oblivious" }
 
 // Loaders implements StreamingStrategy.
-func (o Oblivious) Loaders(numParts int) int { return loadersOrDefault(o.NumLoaders, numParts) }
+func (o oblivious) Loaders(numParts int) int { return loadersOrDefault(o.numLoaders, numParts) }
 
 // NewLoader implements StreamingStrategy.
-func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
+func (o oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
 	return &greedyLoader{
 		st:       newLoaderState(numVertices, numParts, hashing.Combine(seed, uint64(id)), false),
 		numParts: numParts,
@@ -179,7 +179,7 @@ func (o Oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Assigne
 }
 
 // Partition implements Strategy.
-func (o Oblivious) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+func (o oblivious) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	return assignStreaming(g, o, numParts, seed, 1)
 }
 

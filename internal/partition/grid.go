@@ -8,54 +8,34 @@ import (
 )
 
 func init() {
-	Register("Grid", func(Options) Strategy { return Grid{} })
-	Register("ResilientGrid", func(Options) Strategy { return ResilientGrid{} })
-}
-
-// Grid is PowerGraph's constrained Grid partitioning (§5.2.3, from the
-// GraphBuilder paper): machines form a √P×√P matrix; a vertex's constraint
-// set S(v) is the row plus column of the machine it hashes to; an edge
-// (u,v) is placed on a partition in S(u)∩S(v), which is never empty and
-// bounds the replication factor by 2√P−1. As in PowerGraph, P must be a
-// perfect square.
-type Grid struct{}
-
-// Name implements Strategy.
-func (Grid) Name() string { return "Grid" }
-
-// NewAssigner implements StatelessStrategy.
-func (Grid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
-	side := ceilSqrt(numParts)
-	if side*side != numParts {
-		return nil, fmt.Errorf("grid: numParts=%d is not a perfect square", numParts)
+	for _, s := range []*hashStrategy{grid, resilientGrid} {
+		Register(s.name, func(Options) Strategy { return s })
 	}
-	return gridAssigner{gridParts: numParts, side: side, mod: numParts, seed: seed}, nil
 }
 
-// Partition implements Strategy.
-func (s Grid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return assignStateless(g, s, numParts, seed, 1)
-}
-
-// ResilientGrid is the thesis's non-square-tolerant Grid (§9.1): the grid
-// is built at the next perfect square ≥ P and chosen partitions are mapped
-// back down modulo P (potentially unbalancing load, as the thesis notes
-// for 2D in §7.2.3).
-type ResilientGrid struct{}
-
-// Name implements Strategy.
-func (ResilientGrid) Name() string { return "ResilientGrid" }
-
-// NewAssigner implements StatelessStrategy.
-func (ResilientGrid) NewAssigner(numParts int, seed uint64) (Assigner, error) {
-	side := ceilSqrt(numParts)
-	return gridAssigner{gridParts: side * side, side: side, mod: numParts, seed: seed}, nil
-}
-
-// Partition implements Strategy.
-func (s ResilientGrid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return assignStateless(g, s, numParts, seed, 1)
-}
+var (
+	// grid is PowerGraph's constrained Grid partitioning (§5.2.3, from the
+	// GraphBuilder paper): machines form a √P×√P matrix; a vertex's
+	// constraint set S(v) is the row plus column of the machine it hashes
+	// to; an edge (u,v) is placed on a partition in S(u)∩S(v), which is
+	// never empty and bounds the replication factor by 2√P−1. As in
+	// PowerGraph, P must be a perfect square.
+	grid = &hashStrategy{"Grid", func(numParts int, seed uint64) (Assigner, error) {
+		side := ceilSqrt(numParts)
+		if side*side != numParts {
+			return nil, fmt.Errorf("grid: numParts=%d is not a perfect square", numParts)
+		}
+		return gridAssigner{gridParts: numParts, side: side, mod: numParts, seed: seed}, nil
+	}}
+	// resilientGrid is the thesis's non-square-tolerant Grid (§9.1): the
+	// grid is built at the next perfect square ≥ P and chosen partitions are
+	// mapped back down modulo P (potentially unbalancing load, as the thesis
+	// notes for 2D in §7.2.3).
+	resilientGrid = &hashStrategy{"ResilientGrid", func(numParts int, seed uint64) (Assigner, error) {
+		side := ceilSqrt(numParts)
+		return gridAssigner{gridParts: side * side, side: side, mod: numParts, seed: seed}, nil
+	}}
+)
 
 // gridAssigner places each edge on a deterministic member of S(u)∩S(v) for
 // a side×side grid of gridParts partitions, mapped down modulo mod.

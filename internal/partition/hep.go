@@ -8,7 +8,7 @@ import (
 )
 
 func init() {
-	Register("HEP", func(opt Options) Strategy { return HEP{MemBudget: opt.MemBudget} })
+	Register("HEP", func(opt Options) Strategy { return hep{memBudget: opt.MemBudget} })
 }
 
 // DefaultMemBudget is HEP's default in-memory edge budget: the fraction of
@@ -16,7 +16,7 @@ func init() {
 // budgets around 10–100% of |E|; half the graph is the bridging default).
 const DefaultMemBudget = 0.5
 
-// HEP is the hybrid edge partitioner (arXiv 2103.12594): the low-degree
+// hep is the hybrid edge partitioner (arXiv 2103.12594): the low-degree
 // core of the graph — every edge whose endpoints both fall at or below a
 // degree threshold τ — is partitioned in memory with NE-style neighborhood
 // expansion, and the remaining high-degree "spill" edges are streamed
@@ -30,25 +30,25 @@ const DefaultMemBudget = 0.5
 // edges with the high-quality in-memory phase, while the hub-dominated
 // remainder is exactly the regime HDRF's degree-aware scoring handles best.
 // The spill stream scores at HDRF's λ = 1.
-type HEP struct {
-	// MemBudget is the in-memory edge budget as a fraction of |E|
+type hep struct {
+	// memBudget is the in-memory edge budget as a fraction of |E|
 	// (0 means DefaultMemBudget; values are clamped to [0,1]).
-	MemBudget float64
+	memBudget float64
 }
 
 // Name implements Strategy.
-func (HEP) Name() string { return "HEP" }
+func (hep) Name() string { return "HEP" }
 
 // MultiPass implements MultiPassStrategy: the degree threshold and the core
 // subgraph must be known before any edge can be placed, so a degree-census
 // scan precedes the placement scan; the placement scan pays O(numParts)
 // HDRF scoring on the spill edges.
-func (HEP) MultiPass() (passes, heuristicPasses int, why string) {
+func (hep) MultiPass() (passes, heuristicPasses int, why string) {
 	return 2, 1, "needs a degree census to split the low-degree core (in-memory NE) from the high-degree spill (streamed HDRF) under the memory budget"
 }
 
-func (h HEP) budget() float64 {
-	b := h.MemBudget
+func (h hep) budget() float64 {
+	b := h.memBudget
 	if b == 0 {
 		b = DefaultMemBudget
 	}
@@ -62,7 +62,7 @@ func (h HEP) budget() float64 {
 }
 
 // Partition implements Strategy.
-func (h HEP) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+func (h hep) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	n := g.NumVertices()
 	m := g.NumEdges()
 	parts := make([]int32, m)

@@ -6,55 +6,55 @@ import (
 )
 
 func init() {
-	Register("Hybrid", func(opt Options) Strategy { return Hybrid{Threshold: opt.HybridThreshold} })
-	Register("H-Ginger", func(opt Options) Strategy { return HybridGinger{Threshold: opt.HybridThreshold} })
+	Register("Hybrid", func(opt Options) Strategy { return hybrid{threshold: opt.HybridThreshold} })
+	Register("H-Ginger", func(opt Options) Strategy { return hybridGinger{threshold: opt.HybridThreshold} })
 }
 
 // DefaultHybridThreshold is PowerLyra's default high-degree cutoff (§6.2.1).
-// Experiments on the scaled synthetic datasets pass a smaller value via the
-// Threshold field so that the high-degree population is proportionally
+// Experiments on the scaled synthetic datasets pass a smaller value via
+// Options.HybridThreshold so that the high-degree population is proportionally
 // similar to the paper's.
 const DefaultHybridThreshold = 100
 
-// Hybrid is PowerLyra's hybrid-cut (§6.2.1): edge-cuts for low-degree
+// hybrid is PowerLyra's hybrid-cut (§6.2.1): edge-cuts for low-degree
 // vertices and vertex-cuts for high-degree vertices, assigning each edge by
 // its destination. Pass 1 places every edge by hash(dst) while counting
 // in-degrees; pass 2 reassigns edges whose destination's in-degree exceeds
-// Threshold by hash(src). Low-degree masters are colocated with all their
+// the threshold by hash(src). Low-degree masters are colocated with all their
 // in-edges, which is what lets PowerLyra's engine gather locally for
 // natural applications.
-type Hybrid struct {
-	Threshold int // 0 means DefaultHybridThreshold
+type hybrid struct {
+	threshold int // 0 means DefaultHybridThreshold
 }
 
 // Name implements Strategy.
-func (Hybrid) Name() string { return "Hybrid" }
+func (hybrid) Name() string { return "Hybrid" }
 
 // MultiPass implements MultiPassStrategy: hybrid-cut must know every
 // destination's in-degree before it can place that destination's edges, so
 // a degree-discovery scan precedes the placement scan and single-pass
 // bounded-memory streaming is impossible.
-func (Hybrid) MultiPass() (passes, heuristicPasses int, why string) {
+func (hybrid) MultiPass() (passes, heuristicPasses int, why string) {
 	return 2, 0, "needs a full degree-counting scan before any edge can be placed (§6.2.1)"
 }
 
-func (h Hybrid) threshold() int {
-	if h.Threshold <= 0 {
+func (h hybrid) cutoff() int {
+	if h.threshold <= 0 {
 		return DefaultHybridThreshold
 	}
-	return h.Threshold
+	return h.threshold
 }
 
 // Partition implements Strategy.
-func (h Hybrid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+func (h hybrid) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	res, _ := h.partition(g, numParts, seed)
 	return res, nil
 }
 
-// partition additionally returns the high-degree flags for HybridGinger.
-func (h Hybrid) partition(g *graph.Graph, numParts int, seed uint64) (*Result, []bool) {
+// partition additionally returns the high-degree flags for hybridGinger.
+func (h hybrid) partition(g *graph.Graph, numParts int, seed uint64) (*Result, []bool) {
 	n := g.NumVertices()
-	thr := h.threshold()
+	thr := h.cutoff()
 	parts := make([]int32, g.NumEdges())
 	vhash := make([]int32, n)
 	for v := 0; v < n; v++ {
@@ -81,7 +81,7 @@ func (h Hybrid) partition(g *graph.Graph, numParts int, seed uint64) (*Result, [
 	return &Result{EdgeParts: parts, MasterHint: vhash}, high
 }
 
-// HybridGinger is Hybrid plus a Fennel-inspired refinement phase (§6.2.2):
+// hybridGinger is hybrid plus a Fennel-inspired refinement phase (§6.2.2):
 // after hybrid partitioning, each low-degree vertex v is migrated (with its
 // in-edges) to the partition p maximizing
 //
@@ -91,25 +91,25 @@ func (h Hybrid) partition(g *graph.Graph, numParts int, seed uint64) (*Result, [
 // thesis finds the extra phase buys little replication-factor improvement
 // at a large ingress and memory cost (§6.4.4) — behaviour this
 // implementation reproduces.
-type HybridGinger struct {
-	Threshold int // 0 means DefaultHybridThreshold
+type hybridGinger struct {
+	threshold int // 0 means DefaultHybridThreshold
 }
 
 // Name implements Strategy.
-func (HybridGinger) Name() string { return "H-Ginger" }
+func (hybridGinger) Name() string { return "H-Ginger" }
 
 // MultiPass implements MultiPassStrategy. All three passes pay greedy
 // O(numParts) scoring in the ingress model: the degree pass, the placement
 // pass, and the Fennel-style refinement sweep, which additionally walks
 // every low-degree vertex's in-edges — the paper's "significantly slower
 // ingress" (§6.4.4).
-func (HybridGinger) MultiPass() (passes, heuristicPasses int, why string) {
+func (hybridGinger) MultiPass() (passes, heuristicPasses int, why string) {
 	return 3, 3, "hybrid's degree-counting scan plus a Fennel-style refinement sweep over vertex homes (§6.2.2)"
 }
 
 // Partition implements Strategy.
-func (hg HybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	res, high := Hybrid{Threshold: hg.Threshold}.partition(g, numParts, seed)
+func (hg hybridGinger) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+	res, high := hybrid{threshold: hg.threshold}.partition(g, numParts, seed)
 	n := g.NumVertices()
 
 	// Current low-degree home per vertex (where its in-edges live).

@@ -45,7 +45,7 @@ func (JaBeJaSwap) Name() string { return "JaBeJaSwap" }
 // another full scan of the edge list.
 func (JaBeJaSwap) MultiPass() (passes, heuristicPasses int, why string) {
 	// Passes and HeuristicPasses do not depend on the partition count.
-	base := ShapeOf(Random{}, 1)
+	base := ShapeOf(random, 1)
 	return base.Passes + swapRounds, base.HeuristicPasses, "refines a completed base assignment with whole-edge-list swap rounds; no edge's final home is known until the last round ends"
 }
 
@@ -60,7 +60,7 @@ func (jb JaBeJaSwap) Partition(g *graph.Graph, numParts int, seed uint64) (*Resu
 // assignment had before any swap ran.
 func (JaBeJaSwap) PartitionStats(g *graph.Graph, numParts int, seed uint64) (*Result, SwapStats, error) {
 	stats := SwapStats{Rounds: swapRounds}
-	res, err := Random{}.Partition(g, numParts, seed)
+	res, err := random.Partition(g, numParts, seed)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 func init() {
-	Register("Multilevel", func(opt Options) Strategy { return Multilevel{} })
+	Register("Multilevel", func(Options) Strategy { return multilevel{} })
 }
 
-// Multilevel is a METIS-style offline baseline: coarsen the graph by
+// multilevel is a METIS-style offline baseline: coarsen the graph by
 // heavy-edge matching until it fits comfortably in memory, partition the
 // coarse graph greedily, then project the labels back level by level with a
 // boundary-refinement sweep at each step. The result is a *vertex*
@@ -21,15 +21,15 @@ func init() {
 // ceiling an offline pass can reach when ingress cost is no object, against
 // which the streaming families are compared. Coarsening stops at or below
 // max(64, 8·numParts) vertices.
-type Multilevel struct{}
+type multilevel struct{}
 
 // Name implements Strategy.
-func (Multilevel) Name() string { return "Multilevel" }
+func (multilevel) Name() string { return "Multilevel" }
 
 // MultiPass implements MultiPassStrategy: coarsening, initial partitioning
 // and projection all need the whole (successively contracted) edge list
 // resident; only the refinement sweeps pay O(numParts) work per vertex.
-func (Multilevel) MultiPass() (passes, heuristicPasses int, why string) {
+func (multilevel) MultiPass() (passes, heuristicPasses int, why string) {
 	return 3, 1, "coarsens the whole graph by heavy-edge matching, partitions the coarse graph, and projects labels back through refinement sweeps — offline by construction"
 }
 
@@ -48,7 +48,7 @@ type mlLevel struct {
 }
 
 // Partition implements Strategy.
-func (ml Multilevel) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
+func (ml multilevel) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
 	n := g.NumVertices()
 	labels := ml.vertexLabels(g, numParts)
 
@@ -74,7 +74,7 @@ func (ml Multilevel) Partition(g *graph.Graph, numParts int, seed uint64) (*Resu
 
 // vertexLabels runs the coarsen → partition → uncoarsen pipeline and
 // returns each vertex's home partition.
-func (Multilevel) vertexLabels(g *graph.Graph, numParts int) []int32 {
+func (multilevel) vertexLabels(g *graph.Graph, numParts int) []int32 {
 	target := 8 * numParts
 	if target < 64 {
 		target = 64

@@ -20,15 +20,16 @@ var bench1M = sync.OnceValue(func() *graph.Graph {
 // for the streaming refactor is ≥2x wall-clock at GOMAXPROCS ≥ 4.
 func BenchmarkStatelessIngress1M(b *testing.B) {
 	g := bench1M()
-	for _, s := range []Strategy{Random{}, TwoD{}, Grid{}} {
-		b.Run(s.Name()+"/workers=1", func(b *testing.B) {
+	for _, name := range []string{"Random", "2D", "Grid"} {
+		s := MustNew(name, Options{})
+		b.Run(name+"/workers=1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(s.Name()+"/workers=max", func(b *testing.B) {
+		b.Run(name+"/workers=max", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelPartition(g, s, 9, 1, 0); err != nil {
 					b.Fatal(err)
@@ -42,15 +43,16 @@ func BenchmarkStatelessIngress1M(b *testing.B) {
 // independent loader blocks run concurrently in the parallel pipeline.
 func BenchmarkStreamingIngress1M(b *testing.B) {
 	g := bench1M()
-	for _, s := range []Strategy{Oblivious{}, HDRF{}} {
-		b.Run(s.Name()+"/workers=1", func(b *testing.B) {
+	for _, name := range []string{"Oblivious", "HDRF"} {
+		s := MustNew(name, Options{})
+		b.Run(name+"/workers=1", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(s.Name()+"/workers=max", func(b *testing.B) {
+		b.Run(name+"/workers=max", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := ParallelPartition(g, s, 9, 1, 0); err != nil {
 					b.Fatal(err)
@@ -71,7 +73,7 @@ func BenchmarkStreamBuilder1M(b *testing.B) {
 	}{{"workers=1", 1}, {"workers=max", 0}} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sb, err := NewShardedStreamBuilder(Random{}, 9, arm.workers, 1)
+				sb, err := NewShardedStreamBuilder(MustNew("Random", Options{}), 9, arm.workers, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

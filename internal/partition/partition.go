@@ -29,9 +29,15 @@
 //
 // ShapeOf folds these into an IngressShape — it consults nothing else — and
 // ParallelPartition stamps it on the Assignment it builds, which is where
-// the cost models read it. New strategies self-register via Register from
-// an init function; no central construction switch exists, and Register
-// rejects a strategy that declares no capability.
+// the cost models read it.
+//
+// A strategy is built by name only, through New or MustNew: each strategy
+// file's init registers its factories via Register, no central construction
+// switch exists, and Register rejects a strategy that declares no
+// capability. The nine hash strategies are package-level rows of one
+// unexported type, so New hands them out without allocating. Only HDRF and
+// JaBeJaSwap export their types, for what Options does not carry: HDRF's λ
+// and JaBeJaSwap's PartitionStats.
 //
 // Whatever the capability, one interface places an edge: Assigner. A
 // stateless strategy's NewAssigner, a streaming strategy's NewLoader and

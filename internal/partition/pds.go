@@ -7,38 +7,28 @@ import (
 	"graphpart/internal/hashing"
 )
 
-// PDS is PowerGraph's perfect-difference-set constrained partitioning
-// (§5.2.3): with P = p²+p+1 for prime p, a perfect difference set D of
-// size p+1 exists modulo P, and the constraint sets S(v) = {(d+h(v)) mod P
-// : d ∈ D} of any two vertices intersect in exactly one partition — giving
-// a replication bound of p+1 ≈ √P, tighter than Grid's 2√P−1.
+func init() {
+	Register(pds.name, func(Options) Strategy { return pds })
+}
+
+// pds is PowerGraph's perfect-difference-set constrained partitioning
+// (§5.2.3): with P = p²+p+1 for prime p, a perfect difference set D of size
+// p+1 exists modulo P, and the constraint sets S(v) = {(d+h(v)) mod P : d ∈
+// D} of any two vertices intersect in exactly one partition — giving a
+// replication bound of p+1 ≈ √P, tighter than Grid's 2√P−1.
 //
 // The paper excludes PDS from its measurements because no cluster size
 // satisfies both PDS's and Grid's constraints simultaneously (§5.2.3); we
 // implement it anyway for completeness and test it at P ∈ {7, 13, 21?...}.
-type PDS struct{}
-
-func init() {
-	Register("PDS", func(Options) Strategy { return PDS{} })
-}
-
-// Name implements Strategy.
-func (PDS) Name() string { return "PDS" }
-
-// NewAssigner implements StatelessStrategy. The assigner carries a scratch
-// membership array, so create one per goroutine.
-func (PDS) NewAssigner(numParts int, seed uint64) (Assigner, error) {
-	ds, err := PerfectDifferenceSet(numParts)
+// The assigner carries a scratch membership array, so create one per
+// goroutine.
+var pds = &hashStrategy{"PDS", func(numParts int, seed uint64) (Assigner, error) {
+	ds, err := perfectDifferenceSet(numParts)
 	if err != nil {
 		return nil, err
 	}
 	return &pdsAssigner{parts: numParts, seed: seed, ds: ds, inSu: make([]bool, numParts)}, nil
-}
-
-// Partition implements Strategy.
-func (s PDS) Partition(g *graph.Graph, numParts int, seed uint64) (*Result, error) {
-	return assignStateless(g, s, numParts, seed, 1)
-}
+}}
 
 type pdsAssigner struct {
 	parts int
@@ -78,13 +68,13 @@ func (a *pdsAssigner) Assign(e graph.Edge) int32 {
 	return int32(chosen)
 }
 
-// PerfectDifferenceSet finds a perfect difference set modulo n, i.e. a set
+// perfectDifferenceSet finds a perfect difference set modulo n, i.e. a set
 // D of size k with k(k−1) = n−1 such that every nonzero residue mod n is
 // expressible as a difference of two elements of D in exactly one way.
 // Such sets exist for n = p²+p+1, p prime (Singer). The search is a small
 // backtracking exact-cover search, fine for the cluster sizes that matter
 // (n ≤ a few hundred).
-func PerfectDifferenceSet(n int) ([]int, error) {
+func perfectDifferenceSet(n int) ([]int, error) {
 	// k(k-1) = n-1 must have an integer solution.
 	k := 1
 	for k*(k-1) < n-1 {

@@ -93,12 +93,11 @@ type badAssigner struct{}
 
 func (badAssigner) Assign(graph.Edge) int32 { return 1 << 20 }
 
-type badShardStrategy struct{ Random }
-
-func (badShardStrategy) NewAssigner(int, uint64) (Assigner, error) { return badAssigner{}, nil }
+// badShardStrategy is a hash row whose assigner is badAssigner.
+var badShardStrategy = &hashStrategy{"Random", func(int, uint64) (Assigner, error) { return badAssigner{}, nil }}
 
 func TestShardedPropagatesAssignmentErrors(t *testing.T) {
-	sb, err := NewShardedStreamBuilder(badShardStrategy{}, 4, 2, 1)
+	sb, err := NewShardedStreamBuilder(badShardStrategy, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func edgeKey(e graph.Edge) uint64 {
 // strategy's own, or one persistent Oblivious/HDRF loader).
 // Multi-pass strategies cannot assign incrementally: for them every
 // ApplyBatch folds the churn into the live set and repartitions it one-shot
-// (Rebuild), which is exactly the cost the dyn.* experiments compare
+// (rebuild), which is exactly the cost the dyn.* experiments compare
 // incremental maintenance against.
 //
 // A PartitionState is single-goroutine. For an add-only trace its summary
@@ -80,7 +80,7 @@ type BatchStats struct {
 }
 
 // NewPartitionState prepares an empty mutable partitioning for a strategy.
-// workers bounds the parallelism of Rebuild (≤0 means GOMAXPROCS).
+// workers bounds the parallelism of rebuild (≤0 means GOMAXPROCS).
 func NewPartitionState(s Strategy, numParts int, seed uint64, workers int) (*PartitionState, error) {
 	if numParts < 1 {
 		return nil, fmt.Errorf("partition: numParts must be ≥1, got %d", numParts)
@@ -144,7 +144,7 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 	}
 	for _, e := range adds {
 		st.ensure(int(max(e.Src, e.Dst)) + 1)
-		p := int32(0) // multi-pass placeholder; Rebuild assigns for real
+		p := int32(0) // multi-pass placeholder; rebuild assigns for real
 		if st.inc != nil {
 			var routed bool
 			if p, routed = st.routeHot(e); !routed {
@@ -160,7 +160,7 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 		stats.Added++
 	}
 	if st.inc == nil {
-		return stats, st.Rebuild()
+		return stats, st.rebuild()
 	}
 	if st.hotK > 0 {
 		st.refreshHot()
@@ -279,13 +279,13 @@ func (st *PartitionState) loseImage(v, p int) {
 	st.recomputeMaster(v, st.hinter)
 }
 
-// Rebuild repartitions the live edge set one-shot with the state's own
+// rebuild repartitions the live edge set one-shot with the state's own
 // strategy and replays the result into the incremental bookkeeping — the
 // repartition-from-scratch baseline the dyn.* experiments price, and the
 // only ingress path for multi-pass strategies. The incremental assigner is
 // reconstructed afterwards: its per-loader state restarts from the rebuilt
 // placement's graph, not the churn history.
-func (st *PartitionState) Rebuild() error {
+func (st *PartitionState) rebuild() error {
 	edges := make([]graph.Edge, len(st.live))
 	for i := range st.live {
 		edges[i] = st.live[i].e
@@ -332,7 +332,7 @@ func (st *PartitionState) routeHot(e graph.Edge) (int32, bool) {
 	if st.hotK == 0 || len(st.hot) == 0 {
 		return 0, false
 	}
-	hs, hd := st.isHot(e.Src), st.isHot(e.Dst)
+	hs, hd := inSorted(st.hot, int32(e.Src)), inSorted(st.hot, int32(e.Dst))
 	if !hs && !hd {
 		return 0, false
 	}
@@ -348,12 +348,6 @@ func (st *PartitionState) routeHot(e graph.Edge) (int32, bool) {
 		}
 	}
 	return st.leastLoadedPart(), true
-}
-
-// isHot reports whether v is in the current hot set.
-func (st *PartitionState) isHot(v graph.VertexID) bool {
-	i := sort.Search(len(st.hot), func(i int) bool { return st.hot[i] >= int32(v) })
-	return i < len(st.hot) && st.hot[i] == int32(v)
 }
 
 // leastLoadedPart returns the partition with the fewest edges (lowest id on
@@ -420,6 +414,7 @@ func (st *PartitionState) refreshHot() {
 	st.hot = next
 }
 
+// inSorted reports whether v is in the ascending slice s.
 func inSorted(s []int32, v int32) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
 	return i < len(s) && s[i] == v

@@ -89,7 +89,7 @@ func TestStreamBuilderRejectsStateful(t *testing.T) {
 }
 
 func TestStreamBuilderEmpty(t *testing.T) {
-	sb, err := NewShardedStreamBuilder(Random{}, 4, 1, 1)
+	sb, err := NewShardedStreamBuilder(random, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestStreamBuilderEmpty(t *testing.T) {
 }
 
 func TestStreamBuilderBadParts(t *testing.T) {
-	if _, err := NewShardedStreamBuilder(Random{}, 0, 1, 1); err == nil {
+	if _, err := NewShardedStreamBuilder(random, 0, 1, 1); err == nil {
 		t.Error("numParts=0 accepted")
 	}
 	// Grid propagates its perfect-square constraint through NewAssigner.
-	if _, err := NewShardedStreamBuilder(Grid{}, 8, 1, 1); err == nil {
+	if _, err := NewShardedStreamBuilder(grid, 8, 1, 1); err == nil {
 		t.Error("Grid with non-square parts accepted")
 	}
 }
@@ -174,7 +174,7 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 			t.Error("duplicate Register did not panic")
 		}
 	}()
-	Register("Random", func(Options) Strategy { return Random{} })
+	Register("Random", func(Options) Strategy { return random })
 }
 
 // noCapStrategy implements only the base Strategy interface — none of the

@@ -411,7 +411,7 @@ func (s *Server) handleJobs(_ context.Context, r *http.Request) (any, error) {
 		return nil, err
 	}
 	// A job for a pair the strategy refuses could only fail: refuse it now.
-	if _, err := s.newStrategy(k, 0); err != nil {
+	if _, err := s.newStrategy(k); err != nil {
 		return nil, err
 	}
 	j, err := s.jobs.submit(k)

@@ -207,8 +207,8 @@ func (s *Server) key(dataset bool, name, strategy, parts string) (cutKey, error)
 // A partition count the strategy itself refuses (Grid's perfect square,
 // PDS's p²+p+1) is the client's error: 400 with the strategy's message,
 // before any dataset is loaded or state allocated.
-func (s *Server) newStrategy(k cutKey, loaders int) (partition.Strategy, error) {
-	st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold, Loaders: loaders})
+func (s *Server) newStrategy(k cutKey) (partition.Strategy, error) {
+	st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold})
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +226,7 @@ func (s *Server) newStrategy(k cutKey, loaders int) (partition.Strategy, error) 
 // cache for the next request.
 func (s *Server) assignment(ctx context.Context, k cutKey) (*partition.Assignment, error) {
 	a, err := s.assignments.Get(ctx, k, func() (*partition.Assignment, error) {
-		st, err := s.newStrategy(k, 0)
+		st, err := s.newStrategy(k)
 		if err != nil {
 			return nil, err
 		}
@@ -265,8 +265,9 @@ type liveState struct {
 }
 
 // state returns the stream's live state; create makes a missing one (POST)
-// where a read (GET) answers 404. Greedy strategies pin Loaders:1, matching
-// the incremental contract the dyn.* experiments established.
+// where a read (GET) answers 404. A greedy stream places edges with one
+// persistent loader (AsIncremental's loader 0) whatever Options.Loaders
+// says, and the multi-pass strategies that rebuild ignore it.
 func (s *Server) state(k cutKey, create bool) (*liveState, error) {
 	s.stMu.Lock()
 	defer s.stMu.Unlock()
@@ -276,7 +277,7 @@ func (s *Server) state(k cutKey, create bool) (*liveState, error) {
 	if !create {
 		return nil, statusErrorf(http.StatusNotFound, "service: no live stream %q for %s/%d", k.name, k.strategy, k.parts)
 	}
-	st, err := s.newStrategy(k, 1)
+	st, err := s.newStrategy(k)
 	if err != nil {
 		return nil, err
 	}
