@@ -1,5 +1,5 @@
 // Graphlint prints the findings of the internal/analysis suite (detrange,
-// forbid, nondet, registry, unsafeguard) over Go packages and exits non-zero
+// forbid, nondet, unsafeguard) over Go packages and exits non-zero
 // on any. The gate is the root package's TestGraphlintClean, which runs the
 // same suite over ./... under `go test`; this command is for reading the
 // findings of one package, or of another module (benchmark/).

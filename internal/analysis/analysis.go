@@ -1,4 +1,4 @@
-// Package analysis is the repo's static-analyzer suite: five checkers that
+// Package analysis is the repo's static-analyzer suite: four checkers that
 // mechanically prove the determinism, capability, and hot-path invariants
 // every regression gate in this reproduction leans on. The golden renders,
 // the worker-count-independent engines, and the BENCH_seed1.json cell diffs
@@ -17,8 +17,9 @@
 //
 //   - forbid: one table of "only X may do Y" rows — wall-clock, global
 //     math/rand, core counts, sync.Once, the environment, unsafe, the
-//     daemon's imports, private fan-outs, per-strategy ingress declarations —
-//     each with its sanctioned packages and its waiver marker, if any.
+//     daemon's imports, private fan-outs, per-strategy ingress declarations,
+//     init functions — each with its sanctioned packages and its waiver
+//     marker, if any.
 //   - detrange: no ranging over maps, in any package, unless the keys are
 //     collected (optionally filtered) and sorted, the loop is an
 //     order-independent idiom (map clearing), or the site carries a
@@ -27,9 +28,6 @@
 //   - nondet: where a nondeterministic source is legal (internal/service
 //     times requests), it still may not be embedded directly in a
 //     report.Cell Value.
-//   - registry: every file declaring a partition strategy registers it in
-//     that file's init, and every strategy implements exactly one ingress
-//     capability (stateless / streaming / multi-pass).
 //   - unsafeguard: inside the mmap layer (internal/graph/mmap*.go,
 //     csr_view.go), each unsafe use is covered by an invariant comment.
 package analysis
@@ -86,7 +84,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All is the full graphlint suite in the order the multichecker runs it.
 func All() []*Analyzer {
-	return []*Analyzer{Detrange, Forbid, Nondet, Registry, Unsafeguard}
+	return []*Analyzer{Detrange, Forbid, Nondet, Unsafeguard}
 }
 
 // RunAnalyzers applies each analyzer to each package and returns every

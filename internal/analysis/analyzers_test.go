@@ -14,8 +14,8 @@ var fixtureRoot = filepath.Join("testdata", "src")
 
 // Each analyzer gets a positive fixture (a violation it must flag), an
 // idiom-negative (the sanctioned shape it must accept — sorted iteration,
-// seeded rand, documented aliasing, a fully-registered strategy), and a
-// waiver-negative (the marker comment suppressing the finding).
+// seeded rand, documented aliasing), and a waiver-negative (the marker
+// comment suppressing the finding).
 
 func TestDetrangeFixture(t *testing.T) {
 	analysistest.Run(t, fixtureRoot, "detrange/...", analysis.Detrange)
@@ -41,14 +41,6 @@ func TestNondetCellValueFixture(t *testing.T) {
 	analysistest.Run(t, fixtureRoot, "nondetservice", analysis.Nondet)
 }
 
-func TestRegistryCleanFixture(t *testing.T) {
-	analysistest.Run(t, fixtureRoot, "registryok", analysis.Registry)
-}
-
-func TestRegistryViolationsFixture(t *testing.T) {
-	analysistest.Run(t, fixtureRoot, "registrybad", analysis.Registry)
-}
-
 func TestUnsafeguardFixture(t *testing.T) {
 	analysistest.Run(t, fixtureRoot, "unsafeguard", analysis.Unsafeguard)
 }
@@ -56,7 +48,7 @@ func TestUnsafeguardFixture(t *testing.T) {
 // TestSuiteComplete pins the suite's contents: adding an analyzer without
 // wiring it into All() would silently drop it from TestGraphlintClean.
 func TestSuiteComplete(t *testing.T) {
-	want := map[string]bool{"detrange": true, "forbid": true, "nondet": true, "registry": true, "unsafeguard": true}
+	want := map[string]bool{"detrange": true, "forbid": true, "nondet": true, "unsafeguard": true}
 	got := analysis.All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))

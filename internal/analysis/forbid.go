@@ -111,6 +111,11 @@ var forbidden = []rule{
 		why:   "a strategy's capability interface is the only statement of its ingress shape; read partition.ShapeOf",
 	},
 	{
+		decls: []string{"init"},
+		where: "in package",
+		why:   "registries are literal tables; nothing registers itself at init",
+	},
+	{
 		decls: []string{"ForEachReplica", "HasInEdges", "HasOutEdges", "Holds"},
 		in:    []string{"oracle"},
 		where: "in package",

@@ -124,6 +124,15 @@ type HeuristicStrategy interface { // want `declaration of HeuristicStrategy in 
 
 func isGreedy(name string) bool { return name == "HDRF" } // want `declaration of isGreedy in package engine`
 
+// Registries are literal tables: nothing registers itself at init.
+var registry = map[string]func() strategy{}
+
+func init() { registry["hash"] = func() strategy { return strategy{} } } // want `declaration of init in package engine: registries are literal tables`
+
+var strategies = []struct{ name string }{{"hash"}}
+
+func initStrategies() []string { return []string{strategies[0].name} }
+
 // Placement is read a row at a time: no per-replica callback, no per-bit test.
 type assignment struct{ replicas []uint64 }
 

@@ -14,14 +14,6 @@ import (
 	"graphpart/internal/report"
 )
 
-func init() {
-	register(ablHDRFLambda())
-	register(ablHybridThreshold())
-	register(ablLoaders())
-	register(ablLocality())
-	register(ablEngine())
-}
-
 func ablHDRFLambda() Experiment {
 	return Experiment{
 		ID:    "abl.lambda",

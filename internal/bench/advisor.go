@@ -20,10 +20,6 @@ import (
 	"graphpart/internal/report"
 )
 
-func init() {
-	register(advRegret())
-}
-
 // advisorRegretTol is the per-workload bound on the advisor's regret: the
 // chosen strategy's measured total may exceed the best strategy's by at
 // most this fraction. It is looser than fig5.9's 10% because the

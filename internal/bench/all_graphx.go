@@ -26,12 +26,6 @@ const gx9Iterations = 25
 // tables (the x-axis samples of Figs 9.1/9.2).
 var iterCheckpoints = []int{1, 5, 10, 15, 20, 25}
 
-func init() {
-	register(fig91())
-	register(fig92())
-	register(fig94())
-}
-
 // cumulativeAt returns the cumulative time at iteration i (1-based),
 // flattening after convergence, as the paper's per-iteration curves do.
 func cumulativeAt(st *graphx.Stats, iter int) float64 {

@@ -1,6 +1,6 @@
-// Package bench contains the experiment harness: one registered experiment
-// per table and figure in the paper's evaluation chapters, each regenerating
-// the corresponding rows/series on the simulated cluster.
+// Package bench contains the experiment harness: one row of the
+// experiments table per table and figure in the paper's evaluation chapters,
+// each regenerating the corresponding rows/series on the simulated cluster.
 //
 // Experiments produce a typed Result — measurement Cells keyed by the
 // paper's dimensions plus structured Checks — and every rendering (the
@@ -39,12 +39,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"path/filepath"
-	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/datasets"
@@ -340,71 +338,64 @@ type Experiment struct {
 	Run   func(Config) (*Result, error)
 }
 
-// registrySet is a name-keyed experiment index: O(1) lookups, one sort per
-// registration epoch, and duplicate-ID detection at registration time.
-type registrySet struct {
-	mu     sync.Mutex
-	byID   map[string]Experiment
-	site   map[string]string
-	sorted []Experiment // built on first all(), invalidated by add
+// experiments is the registry: every experiment, sorted by ID.
+var experiments = []Experiment{
+	ablEngine(),
+	ablHDRFLambda(),
+	ablLoaders(),
+	ablLocality(),
+	ablHybridThreshold(),
+	advRegret(),
+	dynCost(),
+	dynDrift(),
+	dynRebalance(),
+	famCompare(),
+	correlationTable("fig5.3",
+		"Incoming network IO vs. replication factor (PowerGraph, EC2-25, UK-web)",
+		"net-in-GB/machine", "GB", func(p *point) float64 { return p.stats.AvgNetInGB }),
+	correlationTable("fig5.4",
+		"Computation time vs. replication factor (PowerGraph, EC2-25, UK-web)",
+		"compute-seconds", "s", func(p *point) float64 { return p.stats.ComputeSeconds }),
+	correlationTable("fig5.5",
+		"Peak memory vs. replication factor (PowerGraph, EC2-25, UK-web)",
+		"peak-mem-GB/machine", "GB", (*point).peakMemGB),
+	fig56(),
+	fig57(),
+	fig58(),
+	fig59(),
+	fig61(),
+	fig62(),
+	fig63(),
+	fig64(),
+	fig65(),
+	fig66(),
+	fig71(),
+	fig81(),
+	fig82(),
+	fig83(),
+	fig84(),
+	fig91(),
+	fig92(),
+	fig93(),
+	fig94(),
+	loadFormats(),
+	tab11(),
+	tab51(),
+	tab71(),
 }
 
-func newRegistrySet() *registrySet {
-	return &registrySet{byID: map[string]Experiment{}, site: map[string]string{}}
-}
+// All returns every experiment sorted by ID, in a slice the caller owns.
+func All() []Experiment { return slices.Clone(experiments) }
 
-// add registers an experiment. Duplicate IDs are a programming error: the
-// panic names both registrants so the offending init is obvious.
-func (rs *registrySet) add(e Experiment, site string) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if prev, ok := rs.byID[e.ID]; ok {
-		panic(fmt.Sprintf("bench: duplicate experiment ID %q: %q registered at %s, %q at %s",
-			e.ID, prev.Title, rs.site[e.ID], e.Title, site))
-	}
-	rs.byID[e.ID] = e
-	rs.site[e.ID] = site
-	rs.sorted = nil
-}
-
-func (rs *registrySet) all() []Experiment {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.sorted == nil {
-		rs.sorted = make([]Experiment, 0, len(rs.byID))
-		for _, e := range rs.byID {
-			rs.sorted = append(rs.sorted, e)
+// Get looks an experiment up by ID.
+func Get(id string) (Experiment, bool) {
+	for _, e := range experiments {
+		if e.ID == id {
+			return e, true
 		}
-		sort.Slice(rs.sorted, func(i, j int) bool { return rs.sorted[i].ID < rs.sorted[j].ID })
 	}
-	out := make([]Experiment, len(rs.sorted))
-	copy(out, rs.sorted)
-	return out
+	return Experiment{}, false
 }
-
-func (rs *registrySet) get(id string) (Experiment, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	e, ok := rs.byID[id]
-	return e, ok
-}
-
-var reg = newRegistrySet()
-
-// register adds an experiment to the package registry at init time.
-func register(e Experiment) {
-	site := "unknown"
-	if _, file, line, ok := runtime.Caller(1); ok {
-		site = fmt.Sprintf("%s:%d", filepath.Base(file), line)
-	}
-	reg.add(e, site)
-}
-
-// All returns every registered experiment sorted by ID.
-func All() []Experiment { return reg.all() }
-
-// Get looks an experiment up by ID in the registry map.
-func Get(id string) (Experiment, bool) { return reg.get(id) }
 
 // asgKey is everything an assignment depends on. Config.Workers is left
 // out on purpose: placement is identical at every worker count.

@@ -321,49 +321,6 @@ func TestExperimentIDsCoverEveryPaperArtifact(t *testing.T) {
 	}
 }
 
-// TestRegistryDuplicatePanic: registering the same ID twice must panic and
-// name both registrants (title and registration site).
-func TestRegistryDuplicatePanic(t *testing.T) {
-	rs := newRegistrySet()
-	rs.add(Experiment{ID: "dup.1", Title: "first"}, "a.go:1")
-	if got, ok := rs.get("dup.1"); !ok || got.Title != "first" {
-		t.Fatalf("get after add = %+v, %v", got, ok)
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-		msg, _ := r.(string)
-		for _, want := range []string{"dup.1", "first", "second", "a.go:1", "b.go:2"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("panic message missing %q: %s", want, msg)
-			}
-		}
-	}()
-	rs.add(Experiment{ID: "dup.1", Title: "second"}, "b.go:2")
-}
-
-// TestRegistrySortedOnce: all() returns ID-sorted copies and reflects
-// later registrations.
-func TestRegistrySortedOnce(t *testing.T) {
-	rs := newRegistrySet()
-	rs.add(Experiment{ID: "b"}, "x")
-	rs.add(Experiment{ID: "a"}, "x")
-	got := rs.all()
-	if len(got) != 2 || got[0].ID != "a" || got[1].ID != "b" {
-		t.Fatalf("all() = %+v", got)
-	}
-	got[0].ID = "mutated"
-	if rs.all()[0].ID != "a" {
-		t.Error("all() exposed internal slice to mutation")
-	}
-	rs.add(Experiment{ID: "0"}, "x")
-	if rs.all()[0].ID != "0" {
-		t.Error("all() stale after registration")
-	}
-}
-
 func TestRankingRowFormatting(t *testing.T) {
 	row := rankingRow(map[string]float64{
 		"CanonicalRandom": 1.00,

@@ -17,11 +17,6 @@ import (
 	"graphpart/internal/report"
 )
 
-func init() {
-	register(fig59())
-	register(fig93())
-}
-
 // itersVariant is the Variant label of a GraphX job run for a fixed number
 // of iterations.
 func itersVariant(iters int) string { return fmt.Sprintf("iters=%d", iters) }

@@ -20,12 +20,6 @@ import (
 	"graphpart/internal/report"
 )
 
-func init() {
-	register(dynDrift())
-	register(dynRebalance())
-	register(dynCost())
-}
-
 // churnRates are the deletion fractions every dyn.* sweep covers.
 var churnRates = []float64{0.10, 0.25, 0.40}
 

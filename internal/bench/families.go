@@ -15,10 +15,6 @@ import (
 	"graphpart/internal/report"
 )
 
-func init() {
-	register(famCompare())
-}
-
 // familyStrategies are the three families added beyond the paper's 13;
 // fig5.6/fig5.7 and fig8.1/fig8.2 append rows for them after the paper's
 // own sweeps.

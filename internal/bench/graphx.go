@@ -27,11 +27,6 @@ func gxDims(cc cluster.Config, ds, strat, appName string) report.Dims {
 		Engine: engineGraphX, Cluster: clusterName(cc), Parts: cc.NumParts()}
 }
 
-func init() {
-	register(fig71())
-	register(tab71())
-}
-
 func fig71() Experiment {
 	return Experiment{
 		ID:    "fig7.1",

@@ -14,10 +14,6 @@ import (
 	"graphpart/internal/report"
 )
 
-func init() {
-	register(loadFormats())
-}
-
 func loadFormats() Experiment {
 	return Experiment{
 		ID:    "load.formats",

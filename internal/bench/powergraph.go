@@ -77,22 +77,6 @@ func correlationTable(id, title, metricName, unit string, pick func(*point) floa
 	}
 }
 
-func init() {
-	register(correlationTable("fig5.3",
-		"Incoming network IO vs. replication factor (PowerGraph, EC2-25, UK-web)",
-		"net-in-GB/machine", "GB", func(p *point) float64 { return p.stats.AvgNetInGB }))
-	register(correlationTable("fig5.4",
-		"Computation time vs. replication factor (PowerGraph, EC2-25, UK-web)",
-		"compute-seconds", "s", func(p *point) float64 { return p.stats.ComputeSeconds }))
-	register(correlationTable("fig5.5",
-		"Peak memory vs. replication factor (PowerGraph, EC2-25, UK-web)",
-		"peak-mem-GB/machine", "GB", (*point).peakMemGB))
-	register(fig56())
-	register(fig57())
-	register(fig58())
-	register(tab51())
-}
-
 // pgClusters are the three PowerGraph/PowerLyra cluster sizes (§4.1).
 var pgClusters = []cluster.Config{cluster.Local9, cluster.EC2x16, cluster.EC2x25}
 

@@ -29,15 +29,6 @@ func plDims(strategy, app string) report.Dims {
 		Engine: enginePowerLyra, Cluster: clusterName(cluster.EC2x25), Parts: cluster.EC2x25.NumParts()}
 }
 
-func init() {
-	register(fig61())
-	register(fig62())
-	register(fig63())
-	register(fig64())
-	register(fig65())
-	register(fig66())
-}
-
 func fig61() Experiment {
 	return Experiment{
 		ID:    "fig6.1",

@@ -64,18 +64,79 @@ type entry struct {
 	build Builder
 }
 
+// builtins are the scaled stand-ins for Table 4.2's six graphs, in the
+// paper's figure column order: road networks first, then heavy-tailed, then
+// power-law. Names() lists them in this order.
+var builtins = []entry{
+	{Info{
+		Name: "road-ca", Kind: SyntheticRoad, Class: graph.LowDegree,
+		PaperEdges: "5.5M", PaperVerts: "1.9M",
+		Provenance: "gen.RoadNet lattice, side²≈12000·scale, seed 0xca0",
+	}, func(s int) (*graph.Graph, error) {
+		side := isqrt(12000 * s)
+		return gen.RoadNet("road-ca", side, side, 0xca0), nil
+	}},
+	{Info{
+		Name: "road-usa", Kind: SyntheticRoad, Class: graph.LowDegree,
+		PaperEdges: "57.5M", PaperVerts: "23.6M",
+		Provenance: "gen.RoadNet lattice, side²≈40000·scale, seed 0x05a",
+	}, func(s int) (*graph.Graph, error) {
+		side := isqrt(40000 * s)
+		return gen.RoadNet("road-usa", side, side, 0x05a), nil
+	}},
+	{Info{
+		Name: "livejournal", Kind: SyntheticSocial, Class: graph.HeavyTailed,
+		PaperEdges: "68.5M", PaperVerts: "4.8M",
+		Provenance: "gen.PrefAttach n=9000·scale m=8, seed 0x17e",
+	}, func(s int) (*graph.Graph, error) {
+		return gen.PrefAttach("livejournal", 9000*s, 8, 0x17e), nil
+	}},
+	{Info{
+		Name: "enwiki", Kind: SyntheticSocial, Class: graph.HeavyTailed,
+		PaperEdges: "101M", PaperVerts: "4.2M",
+		Provenance: "gen.PrefAttach n=6000·scale m=12, seed 0xe4171",
+	}, func(s int) (*graph.Graph, error) {
+		return gen.PrefAttach("enwiki", 6000*s, 12, 0xe4171), nil
+	}},
+	{Info{
+		Name: "twitter", Kind: SyntheticSocial, Class: graph.HeavyTailed,
+		PaperEdges: "1.46B", PaperVerts: "41.6M",
+		Provenance: "gen.PrefAttach n=16000·scale m=10, seed 0x7417713",
+	}, func(s int) (*graph.Graph, error) {
+		return gen.PrefAttach("twitter", 16000*s, 10, 0x7417713), nil
+	}},
+	{Info{
+		Name: "uk-web", Kind: SyntheticWeb, Class: graph.PowerLaw,
+		PaperEdges: "3.71B", PaperVerts: "105.1M",
+		Provenance: "gen.WebGraph n=30000·scale α=1.62 locality=0.86, seed 0x0b3b",
+	}, func(s int) (*graph.Graph, error) {
+		return gen.WebGraph("uk-web", gen.WebGraphConfig{
+			N: 30000 * s, Alpha: 1.62, MaxOutD: 3000 * s,
+			Locality: 0.86, Window: 64, Seed: 0x0b3b,
+		}), nil
+	}},
+}
+
 var (
-	regMu    sync.RWMutex
-	registry = map[string]entry{}
-	// builtinOrder is the paper's figure column order: road networks first,
-	// then heavy-tailed, then power-law. Externally registered names follow,
-	// sorted, in Names().
-	builtinOrder = []string{"road-ca", "road-usa", "livejournal", "enwiki", "twitter", "uk-web"}
-	extraOrder   []string
+	regMu sync.RWMutex
+	// registry holds every dataset by name: the builtins, then what Register
+	// adds.
+	registry = indexBuiltins()
+	// extraOrder is the externally registered names, sorted; Names() lists
+	// them after the builtins.
+	extraOrder []string
 )
 
+func indexBuiltins() map[string]entry {
+	m := make(map[string]entry, len(builtins))
+	for _, e := range builtins {
+		m[e.info.Name] = e
+	}
+	return m
+}
+
 // Register adds a dataset to the registry. It returns an error on an empty
-// or duplicate name or a nil builder; the six builtins are pre-registered.
+// or duplicate name or a nil builder; a builtin's name is taken.
 func Register(info Info, build Builder) error {
 	if info.Name == "" {
 		return fmt.Errorf("datasets: Register with empty name")
@@ -126,74 +187,16 @@ func unregister(name string) {
 	}
 }
 
-func init() {
-	builtin := func(info Info, build func(scale int) *graph.Graph) {
-		if err := Register(info, func(s int) (*graph.Graph, error) { return build(s), nil }); err != nil {
-			panic(err)
-		}
-	}
-	builtin(Info{
-		Name: "road-ca", Kind: SyntheticRoad, Class: graph.LowDegree,
-		PaperEdges: "5.5M", PaperVerts: "1.9M",
-		Provenance: "gen.RoadNet lattice, side²≈12000·scale, seed 0xca0",
-	}, func(s int) *graph.Graph {
-		side := isqrt(12000 * s)
-		return gen.RoadNet("road-ca", side, side, 0xca0)
-	})
-	builtin(Info{
-		Name: "road-usa", Kind: SyntheticRoad, Class: graph.LowDegree,
-		PaperEdges: "57.5M", PaperVerts: "23.6M",
-		Provenance: "gen.RoadNet lattice, side²≈40000·scale, seed 0x05a",
-	}, func(s int) *graph.Graph {
-		side := isqrt(40000 * s)
-		return gen.RoadNet("road-usa", side, side, 0x05a)
-	})
-	builtin(Info{
-		Name: "livejournal", Kind: SyntheticSocial, Class: graph.HeavyTailed,
-		PaperEdges: "68.5M", PaperVerts: "4.8M",
-		Provenance: "gen.PrefAttach n=9000·scale m=8, seed 0x17e",
-	}, func(s int) *graph.Graph {
-		return gen.PrefAttach("livejournal", 9000*s, 8, 0x17e)
-	})
-	builtin(Info{
-		Name: "enwiki", Kind: SyntheticSocial, Class: graph.HeavyTailed,
-		PaperEdges: "101M", PaperVerts: "4.2M",
-		Provenance: "gen.PrefAttach n=6000·scale m=12, seed 0xe4171",
-	}, func(s int) *graph.Graph {
-		return gen.PrefAttach("enwiki", 6000*s, 12, 0xe4171)
-	})
-	builtin(Info{
-		Name: "twitter", Kind: SyntheticSocial, Class: graph.HeavyTailed,
-		PaperEdges: "1.46B", PaperVerts: "41.6M",
-		Provenance: "gen.PrefAttach n=16000·scale m=10, seed 0x7417713",
-	}, func(s int) *graph.Graph {
-		return gen.PrefAttach("twitter", 16000*s, 10, 0x7417713)
-	})
-	builtin(Info{
-		Name: "uk-web", Kind: SyntheticWeb, Class: graph.PowerLaw,
-		PaperEdges: "3.71B", PaperVerts: "105.1M",
-		Provenance: "gen.WebGraph n=30000·scale α=1.62 locality=0.86, seed 0x0b3b",
-	}, func(s int) *graph.Graph {
-		return gen.WebGraph("uk-web", gen.WebGraphConfig{
-			N: 30000 * s, Alpha: 1.62, MaxOutD: 3000 * s,
-			Locality: 0.86, Window: 64, Seed: 0x0b3b,
-		})
-	})
-	// Builtins are ordered by builtinOrder, not registration order.
-	regMu.Lock()
-	extraOrder = nil
-	regMu.Unlock()
-}
-
 // Names returns all registered dataset names: the paper's six in figure
 // column order, then externally registered datasets sorted by name.
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]string, 0, len(builtinOrder)+len(extraOrder))
-	out = append(out, builtinOrder...)
-	out = append(out, extraOrder...)
-	return out
+	out := make([]string, 0, len(builtins)+len(extraOrder))
+	for _, e := range builtins {
+		out = append(out, e.info.Name)
+	}
+	return append(out, extraOrder...)
 }
 
 // Describe returns the static dataset metadata for name. Manifest adds the

@@ -273,9 +273,6 @@ func TestRunRefusesMoreThanMaxParts(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector (race_enabled_test.go).
-var raceEnabled bool
-
 // TestDenseRunAllocatesItsClosedForm pins what one GraphX PageRank run on
 // BenchmarkEngineParallelDense's input allocates to its closed form: two
 // value arrays, the frontier and the change buffer, the in-column (one byte per

@@ -5,4 +5,4 @@ package engine_test
 // The race detector's instrumentation allocates on its own account, so
 // allocated bytes under it are not the ones TestDenseRunAllocatesItsClosedForm
 // pins.
-func init() { raceEnabled = true }
+const raceEnabled = true

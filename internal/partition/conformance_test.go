@@ -12,9 +12,9 @@ import (
 	"graphpart/internal/hashing"
 )
 
-// The conformance suite is the registration gate for strategies: one
-// table-driven property set executed against EVERY registered strategy on a
-// power-law and a road graph. A strategy that registers but violates any of
+// The conformance suite is the gate for strategies: one table-driven
+// property set executed against EVERY row of the strategies table on a
+// power-law and a road graph. A strategy that has a row but violates any of
 // these properties — placements and summary equal to the oracle's at every
 // worker count, seed determinism, the incremental contract — fails
 // here by construction, without anyone writing a strategy-specific test.
@@ -100,19 +100,54 @@ func TestSelectBitMatchesForEach(t *testing.T) {
 	}
 }
 
-// checkBuiltByName: the registry is the only construction path, so a
-// strategy prints the name that builds it, and building a stateless one
-// allocates nothing (the service builds one per request).
+// checkBuiltByName: the strategies table is the only construction path, so
+// a strategy prints the name that builds it and implements exactly one
+// ingress capability, and building a stateless one allocates nothing (the
+// service builds one per request).
 func checkBuiltByName(t *testing.T, name string) {
 	s := MustNew(name, conformanceOptions())
 	if got := s.Name(); got != name {
 		t.Fatalf("New(%q).Name() = %q", name, got)
+	}
+	if caps := ingressCapabilities(s); len(caps) != 1 {
+		t.Errorf("New(%q) implements %v, want exactly one ingress capability", name, caps)
 	}
 	if _, ok := s.(StatelessStrategy); !ok {
 		return
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _, _ = New(name, Options{}) }); allocs != 0 {
 		t.Errorf("New(%q) allocates %v times per call, want 0", name, allocs)
+	}
+}
+
+// ingressCapabilities names the capability interfaces s implements. ShapeOf,
+// the stream builders and AsIncremental dispatch on exactly one.
+func ingressCapabilities(s Strategy) []string {
+	var have []string
+	if _, ok := s.(StatelessStrategy); ok {
+		have = append(have, "StatelessStrategy")
+	}
+	if _, ok := s.(StreamingStrategy); ok {
+		have = append(have, "StreamingStrategy")
+	}
+	if _, ok := s.(MultiPassStrategy); ok {
+		have = append(have, "MultiPassStrategy")
+	}
+	return have
+}
+
+// twoCapRow is a hash row that also declares a multi-pass shape: a table
+// row built like it fails the built-by-name property.
+type twoCapRow struct{ *hashStrategy }
+
+func (twoCapRow) MultiPass() (passes, heuristicPasses int, why string) { return 2, 1, "" }
+
+func TestIngressCapabilitiesCountsEach(t *testing.T) {
+	if got := ingressCapabilities(twoCapRow{random}); !slices.Equal(got, []string{"StatelessStrategy", "MultiPassStrategy"}) {
+		t.Errorf("hash row with a MultiPass method: %v", got)
+	}
+	if got := ingressCapabilities(noCapStrategy{}); len(got) != 0 {
+		t.Errorf("capability-less strategy: %v", got)
 	}
 }
 

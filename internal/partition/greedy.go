@@ -7,11 +7,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	Register("Oblivious", func(opt Options) Strategy { return oblivious{numLoaders: opt.Loaders} })
-	Register("HDRF", func(opt Options) Strategy { return HDRF{NumLoaders: opt.Loaders} })
-}
-
 // loaderState is the per-loader view used by the greedy strategies. In the
 // real systems, ingress is distributed: each machine streams its share of
 // the edge list and greedily places edges using only the assignments *it*

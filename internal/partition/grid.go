@@ -7,12 +7,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	for _, s := range []*hashStrategy{grid, resilientGrid} {
-		Register(s.name, func(Options) Strategy { return s })
-	}
-}
-
 var (
 	// grid is PowerGraph's constrained Grid partitioning (§5.2.3, from the
 	// GraphBuilder paper): machines form a √P×√P matrix; a vertex's

@@ -5,12 +5,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	for _, s := range []*hashStrategy{random, canonicalRandom, asymRandom, oneD, oneDTarget, twoD} {
-		Register(s.name, func(Options) Strategy { return s })
-	}
-}
-
 // hashStrategy is one row of the hash family, the StatelessStrategy of every
 // hash scheme: a name and the constructor of its per-edge Assigner. Each row
 // is a package-level pointer, so New hands the same one out without

@@ -7,10 +7,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	Register("HEP", func(opt Options) Strategy { return hep{memBudget: opt.MemBudget} })
-}
-
 // DefaultMemBudget is HEP's default in-memory edge budget: the fraction of
 // the edge list the in-memory NE phase may hold (arXiv 2103.12594 evaluates
 // budgets around 10–100% of |E|; half the graph is the bridging default).

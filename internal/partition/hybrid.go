@@ -5,11 +5,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	Register("Hybrid", func(opt Options) Strategy { return hybrid{threshold: opt.HybridThreshold} })
-	Register("H-Ginger", func(opt Options) Strategy { return hybridGinger{threshold: opt.HybridThreshold} })
-}
-
 // DefaultHybridThreshold is PowerLyra's default high-degree cutoff (§6.2.1).
 // Experiments on the scaled synthetic datasets pass a smaller value via
 // Options.HybridThreshold so that the high-degree population is proportionally

@@ -5,10 +5,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	Register("JaBeJaSwap", func(opt Options) Strategy { return JaBeJaSwap{} })
-}
-
 // swapRounds is how many refinement rounds JaBeJaSwap runs: enough for the
 // acceptance rate to decay to noise on the synthetic power-law graphs while
 // keeping ingress a small multiple of the base assignment's.

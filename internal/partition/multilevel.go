@@ -6,10 +6,6 @@ import (
 	"graphpart/internal/graph"
 )
 
-func init() {
-	Register("Multilevel", func(Options) Strategy { return multilevel{} })
-}
-
 // multilevel is a METIS-style offline baseline: coarsen the graph by
 // heavy-edge matching until it fits comfortably in memory, partition the
 // coarse graph greedily, then project the labels back level by level with a

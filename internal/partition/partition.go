@@ -31,10 +31,10 @@
 // ParallelPartition stamps it on the Assignment it builds, which is where
 // the cost models read it.
 //
-// A strategy is built by name only, through New or MustNew: each strategy
-// file's init registers its factories via Register, no central construction
-// switch exists, and Register rejects a strategy that declares no
-// capability. The nine hash strategies are package-level rows of one
+// A strategy is built by name only, through New or MustNew, which look the
+// name up in one literal table (registry.go's strategies): nothing registers
+// itself, and every row declares exactly one capability (the conformance
+// suite checks each). The nine hash strategies are package-level rows of one
 // unexported type, so New hands them out without allocating. Only HDRF and
 // JaBeJaSwap export their types, for what Options does not carry: HDRF's λ
 // and JaBeJaSwap's PartitionStats.

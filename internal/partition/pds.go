@@ -7,10 +7,6 @@ import (
 	"graphpart/internal/hashing"
 )
 
-func init() {
-	Register(pds.name, func(Options) Strategy { return pds })
-}
-
 // pds is PowerGraph's perfect-difference-set constrained partitioning
 // (§5.2.3): with P = p²+p+1 for prime p, a perfect difference set D of size
 // p+1 exists modulo P, and the constraint sets S(v) = {(d+h(v)) mod P : d ∈

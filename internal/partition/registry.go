@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // System identifies one of the three graph processing systems the paper
@@ -13,7 +12,7 @@ type System string
 
 // The three systems of Table 1.1, plus the thesis's "all strategies in one
 // system" configurations of chapters 8 and 9, plus the repo's own
-// every-registered-family configuration (the paper's 13 and the post-paper
+// every-family configuration (the paper's 13 and the post-paper
 // families: HEP, JaBeJaSwap, Multilevel).
 const (
 	PowerGraph   System = "PowerGraph"
@@ -37,62 +36,51 @@ type Options struct {
 	MemBudget float64
 }
 
-// Factory constructs a strategy from options. Factories are registered by
-// each strategy file's init, so adding a strategy needs no central edits.
-type Factory func(Options) Strategy
-
-var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{}
-)
-
-// ErrNoIngressCapability is the error wrapped by Register's panic when a
-// factory produces a strategy implementing none of the ingress capabilities
-// (StatelessStrategy, StreamingStrategy, MultiPassStrategy). Such a strategy
-// would register cleanly and then fail only deep inside ShapeOf-driven
-// schedulers; the registry rejects it up front, at init time.
+// ErrNoIngressCapability is the error ParallelPartition wraps when it is
+// handed a strategy implementing none of the ingress capabilities
+// (StatelessStrategy, StreamingStrategy, MultiPassStrategy). Every strategy
+// New builds has exactly one; a caller-built Strategy may not.
 var ErrNoIngressCapability = errors.New("partition: strategy declares no ingress capability")
 
-// Register adds a strategy factory under its paper name. It panics on an
-// empty name, nil factory, duplicate registration, or a factory whose
-// strategy declares no ingress capability — all programmer errors at init
-// time. The capability panic wraps ErrNoIngressCapability.
-func Register(name string, f Factory) {
-	if name == "" {
-		panic("partition: Register with empty strategy name")
-	}
-	if f == nil {
-		panic(fmt.Sprintf("partition: Register(%q) with nil factory", name))
-	}
-	probe := f(Options{})
-	if probe == nil {
-		panic(fmt.Errorf("%w: Register(%q) factory returned nil", ErrNoIngressCapability, name))
-	}
-	switch probe.(type) {
-	case StatelessStrategy, StreamingStrategy, MultiPassStrategy:
-	default:
-		panic(fmt.Errorf("%w: Register(%q) strategy %T implements none of StatelessStrategy/StreamingStrategy/MultiPassStrategy",
-			ErrNoIngressCapability, name, probe))
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := factories[name]; dup {
-		panic(fmt.Sprintf("partition: duplicate strategy registration %q", name))
-	}
-	factories[name] = f
+// A strategyRow is one strategy New can build: its paper name and its
+// constructor from Options.
+type strategyRow struct {
+	name  string
+	build func(Options) Strategy
 }
 
-// New constructs a registered strategy by its paper name. The built-in set:
-// Random, CanonicalRandom, AsymRandom, Oblivious, HDRF, Grid,
-// ResilientGrid, PDS, Hybrid, H-Ginger, 1D, 1D-Target, 2D.
+// strategies is the registry, in the All-Families order: the paper's 13
+// (Table 1.1 plus the thesis's ResilientGrid and 1D-Target), then the
+// post-paper families HEP, JaBeJaSwap and Multilevel. Adding a strategy is
+// its file and its row here.
+var strategies = []strategyRow{
+	hashRow(random), hashRow(canonicalRandom), hashRow(asymRandom),
+	{"Oblivious", func(opt Options) Strategy { return oblivious{numLoaders: opt.Loaders} }},
+	{"HDRF", func(opt Options) Strategy { return HDRF{NumLoaders: opt.Loaders} }},
+	hashRow(grid), hashRow(resilientGrid), hashRow(pds),
+	{"Hybrid", func(opt Options) Strategy { return hybrid{threshold: opt.HybridThreshold} }},
+	{"H-Ginger", func(opt Options) Strategy { return hybridGinger{threshold: opt.HybridThreshold} }},
+	hashRow(oneD), hashRow(oneDTarget), hashRow(twoD),
+	{"HEP", func(opt Options) Strategy { return hep{memBudget: opt.MemBudget} }},
+	{"JaBeJaSwap", func(Options) Strategy { return JaBeJaSwap{} }},
+	{"Multilevel", func(Options) Strategy { return multilevel{} }},
+}
+
+// hashRow is the row of a hash strategy: Options configure nothing, and New
+// hands out the one package-level row without allocating.
+func hashRow(s *hashStrategy) strategyRow {
+	return strategyRow{s.name, func(Options) Strategy { return s }}
+}
+
+// New constructs a strategy by its paper name, one of the strategies
+// table's rows.
 func New(name string, opt Options) (Strategy, error) {
-	regMu.RLock()
-	f, ok := factories[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("partition: unknown strategy %q (have %v)", name, AllNames())
+	for _, r := range strategies {
+		if r.name == name {
+			return r.build(opt), nil
+		}
 	}
-	return f(opt), nil
+	return nil, fmt.Errorf("partition: unknown strategy %q (have %v)", name, AllNames())
 }
 
 // MustNew is New that panics on error; for tests and experiment tables.
@@ -104,21 +92,25 @@ func MustNew(name string, opt Options) Strategy {
 	return s
 }
 
-// AllNames returns every registered strategy name, sorted.
+// AllNames returns every strategy name, sorted.
 func AllNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(factories))
-	for name := range factories {
-		names = append(names, name)
-	}
+	names := tableNames()
 	sort.Strings(names)
+	return names
+}
+
+// tableNames returns the strategies table's names in its order.
+func tableNames() []string {
+	names := make([]string, len(strategies))
+	for i, r := range strategies {
+		names[i] = r.name
+	}
 	return names
 }
 
 // SystemStrategies returns the strategy names each system ships with, in
 // the paper's order (Table 1.1 for the native sets; §8.1/§9.1 for the
-// "all strategies" sets). PDS is included in the native sets, as in Table
+// "all strategies" sets; the strategies table for All-Families). PDS is included in the native sets, as in Table
 // 1.1, even though the paper's measurements exclude it for cluster-size
 // reasons (§5.2.3); callers whose partition count is incompatible simply
 // skip it.
@@ -145,15 +137,7 @@ func SystemStrategies(sys System) ([]string, error) {
 			"2D", "1D", "H-Ginger", "CanonicalRandom",
 		}, nil
 	case AllFamilies:
-		// Every registered family: the paper's 13 plus the post-paper
-		// additions (HEP, JaBeJaSwap, Multilevel). The list is pinned here
-		// rather than derived from AllNames so the advisor's choice set for
-		// this system cannot drift silently when a strategy registers.
-		return []string{
-			"Random", "CanonicalRandom", "AsymRandom", "Oblivious", "HDRF",
-			"Grid", "ResilientGrid", "PDS", "Hybrid", "H-Ginger",
-			"1D", "1D-Target", "2D", "HEP", "JaBeJaSwap", "Multilevel",
-		}, nil
+		return tableNames(), nil
 	}
 	return nil, fmt.Errorf("partition: unknown system %q", sys)
 }

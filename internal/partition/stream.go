@@ -118,7 +118,7 @@ type IngressShape struct {
 // nothing else: StatelessStrategy → one hash pass; StreamingStrategy → one
 // heuristic pass over independent sharded loaders; MultiPassStrategy →
 // whatever the strategy declares. A strategy with no capability — which
-// Register and ParallelPartition both reject — has the zero shape.
+// ParallelPartition rejects and no table row builds — has the zero shape.
 func ShapeOf(s Strategy, numParts int) IngressShape {
 	switch impl := s.(type) {
 	case StatelessStrategy:

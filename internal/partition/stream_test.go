@@ -167,18 +167,8 @@ func TestShapeOf(t *testing.T) {
 	}
 }
 
-// TestRegisterRejectsDuplicates guards the self-registering factory map.
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register("Random", func(Options) Strategy { return random })
-}
-
 // noCapStrategy implements only the base Strategy interface — none of the
-// ingress capabilities — so registering it must be rejected.
+// ingress capabilities. No table row builds one, but a caller may hand one in.
 type noCapStrategy struct{}
 
 func (noCapStrategy) Name() string { return "NoCap" }
@@ -186,42 +176,14 @@ func (noCapStrategy) Partition(g *graph.Graph, numParts int, seed uint64) (*Resu
 	return &Result{EdgeParts: make([]int32, g.NumEdges())}, nil
 }
 
-// TestRegisterRejectsCapabilityless: a strategy with no ingress capability
-// has no ingress shape and would dodge every stream builder; Register panics
-// at init time instead, wrapping the named ErrNoIngressCapability, and
-// ParallelPartition refuses an unregistered one with the same error.
-func TestRegisterRejectsCapabilityless(t *testing.T) {
+// TestCapabilitylessStrategyRefused: a strategy with no ingress capability
+// has no ingress shape and would dodge every stream builder, so
+// ParallelPartition refuses it with the named ErrNoIngressCapability.
+func TestCapabilitylessStrategyRefused(t *testing.T) {
 	if shape := ShapeOf(noCapStrategy{}, 4); shape != (IngressShape{}) {
 		t.Errorf("capability-less strategy has shape %+v, want the zero shape", shape)
 	}
 	if _, err := Partition(testGraph(), noCapStrategy{}, 4, 1); !errors.Is(err, ErrNoIngressCapability) {
 		t.Errorf("Partition with a capability-less strategy: %v, want ErrNoIngressCapability", err)
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("capability-less Register did not panic")
-		}
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, ErrNoIngressCapability) {
-			t.Fatalf("panic %v (%T) does not wrap ErrNoIngressCapability", r, r)
-		}
-	}()
-	Register("NoCap", func(Options) Strategy { return noCapStrategy{} })
-}
-
-// TestRegisterRejectsNilProbe: a factory that builds no strategy at all is
-// the degenerate capability-less case and trips the same guard.
-func TestRegisterRejectsNilProbe(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("nil-producing Register did not panic")
-		}
-		err, ok := r.(error)
-		if !ok || !errors.Is(err, ErrNoIngressCapability) {
-			t.Fatalf("panic %v (%T) does not wrap ErrNoIngressCapability", r, r)
-		}
-	}()
-	Register("NilProbe", func(Options) Strategy { return nil })
 }

@@ -484,9 +484,6 @@ func TestRespondUnencodableIs500(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector (race_enabled_test.go).
-var raceEnabled bool
-
 // TestLookupAllocs: a warm vertex lookup's allocation count is the reply
 // path's cost contract. The marshal-then-indent reply answers it in 16;
 // an encoder with SetIndent took 21.

@@ -4,4 +4,4 @@ package service
 
 // The race detector drops a share of sync.Pool puts and gets on purpose,
 // so allocation counts under it are not the ones TestLookupAllocs pins.
-func init() { raceEnabled = true }
+const raceEnabled = true

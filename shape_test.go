@@ -87,14 +87,22 @@ func TestExperimentRegistryLookup(t *testing.T) {
 	if _, ok := bench.Get("fig99.9"); ok {
 		t.Fatal("bogus id found")
 	}
-	seen := map[string]bool{}
-	for _, e := range bench.All() {
-		if seen[e.ID] {
-			t.Errorf("duplicate experiment id %s", e.ID)
+	all := bench.All()
+	for i, e := range all {
+		if i > 0 && all[i-1].ID >= e.ID {
+			t.Errorf("All() not sorted by unique ID: %s before %s", all[i-1].ID, e.ID)
 		}
-		seen[e.ID] = true
+		if got, ok := bench.Get(e.ID); !ok || got.Title != e.Title {
+			t.Errorf("Get(%q) = %q, %v; All() lists %q", e.ID, got.Title, ok, e.Title)
+		}
 		if e.Title == "" || e.Paper == "" {
 			t.Errorf("%s: missing title or paper summary", e.ID)
 		}
+	}
+	// All hands out a copy: a caller that edits it changes no later call.
+	first := all[0].ID
+	all[0].ID = "mutated"
+	if got := bench.All()[0].ID; got != first {
+		t.Errorf("All()[0].ID = %q after a caller mutated its copy, want %q", got, first)
 	}
 }
