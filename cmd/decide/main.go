@@ -18,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"graphpart/internal/advisor"
@@ -83,6 +84,9 @@ func run(o options, stdout io.Writer) (int, error) {
 	}
 	if o.machines < 1 {
 		return 2, fmt.Errorf("-machines must be at least 1, got %d", o.machines)
+	}
+	if math.IsNaN(o.ratio) || math.IsInf(o.ratio, 0) || o.ratio < 0 {
+		return 2, fmt.Errorf("-ratio %g must be a finite number >= 0", o.ratio)
 	}
 
 	w, man, err := workload(o)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +25,18 @@ func TestInputDatasetExclusive(t *testing.T) {
 	}
 	if code, err := run(options{dataset: "road-ca", scale: 1, machines: 0}, &out); code != 2 || err == nil {
 		t.Errorf("-machines 0: code=%d err=%v, want usage error", code, err)
+	}
+}
+
+// TestRatioMustBeFinite: -ratio takes /v1/advise's rule — a NaN, infinite
+// or negative compute/ingress ratio is a usage error, not a recommendation.
+func TestRatioMustBeFinite(t *testing.T) {
+	for _, ratio := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		var out bytes.Buffer
+		code, err := run(options{dataset: "road-ca", scale: 1, machines: 9, ratio: ratio}, &out)
+		if code != 2 || err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-ratio %g", ratio)) || out.Len() != 0 {
+			t.Errorf("-ratio %g: code=%d err=%v output %q, want a usage error naming the flag and no output", ratio, code, err, out.String())
+		}
 	}
 }
 

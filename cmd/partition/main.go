@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"text/tabwriter"
 
@@ -71,6 +72,9 @@ func main() {
 		return
 	}
 
+	if math.IsNaN(*memBudget) {
+		log.Fatalf("partition: -mem-budget %g: the budget must be a number", *memBudget)
+	}
 	s, err := partition.New(*strategy, partition.Options{HybridThreshold: *threshold, MemBudget: *memBudget})
 	if err != nil {
 		log.Fatal(err)

@@ -162,7 +162,8 @@ func TestRunStreamNamesCapability(t *testing.T) {
 // TestChurnFlagsThatCannotTakeEffectAreRefused runs the binary in a child
 // process: each churn flag that would do nothing must exit 1 naming itself
 // and its value, before the graph loads or anything prints. So must -input
-// beside -dataset, naming both, and -stream without -input.
+// beside -dataset, naming both, -stream without -input, and a NaN
+// -mem-budget, which HEP's clamp would let through.
 func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 	if args := os.Getenv("PARTITION_MAIN_ARGS"); args != "" {
 		os.Args = append([]string{"partition"}, strings.Fields(args)...)
@@ -180,6 +181,7 @@ func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 		{"-input graph.txt", "-input and -dataset"},
 		{"-input graph.txt -stream", "-input and -dataset"},
 		{"-stream", "need -input FILE"},
+		{"-strategy HEP -mem-budget NaN", "-mem-budget NaN"},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestChurnFlagsThatCannotTakeEffectAreRefused$")
 		cmd.Env = append(os.Environ(), "PARTITION_MAIN_ARGS=-dataset road-ca -strategy Random -parts 4 "+tc.flags)

@@ -65,7 +65,10 @@ func ablHybridThreshold() Experiment {
 			}
 			r := NewResult("abl.threshold", "Hybrid threshold ablation (uk-web, 25 parts)",
 				"threshold", "high-degree-vertices", "replication-factor", "edge-balance")
-			for _, thr := range []int{5, 15, 30, 60, 120, 1 << 30} {
+			const unbounded = 1 << 30
+			thresholds := []int{5, 15, hybridThreshold, 60, 120, unbounded}
+			rf := map[int]float64{}
+			for _, thr := range thresholds {
 				a, err := partition.ParallelPartition(g, partition.MustNew("Hybrid", partition.Options{HybridThreshold: thr}), 25, cfg.Seed, cfg.Workers)
 				if err != nil {
 					return nil, err
@@ -76,8 +79,9 @@ func ablHybridThreshold() Experiment {
 						high++
 					}
 				}
+				rf[thr] = a.ReplicationFactor()
 				label := fmt.Sprintf("%d", thr)
-				if thr == 1<<30 {
+				if thr == unbounded {
 					label = "∞ (pure dst-hash)"
 				}
 				r.Row(report.Dims{Dataset: "uk-web", Strategy: "Hybrid", Parts: 25,
@@ -88,6 +92,24 @@ func ablHybridThreshold() Experiment {
 					Metric("edge-balance", a.EdgeBalance(), "max/mean", 3)
 			}
 			r.Notef("the thesis-scale default (30 on the stand-ins, 100 in the paper) sits at the replication/balance knee")
+			// Both directions compare cells directly, with no slack: a
+			// threshold far below the default replicates more, and pure
+			// destination hashing (no high-degree vertex at all) replicates
+			// more than the best finite threshold.
+			low, def := rf[thresholds[0]], rf[hybridThreshold]
+			lowOK := low > def
+			r.Checkf(lowOK, "a threshold far below the default raises replication factor",
+				"too low degenerates: RF %.3f at threshold %d vs %.3f at the default %d: %s",
+				low, thresholds[0], def, hybridThreshold, Mark(lowOK))
+			best := low
+			for _, thr := range thresholds[1 : len(thresholds)-1] {
+				best = min(best, rf[thr])
+			}
+			inf := rf[unbounded]
+			highOK := inf > best
+			r.Checkf(highOK, "pure destination hashing replicates more than the best finite threshold",
+				"too high degenerates: RF %.3f at ∞ vs %.3f, the lowest at a finite threshold: %s",
+				inf, best, Mark(highOK))
 			return r, nil
 		},
 	}

@@ -1,16 +1,17 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphpart/internal/par"
+	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
 
@@ -19,17 +20,18 @@ import (
 // slack absorbs float noise across toolchains, not real drift.
 const baselineRelTol = 1e-6
 
-// TestCellsMatchCommittedBaseline is the one regression gate on the
-// experiment matrix. The goldens cover rendered columns only, so
-// r.Cell/Row.Value/r.Check output — fig5.9's per-strategy totals, tab7.1's
-// compute seconds, fit slopes, fig7.1's passing checks — could drift or
-// multiply unnoticed. Here every experiment's Cells must equal the
-// committed BENCH_seed1.json entry in count, order, key and unit, with
-// values inside baselineRelTol in both directions, and its Checks in
-// count, order, claim and verdict. No unit is exempt: a report holds no
-// wall-clock value. An experiment that errors, or is missing from either
-// side, fails, as does a baseline produced at another config.
-func TestCellsMatchCommittedBaseline(t *testing.T) {
+// allowedMisses maps experiment id → substrings of failed checks' observed
+// evidence (or claim) that are allowed to fail: the documented deviations
+// (see docs/EXPERIMENTS.md).
+var allowedMisses = map[string][]string{
+	"fig8.4": {"K-Core: utilization-vs-compute"},
+}
+
+// committedBaseline decodes BENCH_seed1.json, requires it to hold exactly
+// the registry's experiments at DefaultConfig, and returns its entries by
+// experiment id.
+func committedBaseline(t *testing.T) map[string]report.Experiment {
+	t.Helper()
 	f, err := os.Open(filepath.Join("..", "..", "BENCH_seed1.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -50,6 +52,59 @@ func TestCellsMatchCommittedBaseline(t *testing.T) {
 	if len(baseByID) != len(All()) {
 		t.Errorf("baseline holds %d experiments, the registry %d", len(baseByID), len(All()))
 	}
+	return baseByID
+}
+
+// TestCommittedVerdictsReproducePaperShapes: every experiment's committed
+// entry ran without error, emitted typed cells, and reproduces the paper's
+// qualitative claims — each failing check is one of allowedMisses. It runs
+// no experiment, so it checks the slow experiments' verdicts under -short
+// too; TestCellsMatchCommittedBaseline holds every run to these verdicts.
+func TestCommittedVerdictsReproducePaperShapes(t *testing.T) {
+	baseByID := committedBaseline(t)
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			want, ok := baseByID[e.ID]
+			switch {
+			case !ok:
+				t.Fatalf("%s is not in BENCH_seed1.json (regenerate it)", e.ID)
+			case want.Error != "":
+				t.Fatalf("%s: %s", e.ID, want.Error)
+			case len(want.Cells) == 0:
+				t.Fatalf("%s: no typed cells emitted", e.ID)
+			}
+			for _, c := range want.Checks {
+				if !c.Pass && !allowedMiss(e.ID, c) {
+					t.Errorf("%s: shape missed: %s", e.ID, c.Observed)
+				}
+			}
+		})
+	}
+}
+
+// allowedMiss reports whether a failed check of experiment id is a
+// documented deviation.
+func allowedMiss(id string, c report.Check) bool {
+	for _, pat := range allowedMisses[id] {
+		if strings.Contains(c.Observed, pat) || strings.Contains(c.Claim, pat) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCellsMatchCommittedBaseline is the one regression gate on the
+// experiment matrix. The goldens cover rendered columns only, so
+// r.Cell/Row.Value/r.Check output — fig5.9's per-strategy totals, tab7.1's
+// compute seconds, fit slopes, fig7.1's passing checks — could drift or
+// multiply unnoticed. Here every experiment's Cells must equal the
+// committed BENCH_seed1.json entry in count, order, key and unit, with
+// values inside baselineRelTol in both directions, and its Checks in
+// count, order, claim and verdict. No unit is exempt: a report holds no
+// wall-clock value. An experiment that errors, or is missing from either
+// side, fails, as does a baseline produced at another config.
+func TestCellsMatchCommittedBaseline(t *testing.T) {
+	baseByID := committedBaseline(t)
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -60,7 +115,7 @@ func TestCellsMatchCommittedBaseline(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s is not in BENCH_seed1.json (regenerate it)", e.ID)
 			}
-			res := runDefault(t, e)
+			res := seed1Result(t, e.ID)
 			for _, d := range baselineDiff(res.Cells, res.Checks, want) {
 				t.Error(d)
 			}
@@ -180,15 +235,51 @@ func TestBaselineDiffNamesWhatMoved(t *testing.T) {
 	}
 }
 
-// defaultRuns holds each experiment's DefaultConfig result, so the golden
-// and the baseline test read one run.
-var defaultRuns par.OnceMap[string, *Result]
+// seed1Workers is the shared pass's concurrency: three experiments in
+// flight, each on three engine and ingress workers.
+const seed1Workers = 3
 
-func runDefault(t *testing.T, e Experiment) *Result {
-	t.Helper()
-	res, err := defaultRuns.Get(context.Background(), e.ID, func() (*Result, error) { return e.Run(DefaultConfig()) })
-	if err != nil {
-		t.Fatalf("%s: %v", e.ID, err)
+// seed1Pass is the one DefaultConfig pass over the registry that the golden,
+// baseline and purity tests read, keyed by experiment id. It starts from
+// empty caches and leaves out goldenSlow under -short.
+var seed1Pass = sync.OnceValue(func() map[string]RunResult {
+	resetCaches()
+	var exps []Experiment
+	for _, e := range All() {
+		if !testing.Short() || !goldenSlow[e.ID] {
+			exps = append(exps, e)
+		}
 	}
-	return res
+	byID := map[string]RunResult{}
+	for _, rr := range seed1Runner(seed1Workers).Run(exps) {
+		byID[rr.Experiment.ID] = rr
+	}
+	return byID
+})
+
+// seed1Runner runs at DefaultConfig with the given worker bound.
+func seed1Runner(workers int) Runner {
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	return Runner{Config: cfg}
+}
+
+// seed1Result returns experiment id's result from the shared pass.
+func seed1Result(t *testing.T, id string) *Result {
+	t.Helper()
+	rr, ok := seed1Pass()[id]
+	if !ok {
+		t.Fatalf("%s is not in the shared pass", id)
+	}
+	if rr.Err != nil {
+		t.Fatalf("%s: %v", id, rr.Err)
+	}
+	return rr.Result
+}
+
+// resetCaches empties the assignment and point caches, so the next run
+// recomputes everything.
+func resetCaches() {
+	assignments = par.OnceMap[asgKey, *partition.Assignment]{}
+	points = par.OnceMap[pointKey, *point]{}
 }

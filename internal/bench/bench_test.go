@@ -12,8 +12,6 @@ import (
 	"graphpart/internal/app"
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine"
-	"graphpart/internal/par"
-	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
 
@@ -44,6 +42,33 @@ func TestDefaultConfig(t *testing.T) {
 	info := (Config{Scale: -3, Seed: 7, Workers: 2}).Info()
 	if info.Scale != 1 || info.Seed != 7 || info.Workers != 2 {
 		t.Errorf("unexpected config info %+v", info)
+	}
+}
+
+func TestExperimentRegistryLookup(t *testing.T) {
+	if _, ok := Get("fig5.3"); !ok {
+		t.Fatal("fig5.3 not registered")
+	}
+	if _, ok := Get("fig99.9"); ok {
+		t.Fatal("bogus id found")
+	}
+	all := All()
+	for i, e := range all {
+		if i > 0 && all[i-1].ID >= e.ID {
+			t.Errorf("All() not sorted by unique ID: %s before %s", all[i-1].ID, e.ID)
+		}
+		if got, ok := Get(e.ID); !ok || got.Title != e.Title {
+			t.Errorf("Get(%q) = %q, %v; All() lists %q", e.ID, got.Title, ok, e.Title)
+		}
+		if e.Title == "" || e.Paper == "" {
+			t.Errorf("%s: missing title or paper summary", e.ID)
+		}
+	}
+	// All hands out a copy: a caller that edits it changes no later call.
+	first := all[0].ID
+	all[0].ID = "mutated"
+	if got := All()[0].ID; got != first {
+		t.Errorf("All()[0].ID = %q after a caller mutated its copy, want %q", got, first)
 	}
 }
 
@@ -570,32 +595,32 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestReportIsPureFunctionOfConfig: a report is a pure function of (scale,
-// seed, filter). Two full passes — run, assemble, encode —
-// over every non-slow experiment, one at Workers 1 and one at Workers 3, with
-// the assignment and point caches emptied in between so the second pass
-// recomputes everything, must encode to the same bytes once the manifest's
-// workers field is blanked: no clock, core count or scheduling order reaches
-// a cell, a check or the manifest.
+// seed, filter). The shared seed-1 pass — three experiments in flight at
+// Workers 3 — and a fresh inline pass at Workers 1, run after emptying the
+// assignment and point caches so it recomputes everything, must assemble
+// and encode every non-slow experiment to the same bytes once the
+// manifest's workers field is blanked: no clock, core count or scheduling
+// order reaches a cell, a check or the manifest.
 func TestReportIsPureFunctionOfConfig(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two passes over every non-slow experiment; run without -short")
+		t.Skip("a second pass over every non-slow experiment; run without -short")
 	}
+	pass := seed1Pass()
 	var exps []Experiment
+	var shared []RunResult
 	for _, e := range All() {
 		if !goldenSlow[e.ID] {
 			exps = append(exps, e)
+			shared = append(shared, pass[e.ID])
 		}
 	}
-	encode := func(workers int) []byte {
-		assignments = par.OnceMap[asgKey, *partition.Assignment]{}
-		points = par.OnceMap[pointKey, *point]{}
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		runner := Runner{Config: cfg}
-		rep := runner.Report(runner.Run(exps))
+	resetCaches()
+	inline := seed1Runner(1)
+	encode := func(r Runner, results []RunResult) []byte {
+		rep := r.Report(results)
 		for _, e := range rep.Experiments {
 			if e.Error != "" {
-				t.Fatalf("workers=%d: %s errored: %s", workers, e.ID, e.Error)
+				t.Fatalf("workers=%d: %s errored: %s", r.Config.Workers, e.ID, e.Error)
 			}
 		}
 		rep.Manifest.Config.Workers = 0
@@ -605,14 +630,14 @@ func TestReportIsPureFunctionOfConfig(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a, b := encode(1), encode(3)
+	a, b := encode(inline, inline.Run(exps)), encode(seed1Runner(seed1Workers), shared)
 	if bytes.Equal(a, b) {
 		return
 	}
 	al, bl := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if !bytes.Equal(al[i], bl[i]) {
-			t.Fatalf("reports differ at line %d:\nworkers=1: %s\nworkers=3: %s", i+1, al[i], bl[i])
+			t.Fatalf("reports differ at line %d:\nworkers=1: %s\nworkers=%d: %s", i+1, al[i], seed1Workers, bl[i])
 		}
 	}
 	t.Fatalf("reports differ in length: %d vs %d lines", len(al), len(bl))

@@ -11,8 +11,9 @@ import (
 // updateGolden regenerates testdata/golden/*.txt from the current renders.
 var updateGolden = flag.Bool("update", false, "rewrite golden experiment renders")
 
-// goldenSlow mirrors the root shape_test gating: the multi-second engine
-// sweeps are only byte-checked in full (non -short) runs.
+// goldenSlow lists the multi-second engine sweeps. Under -short the shared
+// seed-1 pass leaves them out, so only full runs render and compare them;
+// their committed verdicts are checked either way.
 var goldenSlow = map[string]bool{
 	"fig5.3":     true,
 	"fig5.4":     true,
@@ -27,7 +28,8 @@ var goldenSlow = map[string]bool{
 // TestGoldenTableRenders pins every experiment's plain-text table render
 // byte-for-byte. The refactor from stringified rows to typed cell emission
 // must not change a single rendered byte: the paper reproduction is the
-// plain render, and this is the proof it is untouched.
+// plain render, and this is the proof it is untouched. Every table has a
+// row, and every render names its experiment.
 func TestGoldenTableRenders(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -35,10 +37,16 @@ func TestGoldenTableRenders(t *testing.T) {
 			if testing.Short() && goldenSlow[e.ID] {
 				t.Skipf("%s takes multiple seconds; run without -short", e.ID)
 			}
-			res := runDefault(t, e)
+			res := seed1Result(t, e.ID)
+			if len(res.Table().Rows) == 0 {
+				t.Fatalf("%s: empty table", e.ID)
+			}
 			var buf bytes.Buffer
 			if err := res.Render(&buf); err != nil {
 				t.Fatalf("%s: render: %v", e.ID, err)
+			}
+			if !bytes.Contains(buf.Bytes(), []byte(e.ID)) {
+				t.Errorf("%s: rendered output missing experiment id", e.ID)
 			}
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
 			if *updateGolden {

@@ -39,7 +39,7 @@ func ChurnTrace(edges []graph.Edge, cfg ChurnConfig, fn func(w ChurnWindow) erro
 	if cfg.Windows < 1 {
 		return nil, fmt.Errorf("gen: churn needs ≥1 window, got %d", cfg.Windows)
 	}
-	if cfg.DelFrac < 0 || cfg.DelFrac >= 1 {
+	if !(cfg.DelFrac >= 0 && cfg.DelFrac < 1) { // refuses NaN too
 		return nil, fmt.Errorf("gen: churn DelFrac must be in [0,1), got %g", cfg.DelFrac)
 	}
 	rng := hashing.NewRNG(cfg.Seed)

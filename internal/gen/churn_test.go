@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"graphpart/internal/graph"
@@ -94,7 +95,9 @@ func TestChurnTraceValidation(t *testing.T) {
 	if _, err := ChurnTrace(g.Edges, ChurnConfig{Windows: 0}, func(ChurnWindow) error { return nil }); err == nil {
 		t.Fatal("0 windows accepted")
 	}
-	if _, err := ChurnTrace(g.Edges, ChurnConfig{Windows: 2, DelFrac: 1}, func(ChurnWindow) error { return nil }); err == nil {
-		t.Fatal("DelFrac 1 accepted")
+	for _, del := range []float64{1, -0.1, math.NaN(), math.Inf(1)} {
+		if _, err := ChurnTrace(g.Edges, ChurnConfig{Windows: 2, DelFrac: del}, func(ChurnWindow) error { return nil }); err == nil {
+			t.Errorf("DelFrac %g accepted", del)
+		}
 	}
 }
