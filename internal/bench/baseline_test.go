@@ -20,13 +20,6 @@ import (
 // slack absorbs float noise across toolchains, not real drift.
 const baselineRelTol = 1e-6
 
-// allowedMisses maps experiment id → substrings of failed checks' observed
-// evidence (or claim) that are allowed to fail: the documented deviations
-// (see docs/EXPERIMENTS.md).
-var allowedMisses = map[string][]string{
-	"fig8.4": {"K-Core: utilization-vs-compute"},
-}
-
 // committedBaseline decodes BENCH_seed1.json, requires it to hold exactly
 // the registry's experiments at DefaultConfig, and returns its entries by
 // experiment id.
@@ -53,44 +46,6 @@ func committedBaseline(t *testing.T) map[string]report.Experiment {
 		t.Errorf("baseline holds %d experiments, the registry %d", len(baseByID), len(All()))
 	}
 	return baseByID
-}
-
-// TestCommittedVerdictsReproducePaperShapes: every experiment's committed
-// entry ran without error, emitted typed cells, and reproduces the paper's
-// qualitative claims — each failing check is one of allowedMisses. It runs
-// no experiment, so it checks the slow experiments' verdicts under -short
-// too; TestCellsMatchCommittedBaseline holds every run to these verdicts.
-func TestCommittedVerdictsReproducePaperShapes(t *testing.T) {
-	baseByID := committedBaseline(t)
-	for _, e := range All() {
-		t.Run(e.ID, func(t *testing.T) {
-			want, ok := baseByID[e.ID]
-			switch {
-			case !ok:
-				t.Fatalf("%s is not in BENCH_seed1.json (regenerate it)", e.ID)
-			case want.Error != "":
-				t.Fatalf("%s: %s", e.ID, want.Error)
-			case len(want.Cells) == 0:
-				t.Fatalf("%s: no typed cells emitted", e.ID)
-			}
-			for _, c := range want.Checks {
-				if !c.Pass && !allowedMiss(e.ID, c) {
-					t.Errorf("%s: shape missed: %s", e.ID, c.Observed)
-				}
-			}
-		})
-	}
-}
-
-// allowedMiss reports whether a failed check of experiment id is a
-// documented deviation.
-func allowedMiss(id string, c report.Check) bool {
-	for _, pat := range allowedMisses[id] {
-		if strings.Contains(c.Observed, pat) || strings.Contains(c.Claim, pat) {
-			return true
-		}
-	}
-	return false
 }
 
 // TestCellsMatchCommittedBaseline is the one regression gate on the

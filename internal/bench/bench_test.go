@@ -45,33 +45,6 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistryLookup(t *testing.T) {
-	if _, ok := Get("fig5.3"); !ok {
-		t.Fatal("fig5.3 not registered")
-	}
-	if _, ok := Get("fig99.9"); ok {
-		t.Fatal("bogus id found")
-	}
-	all := All()
-	for i, e := range all {
-		if i > 0 && all[i-1].ID >= e.ID {
-			t.Errorf("All() not sorted by unique ID: %s before %s", all[i-1].ID, e.ID)
-		}
-		if got, ok := Get(e.ID); !ok || got.Title != e.Title {
-			t.Errorf("Get(%q) = %q, %v; All() lists %q", e.ID, got.Title, ok, e.Title)
-		}
-		if e.Title == "" || e.Paper == "" {
-			t.Errorf("%s: missing title or paper summary", e.ID)
-		}
-	}
-	// All hands out a copy: a caller that edits it changes no later call.
-	first := all[0].ID
-	all[0].ID = "mutated"
-	if got := All()[0].ID; got != first {
-		t.Errorf("All()[0].ID = %q after a caller mutated its copy, want %q", got, first)
-	}
-}
-
 // TestResultBuilder covers the typed-result API: rows emit presentation
 // columns and cells together, checks carry structured verdicts, and the
 // Table view derives from the same record.
