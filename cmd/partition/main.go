@@ -224,8 +224,10 @@ func (opt churnOptions) check(stream bool) error {
 		return fmt.Errorf("partition: -rebalance %g needs -churn", opt.Rebalance)
 	case opt.Windows == 0 && opt.Hot != 0:
 		return fmt.Errorf("partition: -hot %d needs -churn", opt.Hot)
-	case opt.Rebalance != 0 && !(opt.Rebalance > 1):
-		return fmt.Errorf("partition: -rebalance %g: the edge-balance threshold must be above 1 (0 = off)", opt.Rebalance)
+	case opt.Windows > 0 && !(opt.DelFrac >= 0 && opt.DelFrac < 1): // refuses NaN too
+		return fmt.Errorf("partition: -churn-del %g: the deletion fraction must be in [0,1)", opt.DelFrac)
+	case opt.Rebalance != 0 && !(opt.Rebalance > 1 && !math.IsInf(opt.Rebalance, 1)):
+		return fmt.Errorf("partition: -rebalance %g: the edge-balance threshold must be finite and above 1 (0 = off)", opt.Rebalance)
 	case opt.Hot < 0:
 		return fmt.Errorf("partition: -hot %d: the hot-vertex count cannot be negative", opt.Hot)
 	}

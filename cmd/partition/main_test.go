@@ -160,8 +160,9 @@ func TestRunStreamNamesCapability(t *testing.T) {
 }
 
 // TestChurnFlagsThatCannotTakeEffectAreRefused runs the binary in a child
-// process: each churn flag that would do nothing must exit 1 naming itself
-// and its value, before the graph loads or anything prints. So must -input
+// process: each churn flag that would do nothing or is out of range must
+// exit 1 naming itself and its value, before the graph loads or anything
+// prints. So must -input
 // beside -dataset, naming both, -stream without -input, and a NaN
 // -mem-budget, which HEP's clamp would let through.
 func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
@@ -173,6 +174,10 @@ func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 	for _, tc := range []struct{ flags, want string }{
 		{"-churn 3 -rebalance 0.5", "-rebalance 0.5"},
 		{"-churn 3 -rebalance 1", "-rebalance 1"},
+		{"-churn 3 -rebalance Inf", "-rebalance +Inf"},
+		{"-churn 3 -churn-del 1", "-churn-del 1"},
+		{"-churn 3 -churn-del NaN", "-churn-del NaN"},
+		{"-churn 3 -churn-del -0.5", "-churn-del -0.5"},
 		{"-churn 3 -hot -5", "-hot -5"},
 		{"-churn -2", "-churn -2"},
 		{"-rebalance 1.2", "-rebalance 1.2"},

@@ -369,8 +369,13 @@ func TestPaperAppsComplete(t *testing.T) {
 			t.Errorf("paperApps missing %s", want)
 		}
 	}
-	// The advisor's name rule agrees with each program's gather and
-	// scatter directions (§6.1) for every app table entry.
+}
+
+// TestNaturalAppMatchesProgramDirections holds the two naturalness rules to
+// each other: advisor.NaturalApp guesses from an app's name, engine.Natural
+// reads its program's gather and scatter directions (§6.1). The listed
+// names must be exactly the app table's, so a new row cannot slip past.
+func TestNaturalAppMatchesProgramDirections(t *testing.T) {
 	programNatural := map[string]bool{
 		"PageRank(10)": engine.Natural[float64, float64](app.PageRank{}),
 		"PageRank(C)":  engine.Natural[float64, float64](app.PageRank{Tolerance: prConvTolerance}),
@@ -379,6 +384,9 @@ func TestPaperAppsComplete(t *testing.T) {
 		"SSSP":         engine.Natural[float64, float64](app.SSSP{}),
 		"K-Core":       engine.Natural[int32, int32](app.KCore{}),
 		"Coloring":     engine.Natural[int32, app.ColorSet](app.Coloring{}),
+	}
+	if len(appTable) != len(programNatural) {
+		t.Errorf("app table has %d entries, %d programs listed", len(appTable), len(programNatural))
 	}
 	for _, s := range appTable {
 		want, ok := programNatural[s.name]

@@ -247,7 +247,7 @@ func Load(name string, scale int) (*graph.Graph, error) {
 	})
 }
 
-// MustLoad is Load that panics on errors; for tests and examples.
+// MustLoad is Load that panics on errors; for tests.
 func MustLoad(name string, scale int) *graph.Graph {
 	g, err := Load(name, scale)
 	if err != nil {

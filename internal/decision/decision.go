@@ -62,19 +62,18 @@ func PerfectSquare(n int) bool {
 	return k*k == n
 }
 
-// PowerGraph is the decision tree of Fig 5.9.
+// powerGraphTrace walks the decision tree of Fig 5.9 and records the
+// branch taken at each node:
 //
 //	Low-degree graph?            → HDRF/Oblivious
 //	Heavy-tailed? N² machines?   → Grid (else HDRF/Oblivious)
 //	Power-law/other:
 //	  Compute/Ingress > 1        → HDRF/Oblivious
-//	  Compute/Ingress ≤ 1        → Grid
-func PowerGraph(w Workload) string {
-	s, _ := powerGraphTrace(w)
-	return s
-}
-
-// powerGraphTrace walks Fig 5.9 and records the branch taken at each node.
+//	  Compute/Ingress ≤ 1        → Grid (HDRF/Oblivious off N² machines)
+//
+// Grid needs a perfect square of machines, so the short-job leaf falls
+// back as the heavy-tailed branch does rather than name a strategy the
+// cluster cannot run.
 func powerGraphTrace(w Workload) (string, []string) {
 	switch w.Class {
 	case graph.LowDegree:
@@ -97,6 +96,13 @@ func powerGraphTrace(w Workload) (string, []string) {
 				fmt.Sprintf("compute/ingress ratio %.2f > 1 (long job) → HDRF/Oblivious", w.ComputeIngressRatio),
 			}
 		}
+		if !PerfectSquare(w.Machines) {
+			return "HDRF", []string{
+				"power-law graph",
+				fmt.Sprintf("compute/ingress ratio %.2f ≤ 1 (short job)", w.ComputeIngressRatio),
+				fmt.Sprintf("%d machines are not a perfect square → HDRF/Oblivious", w.Machines),
+			}
+		}
 		return "Grid", []string{
 			"power-law graph",
 			fmt.Sprintf("compute/ingress ratio %.2f ≤ 1 (short job) → Grid", w.ComputeIngressRatio),
@@ -106,8 +112,8 @@ func powerGraphTrace(w Workload) (string, []string) {
 
 // powerLyraTrace walks the decision tree of Fig 6.6 and records the branch
 // taken at each node: like PowerGraph's, but a natural application on a
-// non-low-degree graph prefers Hybrid, and the non-square fallback for
-// heavy-tailed graphs is Hybrid too (§6.4.4).
+// non-low-degree graph prefers Hybrid, and the non-square fallback of
+// both Grid leaves is Hybrid too (§6.4.4).
 func powerLyraTrace(w Workload) (string, []string) {
 	if w.Class == graph.LowDegree {
 		return "Oblivious", []string{"low-degree graph → Oblivious (Fig 6.6; even for natural apps, §6.4.4)"}
@@ -135,6 +141,13 @@ func powerLyraTrace(w Workload) (string, []string) {
 			return "Oblivious", []string{
 				"power-law graph, non-natural application",
 				fmt.Sprintf("compute/ingress ratio %.2f > 1 (long job) → Oblivious", w.ComputeIngressRatio),
+			}
+		}
+		if !PerfectSquare(w.Machines) {
+			return "Hybrid", []string{
+				"power-law graph, non-natural application",
+				fmt.Sprintf("compute/ingress ratio %.2f ≤ 1 (short job)", w.ComputeIngressRatio),
+				fmt.Sprintf("%d machines are not a perfect square → Hybrid", w.Machines),
 			}
 		}
 		return "Grid", []string{

@@ -9,25 +9,6 @@ import (
 	"graphpart/internal/partition"
 )
 
-func TestPowerGraphTree(t *testing.T) {
-	// Every path of Fig 5.9.
-	cases := []struct {
-		w    Workload
-		want string
-	}{
-		{Workload{Class: graph.LowDegree, Machines: 25}, "HDRF"},
-		{Workload{Class: graph.HeavyTailed, Machines: 25}, "Grid"},
-		{Workload{Class: graph.HeavyTailed, Machines: 24}, "HDRF"},
-		{Workload{Class: graph.PowerLaw, Machines: 25, ComputeIngressRatio: 10}, "HDRF"},
-		{Workload{Class: graph.PowerLaw, Machines: 25, ComputeIngressRatio: 0.5}, "Grid"},
-	}
-	for _, tc := range cases {
-		if got := PowerGraph(tc.w); got != tc.want {
-			t.Errorf("PowerGraph(%+v) = %s, want %s", tc.w, got, tc.want)
-		}
-	}
-}
-
 func TestPowerLyraTree(t *testing.T) {
 	// Every path of Fig 6.6. Note the "Natural Application?" node comes
 	// after "Low degree graph?": low-degree graphs pick Oblivious even for
@@ -43,6 +24,7 @@ func TestPowerLyraTree(t *testing.T) {
 		{Workload{Class: graph.HeavyTailed, Machines: 10}, "Hybrid"},
 		{Workload{Class: graph.PowerLaw, Machines: 16, ComputeIngressRatio: 5}, "Oblivious"},
 		{Workload{Class: graph.PowerLaw, Machines: 16, ComputeIngressRatio: 0.2}, "Grid"},
+		{Workload{Class: graph.PowerLaw, Machines: 10, ComputeIngressRatio: 0.2}, "Hybrid"},
 		{Workload{Class: graph.PowerLaw, NaturalApp: true, Machines: 16}, "Hybrid"},
 	}
 	for _, tc := range cases {
@@ -95,12 +77,20 @@ func TestRecommendDispatch(t *testing.T) {
 
 func TestRecommendationsAreRunnable(t *testing.T) {
 	// Recommended strategies must actually be valid for the cluster size
-	// given (Grid only recommended for perfect squares).
-	for machines := 4; machines <= 36; machines++ {
-		w := Workload{Class: graph.HeavyTailed, Machines: machines}
-		name := PowerGraph(w)
-		if name == "Grid" && !PerfectSquare(machines) {
-			t.Errorf("machines=%d: Grid recommended for non-square cluster", machines)
+	// given (Grid only recommended for perfect squares), on every system
+	// and degree class.
+	for _, sys := range Systems(true) {
+		for _, class := range []graph.DegreeClass{graph.LowDegree, graph.PowerLaw, graph.HeavyTailed} {
+			for machines := 4; machines <= 36; machines++ {
+				w := Workload{Class: class, Machines: machines}
+				rec, err := PaperTrees().Recommend(sys, w)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", sys, w, err)
+				}
+				if rec.Strategy == "Grid" && !PerfectSquare(machines) {
+					t.Errorf("%s %s machines=%d: Grid recommended for non-square cluster", sys, class, machines)
+				}
+			}
 		}
 	}
 }
@@ -126,6 +116,8 @@ func TestPaperTreesReproduceEveryLeaf(t *testing.T) {
 		{partition.PowerGraph, Workload{Class: graph.HeavyTailed, Machines: 24}, "HDRF"},
 		{partition.PowerGraph, Workload{Class: graph.PowerLaw, Machines: 25, ComputeIngressRatio: 10}, "HDRF"},
 		{partition.PowerGraph, Workload{Class: graph.PowerLaw, Machines: 25, ComputeIngressRatio: 0.5}, "Grid"},
+		// Grid's short-job leaf off N² machines falls back as heavy-tailed does.
+		{partition.PowerGraph, Workload{Class: graph.PowerLaw, Machines: 24, ComputeIngressRatio: 0.5}, "HDRF"},
 		// Fig 6.6, all six leaves (low-degree wins over natural, §6.4.4).
 		{partition.PowerLyra, Workload{Class: graph.LowDegree, NaturalApp: true}, "Oblivious"},
 		{partition.PowerLyra, Workload{Class: graph.HeavyTailed, NaturalApp: true, Machines: 16}, "Hybrid"},
@@ -133,6 +125,7 @@ func TestPaperTreesReproduceEveryLeaf(t *testing.T) {
 		{partition.PowerLyra, Workload{Class: graph.HeavyTailed, Machines: 10}, "Hybrid"},
 		{partition.PowerLyra, Workload{Class: graph.PowerLaw, Machines: 16, ComputeIngressRatio: 5}, "Oblivious"},
 		{partition.PowerLyra, Workload{Class: graph.PowerLaw, Machines: 16, ComputeIngressRatio: 0.2}, "Grid"},
+		{partition.PowerLyra, Workload{Class: graph.PowerLaw, Machines: 10, ComputeIngressRatio: 0.2}, "Hybrid"},
 		// PowerLyra-All shares the Fig 6.6 walk (§8.2.1).
 		{partition.PowerLyraAll, Workload{Class: graph.PowerLaw, NaturalApp: true, Machines: 16}, "Hybrid"},
 		{partition.PowerLyraAll, Workload{Class: graph.LowDegree}, "Oblivious"},

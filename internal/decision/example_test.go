@@ -8,21 +8,20 @@ import (
 	"graphpart/internal/partition"
 )
 
-// ExamplePowerGraph walks the Fig 5.9 tree for a long job on a power-law
-// web graph, then replays the same workload through the Rule form to show
-// the explanation trace every recommendation source carries.
-func ExamplePowerGraph() {
+// ExamplePaperTrees walks the Fig 5.9 tree for a long job on a power-law
+// web graph and prints the recommended strategy, then the explanation
+// trace every recommendation source carries.
+func ExamplePaperTrees() {
 	w := decision.Workload{
 		Class:               graph.PowerLaw,
 		Machines:            25,
 		ComputeIngressRatio: 4,
 	}
-	fmt.Println(decision.PowerGraph(w))
-
 	rec, err := decision.PaperTrees().Recommend(partition.PowerGraph, w)
 	if err != nil {
 		panic(err)
 	}
+	fmt.Println(rec.Strategy)
 	for _, line := range rec.Explanation {
 		fmt.Println(line)
 	}
