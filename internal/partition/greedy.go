@@ -122,6 +122,21 @@ func (l *greedyLoader) Assign(e graph.Edge) int32 {
 	return int32(p)
 }
 
+// warm loads the parts row and partial degree of each endpoint the state
+// covers, the rows Assign(e) reads first.
+func (l *greedyLoader) warm(e graph.Edge) uint64 {
+	var sum uint64
+	for _, v := range [2]int{int(e.Src), int(e.Dst)} {
+		if v < l.st.n {
+			sum += l.st.parts.bits[v*l.st.parts.words]
+			if l.st.pdeg != nil {
+				sum += uint64(l.st.pdeg[v])
+			}
+		}
+	}
+	return sum
+}
+
 // ObserveDelete implements DeleteObserver: deletes decrement the loads and
 // partial degrees so balance pressure tracks the live graph. The placement
 // sets stay monotone — the loader is oblivious to whether a vertex still

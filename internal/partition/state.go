@@ -58,6 +58,8 @@ type PartitionState struct {
 	inc    Assigner       // nil ⇒ repartition per batch (multi-pass)
 	del    DeleteObserver // inc's, nil when deletes do not concern it
 	hinter MasterHinter   // inc's, nil when it emits no hints
+	greedy *greedyLoader  // inc, when it is a greedy loader
+	sink   uint64         // sum of warm's loads, so they are not dead code
 
 	n     int // vertex-space high-water mark (max id seen + 1)
 	live  []liveEdge
@@ -109,6 +111,7 @@ func (st *PartitionState) resetAssigner() error {
 	st.inc = inc
 	st.del, _ = inc.(DeleteObserver)
 	st.hinter, _ = inc.(MasterHinter)
+	st.greedy, _ = inc.(*greedyLoader)
 	return nil
 }
 
@@ -131,6 +134,8 @@ func (st *PartitionState) SetHotReplication(k int) {
 // mid-way; duplicate edges delete one copy per request, newest first.
 func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error) {
 	stats := BatchStats{Rebuilt: st.inc == nil}
+	st.warm(dels)
+	st.warm(adds)
 	for _, e := range dels {
 		p, err := st.unlink(e)
 		if err != nil {
@@ -166,6 +171,32 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 		st.refreshHot()
 	}
 	return stats, nil
+}
+
+// warm loads, without writing, the rows ApplyBatch will touch for es: each
+// endpoint's ref row below the vertex space's end, each edge's index home
+// slot and a greedy loader's rows. No load depends on another, so the core
+// overlaps their cache misses instead of meeting them one edge at a time in
+// the apply loop (group prefetching). The sum goes to the state's own sink:
+// one shared by all states would be a data race between streams.
+func (st *PartitionState) warm(es []graph.Edge) {
+	sum := st.sink
+	cols, counts, slots := st.ref.cols, st.ref.counts, st.index.slots
+	for _, e := range es {
+		if int(e.Src) < st.n {
+			sum += uint64(counts[int(e.Src)*cols])
+		}
+		if int(e.Dst) < st.n {
+			sum += uint64(counts[int(e.Dst)*cols])
+		}
+		if len(slots) > 0 {
+			sum += uint64(slots[st.index.home(edgeKey(e))].pos)
+		}
+		if st.greedy != nil {
+			sum += st.greedy.warm(e)
+		}
+	}
+	st.sink = sum
 }
 
 // unlink removes one live copy of e (the most recently added) from the

@@ -153,6 +153,90 @@ func TestApplyBatchRejectsUnknownDelete(t *testing.T) {
 	}
 }
 
+// TestWarmReadsOnlyInsideTheVertexSpace drives ApplyBatch's warm pass over
+// ids that neither the state nor its loader covers: deletes on a fresh
+// state, a first batch naming vertex 1<<20, a delete of a never-seen id
+// beyond it and, after a rebuild has handed a greedy strategy a fresh
+// loader, edges of vertices the state covers and the loader does not.
+// Nothing may panic, and a delete of an edge that is not live stays that
+// error.
+func TestWarmReadsOnlyInsideTheVertexSpace(t *testing.T) {
+	const far = 1 << 20
+	for _, name := range []string{"2D", "HDRF", "Oblivious", "Hybrid"} {
+		t.Run(name, func(t *testing.T) {
+			st, err := NewPartitionState(MustNew(name, Options{}), 4, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			notLive := func(when string, dels ...graph.Edge) {
+				t.Helper()
+				if _, err := st.ApplyBatch(nil, dels); err == nil || !strings.Contains(err.Error(), "not live") {
+					t.Fatalf("%s: got %v, want a 'not live' error", when, err)
+				}
+			}
+			notLive("fresh state", graph.Edge{Src: 3, Dst: far}, graph.Edge{Src: 0, Dst: 0})
+			if _, err := st.ApplyBatch([]graph.Edge{{Src: far, Dst: 1}, {Src: 2, Dst: 1}}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if st.NumVertices() != far+1 {
+				t.Fatalf("vertex space %d after naming %d, want %d", st.NumVertices(), far, far+1)
+			}
+			notLive("never-seen id", graph.Edge{Src: far + 7, Dst: 1}, graph.Edge{Src: 1, Dst: far + 7})
+			if err := st.rebuild(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.ApplyBatch([]graph.Edge{{Src: 1, Dst: far}}, []graph.Edge{{Src: 2, Dst: 1}}); err != nil {
+				t.Fatal(err)
+			}
+			if st.NumEdges() != 2 {
+				t.Fatalf("%d live edges, want 2", st.NumEdges())
+			}
+		})
+	}
+}
+
+// TestApplyBatchAllocatesNothingInSteadyState holds the churn path to no
+// allocation once a stream's vertex space, live list and index have their
+// size: a window of live edges slides round a ring, as each stream of the
+// service-churn workload does, for one whole lap before counting.
+func TestApplyBatchAllocatesNothingInSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const preload, n = 5_000, 32
+	social := gen.PrefAttach("social", 2_000, 10, 1).Edges
+	ring := social[len(social)/2:]
+	for _, name := range []string{"2D", "HDRF"} {
+		t.Run(name, func(t *testing.T) {
+			st, err := NewPartitionState(MustNew(name, Options{}), 16, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.ApplyBatch(ring[:preload], nil); err != nil {
+				t.Fatal(err)
+			}
+			adds, dels := make([]graph.Edge, n), make([]graph.Edge, n)
+			at := 0
+			step := func() {
+				for i := range n {
+					adds[i] = ring[(at+preload+i)%len(ring)]
+					dels[i] = ring[(at+i)%len(ring)]
+				}
+				if _, err := st.ApplyBatch(adds, dels); err != nil {
+					t.Fatal(err)
+				}
+				at += n
+			}
+			for at < len(ring) {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+				t.Errorf("%v allocations per %d+%d batch in steady state, want 0", allocs, n, n)
+			}
+		})
+	}
+}
+
 func TestDuplicateEdgesDeleteOneCopy(t *testing.T) {
 	st, err := NewPartitionState(MustNew("Random", Options{}), 4, 1, 1)
 	if err != nil {

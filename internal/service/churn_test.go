@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,7 +13,11 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+
+	"graphpart/internal/gen"
+	"graphpart/internal/graph"
 )
 
 // churnDecodeAgrees decodes b with parseChurn and, when it accepts, with
@@ -74,13 +79,23 @@ func workloadChurnBody(stream, strategy string, adds, dels [][2]uint32) []byte {
 	return append(b, '}')
 }
 
-// ringEdges returns n edges of a ring of benchRing distinct edges, from
-// the at-th on.
+// churnRing is the block of edges a benchmark churn stream walks round,
+// sized as one stream of the service-churn workload: the second half of
+// its PrefAttach(50 000, 10) graph (the block of its HDRF client at two
+// clients), cut to whole 256-edge batches.
+var churnRing = sync.OnceValue(func() []graph.Edge {
+	social := gen.PrefAttach("social", 50_000, 10, 1).Edges
+	ring := social[len(social)/2:]
+	return ring[:len(ring)/256*256]
+})
+
+// ringEdges returns n edges of churnRing, from the at-th on.
 func ringEdges(at, n int) [][2]uint32 {
+	ring := churnRing()
 	out := make([][2]uint32, n)
 	for i := range out {
-		k := (at + i) % benchRing
-		out[i] = [2]uint32{uint32(k), uint32((k*37 + 11) % benchRing)}
+		e := ring[(at+i)%len(ring)]
+		out[i] = [2]uint32{e.Src, e.Dst}
 	}
 	return out
 }
@@ -91,10 +106,7 @@ func ringBatch(stream, strategy string, n, at int) []byte {
 	return workloadChurnBody(stream, strategy, ringEdges(at+benchPreload, n), ringEdges(at, n))
 }
 
-const (
-	benchRing    = 2048 // edges in the ring a churn stream walks round
-	benchPreload = 1024 // live edges of the stream
-)
+const benchPreload = 75_000 // live edges of a churn stream, as in the workload
 
 // TestParseChurnTakesRealTraffic holds the fast path to the bodies real
 // clients send: were it to decline them, the fallback would still answer
@@ -111,6 +123,56 @@ func TestParseChurnTakesRealTraffic(t *testing.T) {
 	for name, b := range bodies {
 		if !churnDecodeAgrees(t, []byte(b)) {
 			t.Errorf("%s: parseChurn declined %.80q", name, b)
+		}
+	}
+}
+
+// TestChurnScanUintBounds pins churnScan.uint at its bounds: the largest
+// value it takes, the digit that would pass it, a leading zero and bytes
+// next to the digits, then the same numbers inside whole bodies, which
+// parseChurn accepts as encoding/json decodes them or declines.
+func TestChurnScanUintBounds(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		max  uint64
+		n    uint64
+		ok   bool
+		rest string // what the scan leaves
+	}{
+		{"4294967295]", math.MaxUint32, math.MaxUint32, true, "]"},
+		{"42949672950]", math.MaxUint32, math.MaxUint32, true, "0]"},
+		{"4294967296]", math.MaxUint32, 429496729, true, "6]"},
+		{"9223372036854775807,", math.MaxInt, math.MaxInt, true, ","},
+		{"9223372036854775808,", math.MaxInt, 922337203685477580, true, "8,"},
+		{"18446744073709551615", math.MaxUint64, math.MaxUint64, true, ""},
+		{" \t\n7,", math.MaxUint32, 7, true, ","},
+		{"0]", math.MaxUint32, 0, true, "]"},
+		{"00]", math.MaxUint32, 0, true, "0]"},
+		{"01]", math.MaxUint32, 0, true, "1]"},
+		{"-1]", math.MaxUint32, 0, false, "-1]"},
+		{"/1", math.MaxUint32, 0, false, "/1"},
+		{":1", math.MaxUint32, 0, false, ":1"},
+		{"12e3", math.MaxUint32, 12, true, "e3"},
+		{"  ", math.MaxUint32, 0, false, ""},
+	} {
+		s := churnScan{b: []byte(c.in)}
+		n, ok := s.uint(c.max)
+		if n != c.n || ok != c.ok || string(s.b[s.i:]) != c.rest {
+			t.Errorf("uint(%q, %d) = %d, %v leaving %q; want %d, %v leaving %q", c.in, c.max, n, ok, s.b[s.i:], c.n, c.ok, c.rest)
+		}
+	}
+	for body, accept := range map[string]bool{
+		`{"adds":[[4294967295,0]]}`:     true,
+		`{"adds":[[0,4294967295]]}`:     true,
+		`{"adds":[[42949672950,0]]}`:    false,
+		`{"adds":[[0,42949672950]]}`:    false,
+		`{"parts":9223372036854775807}`: true,
+		`{"adds":[[0,00]]}`:             false,
+		`{"adds":[[01,2]]}`:             false,
+		`{"adds":[[-1,2]]}`:             false,
+	} {
+		if got := churnDecodeAgrees(t, []byte(body)); got != accept {
+			t.Errorf("parseChurn(%s) accepted %v, want %v", body, got, accept)
 		}
 	}
 }
@@ -138,6 +200,8 @@ func FuzzChurnDecode(f *testing.F) {
 		`{"adds":[[0,1,7]]}`, `{"adds":[[2]]}`, `{"adds":[[]]}`, `{"adds":null}`, `null`,
 		`{"parts":-0}`, `{"parts":1e2}`, `{"parts":1.0}`, `{"parts":01}`, `{"parts":"4"}`,
 		`{"adds":[[4294967295,0]]}`, `{"adds":[[4294967296,0]]}`, `{"parts":9223372036854775808}`,
+		`{"adds":[[0,4294967295]]}`, `{"adds":[[42949672950,0]]}`, `{"adds":[[0,42949672950]]}`,
+		`{"parts":9223372036854775807}`, `{"adds":[[0,00]]}`, `{"adds":[[01,2]]}`, `{"adds":[[-1,2]]}`,
 		`{"stream":"a\"b"}`, `{"stream":"\u0041"}`, `{"stream":"a\\b"}`, "{\"stream\":\"\xff\"}",
 		"{\"stream\":\"\xc3\xa9\"}", "{\"stream\":\"a\tb\"}",
 		`{"stream":"a","stream":"b"}`, `{"adds":[[1,2]],"adds":[]}`, `{"adds":[[1,2],[3,4]],"adds":[[5,6]]}`,
@@ -150,9 +214,12 @@ func FuzzChurnDecode(f *testing.F) {
 }
 
 // BenchmarkChurnPost prices one POST /v1/churn through the handler stack
-// at the service-churn workload's batch sizes, on a stream at 16 parts
-// holding benchPreload live edges, for the strategies of the workload's
-// first two clients: 2D (stateless) and HDRF (greedy).
+// at the service-churn workload's batch sizes and per-stream footprint: a
+// stream at 16 parts holding benchPreload live edges of churnRing, for the
+// strategies of the workload's first two clients, 2D (stateless) and HDRF
+// (greedy). A sub-benchmark pre-loads its stream once and carries its ring
+// cursor across rounds, so neither the timings nor a CPU profile count the
+// pre-load.
 func BenchmarkChurnPost(b *testing.B) {
 	srv := New(Config{})
 	b.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck // no job ran
@@ -165,22 +232,22 @@ func BenchmarkChurnPost(b *testing.B) {
 	}
 	for _, strategy := range []string{"2D", "HDRF"} {
 		for _, n := range []int{4, 32, 256} {
+			stream := fmt.Sprintf("bench-%s-%d", strategy, n)
+			if rec := post(workloadChurnBody(stream, strategy, ringEdges(0, benchPreload), nil)); rec.Code != http.StatusOK {
+				b.Fatalf("pre-load: %d %s", rec.Code, rec.Body)
+			}
+			bodies := make([][]byte, len(churnRing())/n)
+			for i := range bodies {
+				bodies[i] = ringBatch(stream, strategy, n, i*n)
+			}
+			next := 0
 			b.Run(fmt.Sprintf("%s/%d+%d", strategy, n, n), func(b *testing.B) {
-				// A stream of its own per round: b.Run calls this once per b.N.
-				stream := fmt.Sprintf("bench-%s-%d-%d", strategy, n, b.N)
-				if rec := post(workloadChurnBody(stream, strategy, ringEdges(0, benchPreload), nil)); rec.Code != http.StatusOK {
-					b.Fatalf("pre-load: %d %s", rec.Code, rec.Body)
-				}
-				bodies := make([][]byte, benchRing/n)
-				for i := range bodies {
-					bodies[i] = ringBatch(stream, strategy, n, i*n)
-				}
 				b.ReportAllocs()
-				b.ResetTimer()
-				for i := range b.N {
-					if rec := post(bodies[i%len(bodies)]); rec.Code != http.StatusOK {
-						b.Fatalf("batch %d: %d %s", i, rec.Code, rec.Body)
+				for range b.N {
+					if rec := post(bodies[next]); rec.Code != http.StatusOK {
+						b.Fatalf("batch %d: %d %s", next, rec.Code, rec.Body)
 					}
+					next = (next + 1) % len(bodies)
 				}
 			})
 		}

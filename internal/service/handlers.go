@@ -572,17 +572,26 @@ func (s *churnScan) str() ([]byte, bool) {
 // stops before a digit that would pass max or follows a leading zero, and
 // before a sign, fraction or exponent; each fails the caller's next
 // punctuation.
-func (s *churnScan) uint(max uint64) (n uint64, ok bool) {
+func (s *churnScan) uint(max uint64) (uint64, bool) {
 	s.skip()
-	start := s.i
-	for ; s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' && (s.i == start || s.b[start] != '0'); s.i++ {
-		d := uint64(s.b[s.i] - '0')
-		if n > (max-d)/10 {
+	b, i := s.b, s.i
+	if i < len(b) && b[i] == '0' {
+		s.i++
+		return 0, true
+	}
+	// n·10 + d passes max = q·10 + r exactly when n > q, or n = q and d > r.
+	q, r := max/10, max%10
+	var n uint64
+	for ; i < len(b); i++ {
+		d := uint64(b[i] - '0') // a byte below '0' wraps past 9
+		if d > 9 || n > q || n == q && d > r {
 			break
 		}
 		n = n*10 + d
 	}
-	return n, s.i > start
+	ok := i > s.i
+	s.i = i
+	return n, ok
 }
 
 // pairs consumes an array of [src, dst] pairs as edges; [] is an empty,
