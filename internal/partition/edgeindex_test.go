@@ -279,11 +279,11 @@ func TestDegreeIsRefRowSum(t *testing.T) {
 
 // BenchmarkApplyBatch prices one ApplyBatch at the service-churn workload's
 // per-stream footprint: 75 000 live edges at 16 parts, walking round the
-// second half of PrefAttach(50 000, 10) (the block of the workload's HDRF
-// client at two clients), so the state spans all 50 000 vertices. Each
-// batch adds the n edges ahead of the window and deletes the n behind it,
-// so every delete names a live edge. A sub-benchmark pre-loads once and
-// carries the window across rounds, so neither the timings nor a CPU
+// second half of PrefAttach(50 000, 10) (about the block of the workload's
+// HDRF client at two clients), so the state spans all 50 000 vertices.
+// Each batch adds the n edges ahead of the window and deletes the n behind
+// it, so every delete names a live edge. A sub-benchmark pre-loads once
+// and carries the window across rounds, so neither the timings nor a CPU
 // profile count the pre-load.
 func BenchmarkApplyBatch(b *testing.B) {
 	const preload = 75_000

@@ -81,8 +81,8 @@ func workloadChurnBody(stream, strategy string, adds, dels [][2]uint32) []byte {
 
 // churnRing is the block of edges a benchmark churn stream walks round,
 // sized as one stream of the service-churn workload: the second half of
-// its PrefAttach(50 000, 10) graph (the block of its HDRF client at two
-// clients), cut to whole 256-edge batches.
+// its PrefAttach(50 000, 10) graph (about the block of its HDRF client at
+// two clients), cut to whole 256-edge batches.
 var churnRing = sync.OnceValue(func() []graph.Edge {
 	social := gen.PrefAttach("social", 50_000, 10, 1).Edges
 	ring := social[len(social)/2:]
