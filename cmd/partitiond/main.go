@@ -55,7 +55,7 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 		parts      = fs.Int("parts", 16, "default partition count when a request names none")
 		queue      = fs.Int("queue", 16, "max queued partition jobs before 429")
 		jobWorkers = fs.Int("job-workers", 2, "concurrent partition job executors")
-		timeout    = fs.Duration("timeout", 30*time.Second, "per-request handler timeout")
+		timeout    = fs.Duration("timeout", 30*time.Second, "per-request deadline on a wait for a build, counted from arrival")
 		maxBody    = fs.Int64("max-body", 8<<20, "max request body bytes before 413")
 		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for inflight jobs at shutdown")
 		reportPath = fs.String("report", "", "benchrunner report JSON to pre-fit the advisor model from")

@@ -99,11 +99,13 @@ type onceEntry[V any] struct {
 }
 
 // Get returns key's value, starting compute on a goroutine of its own when
-// the key has no entry. Every caller waits for the entry or for its own
-// ctx, whichever is first; a caller that gives up gets ctx.Err() while the
-// computation runs on, so its value still lands for the next caller. A
-// failed computation is dropped before its waiters wake: each of them sees
-// the error, and the next Get computes afresh.
+// the key has no entry. A finished entry answers before ctx is looked at,
+// so a cached value is never refused for an expired ctx. Any other caller
+// waits for the entry or for its own ctx, whichever is first; a caller
+// that gives up gets ctx.Err() while the computation runs on, so its value
+// still lands for the next caller. A failed computation is dropped before
+// its waiters wake: each of them sees the error, and the next Get computes
+// afresh.
 func (m *OnceMap[K, V]) Get(ctx context.Context, key K, compute func() (V, error)) (V, error) {
 	m.mu.Lock()
 	e, ok := m.entries[key]
@@ -127,8 +129,31 @@ func (m *OnceMap[K, V]) Get(ctx context.Context, key K, compute func() (V, error
 	select {
 	case <-e.done:
 		return e.v, e.err
+	default:
+	}
+	select {
+	case <-e.done:
+		return e.v, e.err
 	case <-ctx.Done():
 		var zero V
 		return zero, ctx.Err()
 	}
+}
+
+// Ready returns key's value when its computation has finished and
+// succeeded, without starting one or waiting for one: a caller that would
+// have to arm a deadline to wait does so only when Ready says no.
+func (m *OnceMap[K, V]) Ready(key K) (V, bool) {
+	m.mu.Lock()
+	e, ok := m.entries[key]
+	m.mu.Unlock()
+	if ok {
+		select {
+		case <-e.done:
+			return e.v, e.err == nil
+		default:
+		}
+	}
+	var zero V
+	return zero, false
 }

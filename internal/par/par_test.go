@@ -197,3 +197,64 @@ func TestOnceMapConcurrentCallers(t *testing.T) {
 		t.Errorf("value of the abandoned computation: v=%v err=%v", v, err)
 	}
 }
+
+// TestOnceMapFinishedEntryBeatsCancelledCtx: a finished entry answers every
+// caller, however done its ctx is. With one select over both channels Go
+// picks a ready case at random, and about half of these calls got
+// context.Canceled for a value already in the cache.
+func TestOnceMapFinishedEntryBeatsCancelledCtx(t *testing.T) {
+	var m OnceMap[string, int]
+	if v, err := m.Get(context.Background(), "k", func() (int, error) { return 7, nil }); err != nil || v != 7 {
+		t.Fatalf("first Get: v=%d err=%v", v, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := range 1000 {
+		v, err := m.Get(ctx, "k", func() (int, error) {
+			t.Fatal("a finished entry was recomputed")
+			return 0, nil
+		})
+		if err != nil || v != 7 {
+			t.Fatalf("call %d with a cancelled ctx: v=%d err=%v", i, v, err)
+		}
+	}
+}
+
+// TestOnceMapReady: Ready answers only a finished, successful entry, and
+// neither starts a computation nor waits for a running one.
+func TestOnceMapReady(t *testing.T) {
+	var m OnceMap[int, int]
+	bg := context.Background()
+	if _, ok := m.Ready(1); ok {
+		t.Error("Ready answered a key with no entry")
+	}
+	if _, err := m.Get(bg, 1, func() (int, error) { return 0, errors.New("no") }); err == nil {
+		t.Fatal("the failing compute did not fail")
+	}
+	if _, ok := m.Ready(1); ok {
+		t.Error("Ready answered a failed key")
+	}
+
+	entered, finish := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Get(bg, 2, func() (int, error) { //nolint:errcheck // checked through Ready below
+			close(entered)
+			<-finish
+			return 22, nil
+		})
+	}()
+	<-entered
+	if _, ok := m.Ready(2); ok {
+		t.Error("Ready answered a running computation")
+	}
+	close(finish)
+	<-done
+	if v, ok := m.Ready(2); !ok || v != 22 {
+		t.Errorf("Ready of the finished key: v=%d ok=%v", v, ok)
+	}
+	if _, ok := m.Ready(3); ok {
+		t.Error("Ready answered a key nothing computed")
+	}
+}

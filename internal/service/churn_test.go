@@ -207,6 +207,7 @@ func FuzzChurnDecode(f *testing.F) {
 		`{"stream":"a","stream":"b"}`, `{"adds":[[1,2]],"adds":[]}`, `{"adds":[[1,2],[3,4]],"adds":[[5,6]]}`,
 		`{"stream":"a"}junk`, `{"stream":"a"}}`, `{"stream":"a",}`, `{"stream":"a"`, `{"adds":[[1,2],]}`,
 		`{"padding":"x"}`, `[]`, ``,
+		`{"adds`, `{"adds":[[1,2]`, `{"adds":[[1,2]],"stream":"[[[["}`, `{"dels":[[1,2],[3,4]]}[[[[`,
 	} {
 		f.Add([]byte(seed))
 	}

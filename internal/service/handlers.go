@@ -25,9 +25,10 @@ import (
 var ErrNoModel = errors.New("service: no advisor model fitted; POST a benchrunner report to /v1/advisor/fit")
 
 // handler is one endpoint's work: it returns the value to answer with or
-// the error to answer instead, and never touches the ResponseWriter. It
-// waits on nothing but ctx-bounded calls, so ctx is the request's deadline.
-type handler func(ctx context.Context, r *http.Request) (any, error)
+// the error to answer instead, and never touches the ResponseWriter. The
+// only waits it makes are on cache builds, each bounded by r's context and
+// by deadline, the request's arrival plus RequestTimeout.
+type handler func(r *http.Request, deadline time.Time) (any, error)
 
 // accepted wraps a handler's value to answer 202 instead of 200.
 type accepted struct{ v any }
@@ -78,9 +79,10 @@ var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledReply = 64 << 10
 
 // respond writes a request's one reply — v, or err in the error envelope —
-// and returns the status it carried. v is marshalled before anything is
+// and returns the status it carried. v is encoded before anything is
 // written, so a value that cannot be encoded answers 500 with the envelope
-// instead of its status with an empty body.
+// instead of its status with an empty body. A value that carries its wire
+// bytes (preEncoded) is written as it is.
 func respond(w http.ResponseWriter, v any, err error) int {
 	status := http.StatusOK
 	if a, ok := v.(accepted); ok {
@@ -90,13 +92,15 @@ func respond(w http.ResponseWriter, v any, err error) int {
 		status = statusOf(err)
 		v = apiError{Error: err.Error(), Status: status}
 	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		status = http.StatusInternalServerError
-		b, _ = json.Marshal(apiError{Error: "service: encode reply: " + err.Error(), Status: status}) // two plain fields always encode
-	}
 	bp := replyBufs.Get().(*[]byte)
-	body := append(indentJSON((*bp)[:0], b), '\n')
+	var body []byte
+	if p, ok := v.(preEncoded); ok {
+		body = p.appendTo((*bp)[:0])
+	} else if body, err = encodeReply((*bp)[:0], v); err != nil {
+		status = http.StatusInternalServerError
+		body, _ = encodeReply((*bp)[:0], apiError{Error: err.Error(), Status: status}) // two plain fields always encode
+	}
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // the status is committed; a failed write is a gone client
@@ -106,6 +110,26 @@ func respond(w http.ResponseWriter, v any, err error) int {
 	}
 	return status
 }
+
+// encodeReply is respond's one encode step: v as json.Marshal writes it,
+// indented by indentJSON, appended to dst. A value json cannot encode is
+// the server's error.
+func encodeReply(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return dst, fmt.Errorf("service: encode reply: %w", err)
+	}
+	return indentJSON(dst, b), nil
+}
+
+// preEncoded is a reply value that appends its own wire bytes: byte for
+// byte what encodeReply writes for the value it stands for.
+type preEncoded interface{ appendTo(dst []byte) []byte }
+
+// encoded is a reply encodeReply has already written.
+type encoded []byte
+
+func (e encoded) appendTo(dst []byte) []byte { return append(dst, e...) }
 
 // newlineIndent is a newline and the indentation of the first 16 levels;
 // deeper levels append the rest in runs of it.
@@ -213,14 +237,13 @@ func (s *Server) handle(pattern, op string, h handler, methods ...string) {
 				"service: %s does not allow %s (allow: %s)", r.URL.Path, r.Method, allow))
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.requestTimeout())
-		defer cancel()
+		// The deadline is fixed here and armed only by a wait on a build.
+		start := time.Now()
 		if r.ContentLength != 0 { // unknown (-1) or positive: there is a body to cap
 			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody())
 		}
 		e.inflight.Add(1)
-		start := time.Now()
-		v, err := h(ctx, r)
+		v, err := h(r, start.Add(s.cfg.requestTimeout()))
 		status := respond(w, v, err)
 		e.inflight.Add(-1)
 		e.observe(status, time.Since(start))
@@ -292,7 +315,7 @@ func knownDataset(name string) error {
 
 // --- health + datasets --------------------------------------------------
 
-func (s *Server) handleHealthz(context.Context, *http.Request) (any, error) {
+func (s *Server) handleHealthz(*http.Request, time.Time) (any, error) {
 	return map[string]any{
 		"status":   "ok",
 		"datasets": len(datasets.Names()),
@@ -308,7 +331,7 @@ type datasetInfo struct {
 	Provenance string `json:"provenance,omitempty"`
 }
 
-func (s *Server) handleDatasets(context.Context, *http.Request) (any, error) {
+func (s *Server) handleDatasets(*http.Request, time.Time) (any, error) {
 	names := datasets.Names()
 	out := make([]datasetInfo, 0, len(names))
 	for _, n := range names {
@@ -324,12 +347,16 @@ func (s *Server) handleDatasets(context.Context, *http.Request) (any, error) {
 	return map[string]any{"datasets": out}, nil
 }
 
-func (s *Server) handleManifest(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleManifest(r *http.Request, deadline time.Time) (any, error) {
 	name := r.PathValue("name")
 	if err := knownDataset(name); err != nil {
 		return nil, err
 	}
-	return s.manifest(ctx, name)
+	m, err := s.manifest(r.Context(), deadline, name)
+	if err != nil {
+		return nil, err
+	}
+	return m.reply, m.err
 }
 
 // --- assignment ---------------------------------------------------------
@@ -342,7 +369,8 @@ type vertexLookup struct {
 }
 
 // assignmentResponse summarizes a cached partitioning, with an optional
-// vertex lookup.
+// vertex lookup. The summary is encoded once, by the build (Server.build);
+// a lookup appends its vertex to those bytes (vertexReply).
 type assignmentResponse struct {
 	Dataset           string        `json:"dataset"`
 	Strategy          string        `json:"strategy"`
@@ -354,35 +382,48 @@ type assignmentResponse struct {
 	Vertex            *vertexLookup `json:"vertex,omitempty"`
 }
 
-func (s *Server) handleAssignment(ctx context.Context, r *http.Request) (any, error) {
+// vertexReply is a vertex lookup's reply: the cached summary with the
+// vertex appended as encodeReply writes an assignmentResponse's Vertex
+// (TestAssignmentReplyMatchesEncoder holds the two equal).
+type vertexReply struct {
+	summary encoded
+	vertex  vertexLookup
+}
+
+func (r vertexReply) appendTo(dst []byte) []byte {
+	dst = append(dst, r.summary[:len(r.summary)-len("\n}")]...)
+	dst = append(dst, ",\n  \"vertex\": {\n    \"id\": "...)
+	dst = strconv.AppendUint(dst, uint64(r.vertex.ID), 10)
+	dst = append(dst, ",\n    \"master\": "...)
+	dst = strconv.AppendInt(dst, int64(r.vertex.Master), 10)
+	dst = append(dst, ",\n    \"replicas\": "...)
+	dst = strconv.AppendInt(dst, int64(r.vertex.Replicas), 10)
+	return append(dst, "\n  }\n}"...)
+}
+
+func (s *Server) handleAssignment(r *http.Request, deadline time.Time) (any, error) {
 	q := r.URL.Query()
 	k, err := s.key(true, r.PathValue("dataset"), r.PathValue("strategy"), q.Get("parts"))
 	if err != nil {
 		return nil, err
 	}
-	a, err := s.assignment(ctx, k)
+	c, err := s.assignment(r.Context(), deadline, k)
 	if err != nil {
 		return nil, err
 	}
-	resp := assignmentResponse{
-		Dataset: k.name, Strategy: k.strategy, Parts: k.parts,
-		Edges:             int64(a.G.NumEdges()),
-		Vertices:          a.G.NumVertices(),
-		ReplicationFactor: a.ReplicationFactor(),
-		EdgeBalance:       a.EdgeBalance(),
+	vq := q.Get("vertex")
+	if vq == "" {
+		return c.reply, c.err
 	}
-	if vq := q.Get("vertex"); vq != "" {
-		v64, err := strconv.ParseUint(vq, 10, 32)
-		if err != nil {
-			return nil, statusErrorf(http.StatusBadRequest, "service: query param vertex=%q is not a vertex id", vq)
-		}
-		v := graph.VertexID(v64)
-		if int(v) >= a.G.NumVertices() {
-			return nil, statusErrorf(http.StatusNotFound, "service: vertex %d outside %s (%d vertices)", v, k.name, a.G.NumVertices())
-		}
-		resp.Vertex = &vertexLookup{ID: v, Master: a.Master(v), Replicas: a.Replicas(v)}
+	v64, err := strconv.ParseUint(vq, 10, 32)
+	if err != nil {
+		return nil, statusErrorf(http.StatusBadRequest, "service: query param vertex=%q is not a vertex id", vq)
 	}
-	return resp, nil
+	a, v := c.v, graph.VertexID(v64)
+	if int(v) >= a.G.NumVertices() {
+		return nil, statusErrorf(http.StatusNotFound, "service: vertex %d outside %s (%d vertices)", v, k.name, a.G.NumVertices())
+	}
+	return vertexReply{c.reply, vertexLookup{ID: v, Master: a.Master(v), Replicas: a.Replicas(v)}}, c.err
 }
 
 // --- jobs ---------------------------------------------------------------
@@ -394,7 +435,7 @@ type jobRequest struct {
 	Parts    int    `json:"parts"`
 }
 
-func (s *Server) handleJobs(_ context.Context, r *http.Request) (any, error) {
+func (s *Server) handleJobs(r *http.Request, _ time.Time) (any, error) {
 	if r.Method == http.MethodGet {
 		return map[string]any{"jobs": s.jobs.list()}, nil
 	}
@@ -421,7 +462,7 @@ func (s *Server) handleJobs(_ context.Context, r *http.Request) (any, error) {
 	return accepted{j}, nil
 }
 
-func (s *Server) handleJobStatus(_ context.Context, r *http.Request) (any, error) {
+func (s *Server) handleJobStatus(r *http.Request, _ time.Time) (any, error) {
 	id := r.PathValue("id")
 	j, ok := s.jobs.get(id)
 	if !ok {
@@ -595,9 +636,15 @@ func (s *churnScan) uint(max uint64) (uint64, bool) {
 }
 
 // pairs consumes an array of [src, dst] pairs as edges; [] is an empty,
-// non-nil slice, as encoding/json makes it.
+// non-nil slice, as encoding/json makes it. The slice is sized once, from
+// the '[' before the next key's quote, and never past the pairs those
+// bytes could spell ("[0,0]," is six), so no body buys more than its size.
 func (s *churnScan) pairs() ([]graph.Edge, bool) {
-	out := []graph.Edge{}
+	span := s.b[min(s.i, len(s.b)):] // past the end after an unterminated key
+	if q := bytes.IndexByte(span, '"'); q >= 0 {
+		span = span[:q]
+	}
+	out := make([]graph.Edge, 0, min(bytes.Count(span, []byte("[")), len(span)/6))
 	ok := s.next('[')
 	for ok && !s.next(']') {
 		ok = (len(out) == 0 || s.next(',')) && s.next('[')
@@ -625,7 +672,7 @@ func edgesOf(pairs [][2]uint32) []graph.Edge {
 // handleChurn applies POST /v1/churn's batch to its live stream, or answers
 // GET /v1/churn?stream=&strategy=&parts= with an existing stream's live
 // quality summary.
-func (s *Server) handleChurn(_ context.Context, r *http.Request) (any, error) {
+func (s *Server) handleChurn(r *http.Request, _ time.Time) (any, error) {
 	if r.Method == http.MethodGet {
 		q := r.URL.Query()
 		k, err := s.key(false, q.Get("stream"), q.Get("strategy"), q.Get("parts"))
@@ -689,7 +736,7 @@ type fitResponse struct {
 	Manifests    int      `json:"manifests"`
 }
 
-func (s *Server) handleAdvisorFit(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleAdvisorFit(r *http.Request, deadline time.Time) (any, error) {
 	b, err := readBody(r)
 	if err != nil {
 		return nil, err
@@ -698,22 +745,23 @@ func (s *Server) handleAdvisorFit(ctx context.Context, r *http.Request) (any, er
 	if err != nil {
 		return nil, bodyError("report body", err)
 	}
-	return s.refit(ctx, rep)
+	return s.refit(r.Context(), deadline, rep)
 }
 
 // Refit fits the advisor model from a benchrunner report and installs it:
 // what POST /v1/advisor/fit runs on an uploaded report, for the daemon's
 // -report flag to run on one from disk before serving.
 func (s *Server) Refit(rep *report.Report) error {
-	_, err := s.refit(context.Background(), rep)
+	_, err := s.refit(context.Background(), time.Time{}, rep)
 	return err
 }
 
 // refit measures the manifests of the registered datasets the report
 // covers and swaps in a freshly fitted model. A report the advisor cannot
-// fit is 422; when ctx ends first the old model stays, and the manifests
-// measured so far are kept for the next attempt.
-func (s *Server) refit(ctx context.Context, rep *report.Report) (fitResponse, error) {
+// fit is 422; when a wait on a manifest ends first (ctx, or the deadline
+// unless it is zero) the old model stays, and the manifests measured so far
+// are kept for the next attempt.
+func (s *Server) refit(ctx context.Context, deadline time.Time, rep *report.Report) (fitResponse, error) {
 	seen := map[string]bool{}
 	var mans []datasets.Manifest
 	for _, e := range rep.Experiments {
@@ -726,11 +774,11 @@ func (s *Server) refit(ctx context.Context, rep *report.Report) (fitResponse, er
 			if knownDataset(name) != nil {
 				continue // unregistered dataset: no manifest, advisor skips it
 			}
-			m, err := s.manifest(ctx, name)
+			m, err := s.manifest(ctx, deadline, name)
 			if err != nil {
 				return fitResponse{}, err
 			}
-			mans = append(mans, m)
+			mans = append(mans, m.v)
 		}
 	}
 	model, err := advisor.Fit(rep, mans)
@@ -747,7 +795,7 @@ func (s *Server) refit(ctx context.Context, rep *report.Report) (fitResponse, er
 	return resp, nil
 }
 
-func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error) {
+func (s *Server) handleAdvise(r *http.Request, deadline time.Time) (any, error) {
 	s.advMu.RLock()
 	model := s.model
 	s.advMu.RUnlock()
@@ -782,11 +830,11 @@ func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error)
 			return nil, statusErrorf(http.StatusBadRequest, "service: query param ratio=%q must be a finite number >= 0", rq)
 		}
 	}
-	m, err := s.manifest(ctx, ds)
+	m, err := s.manifest(r.Context(), deadline, ds)
 	if err != nil {
 		return nil, err
 	}
-	rec, err := model.Recommend(sys, advisor.WorkloadFor(m, machines, ratio, q.Get("app")))
+	rec, err := model.Recommend(sys, advisor.WorkloadFor(m.v, machines, ratio, q.Get("app")))
 	if err != nil {
 		return nil, statusError{http.StatusBadRequest, err.Error()}
 	}
@@ -795,6 +843,6 @@ func (s *Server) handleAdvise(ctx context.Context, r *http.Request) (any, error)
 
 // --- metrics ------------------------------------------------------------
 
-func (s *Server) handleMetrics(context.Context, *http.Request) (any, error) {
+func (s *Server) handleMetrics(*http.Request, time.Time) (any, error) {
 	return map[string]any{"cells": s.MetricsCells()}, nil
 }

@@ -484,31 +484,6 @@ func TestRespondUnencodableIs500(t *testing.T) {
 	}
 }
 
-// TestLookupAllocs: a warm vertex lookup's allocation count is the reply
-// path's cost contract. The marshal-then-indent reply answers it in 16;
-// an encoder with SetIndent took 21.
-func TestLookupAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector randomizes sync.Pool reuse")
-	}
-	srv := newTestServer(t, Config{})
-	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/v1/assignment/road-ca/Grid?parts=4&vertex=7", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("warm-up status = %d (%s)", rec.Code, rec.Body)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		rec.Body.Reset()
-		h.ServeHTTP(rec, req)
-	})
-	t.Logf("%.0f allocations per lookup", allocs)
-	if allocs > 16 {
-		t.Errorf("a warm vertex lookup allocates %.0f times, want at most 16", allocs)
-	}
-}
-
 // FuzzIndentJSON: indentJSON of any value json.Marshal writes is byte for
 // byte what json.Indent makes of it. A fuzz input that is valid JSON is
 // marshalled as a json.RawMessage (compacted, HTML-escaped, every escape

@@ -155,7 +155,7 @@ func (r *jobRunner) worker() {
 // cache, so a completed job warms the assignment endpoint for free.
 func (r *jobRunner) run(j *Job) {
 	start := time.Now()
-	a, err := r.srv.assignment(context.Background(), cutKey{j.Dataset, j.Strategy, j.Parts})
+	c, err := r.srv.assignment(context.Background(), time.Time{}, cutKey{j.Dataset, j.Strategy, j.Parts})
 	elapsed := time.Since(start)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -166,6 +166,7 @@ func (r *jobRunner) run(j *Job) {
 		return
 	}
 	j.Status = JobDone
+	a := c.v
 	j.Edges = int64(a.G.NumEdges())
 	j.Vertices = a.G.NumVertices()
 	j.ReplicationFactor = a.ReplicationFactor()

@@ -14,8 +14,10 @@
 // and the error→status mapping. Dataset builds, partitionings and
 // manifests are each computed once per key by a par.OnceMap (two
 // concurrent requests for the same assignment share one computation, and
-// one that outlives its request still lands in the cache); churn streams
-// are mutable state behind per-stream locks. Shutdown is graceful:
+// one that outlives its request still lands in the cache); a cached
+// partitioning or manifest carries its reply bytes, encoded once by the
+// build, and a request arms its deadline only to wait on a build. Churn
+// streams are mutable state behind per-stream locks. Shutdown is graceful:
 // inflight partition jobs complete, queued jobs are rejected with
 // ErrShutdown, and new submissions get ErrDraining.
 //
@@ -57,9 +59,10 @@ type Config struct {
 	JobQueue int
 	// JobWorkers is the number of job executor goroutines (≤0 = 2).
 	JobWorkers int
-	// RequestTimeout bounds each request's handler work; expired requests
-	// get 504 while the underlying computation keeps warming the cache
-	// (≤0 = 30s).
+	// RequestTimeout bounds each request's wait on a cache build, counted
+	// from its arrival; expired requests get 504 while the underlying
+	// computation keeps warming the cache, and a request answered from a
+	// finished entry never waits (≤0 = 30s).
 	RequestTimeout time.Duration
 	// MaxBody caps request body bytes; larger bodies get 413 (≤0 = 8 MiB).
 	MaxBody int64
@@ -125,9 +128,10 @@ type Server struct {
 	met *metricsRegistry
 
 	// The two caches: a partitioning per key and a measured manifest per
-	// dataset, each computed once however many requests race for it.
-	assignments par.OnceMap[cutKey, *partition.Assignment]
-	manifests   par.OnceMap[string, datasets.Manifest]
+	// dataset, each computed once however many requests race for it, and
+	// each with the reply that serves it.
+	assignments par.OnceMap[cutKey, entry[*partition.Assignment]]
+	manifests   par.OnceMap[string, entry[datasets.Manifest]]
 	builds      atomic.Int64 // completed assignment builds (singleflight audit)
 
 	stMu   sync.Mutex
@@ -220,37 +224,86 @@ func (s *Server) newStrategy(k cutKey) (partition.Strategy, error) {
 	return st, nil
 }
 
-// assignment returns the partitioning for the key, computing it at most
-// once per key across all concurrent requesters. On ctx expiry the caller
-// gets ctx.Err() but the computation is not abandoned: it lands in the
-// cache for the next request.
-func (s *Server) assignment(ctx context.Context, k cutKey) (*partition.Assignment, error) {
-	a, err := s.assignments.Get(ctx, k, func() (*partition.Assignment, error) {
-		st, err := s.newStrategy(k)
-		if err != nil {
-			return nil, err
-		}
-		g, err := datasets.Load(k.name, s.cfg.scale())
-		if err != nil {
-			return nil, err
-		}
-		a, err := partition.ParallelPartition(g, st, k.parts, s.cfg.Seed, s.cfg.Workers)
-		if err == nil {
-			s.builds.Add(1)
-		}
-		return a, err
-	})
+// entry is a cached value with its reply: the bytes respond's encode step
+// writes for it, or the error that step gave, made once by the build that
+// made the value, so a warm read neither reflects nor indents.
+type entry[V any] struct {
+	v     V
+	reply encoded
+	err   error
+}
+
+func newEntry[V any](v V, reply any) entry[V] {
+	b, err := encodeReply(nil, reply)
+	return entry[V]{v, b, err}
+}
+
+// waitUntil arms a request's deadline on ctx for a wait on a build that has
+// not finished; the zero deadline is none. A finished entry is read with
+// OnceMap.Ready first, so a warm hit arms nothing and never answers 504.
+func waitUntil(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, deadline)
+}
+
+// assignment returns the partitioning for the key with its summary reply,
+// computing them at most once per key across all concurrent requesters.
+// When the wait ends first the caller gets ctx.Err() but the computation
+// is not abandoned: it lands in the cache for the next request.
+func (s *Server) assignment(ctx context.Context, deadline time.Time, k cutKey) (entry[*partition.Assignment], error) {
+	if c, ok := s.assignments.Ready(k); ok {
+		return c, nil
+	}
+	ctx, cancel := waitUntil(ctx, deadline)
+	defer cancel()
+	c, err := s.assignments.Get(ctx, k, func() (entry[*partition.Assignment], error) { return s.build(k) })
 	if err != nil && err == ctx.Err() { // Get returns it bare
 		err = fmt.Errorf("service: partitioning %s/%s/%d: %w", k.name, k.strategy, k.parts, err)
 	}
-	return a, err
+	return c, err
+}
+
+// build partitions k's dataset and encodes the assignment's summary, the
+// reply of GET /v1/assignment without a vertex.
+func (s *Server) build(k cutKey) (entry[*partition.Assignment], error) {
+	st, err := s.newStrategy(k)
+	if err != nil {
+		return entry[*partition.Assignment]{}, err
+	}
+	g, err := datasets.Load(k.name, s.cfg.scale())
+	if err != nil {
+		return entry[*partition.Assignment]{}, err
+	}
+	a, err := partition.ParallelPartition(g, st, k.parts, s.cfg.Seed, s.cfg.Workers)
+	if err != nil {
+		return entry[*partition.Assignment]{}, err
+	}
+	s.builds.Add(1)
+	return newEntry(a, assignmentResponse{
+		Dataset: k.name, Strategy: k.strategy, Parts: k.parts,
+		Edges:             int64(a.G.NumEdges()),
+		Vertices:          a.G.NumVertices(),
+		ReplicationFactor: a.ReplicationFactor(),
+		EdgeBalance:       a.EdgeBalance(),
+	}), nil
 }
 
 // manifest measures (once per dataset at the server's scale) the manifest
-// the advisor features come from.
-func (s *Server) manifest(ctx context.Context, name string) (datasets.Manifest, error) {
-	return s.manifests.Get(ctx, name, func() (datasets.Manifest, error) {
-		return datasets.BuildManifest(name, s.cfg.scale())
+// the advisor features come from, with its reply.
+func (s *Server) manifest(ctx context.Context, deadline time.Time, name string) (entry[datasets.Manifest], error) {
+	if m, ok := s.manifests.Ready(name); ok {
+		return m, nil
+	}
+	ctx, cancel := waitUntil(ctx, deadline)
+	defer cancel()
+	return s.manifests.Get(ctx, name, func() (entry[datasets.Manifest], error) {
+		m, err := datasets.BuildManifest(name, s.cfg.scale())
+		if err != nil {
+			return entry[datasets.Manifest]{}, err
+		}
+		return newEntry(m, m), nil
 	})
 }
 
