@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -284,6 +285,29 @@ func decodeJSON(b []byte, dst any) error {
 	return bodyError("malformed JSON body", json.NewDecoder(bytes.NewReader(b)).Decode(dst))
 }
 
+// queryValue is url.ParseQuery(raw).Get(key) without the map: segments
+// split on '&', one holding a ';' skipped, one whose key or value fails to
+// unescape skipped, and the first match winning (FuzzQueryValue holds the
+// two equal). url.QueryUnescape returns a string holding no '%' or '+'
+// as it is, so a plain query allocates nothing.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var seg string
+		seg, raw, _ = strings.Cut(raw, "&")
+		if seg == "" || strings.IndexByte(seg, ';') >= 0 {
+			continue
+		}
+		k, v, _ := strings.Cut(seg, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // queryInt parses an integer query parameter's value, def when it is empty.
 func queryInt(name, v string, def int) (int, error) {
 	if v == "" {
@@ -402,8 +426,8 @@ func (r vertexReply) appendTo(dst []byte) []byte {
 }
 
 func (s *Server) handleAssignment(r *http.Request, deadline time.Time) (any, error) {
-	q := r.URL.Query()
-	k, err := s.key(true, r.PathValue("dataset"), r.PathValue("strategy"), q.Get("parts"))
+	q := r.URL.RawQuery
+	k, err := s.key(true, r.PathValue("dataset"), r.PathValue("strategy"), queryValue(q, "parts"))
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +435,7 @@ func (s *Server) handleAssignment(r *http.Request, deadline time.Time) (any, err
 	if err != nil {
 		return nil, err
 	}
-	vq := q.Get("vertex")
+	vq := queryValue(q, "vertex")
 	if vq == "" {
 		return c.reply, c.err
 	}
@@ -674,8 +698,8 @@ func edgesOf(pairs [][2]uint32) []graph.Edge {
 // quality summary.
 func (s *Server) handleChurn(r *http.Request, _ time.Time) (any, error) {
 	if r.Method == http.MethodGet {
-		q := r.URL.Query()
-		k, err := s.key(false, q.Get("stream"), q.Get("strategy"), q.Get("parts"))
+		q := r.URL.RawQuery
+		k, err := s.key(false, queryValue(q, "stream"), queryValue(q, "strategy"), queryValue(q, "parts"))
 		if err != nil {
 			return nil, err
 		}
@@ -802,19 +826,19 @@ func (s *Server) handleAdvise(r *http.Request, deadline time.Time) (any, error) 
 	if model == nil {
 		return nil, ErrNoModel
 	}
-	q := r.URL.Query()
-	ds := q.Get("dataset")
+	q := r.URL.RawQuery
+	ds := queryValue(q, "dataset")
 	if ds == "" {
 		return nil, statusErrorf(http.StatusBadRequest, "service: advise needs a dataset query param")
 	}
 	if err := knownDataset(ds); err != nil {
 		return nil, err
 	}
-	sys := partition.System(q.Get("system"))
+	sys := partition.System(queryValue(q, "system"))
 	if sys == "" {
 		sys = partition.PowerGraph
 	}
-	machines, err := queryInt("machines", q.Get("machines"), s.cfg.defaultParts())
+	machines, err := queryInt("machines", queryValue(q, "machines"), s.cfg.defaultParts())
 	if err != nil {
 		return nil, err
 	}
@@ -822,7 +846,7 @@ func (s *Server) handleAdvise(r *http.Request, deadline time.Time) (any, error) 
 		return nil, statusErrorf(http.StatusBadRequest, "service: machines must be in [1, %d], got %d", maxParts, machines)
 	}
 	ratio := 4.0 // long-job default: partitions are held resident here
-	if rq := q.Get("ratio"); rq != "" {
+	if rq := queryValue(q, "ratio"); rq != "" {
 		if ratio, err = strconv.ParseFloat(rq, 64); err != nil {
 			return nil, statusErrorf(http.StatusBadRequest, "service: query param ratio=%q is not a number", rq)
 		}
@@ -834,7 +858,7 @@ func (s *Server) handleAdvise(r *http.Request, deadline time.Time) (any, error) 
 	if err != nil {
 		return nil, err
 	}
-	rec, err := model.Recommend(sys, advisor.WorkloadFor(m.v, machines, ratio, q.Get("app")))
+	rec, err := model.Recommend(sys, advisor.WorkloadFor(m.v, machines, ratio, queryValue(q, "app")))
 	if err != nil {
 		return nil, statusError{http.StatusBadRequest, err.Error()}
 	}
@@ -844,5 +868,5 @@ func (s *Server) handleAdvise(r *http.Request, deadline time.Time) (any, error) 
 // --- metrics ------------------------------------------------------------
 
 func (s *Server) handleMetrics(*http.Request, time.Time) (any, error) {
-	return map[string]any{"cells": s.MetricsCells()}, nil
+	return metricsReply(s.MetricsCells()), nil
 }

@@ -1,15 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
 	"graphpart/internal/graph"
+	"graphpart/internal/report"
 )
 
 // TestAssignmentReplyMatchesEncoder: a warm assignment reply, served from
@@ -91,27 +95,147 @@ func TestWarmHitsNeverTimeOut(t *testing.T) {
 // TestWarmLookupAllocations: a warm vertex lookup's allocation count
 // through Handler() is the read path's cost contract. Encoding the reply
 // by reflection per request and arming a deadline timer took 16; the
-// cached reply bytes and a deadline armed only for a wait take 8.
+// cached reply bytes and a deadline armed only for a wait took 8; reading
+// the query without a url.Values map, and the strategy name without
+// building a strategy (HDRF's allocated), take 4.
 func TestWarmLookupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse")
 	}
 	srv := newTestServer(t, Config{})
 	h := srv.Handler()
-	req := httptest.NewRequest(http.MethodGet, "/v1/assignment/road-ca/Grid?parts=4&vertex=7", nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("warm-up status = %d (%s)", rec.Code, rec.Body)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		rec.Body.Reset()
+	for _, strategy := range []string{"Grid", "HDRF"} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/assignment/road-ca/"+strategy+"?parts=4&vertex=7", nil)
+		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-	})
-	t.Logf("%.0f allocations per lookup", allocs)
-	if allocs > 8 {
-		t.Errorf("a warm vertex lookup allocates %.0f times, want at most 8", allocs)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s warm-up status = %d (%s)", strategy, rec.Code, rec.Body)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			rec.Body.Reset()
+			h.ServeHTTP(rec, req)
+		})
+		t.Logf("%s: %.0f allocations per lookup", strategy, allocs)
+		if allocs > 4 {
+			t.Errorf("a warm %s vertex lookup allocates %.0f times, want at most 4", strategy, allocs)
+		}
 	}
+}
+
+// FuzzQueryValue: queryValue reads a parameter as url.ParseQuery then
+// Values.Get do, for any raw query and key — a ';' segment skipped, a
+// segment that fails to unescape skipped, '+' a space, the first value
+// winning.
+func FuzzQueryValue(f *testing.F) {
+	for _, seed := range []struct{ raw, key string }{
+		{"a;b=1&parts=4", "parts"},
+		{"a;b=1&parts=4", "a"},
+		{"%zz=1&parts=2", "parts"},
+		{"parts=1+6", "parts"},
+		{"parts=16&parts=4", "parts"},
+		{"=x&vertex=", "vertex"},
+		{"=x&vertex=", ""},
+		{"&&vertex=3", "vertex"},
+		{"pa%72ts=5", "parts"},
+		{"parts=%zz&parts=3", "parts"},
+		{"parts", "parts"},
+		{"a+b=c%20d", "a b"},
+		{"", "parts"},
+	} {
+		f.Add(seed.raw, seed.key)
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		q, _ := url.ParseQuery(raw) // what r.URL.Query() keeps of a bad query
+		if got, want := queryValue(raw, key), q.Get(key); got != want {
+			t.Fatalf("queryValue(%q, %q) = %q, url.Values.Get = %q", raw, key, got, want)
+		}
+	})
+}
+
+// TestMetricsReplyMatchesEncoder: metricsReply appends byte for byte what
+// respond's encode step makes of {"cells": cells} — for a server with no
+// traffic, one after 2xx, 4xx and 405 traffic (whose live scrape is also
+// the encoder's bytes, every value finite), and for cells that take every
+// dims field and json's float and string forms.
+func TestMetricsReplyMatchesEncoder(t *testing.T) {
+	same := func(name string, cells []report.Cell) {
+		t.Helper()
+		want, err := encodeReply(nil, map[string]any{"cells": cells})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := metricsReply(cells).appendTo(nil); !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+	}
+	srv := newTestServer(t, Config{})
+	same("no traffic", srv.MetricsCells())
+
+	for _, x := range []struct {
+		method, path string
+		status       int
+	}{
+		{http.MethodGet, "/v1/healthz", http.StatusOK},
+		{http.MethodGet, "/v1/datasets", http.StatusOK},
+		{http.MethodGet, "/v1/assignment/road-ca/NoSuchCut", http.StatusNotFound},
+		{http.MethodGet, "/v1/assignment/road-ca/Grid?parts=x", http.StatusBadRequest},
+		{http.MethodPut, "/v1/churn", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/metrics", http.StatusOK},
+	} {
+		if rec := do(srv, x.method, x.path, ""); rec.Code != x.status {
+			t.Fatalf("%s %s: status %d, want %d (%s)", x.method, x.path, rec.Code, x.status, rec.Body)
+		}
+	}
+	cells := srv.MetricsCells()
+	for _, c := range cells {
+		if math.IsNaN(c.Value) || math.IsInf(c.Value, 0) {
+			t.Errorf("%s = %v: a scrape must be finite", c.Key(), c.Value)
+		}
+	}
+	same("mixed traffic", cells)
+	rec := do(srv, http.MethodGet, "/v1/metrics", "")
+	var live struct {
+		Cells []report.Cell `json:"cells"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &live); err != nil || len(live.Cells) != len(cells) {
+		t.Fatalf("live scrape: %d cells (%v), want %d", len(live.Cells), err, len(cells))
+	}
+	if want, _ := encodeReply(nil, map[string]any{"cells": live.Cells}); rec.Body.String() != string(want)+"\n" {
+		t.Errorf("live scrape:\n got %s\nwant %s", rec.Body, want)
+	}
+
+	var edges []report.Cell
+	for i, v := range []float64{0, 1e-7, 1e21, 123456789.5, -2.5e-9} {
+		edges = append(edges, report.Cell{Metric: "m", Value: v, Unit: "u"})
+		edges = append(edges, report.Cell{Dims: report.Dims{Dataset: "road-ca", Strategy: "HDRF", App: "PR",
+			Engine: "PowerGraph", Cluster: "EC2-16", Parts: i - 2, Variant: "op"}, Metric: "rf", Value: -v})
+	}
+	edges = append(edges, report.Cell{Dims: report.Dims{Variant: "<a & b>"}, Metric: "é\"\\\n", Value: 1})
+	same("edge values", edges)
+	same("no cells", []report.Cell{})
+	same("nil cells", nil)
+}
+
+// FuzzAppendJSONFloat: appendJSONFloat writes every finite float64 bit
+// pattern as json.Marshal does.
+func FuzzAppendJSONFloat(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, -2.5e-9, 1e-7, 1e-6, 9.99999e-7, 1e20, 1e21,
+		123456789.5, math.MaxFloat64, math.SmallestNonzeroFloat64, 5e-324, 1e-100, 0.1} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat([]byte("x"), v); string(got) != "x"+string(want) {
+			t.Fatalf("appendJSONFloat(%v) = %s, json.Marshal = %s", v, got[1:], want)
+		}
+	})
 }
 
 // BenchmarkAssignmentLookup prices one warm GET /v1/assignment vertex
@@ -143,5 +267,24 @@ func BenchmarkAssignmentLookup(b *testing.B) {
 	for i := range b.N {
 		rec.Body.Reset()
 		h.ServeHTTP(rec, reqs[i%len(reqs)])
+	}
+}
+
+// BenchmarkMetricsScrape prices one GET /v1/metrics through Handler(),
+// every operation's counters having seen traffic.
+func BenchmarkMetricsScrape(b *testing.B) {
+	srv := New(Config{})
+	b.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck // no job ran
+	for _, path := range []string{"/v1/healthz", "/v1/datasets", "/v1/assignment/road-ca/NoSuchCut", "/v1/metrics"} {
+		do(srv, http.MethodGet, path, "")
+	}
+	h := srv.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
+	rec := httptest.NewRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rec.Body.Reset()
+		h.ServeHTTP(rec, req)
 	}
 }

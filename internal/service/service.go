@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +128,8 @@ type Server struct {
 	mux *http.ServeMux
 	met *metricsRegistry
 
+	strategies []string // partition.AllNames(), sorted: Server.key's name check
+
 	// The two caches: a partitioning per key and a measured manifest per
 	// dataset, each computed once however many requests race for it, and
 	// each with the reply that serves it.
@@ -146,10 +149,11 @@ type Server struct {
 // New builds a Server and starts its job workers.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		met:    newMetricsRegistry(),
-		states: map[cutKey]*liveState{},
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		met:        newMetricsRegistry(),
+		strategies: partition.AllNames(),
+		states:     map[cutKey]*liveState{},
 	}
 	s.jobs = newJobRunner(s, cfg.jobQueue(), cfg.jobWorkers())
 	s.routes()
@@ -193,8 +197,11 @@ func (s *Server) key(dataset bool, name, strategy, parts string) (cutKey, error)
 	} else if name == "" {
 		name = "default"
 	}
-	if _, err := partition.New(strategy, partition.Options{}); err != nil {
-		return cutKey{}, statusError{http.StatusNotFound, err.Error()}
+	if _, found := slices.BinarySearch(s.strategies, strategy); !found {
+		// Only a miss builds a strategy, so the 404 text is New's own.
+		if _, err := partition.New(strategy, partition.Options{}); err != nil {
+			return cutKey{}, statusError{http.StatusNotFound, err.Error()}
+		}
 	}
 	n, err := queryInt("parts", parts, s.cfg.defaultParts())
 	if err != nil {
