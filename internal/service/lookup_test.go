@@ -130,6 +130,7 @@ func FuzzQueryValue(f *testing.F) {
 	for _, seed := range []struct{ raw, key string }{
 		{"a;b=1&parts=4", "parts"},
 		{"a;b=1&parts=4", "a"},
+		{"parts=1;x&parts=4", "parts"},
 		{"%zz=1&parts=2", "parts"},
 		{"parts=1+6", "parts"},
 		{"parts=16&parts=4", "parts"},
@@ -210,7 +211,9 @@ func TestMetricsReplyMatchesEncoder(t *testing.T) {
 		edges = append(edges, report.Cell{Dims: report.Dims{Dataset: "road-ca", Strategy: "HDRF", App: "PR",
 			Engine: "PowerGraph", Cluster: "EC2-16", Parts: i - 2, Variant: "op"}, Metric: "rf", Value: -v})
 	}
-	edges = append(edges, report.Cell{Dims: report.Dims{Variant: "<a & b>"}, Metric: "é\"\\\n", Value: 1})
+	for _, odd := range []string{"<", ">", "&", `"`, `\`, "\n", "\x7f", "é", "\u2028", "\xff"} {
+		edges = append(edges, report.Cell{Dims: report.Dims{Variant: "v" + odd}, Metric: odd, Value: 1, Unit: odd + "u"})
+	}
 	same("edge values", edges)
 	same("no cells", []report.Cell{})
 	same("nil cells", nil)
