@@ -53,7 +53,7 @@ func main() {
 		parts     = flag.Int("parts", 9, "number of partitions")
 		machines  = flag.Int("machines", 0, "cluster machines for the ingress model (default: parts)")
 		seed      = flag.Uint64("seed", 1, "hash seed")
-		threshold = flag.Int("hybrid-threshold", 30, "Hybrid/H-Ginger high-degree cutoff")
+		threshold = flag.Int("hybrid-threshold", datasets.HybridThreshold, "Hybrid/H-Ginger high-degree cutoff")
 		memBudget = flag.Float64("mem-budget", 0, "HEP in-memory edge budget as a fraction of |E| (0 = strategy default)")
 		workers   = flag.Int("workers", 0, "ingress workers, materialized and -stream alike (0 = GOMAXPROCS; never changes the result)")
 		stream    = flag.Bool("stream", false, "stream -input in batches without materializing the edge list (stateless strategies only)")

@@ -1,7 +1,7 @@
 // Command partitiond is the resident partition-as-a-service daemon: it
 // keeps registered datasets loaded in memory and serves assignment lookups,
-// async partition jobs, churn batches, advisor recommendations, and request
-// metrics over HTTP/JSON.
+// churn batches, advisor recommendations, and request metrics over
+// HTTP/JSON.
 //
 // Usage:
 //
@@ -10,8 +10,8 @@
 //	partitiond -addr :8080 -report BENCH_seed1.json   # warm advisor model
 //
 // The API is documented in docs/SERVICE.md. SIGINT/SIGTERM starts a
-// graceful drain: inflight partition jobs complete (bounded by -drain),
-// queued jobs are rejected, and the listener closes.
+// graceful drain: running assignment builds complete (bounded by -drain),
+// a build asked for later answers 503, and the listener closes.
 package main
 
 import (
@@ -50,14 +50,12 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 		addr       = fs.String("addr", "127.0.0.1:7474", "listen address")
 		scale      = fs.Int("scale", 1, "dataset scale factor")
 		seed       = fs.Uint64("seed", 1, "partitioner hash seed")
-		hybridThr  = fs.Int("hybrid-threshold", 0, "Hybrid/H-Ginger high-degree cutoff (0 = strategy default)")
+		hybridThr  = fs.Int("hybrid-threshold", datasets.HybridThreshold, "Hybrid/H-Ginger high-degree cutoff")
 		workers    = fs.Int("workers", 0, "partitioning/ingress goroutines (0 = all cores)")
 		parts      = fs.Int("parts", 16, "default partition count when a request names none")
-		queue      = fs.Int("queue", 16, "max queued partition jobs before 429")
-		jobWorkers = fs.Int("job-workers", 2, "concurrent partition job executors")
 		timeout    = fs.Duration("timeout", 30*time.Second, "per-request deadline on a wait for a build, counted from arrival")
 		maxBody    = fs.Int64("max-body", 8<<20, "max request body bytes before 413")
-		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for inflight jobs at shutdown")
+		drain      = fs.Duration("drain", 30*time.Second, "max time to wait for running builds at shutdown")
 		reportPath = fs.String("report", "", "benchrunner report JSON to pre-fit the advisor model from")
 		preload    = fs.String("preload", "", "comma-separated dataset names to load before serving")
 	)
@@ -71,8 +69,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 		HybridThreshold: *hybridThr,
 		Workers:         *workers,
 		DefaultParts:    *parts,
-		JobQueue:        *queue,
-		JobWorkers:      *jobWorkers,
 		RequestTimeout:  *timeout,
 		MaxBody:         *maxBody,
 	})

@@ -8,11 +8,16 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"graphpart/internal/datasets"
+	"graphpart/internal/partition"
 )
 
-// TestRunServesAndDrains boots the daemon on an ephemeral port, smoke-
-// tests a request, then closes quit and requires a clean exit within the
-// drain deadline — the listener-closes-on-shutdown contract.
+// TestRunServesAndDrains boots the daemon on an ephemeral port with the
+// default flags, smoke-tests a request, checks that its Hybrid is the one
+// the bench and cmd/partition run (the datasets' high-degree cutoff, not
+// the strategy's own default), then closes quit and requires a clean exit
+// within the drain deadline — the listener-closes-on-shutdown contract.
 func TestRunServesAndDrains(t *testing.T) {
 	var out bytes.Buffer
 	ready := make(chan string, 1)
@@ -44,6 +49,29 @@ func TestRunServesAndDrains(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || health.Status != "ok" {
 		t.Fatalf("healthz = %d %+v", resp.StatusCode, health)
+	}
+
+	resp, err = http.Get("http://" + addr + "/v1/assignment/livejournal/Hybrid?parts=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served struct {
+		ReplicationFactor float64 `json:"replicationFactor"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	g, err := datasets.Load("livejournal", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := partition.ParallelPartition(g, partition.MustNew("Hybrid", partition.Options{HybridThreshold: datasets.HybridThreshold}), 16, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := a.ReplicationFactor(); served.ReplicationFactor != want {
+		t.Fatalf("livejournal/Hybrid/16 served RF %.4f, want %.4f (cutoff %d)", served.ReplicationFactor, want, datasets.HybridThreshold)
 	}
 
 	close(quit)

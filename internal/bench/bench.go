@@ -55,9 +55,8 @@ import (
 )
 
 // hybridThreshold is the high-degree cutoff used by Hybrid/H-Ginger and the
-// PowerLyra engine. The scaled datasets use 30 (the paper's 100 assumes
-// million-vertex graphs).
-const hybridThreshold = 30
+// PowerLyra engine: the scaled datasets' own.
+const hybridThreshold = datasets.HybridThreshold
 
 // Config tunes an experiment run.
 type Config struct {

@@ -22,6 +22,13 @@ import (
 	"graphpart/internal/par"
 )
 
+// HybridThreshold is the Hybrid/H-Ginger high-degree cutoff for the scaled
+// stand-ins: the paper's 100 (partition.DefaultHybridThreshold) assumes
+// million-vertex graphs, and at these sizes 30 keeps the high-degree
+// population proportionally similar. The bench's cells, cmd/partition and
+// partitiond all partition with it.
+const HybridThreshold = 30
+
 // Kind says where a dataset's edges come from.
 type Kind string
 

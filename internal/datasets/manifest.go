@@ -2,7 +2,6 @@ package datasets
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"graphpart/internal/graph"
@@ -10,8 +9,7 @@ import (
 
 // Manifest is the full description of one dataset at one scale: the static
 // registry info plus the measured size and skew of the built graph. It
-// round-trips through JSON, so manifests can sit next to cached .csrg files
-// and feed downstream tooling.
+// round-trips through JSON: gengraph prints it, partitiond serves it.
 type Manifest struct {
 	Name       string            `json:"name"`
 	Kind       Kind              `json:"kind"`
@@ -76,24 +74,4 @@ func (m Manifest) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// DecodeManifest reads a manifest back from JSON. The manifest must carry a
-// name and one of the three graph.DegreeClass names as its class.
-func DecodeManifest(r io.Reader) (Manifest, error) {
-	var in struct {
-		Manifest
-		Class *graph.DegreeClass `json:"class"` // nil when the key is absent
-	}
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return Manifest{}, fmt.Errorf("datasets: manifest decode: %w", err)
-	}
-	if in.Name == "" {
-		return Manifest{}, fmt.Errorf("datasets: manifest without a name")
-	}
-	if in.Class == nil {
-		return Manifest{}, fmt.Errorf("datasets: manifest %s without a class", in.Name)
-	}
-	in.Manifest.Class = *in.Class
-	return in.Manifest, nil
 }

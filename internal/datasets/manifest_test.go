@@ -2,10 +2,10 @@ package datasets
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"graphpart/internal/graph"
@@ -26,8 +26,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := m.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeManifest(&buf)
-	if err != nil {
+	var back Manifest
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(m, back) {
@@ -56,30 +56,6 @@ func TestManifestSkewSeparatesClasses(t *testing.T) {
 func TestManifestUnknownName(t *testing.T) {
 	if _, err := BuildManifest("no-such-graph", 1); err == nil {
 		t.Error("BuildManifest accepted an unknown dataset")
-	}
-}
-
-func TestDecodeManifestRejectsEmpty(t *testing.T) {
-	if _, err := DecodeManifest(bytes.NewReader([]byte("{}"))); err == nil {
-		t.Error("manifest without a name accepted")
-	}
-	if _, err := DecodeManifest(bytes.NewReader([]byte("not json"))); err == nil {
-		t.Error("malformed manifest accepted")
-	}
-}
-
-// TestDecodeManifestRejectsUnknownClass: the class is a graph.DegreeClass,
-// so a manifest naming any other class, or none, fails to decode instead
-// of reaching a decision tree.
-func TestDecodeManifestRejectsUnknownClass(t *testing.T) {
-	for _, in := range []string{`{"name":"x","class":"bogus"}`, `{"name":"x","class":""}`, `{"name":"x"}`, `{"name":"x","class":null}`} {
-		if _, err := DecodeManifest(strings.NewReader(in)); err == nil {
-			t.Errorf("%s accepted", in)
-		}
-	}
-	m, err := DecodeManifest(strings.NewReader(`{"name":"x","class":"heavy-tailed"}`))
-	if err != nil || m.Class != graph.HeavyTailed {
-		t.Errorf("heavy-tailed manifest decoded as %v, %v", m.Class, err)
 	}
 }
 

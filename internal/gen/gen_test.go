@@ -22,10 +22,11 @@ func TestRoadNetShape(t *testing.T) {
 		}
 	}
 	// Low degree: lattice + occasional diagonals keeps max degree small.
-	if max := g.MaxDegree(); max > 16 {
-		t.Errorf("MaxDegree = %d, want ≤ 16", max)
+	c := graph.Classify(g)
+	if c.MaxDegree > 16 {
+		t.Errorf("MaxDegree = %d, want ≤ 16", c.MaxDegree)
 	}
-	if c := graph.Classify(g); c.Class != graph.LowDegree {
+	if c.Class != graph.LowDegree {
 		t.Errorf("road net classified %v, want low-degree", c.Class)
 	}
 }

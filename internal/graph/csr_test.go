@@ -43,16 +43,18 @@ func assertSameGraph(t *testing.T, want, got *Graph) {
 	if !reflect.DeepEqual(got.Edges, want.Edges) {
 		t.Errorf("edge lists differ:\n got %v\nwant %v", got.Edges, want.Edges)
 	}
-	gotIn, _ := got.Adjacency()
-	wantIn, _ := want.Adjacency()
+	gotIn, gotOut := got.Adjacency()
+	wantIn, wantOut := want.Adjacency()
 	for v := 0; v < want.NumVertices(); v++ {
 		id := VertexID(v)
 		if got.OutDegree(id) != want.OutDegree(id) || got.InDegree(id) != want.InDegree(id) {
 			t.Errorf("vertex %d: degree (%d,%d), want (%d,%d)",
 				v, got.OutDegree(id), got.InDegree(id), want.OutDegree(id), want.InDegree(id))
 		}
-		if !reflect.DeepEqual(got.OutNeighbors(id), want.OutNeighbors(id)) {
-			t.Errorf("vertex %d: out-neighbors %v, want %v", v, got.OutNeighbors(id), want.OutNeighbors(id))
+		gotNbrs := gotOut.Neighbors[gotOut.Index[v]:gotOut.Index[v+1]]
+		wantNbrs := wantOut.Neighbors[wantOut.Index[v]:wantOut.Index[v+1]]
+		if !reflect.DeepEqual(gotNbrs, wantNbrs) {
+			t.Errorf("vertex %d: out-neighbors %v, want %v", v, gotNbrs, wantNbrs)
 		}
 		gotIDs := gotIn.EdgeIDs[gotIn.Index[v]:gotIn.Index[v+1]]
 		wantIDs := wantIn.EdgeIDs[wantIn.Index[v]:wantIn.Index[v+1]]

@@ -139,12 +139,6 @@ func (g *Graph) buildCSR() {
 // EnsureCSR builds the adjacency indexes if they are not built yet.
 func (g *Graph) EnsureCSR() { g.buildCSR() }
 
-// OutNeighbors returns the out-neighbors of v (shared slice; do not modify).
-func (g *Graph) OutNeighbors(v VertexID) []VertexID {
-	g.buildCSR()
-	return g.outAdj[g.outIndex[v]:g.outIndex[v+1]]
-}
-
 // InNeighbors returns the in-neighbors of v (shared slice; do not modify).
 func (g *Graph) InNeighbors(v VertexID) []VertexID {
 	g.buildCSR()
@@ -155,7 +149,7 @@ func (g *Graph) InNeighbors(v VertexID) []VertexID {
 // Neighbors[Index[v]:Index[v+1]], and EdgeIDs, parallel to Neighbors, names
 // the edge behind each. The slices are the graph's own; do not modify. A loop
 // over many vertices takes the view once and slices it per vertex, where
-// OutNeighbors and InNeighbors re-check the build on every call.
+// InNeighbors re-checks the build on every call.
 type Adjacency struct {
 	Index     []int32
 	Neighbors []VertexID
@@ -167,17 +161,6 @@ type Adjacency struct {
 func (g *Graph) Adjacency() (in, out Adjacency) {
 	g.buildCSR()
 	return Adjacency{g.inIndex, g.inAdj, g.inEdge}, Adjacency{g.outIndex, g.outAdj, g.outEdge}
-}
-
-// MaxDegree returns the maximum total degree over all vertices.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for v := 0; v < g.numVertices; v++ {
-		if d := int(g.outDeg[v] + g.inDeg[v]); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // MaxInDegree returns the maximum in-degree over all vertices.

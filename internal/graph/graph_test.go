@@ -52,16 +52,17 @@ func TestDegrees(t *testing.T) {
 
 func TestNeighbors(t *testing.T) {
 	g := smallGraph()
-	out := g.OutNeighbors(0)
+	_, adj := g.Adjacency()
+	out := adj.Neighbors[adj.Index[0]:adj.Index[1]]
 	if len(out) != 2 {
-		t.Fatalf("OutNeighbors(0) = %v, want 2 entries", out)
+		t.Fatalf("out-neighbors of 0 = %v, want 2 entries", out)
 	}
 	seen := map[VertexID]bool{}
 	for _, u := range out {
 		seen[u] = true
 	}
 	if !seen[1] || !seen[2] {
-		t.Errorf("OutNeighbors(0) = %v, want {1,2}", out)
+		t.Errorf("out-neighbors of 0 = %v, want {1,2}", out)
 	}
 	in := g.InNeighbors(2)
 	if len(in) != 2 {
@@ -75,8 +76,8 @@ func TestEdgeIDsParallelToNeighbors(t *testing.T) {
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
 		lo, hi := out.Index[v], out.Index[v+1]
 		nbrs, eids := out.Neighbors[lo:hi], out.EdgeIDs[lo:hi]
-		if !slices.Equal(nbrs, g.OutNeighbors(v)) || len(nbrs) != len(eids) || len(nbrs) != g.OutDegree(v) {
-			t.Fatalf("v=%d: out list %v / %v, OutNeighbors %v, degree %d", v, nbrs, eids, g.OutNeighbors(v), g.OutDegree(v))
+		if len(nbrs) != len(eids) || len(nbrs) != g.OutDegree(v) {
+			t.Fatalf("v=%d: out list %v / %v, degree %d", v, nbrs, eids, g.OutDegree(v))
 		}
 		for i := range nbrs {
 			e := g.Edges[eids[i]]
@@ -106,14 +107,14 @@ func TestEmptyGraph(t *testing.T) {
 	if got := g.AvgDegree(); got != 0 {
 		t.Errorf("AvgDegree = %v, want 0", got)
 	}
-	if got := g.MaxDegree(); got != 0 {
+	if got := Classify(g).MaxDegree; got != 0 {
 		t.Errorf("MaxDegree = %v, want 0", got)
 	}
 }
 
 func TestMaxAndAvgDegree(t *testing.T) {
 	g := smallGraph()
-	if got := g.MaxDegree(); got != 3 {
+	if got := Classify(g).MaxDegree; got != 3 {
 		t.Errorf("MaxDegree = %d, want 3", got)
 	}
 	want := 2.0 * 5 / 4
@@ -207,12 +208,13 @@ func TestDegreeSumsProperty(t *testing.T) {
 			edges = append(edges, Edge{VertexID(raw[i] % 512), VertexID(raw[i+1] % 512)})
 		}
 		g := FromEdges("prop", edges)
+		_, out := g.Adjacency()
 		sumOut, sumIn := 0, 0
 		for v := 0; v < g.NumVertices(); v++ {
 			vid := VertexID(v)
 			sumOut += g.OutDegree(vid)
 			sumIn += g.InDegree(vid)
-			if len(g.OutNeighbors(vid)) != g.OutDegree(vid) {
+			if int(out.Index[v+1]-out.Index[v]) != g.OutDegree(vid) {
 				return false
 			}
 			if len(g.InNeighbors(vid)) != g.InDegree(vid) {

@@ -40,7 +40,7 @@ func TestQualityMergeShardOrder(t *testing.T) {
 	}
 
 	equal := func(a, b *Quality) bool {
-		if a.TotalReplicas() != b.TotalReplicas() || a.Placed() != b.Placed() || a.NumEdges() != b.NumEdges() {
+		if a.TotalReplicas() != b.TotalReplicas() || a.placed != b.placed || a.NumEdges() != b.NumEdges() {
 			return false
 		}
 		for p := 0; p < numParts; p++ {

@@ -140,20 +140,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Max returns the maximum (NaN for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Pearson returns the Pearson correlation coefficient of x and y.
 func Pearson(x, y []float64) (float64, error) {
 	if len(x) != len(y) || len(x) < 2 {

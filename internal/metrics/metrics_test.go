@@ -103,15 +103,12 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestMeanMax(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{2, 4, 6}); got != 4 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Max([]float64{2, 9, 6}); got != 9 {
-		t.Errorf("Max = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Max(nil)) {
-		t.Error("empty Mean/Max should be NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Error("empty Mean should be NaN")
 	}
 }
 

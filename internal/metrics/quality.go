@@ -32,9 +32,6 @@ func NewQuality(numParts int) *Quality {
 	}
 }
 
-// NumParts returns the partition count the summary is tracked over.
-func (q *Quality) NumParts() int { return q.numParts }
-
 // AddEdge records one edge placed on partition p.
 func (q *Quality) AddEdge(p int) {
 	q.edgeCount[p]++
@@ -101,9 +98,6 @@ func (q *Quality) ReplicasOnPart(p int) int64 { return q.partReplicas[p] }
 
 // TotalReplicas returns the total number of vertex images.
 func (q *Quality) TotalReplicas() int64 { return q.totalReplicas }
-
-// Placed returns the number of vertices with at least one replica.
-func (q *Quality) Placed() int64 { return q.placed }
 
 // NumEdges returns the number of live edges.
 func (q *Quality) NumEdges() int64 { return q.numEdges }

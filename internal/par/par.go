@@ -11,7 +11,7 @@
 // per-worker) scratch, and merge it in shard order, which is what makes
 // their results independent of the worker count. Long-lived goroutines
 // that form a pipeline rather than a fan-out (the stream builder's
-// consumers, the service's job workers) are not par's business.
+// consumers) are not par's business.
 //
 // par is also the repository's one compute-once cache: the loaded datasets,
 // the bench's assignments and measured points, and the service's

@@ -69,9 +69,6 @@ func (t *cutTable) EdgeBalance() float64 { return t.q.EdgeBalance() }
 // (maintained by the quality summary; O(1)).
 func (t *cutTable) ReplicasOnPart(p int) int64 { return t.q.ReplicasOnPart(p) }
 
-// Quality returns the aggregate quality summary (shared; do not modify).
-func (t *cutTable) Quality() *metrics.Quality { return t.q }
-
 // deriveMasters is the bulk master pass of every one-shot path (the
 // materialized driver and the stream builder's Finish): from a filled
 // replica matrix over n vertices it allocates the masters, picks each one

@@ -6,9 +6,9 @@ import (
 )
 
 // DefaultHybridThreshold is PowerLyra's default high-degree cutoff (§6.2.1).
-// Experiments on the scaled synthetic datasets pass a smaller value via
-// Options.HybridThreshold so that the high-degree population is proportionally
-// similar to the paper's.
+// Runs on the scaled synthetic datasets pass their smaller one,
+// datasets.HybridThreshold, via Options.HybridThreshold so that the
+// high-degree population is proportionally similar to the paper's.
 const DefaultHybridThreshold = 100
 
 // hybrid is PowerLyra's hybrid-cut (§6.2.1): edge-cuts for low-degree

@@ -83,10 +83,10 @@ func viewOf(c *cutTable, n int) tableView {
 	v := tableView{
 		Masters:   make([]int32, n),
 		Replicas:  make([]int, n),
-		EdgeCount: c.Quality().EdgeCounts(),
+		EdgeCount: c.q.EdgeCounts(),
 		Images:    make([]int64, c.numParts),
 		Total:     c.TotalReplicas(),
-		NumEdges:  c.Quality().NumEdges(),
+		NumEdges:  c.q.NumEdges(),
 		RF:        c.ReplicationFactor(),
 		Balance:   c.EdgeBalance(),
 	}

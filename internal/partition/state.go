@@ -485,9 +485,6 @@ func (st *PartitionState) NumEdges() int64 { return st.q.NumEdges() }
 // vertices whose edges were all deleted stay isolated, master -1.
 func (st *PartitionState) NumVertices() int { return st.n }
 
-// NumParts returns the partition count.
-func (st *PartitionState) NumParts() int { return st.numParts }
-
 // Incremental reports whether churn is absorbed incrementally (false for
 // the multi-pass family, which repartitions per batch).
 func (st *PartitionState) Incremental() bool { return st.inc != nil }

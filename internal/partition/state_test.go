@@ -127,7 +127,7 @@ func TestGreedyIncrementalBoundedDrift(t *testing.T) {
 			t.Fatalf("%s: %d live edges, trace left %d", name, st.NumEdges(), len(survivors))
 		}
 		var total int64
-		for p := 0; p < st.NumParts(); p++ {
+		for p := 0; p < st.numParts; p++ {
 			total += st.EdgeCount()[p]
 		}
 		if total != st.NumEdges() {
@@ -291,7 +291,7 @@ func TestRebalanceBringsBalanceUnderThreshold(t *testing.T) {
 	}
 	// The bookkeeping must survive migration intact.
 	var total int64
-	for p := 0; p < st.NumParts(); p++ {
+	for p := 0; p < st.numParts; p++ {
 		total += st.EdgeCount()[p]
 	}
 	if total != st.NumEdges() {
@@ -325,7 +325,7 @@ func TestHotReplicationPinsAndReleases(t *testing.T) {
 		}
 	}
 	var total int64
-	for p := 0; p < st.NumParts(); p++ {
+	for p := 0; p < st.numParts; p++ {
 		total += st.EdgeCount()[p]
 	}
 	if total != st.NumEdges() {
@@ -358,7 +358,7 @@ func TestRebalanceNewFamilies(t *testing.T) {
 				t.Fatalf("balance %v over threshold yet rebalance moved nothing", before)
 			}
 			var total int64
-			for p := 0; p < st.NumParts(); p++ {
+			for p := 0; p < st.numParts; p++ {
 				total += st.EdgeCount()[p]
 			}
 			if total != st.NumEdges() {
@@ -402,7 +402,7 @@ func TestHotReplicationNewFamilies(t *testing.T) {
 				}
 			}
 			var total int64
-			for p := 0; p < st.NumParts(); p++ {
+			for p := 0; p < st.numParts; p++ {
 				total += st.EdgeCount()[p]
 			}
 			if total != st.NumEdges() {

@@ -15,6 +15,63 @@ import (
 // width and height are the plot area of every chart, in characters.
 const width, height = 64, 18
 
+// marks are the symbols of successive points or series.
+var marks = []byte("*o+x#@%&$^!~")
+
+// frame is the plot area of one chart over its value ranges.
+type frame struct {
+	grid                   [][]byte
+	minX, maxX, minY, maxY float64
+}
+
+func newFrame(minX, maxX, minY, maxY float64) *frame {
+	grid := make([][]byte, height)
+	for i := range grid {
+		grid[i] = []byte(strings.Repeat(" ", width))
+	}
+	return &frame{grid, minX, maxX, minY, maxY}
+}
+
+// col and row place a value on the plot area; either may fall outside it.
+func (f *frame) col(x float64) int {
+	return int((x - f.minX) / (f.maxX - f.minX) * float64(width-1))
+}
+
+func (f *frame) row(y float64) int {
+	return height - 1 - int((y-f.minY)/(f.maxY-f.minY)*float64(height-1))
+}
+
+// mark sets cell (r, c) to m when it falls inside the plot area.
+func (f *frame) mark(r, c int, m byte) {
+	if r >= 0 && r < height && c >= 0 && c < width {
+		f.grid[r][c] = m
+	}
+}
+
+// set marks the cell of the point (x, y).
+func (f *frame) set(x, y float64, m byte) { f.mark(f.row(y), f.col(x), m) }
+
+// render writes the title, the y label, the rows with the y range at the
+// top and bottom, the x axis and the x range with its label.
+func (f *frame) render(w io.Writer, title, xLabel, yLabel string) error {
+	if _, err := fmt.Fprintf(w, "%s\n%s\n", title, yLabel); err != nil {
+		return err
+	}
+	for i, line := range f.grid {
+		label := "        "
+		switch i {
+		case 0:
+			label = fmt.Sprintf("%8.3g", f.maxY)
+		case height - 1:
+			label = fmt.Sprintf("%8.3g", f.minY)
+		}
+		fmt.Fprintf(w, "%s |%s\n", label, string(line))
+	}
+	fmt.Fprintf(w, "         +%s\n", strings.Repeat("-", width))
+	fmt.Fprintf(w, "          %-*.3g%*.3g  (%s)\n", width/2, f.minX, width/2, f.maxX, xLabel)
+	return nil
+}
+
 // Point is one labeled sample of a scatter plot.
 type Point struct {
 	X, Y  float64
@@ -53,59 +110,26 @@ func (s *Scatter) Render(w io.Writer) error {
 	if padY == 0 {
 		padY = math.Abs(maxY)*0.1 + 1e-12
 	}
-	minX, maxX = minX-padX, maxX+padX
-	minY, maxY = minY-padY, maxY+padY
-
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	col := func(x float64) int { return int((x - minX) / (maxX - minX) * float64(width-1)) }
-	row := func(y float64) int { return height - 1 - int((y-minY)/(maxY-minY)*float64(height-1)) }
+	f := newFrame(minX-padX, maxX+padX, minY-padY, maxY+padY)
 
 	if s.Trend != nil {
 		for c := 0; c < width; c++ {
-			x := minX + (maxX-minX)*float64(c)/float64(width-1)
-			y := s.Trend[0]*x + s.Trend[1]
-			r := row(y)
-			if r >= 0 && r < height {
-				grid[r][c] = '.'
-			}
+			x := f.minX + (f.maxX-f.minX)*float64(c)/float64(width-1)
+			f.mark(f.row(s.Trend[0]*x+s.Trend[1]), c, '.')
 		}
 	}
-	marks := []byte("*o+x#@%&$^!~")
 	legend := make([]string, 0, len(s.Points))
 	for i, p := range s.Points {
 		m := marks[i%len(marks)]
-		r, c := row(p.Y), col(p.X)
-		if r >= 0 && r < height && c >= 0 && c < width {
-			grid[r][c] = m
-		}
+		f.set(p.X, p.Y, m)
 		legend = append(legend, fmt.Sprintf("%c=%s(%.3g,%.4g)", m, p.Label, p.X, p.Y))
 	}
 
-	if _, err := fmt.Fprintf(w, "%s\n", s.Title); err != nil {
+	if err := f.render(w, s.Title, s.XLabel, s.YLabel); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%s\n", s.YLabel)
-	for i, line := range grid {
-		label := "        "
-		switch i {
-		case 0:
-			label = fmt.Sprintf("%8.3g", maxY)
-		case height - 1:
-			label = fmt.Sprintf("%8.3g", minY)
-		}
-		fmt.Fprintf(w, "%s |%s\n", label, string(line))
-	}
-	fmt.Fprintf(w, "         +%s\n", strings.Repeat("-", width))
-	fmt.Fprintf(w, "          %-*.3g%*.3g  (%s)\n", width/2, minX, width/2, maxX, s.XLabel)
 	for i := 0; i < len(legend); i += 3 {
-		end := i + 3
-		if end > len(legend) {
-			end = len(legend)
-		}
-		fmt.Fprintf(w, "  %s\n", strings.Join(legend[i:end], "  "))
+		fmt.Fprintf(w, "  %s\n", strings.Join(legend[i:min(i+3, len(legend))], "  "))
 	}
 	return nil
 }
@@ -144,51 +168,26 @@ func (l *Lines) Render(w io.Writer) error {
 	if minX == maxX {
 		maxX = minX + 1
 	}
+	f := newFrame(minX, maxX, minY, maxY)
 
-	grid := make([][]byte, height)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", width))
-	}
-	marks := []byte("*o+x#@%&$^!~")
+	// Interpolate between consecutive samples.
+	steps := max(width/len(l.X)*2, 2)
 	for si, s := range l.Series {
 		m := marks[si%len(marks)]
 		for i := 1; i < len(s.Y) && i < len(l.X); i++ {
-			// Interpolate between consecutive samples.
-			steps := width / len(l.X) * 2
-			if steps < 2 {
-				steps = 2
-			}
 			for k := 0; k <= steps; k++ {
-				f := float64(k) / float64(steps)
-				x := l.X[i-1] + (l.X[i]-l.X[i-1])*f
-				y := s.Y[i-1] + (s.Y[i]-s.Y[i-1])*f
-				c := int((x - minX) / (maxX - minX) * float64(width-1))
-				r := height - 1 - int((y-minY)/(maxY-minY)*float64(height-1))
-				if r >= 0 && r < height && c >= 0 && c < width {
-					grid[r][c] = m
-				}
+				t := float64(k) / float64(steps)
+				f.set(l.X[i-1]+(l.X[i]-l.X[i-1])*t, s.Y[i-1]+(s.Y[i]-s.Y[i-1])*t, m)
 			}
 		}
 	}
 
-	if _, err := fmt.Fprintf(w, "%s\n%s\n", l.Title, l.YLabel); err != nil {
+	if err := f.render(w, l.Title, l.XLabel, l.YLabel); err != nil {
 		return err
 	}
-	for i, line := range grid {
-		label := "        "
-		switch i {
-		case 0:
-			label = fmt.Sprintf("%8.3g", maxY)
-		case height - 1:
-			label = fmt.Sprintf("%8.3g", minY)
-		}
-		fmt.Fprintf(w, "%s |%s\n", label, string(line))
-	}
-	fmt.Fprintf(w, "         +%s\n", strings.Repeat("-", width))
-	fmt.Fprintf(w, "          %-*.3g%*.3g  (%s)\n", width/2, minX, width/2, maxX, l.XLabel)
-	var leg []string
+	leg := make([]string, len(l.Series))
 	for si, s := range l.Series {
-		leg = append(leg, fmt.Sprintf("%c=%s", marks[si%len(marks)], s.Name))
+		leg[si] = fmt.Sprintf("%c=%s", marks[si%len(marks)], s.Name)
 	}
 	fmt.Fprintf(w, "  %s\n", strings.Join(leg, "  "))
 	return nil

@@ -31,9 +31,6 @@ var ErrNoModel = errors.New("service: no advisor model fitted; POST a benchrunne
 // by deadline, the request's arrival plus RequestTimeout.
 type handler func(r *http.Request, deadline time.Time) (any, error)
 
-// accepted wraps a handler's value to answer 202 instead of 200.
-type accepted struct{ v any }
-
 // statusError is a failure that is the request's own and knows its status.
 type statusError struct {
 	status int
@@ -47,8 +44,8 @@ func statusErrorf(status int, format string, args ...any) error {
 }
 
 // statusOf is the one error→status mapping: a statusError says its own,
-// the named lifecycle errors have theirs, a wait that ended at the request
-// deadline is 504 and anything else is the server's fault.
+// the named errors have theirs, a wait that ended at the request deadline
+// is 504 and anything else is the server's fault.
 func statusOf(err error) int {
 	var se statusError
 	switch {
@@ -56,8 +53,6 @@ func statusOf(err error) int {
 		return se.status
 	case errors.Is(err, ErrNoModel):
 		return http.StatusConflict
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -73,8 +68,8 @@ type apiError struct {
 }
 
 // replyBufs recycles the indented reply bodies. A buffer grown past
-// maxPooledReply is left to the collector, so one large reply (a long job
-// list) does not pin its size in the pool.
+// maxPooledReply is left to the collector, so one large reply does not
+// pin its size in the pool.
 var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledReply = 64 << 10
@@ -86,9 +81,6 @@ const maxPooledReply = 64 << 10
 // bytes (preEncoded) is written as it is.
 func respond(w http.ResponseWriter, v any, err error) int {
 	status := http.StatusOK
-	if a, ok := v.(accepted); ok {
-		status, v = http.StatusAccepted, a.v
-	}
 	if err != nil {
 		status = statusOf(err)
 		v = apiError{Error: err.Error(), Status: status}
@@ -214,8 +206,6 @@ func (s *Server) routes() {
 	s.handle("/v1/datasets", "datasets", s.handleDatasets, http.MethodGet)
 	s.handle("/v1/datasets/{name}", "dataset-manifest", s.handleManifest, http.MethodGet)
 	s.handle("/v1/assignment/{dataset}/{strategy}", "assignment", s.handleAssignment, http.MethodGet)
-	s.handle("/v1/jobs", "jobs", s.handleJobs, http.MethodGet, http.MethodPost)
-	s.handle("/v1/jobs/{id}", "job-status", s.handleJobStatus, http.MethodGet)
 	s.handle("/v1/churn", "churn", s.handleChurn, http.MethodGet, http.MethodPost)
 	s.handle("/v1/advisor/fit", "advisor-fit", s.handleAdvisorFit, http.MethodPost)
 	s.handle("/v1/advise", "advise", s.handleAdvise, http.MethodGet)
@@ -448,51 +438,6 @@ func (s *Server) handleAssignment(r *http.Request, deadline time.Time) (any, err
 		return nil, statusErrorf(http.StatusNotFound, "service: vertex %d outside %s (%d vertices)", v, k.name, a.G.NumVertices())
 	}
 	return vertexReply{c.reply, vertexLookup{ID: v, Master: a.Master(v), Replicas: a.Replicas(v)}}, c.err
-}
-
-// --- jobs ---------------------------------------------------------------
-
-// jobRequest is the POST /v1/jobs body.
-type jobRequest struct {
-	Dataset  string `json:"dataset"`
-	Strategy string `json:"strategy"`
-	Parts    int    `json:"parts"`
-}
-
-func (s *Server) handleJobs(r *http.Request, _ time.Time) (any, error) {
-	if r.Method == http.MethodGet {
-		return map[string]any{"jobs": s.jobs.list()}, nil
-	}
-	b, err := readBody(r)
-	if err != nil {
-		return nil, err
-	}
-	var req jobRequest
-	if err := decodeJSON(b, &req); err != nil {
-		return nil, err
-	}
-	k, err := s.key(true, req.Dataset, req.Strategy, bodyParts(req.Parts))
-	if err != nil {
-		return nil, err
-	}
-	// A job for a pair the strategy refuses could only fail: refuse it now.
-	if _, err := s.newStrategy(k); err != nil {
-		return nil, err
-	}
-	j, err := s.jobs.submit(k)
-	if err != nil {
-		return nil, err
-	}
-	return accepted{j}, nil
-}
-
-func (s *Server) handleJobStatus(r *http.Request, _ time.Time) (any, error) {
-	id := r.PathValue("id")
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return nil, statusErrorf(http.StatusNotFound, "service: unknown job %q", id)
-	}
-	return j, nil
 }
 
 // --- churn --------------------------------------------------------------

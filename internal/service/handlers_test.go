@@ -18,7 +18,7 @@ import (
 	"graphpart/internal/report"
 )
 
-// newTestServer builds a Server whose jobs drain at test end.
+// newTestServer builds a Server whose builds drain at test end.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s := New(cfg)
@@ -192,8 +192,8 @@ func endpointRows() []endpointRow {
 		{name: "assignment non-numeric parts", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=many", status: http.StatusBadRequest},
 		{name: "assignment absurd parts", method: http.MethodGet, path: fmt.Sprintf("/v1/assignment/road-ca/Grid?parts=%d", maxParts+1), status: http.StatusBadRequest},
 		// A (strategy, parts) pair the strategy itself refuses is the client's
-		// mistake, not the server's: these four answered 500 (202 for the job)
-		// after loading the dataset.
+		// mistake, not the server's: these answered 500 after loading the
+		// dataset.
 		{name: "assignment grid non-square", method: http.MethodGet, path: "/v1/assignment/road-ca/Grid?parts=10", status: http.StatusBadRequest,
 			check: wantBodyContains("numParts=10 is not a perfect square")},
 		{name: "assignment pds bad count", method: http.MethodGet, path: "/v1/assignment/road-ca/PDS?parts=10", status: http.StatusBadRequest,
@@ -247,13 +247,6 @@ func endpointRows() []endpointRow {
 			check: wantBodyContains("vertex id 4000000")},
 		{name: "churn absurd vertex id made no stream", method: http.MethodGet, path: "/v1/churn?stream=s&strategy=2D&parts=17", status: http.StatusNotFound},
 		{name: "churn malformed json", method: http.MethodPost, path: "/v1/churn", body: `{"adds":`, status: http.StatusBadRequest},
-		{name: "jobs malformed json", method: http.MethodPost, path: "/v1/jobs", body: `not json`, status: http.StatusBadRequest},
-		{name: "jobs unknown dataset", method: http.MethodPost, path: "/v1/jobs",
-			body: `{"dataset":"no-such-graph","strategy":"Grid"}`, status: http.StatusNotFound},
-		{name: "job grid non-square", method: http.MethodPost, path: "/v1/jobs",
-			body: `{"dataset":"road-ca","strategy":"Grid","parts":10}`, status: http.StatusBadRequest,
-			check: wantBodyContains("numParts=10 is not a perfect square")},
-		{name: "jobs unknown job id", method: http.MethodGet, path: "/v1/jobs/job-999", status: http.StatusNotFound},
 		{name: "advise before fit conflicts", method: http.MethodGet, path: "/v1/advise?dataset=road-ca", status: http.StatusConflict},
 		{name: "advisor fit malformed", method: http.MethodPost, path: "/v1/advisor/fit", body: `{"schemaVersion":99}`, status: http.StatusBadRequest},
 		{name: "advisor fit ok", method: http.MethodPost, path: "/v1/advisor/fit", body: fitBody, status: http.StatusOK,
@@ -338,8 +331,8 @@ func TestEndpointTable(t *testing.T) {
 
 // TestRefusedPartsAreTheClientsFault: a partition count the strategy itself
 // rejects is answered 400 on every endpoint that can build the pair — before
-// the dataset loads, without a job or a stream coming to exist, and counted
-// under client-errors, not server-errors.
+// the dataset loads, without a stream coming to exist, and counted under
+// client-errors, not server-errors.
 func TestRefusedPartsAreTheClientsFault(t *testing.T) {
 	gate, builds := registerGatedDataset(t, "svc-refused-parts")
 	close(gate) // a regression would build the dataset, not hang on it
@@ -348,15 +341,11 @@ func TestRefusedPartsAreTheClientsFault(t *testing.T) {
 		{http.MethodGet, "/v1/assignment/svc-refused-parts/Grid?parts=10", ""},
 		{http.MethodGet, "/v1/assignment/svc-refused-parts/PDS?parts=10", ""},
 		{http.MethodPost, "/v1/churn", `{"stream":"refused","strategy":"Grid","parts":10,"adds":[[0,1]]}`},
-		{http.MethodPost, "/v1/jobs", `{"dataset":"svc-refused-parts","strategy":"Grid","parts":10}`},
 	} {
 		wantError(t, do(srv, x.method, x.path, x.body), http.StatusBadRequest)
 	}
 	if n := builds.Load(); n != 0 {
 		t.Errorf("the refused requests built the dataset %d times", n)
-	}
-	if jobs := srv.jobs.list(); len(jobs) != 0 {
-		t.Errorf("a job that could only fail was accepted: %+v", jobs)
 	}
 	wantError(t, do(srv, http.MethodGet, "/v1/churn?stream=refused&strategy=Grid&parts=10", ""), http.StatusNotFound)
 	for _, c := range srv.MetricsCells() {
@@ -371,69 +360,12 @@ func TestRefusedPartsAreTheClientsFault(t *testing.T) {
 func TestOversizedBodies(t *testing.T) {
 	srv := newTestServer(t, Config{MaxBody: 64})
 	big := `{"dataset":"road-ca","strategy":"Grid","padding":"` + strings.Repeat("x", 256) + `"}`
-	for _, path := range []string{"/v1/jobs", "/v1/churn", "/v1/advisor/fit"} {
+	for _, path := range []string{"/v1/churn", "/v1/advisor/fit"} {
 		rec := do(srv, http.MethodPost, path, big)
 		wantError(t, rec, http.StatusRequestEntityTooLarge)
 	}
 	for _, x := range insideTheCap {
 		wantError(t, do(srv, http.MethodPost, x.path, strings.Repeat(x.first, 5)), http.StatusRequestEntityTooLarge)
-	}
-}
-
-// TestJobLifecycle submits a partition job and polls it to completion.
-func TestJobLifecycle(t *testing.T) {
-	srv := newTestServer(t, Config{})
-	rec := do(srv, http.MethodPost, "/v1/jobs", `{"dataset":"road-ca","strategy":"Random","parts":4}`)
-	if rec.Code != http.StatusAccepted {
-		t.Fatalf("submit status = %d (%s)", rec.Code, rec.Body)
-	}
-	var j Job
-	decodeBodyJSON(t, rec, &j)
-	if j.ID == "" || j.Status != JobQueued {
-		t.Fatalf("submitted job = %+v", j)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		rec = do(srv, http.MethodGet, "/v1/jobs/"+j.ID, "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("poll status = %d (%s)", rec.Code, rec.Body)
-		}
-		decodeBodyJSON(t, rec, &j)
-		if j.Status == JobDone || j.Status == JobFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", j.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if j.Status != JobDone {
-		t.Fatalf("job failed: %s", j.Error)
-	}
-	if j.Edges == 0 || j.Vertices == 0 || j.ReplicationFactor < 1 || j.Seconds <= 0 {
-		t.Fatalf("done job missing quality fields: %+v", j)
-	}
-
-	// The completed job warmed the assignment cache: the lookup endpoint
-	// answers without a second build.
-	before := srv.AssignmentBuilds()
-	rec = do(srv, http.MethodGet, "/v1/assignment/road-ca/Random?parts=4", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("assignment after job = %d", rec.Code)
-	}
-	if got := srv.AssignmentBuilds(); got != before {
-		t.Fatalf("assignment lookup rebuilt a job-warmed key: %d → %d builds", before, got)
-	}
-
-	// And the list endpoint shows it.
-	rec = do(srv, http.MethodGet, "/v1/jobs", "")
-	var list struct {
-		Jobs []Job `json:"jobs"`
-	}
-	decodeBodyJSON(t, rec, &list)
-	if len(list.Jobs) != 1 || list.Jobs[0].ID != j.ID {
-		t.Fatalf("job list = %+v", list.Jobs)
 	}
 }
 
@@ -472,7 +404,7 @@ func TestAdviseRatioRange(t *testing.T) {
 func TestRespondUnencodableIs500(t *testing.T) {
 	for _, v := range []any{
 		struct{ RF float64 }{math.NaN()},
-		accepted{map[string]float64{"rf": math.Inf(1)}},
+		map[string]float64{"rf": math.Inf(1)},
 	} {
 		rec := httptest.NewRecorder()
 		if status := respond(rec, v, nil); status != http.StatusInternalServerError {
@@ -494,9 +426,14 @@ func FuzzIndentJSON(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, sec := range strings.Split(string(golden), "\n## ") {
+		for _, line := range strings.Split(sec, "\n") {
+			if body, ok := strings.CutPrefix(line, "> "); ok && json.Valid([]byte(body)) {
+				f.Add(body) // every request body the golden pins
+			}
+		}
 		if _, body, ok := strings.Cut(sec, "\n< Allow:"); ok {
 			if _, body, ok = strings.Cut(body, "\n"); ok && json.Valid([]byte(body)) {
-				f.Add(body) // every reply the golden pins, compacted below
+				f.Add(body) // and every reply, compacted below
 			}
 		}
 	}

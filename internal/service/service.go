@@ -1,10 +1,8 @@
 // Package service is the resident partition-as-a-service layer: an
 // HTTP/JSON server that keeps registered datasets loaded in memory,
-// serves assignment lookups and manifest stats,
-// executes partition jobs asynchronously on a bounded queue, applies churn
-// batches to live partition.PartitionState streams, and answers advisor
-// queries from a warm in-memory advisor.Model refittable from uploaded
-// benchrunner reports.
+// serves assignment lookups and manifest stats, applies churn batches to
+// live partition.PartitionState streams, and answers advisor queries from a
+// warm in-memory advisor.Model refittable from uploaded benchrunner reports.
 //
 // Everything the one-shot CLIs do once per process, the service does
 // concurrently and repeatedly. Every endpoint is a handler that returns a
@@ -16,10 +14,11 @@
 // concurrent requests for the same assignment share one computation, and
 // one that outlives its request still lands in the cache); a cached
 // partitioning or manifest carries its reply bytes, encoded once by the
-// build, and a request arms its deadline only to wait on a build. Churn
-// streams are mutable state behind per-stream locks. Shutdown is graceful:
-// inflight partition jobs complete, queued jobs are rejected with
-// ErrShutdown, and new submissions get ErrDraining.
+// build, and a request arms its deadline only to wait on a build. That
+// cache is the one build path: a request whose wait ends answers 504 while
+// its build runs on into the cache. Churn streams are mutable state behind
+// per-stream locks. Shutdown is graceful: running builds complete, and a
+// build asked for after it began gets ErrDraining.
 //
 // The API is documented in docs/SERVICE.md; cmd/partitiond is the daemon
 // binary and TestConcurrentBattery load-tests an in-process instance.
@@ -27,6 +26,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -48,18 +48,13 @@ type Config struct {
 	// Seed is the partitioner hash seed (the same seed the bench uses).
 	Seed uint64
 	// HybridThreshold is the Hybrid/H-Ginger high-degree cutoff (0 keeps
-	// the strategy default).
+	// the strategy default; partitiond passes datasets.HybridThreshold).
 	HybridThreshold int
 	// Workers bounds partitioning/ingress goroutines (≤0 = GOMAXPROCS).
 	Workers int
 	// DefaultParts is the partition count used when a request names none
 	// (≤0 = 16).
 	DefaultParts int
-	// JobQueue caps queued-but-not-running partition jobs; submissions
-	// beyond it are rejected with ErrQueueFull → 429 (≤0 = 16).
-	JobQueue int
-	// JobWorkers is the number of job executor goroutines (≤0 = 2).
-	JobWorkers int
 	// RequestTimeout bounds each request's wait on a cache build, counted
 	// from its arrival; expired requests get 504 while the underlying
 	// computation keeps warming the cache, and a request answered from a
@@ -81,20 +76,6 @@ func (c Config) defaultParts() int {
 		return 16
 	}
 	return c.DefaultParts
-}
-
-func (c Config) jobQueue() int {
-	if c.JobQueue < 1 {
-		return 16
-	}
-	return c.JobQueue
-}
-
-func (c Config) jobWorkers() int {
-	if c.JobWorkers < 1 {
-		return 2
-	}
-	return c.JobWorkers
 }
 
 func (c Config) requestTimeout() time.Duration {
@@ -140,13 +121,20 @@ type Server struct {
 	stMu   sync.Mutex
 	states map[cutKey]*liveState
 
+	// The drain: once draining is set build starts nothing, and Shutdown
+	// waits on running for the builds that started before.
+	drainMu  sync.Mutex
+	draining bool
+	running  sync.WaitGroup
+
 	advMu sync.RWMutex
 	model *advisor.Model
-
-	jobs *jobRunner
 }
 
-// New builds a Server and starts its job workers.
+// ErrDraining refuses a build asked for after Shutdown began (503).
+var ErrDraining = errors.New("service: server draining; not starting builds")
+
+// New builds a Server.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
@@ -155,7 +143,6 @@ func New(cfg Config) *Server {
 		strategies: partition.AllNames(),
 		states:     map[cutKey]*liveState{},
 	}
-	s.jobs = newJobRunner(s, cfg.jobQueue(), cfg.jobWorkers())
 	s.routes()
 	return s
 }
@@ -163,14 +150,26 @@ func New(cfg Config) *Server {
 // Handler returns the instrumented HTTP handler for the whole API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Shutdown drains the service: running partition jobs complete, queued
-// jobs are rejected with ErrShutdown, and later submissions fail with
-// ErrDraining. It returns ctx.Err() when the drain outlives the context.
-// The HTTP listener is the caller's to close (http.Server.Shutdown);
-// handlers for already-accepted requests keep working during and after
-// the drain.
+// Shutdown drains the service: running assignment builds complete, and a
+// build asked for later fails with ErrDraining. It returns ctx.Err() when
+// the drain outlives the context. The HTTP listener is the caller's to
+// close (http.Server.Shutdown); handlers for already-accepted requests
+// keep working during and after the drain, answering from the caches.
 func (s *Server) Shutdown(ctx context.Context) error {
-	return s.jobs.shutdown(ctx)
+	s.drainMu.Lock()
+	s.draining = true
+	s.drainMu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		s.running.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("service: drain incomplete: %w", ctx.Err())
+	}
 }
 
 // AssignmentBuilds reports how many partitionings the server has actually
@@ -178,8 +177,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // number of distinct (dataset, strategy, parts) keys requested.
 func (s *Server) AssignmentBuilds() int64 { return s.builds.Load() }
 
-// cutKey names one partitioning — of a registered dataset (assignments,
-// jobs) or of a live churn stream — under a strategy at a partition count.
+// cutKey names one partitioning — of a registered dataset (assignments)
+// or of a live churn stream — under a strategy at a partition count.
 type cutKey struct {
 	name     string
 	strategy string
@@ -214,7 +213,7 @@ func (s *Server) key(dataset bool, name, strategy, parts string) (cutKey, error)
 }
 
 // newStrategy builds k's strategy where a (strategy, parts) pair is first
-// built — a cache miss, a new stream, a job submission; never a cache hit.
+// built — a cache miss or a new stream; never a cache hit.
 // A partition count the strategy itself refuses (Grid's perfect square,
 // PDS's p²+p+1) is the client's error: 400 with the strategy's message,
 // before any dataset is loaded or state allocated.
@@ -273,12 +272,22 @@ func (s *Server) assignment(ctx context.Context, deadline time.Time, k cutKey) (
 }
 
 // build partitions k's dataset and encodes the assignment's summary, the
-// reply of GET /v1/assignment without a vertex.
+// reply of GET /v1/assignment without a vertex. Once Shutdown began it
+// loads and partitions nothing and fails with ErrDraining, which the cache
+// drops; a pair the strategy refuses is the client's error before that.
 func (s *Server) build(k cutKey) (entry[*partition.Assignment], error) {
 	st, err := s.newStrategy(k)
 	if err != nil {
 		return entry[*partition.Assignment]{}, err
 	}
+	s.drainMu.Lock()
+	if s.draining {
+		s.drainMu.Unlock()
+		return entry[*partition.Assignment]{}, ErrDraining
+	}
+	s.running.Add(1)
+	s.drainMu.Unlock()
+	defer s.running.Done()
 	g, err := datasets.Load(k.name, s.cfg.scale())
 	if err != nil {
 		return entry[*partition.Assignment]{}, err

@@ -2,9 +2,9 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -84,134 +84,110 @@ func TestSingleflightAssignment(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdown drives the full drain contract: the running job
-// completes, queued jobs are rejected with the named ErrShutdown, new
-// submissions get 503 ErrDraining, and the drain finishes within its
-// deadline.
-func TestGracefulShutdown(t *testing.T) {
-	gate, _ := registerGatedDataset(t, "svc-drain")
-	srv := New(Config{JobWorkers: 1, JobQueue: 2})
-
-	submit := func(parts int) (*Job, int, string) {
-		body := fmt.Sprintf(`{"dataset":"svc-drain","strategy":"Random","parts":%d}`, parts)
-		rec := do(srv, http.MethodPost, "/v1/jobs", body)
-		if rec.Code != http.StatusAccepted {
-			return nil, rec.Code, rec.Body.String()
-		}
-		var j Job
-		if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
-			t.Fatal(err)
-		}
-		return &j, rec.Code, ""
-	}
-	status := func(id string) Job {
-		rec := do(srv, http.MethodGet, "/v1/jobs/"+id, "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("poll %s: %d", id, rec.Code)
-		}
-		var j Job
-		decodeBodyJSON(t, rec, &j)
-		return j
-	}
-
-	running, _, _ := submit(2)
-	if running == nil {
-		t.Fatal("first submission rejected")
-	}
+// eventually polls cond until it holds, failing the test after 10 s.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for status(running.ID).Status != JobRunning {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
+			t.Fatalf("%s never happened", what)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
+}
 
-	// Fill the bounded queue, then overflow it.
-	q1, _, _ := submit(3)
-	q2, _, _ := submit(4)
-	if q1 == nil || q2 == nil {
-		t.Fatal("queue submissions rejected early")
-	}
-	if _, code, body := submit(5); code != http.StatusTooManyRequests {
-		t.Fatalf("overflow submission: %d (%s), want 429", code, body)
-	}
+// drainStarted reports whether Shutdown has begun.
+func (s *Server) drainStarted() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	return s.draining
+}
 
-	// Start the drain while the first job is still blocked inside its
-	// dataset build.
+// TestTimedOutBuildLandsInTheCache pins the async contract of the one
+// build path: a cold GET /v1/assignment whose wait ends answers 504, its
+// build runs on, and once the build is done the next GET answers 200 from
+// the cache without a second build.
+func TestTimedOutBuildLandsInTheCache(t *testing.T) {
+	gate, builds := registerGatedDataset(t, "svc-async")
+	srv := newTestServer(t, Config{RequestTimeout: 20 * time.Millisecond})
+
+	const url = "/v1/assignment/svc-async/Random?parts=2"
+	wantError(t, do(srv, http.MethodGet, url, ""), http.StatusGatewayTimeout)
+	close(gate)
+	eventually(t, "the timed-out build finishing", func() bool {
+		_, ok := srv.assignments.Ready(cutKey{"svc-async", "Random", 2})
+		return ok
+	})
+	if rec := do(srv, http.MethodGet, url, ""); rec.Code != http.StatusOK {
+		t.Fatalf("GET after the build: %d (%s), want 200", rec.Code, rec.Body)
+	}
+	if n := srv.AssignmentBuilds(); n != 1 {
+		t.Fatalf("server computed %d partitionings, want 1", n)
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("dataset builder ran %d times, want 1", n)
+	}
+}
+
+// TestGracefulShutdown drives the drain contract: a build running when
+// Shutdown begins completes and its waiter gets 200, a cold build asked
+// for during the drain answers 503 ErrDraining in the error envelope, the
+// drain waits for the running build, and afterwards the drained build is
+// served from the cache.
+func TestGracefulShutdown(t *testing.T) {
+	gate, builds := registerGatedDataset(t, "svc-drain")
+	srv := newTestServer(t, Config{})
+
+	const held = "/v1/assignment/svc-drain/Random?parts=2"
+	waiter := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiter <- do(srv, http.MethodGet, held, "") }()
+	eventually(t, "the held build starting", func() bool { return builds.Load() == 1 })
+
 	drainErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		drainErr <- srv.Shutdown(ctx)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	eventually(t, "the drain starting", srv.drainStarted)
 
-	if _, code, body := submit(6); code != http.StatusServiceUnavailable {
-		t.Fatalf("submission during drain: %d (%s), want 503", code, body)
+	e := wantError(t, do(srv, http.MethodGet, "/v1/assignment/svc-drain/Random?parts=3", ""), http.StatusServiceUnavailable)
+	if e.Error != ErrDraining.Error() {
+		t.Fatalf("cold build during the drain: %q, want %q", e.Error, ErrDraining)
+	}
+	select {
+	case err := <-drainErr:
+		t.Fatalf("the drain returned (%v) while a build was running", err)
+	default:
 	}
 
-	close(gate) // let the inflight job finish
+	close(gate) // let the running build finish
 	if err := <-drainErr; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-
-	if j := status(running.ID); j.Status != JobDone {
-		t.Fatalf("inflight job = %s (%s), want done", j.Status, j.Error)
+	if rec := <-waiter; rec.Code != http.StatusOK {
+		t.Fatalf("the running build's waiter: %d (%s), want 200", rec.Code, rec.Body)
 	}
-	for _, q := range []*Job{q1, q2} {
-		j := status(q.ID)
-		if j.Status != JobRejected {
-			t.Fatalf("queued job %s = %s, want rejected", q.ID, j.Status)
-		}
-		if j.Error != ErrShutdown.Error() {
-			t.Fatalf("rejected job error = %q, want %q", j.Error, ErrShutdown)
-		}
+	if rec := do(srv, http.MethodGet, held+"&vertex=3", ""); rec.Code != http.StatusOK {
+		t.Fatalf("cached lookup after the drain: %d (%s), want 200", rec.Code, rec.Body)
 	}
-	if _, code, _ := submit(7); code != http.StatusServiceUnavailable {
-		t.Fatalf("submission after drain: %d, want 503", code)
+	if n := srv.AssignmentBuilds(); n != 1 {
+		t.Fatalf("server computed %d partitionings, want 1", n)
 	}
 }
 
-// TestShutdownDeadline pins the timeout path: a drain whose inflight job
+// TestShutdownDeadline pins the timeout path: a drain whose running build
 // never finishes returns the context error instead of hanging.
 func TestShutdownDeadline(t *testing.T) {
-	gate, _ := registerGatedDataset(t, "svc-drain-deadline")
-	srv := New(Config{JobWorkers: 1})
-	defer close(gate) // unblock the worker goroutine at test end
+	gate, builds := registerGatedDataset(t, "svc-drain-deadline")
+	srv := newTestServer(t, Config{RequestTimeout: time.Millisecond})
+	defer close(gate) // let the build finish before the cleanup drain
 
-	j, code, body := submit1(t, srv, "svc-drain-deadline")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d (%s)", code, body)
-	}
-	// The drain only waits on jobs a worker has already picked up; a
-	// still-queued job would be rejected instantly.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		rec := do(srv, http.MethodGet, "/v1/jobs/"+j.ID, "")
-		var cur Job
-		decodeBodyJSON(t, rec, &cur)
-		if cur.Status == JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	wantError(t, do(srv, http.MethodGet, "/v1/assignment/svc-drain-deadline/Random?parts=2", ""), http.StatusGatewayTimeout)
+	eventually(t, "the build starting", func() bool { return builds.Load() == 1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err == nil {
-		t.Fatal("drain of a stuck job returned nil before its deadline")
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain of a stuck build = %v, want the context's deadline", err)
 	}
-}
-
-func submit1(t *testing.T, srv *Server, dataset string) (*Job, int, string) {
-	t.Helper()
-	rec := do(srv, http.MethodPost, "/v1/jobs", fmt.Sprintf(`{"dataset":%q,"strategy":"Random","parts":2}`, dataset))
-	if rec.Code != http.StatusAccepted {
-		return nil, rec.Code, rec.Body.String()
-	}
-	var j Job
-	decodeBodyJSON(t, rec, &j)
-	return &j, rec.Code, ""
 }

@@ -30,11 +30,10 @@ var rowsNotOnTheWireGolden = map[string]bool{
 }
 
 // Parts of a reply that depend on which other tests registered datasets in
-// this process (the registry is global and permanent) or on the clock.
+// this process (the registry is global and permanent).
 var (
 	wireHave     = regexp.MustCompile(`\(have \[[^\]]*\]\)`)
 	wireDatasets = regexp.MustCompile(`"datasets": \d+`)
-	wireSeconds  = regexp.MustCompile(`"seconds": [0-9.e+-]+`)
 )
 
 // wireScript records replies in the golden's text form.
@@ -43,11 +42,16 @@ type wireScript struct {
 	out bytes.Buffer
 }
 
-// send runs one request and appends the request line, status, Content-Type,
-// Allow and the body bytes to the script.
-func (w *wireScript) send(s *Server, name, method, path, body string) *httptest.ResponseRecorder {
+// send runs one request and records its reply.
+func (w *wireScript) send(s *Server, name, method, path, body string) {
 	w.t.Helper()
-	rec := do(s, method, path, body)
+	w.record(name, method, path, body, do(s, method, path, body))
+}
+
+// record appends the request line, status, Content-Type, Allow and the
+// body bytes of one reply to the script.
+func (w *wireScript) record(name, method, path, body string, rec *httptest.ResponseRecorder) {
+	w.t.Helper()
 	got := rec.Body.String()
 	switch {
 	case strings.HasPrefix(path, "/v1/metrics") && rec.Code == http.StatusOK:
@@ -74,14 +78,12 @@ func (w *wireScript) send(s *Server, name, method, path, body string) *httptest.
 	}
 	got = wireHave.ReplaceAllString(got, "(have [...])")
 	got = wireDatasets.ReplaceAllString(got, `"datasets": N`)
-	got = wireSeconds.ReplaceAllString(got, `"seconds": 0`)
 	fmt.Fprintf(&w.out, "## %s\n> %s %s\n", name, method, path)
 	if body != "" {
 		fmt.Fprintf(&w.out, "> %s\n", body)
 	}
 	fmt.Fprintf(&w.out, "< %d\n< Content-Type: %s\n< Allow: %s\n%s\n",
 		rec.Code, rec.Header().Get("Content-Type"), rec.Header().Get("Allow"), got)
-	return rec
 }
 
 // insideTheCap are JSON values shorter than a 64-byte MaxBody, one per
@@ -89,13 +91,12 @@ func (w *wireScript) send(s *Server, name, method, path, body string) *httptest.
 // after its first value ends: a json.Decoder on the capped body would
 // stop at that value and never meet the cap.
 var insideTheCap = []struct{ path, first string }{
-	{"/v1/jobs", `{"dataset":"road-ca","strategy":"Random","parts":2}`},
 	{"/v1/churn", `{"stream":"cap","strategy":"2D","adds":[[0,1]]}`},
 	{"/v1/advisor/fit", `{"schemaVersion":1,"experiments":[]}`},
 }
 
 // TestWireGolden replays a fixed script — every row of TestEndpointTable,
-// then the 413, 405, 422, 429/503 and 504 paths — and compares status,
+// then the 413, 405, 422, 504 and 503 paths — and compares status,
 // Content-Type, Allow and body bytes with testdata/wire_golden.txt. The
 // golden was recorded from the handlers as they stood before the request
 // path was rewritten (PR 17) and must not change when the plumbing does.
@@ -117,9 +118,6 @@ func TestWireGolden(t *testing.T) {
 		{"churn get non-numeric parts", http.MethodGet, "/v1/churn?strategy=2D&parts=some", ""},
 		{"churn get parts out of range", http.MethodGet, "/v1/churn?strategy=2D&parts=5000", ""},
 		{"churn method not allowed", http.MethodPut, "/v1/churn", ""},
-		{"jobs unknown strategy", http.MethodPost, "/v1/jobs", `{"dataset":"road-ca","strategy":"NoSuchCut"}`},
-		{"jobs parts out of range", http.MethodPost, "/v1/jobs", `{"dataset":"road-ca","strategy":"Grid","parts":2000}`},
-		{"jobs empty list", http.MethodGet, "/v1/jobs", ""},
 		{"advisor fit nothing to fit", http.MethodPost, "/v1/advisor/fit", `{"schemaVersion":1,"tool":"wire","experiments":[]}`},
 		{"advise defaults", http.MethodGet, "/v1/advise?dataset=road-ca", ""},
 		{"advise non-numeric machines", http.MethodGet, "/v1/advise?dataset=road-ca&machines=x", ""},
@@ -133,7 +131,7 @@ func TestWireGolden(t *testing.T) {
 	// 413 on every body-accepting endpoint.
 	small := newTestServer(t, Config{MaxBody: 64})
 	big := `{"dataset":"road-ca","strategy":"Grid","padding":"` + strings.Repeat("x", 256) + `"}`
-	for _, path := range []string{"/v1/jobs", "/v1/churn", "/v1/advisor/fit"} {
+	for _, path := range []string{"/v1/churn", "/v1/advisor/fit"} {
 		w.send(small, "oversized: "+path, http.MethodPost, path, big)
 	}
 	// 413 too when the body's first value ends inside the cap.
@@ -145,58 +143,43 @@ func TestWireGolden(t *testing.T) {
 	// every wait on it ends at the deadline; an endpoint that waits on
 	// nothing still answers.
 	slowGate, _ := registerGatedDataset(t, "wire-slow")
-	t.Cleanup(func() { close(slowGate) })
 	hurried := newTestServer(t, Config{RequestTimeout: time.Nanosecond})
+	t.Cleanup(func() { close(slowGate) }) // before hurried's drain waits on its build
 	w.send(hurried, "deadline: healthz waits on nothing", http.MethodGet, "/v1/healthz", "")
 	w.send(hurried, "deadline: manifest", http.MethodGet, "/v1/datasets/wire-slow", "")
 	w.send(hurried, "deadline: assignment", http.MethodGet, "/v1/assignment/wire-slow/Random?parts=2", "")
 	w.send(hurried, "deadline: advisor fit", http.MethodPost, "/v1/advisor/fit",
 		strings.ReplaceAll(fitReportJSON(), "road-ca", "wire-slow"))
 
-	// 202, 429, 503 and the job bodies: one executor held inside a gated
-	// build, a queue of two behind it, then a drain.
-	jobGate, _ := registerGatedDataset(t, "wire-jobs")
-	queue := New(Config{JobWorkers: 1, JobQueue: 2})
-	submit := func(name string, parts int) *httptest.ResponseRecorder {
-		return w.send(queue, "jobs: "+name, http.MethodPost, "/v1/jobs",
-			fmt.Sprintf(`{"dataset":"wire-jobs","strategy":"Random","parts":%d}`, parts))
-	}
-	submit("accepted", 2)
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(do(queue, http.MethodGet, "/v1/jobs/job-1", "").Body.String(), `"running"`) {
-		if time.Now().After(deadline) {
-			t.Fatal("job-1 never started running")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	w.send(queue, "jobs: running", http.MethodGet, "/v1/jobs/job-1", "")
-	submit("queued behind it", 3)
-	submit("queue now full", 4)
-	submit("shed", 5)
-	w.send(queue, "jobs: method not allowed", http.MethodDelete, "/v1/jobs", "")
+	// 503 and the drain: a cold build held at its gate, the drain begun
+	// behind it, a build asked for during the drain refused while what
+	// waits on nothing still answers, then the held build finished, its
+	// waiter answered and the build served warm.
+	drainGate, drainBuilds := registerGatedDataset(t, "wire-drain")
+	drain := newTestServer(t, Config{})
+	const built = "/v1/assignment/road-ca/Grid?parts=4"
+	w.send(drain, "drain: a key built before the drain", http.MethodGet, built, "")
+	const held = "/v1/assignment/wire-drain/Random?parts=2"
+	waiter := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiter <- do(drain, http.MethodGet, held, "") }()
+	eventually(t, "the held build starting", func() bool { return drainBuilds.Load() == 1 })
 	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		drained <- queue.Shutdown(ctx)
+		drained <- drain.Shutdown(ctx)
 	}()
-	// Until the drain takes the runner's lock the queue is still full.
-	mark := w.out.Len()
-	for submit("draining", 6).Code == http.StatusTooManyRequests {
-		if time.Now().After(deadline) {
-			t.Fatal("the drain never started")
-		}
-		w.out.Truncate(mark)
-		time.Sleep(time.Millisecond)
-	}
-	close(jobGate)
+	eventually(t, "the drain starting", drain.drainStarted)
+	w.send(drain, "drain: a cold build is refused", http.MethodGet, "/v1/assignment/wire-drain/Random?parts=3", "")
+	w.send(drain, "drain: a pair the strategy refuses is still the client's error", http.MethodGet, "/v1/assignment/wire-drain/Grid?parts=10", "")
+	w.send(drain, "drain: a warm key still answers", http.MethodGet, built+"&vertex=7", "")
+	w.send(drain, "drain: healthz still answers", http.MethodGet, "/v1/healthz", "")
+	close(drainGate)
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	w.send(queue, "jobs: done", http.MethodGet, "/v1/jobs/job-1", "")
-	w.send(queue, "jobs: rejected by the drain", http.MethodGet, "/v1/jobs/job-2", "")
-	w.send(queue, "jobs: list", http.MethodGet, "/v1/jobs", "")
-	w.send(queue, "jobs: the finished job warmed the assignment", http.MethodGet, "/v1/assignment/wire-jobs/Random?parts=2&vertex=3", "")
+	w.record("drain: the held build's waiter", http.MethodGet, held, "", <-waiter)
+	w.send(drain, "drain: the drained build answers warm", http.MethodGet, held+"&vertex=3", "")
 
 	path := filepath.Join("testdata", "wire_golden.txt")
 	if *updateWire {
