@@ -22,7 +22,10 @@ func TestConvertRoundTripsAllDatasets(t *testing.T) {
 		names = names[:2]
 	}
 	for _, name := range names {
-		g := datasets.MustLoad(name, 1)
+		g, err := datasets.Load(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dir := t.TempDir()
 		text := filepath.Join(dir, "g.txt")
 		if err := graph.SaveEdgeList(g, text); err != nil {

@@ -53,7 +53,6 @@ func main() {
 		parts     = flag.Int("parts", 9, "number of partitions")
 		machines  = flag.Int("machines", 0, "cluster machines for the ingress model (default: parts)")
 		seed      = flag.Uint64("seed", 1, "hash seed")
-		threshold = flag.Int("hybrid-threshold", datasets.HybridThreshold, "Hybrid/H-Ginger high-degree cutoff")
 		memBudget = flag.Float64("mem-budget", 0, "HEP in-memory edge budget as a fraction of |E| (0 = strategy default)")
 		workers   = flag.Int("workers", 0, "ingress workers, materialized and -stream alike (0 = GOMAXPROCS; never changes the result)")
 		stream    = flag.Bool("stream", false, "stream -input in batches without materializing the edge list (stateless strategies only)")
@@ -68,14 +67,14 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		listStrategies(os.Stdout, *parts, *threshold)
+		listStrategies(os.Stdout, *parts)
 		return
 	}
 
 	if math.IsNaN(*memBudget) {
 		log.Fatalf("partition: -mem-budget %g: the budget must be a number", *memBudget)
 	}
-	s, err := partition.New(*strategy, partition.Options{HybridThreshold: *threshold, MemBudget: *memBudget})
+	s, err := partition.New(*strategy, partition.Options{MemBudget: *memBudget})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -359,11 +358,11 @@ func describeShape(shape partition.IngressShape) (class, detail string) {
 
 // listStrategies prints every registered strategy with its capability class,
 // derived from partition.ShapeOf — never from the name.
-func listStrategies(out io.Writer, parts, threshold int) {
+func listStrategies(out io.Writer, parts int) {
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "strategy\tclass\tingress shape")
 	for _, n := range partition.AllNames() {
-		s := partition.MustNew(n, partition.Options{HybridThreshold: threshold})
+		s := partition.MustNew(n, partition.Options{})
 		class, detail := describeShape(partition.ShapeOf(s, parts))
 		fmt.Fprintf(w, "%s\t%s\t%s\n", n, class, detail)
 	}

@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // `go test ./cmd/partition -run ListStrategies -update`).
 func TestListStrategiesGolden(t *testing.T) {
 	var sb strings.Builder
-	listStrategies(&sb, 9, 30) // the CLI's default -parts and -hybrid-threshold
+	listStrategies(&sb, 9) // the CLI's default -parts
 	got := sb.String()
 
 	for _, name := range partition.AllNames() {
@@ -94,7 +94,7 @@ func TestRunChurnDeterministic(t *testing.T) {
 func TestRunChurnMultiPassRepartitions(t *testing.T) {
 	g := gen.PrefAttach("pa", 800, 3, 1)
 	var sb strings.Builder
-	err := runChurn(&sb, g, partition.MustNew("Hybrid", partition.Options{HybridThreshold: 30}), churnOptions{
+	err := runChurn(&sb, g, partition.MustNew("Hybrid", partition.Options{}), churnOptions{
 		Parts: 8, Seed: 1, Windows: 2, DelFrac: 0.1, Workers: 1,
 	})
 	if err != nil {

@@ -50,7 +50,6 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 		addr       = fs.String("addr", "127.0.0.1:7474", "listen address")
 		scale      = fs.Int("scale", 1, "dataset scale factor")
 		seed       = fs.Uint64("seed", 1, "partitioner hash seed")
-		hybridThr  = fs.Int("hybrid-threshold", datasets.HybridThreshold, "Hybrid/H-Ginger high-degree cutoff")
 		workers    = fs.Int("workers", 0, "partitioning/ingress goroutines (0 = all cores)")
 		parts      = fs.Int("parts", 16, "default partition count when a request names none")
 		timeout    = fs.Duration("timeout", 30*time.Second, "per-request deadline on a wait for a build, counted from arrival")
@@ -64,13 +63,12 @@ func run(args []string, stdout io.Writer, ready chan<- string, quit <-chan struc
 	}
 
 	srv := service.New(service.Config{
-		Scale:           *scale,
-		Seed:            *seed,
-		HybridThreshold: *hybridThr,
-		Workers:         *workers,
-		DefaultParts:    *parts,
-		RequestTimeout:  *timeout,
-		MaxBody:         *maxBody,
+		Scale:          *scale,
+		Seed:           *seed,
+		Workers:        *workers,
+		DefaultParts:   *parts,
+		RequestTimeout: *timeout,
+		MaxBody:        *maxBody,
 	})
 
 	if *reportPath != "" {

@@ -66,12 +66,12 @@ func TestRunServesAndDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := partition.ParallelPartition(g, partition.MustNew("Hybrid", partition.Options{HybridThreshold: datasets.HybridThreshold}), 16, 1, 1)
+	a, err := partition.ParallelPartition(g, partition.MustNew("Hybrid", partition.Options{}), 16, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := a.ReplicationFactor(); served.ReplicationFactor != want {
-		t.Fatalf("livejournal/Hybrid/16 served RF %.4f, want %.4f (cutoff %d)", served.ReplicationFactor, want, datasets.HybridThreshold)
+		t.Fatalf("livejournal/Hybrid/16 served RF %.4f, want %.4f (cutoff %d)", served.ReplicationFactor, want, partition.DefaultHybridThreshold)
 	}
 
 	close(quit)

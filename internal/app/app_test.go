@@ -15,7 +15,7 @@ import (
 
 func partitioned(t *testing.T, g *graph.Graph, strategy string, parts int) *partition.Assignment {
 	t.Helper()
-	s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
+	s := partition.MustNew(strategy, partition.Options{})
 	a, err := partition.Partition(g, s, parts, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestColoringIsProper(t *testing.T) {
 		if !out.Stats.Converged {
 			t.Fatalf("%s: coloring did not converge", name)
 		}
-		if !ValidColoring(g, out.Values) {
+		if !oracle.ProperColoring(g.Edges, out.Values) {
 			t.Fatalf("%s: invalid coloring", name)
 		}
 		// Colors should be reasonably small (bounded by max degree + 1).

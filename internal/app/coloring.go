@@ -96,14 +96,3 @@ func (Coloring) AccBytes() int { return 8 }
 
 // ValueBytes implements engine.Program.
 func (Coloring) ValueBytes() int { return 4 }
-
-// ValidColoring verifies that colors is a proper coloring of g (no edge
-// connects two same-colored endpoints, ignoring self-loops).
-func ValidColoring(g *graph.Graph, colors []int32) bool {
-	for _, e := range g.Edges {
-		if e.Src != e.Dst && colors[e.Src] == colors[e.Dst] {
-			return false
-		}
-	}
-	return true
-}

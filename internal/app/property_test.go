@@ -96,7 +96,7 @@ func TestColoringProperProperty(t *testing.T) {
 		if err != nil || !out.Stats.Converged {
 			return false
 		}
-		return ValidColoring(g, out.Values)
+		return oracle.ProperColoring(g.Edges, out.Values)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func ablHybridThreshold() Experiment {
 			r := NewResult("abl.threshold", "Hybrid threshold ablation (uk-web, 25 parts)",
 				"threshold", "high-degree-vertices", "replication-factor", "edge-balance")
 			const unbounded = 1 << 30
-			thresholds := []int{5, 15, hybridThreshold, 60, 120, unbounded}
+			thresholds := []int{5, 15, partition.DefaultHybridThreshold, 60, 120, unbounded}
 			rf := map[int]float64{}
 			for _, thr := range thresholds {
 				a, err := partition.ParallelPartition(g, partition.MustNew("Hybrid", partition.Options{HybridThreshold: thr}), 25, cfg.Seed, cfg.Workers)
@@ -96,11 +96,11 @@ func ablHybridThreshold() Experiment {
 			// threshold far below the default replicates more, and pure
 			// destination hashing (no high-degree vertex at all) replicates
 			// more than the best finite threshold.
-			low, def := rf[thresholds[0]], rf[hybridThreshold]
+			low, def := rf[thresholds[0]], rf[partition.DefaultHybridThreshold]
 			lowOK := low > def
 			r.Checkf(lowOK, "a threshold far below the default raises replication factor",
 				"too low degenerates: RF %.3f at threshold %d vs %.3f at the default %d: %s",
-				low, thresholds[0], def, hybridThreshold, Mark(lowOK))
+				low, thresholds[0], def, partition.DefaultHybridThreshold, Mark(lowOK))
 			best := low
 			for _, thr := range thresholds[1 : len(thresholds)-1] {
 				best = min(best, rf[thr])

@@ -54,10 +54,6 @@ import (
 	"graphpart/internal/report"
 )
 
-// hybridThreshold is the high-degree cutoff used by Hybrid/H-Ginger and the
-// PowerLyra engine: the scaled datasets' own.
-const hybridThreshold = datasets.HybridThreshold
-
 // Config tunes an experiment run.
 type Config struct {
 	// Scale multiplies dataset sizes (1 = test-sized).
@@ -90,7 +86,7 @@ func (c Config) Info() report.ConfigInfo {
 	return report.ConfigInfo{
 		Scale:           c.scale(),
 		Seed:            c.Seed,
-		HybridThreshold: hybridThreshold,
+		HybridThreshold: partition.DefaultHybridThreshold,
 		Workers:         c.Workers,
 	}
 }
@@ -98,7 +94,7 @@ func (c Config) Info() report.ConfigInfo {
 // engineOpts is the base engine.Options every experiment starts from; app
 // specs fill in their own iteration caps.
 func (c Config) engineOpts() engine.Options {
-	return engine.Options{HighDegreeThreshold: hybridThreshold, Workers: c.Workers}
+	return engine.Options{Workers: c.Workers}
 }
 
 // graphxConfig is the base graphx.Config every GraphX experiment starts
@@ -454,7 +450,7 @@ func ingest(cfg Config, dataset, strategy string, cc cluster.Config) (*partition
 // strategyFor constructs the named strategy the way every assignment and
 // ingress model in this package does.
 func strategyFor(name string) (partition.Strategy, error) {
-	return partition.New(name, partition.Options{HybridThreshold: hybridThreshold})
+	return partition.New(name, partition.Options{})
 }
 
 // loadGraph is a thin wrapper over datasets.Load at the config's scale.

@@ -29,7 +29,7 @@ const dynWindows = 6
 // strategies pin Loaders:1 so their one-shot baseline streams the same
 // single persistent loader state the incremental path maintains.
 func dynStrategy(name string) (partition.Strategy, error) {
-	return partition.New(name, partition.Options{HybridThreshold: hybridThreshold, Loaders: 1})
+	return partition.New(name, partition.Options{Loaders: 1})
 }
 
 // runTrace drives a fresh PartitionState through a churn trace over g,

@@ -41,7 +41,7 @@ func famCompare() Experiment {
 				opt  partition.Options
 			}{
 				{"HDRF", partition.Options{Loaders: 1}}, // pure streaming: one loader, one pass
-				{"Hybrid", partition.Options{HybridThreshold: hybridThreshold}},
+				{"Hybrid", partition.Options{}},
 				{"HEP", partition.Options{}}, // DefaultMemBudget core
 				{"JaBeJaSwap", partition.Options{}},
 				{"Multilevel", partition.Options{}},

@@ -94,7 +94,7 @@ func TestUtilizationEmptyRun(t *testing.T) {
 // the named strategy (the hybrid family at threshold 30).
 func ingressAssignment(t *testing.T, name string, parts int) (*partition.Assignment, partition.Strategy) {
 	t.Helper()
-	s := partition.MustNew(name, partition.Options{HybridThreshold: 30})
+	s := partition.MustNew(name, partition.Options{})
 	g := gen.PrefAttach("ingress-test", 3000, 6, 0x77)
 	a, err := partition.Partition(g, s, parts, 1)
 	if err != nil {

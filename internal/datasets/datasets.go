@@ -22,13 +22,6 @@ import (
 	"graphpart/internal/par"
 )
 
-// HybridThreshold is the Hybrid/H-Ginger high-degree cutoff for the scaled
-// stand-ins: the paper's 100 (partition.DefaultHybridThreshold) assumes
-// million-vertex graphs, and at these sizes 30 keeps the high-degree
-// population proportionally similar. The bench's cells, cmd/partition and
-// partitiond all partition with it.
-const HybridThreshold = 30
-
 // Kind says where a dataset's edges come from.
 type Kind string
 
@@ -181,19 +174,6 @@ func RegisterFile(name, path string, class graph.DegreeClass) error {
 	})
 }
 
-// unregister removes a dataset; test cleanup only.
-func unregister(name string) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	delete(registry, name)
-	for i, n := range extraOrder {
-		if n == name {
-			extraOrder = append(extraOrder[:i], extraOrder[i+1:]...)
-			break
-		}
-	}
-}
-
 // Names returns all registered dataset names: the paper's six in figure
 // column order, then externally registered datasets sorted by name.
 func Names() []string {
@@ -252,15 +232,6 @@ func Load(name string, scale int) (*graph.Graph, error) {
 		g.EnsureCSR()
 		return g, nil
 	})
-}
-
-// MustLoad is Load that panics on errors; for tests.
-func MustLoad(name string, scale int) *graph.Graph {
-	g, err := Load(name, scale)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 // isqrt returns the integer square root of n.

@@ -7,6 +7,16 @@ import (
 	"graphpart/internal/partition"
 )
 
+// load is Load for a test: an error ends it.
+func load(t *testing.T, name string, scale int) *graph.Graph {
+	t.Helper()
+	g, err := Load(name, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestNamesAndDescribe(t *testing.T) {
 	names := Names()
 	if len(names) != 6 {
@@ -27,8 +37,8 @@ func TestNamesAndDescribe(t *testing.T) {
 }
 
 func TestLoadCachesAndIsDeterministic(t *testing.T) {
-	a := MustLoad("road-ca", 1)
-	b := MustLoad("road-ca", 1)
+	a := load(t, "road-ca", 1)
+	b := load(t, "road-ca", 1)
 	if a != b {
 		t.Error("Load did not cache")
 	}
@@ -42,7 +52,7 @@ func TestDatasetsLandInPaperDegreeClasses(t *testing.T) {
 	// stand-ins must land in the same classes.
 	for _, name := range Names() {
 		info, _ := Describe(name)
-		g := MustLoad(name, 1)
+		g := load(t, name, 1)
 		cls := graph.Classify(g)
 		if cls.Class != info.Class {
 			t.Errorf("%s: classified %v (maxdeg=%d ratio=%.3f), paper class %v",
@@ -52,8 +62,8 @@ func TestDatasetsLandInPaperDegreeClasses(t *testing.T) {
 }
 
 func TestScaleGrowsGraphs(t *testing.T) {
-	small := MustLoad("livejournal", 1)
-	big := MustLoad("livejournal", 2)
+	small := load(t, "livejournal", 1)
+	big := load(t, "livejournal", 2)
 	if big.NumEdges() <= small.NumEdges() {
 		t.Errorf("scale 2 (%d edges) not larger than scale 1 (%d)", big.NumEdges(), small.NumEdges())
 	}
@@ -61,10 +71,10 @@ func TestScaleGrowsGraphs(t *testing.T) {
 
 func TestRelativeSizesMatchPaper(t *testing.T) {
 	// road-usa > road-ca; twitter and uk-web are the largest (Table 4.2).
-	ca := MustLoad("road-ca", 1).NumEdges()
-	usa := MustLoad("road-usa", 1).NumEdges()
-	tw := MustLoad("twitter", 1).NumEdges()
-	lj := MustLoad("livejournal", 1).NumEdges()
+	ca := load(t, "road-ca", 1).NumEdges()
+	usa := load(t, "road-usa", 1).NumEdges()
+	tw := load(t, "twitter", 1).NumEdges()
+	lj := load(t, "livejournal", 1).NumEdges()
 	if usa <= ca {
 		t.Errorf("road-usa (%d) not larger than road-ca (%d)", usa, ca)
 	}
@@ -80,7 +90,7 @@ func TestRelativeSizesMatchPaper(t *testing.T) {
 //   - power-law (uk-web): HDRF/Oblivious lower than Grid; Grid lower than Random
 func TestFig5_6ReplicationShape(t *testing.T) {
 	rf := func(g *graph.Graph, strategy string, parts int) float64 {
-		s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
+		s := partition.MustNew(strategy, partition.Options{})
 		a, err := partition.Partition(g, s, parts, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -88,7 +98,7 @@ func TestFig5_6ReplicationShape(t *testing.T) {
 		return a.ReplicationFactor()
 	}
 	for _, road := range []string{"road-ca", "road-usa"} {
-		g := MustLoad(road, 1)
+		g := load(t, road, 1)
 		hdrf, obl, rnd, grid := rf(g, "HDRF", 9), rf(g, "Oblivious", 9), rf(g, "Random", 9), rf(g, "Grid", 9)
 		if hdrf >= rnd || obl >= rnd {
 			t.Errorf("%s: greedy (%0.2f/%0.2f) should beat Random (%0.2f)", road, hdrf, obl, rnd)
@@ -98,7 +108,7 @@ func TestFig5_6ReplicationShape(t *testing.T) {
 		}
 	}
 	for _, ht := range []string{"livejournal", "twitter", "enwiki"} {
-		g := MustLoad(ht, 1)
+		g := load(t, ht, 1)
 		grid, hdrf, obl, rnd := rf(g, "Grid", 9), rf(g, "HDRF", 9), rf(g, "Oblivious", 9), rf(g, "Random", 9)
 		if grid >= hdrf || grid >= obl {
 			t.Errorf("%s: Grid (%0.2f) should beat greedy (%0.2f/%0.2f)", ht, grid, hdrf, obl)
@@ -107,7 +117,7 @@ func TestFig5_6ReplicationShape(t *testing.T) {
 			t.Errorf("%s: Grid (%0.2f) should beat Random (%0.2f)", ht, grid, rnd)
 		}
 	}
-	g := MustLoad("uk-web", 1)
+	g := load(t, "uk-web", 1)
 	grid, hdrf, obl, rnd := rf(g, "Grid", 25), rf(g, "HDRF", 25), rf(g, "Oblivious", 25), rf(g, "Random", 25)
 	if hdrf >= grid || obl >= grid {
 		t.Errorf("uk-web: greedy (%0.2f/%0.2f) should beat Grid (%0.2f)", hdrf, obl, grid)

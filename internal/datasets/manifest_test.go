@@ -59,6 +59,19 @@ func TestManifestUnknownName(t *testing.T) {
 	}
 }
 
+// unregister removes a dataset a test registered.
+func unregister(name string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	delete(registry, name)
+	for i, n := range extraOrder {
+		if n == name {
+			extraOrder = append(extraOrder[:i], extraOrder[i+1:]...)
+			break
+		}
+	}
+}
+
 func TestRegisterFileExternalDataset(t *testing.T) {
 	dir := t.TempDir()
 	g := graph.FromEdges("ext", []graph.Edge{
@@ -87,7 +100,7 @@ func TestRegisterFileExternalDataset(t *testing.T) {
 		t.Errorf("registered dataset missing from Names() = %v", Names())
 	}
 
-	loaded := MustLoad("ext-test", 1)
+	loaded := load(t, "ext-test", 1)
 	if loaded.Name != "ext-test" || loaded.NumEdges() != g.NumEdges() {
 		t.Errorf("external load = %v, want 4 edges named ext-test", loaded)
 	}

@@ -33,7 +33,7 @@ type detCase struct {
 }
 
 func detOpts(workers int) engine.Options {
-	return engine.Options{HighDegreeThreshold: 30, Workers: workers, MaxSupersteps: 4000}
+	return engine.Options{Workers: workers, MaxSupersteps: 4000}
 }
 
 // programCase runs one vertex program capped at maxSteps under all three
@@ -111,7 +111,7 @@ type near []float64
 func agrees(g *graph.Graph, vals, answer any) bool {
 	switch want := answer.(type) {
 	case nil:
-		return app.ValidColoring(g, vals.([]int32))
+		return oracle.ProperColoring(g.Edges, vals.([]int32))
 	case near:
 		return slices.EqualFunc(vals.([]float64), want, func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) })
 	}
@@ -143,7 +143,7 @@ func TestParallelEngineDeterminism(t *testing.T) {
 
 	for gname, g := range graphs {
 		for _, strat := range strategies {
-			s := partition.MustNew(strat, partition.Options{HybridThreshold: 30})
+			s := partition.MustNew(strat, partition.Options{})
 			a, err := partition.Partition(g, s, 9, 2)
 			if err != nil {
 				t.Fatal(err)

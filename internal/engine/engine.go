@@ -135,9 +135,6 @@ type Options struct {
 	// this many supersteps (the paper's "PageRank(10)" configuration). It
 	// is a cap of its own: Run rejects it together with MaxSupersteps.
 	FixedIterations int
-	// HighDegreeThreshold is PowerLyra's high/low-degree cutoff; 0 means
-	// partition.DefaultHybridThreshold. Only used by ModePowerLyra.
-	HighDegreeThreshold int
 	// Workers bounds the goroutines executing each superstep phase. ≤0
 	// means GOMAXPROCS; 1 runs every shard inline on the calling
 	// goroutine. The shard decomposition is worker-count independent (see
@@ -223,10 +220,7 @@ func Run[V, A any](mode Mode, prog Program[V, A], a *partition.Assignment, cfg c
 	// reaches every mirror): the hybrid engine's synchronization saving for
 	// natural applications.
 	if mode == ModePowerLyra {
-		charges.NarrowDegree = opts.HighDegreeThreshold
-		if charges.NarrowDegree <= 0 {
-			charges.NarrowDegree = partition.DefaultHybridThreshold
-		}
+		charges.NarrowDegree = partition.DefaultHybridThreshold
 		charges.NarrowSyncOnChange = true
 		if d := prog.ScatterDir(); d == DirIn || d == DirOut {
 			charges.Applied.Narrow = d

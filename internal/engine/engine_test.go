@@ -22,7 +22,7 @@ import (
 func assignmentFor(t *testing.T, strategy string) *partition.Assignment {
 	t.Helper()
 	g := gen.PrefAttach("engine-test", 3000, 6, 0x5)
-	s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
+	s := partition.MustNew(strategy, partition.Options{})
 	a, err := partition.Partition(g, s, 9, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ var model = cluster.DefaultModel()
 func runPR(t *testing.T, mode engine.Mode, a *partition.Assignment) engine.Stats {
 	t.Helper()
 	out, err := engine.Run[float64, float64](mode, app.PageRank{}, a, cluster.Local9, model,
-		engine.Options{FixedIterations: 10, HighDegreeThreshold: 30})
+		engine.Options{FixedIterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

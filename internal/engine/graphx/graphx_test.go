@@ -20,7 +20,7 @@ var model = cluster.DefaultModel()
 
 func gxAssignment(t *testing.T, g *graph.Graph, strategy string, cc cluster.Config) *partition.Assignment {
 	t.Helper()
-	s := partition.MustNew(strategy, partition.Options{HybridThreshold: 30})
+	s := partition.MustNew(strategy, partition.Options{})
 	a, err := partition.Partition(g, s, cc.NumParts(), 3)
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ type digestCase struct {
 }
 
 func gasOpts(workers int) engine.Options {
-	return engine.Options{HighDegreeThreshold: 30, Workers: workers, MaxSupersteps: 4000}
+	return engine.Options{Workers: workers, MaxSupersteps: 4000}
 }
 
 // programCase runs prog under engine.Run — for fixed > 0 with every vertex

@@ -1,10 +1,11 @@
 // Package oracle recomputes what the partitioners and engines compute from
 // nothing but an edge list, with loops of its own: the applications' answers
 // (PageRank in both halting modes, BFS distances, weakly connected
-// components, k-core numbers) and the vertex-cut bookkeeping of a per-edge
-// placement (Cut). It reads no CSR and shares no code with the product, so a
-// bug in the sharded supersteps, the adjacency indexes or the replica
-// matrices cannot hide in both. Only tests import it (a forbid row).
+// components, k-core numbers, whether a coloring is proper) and the
+// vertex-cut bookkeeping of a per-edge placement (Cut). It reads no CSR and
+// shares no code with the product, so a bug in the sharded supersteps, the
+// adjacency indexes or the replica matrices cannot hide in both. Only tests
+// import it (a forbid row).
 package oracle
 
 import (
@@ -138,6 +139,18 @@ func KCore(n int, edges []graph.Edge, kmin, kmax int) []int {
 		}
 	}
 	return core
+}
+
+// ProperColoring reports whether no edge joins two endpoints of one color,
+// self loops aside: a coloring has many right answers, so the oracle judges
+// one instead of computing one.
+func ProperColoring(edges []graph.Edge, colors []int32) bool {
+	for _, e := range edges {
+		if e.Src != e.Dst && colors[e.Src] == colors[e.Dst] {
+			return false
+		}
+	}
+	return true
 }
 
 // incidence lists, per vertex, the far end of every edge leaving it and,

@@ -92,6 +92,23 @@ func TestKCore(t *testing.T) {
 	}
 }
 
+func TestProperColoring(t *testing.T) {
+	// A triangle 0–1–2 with a self loop on 0.
+	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0}, {Src: 0, Dst: 0}}
+	for _, c := range []struct {
+		colors []int32
+		want   bool
+	}{
+		{[]int32{0, 1, 2}, true},  // the self loop does not count
+		{[]int32{0, 1, 0}, false}, // 2 → 0 joins two 0s
+		{[]int32{5, 5, 6}, false}, // 0 → 1 joins two 5s
+	} {
+		if got := ProperColoring(edges, c.colors); got != c.want {
+			t.Errorf("ProperColoring(%v) = %v, want %v", c.colors, got, c.want)
+		}
+	}
+}
+
 func TestCutCountsImages(t *testing.T) {
 	// Three edges on two partitions: vertex 1 is cut, 0 and 2 are not, 3 is
 	// isolated. Images 4 over 3 placed vertices; edges 1 and 2 against a

@@ -26,7 +26,7 @@ import (
 // assigner does — the configuration under which add-only churn must equal
 // one-shot ingress exactly.
 func conformanceOptions() Options {
-	return Options{HybridThreshold: 30, Loaders: 1}
+	return Options{Loaders: 1}
 }
 
 // conformanceCase is one property of the strategy contract.

@@ -46,7 +46,7 @@ func TestShardedRejectsNonStateless(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "StreamingStrategy") {
 		t.Fatalf("HDRF: got %v, want error naming StreamingStrategy", err)
 	}
-	_, err = NewShardedStreamBuilder(MustNew("Hybrid", Options{HybridThreshold: 30}), 4, 2, 1)
+	_, err = NewShardedStreamBuilder(MustNew("Hybrid", Options{}), 4, 2, 1)
 	if err == nil || !strings.Contains(err.Error(), "MultiPassStrategy") {
 		t.Fatalf("Hybrid: got %v, want error naming MultiPassStrategy", err)
 	}

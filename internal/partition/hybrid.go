@@ -5,11 +5,12 @@ import (
 	"graphpart/internal/hashing"
 )
 
-// DefaultHybridThreshold is PowerLyra's default high-degree cutoff (§6.2.1).
-// Runs on the scaled synthetic datasets pass their smaller one,
-// datasets.HybridThreshold, via Options.HybridThreshold so that the
-// high-degree population is proportionally similar to the paper's.
-const DefaultHybridThreshold = 100
+// DefaultHybridThreshold is the Hybrid/H-Ginger high-degree cutoff and the
+// PowerLyra engine's narrow-vertex degree: the one value every binary, bench
+// cell and service build uses. PowerLyra's default is 100 (§6.2.1), which
+// assumes million-vertex graphs; at the scaled stand-ins' sizes 30 keeps the
+// high-degree population proportionally similar.
+const DefaultHybridThreshold = 30
 
 // hybrid is PowerLyra's hybrid-cut (§6.2.1): edge-cuts for low-degree
 // vertices and vertex-cuts for high-degree vertices, assigning each edge by

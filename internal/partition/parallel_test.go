@@ -28,7 +28,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	g := gen.PrefAttach("par", 4000, 6, 0x61)
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for _, name := range AllNames() {
-		s := MustNew(name, Options{HybridThreshold: 30})
+		s := MustNew(name, Options{})
 		parts := partsFor(name)
 		want := buildOracle(t, s, g, parts, 5)
 		for _, workers := range workerCounts {
@@ -85,7 +85,7 @@ func (c countingMultiPass) MultiPass() (passes, heuristicPasses int, why string)
 func TestParallelNeverPartitionsTwice(t *testing.T) {
 	g := gen.PrefAttach("par-count", 2000, 5, 0x13)
 	for _, name := range AllNames() {
-		inner := MustNew(name, Options{HybridThreshold: 30})
+		inner := MustNew(name, Options{})
 		var calls int32
 		wrapped := countingStrategy{Strategy: inner, calls: &calls}
 		var s Strategy
@@ -119,7 +119,7 @@ func TestParallelNeverPartitionsTwice(t *testing.T) {
 func TestParallelTinyGraph(t *testing.T) {
 	g := gen.RoadNet("par-tiny", 3, 3, 1)
 	for _, name := range []string{"Random", "Oblivious", "Hybrid"} {
-		s := MustNew(name, Options{HybridThreshold: 30})
+		s := MustNew(name, Options{})
 		par, err := ParallelPartition(g, s, 4, 1, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -35,7 +35,7 @@ func partsIn(row []uint64) []int {
 func allStrategies() []Strategy {
 	var out []Strategy
 	for _, name := range AllNames() {
-		out = append(out, MustNew(name, Options{HybridThreshold: 30}))
+		out = append(out, MustNew(name, Options{}))
 	}
 	return out
 }

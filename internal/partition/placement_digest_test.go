@@ -79,7 +79,7 @@ func TestPlacementDigest(t *testing.T) {
 	var buf bytes.Buffer
 	for _, g := range placementDigestGraphs() {
 		for _, name := range AllNames() {
-			s := MustNew(name, Options{HybridThreshold: 30})
+			s := MustNew(name, Options{})
 			for _, parts := range placementDigestParts(name) {
 				key := fmt.Sprintf("%s/%s/%d", g.Name, name, parts)
 				var first string

@@ -26,7 +26,7 @@ const (
 // Options carries per-strategy tunables that experiments may scale.
 type Options struct {
 	// HybridThreshold overrides the Hybrid/H-Ginger high-degree cutoff
-	// (0 keeps PowerLyra's default of 100).
+	// (0 keeps DefaultHybridThreshold).
 	HybridThreshold int
 	// Loaders overrides the number of independent ingress loaders used by
 	// the greedy strategies (0 means one per partition).

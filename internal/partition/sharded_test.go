@@ -19,7 +19,7 @@ import (
 func TestShardedMatchesSequential(t *testing.T) {
 	g := gen.PrefAttach("sharded", 4000, 5, 0x5d)
 	for _, name := range AllNames() {
-		s := MustNew(name, Options{HybridThreshold: 30})
+		s := MustNew(name, Options{})
 		if _, ok := s.(StatelessStrategy); !ok {
 			continue
 		}

@@ -36,7 +36,10 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for _, ds := range names {
-		g := datasets.MustLoad(ds, 1)
+		g, err := datasets.Load(ds, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		textPath := filepath.Join(dir, ds+".txt")
 		v1Path := filepath.Join(dir, ds+".v1.csrg")
 		v2Path := filepath.Join(dir, ds+".v2.csrg")
@@ -74,7 +77,7 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 
 		for _, name := range strategies {
 			parts := sourceParts(name)
-			s := partition.MustNew(name, partition.Options{HybridThreshold: 30})
+			s := partition.MustNew(name, partition.Options{})
 			at, err := partition.Partition(fromText, s, parts, 1)
 			if err != nil {
 				t.Fatalf("%s/%s (text): %v", ds, name, err)
@@ -102,7 +105,10 @@ func TestBinaryAndTextSourcesYieldIdenticalAssignments(t *testing.T) {
 // formats via graph.StreamFile and checks the streamed summaries agree —
 // the bounded-memory ingress path accepts the binary source too.
 func TestStreamedBinarySourceMatchesText(t *testing.T) {
-	g := datasets.MustLoad("road-ca", 1)
+	g, err := datasets.Load("road-ca", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	textPath := filepath.Join(dir, "g.txt")
 	binPath := filepath.Join(dir, "g.csrg")

@@ -31,7 +31,7 @@ func applyTrace(t *testing.T, st *PartitionState, g *graph.Graph, cfg gen.ChurnC
 func TestIncrementalMatchesOneShotAddOnly(t *testing.T) {
 	g := testGraph()
 	for _, name := range AllNames() {
-		s := MustNew(name, Options{HybridThreshold: 30, Loaders: 1})
+		s := MustNew(name, Options{Loaders: 1})
 		numParts := partsFor(name)
 		st, err := NewPartitionState(s, numParts, 1, 2)
 		if err != nil {
@@ -447,7 +447,7 @@ func TestAsIncrementalCapabilities(t *testing.T) {
 	if _, ok := target.(MasterHinter); !ok {
 		t.Error("1D-Target's incremental assigner lost its MasterHinter")
 	}
-	_, err = AsIncremental(MustNew("Hybrid", Options{HybridThreshold: 30}), 8, 1)
+	_, err = AsIncremental(MustNew("Hybrid", Options{}), 8, 1)
 	if !errors.Is(err, ErrNotIncremental) {
 		t.Fatalf("Hybrid: got %v, want ErrNotIncremental", err)
 	}

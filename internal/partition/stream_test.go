@@ -61,7 +61,7 @@ func streamSummary(t *testing.T, s Strategy, g *graph.Graph, numParts, workers, 
 func TestStreamMatchesMaterialized(t *testing.T) {
 	g := gen.PrefAttach("stream", 3000, 5, 0x71)
 	for _, name := range AllNames() {
-		s := MustNew(name, Options{HybridThreshold: 30})
+		s := MustNew(name, Options{})
 		if _, ok := s.(StatelessStrategy); !ok {
 			continue
 		}

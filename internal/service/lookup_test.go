@@ -9,10 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"graphpart/internal/datasets"
 	"graphpart/internal/graph"
+	"graphpart/internal/partition"
 	"graphpart/internal/report"
 )
 
@@ -63,6 +67,62 @@ func TestAssignmentReplyMatchesEncoder(t *testing.T) {
 			if got := string(get(fmt.Sprintf("%s&vertex=%d", path, v))); got != encode(want) {
 				t.Fatalf("%s vertex %d:\n got %s\nwant %s", strategy, v, got, encode(want))
 			}
+		}
+	}
+}
+
+// TestServedCutIsTheBenchs: an in-process Server with no options serves the
+// Hybrid and H-Ginger the library builds with no options, at the
+// replication factor the committed seed-1 report measured for that cell, so
+// the service, partitiond and the bench split vertices at one high-degree
+// cutoff. livejournal has vertices on both sides of it; road-ca has none
+// above it.
+func TestServedCutIsTheBenchs(t *testing.T) {
+	f, err := os.Open(filepath.Join("..", "..", "BENCH_seed1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := report.Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, parts = 1, 16
+	srv := newTestServer(t, Config{Seed: seed})
+	for _, c := range []struct{ dataset, strategy string }{
+		{"livejournal", "Hybrid"},
+		{"livejournal", "H-Ginger"},
+		{"road-ca", "Hybrid"},
+	} {
+		rec := do(srv, http.MethodGet, fmt.Sprintf("/v1/assignment/%s/%s?parts=%d", c.dataset, c.strategy, parts), "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s/%s: status %d (%s)", c.dataset, c.strategy, rec.Code, rec.Body)
+		}
+		var served assignmentResponse
+		decodeBodyJSON(t, rec, &served)
+
+		g, err := datasets.Load(c.dataset, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := partition.ParallelPartition(g, partition.MustNew(c.strategy, partition.Options{}), parts, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := a.ReplicationFactor(); served.ReplicationFactor != want {
+			t.Errorf("%s/%s/%d: served RF %.4f, the library's default cut %.4f", c.dataset, c.strategy, parts, served.ReplicationFactor, want)
+		}
+		measured := math.NaN()
+		for _, e := range base.Experiments {
+			for _, cell := range e.Cells {
+				if e.ID == "fig6.5" && cell.Metric == "replication-factor" && cell.Dims.Dataset == c.dataset &&
+					cell.Dims.Strategy == c.strategy && cell.Dims.Parts == parts {
+					measured = cell.Value
+				}
+			}
+		}
+		if served.ReplicationFactor != measured {
+			t.Errorf("%s/%s/%d: served RF %.4f, the bench measured %.4f", c.dataset, c.strategy, parts, served.ReplicationFactor, measured)
 		}
 	}
 }

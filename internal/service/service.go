@@ -47,9 +47,6 @@ type Config struct {
 	Scale int
 	// Seed is the partitioner hash seed (the same seed the bench uses).
 	Seed uint64
-	// HybridThreshold is the Hybrid/H-Ginger high-degree cutoff (0 keeps
-	// the strategy default; partitiond passes datasets.HybridThreshold).
-	HybridThreshold int
 	// Workers bounds partitioning/ingress goroutines (≤0 = GOMAXPROCS).
 	Workers int
 	// DefaultParts is the partition count used when a request names none
@@ -218,7 +215,7 @@ func (s *Server) key(dataset bool, name, strategy, parts string) (cutKey, error)
 // PDS's p²+p+1) is the client's error: 400 with the strategy's message,
 // before any dataset is loaded or state allocated.
 func (s *Server) newStrategy(k cutKey) (partition.Strategy, error) {
-	st, err := partition.New(k.strategy, partition.Options{HybridThreshold: s.cfg.HybridThreshold})
+	st, err := partition.New(k.strategy, partition.Options{})
 	if err != nil {
 		return nil, err
 	}
