@@ -3,8 +3,8 @@
 // each regenerating the corresponding rows/series on the simulated cluster.
 //
 // Experiments produce a typed Result — measurement Cells keyed by the
-// paper's dimensions plus structured Checks — and every rendering (the
-// plain tables, markdown, CSV, the JSON report) is a view derived from it.
+// paper's dimensions plus structured Checks — and both outputs, the plain
+// table and the JSON report, derive from it.
 //
 // The paper's evaluation is one matrix — strategy × graph × cluster ×
 // application — run on three systems, and the experiments read it through
@@ -36,7 +36,6 @@ package bench
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"slices"
@@ -108,7 +107,7 @@ func (c Config) graphxConfig(cc cluster.Config, iterations int) graphx.Config {
 
 // Result is the typed outcome of one experiment run: measurement cells and
 // structured checks first, presentation (column layout, note text, ASCII
-// figure) alongside so every rendering derives from the same record.
+// figure) alongside so the table and the report derive from one record.
 type Result struct {
 	ID    string
 	Title string
@@ -217,74 +216,23 @@ func (w *Row) Value(metric string, v float64, unit string) *Row {
 	return w
 }
 
-// --- reporters --------------------------------------------------------
+// --- rendering --------------------------------------------------------
 
-// Table is the plain-text presentation of a Result (the paper artifact
-// view). It is derived — see Result.Table — never built by experiments.
-type Table struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    [][]string
-	// Notes carries the experiment's own verdicts: the qualitative shape
-	// the paper reports and whether this run reproduced it.
-	Notes []string
-	// Figure optionally carries an ASCII rendering of the paper's figure
-	// (scatter with trend line, or cumulative curves).
-	Figure string
-}
-
-// Table derives the presentation table from the result.
-func (r *Result) Table() *Table {
-	t := &Table{ID: r.ID, Title: r.Title, Columns: r.columns, Figure: r.Figure}
-	for _, row := range r.rows {
-		t.Rows = append(t.Rows, row.cols)
-	}
-	t.Notes = append(t.Notes, r.notes...)
-	return t
-}
-
-// Render writes the plain-text table view of the result.
-func (r *Result) Render(w io.Writer) error { return r.Table().Render(w) }
-
-// CellsCSV writes one CSV row per cell in the CSVHeader layout, tagged
-// with the owning experiment id (one line per cell; the id column makes
-// multi-experiment CSVs concatenable). The benchrunner -csv reporter
-// feeds it the report's filtered cells.
-func CellsCSV(w *csv.Writer, id string, cells []report.Cell) error {
-	for _, c := range cells {
-		rec := []string{
-			id, c.Dims.Dataset, c.Dims.Strategy, c.Dims.App, c.Dims.Engine,
-			c.Dims.Cluster, c.Dims.Variant, "", c.Metric,
-			strconv.FormatFloat(c.Value, 'g', -1, 64), c.Unit,
-		}
-		if c.Dims.Parts != 0 {
-			rec[7] = strconv.Itoa(c.Dims.Parts)
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSVHeader is the column header matching RenderCSV's rows.
-var CSVHeader = []string{"experiment", "dataset", "strategy", "app", "engine", "cluster", "variant", "parts", "metric", "value", "unit"}
-
-// Render writes the table as aligned text.
-func (t *Table) Render(w io.Writer) error {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+// Render writes the result's plain-text table: title, aligned columns and
+// rows, the ASCII figure, then the notes.
+func (r *Result) Render(w io.Writer) error {
+	widths := make([]int, len(r.columns))
+	for i, c := range r.columns {
 		widths[i] = len(c)
 	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
+	for _, row := range r.rows {
+		for i, cell := range row.cols {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
 			}
 		}
 	}
-	if _, err := fmt.Fprintf(w, "## %s — %s\n", t.ID, t.Title); err != nil {
+	if _, err := fmt.Fprintf(w, "## %s — %s\n", r.ID, r.Title); err != nil {
 		return err
 	}
 	line := func(cells []string) string {
@@ -300,22 +248,22 @@ func (t *Table) Render(w io.Writer) error {
 		}
 		return strings.TrimRight(sb.String(), " ")
 	}
-	fmt.Fprintln(w, line(t.Columns))
+	fmt.Fprintln(w, line(r.columns))
 	// Ruler width = column widths plus the two-space separators between
 	// them.
-	total := 2 * (len(t.Columns) - 1)
+	total := 2 * (len(r.columns) - 1)
 	for _, wd := range widths {
 		total += wd
 	}
 	fmt.Fprintln(w, strings.Repeat("-", total))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, line(row))
+	for _, row := range r.rows {
+		fmt.Fprintln(w, line(row.cols))
 	}
-	if t.Figure != "" {
+	if r.Figure != "" {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, t.Figure)
+		fmt.Fprint(w, r.Figure)
 	}
-	for _, n := range t.Notes {
+	for _, n := range r.notes {
 		fmt.Fprintf(w, "note: %s\n", n)
 	}
 	_, err := fmt.Fprintln(w)

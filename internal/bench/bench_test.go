@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"strings"
@@ -16,20 +15,38 @@ import (
 	"graphpart/internal/report"
 )
 
+// TestTableRender pins the plain table byte for byte: columns padded to the
+// widest cell, two-space separators, trailing blanks trimmed, the ruler,
+// then the notes and one blank line.
 func TestTableRender(t *testing.T) {
-	tab := &Table{ID: "x.1", Title: "test table", Columns: []string{"a", "long-column"},
-		Rows:  [][]string{{"1", "2"}, {"333", "4"}},
-		Notes: []string{"note 7"}}
+	r := NewResult("x.1", "test table", "a", "long-column")
+	r.Row(report.Dims{}).Col("1", "2")
+	r.Row(report.Dims{}).Col("333", "4")
+	r.Notef("note %d", 7)
 	var sb strings.Builder
-	if err := tab.Render(&sb); err != nil {
+	if err := r.Render(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"x.1", "test table", "long-column", "333", "note: note 7"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	want := "## x.1 — test table\n" +
+		"a    long-column\n" +
+		"----------------\n" +
+		"1    2\n" +
+		"333  4\n" +
+		"note: note 7\n\n"
+	if got := sb.String(); got != want {
+		t.Errorf("render =\n%s\nwant\n%s", got, want)
 	}
+}
+
+// renderLines renders r and splits the output into lines: [0] the title,
+// [1] the header, [2] the ruler, then the rows and notes.
+func renderLines(t *testing.T, r *Result) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(sb.String(), "\n")
 }
 
 func TestDefaultConfig(t *testing.T) {
@@ -48,7 +65,7 @@ func TestDefaultConfig(t *testing.T) {
 
 // TestResultBuilder covers the typed-result API: rows emit presentation
 // columns and cells together, checks carry structured verdicts, and the
-// Table view derives from the same record.
+// rendered table derives from the same record.
 func TestResultBuilder(t *testing.T) {
 	r := NewResult("x.2", "builder", "graph", "strategy", "rf", "verdict")
 	d := report.Dims{Dataset: "road-ca", Strategy: "HDRF", Parts: 9}
@@ -76,18 +93,17 @@ func TestResultBuilder(t *testing.T) {
 		t.Errorf("observed = %q", r.Checks[0].Observed)
 	}
 
-	tab := r.Table()
-	if len(tab.Rows) != 1 {
-		t.Fatalf("table rows = %d, want 1 (cells without columns must not add rows)", len(tab.Rows))
+	// Title, header, ruler, one row, two notes, the closing blank line:
+	// cells without columns must not add rows.
+	lines := renderLines(t, r)
+	if len(lines) != 8 || lines[7] != "" {
+		t.Fatalf("render has %d lines, want 8:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
-	wantRow := []string{"road-ca", "HDRF", "1.234", "fine"}
-	for i, c := range wantRow {
-		if tab.Rows[0][i] != c {
-			t.Errorf("row[%d] = %q, want %q", i, tab.Rows[0][i], c)
-		}
+	if got, want := lines[3], "road-ca  HDRF      1.234  fine"; got != want {
+		t.Errorf("row = %q, want %q", got, want)
 	}
-	if len(tab.Notes) != 2 || tab.Notes[0] != "info 1" || tab.Notes[1] != "measured 3.5 ok ✓" {
-		t.Errorf("notes = %q", tab.Notes)
+	if lines[4] != "note: info 1" || lines[5] != "note: measured 3.5 ok ✓" || lines[6] != "" {
+		t.Errorf("notes = %q", lines[4:7])
 	}
 }
 
@@ -100,33 +116,15 @@ func TestMetricRenderingMatchesSprintf(t *testing.T) {
 		Metric("m3", 1.0005, "", 3).
 		Metric("m2", 2.675, "", 2).
 		Metric("m0", 7, "", 0)
-	row := r.Table().Rows[0]
+	row := strings.Fields(renderLines(t, r)[3])
 	want := []string{fmt.Sprintf("%.3f", 1.0005), fmt.Sprintf("%.2f", 2.675), "7"}
+	if len(row) != len(want) {
+		t.Fatalf("row = %q, want %d columns", row, len(want))
+	}
 	for i := range want {
 		if row[i] != want[i] {
 			t.Errorf("col %d = %q, want %q", i, row[i], want[i])
 		}
-	}
-}
-
-func TestResultCSV(t *testing.T) {
-	r := NewResult("x.4", "csv")
-	r.Cell(report.Dims{Dataset: "road-ca", Strategy: "Grid", Parts: 9}, "rf", 1.5, "ratio")
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(CSVHeader); err != nil {
-		t.Fatal(err)
-	}
-	if err := CellsCSV(w, r.ID, r.Cells); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv lines = %d, want 2:\n%s", len(lines), buf.String())
-	}
-	if lines[1] != "x.4,road-ca,Grid,,,,,9,rf,1.5,ratio" {
-		t.Errorf("csv row = %q", lines[1])
 	}
 }
 
@@ -405,25 +403,17 @@ func TestNaturalAppMatchesProgramDirections(t *testing.T) {
 // table — column widths plus the two-space separators — not one character
 // longer (the old off-by-one double-counted a separator).
 func TestTableRenderRulerWidth(t *testing.T) {
-	cases := []*Table{
-		// Widths driven by the headers.
-		{ID: "r.1", Title: "headers widest", Columns: []string{"aaa", "bb", "cccc"},
-			Rows: [][]string{{"1", "2", "3"}}},
-		// Widths driven by a row: the rendered header line is then shorter
-		// than the full table width, but the ruler must still span it.
-		{ID: "r.2", Title: "rows widest", Columns: []string{"a", "b"},
-			Rows: [][]string{{"333", "4444"}}},
-	}
-	for _, tab := range cases {
-		var sb strings.Builder
-		if err := tab.Render(&sb); err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(sb.String(), "\n")
-		// lines[0] = "## id — title", lines[1] = header, lines[2] = ruler.
+	headersWidest := NewResult("r.1", "headers widest", "aaa", "bb", "cccc")
+	headersWidest.Row(report.Dims{}).Col("1", "2", "3")
+	// Widths driven by a row: the rendered header line is then shorter
+	// than the full table width, but the ruler must still span it.
+	rowsWidest := NewResult("r.2", "rows widest", "a", "b")
+	rowsWidest.Row(report.Dims{}).Col("333", "4444")
+	for _, r := range []*Result{headersWidest, rowsWidest} {
+		lines := renderLines(t, r)
 		ruler := lines[2]
 		if strings.Trim(ruler, "-") != "" {
-			t.Fatalf("%s: line 2 is not the ruler: %q", tab.ID, ruler)
+			t.Fatalf("%s: line 2 is not the ruler: %q", r.ID, ruler)
 		}
 		width := 0
 		for _, line := range lines[1:] {
@@ -435,7 +425,7 @@ func TestTableRenderRulerWidth(t *testing.T) {
 			}
 		}
 		if len(ruler) != width {
-			t.Errorf("%s: ruler width %d != table width %d:\n%s", tab.ID, len(ruler), width, sb.String())
+			t.Errorf("%s: ruler width %d != table width %d:\n%s", r.ID, len(ruler), width, strings.Join(lines, "\n"))
 		}
 	}
 }
@@ -510,36 +500,6 @@ func TestRunnerOrderAndErrors(t *testing.T) {
 	}
 }
 
-// TestRunnerFilter: the dimension filter prunes report cells but leaves
-// checks and rendering untouched.
-func TestRunnerFilter(t *testing.T) {
-	f, err := report.ParseFilter("dataset=road")
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := Runner{Config: Config{Workers: 1}, Filter: f}
-	results := runner.Run([]Experiment{fakeExperiment("f.1", 4, false)})
-	rep := runner.Report(results)
-	if got := len(rep.Experiments[0].Cells); got != 2 {
-		t.Fatalf("filtered cells = %d, want 2 (road-ca only)", got)
-	}
-	for _, c := range rep.Experiments[0].Cells {
-		if c.Dims.Dataset != "road-ca" {
-			t.Errorf("filter leaked %s", c.Dims.Dataset)
-		}
-	}
-	if len(rep.Experiments[0].Checks) != 1 {
-		t.Error("filter must not drop checks")
-	}
-	if rep.Manifest.Filter != "dataset=road" {
-		t.Errorf("manifest filter = %q", rep.Manifest.Filter)
-	}
-	// The manifest audits the full run: its cell count is pre-filter.
-	if got := rep.Manifest.Experiments[0].Cells; got != 4 {
-		t.Errorf("manifest cells = %d, want 4 (unfiltered)", got)
-	}
-}
-
 // TestRunnerDeterministicAcrossWorkers: the same experiments produce
 // cell-identical reports at any concurrency.
 func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
@@ -577,7 +537,7 @@ func TestRunnerDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestReportIsPureFunctionOfConfig: a report is a pure function of (scale,
-// seed, filter). The shared seed-1 pass — three experiments in flight at
+// seed). The shared seed-1 pass — three experiments in flight at
 // Workers 3 — and a fresh inline pass at Workers 1, run after emptying the
 // assignment and point caches so it recomputes everything, must assemble
 // and encode every non-slow experiment to the same bytes once the

@@ -38,7 +38,7 @@ func TestGoldenTableRenders(t *testing.T) {
 				t.Skipf("%s takes multiple seconds; run without -short", e.ID)
 			}
 			res := seed1Result(t, e.ID)
-			if len(res.Table().Rows) == 0 {
+			if len(res.rows) == 0 {
 				t.Fatalf("%s: empty table", e.ID)
 			}
 			var buf bytes.Buffer

@@ -27,11 +27,6 @@ type RunResult struct {
 // budget; the bound exists to keep memory in check, not the CPU.
 type Runner struct {
 	Config Config
-	// Filter optionally restricts which cells make it into the report's
-	// experiment entries. Checks and the manifest always cover the full
-	// run: ManifestEntry.Cells counts every emitted cell, so coverage
-	// stays auditable even when the filter prunes everything.
-	Filter report.Filter
 	// Progress, when set, is called as each experiment finishes — in
 	// completion order, serialized — so long concurrent runs can report
 	// liveness before the in-order rendering starts.
@@ -57,9 +52,9 @@ func (r Runner) Run(exps []Experiment) []RunResult {
 }
 
 // Report assembles the machine-readable report: the run manifest (config,
-// filter, per-experiment cell and check counts) plus every experiment's
-// cells (filtered) and checks. It reads no clock, so the report is a pure
-// function of (Config, Filter, experiment list).
+// per-experiment cell and check counts) plus every experiment's cells and
+// checks. It reads no clock, so the report is a pure function of (Config,
+// experiment list).
 func (r Runner) Report(results []RunResult) *report.Report {
 	rep := &report.Report{
 		SchemaVersion: report.SchemaVersion,
@@ -67,7 +62,6 @@ func (r Runner) Report(results []RunResult) *report.Report {
 		Experiments:   []report.Experiment{},
 	}
 	rep.Manifest.Config = r.Config.Info()
-	rep.Manifest.Filter = r.Filter.String()
 	for _, rr := range results {
 		entry := report.ManifestEntry{ID: rr.Experiment.ID}
 		exp := report.Experiment{
@@ -80,11 +74,7 @@ func (r Runner) Report(results []RunResult) *report.Report {
 			entry.Error = rr.Err.Error()
 			exp.Error = rr.Err.Error()
 		} else {
-			for _, c := range rr.Result.Cells {
-				if r.Filter.Match(c) {
-					exp.Cells = append(exp.Cells, c)
-				}
-			}
+			exp.Cells = append(exp.Cells, rr.Result.Cells...)
 			exp.Checks = rr.Result.Checks
 			entry.Cells = len(rr.Result.Cells)
 			entry.Checks = len(exp.Checks)

@@ -2,8 +2,8 @@
 // experiment harness (internal/bench), cmd/benchrunner and cmd/partition:
 // typed measurement cells keyed by the paper's dimensions (dataset ×
 // strategy × app × engine), structured pass/fail checks, and a versioned
-// JSON report with a run manifest. Rendering (plain tables, markdown) is a
-// view over these records; this package is the data they are derived from.
+// JSON report with a run manifest. The report holds every cell and check
+// of a run; the plain tables are drawn from the same records.
 // Two reports of one config are compared byte for byte: a report is a pure
 // function of its config, so `diff` of two -json files is the A/B.
 package report
@@ -36,7 +36,7 @@ type Dims struct {
 }
 
 // Key returns the canonical string form of d, used to match cells across
-// reports and to apply dimension filters.
+// reports.
 func (d Dims) Key() string {
 	var sb strings.Builder
 	for _, kv := range [...]struct{ k, v string }{
@@ -55,31 +55,6 @@ func (d Dims) Key() string {
 		fmt.Fprintf(&sb, "parts=%d|", d.Parts)
 	}
 	return strings.TrimSuffix(sb.String(), "|")
-}
-
-// Field returns the dimension value for a filter key ("dataset",
-// "strategy", "app", "engine", "cluster", "variant", "parts").
-func (d Dims) Field(key string) (string, bool) {
-	switch key {
-	case "dataset":
-		return d.Dataset, true
-	case "strategy":
-		return d.Strategy, true
-	case "app":
-		return d.App, true
-	case "engine":
-		return d.Engine, true
-	case "cluster":
-		return d.Cluster, true
-	case "variant":
-		return d.Variant, true
-	case "parts":
-		if d.Parts == 0 {
-			return "", true
-		}
-		return fmt.Sprintf("%d", d.Parts), true
-	}
-	return "", false
 }
 
 // Cell is one typed measurement: a metric value at one point of the
@@ -137,11 +112,11 @@ type ManifestEntry struct {
 }
 
 // Manifest describes the run that produced a report. It holds no wall-clock
-// field: a report is a pure function of its config, filter and experiment
-// list (reports written before that carried seconds; Decode ignores them).
+// field: a report is a pure function of its config and experiment list
+// (reports written before that carried seconds, and some a cell filter;
+// Decode ignores both).
 type Manifest struct {
 	Config      ConfigInfo      `json:"config"`
-	Filter      string          `json:"filter,omitempty"`
 	Experiments []ManifestEntry `json:"experiments"`
 }
 

@@ -74,6 +74,11 @@ var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledReply = 64 << 10
 
+// jsonContentType is every reply's Content-Type value. respond puts this
+// one slice into each reply's header map, where Header().Set would
+// allocate a new one per reply; it is shared, so nothing may write to it.
+var jsonContentType = []string{"application/json"}
+
 // respond writes a request's one reply — v, or err in the error envelope —
 // and returns the status it carried. v is encoded before anything is
 // written, so a value that cannot be encoded answers 500 with the envelope
@@ -94,7 +99,7 @@ func respond(w http.ResponseWriter, v any, err error) int {
 		body, _ = encodeReply((*bp)[:0], apiError{Error: err.Error(), Status: status}) // two plain fields always encode
 	}
 	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(body) //nolint:errcheck // the status is committed; a failed write is a gone client
 	if cap(body) <= maxPooledReply {

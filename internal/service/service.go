@@ -45,7 +45,9 @@ import (
 type Config struct {
 	// Scale is the dataset scale factor every load/build uses (≤0 = 1).
 	Scale int
-	// Seed is the partitioner hash seed (the same seed the bench uses).
+	// Seed is the partitioner hash seed. The zero value is seed 0;
+	// partitiond and the bench default to seed 1, so set 1 to serve their
+	// assignments.
 	Seed uint64
 	// Workers bounds partitioning/ingress goroutines (≤0 = GOMAXPROCS).
 	Workers int
