@@ -10,8 +10,9 @@ import (
 // ParallelPartition is the one materialized ingress driver: it partitions g
 // with s using up to `workers` concurrent workers (≤0 means GOMAXPROCS; 1
 // runs everything inline on the calling goroutine, which is what Partition
-// does) and materializes the Assignment with vertex-range-sharded workers.
-// Dispatch is by capability:
+// does) and materializes the Assignment in three phases: validate and count
+// by edge range, set the out- and in-edge bits as one shard per direction,
+// and derive replicas by vertex range. Dispatch is by capability:
 //
 //   - StatelessStrategy: the edge list shards across workers, each with its
 //     own Assigner; master hints are produced per vertex shard.

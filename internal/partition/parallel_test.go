@@ -130,16 +130,19 @@ func TestParallelTinyGraph(t *testing.T) {
 
 // TestParallelRejectsBadAssignments asserts the one materialization path
 // validates what a strategy returns at every worker count: an out-of-range
-// partition id is refused naming the lowest offending edge, and a result of
-// the wrong length is refused before anything is indexed.
+// partition id is refused naming the lowest offending edge, whichever
+// worker's edge range holds it (the first range's, or only the last's), and
+// a result of the wrong length is refused before anything is indexed.
 func TestParallelRejectsBadAssignments(t *testing.T) {
 	g := gen.RoadNet("par-bad", 5, 5, 1)
-	for _, workers := range []int{1, 4} {
-		_, err := ParallelPartition(g, badStrategy{firstBad: 7}, 4, 1, workers)
-		if err == nil || !strings.Contains(err.Error(), "placed edge 7 on partition 4") {
-			t.Errorf("workers=%d: out-of-range assignment: got %v, want the lowest bad edge (7) named", workers, err)
+	for _, workers := range []int{1, 2, 3, 4} {
+		for _, firstBad := range []int{7, g.NumEdges() - 3} {
+			_, err := ParallelPartition(g, badStrategy{firstBad: firstBad}, 4, 1, workers)
+			if want := fmt.Sprintf("placed edge %d on partition 4", firstBad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("workers=%d: out-of-range assignment: got %v, want the lowest bad edge (%d) named", workers, err, firstBad)
+			}
 		}
-		_, err = ParallelPartition(g, badStrategy{firstBad: g.NumEdges(), short: 3}, 4, 1, workers)
+		_, err := ParallelPartition(g, badStrategy{firstBad: g.NumEdges(), short: 3}, 4, 1, workers)
 		if err == nil || !strings.Contains(err.Error(), "assignments for") {
 			t.Errorf("workers=%d: short result: got %v, want an edge-count error", workers, err)
 		}

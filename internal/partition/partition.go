@@ -67,6 +67,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"graphpart/internal/graph"
 	"graphpart/internal/par"
@@ -154,60 +155,55 @@ func newAssignment(g *graph.Graph, s Strategy, numParts int, seed uint64, res *R
 }
 
 // place validates EdgeParts and fills the edge counts and the
-// replica/in/out bit-matrices. Workers shard the matrices by vertex range:
-// each scans the whole edge list but sets in- and out-edge bits only in rows
-// of its own range, so row storage is disjoint and needs no locks, then
-// derives those rows' replicas as in|out (an assignment pins no images). The
-// same scan range-checks every placement it reads; the edges of the worker's
-// own edge range are counted in a loop of their own once the scan found none
-// out of range. The scan is redundant (O(workers·m) reads), so the fan-out
-// is capped: past a handful of workers the extra sequential reads cost more
-// memory bandwidth than the divided random-access bit-sets save.
+// replica/in/out bit-matrices in three phases. Workers validate and count
+// their own edge range, each stopping at its first out-of-range placement;
+// the lowest bad index is the error, and nothing is set before all pass.
+// Then one shard sets every out-edge bit and another every in-edge bit: the
+// two write different matrices, so they need no range test and no atomic,
+// and at one worker both run inline. Last, workers derive their vertex
+// range's replicas as in|out (an assignment pins no images).
 func (a *Assignment) place(workers int) error {
-	workers = min(workers, 8)
 	edges, parts, numParts := a.G.Edges, a.EdgeParts, a.NumParts
-	m, n := len(parts), a.G.NumVertices()
+	m := len(parts)
 	reps, in, out := a.replicas, a.inEdgeParts, a.outEdgeParts
-	counts := make([][]int64, workers)
-	// Every worker scans from edge 0 and stops at the first out-of-range
-	// placement, so all of them find the same — the lowest — bad index.
-	bad := m
+	counts, bad := make([][]int64, workers), make([]int, workers)
 	par.Do(workers, workers, func(w, _ int) {
-		vlo, vhi := par.Range(n, workers, w)
-		for i, e := range edges {
-			p := int(parts[i])
-			if p < 0 || p >= numParts {
-				if w == 0 {
-					bad = i
-				}
+		lo, hi := par.Range(m, workers, w)
+		local := make([]int64, numParts)
+		bad[w] = m
+		for i, p := range parts[lo:hi] {
+			if p < 0 || int(p) >= numParts {
+				bad[w] = lo + i
 				return
 			}
-			if s := int(e.Src); s >= vlo && s < vhi {
-				out.set(s, p)
-			}
-			if d := int(e.Dst); d >= vlo && d < vhi {
-				in.set(d, p)
-			}
-		}
-		for i := vlo * reps.words; i < vhi*reps.words; i++ {
-			reps.bits[i] = in.bits[i] | out.bits[i]
-		}
-		elo, ehi := par.Range(m, workers, w)
-		local := make([]int64, numParts)
-		for _, p := range parts[elo:ehi] {
 			local[p]++
 		}
 		counts[w] = local
 	})
-	if bad < m {
+	if first := slices.Min(bad); first < m {
 		return fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
-			a.Strategy, bad, parts[bad], numParts)
+			a.Strategy, first, parts[first], numParts)
 	}
+	par.Do(workers, 2, func(dir, _ int) {
+		if dir == 0 {
+			for i, e := range edges {
+				out.set(int(e.Src), int(parts[i]))
+			}
+			return
+		}
+		for i, e := range edges {
+			in.set(int(e.Dst), int(parts[i]))
+		}
+	})
+	par.Do(workers, workers, func(w, _ int) {
+		lo, hi := par.Range(len(reps.bits), workers, w)
+		for i := lo; i < hi; i++ {
+			reps.bits[i] = in.bits[i] | out.bits[i]
+		}
+	})
 	for _, local := range counts {
 		for p, c := range local {
-			if c != 0 {
-				a.q.AddEdges(p, c)
-			}
+			a.q.AddEdges(p, c)
 		}
 	}
 	return nil

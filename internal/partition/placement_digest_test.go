@@ -19,8 +19,9 @@ import (
 var updatePlacement = flag.Bool("update", false, "rewrite testdata/placement.digest")
 
 // placementDigestWorkers are the worker counts every digest case runs at;
-// all must produce the same line, so the file holds one line per case.
-var placementDigestWorkers = []int{1, 3}
+// all must produce the same line, so the file holds one line per case. Two
+// is the width of place's direction split.
+var placementDigestWorkers = []int{1, 2, 3}
 
 // placementDigestParts are the partition counts of every case: rows of one
 // word, and of two. PDS accepts only counts of the form p²+p+1, so it runs at

@@ -83,20 +83,29 @@ var jsonContentType = []string{"application/json"}
 // and returns the status it carried. v is encoded before anything is
 // written, so a value that cannot be encoded answers 500 with the envelope
 // instead of its status with an empty body. A value that carries its wire
-// bytes (preEncoded) is written as it is.
+// bytes (preEncoded) is written as it is, and so is a *[]byte: a reply the
+// handler already wrote into a replyBufs buffer, which a pointer carries in
+// v without a heap copy, and which respond recycles like its own.
 func respond(w http.ResponseWriter, v any, err error) int {
 	status := http.StatusOK
 	if err != nil {
 		status = statusOf(err)
 		v = apiError{Error: err.Error(), Status: status}
 	}
-	bp := replyBufs.Get().(*[]byte)
-	var body []byte
-	if p, ok := v.(preEncoded); ok {
-		body = p.appendTo((*bp)[:0])
-	} else if body, err = encodeReply((*bp)[:0], v); err != nil {
-		status = http.StatusInternalServerError
-		body, _ = encodeReply((*bp)[:0], apiError{Error: err.Error(), Status: status}) // two plain fields always encode
+	bp, written := v.(*[]byte)
+	if !written {
+		bp = replyBufs.Get().(*[]byte)
+	}
+	body := *bp
+	switch p := v.(type) {
+	case *[]byte: // written by the handler
+	case preEncoded:
+		body = p.appendTo(body[:0])
+	default:
+		if body, err = encodeReply(body[:0], v); err != nil {
+			status = http.StatusInternalServerError
+			body, _ = encodeReply((*bp)[:0], apiError{Error: err.Error(), Status: status}) // two plain fields always encode
+		}
 	}
 	body = append(body, '\n')
 	w.Header()["Content-Type"] = jsonContentType
@@ -442,7 +451,12 @@ func (s *Server) handleAssignment(r *http.Request, deadline time.Time) (any, err
 	if int(v) >= a.G.NumVertices() {
 		return nil, statusErrorf(http.StatusNotFound, "service: vertex %d outside %s (%d vertices)", v, k.name, a.G.NumVertices())
 	}
-	return vertexReply{c.reply, vertexLookup{ID: v, Master: a.Master(v), Replicas: a.Replicas(v)}}, c.err
+	if c.err != nil {
+		return nil, c.err
+	}
+	bp := replyBufs.Get().(*[]byte)
+	*bp = vertexReply{c.reply, vertexLookup{ID: v, Master: a.Master(v), Replicas: a.Replicas(v)}}.appendTo((*bp)[:0])
+	return bp, nil
 }
 
 // --- churn --------------------------------------------------------------

@@ -158,7 +158,8 @@ func TestWarmHitsNeverTimeOut(t *testing.T) {
 // cached reply bytes and a deadline armed only for a wait took 8; reading
 // the query without a url.Values map, and the strategy name without
 // building a strategy (HDRF's allocated), took 4; a shared Content-Type
-// value instead of Header().Set's fresh slice takes 3.
+// value instead of Header().Set's fresh slice took 3; appending the vertex
+// into a pooled reply buffer instead of boxing a vertexReply in any takes 2.
 func TestWarmLookupAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse")
@@ -177,8 +178,8 @@ func TestWarmLookupAllocations(t *testing.T) {
 			h.ServeHTTP(rec, req)
 		})
 		t.Logf("%s: %.0f allocations per lookup", strategy, allocs)
-		if allocs > 3 {
-			t.Errorf("a warm %s vertex lookup allocates %.0f times, want at most 3", strategy, allocs)
+		if allocs > 2 {
+			t.Errorf("a warm %s vertex lookup allocates %.0f times, want at most 2", strategy, allocs)
 		}
 	}
 }
