@@ -58,6 +58,10 @@ func (r *RNG) Uint64() uint64 {
 	return x ^ (x >> 31)
 }
 
+// Skip advances the generator past n values: it leaves r exactly as n
+// calls of Uint64 would, without computing them.
+func (r *RNG) Skip(n uint64) { r.state += n * 0x9e3779b97f4a7c15 }
+
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

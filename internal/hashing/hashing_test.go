@@ -67,6 +67,23 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGSkip holds Skip(n) to n calls of Uint64: both generators must then
+// produce the same next values.
+func TestRNGSkip(t *testing.T) {
+	for _, n := range []uint64{0, 1, 1000} {
+		a, b := NewRNG(0x5eed), NewRNG(0x5eed)
+		for i := uint64(0); i < n; i++ {
+			a.Uint64()
+		}
+		b.Skip(n)
+		for i := 0; i < 3; i++ {
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("Skip(%d): value %d after is %x, want %x", n, i, y, x)
+			}
+		}
+	}
+}
+
 func TestRNGIntnBounds(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 1000; i++ {

@@ -1,7 +1,11 @@
 package partition
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
@@ -14,33 +18,44 @@ import (
 // that by striping the edge list across numLoaders independent states,
 // exposed through the StreamingStrategy capability so the blocks can run
 // concurrently.
+//
+// Beside the loads, the state keeps its partitions grouped by distinct
+// load: the levels, ascending, each a load and the mask of the partitions
+// at it, one bitMatrix row long, and each partition's level. There are at
+// most numParts levels however far the loads spread (a list with one level
+// per load value between the minimum and the maximum would grow with the
+// spread), and place and ObserveDelete keep them exact. A pick reads the
+// minimum and maximum load, a candidate's rank by load and the tied
+// candidates from them instead of scanning every partition.
 type loaderState struct {
-	n     int        // vertices covered by parts (and pdeg)
-	parts *bitMatrix // A(v): partitions this loader has placed v's edges on
-	load  []int64    // edges this loader has assigned to each partition
-	pdeg  []int32    // HDRF partial-degree counters (δ)
-	rng   *hashing.RNG
-
-	// HDRF's λ·CBAL per partition, each entry valid while the load it was
-	// computed from and the max and min loads are unchanged. A state is
-	// always scored with one λ.
-	bal            []float64
-	balLoad        []int64
-	balMax, balMin int64
+	n      int        // vertices covered by parts (and pdeg)
+	parts  *bitMatrix // A(v): partitions this loader has placed v's edges on
+	load   []int64    // edges this loader has assigned to each partition
+	pdeg   []int32    // HDRF partial-degree counters (δ)
+	rng    *hashing.RNG
+	lvLoad []int64  // the distinct loads, ascending
+	lvMask []uint64 // lvMask[i*words:(i+1)*words]: the partitions at lvLoad[i]
+	lvOf   []int32  // the level of each partition
+	cand   []uint64 // a pick's candidate mask (scratch, one row)
 }
 
 func newLoaderState(numVertices, numParts int, seed uint64, partialDeg bool) *loaderState {
 	st := &loaderState{
-		n:     numVertices,
-		parts: newBitMatrix(numVertices, numParts),
-		load:  make([]int64, numParts),
-		rng:   hashing.NewRNG(seed),
+		n:      numVertices,
+		parts:  newBitMatrix(numVertices, numParts),
+		load:   make([]int64, numParts),
+		rng:    hashing.NewRNG(seed),
+		lvLoad: append(make([]int64, 0, numParts), 0),
+		lvOf:   make([]int32, numParts),
+	}
+	w := st.parts.words
+	masks := make([]uint64, (numParts+1)*w)
+	st.cand, st.lvMask = masks[:w:w], masks[w:2*w]
+	for p := 0; p < numParts; p++ {
+		st.lvMask[p/64] |= 1 << (p % 64)
 	}
 	if partialDeg {
 		st.pdeg = make([]int32, numVertices)
-		st.bal = make([]float64, numParts)
-		st.balLoad = make([]int64, numParts)
-		st.balMax = -1 // no entry is valid yet
 	}
 	return st
 }
@@ -69,30 +84,112 @@ func (st *loaderState) grow(n int) {
 	}
 }
 
-// leastLoadedIn returns the least-loaded partition among cands, which must
-// not be empty. Ties are broken pseudo-randomly, uniformly over the tied
-// candidates, as in PowerGraph.
-func (st *loaderState) leastLoadedIn(cands []int) int {
-	best := cands[0]
-	ties := 1
-	for _, c := range cands[1:] {
-		switch {
-		case st.load[c] < st.load[best]:
-			best, ties = c, 1
-		case st.load[c] == st.load[best]:
-			ties++
-			if st.rng.Intn(ties) == 0 {
-				best = c
+func (st *loaderState) place(e graph.Edge, p int) {
+	st.load[p]++
+	st.move(p, st.load[p]-1, st.load[p])
+	st.parts.set(int(e.Src), p)
+	st.parts.set(int(e.Dst), p)
+}
+
+// move takes partition p from its level, at load from, to the level at
+// load to = from±1, which is the next level up or down if it exists. The
+// levels stay distinct, ascending and non-empty: a level p leaves alone is
+// relabelled or closed, one it needs is opened beside its old one, and the
+// partitions on the levels above a closed or opened one are renumbered.
+// Every partition is on one level, so the slices never outgrow the
+// numParts levels they were made for.
+func (st *loaderState) move(p int, from, to int64) {
+	w, wp, bit := st.parts.words, p/64, uint64(1)<<(p%64)
+	i := int(st.lvOf[p])
+	row := st.lvMask[i*w : (i+1)*w]
+	row[wp] &^= bit
+	alone := row[wp] == 0 && slices.Max(row) == 0
+	j := i + int(to-from) // the neighbouring level, if it is at to
+	switch {
+	case j >= 0 && j < len(st.lvLoad) && st.lvLoad[j] == to:
+		if alone {
+			st.lvLoad = slices.Delete(st.lvLoad, i, i+1)
+			st.lvMask = slices.Delete(st.lvMask, i*w, (i+1)*w)
+			st.renumber(i+1, -1)
+			j = min(i, j)
+		}
+	case alone:
+		st.lvLoad[i], j = to, i
+	default:
+		j = max(i, j) // open the level at to beside level i
+		st.lvLoad = slices.Insert(st.lvLoad, j, to)
+		n := len(st.lvMask)
+		st.lvMask = st.lvMask[:n+w]
+		copy(st.lvMask[(j+1)*w:], st.lvMask[j*w:n])
+		clear(st.lvMask[j*w : (j+1)*w])
+		st.renumber(j, 1)
+	}
+	st.lvMask[j*w+wp] |= bit
+	st.lvOf[p] = int32(j)
+}
+
+// renumber adds d to the level of every partition on level i or above. The
+// add is masked by the sign of lvOf−i rather than branched on, because which
+// partitions lie above a level follows no pattern a branch could learn.
+func (st *loaderState) renumber(i int, d int32) {
+	for q, l := range st.lvOf {
+		st.lvOf[q] = l + d&^((l-int32(i))>>31)
+	}
+}
+
+// leastLoaded returns the least-loaded partition in cand, which must hold
+// one, exactly as a left-to-right scan over cand picks it: a candidate
+// below the running minimum takes over, and one equal to it is the ties-th
+// tie and takes over on Intn(ties) == 0, so ties resolve uniformly, as in
+// PowerGraph. Only the candidates on the lowest level draw. The draws the
+// scan makes before reaching them, for ties a lower load supersedes, are
+// counted and skipped, which leaves the random stream where the scan
+// leaves it.
+func (st *loaderState) leastLoaded(cand []uint64) int {
+	// low is the lowest level holding a candidate; none lies below level 0.
+	w, low := len(cand), int32(len(st.lvLoad))
+	for wi := 0; wi < w && low > 0; wi++ {
+		for x := cand[wi]; x != 0 && low > 0; x &= x - 1 {
+			if p := wi*64 + bits.TrailingZeros64(x); p < len(st.lvOf) {
+				low = min(low, st.lvOf[p])
+			}
+		}
+	}
+	best, ties := 0, 0
+	for wi, lw := range st.lvMask[int(low)*w : int(low+1)*w] {
+		for x := lw & cand[wi]; x != 0; x &= x - 1 {
+			p := wi*64 + bits.TrailingZeros64(x)
+			if ties++; ties == 1 {
+				best = p
+				st.rng.Skip(st.draws(cand, p))
+			} else if st.rng.Intn(ties) == 0 {
+				best = p
 			}
 		}
 	}
 	return best
 }
 
-func (st *loaderState) place(e graph.Edge, p int) {
-	st.load[p]++
-	st.parts.set(int(e.Src), p)
-	st.parts.set(int(e.Dst), p)
+// draws counts the draws a left-to-right least-loaded scan over the
+// candidates below end makes: one per candidate on the running minimum's
+// level, whether or not a lower load later supersedes it.
+func (st *loaderState) draws(cand []uint64, end int) uint64 {
+	var n uint64
+	low := int32(len(st.lvLoad))
+	for wi := 0; wi*64 < end; wi++ {
+		x := cand[wi]
+		if r := end - wi*64; r < 64 {
+			x &= 1<<r - 1
+		}
+		for ; x != 0; x &= x - 1 {
+			l := st.lvOf[wi*64+bits.TrailingZeros64(x)]
+			if l == low {
+				n++
+			}
+			low = min(low, l)
+		}
+	}
+	return n
 }
 
 // greedyLoader is the greedy strategies' Assigner: one block of the edge
@@ -106,7 +203,6 @@ type greedyLoader struct {
 	numParts int
 	hdrf     bool    // select HDRF scoring over Oblivious case logic
 	lambda   float64 // HDRF's λ
-	cands    []int
 }
 
 // Assign implements Assigner.
@@ -116,7 +212,7 @@ func (l *greedyLoader) Assign(e graph.Edge) int32 {
 	if l.hdrf {
 		p = hdrfPick(l.st, e, l.numParts, l.lambda)
 	} else {
-		p = obliviousPick(l.st, e, l.numParts, &l.cands)
+		p = obliviousPick(l.st, e)
 	}
 	l.st.place(e, p)
 	return int32(p)
@@ -145,8 +241,9 @@ func (l *greedyLoader) warm(e graph.Edge) uint64 {
 // heavy deletion. The edge may predate the loader (a PartitionState builds
 // a fresh one on rebuild), so its endpoints may lie beyond the state.
 func (l *greedyLoader) ObserveDelete(e graph.Edge, p int32) {
-	if l.st.load[p] > 0 {
+	if ld := l.st.load[p]; ld > 0 {
 		l.st.load[p]--
+		l.st.move(int(p), ld, ld-1)
 	}
 	if l.st.pdeg != nil {
 		l.st.cover(e)
@@ -180,12 +277,11 @@ func (oblivious) Name() string { return "Oblivious" }
 func (o oblivious) Loaders(numParts int) int { return loadersOrDefault(o.numLoaders, numParts) }
 
 // NewLoader implements StreamingStrategy.
-func (o oblivious) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
+func (o oblivious) NewLoader(numVertices, numParts, id int, seed uint64) (Assigner, error) {
 	return &greedyLoader{
 		st:       newLoaderState(numVertices, numParts, hashing.Combine(seed, uint64(id)), false),
 		numParts: numParts,
-		cands:    make([]int, 0, numParts),
-	}
+	}, nil
 }
 
 // Partition implements Strategy.
@@ -204,7 +300,7 @@ func (o oblivious) Partition(g *graph.Graph, numParts int, seed uint64) (*Result
 // replication on hubs and sparing low-degree vertices. λ=1, the value
 // hardcoded by PowerGraph and used throughout the paper.
 type HDRF struct {
-	Lambda     float64 // 0 means the default λ=1
+	Lambda     float64 // 0 means the default λ=1; negative, NaN and ±Inf are refused
 	NumLoaders int
 }
 
@@ -215,17 +311,17 @@ func (HDRF) Name() string { return "HDRF" }
 func (h HDRF) Loaders(numParts int) int { return loadersOrDefault(h.NumLoaders, numParts) }
 
 // NewLoader implements StreamingStrategy.
-func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
-	lambda := h.Lambda
-	if lambda == 0 {
-		lambda = 1
+func (h HDRF) NewLoader(numVertices, numParts, id int, seed uint64) (Assigner, error) {
+	lambda := cmp.Or(h.Lambda, 1)
+	if !(lambda > 0 && lambda <= math.MaxFloat64) {
+		return nil, fmt.Errorf("hdrf: λ=%v is not a positive finite number (0 means 1)", lambda)
 	}
 	return &greedyLoader{
 		st:       newLoaderState(numVertices, numParts, hashing.Combine(seed, uint64(id)), true),
 		numParts: numParts,
 		hdrf:     true,
 		lambda:   lambda,
-	}
+	}, nil
 }
 
 // Partition implements Strategy.
@@ -243,45 +339,47 @@ func loadersOrDefault(numLoaders, numParts int) int {
 	return numLoaders
 }
 
-func obliviousPick(st *loaderState, e graph.Edge, numParts int, scratch *[]int) int {
-	au := st.parts.row(int(e.Src))
-	av := st.parts.row(int(e.Dst))
-	cands := (*scratch)[:0]
-
-	// Case 1: intersection.
+// obliviousPick is the least-loaded partition of Oblivious's case: the
+// intersection A(u)∩A(v) if it is not empty, else the union (cases 2 and 4)
+// if that is not, else every partition.
+func obliviousPick(st *loaderState, e graph.Edge) int {
+	au, av := st.parts.row(int(e.Src)), st.parts.row(int(e.Dst))
+	var inter, union uint64
 	for wi := range au {
-		w := au[wi] & av[wi]
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			cands = append(cands, wi*64+b)
-			w &= w - 1
+		inter |= au[wi] & av[wi]
+		union |= au[wi] | av[wi]
+	}
+	for wi := range st.cand {
+		switch {
+		case inter != 0:
+			st.cand[wi] = au[wi] & av[wi]
+		case union != 0:
+			st.cand[wi] = au[wi] | av[wi]
+		default:
+			st.cand[wi] = ^uint64(0)
 		}
 	}
-	if len(cands) == 0 {
-		// Cases 2 and 4: union of the non-empty sets.
-		for wi := range au {
-			w := au[wi] | av[wi]
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				cands = append(cands, wi*64+b)
-				w &= w - 1
-			}
-		}
-	}
-	if len(cands) == 0 {
-		// Case 3: anywhere.
-		for p := 0; p < numParts; p++ {
-			cands = append(cands, p)
-		}
-	}
-	*scratch = cands
-	return st.leastLoadedIn(cands)
+	return st.leastLoaded(st.cand)
 }
 
-// hdrfPick scores every partition for e and returns the best, ties broken
-// pseudo-randomly as in leastLoadedIn. The replication term takes one of
-// four values per edge, so it is read from a table indexed by the two
-// membership bits; the balance term comes from the state's memo.
+// hdrfPick returns the partition a left-to-right scan of every partition's
+// score picks, ties broken and random numbers drawn as in leastLoaded. The
+// replication term takes one of four values per edge, read from a table
+// indexed by the two membership bits. The balance term λ·CBAL depends on
+// the load alone and, for λ > 0, falls as the load rises: the levels order
+// the non-members' scores, and the best of them is λ·CBAL at the minimum
+// load. So the scan reduces to one of three:
+//
+//   - A(u)∪A(v) is empty: every score is λ·CBAL, and the pick is leastLoaded.
+//   - min(g_u, g_v) > λ·max CBAL, which always holds for λ ≤ 1: every member
+//     of A(u)∪A(v) outscores every non-member. The draws of the non-members
+//     before the first member are skipped, and only the members are scored.
+//   - Otherwise (λ > 1) every partition is scored. So is every edge for λ
+//     below 2⁻¹⁰²⁰: there two loads' λ·CBAL can round to one subnormal
+//     value, and the levels would no longer order the scores strictly.
+//
+// A scored CBAL is always the formula's expression (max−load)/(max−min+1),
+// so all three give the full scan's answer bit for bit.
 func hdrfPick(st *loaderState, e graph.Edge, numParts int, lambda float64) int {
 	st.pdeg[e.Src]++
 	st.pdeg[e.Dst]++
@@ -293,27 +391,37 @@ func hdrfPick(st *loaderState, e graph.Edge, numParts int, lambda float64) int {
 	gu, gv := 1+(1-thetaU), 1+(1-thetaV)
 	crep := [4]float64{0, gu, gv, gu + gv}
 
-	var maxLoad, minLoad int64
-	maxLoad, minLoad = st.load[0], st.load[0]
-	for _, l := range st.load[1:] {
-		if l > maxLoad {
-			maxLoad = l
-		}
-		if l < minLoad {
-			minLoad = l
+	minLoad, maxLoad := st.lvLoad[0], st.lvLoad[len(st.lvLoad)-1]
+	denom := float64(maxLoad-minLoad) + 1
+	au, av := st.parts.row(int(e.Src)), st.parts.row(int(e.Dst))
+	first := numParts // the lowest member of A(u)∪A(v)
+	for wi := range au {
+		m := au[wi] | av[wi]
+		st.cand[wi] = ^m
+		if m != 0 && first == numParts {
+			first = wi*64 + bits.TrailingZeros64(m)
 		}
 	}
-	bal := st.balance(maxLoad, minLoad, lambda)
-
-	au, av := st.parts.row(int(e.Src)), st.parts.row(int(e.Dst))
-	best := 0
-	bestScore := -1.0
-	ties := 1
+	var all uint64 // ^0 when every partition is scored
+	switch levels := lambda >= 0x1p-1020; {
+	case levels && first == numParts:
+		return st.leastLoaded(st.cand)
+	case levels && min(gu, gv) > lambda*(float64(maxLoad-minLoad)/denom):
+		st.rng.Skip(st.draws(st.cand, first))
+	default:
+		all = ^uint64(0)
+	}
+	best, bestScore, ties := 0, -1.0, 1
 	for wi, wu := range au {
 		wv := av[wi]
-		for p := wi * 64; p < min(wi*64+64, numParts); p++ {
-			score := crep[(wu&1|wv&1<<1)&3] + bal[p]
-			wu, wv = wu>>1, wv>>1
+		for x := wu | wv | all; x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			p := wi*64 + b
+			if p >= numParts {
+				break
+			}
+			// CBAL ∈ [0,1): less-loaded partitions score higher.
+			score := crep[wu>>b&1|wv>>b&1<<1] + lambda*(float64(maxLoad-st.load[p])/denom)
 			switch {
 			case score > bestScore:
 				best, bestScore, ties = p, score, 1
@@ -326,23 +434,4 @@ func hdrfPick(st *loaderState, e graph.Edge, numParts int, lambda float64) int {
 		}
 	}
 	return best
-}
-
-// balance returns HDRF's λ·CBAL for every partition. An entry is recomputed
-// only when the max load, the min load or its own load has moved since it
-// was last computed, always with the same expression, so a memoized entry
-// equals a fresh one bit for bit whatever the loads did in between.
-func (st *loaderState) balance(maxLoad, minLoad int64, lambda float64) []float64 {
-	all := maxLoad != st.balMax || minLoad != st.balMin
-	st.balMax, st.balMin = maxLoad, minLoad
-	denom := float64(maxLoad-minLoad) + 1
-	for p, l := range st.load {
-		if all || st.balLoad[p] != l {
-			st.balLoad[p] = l
-			// CBAL ∈ [0,1): less-loaded partitions score higher.
-			cbal := float64(maxLoad-l) / denom
-			st.bal[p] = lambda * cbal
-		}
-	}
-	return st.bal
 }

@@ -18,19 +18,20 @@ var ErrNotIncremental = errors.New("partition: strategy cannot assign incrementa
 // Anything else — the multi-pass family — gets an error wrapping
 // ErrNotIncremental that names the missing capability, and callers
 // repartition per batch instead.
-func AsIncremental(s Strategy, numParts int, seed uint64) (Assigner, error) {
+func AsIncremental(s Strategy, numParts int, seed uint64) (asg Assigner, err error) {
 	switch impl := s.(type) {
 	case StatelessStrategy:
-		asg, err := impl.NewAssigner(numParts, seed)
-		if err != nil {
-			return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
-		}
-		return asg, nil
+		asg, err = impl.NewAssigner(numParts, seed)
 	case StreamingStrategy:
-		return impl.NewLoader(0, numParts, 0, seed), nil
+		asg, err = impl.NewLoader(0, numParts, 0, seed)
 	case MultiPassStrategy:
 		_, _, why := impl.MultiPass()
 		return nil, fmt.Errorf("%w: %s is a MultiPassStrategy (%s)", ErrNotIncremental, s.Name(), why)
+	default:
+		return nil, fmt.Errorf("%w: %s implements neither StatelessStrategy nor StreamingStrategy", ErrNotIncremental, s.Name())
 	}
-	return nil, fmt.Errorf("%w: %s implements neither StatelessStrategy nor StreamingStrategy", ErrNotIncremental, s.Name())
+	if err != nil {
+		return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
+	}
+	return asg, nil
 }

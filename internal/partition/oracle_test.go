@@ -43,7 +43,10 @@ func buildOracle(t testing.TB, s Strategy, g *graph.Graph, numParts int, seed ui
 			if lo >= hi {
 				continue
 			}
-			ld := impl.NewLoader(n, numParts, id, seed)
+			ld, err := impl.NewLoader(n, numParts, id, seed)
+			if err != nil {
+				t.Fatalf("%s: oracle loader: %v", s.Name(), err)
+			}
 			for i := lo; i < hi; i++ {
 				parts[i] = ld.Assign(g.Edges[i])
 			}

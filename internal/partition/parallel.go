@@ -100,18 +100,23 @@ func assignStateless(g *graph.Graph, s StatelessStrategy, numParts int, seed uin
 // its own contiguous edge block and private state. Workers take loaders one
 // after another, so at most `workers` loader states are live at once; blocks
 // and per-loader seeds do not depend on the worker count, so neither does
-// the placement. Every StreamingStrategy's Partition method is this function
-// at one worker.
+// the placement. A probe loader over no vertices is built first, so refused
+// parameters are reported whatever the edge count. Every StreamingStrategy's
+// Partition method is this function at one worker.
 func assignStreaming(g *graph.Graph, s StreamingStrategy, numParts int, seed uint64, workers int) (*Result, error) {
 	m := g.NumEdges()
 	nl := max(s.Loaders(numParts), 1)
+	if _, err := s.NewLoader(0, numParts, 0, seed); err != nil {
+		return nil, err
+	}
 	parts := make([]int32, m)
 	par.Do(workers, nl, func(id, _ int) {
 		lo, hi := loaderBlock(m, nl, id)
 		if lo >= hi {
 			return
 		}
-		ld := s.NewLoader(g.NumVertices(), numParts, id, seed)
+		// The probe accepted these parameters, so no loader refuses them.
+		ld, _ := s.NewLoader(g.NumVertices(), numParts, id, seed)
 		for i := lo; i < hi; i++ {
 			parts[i] = ld.Assign(g.Edges[i])
 		}

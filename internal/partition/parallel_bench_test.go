@@ -39,26 +39,43 @@ func BenchmarkStatelessIngress1M(b *testing.B) {
 	}
 }
 
+// benchWeb lazily builds the benchmark module's web crawl shape (the graph
+// of its pipeline-powerlaw workload at seed 1): host-local edges sorted by
+// source, cut to 350 000 edges. Its greedy loaders' loads spread over
+// hundreds of values, but few distinct ones.
+var benchWeb = sync.OnceValue(func() *graph.Graph {
+	g := gen.WebGraph("bench-web", gen.WebGraphConfig{
+		N: 20_000, Alpha: 1.62, MaxOutD: 2_000, Locality: 0.86, Window: 64, Seed: 1,
+	})
+	return graph.FromEdges("bench-web", g.Edges[:min(350_000, g.NumEdges())])
+})
+
 // BenchmarkStreamingIngress1M measures the greedy streaming family, whose
-// independent loader blocks run concurrently in the parallel pipeline.
+// independent loader blocks run concurrently in the parallel pipeline: on
+// the 1M-edge graph at 9 parts and on the web crawl at 16.
 func BenchmarkStreamingIngress1M(b *testing.B) {
-	g := bench1M()
-	for _, name := range []string{"Oblivious", "HDRF"} {
-		s := MustNew(name, Options{})
-		b.Run(name+"/workers=1", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ParallelPartition(g, s, 9, 1, 1); err != nil {
-					b.Fatal(err)
-				}
+	for _, in := range []struct {
+		name  string
+		g     func() *graph.Graph
+		parts int
+	}{{"1M", bench1M, 9}, {"web", benchWeb, 16}} {
+		for _, name := range []string{"Oblivious", "HDRF"} {
+			s := MustNew(name, Options{})
+			for _, arm := range []struct {
+				name    string
+				workers int
+			}{{"workers=1", 1}, {"workers=max", 0}} {
+				b.Run(name+"/"+in.name+"/"+arm.name, func(b *testing.B) {
+					g := in.g()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := ParallelPartition(g, s, in.parts, 1, arm.workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
-		})
-		b.Run(name+"/workers=max", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ParallelPartition(g, s, 9, 1, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	}
 }
 

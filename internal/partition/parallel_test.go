@@ -66,7 +66,7 @@ func (c countingStreaming) Loaders(numParts int) int {
 	return c.Strategy.(StreamingStrategy).Loaders(numParts)
 }
 
-func (c countingStreaming) NewLoader(numVertices, numParts, id int, seed uint64) Assigner {
+func (c countingStreaming) NewLoader(numVertices, numParts, id int, seed uint64) (Assigner, error) {
 	return c.Strategy.(StreamingStrategy).NewLoader(numVertices, numParts, id, seed)
 }
 

@@ -433,7 +433,10 @@ func TestAsIncrementalCapabilities(t *testing.T) {
 		// The churn assigner is loader 0 built for zero vertices: it must
 		// place an add-only stream exactly like the pre-sized loader 0 of
 		// the one-shot pass.
-		sized := s.(StreamingStrategy).NewLoader(g.NumVertices(), 8, 0, 1)
+		sized, err := s.(StreamingStrategy).NewLoader(g.NumVertices(), 8, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, e := range g.Edges {
 			if a, b := inc.Assign(e), sized.Assign(e); a != b {
 				t.Fatalf("%s: edge %d placed on %d by the grown loader, %d by the pre-sized one", name, i, a, b)

@@ -79,8 +79,9 @@ type StreamingStrategy interface {
 	Loaders(numParts int) int
 	// NewLoader builds loader #id of Loaders(numParts) with its own seed
 	// stream and private state, pre-sized for numVertices vertices (it
-	// grows when the stream names a higher id).
-	NewLoader(numVertices, numParts, id int, seed uint64) Assigner
+	// grows when the stream names a higher id), returning an error for
+	// parameters the strategy refuses (HDRF's λ).
+	NewLoader(numVertices, numParts, id int, seed uint64) (Assigner, error)
 }
 
 // MultiPassStrategy is the capability of strategies that cannot consume the
