@@ -12,8 +12,7 @@
 // With -churn N, the edge list is replayed as N deterministic add/delete
 // windows through a long-lived mutable partition state instead of one-shot
 // ingress; -rebalance sets the edge-balance threshold above which edges
-// migrate off overloaded partitions, and -hot K replicates the K
-// highest-degree vertices everywhere.
+// migrate off overloaded partitions.
 //
 // Usage:
 //
@@ -21,7 +20,7 @@
 //	partition -input graph.csrg -strategy HDRF -parts 16
 //	partition -input huge.csrg -strategy Grid -parts 25 -stream
 //	partition -dataset uk-web -strategy Grid -parts 25 -verbose
-//	partition -dataset uk-web -strategy HDRF -parts 16 -churn 6 -rebalance 1.2 -hot 64
+//	partition -dataset uk-web -strategy HDRF -parts 16 -churn 6 -rebalance 1.2
 //	partition -strategies            # list strategies + capability class
 package main
 
@@ -59,7 +58,6 @@ func main() {
 		churn     = flag.Int("churn", 0, "replay the graph as N add/delete windows through a mutable partition state instead of one-shot ingress")
 		churnDel  = flag.Float64("churn-del", 0.2, "per-window deletion fraction of that window's additions (with -churn)")
 		rebalance = flag.Float64("rebalance", 0, "edge-balance threshold: migrate edges whenever max/mean drifts above it (with -churn; 0 = off)")
-		hot       = flag.Int("hot", 0, "replicate the top-K live-degree vertices on every partition (with -churn; 0 = off)")
 		verbose   = flag.Bool("verbose", false, "print per-partition loads")
 		list      = flag.Bool("strategies", false, "list available strategies with their ingress capability class and exit")
 		jsonOut   = flag.String("json", "", "also write the quality metrics as typed JSON cells (benchrunner's Cell schema) to this file ('-' for stdout)")
@@ -85,7 +83,6 @@ func main() {
 		Windows:   *churn,
 		DelFrac:   *churnDel,
 		Rebalance: *rebalance,
-		Hot:       *hot,
 		Workers:   *workers,
 		Verbose:   *verbose,
 	}
@@ -204,15 +201,14 @@ type churnOptions struct {
 	Windows   int
 	DelFrac   float64
 	Rebalance float64 // edge-balance threshold, 0 = off
-	Hot       int     // top-K hot-vertex replication, 0 = off
 	Workers   int
 	Verbose   bool
 }
 
 // check refuses, naming the flag and its value, a churn flag that could not
 // take effect: a negative window count, a replay combined with -stream, a
-// rebalance threshold that is neither 0 (off) nor above 1, a negative hot
-// set, or -rebalance or -hot without -churn.
+// rebalance threshold that is neither 0 (off) nor above 1, or -rebalance
+// without -churn.
 func (opt churnOptions) check(stream bool) error {
 	switch {
 	case opt.Windows < 0:
@@ -221,14 +217,10 @@ func (opt churnOptions) check(stream bool) error {
 		return fmt.Errorf("partition: -churn %d cannot run with -stream: a churn replay needs the materialized edge list", opt.Windows)
 	case opt.Windows == 0 && opt.Rebalance != 0:
 		return fmt.Errorf("partition: -rebalance %g needs -churn", opt.Rebalance)
-	case opt.Windows == 0 && opt.Hot != 0:
-		return fmt.Errorf("partition: -hot %d needs -churn", opt.Hot)
 	case opt.Windows > 0 && !(opt.DelFrac >= 0 && opt.DelFrac < 1): // refuses NaN too
 		return fmt.Errorf("partition: -churn-del %g: the deletion fraction must be in [0,1)", opt.DelFrac)
 	case opt.Rebalance != 0 && !(opt.Rebalance > 1 && !math.IsInf(opt.Rebalance, 1)):
 		return fmt.Errorf("partition: -rebalance %g: the edge-balance threshold must be finite and above 1 (0 = off)", opt.Rebalance)
-	case opt.Hot < 0:
-		return fmt.Errorf("partition: -hot %d: the hot-vertex count cannot be negative", opt.Hot)
 	}
 	return nil
 }
@@ -241,9 +233,6 @@ func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOpti
 	st, err := partition.NewPartitionState(s, opt.Parts, opt.Seed, opt.Workers)
 	if err != nil {
 		return err
-	}
-	if opt.Hot > 0 {
-		st.SetHotReplication(opt.Hot)
 	}
 	fmt.Fprintf(out, "graph:               %v (churn: %d windows, del-frac %.2f)\n", g, opt.Windows, opt.DelFrac)
 	moved := 0
@@ -259,9 +248,9 @@ func runChurn(out io.Writer, g *graph.Graph, s partition.Strategy, opt churnOpti
 				line += " (repartitioned)"
 			}
 			if st.NeedsRebalance(opt.Rebalance) {
-				rs := st.Rebalance(opt.Rebalance)
-				moved += rs.Moved
-				line += fmt.Sprintf(" rebalanced(moved=%d balance=%.4f)", rs.Moved, rs.BalanceAfter)
+				n := st.Rebalance(opt.Rebalance)
+				moved += n
+				line += fmt.Sprintf(" rebalanced(moved=%d balance=%.4f)", n, st.EdgeBalance())
 			}
 			fmt.Fprintln(out, line)
 			return nil

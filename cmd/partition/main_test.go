@@ -59,7 +59,7 @@ func TestRunChurnRendersWindowsAndSummary(t *testing.T) {
 	g := gen.PrefAttach("pa", 1500, 4, 3)
 	var sb strings.Builder
 	err := runChurn(&sb, g, partition.MustNew("HDRF", partition.Options{Loaders: 1}), churnOptions{
-		Parts: 8, Seed: 1, Windows: 4, DelFrac: 0.2, Rebalance: 1.3, Hot: 8, Workers: 2,
+		Parts: 8, Seed: 1, Windows: 4, DelFrac: 0.2, Rebalance: 1.3, Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,10 +178,8 @@ func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 		{"-churn 3 -churn-del 1", "-churn-del 1"},
 		{"-churn 3 -churn-del NaN", "-churn-del NaN"},
 		{"-churn 3 -churn-del -0.5", "-churn-del -0.5"},
-		{"-churn 3 -hot -5", "-hot -5"},
 		{"-churn -2", "-churn -2"},
 		{"-rebalance 1.2", "-rebalance 1.2"},
-		{"-hot 8", "-hot 8"},
 		{"-churn 3 -stream", "-churn 3"},
 		{"-input graph.txt", "-input and -dataset"},
 		{"-input graph.txt -stream", "-input and -dataset"},
@@ -199,7 +197,7 @@ func TestChurnFlagsThatCannotTakeEffectAreRefused(t *testing.T) {
 				tc.flags, err, stderr.String(), stdout.String(), tc.want)
 		}
 	}
-	for _, ok := range []churnOptions{{}, {Windows: 3}, {Windows: 3, Rebalance: 1.2, Hot: 64}} {
+	for _, ok := range []churnOptions{{}, {Windows: 3}, {Windows: 3, Rebalance: 1.2}} {
 		if err := ok.check(false); err != nil {
 			t.Errorf("%+v refused: %v", ok, err)
 		}

@@ -126,8 +126,8 @@ func dynDrift() Experiment {
 func dynRebalance() Experiment {
 	return Experiment{
 		ID:    "dyn.rebalance",
-		Title: "Rebalancer and hot-vertex replication under skewed churn",
-		Paper: "no counterpart — 1D hashes by source, so a power-law out-degree stream steadily overloads the hub partitions; this measures migration repairing balance drift and top-degree replication absorbing hub edges",
+		Title: "Rebalancer under skewed churn",
+		Paper: "no counterpart — 1D hashes by source, so a power-law out-degree stream steadily overloads the hub partitions; this measures migration repairing balance drift",
 		Run: func(cfg Config) (*Result, error) {
 			g, err := loadGraph(cfg, "uk-web")
 			if err != nil {
@@ -135,19 +135,15 @@ func dynRebalance() Experiment {
 			}
 			const parts = 16
 			const maxBalance = 1.15
-			const hotK = 64
-			type variant struct {
+			variants := []struct {
 				name      string
 				rebalance bool
-				hot       int
-			}
-			variants := []variant{
-				{"baseline", false, 0},
-				{"rebalance", true, 0},
-				{"rebalance+hot", true, hotK},
+			}{
+				{"baseline", false},
+				{"rebalance", true},
 			}
 			r := NewResult("dyn.rebalance",
-				fmt.Sprintf("1D under churn (uk-web, %d parts, threshold %.2f, hot %d)", parts, maxBalance, hotK),
+				fmt.Sprintf("1D under churn (uk-web, %d parts, threshold %.2f)", parts, maxBalance),
 				"variant", "balance", "rf", "moved")
 			s, err := dynStrategy("1D")
 			if err != nil {
@@ -160,14 +156,11 @@ func dynRebalance() Experiment {
 				if err != nil {
 					return nil, err
 				}
-				if v.hot > 0 {
-					st.SetHotReplication(v.hot)
-				}
 				moved := 0
 				_, err = runTrace(cfg, st, g, 0.25,
 					func(w gen.ChurnWindow, stats partition.BatchStats) error {
 						if v.rebalance && st.NeedsRebalance(maxBalance) {
-							moved += st.Rebalance(maxBalance).Moved
+							moved += st.Rebalance(maxBalance)
 						}
 						return nil
 					})
@@ -189,10 +182,6 @@ func dynRebalance() Experiment {
 			r.Checkf(repaired, "the rebalancer holds balance at or under the threshold",
 				"rebalanced 1D ends at %.3f (≤%.2f) after migrating %d edges: %s",
 				balances["rebalance"], maxBalance, moves["rebalance"], Mark(repaired))
-			lighter := moves["rebalance+hot"] <= moves["rebalance"] && balances["rebalance+hot"] <= maxBalance
-			r.Checkf(lighter, "hot-vertex replication reduces the migration the rebalancer must do",
-				"hot routing cuts migrations %d → %d at balance %.3f: %s",
-				moves["rebalance"], moves["rebalance+hot"], balances["rebalance+hot"], Mark(lighter))
 			return r, nil
 		},
 	}

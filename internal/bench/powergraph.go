@@ -120,7 +120,7 @@ func fig57() Experiment {
 				hdrf := g.at(ds, cluster.EC2x25, "HDRF").ingressSeconds
 				pass := grid < hdrf
 				r.Checkf(pass, "hash-based ingress faster than greedy on the skewed graph "+ds,
-					"%s: Grid ingress %.2fs vs HDRF %.2fs (hash faster on skewed graphs %s)", ds, grid, hdrf, Mark(pass))
+					"%s: Grid ingress %.4fs vs HDRF %.4fs (hash faster on skewed graphs %s)", ds, grid, hdrf, Mark(pass))
 			}
 		})
 }
@@ -188,10 +188,10 @@ func tab51() Experiment {
 			gridPR, hdrfPR := totals[job{"Grid", "PageRank(C)"}], totals[job{"HDRF", "PageRank(C)"}]
 			gridKC, hdrfKC := totals[job{"Grid", "K-Core"}], totals[job{"HDRF", "K-Core"}]
 			r.Checkf(gridPR < hdrfPR, "Grid wins total time for the short PageRank job",
-				"short job (PageRank): Grid total %.2fs vs HDRF %.2fs — Grid wins %s",
+				"short job (PageRank): Grid total %.4fs vs HDRF %.4fs — Grid wins %s",
 				gridPR, hdrfPR, Mark(gridPR < hdrfPR))
 			r.Checkf(hdrfKC < gridKC, "HDRF wins total time for the long K-core job",
-				"long job (K-core): HDRF total %.2fs vs Grid %.2fs — HDRF wins %s",
+				"long job (K-core): HDRF total %.4fs vs Grid %.4fs — HDRF wins %s",
 				hdrfKC, gridKC, Mark(hdrfKC < gridKC))
 			return r, nil
 		},

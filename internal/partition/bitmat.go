@@ -41,10 +41,6 @@ func (m *bitMatrix) set(row int, col int) {
 	m.bits[row*m.words+int(uint(col)/64)] |= 1 << (uint(col) % 64)
 }
 
-func (m *bitMatrix) has(row int, col int) bool {
-	return m.bits[row*m.words+int(uint(col)/64)]&(1<<(uint(col)%64)) != 0
-}
-
 // clear unsets one bit; the inverse of set, needed once partitions can lose
 // a vertex's last edge under churn.
 func (m *bitMatrix) clear(row int, col int) {

@@ -19,7 +19,7 @@ import (
 type cutTable struct {
 	numParts int
 	seed     uint64
-	replicas *bitMatrix // partitions holding any edge (or pinned image) of v
+	replicas *bitMatrix // partitions holding any edge of v
 	masters  []int32    // -1 for isolated vertices
 	q        *metrics.Quality
 }

@@ -10,6 +10,12 @@ import (
 	"graphpart/internal/hashing"
 )
 
+// has reports one bit of a row: the per-partition membership lookup the
+// reference picks below make in place of the loaders' row masks.
+func (m *bitMatrix) has(row int, col int) bool {
+	return m.bits[row*m.words+int(uint(col)/64)]&(1<<(uint(col)%64)) != 0
+}
+
 // refHDRFPick is HDRF's scoring loop written straight from the formula, one
 // partition at a time: membership bit lookups, a fresh CBAL division per
 // partition, no memo. hdrfPick must pick what it picks and draw the same

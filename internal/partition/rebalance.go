@@ -5,15 +5,6 @@ import (
 	"sort"
 )
 
-// RebalanceStats reports what one Rebalance pass did.
-type RebalanceStats struct {
-	Moved         int
-	BalanceBefore float64
-	BalanceAfter  float64
-	RFBefore      float64
-	RFAfter       float64
-}
-
 // NeedsRebalance reports whether the state's edge balance (max/mean) has
 // drifted past maxBalance. At or below 1 it never does.
 func (st *PartitionState) NeedsRebalance(maxBalance float64) bool {
@@ -26,15 +17,11 @@ func (st *PartitionState) NeedsRebalance(maxBalance float64) bool {
 // the under-cap partition scoring best on (endpoints already resident,
 // load, id) — resident endpoints mean the move adds no new vertex images.
 // Works for every strategy: migration touches only the state's own
-// bookkeeping, never the assigner. Deterministic given the state.
-func (st *PartitionState) Rebalance(maxBalance float64) RebalanceStats {
-	stats := RebalanceStats{
-		BalanceBefore: st.q.EdgeBalance(),
-		RFBefore:      st.q.ReplicationFactor(),
-	}
+// bookkeeping, never the assigner. Deterministic given the state. It
+// returns the number of edges moved.
+func (st *PartitionState) Rebalance(maxBalance float64) int {
 	if maxBalance <= 1 || st.q.NumEdges() == 0 {
-		stats.BalanceAfter, stats.RFAfter = stats.BalanceBefore, stats.RFBefore
-		return stats
+		return 0
 	}
 	// Cap = ⌊maxBalance·mean⌋ so the post-pass balance (maxLoad/mean) lands
 	// at or under the threshold; clamped to ⌈mean⌉, below which draining
@@ -52,8 +39,7 @@ func (st *PartitionState) Rebalance(maxBalance float64) RebalanceStats {
 		}
 	}
 	if len(donors) == 0 {
-		stats.BalanceAfter, stats.RFAfter = stats.BalanceBefore, stats.RFBefore
-		return stats
+		return 0
 	}
 	sort.Slice(donors, func(i, j int) bool {
 		if st.q.EdgesOn(donors[i]) != st.q.EdgesOn(donors[j]) {
@@ -70,6 +56,7 @@ func (st *PartitionState) Rebalance(maxBalance float64) RebalanceStats {
 		byPart[p] = append(byPart[p], int32(pos))
 	}
 
+	moved := 0
 	for _, donor := range donors {
 		cands := byPart[donor]
 		for i := len(cands) - 1; i >= 0 && st.q.EdgesOn(donor) > cap64; i-- {
@@ -79,12 +66,10 @@ func (st *PartitionState) Rebalance(maxBalance float64) RebalanceStats {
 				break // every other partition is at cap
 			}
 			st.moveLive(pos, to)
-			stats.Moved++
+			moved++
 		}
 	}
-	stats.BalanceAfter = st.q.EdgeBalance()
-	stats.RFAfter = st.q.ReplicationFactor()
-	return stats
+	return moved
 }
 
 // bestReceiver scores the under-cap partitions for the edge at live[pos]:

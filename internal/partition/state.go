@@ -3,7 +3,6 @@ package partition
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"graphpart/internal/graph"
 )
@@ -50,7 +49,7 @@ func edgeKey(e graph.Edge) uint64 {
 // A PartitionState is single-goroutine. For an add-only trace its summary
 // is identical to the one-shot path over the same edges in the same order.
 type PartitionState struct {
-	cutTable // replicas include pinned hot images
+	cutTable
 
 	strategy Strategy
 	workers  int
@@ -65,11 +64,7 @@ type PartitionState struct {
 	live  []liveEdge
 	index edgeIndex // edge key → newest live copy
 
-	ref    *countMatrix // endpoint reference counts per (vertex, partition)
-	pinned *bitMatrix   // hot-vertex images held beyond their edges; empty whenever hot is
-
-	hotK int     // replicate the top-hotK degree vertices everywhere; 0 = off
-	hot  []int32 // current hot set, ascending vertex id
+	ref *countMatrix // endpoint reference counts per (vertex, partition)
 }
 
 // BatchStats reports what one ApplyBatch did.
@@ -93,7 +88,6 @@ func NewPartitionState(s Strategy, numParts int, seed uint64, workers int) (*Par
 		workers:  workers,
 		index:    newEdgeIndex(),
 		ref:      newCountMatrix(0, numParts),
-		pinned:   newBitMatrix(0, numParts),
 	}
 	if err := st.resetAssigner(); err != nil && !errors.Is(err, ErrNotIncremental) {
 		return nil, err
@@ -113,17 +107,6 @@ func (st *PartitionState) resetAssigner() error {
 	st.hinter, _ = inc.(MasterHinter)
 	st.greedy, _ = inc.(*greedyLoader)
 	return nil
-}
-
-// SetHotReplication replicates the k highest-degree live vertices onto
-// every partition — the replicate-hot/partition-cold hybrid for the
-// power-law tail. The hot set refreshes after every batch; images pinned
-// for no-longer-hot vertices are dropped wherever no live edge holds them.
-// k=0 (the default) disables pinning and hot-aware routing, keeping the
-// incremental path placement-identical to one-shot ingress.
-func (st *PartitionState) SetHotReplication(k int) {
-	st.hotK = k
-	st.refreshHot()
 }
 
 // ApplyBatch folds one churn batch — deletions first, then additions — into
@@ -151,10 +134,7 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 		st.ensure(int(max(e.Src, e.Dst)) + 1)
 		p := int32(0) // multi-pass placeholder; rebuild assigns for real
 		if st.inc != nil {
-			var routed bool
-			if p, routed = st.routeHot(e); !routed {
-				p = st.inc.Assign(e)
-			}
+			p = st.inc.Assign(e)
 			if p < 0 || int(p) >= st.numParts {
 				return stats, fmt.Errorf("partition: strategy %s placed edge (%d,%d) on partition %d (numParts=%d)",
 					st.strategy.Name(), e.Src, e.Dst, p, st.numParts)
@@ -166,9 +146,6 @@ func (st *PartitionState) ApplyBatch(adds, dels []graph.Edge) (BatchStats, error
 	}
 	if st.inc == nil {
 		return stats, st.rebuild()
-	}
-	if st.hotK > 0 {
-		st.refreshHot()
 	}
 	return stats, nil
 }
@@ -250,7 +227,6 @@ func (st *PartitionState) ensure(n int) {
 	}
 	st.ref.ensureRows(n)
 	st.replicas.ensureRows(n)
-	st.pinned.ensureRows(n)
 	for len(st.masters) < n {
 		st.masters = append(st.masters, -1)
 	}
@@ -273,18 +249,17 @@ func (st *PartitionState) removeCopy(e graph.Edge, p int32) {
 }
 
 // addIncidence bumps v's endpoint count on p; the 0→1 transition creates an
-// image unless a pinned hot image already holds it (none can while the hot
-// set is empty).
+// image.
 func (st *PartitionState) addIncidence(v, p int) {
-	if st.ref.inc(v, p) == 1 && (len(st.hot) == 0 || !st.pinned.has(v, p)) {
+	if st.ref.inc(v, p) == 1 {
 		st.gainImage(v, p)
 	}
 }
 
 // removeIncidence drops v's endpoint count on p; the 1→0 transition removes
-// the image unless it is pinned hot.
+// the image.
 func (st *PartitionState) removeIncidence(v, p int) {
-	if st.ref.dec(v, p) == 0 && (len(st.hot) == 0 || !st.pinned.has(v, p)) {
+	if st.ref.dec(v, p) == 0 {
 		st.loseImage(v, p)
 	}
 }
@@ -330,7 +305,6 @@ func (st *PartitionState) rebuild() error {
 	st.q.Reset()
 	st.ref.reset()
 	st.replicas.reset()
-	st.pinned.reset()
 	for i := range st.live {
 		p := a.EdgeParts[i]
 		st.live[i].p = p
@@ -347,133 +321,7 @@ func (st *PartitionState) rebuild() error {
 			return err
 		}
 	}
-	if st.hotK > 0 {
-		st.hot = st.hot[:0]
-		st.refreshHot()
-	}
 	return nil
-}
-
-// routeHot intercepts an add when hot replication is on and either endpoint
-// is hot: a hot endpoint is replicated everywhere, so only the cold
-// endpoint's locality matters and the edge goes to the least-loaded
-// partition already holding the cold endpoint (or overall). Bypasses the
-// strategy's assigner — the documented placement drift of hot mode.
-func (st *PartitionState) routeHot(e graph.Edge) (int32, bool) {
-	if st.hotK == 0 || len(st.hot) == 0 {
-		return 0, false
-	}
-	hs, hd := inSorted(st.hot, int32(e.Src)), inSorted(st.hot, int32(e.Dst))
-	if !hs && !hd {
-		return 0, false
-	}
-	if hs != hd {
-		cold := e.Src
-		if hs {
-			cold = e.Dst
-		}
-		if int(cold) < st.n {
-			if p := st.leastLoadedHolding(int(cold)); p >= 0 {
-				return p, true
-			}
-		}
-	}
-	return st.leastLoadedPart(), true
-}
-
-// leastLoadedPart returns the partition with the fewest edges (lowest id on
-// ties).
-func (st *PartitionState) leastLoadedPart() int32 {
-	best := 0
-	for p := 1; p < st.numParts; p++ {
-		if st.q.EdgesOn(p) < st.q.EdgesOn(best) {
-			best = p
-		}
-	}
-	return int32(best)
-}
-
-// leastLoadedHolding returns the least-loaded partition with a live edge of
-// v, or -1 when v has none.
-func (st *PartitionState) leastLoadedHolding(v int) int32 {
-	best := int32(-1)
-	for p := 0; p < st.numParts; p++ {
-		if st.ref.get(v, p) > 0 && (best < 0 || st.q.EdgesOn(p) < st.q.EdgesOn(int(best))) {
-			best = int32(p)
-		}
-	}
-	return best
-}
-
-// refreshHot recomputes the top-hotK degree vertices and adjusts pinning:
-// newly hot vertices gain an image on every partition, vertices that fell
-// out of the tail keep images only where live edges hold them.
-func (st *PartitionState) refreshHot() {
-	var next []int32
-	if st.hotK > 0 {
-		deg := make([]int, st.n)
-		cands := make([]int32, 0, st.n)
-		for v := 0; v < st.n; v++ {
-			if deg[v] = st.Degree(graph.VertexID(v)); deg[v] > 0 {
-				cands = append(cands, int32(v))
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if deg[cands[i]] != deg[cands[j]] {
-				return deg[cands[i]] > deg[cands[j]]
-			}
-			return cands[i] < cands[j]
-		})
-		if len(cands) > st.hotK {
-			cands = cands[:st.hotK]
-		}
-		next = cands
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	}
-	// Unpin vertices that left the hot set.
-	for _, v := range st.hot {
-		if !inSorted(next, v) {
-			st.unpin(int(v))
-		}
-	}
-	// Pin new arrivals.
-	for _, v := range next {
-		if !inSorted(st.hot, v) {
-			st.pin(int(v))
-		}
-	}
-	st.hot = next
-}
-
-// inSorted reports whether v is in the ascending slice s.
-func inSorted(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-// pin gives v an image on every partition, creating images where no live
-// edge holds one.
-func (st *PartitionState) pin(v int) {
-	for p := 0; p < st.numParts; p++ {
-		if !st.pinned.has(v, p) {
-			st.pinned.set(v, p)
-			if !st.replicas.has(v, p) {
-				st.gainImage(v, p)
-			}
-		}
-	}
-}
-
-// unpin releases v's pinned images, dropping those no live edge sustains.
-func (st *PartitionState) unpin(v int) {
-	for p := 0; p < st.numParts; p++ {
-		if st.pinned.has(v, p) {
-			st.pinned.clear(v, p)
-			if st.ref.get(v, p) == 0 && st.replicas.has(v, p) {
-				st.loseImage(v, p)
-			}
-		}
-	}
 }
 
 // --- summary accessors (the Assignment-compatible read side) -----------
@@ -492,19 +340,6 @@ func (st *PartitionState) Incremental() bool { return st.inc != nil }
 // EdgeCount returns the live per-partition edge counts (the summary's
 // backing slice; do not modify).
 func (st *PartitionState) EdgeCount() []int64 { return st.q.EdgeCounts() }
-
-// Degree returns v's live degree (a self-loop counts twice): the sum of
-// its endpoint counts.
-func (st *PartitionState) Degree(v graph.VertexID) int {
-	if int(v) >= st.n {
-		return 0
-	}
-	d := 0
-	for p := 0; p < st.numParts; p++ {
-		d += int(st.ref.get(int(v), p))
-	}
-	return d
-}
 
 // LiveEdges returns a copy of the live edge set. For add-only histories the
 // order is insertion order (the original stream); deletions swap edges from
