@@ -564,24 +564,24 @@ func scanEdgeIDs(src string, edges []Edge, numVertices uint64) (VertexID, error)
 // into out, bounds-checking every endpoint against the declared vertex
 // count and folding ids into maxID. base is the global index of out[0],
 // for error messages. Both the bulk loader and streamCSR decode through
-// this one loop so the paths cannot diverge.
+// this one loop so the paths cannot diverge. The maximum is folded in a
+// local and stored once, also when an edge is refused.
 func decodeEdgeChunk(src string, b []byte, numVertices uint64, base int64, out []Edge, maxID *VertexID) error {
 	m := len(b) / 8
+	top := *maxID
+	var err error
 	for i := 0; i < m; i++ {
 		s := binary.LittleEndian.Uint32(b[8*i:])
 		d := binary.LittleEndian.Uint32(b[8*i+4:])
 		if uint64(s) >= numVertices || uint64(d) >= numVertices {
-			return fmt.Errorf("csrg %s: edge %d (%d→%d) outside declared vertex range [0,%d)", src, base+int64(i), s, d, numVertices)
+			err = fmt.Errorf("csrg %s: edge %d (%d→%d) outside declared vertex range [0,%d)", src, base+int64(i), s, d, numVertices)
+			break
 		}
-		if s > *maxID {
-			*maxID = s
-		}
-		if d > *maxID {
-			*maxID = d
-		}
+		top = max(top, s, d)
 		out[i] = Edge{s, d}
 	}
-	return nil
+	*maxID = top
+	return err
 }
 
 // decodeEdgeSection bulk-decodes the whole interleaved edge array.
@@ -847,8 +847,10 @@ func isCSR(b []byte) bool { return len(b) >= 6 && string(b[:4]) == csrMagic }
 
 // StreamFile streams a graph file batch-by-batch in whichever format the
 // file holds — .csrg by its magic, text otherwise — with the same contract
-// for both: fn sees every edge in stream order, memory stays O(batchSize),
-// and the totals are returned.
+// for both: fn sees every edge in stream order, memory stays bounded
+// whatever the file's size, and the totals are returned. The bound is
+// O(batchSize) for text and v1; v2 always decodes one whole block, 512 KiB
+// of edges (plus its encoded bytes), however small batchSize is.
 func StreamFile(path string, batchSize int, fn func(offset int64, edges []Edge) error) (int64, VertexID, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -34,8 +34,9 @@ import (
 // while preserving edge order.
 
 // csrV2BlockEdges is the number of edges per compressed block. 64Ki edges
-// ≈ 128–512 KiB decoded — big enough to amortize per-block overhead, small
-// enough that streamCSR's one resident block keeps a stream's memory flat.
+// are 512 KiB decoded and 128–640 KiB encoded — big enough to amortize
+// per-block overhead, small enough that streamCSR's one resident block
+// keeps a stream's memory flat.
 const csrV2BlockEdges = 1 << 16
 
 // csrV2Blocks is the number of blocks m edges are cut into.
@@ -80,42 +81,68 @@ func appendV2Block(dst []byte, edges []Edge) []byte {
 	return dst
 }
 
+// shortUvarint decodes a one- or two-byte uvarint at b[pos:] — nearly
+// every delta a writer emits — and returns n = 0 for anything else: a longer
+// or malformed varint, or one that may run into the block's end. The caller
+// then decodes with binary.Uvarint, so every value and every refusal is the
+// one it gives.
+func shortUvarint(b []byte, pos int) (uint64, int) {
+	if pos+1 < len(b) {
+		if b[pos] < 0x80 {
+			return uint64(b[pos]), 1
+		}
+		if b[pos+1] < 0x80 {
+			return uint64(b[pos]&0x7f) | uint64(b[pos+1])<<7, 2
+		}
+	}
+	return 0, 0
+}
+
 // decodeV2Block decodes one block payload into out (whose length is the
 // block's declared edge count), bounds-checking every id and folding the
 // maximum id into maxID. base is the global index of the block's first edge
 // and blockIdx its position in the file; both name the offset in errors.
+// The maximum is folded in a local and stored once, also when an edge is
+// refused, so parallel decoders do not write adjacent slots per edge.
 func decodeV2Block(src string, payload []byte, numVertices uint64, base int64, blockIdx int, out []Edge, maxID *VertexID) error {
 	pos := 0
 	prevSrc := int64(0)
+	top := *maxID
+	var err error
 	for i := range out {
-		ds, n := binary.Uvarint(payload[pos:])
+		ds, n := shortUvarint(payload, pos)
+		if n == 0 {
+			ds, n = binary.Uvarint(payload[pos:])
+		}
 		if n <= 0 {
-			return fmt.Errorf("csrg %s: block %d: bad src varint at block byte %d (edge %d)", src, blockIdx, pos, base+int64(i))
+			err = fmt.Errorf("csrg %s: block %d: bad src varint at block byte %d (edge %d)", src, blockIdx, pos, base+int64(i))
+			break
 		}
 		pos += n
 		s := prevSrc + unzigzag(ds)
-		dd, n := binary.Uvarint(payload[pos:])
+		dd, n := shortUvarint(payload, pos)
+		if n == 0 {
+			dd, n = binary.Uvarint(payload[pos:])
+		}
 		if n <= 0 {
-			return fmt.Errorf("csrg %s: block %d: bad dst varint at block byte %d (edge %d)", src, blockIdx, pos, base+int64(i))
+			err = fmt.Errorf("csrg %s: block %d: bad dst varint at block byte %d (edge %d)", src, blockIdx, pos, base+int64(i))
+			break
 		}
 		pos += n
 		d := s + unzigzag(dd)
 		if s < 0 || uint64(s) >= numVertices || d < 0 || uint64(d) >= numVertices {
-			return fmt.Errorf("csrg %s: block %d: edge %d (%d→%d) outside declared vertex range [0,%d)", src, blockIdx, base+int64(i), s, d, numVertices)
+			err = fmt.Errorf("csrg %s: block %d: edge %d (%d→%d) outside declared vertex range [0,%d)", src, blockIdx, base+int64(i), s, d, numVertices)
+			break
 		}
 		out[i] = Edge{VertexID(s), VertexID(d)}
-		if out[i].Src > *maxID {
-			*maxID = out[i].Src
-		}
-		if out[i].Dst > *maxID {
-			*maxID = out[i].Dst
-		}
+		top = max(top, VertexID(s), VertexID(d))
 		prevSrc = s
 	}
-	if pos != len(payload) {
-		return fmt.Errorf("csrg %s: block %d: %d trailing bytes after %d edges", src, blockIdx, len(payload)-pos, len(out))
+	*maxID = top
+	if err == nil && pos != len(payload) {
+		err = fmt.Errorf("csrg %s: block %d: %d trailing bytes after %d edges", src, blockIdx, len(payload)-pos, len(out))
 	}
-	return nil
+	return err
 }
 
 // decodeCSRv2 decodes a whole in-memory v2 file: verify the checksum, index

@@ -97,16 +97,16 @@ func v2BlockSeeds() []v2BlockSeed {
 	cnt := uint16(len(edges))
 	seeds := []v2BlockSeed{
 		{valid, cnt, n, 0},
-		{valid, cnt, n, 1 << 30},          // an earlier block's larger maximum
-		{valid, cnt, n - 1, 0},            // the largest id is past the range
-		{valid, cnt, 1 << 32, 0},          // every id in range
-		{valid, cnt - 1, n, 0},            // one edge's bytes left over
-		{append(valid, 0), cnt, n, 0},     // a trailing byte
-		{append(valid, 1, 2), cnt, n, 0},  // a trailing edge
-		{[]byte{}, 0, 1, 0},               // the empty block
-		{[]byte{2, 0}, 1, 1 << 32, 0},     // src delta −1: below zero
-		{[]byte{0, 1}, 1, 1 << 32, 0},     // dst delta −1: below zero
-		{[]byte{0x80, 0x00}, 1, 1 << 32, 0}, // a lone field, non-canonical
+		{valid, cnt, n, 1 << 30},                       // an earlier block's larger maximum
+		{valid, cnt, n - 1, 0},                         // the largest id is past the range
+		{valid, cnt, 1 << 32, 0},                       // every id in range
+		{valid, cnt - 1, n, 0},                         // one edge's bytes left over
+		{append(slices.Clone(valid), 0), cnt, n, 0},    // a trailing byte
+		{append(slices.Clone(valid), 1, 2), cnt, n, 0}, // a trailing edge
+		{[]byte{}, 0, 1, 0},                            // the empty block
+		{[]byte{2, 0}, 1, 1 << 32, 0},                  // src delta −1: below zero
+		{[]byte{0, 1}, 1, 1 << 32, 0},                  // dst delta −1: below zero
+		{[]byte{0x80, 0x00}, 1, 1 << 32, 0},            // a lone field, non-canonical
 	}
 	// Each field of the first edges recoded: non-canonical 2 bytes
 	// (0x80 0x00 is zero), 10 bytes (accepted), 11 bytes (refused).

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graphpart/internal/graph"
 	"graphpart/internal/hashing"
@@ -19,7 +20,7 @@ var (
 		if side*side != numParts {
 			return nil, fmt.Errorf("grid: numParts=%d is not a perfect square", numParts)
 		}
-		return gridAssigner{gridParts: numParts, side: side, mod: numParts, seed: seed}, nil
+		return newGridAssigner(numParts, side, numParts, seed), nil
 	}}
 	// resilientGrid is the thesis's non-square-tolerant Grid (§9.1): the
 	// grid is built at the next perfect square ≥ P and chosen partitions are
@@ -27,35 +28,54 @@ var (
 	// notes for 2D in §7.2.3).
 	resilientGrid = &hashStrategy{"ResilientGrid", func(numParts int, seed uint64) (Assigner, error) {
 		side := ceilSqrt(numParts)
-		return gridAssigner{gridParts: side * side, side: side, mod: numParts, seed: seed}, nil
+		return newGridAssigner(side*side, side, numParts, seed), nil
 	}}
 )
 
 // gridAssigner places each edge on a deterministic member of S(u)∩S(v) for
 // a side×side grid of gridParts partitions, mapped down modulo mod.
 type gridAssigner struct {
-	gridParts int
-	side      int
-	mod       int
+	gridParts uint64
+	side      uint64
+	recip     uint64 // ⌈2⁶⁴/side⌉ mod 2⁶⁴: h/side is the high word of recip·h
+	mod       uint64
 	seed      uint64
 }
 
+func newGridAssigner(gridParts, side, mod int, seed uint64) gridAssigner {
+	return gridAssigner{
+		gridParts: uint64(gridParts),
+		side:      uint64(side),
+		recip:     ^uint64(0)/max(uint64(side), 1) + 1, // no parts at all fails in Assign, as % does
+		mod:       uint64(mod),
+		seed:      seed,
+	}
+}
+
+// split returns the row and column of grid cell h < gridParts without a
+// divide. The reciprocal quotient is exact for 32-bit numerators and
+// divisors (Lemire, Kaser & Kurz, "Faster Remainder by Direct Computation",
+// 2019), and h < side² < 2³² for every int32 part count. At side 1 recip
+// wraps to 0, which still gives h = 0 its row 0.
+func (a gridAssigner) split(h uint64) (row, col uint64) {
+	row, _ = bits.Mul64(a.recip, h)
+	return row, h - row*a.side
+}
+
 func (a gridAssigner) Assign(e graph.Edge) int32 {
-	hu := int(hashing.Vertex(a.seed, e.Src) % uint64(a.gridParts))
-	hv := int(hashing.Vertex(a.seed, e.Dst) % uint64(a.gridParts))
-	ru, cu := hu/a.side, hu%a.side
-	rv, cv := hv/a.side, hv%a.side
+	ru, cu := a.split(hashing.Vertex(a.seed, e.Src) % a.gridParts)
+	rv, cv := a.split(hashing.Vertex(a.seed, e.Dst) % a.gridParts)
 	// S(u)∩S(v) always contains the two "corner" machines (ru,cv) and
 	// (rv,cu); when u and v share a row or column the intersection is
-	// that whole line. PowerGraph hashes the edge over the candidates.
-	var cands [2]int
-	n := 0
-	cands[n] = ru*a.side + cv
-	n++
-	if c := rv*a.side + cu; c != cands[0] {
-		cands[n] = c
-		n++
+	// that whole line. PowerGraph hashes the edge over the distinct
+	// corners: the hash's low bit picks one, and when the corners coincide
+	// both picks are that corner.
+	c0, c1 := ru*a.side+cv, rv*a.side+cu
+	odd := -(hashing.EdgeCanonical(a.seed^0x96d, e.Src, e.Dst) & 1)
+	c := c0 ^ (c0^c1)&odd
+	// c < side² ≤ 2·mod (side is ⌈√mod⌉), so one subtract is the modulo.
+	if c >= a.mod {
+		c -= a.mod
 	}
-	pick := hashing.EdgeCanonical(a.seed^0x96d, e.Src, e.Dst) % uint64(n)
-	return int32(cands[pick] % a.mod)
+	return int32(c)
 }

@@ -119,7 +119,13 @@ type twoDAssigner struct {
 func (a twoDAssigner) Assign(e graph.Edge) int32 {
 	col := hashing.Vertex(a.seed, e.Src) % a.side
 	row := hashing.Vertex(a.seed^0x2d, e.Dst) % a.side
-	return int32((col*a.side + row) % a.parts)
+	// col·side + row < side² ≤ 2·parts (side is ⌈√parts⌉), so one
+	// subtract is the modulo.
+	c := col*a.side + row
+	if c >= a.parts {
+		c -= a.parts
+	}
+	return int32(c)
 }
 
 // ceilSqrt returns the smallest s with s*s >= n.

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -79,33 +80,72 @@ func BenchmarkStreamingIngress1M(b *testing.B) {
 	}
 }
 
+// benchRoadWide lazily builds the graph of the benchmark module's
+// stream-ingest workload at seed 1: a 1000×1000 road network.
+var benchRoadWide = sync.OnceValue(func() *graph.Graph {
+	return gen.RoadNet("road-wide", 1000, 1000, 1)
+})
+
 // BenchmarkStreamBuilder1M measures the memory-bounded batch ingress path
 // (assign + replica bookkeeping, no edge list retained) at one worker and at
-// GOMAXPROCS workers of the one builder.
+// GOMAXPROCS workers of the one builder: Random at 9 parts fed the 1M-edge
+// graph from memory, and stream-ingest's shape, Grid at 16 parts fed the
+// road network through StreamFile from a v2 file (the decode is timed too).
 func BenchmarkStreamBuilder1M(b *testing.B) {
-	g := bench1M()
-	for _, arm := range []struct {
-		name    string
-		workers int
-	}{{"workers=1", 1}, {"workers=max", 0}} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sb, err := NewShardedStreamBuilder(MustNew("Random", Options{}), 9, arm.workers, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				const batch = 1 << 16
+	const batch = 1 << 16
+	for _, in := range []struct {
+		name     string
+		strategy string
+		parts    int
+		setup    func(b *testing.B) func(sb *ShardedStreamBuilder) error
+	}{
+		{"1M", "Random", 9, func(*testing.B) func(*ShardedStreamBuilder) error {
+			g := bench1M()
+			return func(sb *ShardedStreamBuilder) error {
 				for lo := 0; lo < g.NumEdges(); lo += batch {
 					hi := min(lo+batch, g.NumEdges())
 					if err := sb.Feed(EdgeBatch{Offset: int64(lo), Edges: g.Edges[lo:hi]}); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}},
+		{"road-v2", "Grid", 16, func(b *testing.B) func(*ShardedStreamBuilder) error {
+			path := filepath.Join(b.TempDir(), "road-wide.v2.csrg")
+			if err := graph.SaveCSRVersion(benchRoadWide(), path, graph.CSRVersion2); err != nil {
+				b.Fatal(err)
+			}
+			return func(sb *ShardedStreamBuilder) error {
+				_, _, err := graph.StreamFile(path, 0, func(offset int64, edges []graph.Edge) error {
+					return sb.Feed(EdgeBatch{Offset: offset, Edges: edges})
+				})
+				return err
+			}
+		}},
+	} {
+		s := MustNew(in.strategy, Options{})
+		for _, arm := range []struct {
+			name    string
+			workers int
+		}{{"workers=1", 1}, {"workers=max", 0}} {
+			b.Run(in.name+"/"+arm.name, func(b *testing.B) {
+				feed := in.setup(b)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sb, err := NewShardedStreamBuilder(s, in.parts, arm.workers, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := feed(sb); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := sb.Finish(); err != nil {
 						b.Fatal(err)
 					}
 				}
-				if _, err := sb.Finish(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
