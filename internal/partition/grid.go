@@ -52,19 +52,18 @@ func newGridAssigner(gridParts, side, mod int, seed uint64) gridAssigner {
 	}
 }
 
-// split returns the row and column of grid cell h < gridParts without a
-// divide. The reciprocal quotient is exact for 32-bit numerators and
-// divisors (Lemire, Kaser & Kurz, "Faster Remainder by Direct Computation",
-// 2019), and h < side² < 2³² for every int32 part count. At side 1 recip
-// wraps to 0, which still gives h = 0 its row 0.
-func (a gridAssigner) split(h uint64) (row, col uint64) {
-	row, _ = bits.Mul64(a.recip, h)
-	return row, h - row*a.side
-}
-
+// Assign splits each endpoint's grid cell h < gridParts into its row
+// h/side and column without a divide: the reciprocal quotient, the high word
+// of recip·h, is exact for 32-bit numerators and divisors (Lemire, Kaser &
+// Kurz, "Faster Remainder by Direct Computation", 2019), and h < side² < 2³²
+// for every int32 part count. At side 1 recip wraps to 0, which still gives
+// h = 0 its row 0.
 func (a gridAssigner) Assign(e graph.Edge) int32 {
-	ru, cu := a.split(hashing.Vertex(a.seed, e.Src) % a.gridParts)
-	rv, cv := a.split(hashing.Vertex(a.seed, e.Dst) % a.gridParts)
+	hu := hashing.Vertex(a.seed, e.Src) % a.gridParts
+	hv := hashing.Vertex(a.seed, e.Dst) % a.gridParts
+	ru, _ := bits.Mul64(a.recip, hu)
+	rv, _ := bits.Mul64(a.recip, hv)
+	cu, cv := hu-ru*a.side, hv-rv*a.side
 	// S(u)∩S(v) always contains the two "corner" machines (ru,cv) and
 	// (rv,cu); when u and v share a row or column the intersection is
 	// that whole line. PowerGraph hashes the edge over the distinct
