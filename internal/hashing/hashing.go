@@ -33,11 +33,7 @@ func EdgeDirected(seed uint64, src, dst uint32) uint64 {
 // This is PowerGraph's Random (§5.2.1) and GraphX's Canonical Random
 // (§7.2.1).
 func EdgeCanonical(seed uint64, src, dst uint32) uint64 {
-	lo, hi := src, dst
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	return EdgeDirected(seed, lo, hi)
+	return EdgeDirected(seed, min(src, dst), max(src, dst))
 }
 
 // RNG is a splitmix64 pseudo-random number generator. The zero value is a
