@@ -42,8 +42,8 @@ type gridAssigner struct {
 	seed      uint64
 }
 
-func newGridAssigner(gridParts, side, mod int, seed uint64) gridAssigner {
-	return gridAssigner{
+func newGridAssigner(gridParts, side, mod int, seed uint64) *gridAssigner {
+	return &gridAssigner{
 		gridParts: uint64(gridParts),
 		side:      uint64(side),
 		recip:     ^uint64(0)/max(uint64(side), 1) + 1, // no parts at all fails in Assign, as % does
@@ -58,7 +58,7 @@ func newGridAssigner(gridParts, side, mod int, seed uint64) gridAssigner {
 // Kurz, "Faster Remainder by Direct Computation", 2019), and h < side² < 2³²
 // for every int32 part count. At side 1 recip wraps to 0, which still gives
 // h = 0 its row 0.
-func (a gridAssigner) Assign(e graph.Edge) int32 {
+func (a *gridAssigner) Assign(e graph.Edge) int32 {
 	hu := hashing.Vertex(a.seed, e.Src) % a.gridParts
 	hv := hashing.Vertex(a.seed, e.Dst) % a.gridParts
 	ru, _ := bits.Mul64(a.recip, hu)

@@ -42,32 +42,63 @@ type shardJob struct {
 
 // streamShard is one worker's private ingress state: the cutTable core
 // (masters stay empty until the merged shard derives them at Finish) plus
-// the worker's own assigner and the vertex-space high-water mark.
+// the worker's own assigner, the vertex-space high-water mark and the
+// batch's per-partition edge counts.
 type streamShard struct {
 	cutTable
-	asg Assigner
-	n   int // vertices seen so far (max id + 1)
+	asg    Assigner
+	n      int     // vertices seen so far (max id + 1)
+	counts []int64 // this batch's edges per partition, folded into q after it
+}
+
+// countsPad is the spare capacity, one cache line of int64s, after each
+// shard's counts: the shards' counters are allocated one after another, and
+// without it two workers could write one line on every edge.
+const countsPad = 8
+
+func newStreamShard(numParts int, seed uint64, asg Assigner) *streamShard {
+	return &streamShard{
+		cutTable: newCutTable(0, numParts, seed),
+		asg:      asg,
+		counts:   make([]int64, numParts, numParts+countsPad),
+	}
 }
 
 // feed assigns and accounts one batch of edges, growing the replica matrix
-// as the stream reveals the vertex space. Once the matrix covers the vertex
-// range it allocates nothing.
+// first to the batch's vertex space. Once the matrix covers the vertex range
+// it allocates nothing. The matrix grows and the edge counts reach the
+// shard's Quality once per batch, so the per-edge writes are the replica
+// bits and the shard's own counters: none lands on a cache line another
+// worker reads.
 func (sh *streamShard) feed(strategy string, batch EdgeBatch) error {
+	n := sh.n
+	for _, e := range batch.Edges {
+		n = max(n, int(max(e.Src, e.Dst))+1)
+	}
+	if n > sh.n {
+		sh.n = n
+		sh.replicas.ensureRows(n)
+	}
+	counts := sh.counts
+	var err error
 	for i, e := range batch.Edges {
-		if v := int(max(e.Src, e.Dst)) + 1; v > sh.n {
-			sh.n = v
-			sh.replicas.ensureRows(v)
-		}
 		p := sh.asg.Assign(e)
-		if p < 0 || int(p) >= sh.numParts {
-			return fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
+		if p < 0 || int(p) >= len(counts) {
+			err = fmt.Errorf("partition: strategy %s placed edge %d on partition %d (numParts=%d)",
 				strategy, batch.Offset+int64(i), p, sh.numParts)
+			break
 		}
-		sh.q.AddEdge(int(p))
+		counts[p]++
 		sh.replicas.set(int(e.Src), int(p))
 		sh.replicas.set(int(e.Dst), int(p))
 	}
-	return nil
+	for p, c := range counts {
+		if c != 0 {
+			sh.q.AddEdges(p, c)
+			counts[p] = 0
+		}
+	}
+	return err
 }
 
 // merge folds the other shards' accumulated state into sh. Every piece of
@@ -127,7 +158,7 @@ func NewShardedStreamBuilder(strat Strategy, numParts, workers int, seed uint64)
 		if err != nil {
 			return nil, fmt.Errorf("partition: strategy %s: %w", s.Name(), err)
 		}
-		sb.shards[i] = &streamShard{cutTable: newCutTable(0, numParts, seed), asg: asg}
+		sb.shards[i] = newStreamShard(numParts, seed, asg)
 	}
 	for i := range sb.shards {
 		sb.wg.Add(1)

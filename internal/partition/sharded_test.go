@@ -137,7 +137,7 @@ func TestStreamBuilderFeedDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := &streamShard{cutTable: newCutTable(0, 9, 1), asg: asg}
+		sh := newStreamShard(9, 1, asg)
 		batch := EdgeBatch{Edges: g.Edges}
 		if err := sh.feed(name, batch); err != nil { // warm: grows rows to |V|
 			t.Fatal(err)
