@@ -16,6 +16,9 @@ func newBitMatrix(rows, cols int) *bitMatrix {
 	return &bitMatrix{cols: cols, words: w, bits: make([]uint64, rows*w)}
 }
 
+// capRows is the number of rows the matrix can grow to without allocating.
+func (m *bitMatrix) capRows() int { return cap(m.bits) / m.words }
+
 // ensureRows grows the matrix to hold at least rows rows, reallocating
 // geometrically so streamed ingress can discover the vertex count as it
 // consumes batches.

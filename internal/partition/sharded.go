@@ -71,9 +71,15 @@ func newStreamShard(numParts int, seed uint64, asg Assigner) *streamShard {
 // bits and the shard's own counters: none lands on a cache line another
 // worker reads.
 func (sh *streamShard) feed(strategy string, batch EdgeBatch) error {
-	n := sh.n
+	n, capRows := sh.n, sh.replicas.capRows()
 	for _, e := range batch.Edges {
-		n = max(n, int(max(e.Src, e.Dst))+1)
+		if v := int(max(e.Src, e.Dst)) + 1; v > n {
+			n = v
+			if v > capRows { // grown at the same ids as edge by edge: the same allocations
+				sh.replicas.ensureRows(v)
+				capRows = sh.replicas.capRows()
+			}
+		}
 	}
 	if n > sh.n {
 		sh.n = n
