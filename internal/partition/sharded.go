@@ -51,16 +51,14 @@ type streamShard struct {
 	counts []int64 // this batch's edges per partition, folded into q after it
 }
 
-// countsPad is the spare capacity, one cache line of int64s, after each
-// shard's counts: the shards' counters are allocated one after another, and
-// without it two workers could write one line on every edge.
-const countsPad = 8
-
 func newStreamShard(numParts int, seed uint64, asg Assigner) *streamShard {
 	return &streamShard{
 		cutTable: newCutTable(0, numParts, seed),
 		asg:      asg,
-		counts:   make([]int64, numParts, numParts+countsPad),
+		// A cache line of spare capacity: the shards' counters are
+		// allocated one after another, and without it two workers could
+		// write one line on every edge.
+		counts: make([]int64, numParts, numParts+8),
 	}
 }
 
