@@ -1,9 +1,9 @@
-// Command benchrunner regenerates the paper's tables and figures on the
-// simulated cluster and prints them as plain tables; -json also writes the
-// machine-readable report, which holds every cell and check. A report is a
-// pure function of its config, so two -json runs are compared with diff;
-// BENCH_seed1.json is held cell for cell by internal/bench's
-// TestCellsMatchCommittedBaseline.
+// Command benchrunner reruns the experiments behind the paper's tables and
+// figures on the simulated cluster and prints each as a plain table; -json
+// also writes the machine-readable report, which holds every cell and
+// check. A report is a pure function of its config, so two -json runs are
+// compared with diff; BENCH_seed1.json is held cell for cell by
+// internal/bench's TestCellsMatchCommittedBaseline.
 //
 // Usage:
 //

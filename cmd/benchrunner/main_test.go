@@ -25,18 +25,6 @@ func goodExperiment() bench.Experiment {
 	}
 }
 
-func figureExperiment() bench.Experiment {
-	return bench.Experiment{
-		ID: "fig", Title: "with figure", Paper: "n/a",
-		Run: func(bench.Config) (*bench.Result, error) {
-			r := bench.NewResult("fig", "with figure", "a")
-			r.Row(report.Dims{}).Col("1")
-			r.Figure = "ASCII-FIGURE-CONTENT\n"
-			return r, nil
-		},
-	}
-}
-
 func badExperiment() bench.Experiment {
 	return bench.Experiment{
 		ID: "bad", Title: "broken", Paper: "n/a",
@@ -70,14 +58,14 @@ func TestRunExitCode(t *testing.T) {
 	}
 }
 
-// TestRenderCarriesFigure: the plain table carries the experiment's ASCII
-// figure after its rows, and its paper line before the title.
-func TestRenderCarriesFigure(t *testing.T) {
+// TestRenderPutsPaperLineBeforeTitle: the plain render opens with the
+// experiment's paper line, then its title, columns and rows.
+func TestRenderPutsPaperLineBeforeTitle(t *testing.T) {
 	var stdout strings.Builder
-	if code := run([]bench.Experiment{figureExperiment()}, bench.DefaultConfig(), "", &stdout, io.Discard); code != 0 {
-		t.Fatalf("figure run exited %d", code)
+	if code := run([]bench.Experiment{goodExperiment()}, bench.DefaultConfig(), "", &stdout, io.Discard); code != 0 {
+		t.Fatalf("run exited %d", code)
 	}
-	want := "paper: n/a\n## fig — with figure\na\n-\n1\n\nASCII-FIGURE-CONTENT\n\n"
+	want := "paper: n/a\n## good — healthy\na\n----\n1.50\nnote: all good ✓\n\n"
 	if stdout.String() != want {
 		t.Errorf("plain render = %q, want %q", stdout.String(), want)
 	}

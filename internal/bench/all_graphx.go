@@ -4,12 +4,10 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/engine/graphx"
 	"graphpart/internal/partition"
-	"graphpart/internal/plot"
 	"graphpart/internal/report"
 )
 
@@ -69,21 +67,6 @@ func gxIterationExperiment(id, dataset, paper string, check func(r *Result, cum 
 					}
 					cum[appName][strat] = series
 				}
-			}
-			// Draw the PageRank panel as the figure.
-			var xs []float64
-			for _, ic := range iterCheckpoints {
-				xs = append(xs, float64(ic))
-			}
-			var series []plot.Series
-			for _, strat := range graphxAllStrategies() {
-				series = append(series, plot.Series{Name: strat, Y: cum["PageRank"][strat]})
-			}
-			var fig strings.Builder
-			ln := plot.Lines{Title: "PageRank cumulative time at iteration i (" + dataset + ")",
-				XLabel: "iterations", YLabel: "seconds", X: xs, Series: series}
-			if err := ln.Render(&fig); err == nil {
-				r.Figure = fig.String()
 			}
 			check(r, cum)
 			return r, nil

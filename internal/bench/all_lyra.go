@@ -98,11 +98,10 @@ func fig83() Experiment {
 					Engine: enginePowerLyra, Cluster: clusterName(cc), Parts: cc.NumParts()}).
 					Col(p.strategy).
 					Metric("replication-factor", p.rf, "ratio", 3).
-					Metric("net-in-GB", net(p), "GB", 3).
+					Metric("net-in-GB", net(p), "GB", 6).
 					Col(trendSide(rr)).
 					Value("trend-residual-GB", rr, "GB")
 			}
-			r.Figure = trendScatter("PageRank(10) net-in GB vs RF (Local-9, Twitter)", "net-in GB", points, net, fit)
 			oneD := resid["1D"] > 0
 			r.Checkf(oneD, "1D sits above the interpolation line for PageRank",
 				"1D above the interpolation line for PageRank: %s", Mark(oneD))

@@ -106,8 +106,8 @@ func (c Config) graphxConfig(cc cluster.Config, iterations int) graphx.Config {
 // --- typed results ----------------------------------------------------
 
 // Result is the typed outcome of one experiment run: measurement cells and
-// structured checks first, presentation (column layout, note text, ASCII
-// figure) alongside so the table and the report derive from one record.
+// structured checks first, presentation (column layout, note text)
+// alongside so the table and the report derive from one record.
 type Result struct {
 	ID    string
 	Title string
@@ -115,9 +115,6 @@ type Result struct {
 	Cells []report.Cell
 	// Checks are the structured verdicts, in emission order.
 	Checks []report.Check
-	// Figure optionally carries an ASCII rendering of the paper's figure
-	// (scatter with trend line, or cumulative curves).
-	Figure string
 
 	columns []string
 	rows    []*Row
@@ -219,7 +216,7 @@ func (w *Row) Value(metric string, v float64, unit string) *Row {
 // --- rendering --------------------------------------------------------
 
 // Render writes the result's plain-text table: title, aligned columns and
-// rows, the ASCII figure, then the notes.
+// rows, then the notes.
 func (r *Result) Render(w io.Writer) error {
 	widths := make([]int, len(r.columns))
 	for i, c := range r.columns {
@@ -258,10 +255,6 @@ func (r *Result) Render(w io.Writer) error {
 	fmt.Fprintln(w, strings.Repeat("-", total))
 	for _, row := range r.rows {
 		fmt.Fprintln(w, line(row.cols))
-	}
-	if r.Figure != "" {
-		fmt.Fprintln(w)
-		fmt.Fprint(w, r.Figure)
 	}
 	for _, n := range r.notes {
 		fmt.Fprintf(w, "note: %s\n", n)

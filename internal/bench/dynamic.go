@@ -4,11 +4,11 @@ package bench
 // did — partition quality and ingest cost under edge churn. dyn.drift
 // compares incremental maintenance against one-shot repartitioning of the
 // surviving edges across deletion rates; dyn.rebalance exercises the
-// migration pass and hot-vertex replication on a skew-loaded strategy;
-// dyn.cost prices incremental windows against per-window repartitioning on
-// the simulated cluster. Every cell is deterministic (quality metrics and
-// modeled seconds); how fast ApplyBatch runs in wall-clock is benchmark/'s
-// partition.apply_edges_per_s and service.churn_edges_per_s.
+// migration pass on a skew-loaded strategy; dyn.cost prices incremental
+// windows against per-window repartitioning on the simulated cluster. Every
+// cell is deterministic (quality metrics and modeled seconds); how fast
+// ApplyBatch runs in wall-clock is benchmark/'s partition.apply_edges_per_s
+// and service.churn_edges_per_s.
 
 import (
 	"fmt"

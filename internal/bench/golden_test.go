@@ -3,9 +3,13 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"graphpart/internal/report"
 )
 
 // updateGolden regenerates testdata/golden/*.txt from the current renders.
@@ -65,6 +69,59 @@ func TestGoldenTableRenders(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Errorf("%s: render differs from golden %s\n--- got ---\n%s\n--- want ---\n%s",
 					e.ID, path, buf.Bytes(), want)
+			}
+		})
+	}
+}
+
+// plottedY names the y column of each RF-correlation figure: the metric the
+// paper plots against replication factor.
+var plottedY = []struct{ id, metric string }{
+	{"fig5.3", "net-in-GB/machine"},
+	{"fig5.4", "compute-seconds"},
+	{"fig5.5", "peak-mem-GB/machine"},
+	{"fig8.3", "net-in-GB"},
+}
+
+// TestPlottedValuesRenderDistinct: the table is the figure's only human
+// view, so within one panel (one application) two points whose y values
+// differ by 0.1% or more must print different y strings.
+func TestPlottedValuesRenderDistinct(t *testing.T) {
+	for _, p := range plottedY {
+		id, metric := p.id, p.metric
+		t.Run(id, func(t *testing.T) {
+			if testing.Short() && goldenSlow[id] {
+				t.Skipf("%s takes multiple seconds; run without -short", id)
+			}
+			res := seed1Result(t, id)
+			col := slices.Index(res.columns, metric)
+			if col < 0 {
+				t.Fatalf("%s: no %s column in %v", id, metric, res.columns)
+			}
+			type plotted struct {
+				strategy, shown string
+				y               float64
+			}
+			panels := map[string][]plotted{}
+			for _, row := range res.rows {
+				i := slices.IndexFunc(res.Cells, func(c report.Cell) bool {
+					return c.Dims == row.dims && c.Metric == metric
+				})
+				if i < 0 {
+					t.Fatalf("%s: row %v has no %s cell", id, row.cols, metric)
+				}
+				panels[row.dims.App] = append(panels[row.dims.App],
+					plotted{row.dims.Strategy, row.cols[col], res.Cells[i].Value})
+			}
+			for app, pts := range panels {
+				for i, a := range pts {
+					for _, b := range pts[i+1:] {
+						if math.Abs(a.y-b.y) >= 1e-3*math.Min(math.Abs(a.y), math.Abs(b.y)) && a.shown == b.shown {
+							t.Errorf("%s %s: %s (%g) and %s (%g) both render %q",
+								id, app, a.strategy, a.y, b.strategy, b.y, a.shown)
+						}
+					}
+				}
 			}
 		})
 	}

@@ -49,7 +49,7 @@ func correlationTable(id, title, metricName, unit string, pick func(*point) floa
 						Engine: enginePowerGraph, Cluster: clusterName(cc), Parts: cc.NumParts()}).
 						Col(spec.name, p.strategy).
 						Metric("replication-factor", p.rf, "ratio", 3).
-						Metric(metricName, pick(p), unit, 3)
+						Metric(metricName, pick(p), unit, 6)
 				}
 			}
 			for _, s := range all {
@@ -67,10 +67,6 @@ func correlationTable(id, title, metricName, unit string, pick func(*point) floa
 				}
 				r.Checkf(pass, metricName+" increases linearly with replication factor for "+s.app,
 					"%s: slope=%.4g R²=%.3f → %s", s.app, fit.Slope, fit.R2, verdict)
-				// Draw the PageRank(10) panel as the figure.
-				if s.app == "PageRank(10)" {
-					r.Figure = trendScatter("PageRank(10): "+metricName+" vs replication factor", metricName, s.points, pick, fit)
-				}
 			}
 			return r, nil
 		},

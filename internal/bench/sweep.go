@@ -7,11 +7,9 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 
 	"graphpart/internal/cluster"
 	"graphpart/internal/metrics"
-	"graphpart/internal/plot"
 	"graphpart/internal/report"
 )
 
@@ -124,8 +122,8 @@ func sweepExperiment(id, title, paper, table string, spec sweepSpec, checks func
 	}
 }
 
-// The RF-correlation figures (5.3–5.5, 6.1, 6.2, 8.3) share three pieces:
-// the fitted RF→metric line, the "vs-trend" column, and the scatter panel.
+// The RF-correlation figures (5.3–5.5, 6.1, 6.2, 8.3) share two pieces:
+// the fitted RF→metric line and the "vs-trend" column.
 
 // fitTrend fits the RF→metric line through points, leaving out the
 // strategies skip names (nil keeps every point).
@@ -148,20 +146,4 @@ func trendSide(residual float64) string {
 		return "above line"
 	}
 	return "below line"
-}
-
-// trendScatter draws the figure panel: points over replication factor,
-// labelled by strategy, with the fitted line through them. A panel that
-// cannot be drawn is left out rather than failing the run.
-func trendScatter(title, ylabel string, points []*point, pick func(*point) float64, fit metrics.LinFit) string {
-	sc := plot.Scatter{Title: title, XLabel: "replication factor", YLabel: ylabel,
-		Trend: &[2]float64{fit.Slope, fit.Intercept}}
-	for _, p := range points {
-		sc.Points = append(sc.Points, plot.Point{X: p.rf, Y: pick(p), Label: p.strategy})
-	}
-	var fig strings.Builder
-	if err := sc.Render(&fig); err != nil {
-		return ""
-	}
-	return fig.String()
 }

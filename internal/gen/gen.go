@@ -136,7 +136,8 @@ type PowerLawConfig struct {
 }
 
 // PowerLaw generates a power-law graph with a *full* low-degree tail (most
-// vertices have degree 1–2), standing in for UK-web (Fig 5.8c). It draws a
+// vertices have degree 1–2); gengraph's -kind powerlaw writes it (the uk-web
+// dataset is WebGraph). It draws a
 // Zipf out-degree sequence and pairs edge stubs configuration-model style;
 // in-degrees are assigned by an independent Zipf sequence so both
 // distributions are skewed, as in web graphs.

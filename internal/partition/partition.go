@@ -161,7 +161,8 @@ func newAssignment(g *graph.Graph, s Strategy, numParts int, seed uint64, res *R
 // Then one shard sets every out-edge bit and another every in-edge bit: the
 // two write different matrices, so they need no range test and no atomic,
 // and at one worker both run inline. Last, workers derive their vertex
-// range's replicas as in|out (an assignment pins no images).
+// range's replicas as in|out: a vertex's replicas are exactly the
+// partitions holding one of its in- or out-edges.
 func (a *Assignment) place(workers int) error {
 	edges, parts, numParts := a.G.Edges, a.EdgeParts, a.NumParts
 	m := len(parts)
@@ -211,8 +212,8 @@ func (a *Assignment) place(workers int) error {
 
 // Rows returns v's placement in the shape it is stored: the words of its
 // replica, in-edge and out-edge partition sets, partition p at bit p%64 of
-// word p/64. An assignment pins no images, so replicas is the union of in and
-// out. The slices are shared; do not modify.
+// word p/64. replicas is the union of in and out. The slices are shared; do
+// not modify.
 func (a *Assignment) Rows(v graph.VertexID) (replicas, in, out []uint64) {
 	return a.replicas.row(int(v)), a.inEdgeParts.row(int(v)), a.outEdgeParts.row(int(v))
 }
