@@ -196,6 +196,47 @@ func TestNetInClosedForm(t *testing.T) {
 	}
 }
 
+// everyChanges is a program that gathers and scatters nothing and changes
+// every vertex it applies: its only traffic is what the policy charges per
+// changed vertex.
+type everyChanges struct{ app.PageRank }
+
+func (everyChanges) GatherDir() engine.Direction  { return engine.DirNone }
+func (everyChanges) ScatterDir() engine.Direction { return engine.DirNone }
+func (everyChanges) Apply(_ *graph.Graph, _ graph.VertexID, old float64, _ float64, _ bool) (float64, bool) {
+	return old + 1, true
+}
+
+// TestShippedBytesReachThePeak: an Execute whose only charge is a Shipped
+// transfer reports, as PeakDynBytes, its bytes per remote mirror times the
+// remote mirrors over the machine count — at one worker and at three, where
+// the scatter phase runs sharded.
+func TestShippedBytesReachThePeak(t *testing.T) {
+	cc := cluster.Config{Machines: 3, PartsPerMachine: 3}
+	a := assignmentFor(t, "HDRF")
+	cut, err := oracle.NewCut(a.G.NumVertices(), a.NumParts, a.G.Edges, a.EdgeParts, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := 0
+	for v, master := range a.Masters {
+		for p := 0; p < a.NumParts; p++ {
+			if cut.Holds(graph.VertexID(v), p) && p != int(master) && cc.MachineOf(p) != cc.MachineOf(int(master)) {
+				remote++
+			}
+		}
+	}
+	const bytes = 3
+	ch := engine.Charges{WorkMult: 1, NarrowDegree: -1, Shipped: engine.Transfer{Bytes: bytes, Narrow: engine.DirBoth}}
+	want := float64(remote*bytes) / float64(cc.Machines)
+	for _, workers := range []int{1, 3} {
+		ex := engine.Execute[float64, float64](everyChanges{}, a, cc, model, ch, 1, true, workers)
+		if ex.PeakDynBytes != want || want == 0 {
+			t.Errorf("workers=%d: PeakDynBytes = %v, want %v (%d remote mirrors)", workers, ex.PeakDynBytes, want, remote)
+		}
+	}
+}
+
 // TestRunRefusesInvalidCostModel: a zero bandwidth used to divide 0 by 0 into
 // ComputeSeconds = NaN with no error; both Run functions now refuse the model
 // as they refuse a bad cluster, naming the field.
@@ -277,7 +318,7 @@ func TestRunRefusesMoreThanMaxParts(t *testing.T) {
 // BenchmarkEngineParallelDense's input allocates to its closed form: two
 // value arrays, the frontier and the change buffer, the in-column (one byte per
 // slot; PageRank scatters free in GraphX, so there is no out-column), the
-// frontier bitmaps and the per-shard meters, O(shards·parts), plus an
+// frontier bitmaps, the per-shard meters, O(shards·parts), and tallies, plus an
 // allowance for the size-class rounding of the large arrays, the cluster
 // tables, the closures and the Stats. Per-shard buffers that grow with the
 // frontier (≈ 475 KB here) do not fit in the allowance.
@@ -309,7 +350,7 @@ func TestDenseRunAllocatesItsClosedForm(t *testing.T) {
 		n*4 + n*4 + // frontier, change buffer
 		slots + // in-column
 		(1+workers)*(n+63)/64*8 + // next frontier, per-worker bitmaps
-		shards*(3*a.NumParts*8+96) + // per-shard meters: three slices, two counters
+		shards*(3*a.NumParts*8+72+24) + // per-shard meters (three slices) and tallies (three scalars)
 		allowance
 	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(form) {
 		t.Errorf("a dense run allocated %d B, closed form %d B", got, form)

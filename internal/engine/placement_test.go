@@ -57,16 +57,16 @@ func TestPlacementColumnMatchesEdgeParts(t *testing.T) {
 // chargePerBit is charge as it was before the machine masks: one
 // partition→machine lookup per reached mirror. It is the oracle
 // TestChargeMatchesPerBitWalk holds the masked walk to.
-func (pl placement) chargePerBit(t Transfer, toMaster bool, v graph.VertexID, master int, narrow bool, ms *meters) {
+func (pl placement) chargePerBit(t Transfer, toMaster bool, v graph.VertexID, master int, narrow bool, ms *meters, dyn float64) float64 {
 	if master < 0 || t.Bytes == 0 && t.MirrorNs == 0 {
-		return
+		return dyn
 	}
 	atMaster, atMirror := ms.Out, ms.In
 	if toMaster {
 		atMaster, atMirror = ms.In, ms.Out
 	}
 	reps, in, out := pl.a.Rows(v)
-	mm, dyn := pl.machine[master], ms.Dyn
+	mm := pl.machine[master]
 	for wi, w := range reps {
 		if narrow {
 			var held uint64
@@ -93,12 +93,12 @@ func (pl placement) chargePerBit(t Transfer, toMaster bool, v graph.VertexID, ma
 			}
 		}
 	}
-	ms.Dyn = dyn
+	return dyn
 }
 
 // TestChargeMatchesPerBitWalk: over every vertex of a 100-part HDRF
 // assignment on 25×4 machines, the masked charge leaves Work, In, Out and
-// Dyn bit for bit where the per-bit walk does, for every narrow direction,
+// the running byte sum it threads bit for bit where the per-bit walk does, for every narrow direction,
 // both flows and narrow or not. The prices are fractions, so a changed order
 // of additions would show in the low bits.
 func TestChargeMatchesPerBitWalk(t *testing.T) {
@@ -109,16 +109,17 @@ func TestChargeMatchesPerBitWalk(t *testing.T) {
 			for _, narrow := range []bool{false, true} {
 				tr := Transfer{Bytes: 1.0 / 3, MirrorNs: 0.1, Narrow: d}
 				got, want := newMeters(a.NumParts), newMeters(a.NumParts)
+				var gotDyn, wantDyn float64
 				for v := range a.G.NumVertices() {
 					master := int(a.Masters[v])
-					pl.charge(tr, toMaster, graph.VertexID(v), master, narrow, &got)
-					pl.chargePerBit(tr, toMaster, graph.VertexID(v), master, narrow, &want)
+					gotDyn = pl.charge(tr, toMaster, graph.VertexID(v), master, narrow, &got, gotDyn)
+					wantDyn = pl.chargePerBit(tr, toMaster, graph.VertexID(v), master, narrow, &want, wantDyn)
 				}
 				name := func(meter string) string {
 					return fmt.Sprintf("%s (Narrow %v, toMaster %v, narrow %v)", meter, d, toMaster, narrow)
 				}
-				if math.Float64bits(got.Dyn) != math.Float64bits(want.Dyn) {
-					t.Errorf("%s = %v, per-bit walk %v", name("Dyn"), got.Dyn, want.Dyn)
+				if math.Float64bits(gotDyn) != math.Float64bits(wantDyn) {
+					t.Errorf("%s = %v, per-bit walk %v", name("Dyn"), gotDyn, wantDyn)
 				}
 				for meter, pair := range map[string][2][]float64{"Work": {got.Work, want.Work}, "In": {got.In, want.In}, "Out": {got.Out, want.Out}} {
 					for p := range pair[0] {

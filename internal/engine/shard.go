@@ -34,6 +34,8 @@ const (
 	// convergence tail of SSSP on road networks) therefore never leave it.
 	// Measured on the benchmark's pipelines: at 16 the halting tail of
 	// GraphX PageRank, which still parallelises, loses 3%; at 8 it is flat.
+	// At 2, BenchmarkEngineParallelSmallFrontier ran 15–25% slower (3
+	// alternations, 2 vCPUs), so small frontiers stay on the caller.
 	minParallelShards = 8
 	// maxShards caps per-shard scratch memory and merge cost.
 	maxShards = 64
@@ -53,15 +55,12 @@ func numShards(n int) int {
 }
 
 // meters is one shard's private accounting scratch: per-partition CPU work
-// and traffic, plus the scalar counters a superstep accumulates. Workers
-// write only their own shard's meters, and the merge (in shard order)
-// happens on the coordinating goroutine.
-// Adjacent shards' structs share cache lines, so code on the per-vertex path
-// adds to the slices freely but to the scalar fields only where it must.
+// and traffic. Workers write only their own shard's slices, and the merge (in
+// shard order) happens on the coordinating goroutine. Adjacent shards'
+// structs share cache lines, so the struct holds nothing a per-vertex path
+// writes: a phase body keeps its scalar sums in locals and returns them.
 type meters struct {
 	Work, In, Out []float64 // indexed by partition
-	Edges         int64     // gather+scatter edge visits, stored once per shard
-	Dyn           float64   // dynamic message bytes (peak-memory accounting)
 }
 
 // newMeters returns zeroed meters for numParts partitions.
@@ -78,7 +77,6 @@ func (m *meters) reset() {
 	clear(m.Work)
 	clear(m.In)
 	clear(m.Out)
-	m.Edges, m.Dyn = 0, 0
 }
 
 // mergeInto adds this shard's per-partition meters into the global arrays.
@@ -88,6 +86,13 @@ func (m *meters) mergeInto(work, in, out []float64) {
 		in[p] += m.In[p]
 		out[p] += m.Out[p]
 	}
+}
+
+// tally is what one shard's phase body returned, stored once per shard.
+type tally struct {
+	changed int     // entries appended to the shard's change window
+	edges   int64   // gather or scatter edge visits
+	dyn     float64 // transfer bytes (peak-memory accounting)
 }
 
 // bitset is a fixed-size bit set over a dense vertex-id space. Scatter
@@ -134,10 +139,10 @@ type sharder struct {
 	// shard count so idle workers are never spawned.
 	Workers int
 
-	shards  []meters
-	changed []int    // per-shard change counts of the last Meter
-	next    []bitset // per-worker activation bitmaps, allocated on first use
-	n       int      // vertices, for bitmap sizing
+	shards []meters
+	tally  []tally  // per-shard results of the last phase
+	next   []bitset // per-worker activation bitmaps, allocated on first use
+	n      int      // vertices, for bitmap sizing
 }
 
 // newSharder sizes the scratch for a run over n vertices and numParts
@@ -151,7 +156,7 @@ func newSharder(workers, numParts, n int) *sharder {
 	for i := range sh.shards {
 		sh.shards[i] = newMeters(numParts)
 	}
-	sh.changed = make([]int, len(sh.shards))
+	sh.tally = make([]tally, len(sh.shards))
 	sh.next = make([]bitset, w)
 	return sh
 }
@@ -180,43 +185,41 @@ func (sh *sharder) Do(nItems int, body func(lo, hi int)) {
 // Meter runs body over contiguous shards of an nItems-long work list, each
 // shard with zeroed private meters and its own window of one change buffer:
 // shard [lo, hi) appends to dst[lo:lo:hi], at most one entry per item, and
-// body returns what it appended. dst's backing array is reused, grown only
-// when shorter than the list. Meters merge into work/in/out in shard order
-// and the windows compact to the front of dst, also in shard order, so for a
-// contiguous decomposition the result is in work-list order, exactly as a
-// sequential loop would produce it. Returns the changes plus the summed Edges
-// and Dyn counters.
+// body returns what it appended, its edge visits and its transfer bytes.
+// dst's backing array is reused, grown only when shorter than the list.
+// Meters merge into work/in/out in shard order and the windows compact to the
+// front of dst, also in shard order, so for a contiguous decomposition the
+// result is in work-list order, exactly as a sequential loop would produce
+// it. Returns the changes plus the edges and bytes summed in shard order.
 func (sh *sharder) Meter(nItems int, work, in, out []float64, dst []graph.VertexID,
-	body func(lo, hi int, ms *meters, ch []graph.VertexID) []graph.VertexID) ([]graph.VertexID, int64, float64) {
+	body func(lo, hi int, ms *meters, ch []graph.VertexID) ([]graph.VertexID, int64, float64)) ([]graph.VertexID, int64, float64) {
 	dst = slices.Grow(dst[:0], nItems)[:nItems]
 	ns := numShards(nItems)
 	par.Do(sh.workersFor(ns), ns, func(s, _ int) {
 		ms := &sh.shards[s]
 		ms.reset()
 		lo, hi := par.Range(nItems, ns, s)
-		sh.changed[s] = len(body(lo, hi, ms, dst[lo:lo:hi]))
+		ch, edges, dyn := body(lo, hi, ms, dst[lo:lo:hi])
+		sh.tally[s] = tally{len(ch), edges, dyn}
 	})
-	var edges int64
-	var dyn float64
+	edges, dyn := sh.merge(ns, work, in, out)
 	off := 0
 	for s := 0; s < ns; s++ {
-		sh.shards[s].mergeInto(work, in, out)
-		edges += sh.shards[s].Edges
-		dyn += sh.shards[s].Dyn
 		// off ≤ lo: every earlier window holds at most its own length.
 		lo, _ := par.Range(nItems, ns, s)
-		off += copy(dst[off:], dst[lo:lo+sh.changed[s]])
+		off += copy(dst[off:], dst[lo:lo+sh.tally[s].changed])
 	}
 	return dst[:off], edges, dyn
 }
 
 // Scatter runs body over contiguous shards of an nItems-long change list,
-// each shard with zeroed private meters and its worker's activation bitmap.
-// frontier is cleared, then the per-worker bitmaps OR-merge into it (and
-// are cleared for the next superstep). Meters merge in shard order; returns
-// the summed Edges counter.
+// each shard with zeroed private meters and its worker's activation bitmap;
+// body returns its edge visits and transfer bytes. frontier is cleared, then
+// the per-worker bitmaps OR-merge into it (and are cleared for the next
+// superstep). Meters merge in shard order; returns the edges and bytes
+// summed in shard order.
 func (sh *sharder) Scatter(nItems int, work, in, out []float64, frontier bitset,
-	body func(lo, hi int, ms *meters, nb bitset)) int64 {
+	body func(lo, hi int, ms *meters, nb bitset) (int64, float64)) (int64, float64) {
 	clear(frontier)
 	ns := numShards(nItems)
 	par.Do(sh.workersFor(ns), ns, func(s, w int) {
@@ -228,17 +231,26 @@ func (sh *sharder) Scatter(nItems int, work, in, out []float64, frontier bitset,
 			sh.next[w] = nb
 		}
 		lo, hi := par.Range(nItems, ns, s)
-		body(lo, hi, ms, nb)
+		edges, dyn := body(lo, hi, ms, nb)
+		sh.tally[s] = tally{edges: edges, dyn: dyn}
 	})
-	var edges int64
-	for s := 0; s < ns; s++ {
-		sh.shards[s].mergeInto(work, in, out)
-		edges += sh.shards[s].Edges
-	}
 	for _, nb := range sh.next {
 		if nb != nil {
 			frontier.MergeClear(nb)
 		}
 	}
-	return edges
+	return sh.merge(ns, work, in, out)
+}
+
+// merge adds the first ns shards' meters into work/in/out and sums their
+// edges and bytes, all in shard order.
+func (sh *sharder) merge(ns int, work, in, out []float64) (int64, float64) {
+	var edges int64
+	var dyn float64
+	for s := 0; s < ns; s++ {
+		sh.shards[s].mergeInto(work, in, out)
+		edges += sh.tally[s].edges
+		dyn += sh.tally[s].dyn
+	}
+	return edges, dyn
 }

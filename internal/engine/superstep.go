@@ -88,14 +88,16 @@ func newPlacement(a *partition.Assignment, cfg cluster.Config) placement {
 
 // charge prices transfer t of v, if v has a master: every mirror reached pays
 // t.MirrorNs, and one on another machine than master's moves t.Bytes — towards
-// the master if toMaster, from it otherwise. The remote mirrors are the reached
-// words masked by master's machine. Mirrors are visited in ascending partition
-// order, so every meter sums its floats in one fixed sequence; atMaster and
-// atMirror are always different slices, so the master's sum can stay in a
-// register.
-func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master int, narrow bool, ms *meters) {
+// the master if toMaster, from it otherwise. It returns dyn, the caller's
+// running sum of moved bytes, plus what v moved, and writes only ms's slices,
+// never memory another shard's worker reads. The remote mirrors are the
+// reached words masked by master's machine. Mirrors are visited in ascending
+// partition order, so every meter sums its floats in one fixed sequence;
+// atMaster and atMirror are always different slices, so the master's sum can
+// stay in a register.
+func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master int, narrow bool, ms *meters, dyn float64) float64 {
 	if master < 0 || t.Bytes == 0 && t.MirrorNs == 0 {
-		return
+		return dyn
 	}
 	atMaster, atMirror := ms.Out, ms.In
 	if toMaster {
@@ -104,7 +106,7 @@ func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master i
 	reps, in, out := pl.a.Rows(v)
 	mm, words := int(pl.machine[master]), len(reps)
 	local := pl.local[mm*words : (mm+1)*words]
-	sent, dyn := atMaster[master], ms.Dyn
+	sent := atMaster[master]
 	for wi, w := range reps {
 		if narrow {
 			var held uint64
@@ -131,7 +133,7 @@ func (pl placement) charge(t Transfer, toMaster bool, v graph.VertexID, master i
 		}
 	}
 	atMaster[master] = sent
-	ms.Dyn = dyn
+	return dyn
 }
 
 // activate scatters along one adjacency list of a changed vertex, parts being
@@ -228,7 +230,7 @@ type Execution[V any] struct {
 	// Edges counts gather+scatter edge visits.
 	Edges int64
 	// PeakDynBytes is the largest per-machine mean of the bytes the
-	// Transfers moved in one superstep.
+	// Transfers (Gathered, Applied and Shipped) moved in one superstep.
 	PeakDynBytes float64
 }
 
@@ -322,8 +324,9 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 		var gatherEdges int64
 		var dynBytes float64
 		changedList, gatherEdges, dynBytes = sh.Meter(len(frontier), work, inBytes, outBytes, changedList,
-			func(lo, hi int, ms *meters, chg []graph.VertexID) []graph.VertexID {
+			func(lo, hi int, ms *meters, chg []graph.VertexID) ([]graph.VertexID, int64, float64) {
 				var edges int64
+				var dyn float64
 				for _, v := range frontier[lo:hi] {
 					inNbrs, inParts := in.list(v)
 					outNbrs, outParts := out.list(v)
@@ -346,7 +349,7 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 					// vertices).
 					master := int(masters[v])
 					narrow := gatherDir.degree(len(inNbrs), len(outNbrs)) <= ch.NarrowDegree
-					pl.charge(ch.Gathered, true, v, master, narrow, ms)
+					dyn = pl.charge(ch.Gathered, true, v, master, narrow, ms, dyn)
 					nv, changed := prog.Apply(g, v, vals[v], acc, hasAcc)
 					newVals[v] = nv
 					if changed {
@@ -355,12 +358,11 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 					if master >= 0 {
 						ms.Work[master] += model.ApplyVertexNs
 						if changed || !(narrow && ch.NarrowSyncOnChange) {
-							pl.charge(ch.Applied, false, v, master, narrow, ms)
+							dyn = pl.charge(ch.Applied, false, v, master, narrow, ms, dyn)
 						}
 					}
 				}
-				ms.Edges = edges
-				return chg
+				return chg, edges, dyn
 			})
 
 		// Commit applied values (disjoint indexes; no meters).
@@ -374,14 +376,15 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 		// Meters stay per-shard; activation bits go to per-worker bitmaps
 		// merged by OR (commutative and idempotent, so the merged frontier
 		// is independent of shard→worker scheduling).
-		ex.Edges += gatherEdges + sh.Scatter(len(changedList), work, inBytes, outBytes, nextActive,
-			func(lo, hi int, ms *meters, nb bitset) {
+		scatterEdges, shippedBytes := sh.Scatter(len(changedList), work, inBytes, outBytes, nextActive,
+			func(lo, hi int, ms *meters, nb bitset) (int64, float64) {
 				var edges int64
+				var dyn float64
 				for _, v := range changedList[lo:hi] {
 					inNbrs, inParts := in.list(v)
 					outNbrs, outParts := out.list(v)
 					narrow := gatherDir.degree(len(inNbrs), len(outNbrs)) <= ch.NarrowDegree
-					pl.charge(ch.Shipped, false, v, int(masters[v]), narrow, ms)
+					dyn = pl.charge(ch.Shipped, false, v, int(masters[v]), narrow, ms, dyn)
 					if scatterDir.out() {
 						edges += pl.activate(&ch, outNbrs, outParts, ms, nb)
 					}
@@ -389,8 +392,10 @@ func Execute[V, A any](prog Program[V, A], a *partition.Assignment, cfg cluster.
 						edges += pl.activate(&ch, inNbrs, inParts, ms, nb)
 					}
 				}
-				ms.Edges = edges
+				return edges, dyn
 			})
+		ex.Edges += gatherEdges + scatterEdges
+		dynBytes += shippedBytes
 
 		if ch.WorkMult != 1 {
 			for p := range work {

@@ -223,8 +223,23 @@ func (sb *ShardedStreamBuilder) Finish() (*StreamSummary, error) {
 	return sb.sum, nil
 }
 
-// summarize merges every shard into the first and derives its masters.
+// summarize merges every shard into the one whose replica matrix has the
+// least capacity that holds the whole vertex space, and derives its masters.
+// The merge is sums and unions, so the summary is the same whichever shard
+// takes it; the others are released, so the one kept sets the memory the
+// summary retains, and the tightest grows no new matrix.
 func (sb *ShardedStreamBuilder) summarize() *StreamSummary {
+	n := 0
+	for _, sh := range sb.shards {
+		n = max(n, sh.n)
+	}
+	r := -1
+	for i, sh := range sb.shards {
+		if c := sh.replicas.capRows(); c >= n && (r < 0 || c < sb.shards[r].replicas.capRows()) {
+			r = i
+		}
+	}
+	sb.shards[0], sb.shards[r] = sb.shards[r], sb.shards[0]
 	root, workers := sb.shards[0], len(sb.shards)
 	root.merge(sb.shards[1:], workers)
 	var hint func(graph.VertexID) int32

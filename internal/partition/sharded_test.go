@@ -87,6 +87,49 @@ func TestFinishReleasesShards(t *testing.T) {
 	}
 }
 
+// TestSummaryKeepsTheTightestMatrix: shards whose replica matrices grew to
+// unequal capacities merge into the one with the least capacity that holds
+// the whole vertex space — not the first shard, nor one too small — and the
+// summary is the one the sequential table builds. Shard 0 grows edge by edge
+// to 4004 rows for 2500 vertices, shard 1 to exactly 2500 in one step, shard
+// 2 to 3; each shard is fed on the test goroutine, no batch goes to the
+// workers.
+func TestSummaryKeepsTheTightestMatrix(t *testing.T) {
+	shardEdges := [][][]graph.Edge{
+		{{{Src: 0, Dst: 1000}}, {{Src: 0, Dst: 1001}}, {{Src: 1, Dst: 2499}}},
+		{{{Src: 5, Dst: 2499}, {Src: 7, Dst: 9}}},
+		{{{Src: 1, Dst: 2}}},
+	}
+	for _, name := range []string{"Grid", "1D-Target"} {
+		s := MustNew(name, Options{})
+		sb, err := NewShardedStreamBuilder(s, 9, len(shardEdges), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []graph.Edge
+		for i, batches := range shardEdges {
+			for _, b := range batches {
+				if err := sb.shards[i].feed(name, EdgeBatch{Offset: int64(len(all)), Edges: b}); err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, b...)
+			}
+		}
+		if caps := [3]int{sb.shards[0].replicas.capRows(), sb.shards[1].replicas.capRows(), sb.shards[2].replicas.capRows()}; caps != [3]int{4004, 2500, 3} {
+			t.Fatalf("%s: test premise broken: shard capacities %v, want [4004 2500 3]", name, caps)
+		}
+		sum, err := sb.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sum.replicas.capRows(); got != 2500 {
+			t.Errorf("%s: the summary keeps a %d-row matrix, want the tightest, 2500", name, got)
+		}
+		g := graph.FromEdges("unequal", all)
+		assertTablesEqual(t, name, viewOf(&sum.cutTable, sum.NumVertices), cutView(buildOracle(t, s, g, 9, 9)))
+	}
+}
+
 // badAssigner places every edge out of range, to exercise the sharded error
 // path end to end.
 type badAssigner struct{}
